@@ -30,7 +30,13 @@ from .errors import (
     NotACycle,
     UnboundedLeftRegularComponent,
 )
-from .graph import Graph, directed_closure, source_elimination
+from .graph import (
+    Graph,
+    connected_components,
+    directed_closure,
+    reaches_cycle,
+    source_elimination,
+)
 from .paths import (
     Path,
     cycle_vertices,
@@ -223,24 +229,7 @@ class LabeledH:
 
     def components(self) -> list[list[Node]]:
         """Undirected components of H, each sorted, ordered by least node."""
-        parent = {n: n for n in self.nodes}
-
-        def find(x: Node) -> Node:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for arc in self.arcs:
-            ra, rb = find(arc.src), find(arc.dst)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[Node, list[Node]] = {}
-        for n in self.nodes:
-            groups.setdefault(find(n), []).append(n)
-        comps = [sorted(ns) for ns in groups.values()]
-        comps.sort(key=lambda ns: ns[0])
-        return comps
+        return connected_components(self.nodes, ((arc.src, arc.dst) for arc in self.arcs))
 
     def to_dot(self) -> str:
         lines = ["digraph H {"]
@@ -255,18 +244,34 @@ class LabeledH:
         return "\n".join(lines) + "\n"
 
 
+def _require_valid(a: ExplicitAtomic, require_total: bool) -> None:
+    """Raise unless the explicit data passes ``validate_atomic``.
+
+    Structural errors raise DomainError; a missing image raises
+    NonTotalPresentation, and only when ``require_total`` is set.
+    """
+    report = validate_atomic(a, require_total)
+    structural = [f.message for f in report.errors if f.code != "non-total"]
+    if structural:
+        raise DomainError("explicit atomic data is structurally invalid", findings=structural)
+    if not report.valid:
+        raise NonTotalPresentation(
+            "pi is not total; finite explicit data cannot present this family",
+            findings=[f.message for f in report.errors],
+        )
+
+
 def build_H(a: ExplicitAtomic) -> LabeledH:
     """Labeled graph on basis nodes; requires structurally valid data.
 
     Totality is not required here so that depth-truncated materializations
     can still be inspected; classification enforces totality separately.
     """
-    report = validate_atomic(a, require_total=False)
-    if not report.valid:
-        raise DomainError(
-            "explicit atomic data is structurally invalid",
-            findings=[f.message for f in report.errors],
-        )
+    _require_valid(a, require_total=False)
+    return _labeled_H(a)
+
+
+def _labeled_H(a: ExplicitAtomic) -> LabeledH:
     g = a.graph
     nodes = tuple(a.nodes())
     arcs: list[Arc] = []
@@ -336,6 +341,15 @@ def trace_backward(h: LabeledH, node: Node) -> RootFound | CycleFound:
             return CycleFound(nodes_fwd, Path(prev[0], edges), phase, t)
         seen[prev] = len(walk)
         walk.append(prev)
+
+
+def _traced_components(h: LabeledH) -> list[tuple[list[Node], RootFound | CycleFound]]:
+    """Each component of H with the backward trace of its least node.
+
+    A component holds a single root or a single cycle, never both, so one
+    trace decides every node of it.
+    """
+    return [(comp, trace_backward(h, comp[0])) for comp in h.components()]
 
 
 # ---------------------------------------------------------------------------
@@ -508,26 +522,13 @@ def classify(g: Graph, fam: AnyFamily) -> AtomDecomposition:
 
 
 def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
-    report = validate_atomic(a, require_total=True)
-    structural = [f for f in report.errors if f.code != "non-total"]
-    if structural:
-        raise DomainError(
-            "explicit atomic data is structurally invalid",
-            findings=[f.message for f in structural],
-        )
-    if any(f.code == "non-total" for f in report.errors):
-        raise NonTotalPresentation(
-            "pi is not total; finite explicit data cannot present this family",
-            findings=[f.message for f in report.errors if f.code == "non-total"],
-        )
+    _require_valid(a, require_total=True)
     g = a.graph
-    h = build_H(a)
     atoms: list[tuple[Atom, Multiplicity]] = []
-    for comp in h.components():
-        outcome = trace_backward(h, comp[0])
+    for _, outcome in _traced_components(_labeled_H(a)):
         if isinstance(outcome, RootFound):
             v = outcome.root[0]
-            if _reaches_cycle(g, v):
+            if reaches_cycle(g, v):
                 raise UnboundedLeftRegularComponent(
                     "root vertex reaches a cycle, so its forward path space "
                     "is infinite and no finite explicit family contains it",
@@ -537,15 +538,6 @@ def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
         else:
             atoms.extend(decompose_cycle(g, outcome.cycle, outcome.phase))
     return AtomDecomposition(atoms)
-
-
-def _reaches_cycle(g: Graph, v: str) -> bool:
-    sub_vertices = directed_closure(g, [v])
-    sub_edges = [e for e in g.edges if e.src in sub_vertices]
-    g0, _, exhausted = source_elimination(
-        Graph(tuple(sub_vertices), tuple(sub_edges))
-    )
-    return not exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +557,8 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
 
     For explicit data: alpha_v counts the in-degree-0 nodes at v (the
     wandering dimensions), the remainder collects every node whose backward
-    trace closes on a cycle, and the remainder vertices are checked against
-    the source-elimination core of the graph.
+    trace closes on a cycle (one trace per component of H), and the
+    remainder vertices are checked against the source-elimination core.
 
     For canonical data: left-regular families contribute one wandering
     dimension at their vertex; tails are fully coisometric (alpha = 0);
@@ -577,12 +569,13 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
     if isinstance(a, ExplicitAtomic):
         h = build_H(a)
         alpha: dict[str, Multiplicity] = {}
-        remainder: set[Node] = set()
         for node in h.nodes:
             if h.pred[node] is None:
                 alpha[node[0]] = mult_add(alpha.get(node[0], 0), 1)
-            if isinstance(trace_backward(h, node), CycleFound):
-                remainder.add(node)
+        remainder: set[Node] = set()
+        for comp, outcome in _traced_components(h):
+            if isinstance(outcome, CycleFound):
+                remainder.update(comp)
         g0, _, _ = source_elimination(a.graph)
         g0_vertices = set(g0.vertices)
         supported = all(v in g0_vertices for v, _ in remainder)
@@ -812,14 +805,7 @@ def orbit_condition_M(
 
 
 def _condM_explicit(a: ExplicitAtomic, mu: Path) -> MReport:
-    report = validate_atomic(a, require_total=False)
-    structural = [f for f in report.errors if f.code != "non-total"]
-    if structural:
-        raise DomainError(
-            "explicit atomic data is structurally invalid",
-            findings=[f.message for f in structural],
-        )
-    g = a.graph
+    _require_valid(a, require_total=False)
     v = mu.base
     labels = a.labels(v)
     if not labels:

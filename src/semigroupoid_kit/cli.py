@@ -225,7 +225,7 @@ def cmd_atomic_classify(args) -> int:
 def cmd_atomic_equiv(args) -> int:
     ga, fa = _load_family(args.left)
     gb, fb = _load_family(args.right)
-    if ga.to_json_dict() != gb.to_json_dict():
+    if ga != gb:
         raise DomainError("families live over different host graphs")
     verdict = at.are_unitarily_equivalent(ga, fa, fb, tol=args.tol)
     _emit(
@@ -251,7 +251,11 @@ def cmd_atomic_condm(args) -> int:
     import json as _json
 
     g, fam = _load_family(args.file)
-    mu = io.path_from_json(g, _json.loads(args.mu))
+    try:
+        mu_data = _json.loads(args.mu)
+    except ValueError as exc:
+        raise DomainError(f"--mu is not valid JSON: {exc}")
+    mu = io.path_from_json(g, mu_data)
     rep = at.orbit_condition_M(fam, mu, g)
     _emit(
         args,
@@ -299,7 +303,7 @@ def cmd_color_sync_find(args) -> int:
 
 def cmd_color_search(args) -> int:
     g = _load_graph(args.graph)
-    found = rc.search_synchronizing_coloring(g, jobs=args.jobs)
+    found = rc.search_synchronizing_coloring(g)
     if found is None:
         _emit(args, {"result": None}, ["no synchronizing coloring"])
         return 0
@@ -429,10 +433,13 @@ def cmd_trunc_apply(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, dot: bool = False) -> None:
+def _command(group, name: str, func, help: str, dot: bool = False) -> argparse.ArgumentParser:
+    """Subcommand ``name`` of ``group`` that runs ``func``, with --format."""
+    p = group.add_parser(name, help=help)
+    p.set_defaults(func=func)
     choices = ["json", "table"] + (["dot"] if dot else [])
     p.add_argument("--format", choices=choices, default="json")
-    p.add_argument("--tol", type=float, default=1e-9)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,168 +451,118 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_graph = sub.add_parser("graph", help="graph structure commands")
     gs = g_graph.add_subparsers(dest="cmd", required=True)
-    p = gs.add_parser("check", help="validate a graph file, or export DOT")
+    p = _command(gs, "check", cmd_graph_check, "validate a graph file, or export DOT", dot=True)
     p.add_argument("file")
-    _add_common(p, dot=True)
-    p.set_defaults(func=cmd_graph_check)
-    p = gs.add_parser("period", help="gcd of cycle lengths through a vertex")
+    p = _command(gs, "period", cmd_graph_period, "gcd of cycle lengths through a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_graph_period)
-    p = gs.add_parser("closure", help="directed closure of a vertex set")
+    p = _command(gs, "closure", cmd_graph_closure, "directed closure of a vertex set")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated vertices")
-    _add_common(p)
-    p.set_defaults(func=cmd_graph_closure)
-    p = gs.add_parser("ses", help="source elimination layers and core")
+    p = _command(gs, "ses", cmd_graph_ses, "source elimination layers and core")
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_graph_ses)
 
     g_paths = sub.add_parser("paths", help="path space commands")
     ps = g_paths.add_subparsers(dest="cmd", required=True)
-    p = ps.add_parser("enum", help="enumerate paths from sources")
+    p = _command(ps, "enum", cmd_paths_enum, "enumerate paths from sources")
     p.add_argument("file")
     p.add_argument("--source", required=True, help="comma-separated vertices")
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    _add_common(p)
-    p.set_defaults(func=cmd_paths_enum)
-    p = ps.add_parser("cycles", help="irreducible cycles at a vertex")
+    p = _command(ps, "cycles", cmd_paths_cycles, "irreducible cycles at a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    _add_common(p)
-    p.set_defaults(func=cmd_paths_cycles)
-    p = ps.add_parser("class", help="cycle trichotomy at a vertex")
+    p = _command(ps, "class", cmd_paths_class, "cycle trichotomy at a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_paths_class)
 
     g_series = sub.add_parser("series", help="formal series commands")
     ss = g_series.add_subparsers(dest="cmd", required=True)
-    p = ss.add_parser("mul", help="multiply two formal elements")
+    p = _command(ss, "mul", cmd_series_mul, "multiply two formal elements")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--graph", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_series_mul)
-    p = ss.add_parser("fourier", help="grade-m homogeneous part")
+    p = _command(ss, "fourier", cmd_series_fourier, "grade-m homogeneous part")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--graph", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_series_fourier)
-    p = ss.add_parser("cesaro", help="Cesaro-weighted partial sum")
+    p = _command(ss, "cesaro", cmd_series_cesaro, "Cesaro-weighted partial sum")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--graph", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_series_cesaro)
-    p = ss.add_parser("ideal-degree", help="minimum grade of a nonzero term")
+    p = _command(ss, "ideal-degree", cmd_series_ideal_degree, "minimum grade of a nonzero term")
     p.add_argument("file")
     p.add_argument("--graph", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_series_ideal_degree)
-    p = ss.add_parser("rownorm", help="l2 norm of grade-m coefficients at a vertex")
+    p = _command(ss, "rownorm", cmd_series_rownorm, "l2 norm of grade-m coefficients at a vertex")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--vertex", required=True)
     p.add_argument("--graph", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_series_rownorm)
 
     g_atomic = sub.add_parser("atomic", help="atomic family commands")
     as_ = g_atomic.add_subparsers(dest="cmd", required=True)
-    p = as_.add_parser("validate", help="validate explicit data, or export H as DOT")
+    p = _command(
+        as_, "validate", cmd_atomic_validate, "validate explicit data, or export H as DOT", dot=True
+    )
     p.add_argument("file")
-    _add_common(p, dot=True)
-    p.set_defaults(func=cmd_atomic_validate)
-    p = as_.add_parser("classify", help="decompose into irreducible atoms")
+    p = _command(as_, "classify", cmd_atomic_classify, "decompose into irreducible atoms")
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_atomic_classify)
-    p = as_.add_parser("equiv", help="unitary equivalence of two families")
+    p = _command(as_, "equiv", cmd_atomic_equiv, "unitary equivalence of two families")
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=cmd_atomic_equiv)
-    p = as_.add_parser("wold", help="wandering multiplicities and remainder")
+    p.add_argument("--tol", type=float, default=1e-9, help="phase comparison tolerance")
+    p = _command(as_, "wold", cmd_atomic_wold, "wandering multiplicities and remainder")
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_atomic_wold)
-    p = as_.add_parser("condM", help="orbit analysis of S_mu at its base vertex")
+    p = _command(as_, "condM", cmd_atomic_condm, "orbit analysis of S_mu at its base vertex")
     p.add_argument("file")
     p.add_argument("--mu", required=True, help='path JSON, e.g. {"base":"v","edges":["e"]}')
-    _add_common(p)
-    p.set_defaults(func=cmd_atomic_condm)
 
     g_color = sub.add_parser("color", help="road coloring commands")
     cs = g_color.add_subparsers(dest="cmd", required=True)
-    p = cs.add_parser("validate", help="strong coloring report")
+    p = _command(cs, "validate", cmd_color_validate, "strong coloring report")
     p.add_argument("graph")
     p.add_argument("coloring")
-    _add_common(p)
-    p.set_defaults(func=cmd_color_validate)
-    p = cs.add_parser("sync-verify", help="check a word synchronizes")
+    p = _command(cs, "sync-verify", cmd_color_sync_verify, "check a word synchronizes")
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--word", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_color_sync_verify)
-    p = cs.add_parser("sync-find", help="shortest synchronizing word")
+    p = _command(cs, "sync-find", cmd_color_sync_find, "shortest synchronizing word")
     p.add_argument("graph")
     p.add_argument("coloring")
-    _add_common(p)
-    p.set_defaults(func=cmd_color_sync_find)
-    p = cs.add_parser("search", help="search all strong colorings for a synchronizing one")
+    p = _command(
+        cs, "search", cmd_color_search, "search all strong colorings for a synchronizing one"
+    )
     p.add_argument("graph")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_color_search)
-    p = cs.add_parser("obrien", help="loop plus spanning tree coloring")
+    p = _command(cs, "obrien", cmd_color_obrien, "loop plus spanning tree coloring")
     p.add_argument("graph")
     p.add_argument("--loop", required=True, help="id of a loop edge")
-    _add_common(p)
-    p.set_defaults(func=cmd_color_obrien)
-    p = cs.add_parser("syncdiag", help="closed path realizing gamma' gamma")
+    p = _command(cs, "syncdiag", cmd_color_syncdiag, "closed path realizing gamma' gamma")
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--gamma", required=True, help="synchronizing word")
     p.add_argument("--gamma2", required=True, help="prefix word")
-    _add_common(p)
-    p.set_defaults(func=cmd_color_syncdiag)
 
     g_trunc = sub.add_parser("trunc", help="finite truncation commands")
     ts = g_trunc.add_subparsers(dest="cmd", required=True)
-    p = ts.add_parser("build", help="basis and matrices of a truncation")
+    p = _command(ts, "build", cmd_trunc_build, "basis and matrices of a truncation")
     p.add_argument("graph")
     p.add_argument("--sources", help="comma-separated vertices")
     p.add_argument("--coloring", help="coloring file for the colored model")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    _add_common(p)
-    p.set_defaults(func=cmd_trunc_build)
-    p = ts.add_parser("verify", help="interior-exact axiom checks")
+    p = _command(ts, "verify", cmd_trunc_verify, "interior-exact axiom checks")
     p.add_argument("graph")
     p.add_argument("--sources")
     p.add_argument("--coloring")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    _add_common(p)
-    p.set_defaults(func=cmd_trunc_verify)
-    p = ts.add_parser("cycle-lemma", help="block identity of the cycle truncation")
+    p = _command(ts, "cycle-lemma", cmd_trunc_cycle_lemma, "block identity of the cycle truncation")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    _add_common(p)
-    p.set_defaults(func=cmd_trunc_cycle_lemma)
-    p = ts.add_parser("apply", help="matrix of a formal element")
+    p = _command(ts, "apply", cmd_trunc_apply, "matrix of a formal element")
     p.add_argument("graph")
     p.add_argument("element")
     p.add_argument("--sources")
     p.add_argument("--coloring")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    _add_common(p)
-    p.set_defaults(func=cmd_trunc_apply)
 
     return parser
 

@@ -7,6 +7,10 @@ errors and exit with status 1, keeping status 2 for usage problems.
 
 from __future__ import annotations
 
+# What decoding malformed JSON data raises before a decoder turns it into a
+# DomainError: a missing key, a value of the wrong type, an unparsable string.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
 
 class DomainError(Exception):
     """Base class for input data that is well-formed JSON but invalid mathematics."""

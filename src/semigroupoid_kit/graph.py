@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Hashable, Iterable, Sequence
 
 from .errors import GraphFormatError
 from .validation import ValidationReport
@@ -27,7 +28,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable directed multigraph with id-keyed adjacency caches."""
+    """Immutable directed multigraph with id-keyed adjacency caches.
+
+    Strongly connected components and the vertices that reach a cycle are
+    computed on first use and cached.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -53,6 +58,29 @@ class Graph:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_out", {v: tuple(ids) for v, ids in out.items()})
         object.__setattr__(self, "_in", {v: tuple(ids) for v, ids in inc.items()})
+
+    @cached_property
+    def _sccs(self) -> tuple[frozenset[str], ...]:
+        return tuple(_tarjan(self))
+
+    @cached_property
+    def _scc_of(self) -> dict[str, frozenset[str]]:
+        return {v: comp for comp in self._sccs for v in comp}
+
+    @cached_property
+    def _reaches_cycle(self) -> frozenset[str]:
+        # one backward sweep from the vertices on cycles: those in a
+        # component of two or more vertices, and those carrying a loop
+        seen = {v for v, comp in self._scc_of.items() if len(comp) > 1}
+        seen.update(e.src for e in self.edges if e.src == e.dst)
+        todo = list(seen)
+        while todo:
+            for eid in self._in[todo.pop()]:
+                u = self._by_id[eid].src
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return frozenset(seen)
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
@@ -145,6 +173,11 @@ def is_in_degree_regular(g: Graph) -> tuple[bool, int | None]:
 
 
 def strongly_connected_components(g: Graph) -> list[frozenset[str]]:
+    """Strongly connected components, listed by least vertex id."""
+    return list(g._sccs)
+
+
+def _tarjan(g: Graph) -> list[frozenset[str]]:
     """Tarjan's algorithm, iterative, components listed by least vertex id."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -197,16 +230,21 @@ def strongly_connected_components(g: Graph) -> list[frozenset[str]]:
 
 def is_transitive(g: Graph) -> bool:
     """True when every vertex reaches every other (single strongly connected component)."""
-    return len(strongly_connected_components(g)) <= 1
+    return len(g._sccs) <= 1
 
 
 def scc_of(g: Graph, v: str) -> frozenset[str]:
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
-    for comp in strongly_connected_components(g):
-        if v in comp:
-            return comp
-    raise AssertionError("vertex missed by SCC computation")
+    return g._scc_of[v]
+
+
+def reaches_cycle(g: Graph, v: str) -> bool:
+    """Whether a path from v of length >= 0 ends on a cycle, i.e. whether
+    source elimination leaves part of v's directed closure."""
+    if not g.has_vertex(v):
+        raise GraphFormatError("unknown vertex", vertex=v)
+    return v in g._reaches_cycle
 
 
 def period(g: Graph, v: str) -> int | None:
@@ -277,45 +315,61 @@ def source_elimination(g: Graph) -> tuple[Graph, list[list[str]], bool]:
 
     Returns (fixed point graph, removal layers, has_ses) where has_ses means
     the elimination exhausts every vertex.  On finite graphs that happens
-    exactly when the graph is acyclic.
+    exactly when the graph is acyclic.  Kahn's layering: in-degree counters
+    drop as each layer is removed, a vertex joins the next layer when its
+    counter reaches zero, and every edge is visited once.  The vertices
+    whose counters never reach zero form the core.
     """
-    current = g
+    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
+    layer = sorted(v for v, k in indeg.items() if k == 0)
     layers: list[list[str]] = []
-    while True:
-        sources = sorted(v for v in current.vertices if not current.in_edges(v))
-        if not sources:
-            break
-        layers.append(sources)
-        keep = frozenset(v for v in current.vertices if v not in set(sources))
-        current = _restrict(current, keep)
-    return current, layers, not current.vertices
+    while layer:
+        layers.append(layer)
+        emptied = []
+        for v in layer:
+            for eid in g.out_edges(v):
+                w = g.dst(eid)
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    emptied.append(w)
+        layer = sorted(emptied)
+    core = _restrict(g, frozenset(v for v, k in indeg.items() if k))
+    return core, layers, not core.vertices
 
 
 def has_ses(g: Graph) -> bool:
     """Whether source elimination exhausts the graph (finite case: acyclicity)."""
-    return source_elimination(g)[2]
+    return not g._reaches_cycle
 
 
-def undirected_components(g: Graph) -> list[list[str]]:
-    """Connected components ignoring orientation, as sorted vertex lists."""
-    parent = {v: v for v in g.vertices}
+def connected_components(
+    nodes: Sequence[Hashable], links: Iterable[tuple[Hashable, Hashable]]
+) -> list[list]:
+    """Union-find components of ``nodes`` joined by ``links``, each sorted,
+    ordered by least member."""
+    parent = {n: n for n in nodes}
 
-    def find(x: str) -> str:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for e in g.edges:
-        a, b = find(e.src), find(e.dst)
-        if a != b:
-            parent[a] = b
-    groups: dict[str, list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    comps = [sorted(vs) for vs in groups.values()]
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for n in nodes:
+        groups.setdefault(find(n), []).append(n)
+    comps = [sorted(ns) for ns in groups.values()]
     comps.sort(key=lambda c: c[0])
     return comps
+
+
+def undirected_components(g: Graph) -> list[list[str]]:
+    """Connected components ignoring orientation, as sorted vertex lists."""
+    return connected_components(g.vertices, ((e.src, e.dst) for e in g.edges))
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import MALFORMED, DomainError
 
 DEFAULT_TOL = 1e-9
 
@@ -118,12 +118,16 @@ class Phase:
 
     @staticmethod
     def from_json(data: dict) -> "Phase":
-        if "angle" in data:
-            ang = data["angle"]
-            return Phase.from_turns(int(ang["num"]), int(ang["den"]))
-        if "re" in data or "im" in data:
-            return Phase.from_complex(complex(data.get("re", 0.0), data.get("im", 0.0)))
-        raise DomainError("phase object needs 'angle' or 're'/'im'", got=sorted(data))
+        try:
+            if "angle" in data:
+                ang = data["angle"]
+                return Phase.from_turns(int(ang["num"]), int(ang["den"]))
+            if "re" in data or "im" in data:
+                return Phase.from_complex(complex(data.get("re", 0.0), data.get("im", 0.0)))
+            got = sorted(data)
+        except MALFORMED as exc:
+            raise DomainError(f"phase object malformed: {exc}") from None
+        raise DomainError("phase object needs 'angle' or 're'/'im'", got=got)
 
     def __str__(self) -> str:
         if self.turns is not None:

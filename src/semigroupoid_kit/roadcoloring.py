@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
+    MALFORMED,
     DomainError,
     EnumerationOverflow,
     GraphFormatError,
@@ -51,7 +51,7 @@ class Coloring:
         try:
             d = int(data["d"])
             color = {str(k): int(v) for k, v in data["color"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise InvalidColoring(f"coloring object needs 'd' and 'color': {exc}")
         return Coloring(d, color)
 
@@ -288,9 +288,7 @@ def _candidate_colorings(g: Graph, d: int):
         yield Coloring(d, color)
 
 
-def search_synchronizing_coloring(
-    g: Graph, jobs: int = 1
-) -> tuple[Coloring, str] | None:
+def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     """First strong coloring (in deterministic enumeration order) that admits
     a synchronizing word, together with a shortest such word.
 
@@ -303,16 +301,8 @@ def search_synchronizing_coloring(
         raise DomainError("coloring search needs an in-degree regular graph with d >= 1")
     if d > 9:
         raise DomainError("color words use digits 1..9", d=d)
-    candidates = list(_candidate_colorings(g, d))
-    if jobs <= 1:
-        for cand in candidates:
-            word = find_synchronizing_word(g, cand)
-            if word is not None:
-                return cand, word
-        return None
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda cc: find_synchronizing_word(g, cc), candidates))
-    for cand, word in zip(candidates, results):
+    for cand in _candidate_colorings(g, d):
+        word = find_synchronizing_word(g, cand)
         if word is not None:
             return cand, word
     return None

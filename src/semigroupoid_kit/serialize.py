@@ -29,7 +29,7 @@ from .atomic import (
     TailType,
     WoldData,
 )
-from .errors import DomainError
+from .errors import MALFORMED, DomainError
 from .graph import Graph
 from .paths import Path, validate_path
 from .phases import Phase
@@ -45,7 +45,7 @@ def path_from_json(g: Graph, data: dict) -> Path:
     try:
         edges = tuple(str(e) for e in data.get("edges", ()))
         base = data.get("base")
-    except (TypeError, AttributeError) as exc:
+    except MALFORMED as exc:
         raise DomainError(f"path object needs 'base' and 'edges': {exc}")
     if base is None:
         if not edges:
@@ -66,15 +66,14 @@ def formal_to_json(a: FormalElement) -> dict:
 
 
 def formal_from_json(g: Graph, data: dict) -> FormalElement:
-    try:
-        items = list(data["terms"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"formal element needs 'terms': {exc}")
     terms: dict[Path, complex] = {}
-    for item in items:
-        p = path_from_json(g, item["path"])
-        c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        terms[p] = terms.get(p, 0) + c
+    try:
+        for item in data["terms"]:
+            p = path_from_json(g, item["path"])
+            c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            terms[p] = terms.get(p, 0) + c
+    except MALFORMED as exc:
+        raise DomainError(f"formal element needs 'terms' of 'path' and numeric 're'/'im': {exc}")
     return FormalElement(g, terms)
 
 
@@ -103,14 +102,14 @@ def explicit_atomic_from_json(data: dict) -> ExplicitAtomic:
         lam_raw = dict(data.get("lambda", {}))
         pi_raw = list(data.get("pi", []))
         phase_raw = list(data.get("phase", []))
-    except (KeyError, TypeError) as exc:
+        lam = {str(v): tuple(str(i) for i in labels) for v, labels in lam_raw.items()}
+    except MALFORMED as exc:
         raise DomainError(f"explicit atomic object malformed: {exc}")
-    lam = {str(v): tuple(str(i) for i in labels) for v, labels in lam_raw.items()}
     pi: dict[str, dict[str, str]] = {}
     for row in pi_raw:
         try:
             eid, i, j = str(row["edge"]), str(row["from"]), str(row["to"])
-        except (KeyError, TypeError) as exc:
+        except MALFORMED as exc:
             raise DomainError(f"pi row needs 'edge', 'from', 'to': {exc}")
         cell = pi.setdefault(eid, {})
         if i in cell:
@@ -120,7 +119,7 @@ def explicit_atomic_from_json(data: dict) -> ExplicitAtomic:
     for row in phase_raw:
         try:
             eid, i = str(row["edge"]), str(row["from"])
-        except (KeyError, TypeError) as exc:
+        except MALFORMED as exc:
             raise DomainError(f"phase row needs 'edge' and 'from': {exc}")
         phases[(eid, i)] = Phase.from_json(row)
     return ExplicitAtomic(g, lam, pi, phases)
@@ -147,29 +146,32 @@ def canonical_to_json(fam: CanonicalAtomic) -> dict:
 
 
 def canonical_from_json(g: Graph, data: dict) -> CanonicalAtomic:
-    tag = data.get("tag")
-    if tag == "left_regular":
-        return LeftRegular(str(data["vertex"]))
-    if tag == "cycle":
-        p = path_from_json(g, data["path"])
-        phase = Phase.from_json(data["phase"]) if "phase" in data else Phase.one()
-        return CycleType(p, phase)
-    if tag == "tail":
-        return TailType(path_from_json(g, data["path"]))
-    if tag == "direct_sum":
-        parts = []
-        for item in data.get("parts", []):
-            term = canonical_from_json(g, item["term"])
-            mult = item.get("multiplicity", 1)
-            mult = OMEGA if mult == OMEGA else int(mult)
-            parts.append((term, mult))
-        return DirectSum(tuple(parts))
+    try:
+        tag = data.get("tag")
+        if tag == "left_regular":
+            return LeftRegular(str(data["vertex"]))
+        if tag == "cycle":
+            p = path_from_json(g, data["path"])
+            phase = Phase.from_json(data["phase"]) if "phase" in data else Phase.one()
+            return CycleType(p, phase)
+        if tag == "tail":
+            return TailType(path_from_json(g, data["path"]))
+        if tag == "direct_sum":
+            parts = []
+            for item in data.get("parts", []):
+                term = canonical_from_json(g, item["term"])
+                mult = item.get("multiplicity", 1)
+                mult = OMEGA if mult == OMEGA else int(mult)
+                parts.append((term, mult))
+            return DirectSum(tuple(parts))
+    except MALFORMED as exc:
+        raise DomainError(f"canonical atomic object malformed: {exc}")
     raise DomainError("unknown canonical tag", tag=tag)
 
 
 def atomic_family_from_json(data: dict, g: Graph | None = None):
     """Accepts an explicit atomic object or, with a host graph, a canonical tag."""
-    if "tag" in data:
+    if isinstance(data, dict) and "tag" in data:
         if g is None and "graph" in data:
             g = Graph.from_json_dict(data["graph"])
         if g is None:

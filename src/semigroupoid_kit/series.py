@@ -78,7 +78,7 @@ class FormalElement:
 
 
 def _require_same_graph(a: FormalElement, b: FormalElement) -> None:
-    if a.graph.to_json_dict() != b.graph.to_json_dict():
+    if a.graph != b.graph:
         raise DomainError("formal elements live over different host graphs")
 
 

@@ -239,13 +239,18 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
             worst, detail = inner, f"isometry identity fails at {eid}"
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    worst, detail = 0.0, ""
+    # S_v minus the range sum of the edges into v, shared by TCK, CK and F
+    defect = {}
     for v in g.sorted_vertices():
         acc = sp.csr_matrix((n, n))
         for eid in g.in_edges(v):
             se = rep.edge_ops[eid]
             acc = acc + se @ se.conjugate().transpose()
-        diff = (rep.vertex_ops[v] - acc).tocoo()
+        defect[v] = rep.vertex_ops[v] - acc
+
+    worst, detail = 0.0, ""
+    for v in g.sorted_vertices():
+        diff = defect[v].tocoo()
         local = 0.0
         for r, c, val in zip(diff.row, diff.col, diff.data):
             if r == c:
@@ -262,12 +267,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     ):
         worst, boundary, detail = 0.0, 0.0, ""
         for v in verts:
-            acc = sp.csr_matrix((n, n))
-            for eid in g.in_edges(v):
-                se = rep.edge_ops[eid]
-                acc = acc + se @ se.conjugate().transpose()
-            res = rep.vertex_ops[v] - acc
-            inner, outer = _column_residual(res.tocsr(), grades, 1, N - 1)
+            inner, outer = _column_residual(defect[v].tocsr(), grades, 1, N - 1)
             boundary = max(boundary, outer)
             if inner > worst:
                 worst, detail = inner, f"range sum misses the projection at {v}"
@@ -302,7 +302,7 @@ def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
 
 def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     """Truncated matrix of a formal polynomial."""
-    if elem.graph.to_json_dict() != rep.graph.to_json_dict():
+    if elem.graph != rep.graph:
         raise DomainError("formal element and truncation use different graphs")
     n = rep.dim
     acc = sp.csr_matrix((n, n), dtype=complex)

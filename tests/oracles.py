@@ -191,3 +191,35 @@ def turns_of(z):
 def root_turn_set(lam_turns: Fraction, p: int):
     """The p angle classes t with p*t == lam (mod 1), as exact fractions."""
     return {((lam_turns + j) / p) % 1 for j in range(p)}
+
+
+def source_elimination(g):
+    """Source elimination by rebuilding the graph after every layer.
+
+    Deletes all in-degree-0 vertices at once, builds the graph on what is
+    left, and repeats until no source remains.  Returns (core, layers,
+    exhausted) in the package's format; it is the reference for the
+    package's single in-degree-counting pass.
+    """
+    from semigroupoid_kit import Graph
+
+    current = g
+    layers = []
+    while True:
+        sources = sorted(v for v in current.vertices if not current.in_edges(v))
+        if not sources:
+            break
+        layers.append(sources)
+        gone = set(sources)
+        current = Graph(
+            tuple(v for v in current.vertices if v not in gone),
+            tuple(e for e in current.edges if e.src not in gone and e.dst not in gone),
+        )
+    return current, layers, not current.vertices
+
+
+def reaches_cycle(g):
+    """vertex -> whether some vertex reachable from it lies on a closed walk."""
+    r = reach(g)
+    sr = strict_reach(g)
+    return {v: any(u in sr[u] for u in r[v]) for v in g.vertices}

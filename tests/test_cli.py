@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semigroupoid_kit import Coloring, Path, cycle_graph, looped_triangle
+from semigroupoid_kit import Coloring, Path, cycle_graph, looped_triangle, pure_cycle_family
 from semigroupoid_kit.cli import main
 from semigroupoid_kit.serialize import (
     dump_json,
@@ -226,6 +226,55 @@ def test_domain_error_exits_one_with_json(capsys, tmp_path):
     assert code == 1 and not out
     data = json.loads(err)
     assert data["error"]
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(dump_json(data))
+        return str(path)
+
+    graph = write("g.json", looped_triangle().to_json_dict())
+    mu = '{"base": "v1", "edges": ["e2", "e1"]}'
+    fam = explicit_atomic_to_json(pure_cycle_family(cycle_graph(2), laps=1))
+    cycle_family = write("cycle.json", fam)
+    fam["phase"] = [{"edge": "e1", "from": "i0", "angle": {"num": "x", "den": 2}}]
+    no_path = write("no_path.json", {"terms": [{"re": 1}]})
+    bad_re = write("bad_re.json", {"terms": [{"path": {"base": "t"}, "re": "x"}]})
+    bad_angle = write("bad_angle.json", fam)
+    fam = explicit_atomic_to_json(pure_cycle_family(cycle_graph(2), laps=1))
+    fam["lambda"]["v1"] = 3
+    bad_lambda = write("bad_lambda.json", fam)
+    bad_color = write("bad_color.json", {"d": 2, "color": 7})
+    cases = [
+        ["series", "cesaro", no_path, "-k", "2", "--graph", graph],
+        ["series", "ideal-degree", bad_re, "--graph", graph],
+        ["series", "mul", bad_re, bad_re, "--graph", graph],
+        ["atomic", "classify", bad_angle],
+        ["atomic", "condM", bad_angle, "--mu", mu],
+        ["atomic", "classify", bad_lambda],
+        ["atomic", "condM", bad_lambda, "--mu", mu],
+        ["color", "syncdiag", graph, bad_color, "--gamma", "1", "--gamma2", "2"],
+        ["color", "sync-find", graph, bad_color],
+        ["atomic", "condM", cycle_family, "--mu", "{bad"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out, argv
+        assert json.loads(err)["error"], argv
+
+
+def test_tol_only_on_atomic_equiv_and_no_jobs(capsys, tmp_path, fig1_file):
+    fam = tmp_path / "cycle.json"
+    fam.write_text(dump_json(explicit_atomic_to_json(pure_cycle_family(cycle_graph(2)))))
+    code, out, _ = run(capsys, ["atomic", "equiv", str(fam), str(fam), "--tol", "1e-6"])
+    assert code == 0 and json.loads(out)["equivalent"] is True
+    for argv in (
+        ["graph", "ses", fig1_file, "--tol", "1e-6"],
+        ["atomic", "classify", str(fam), "--tol", "1e-6"],
+        ["color", "search", fig1_file, "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_usage_error_exits_two(capsys):

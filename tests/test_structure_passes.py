@@ -1,0 +1,133 @@
+"""Single-pass structural quantities against their brute-force references.
+
+Source elimination, strongly connected components and the set of vertices
+that reach a cycle are each computed by one linear pass; the Wold remainder
+is decided by one backward trace per component of H.  Each is compared
+here with a slower, more literal computation from ``oracles``.
+"""
+
+import corpus
+import oracles
+from semigroupoid_kit import (
+    CycleFound,
+    ExplicitAtomic,
+    Graph,
+    Phase,
+    build_H,
+    classify,
+    cycle_graph,
+    has_ses,
+    looped_triangle,
+    scc_of,
+    source_elimination,
+    strongly_connected_components,
+    trace_backward,
+    wold_atomic,
+)
+from semigroupoid_kit import atomic
+from semigroupoid_kit.graph import reaches_cycle
+
+
+def chain_graph(n):
+    return Graph.build(
+        [f"c{i}" for i in range(n)], [(f"s{i}", f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    )
+
+
+def sample_graphs(rng, count=60):
+    graphs = [Graph((), ()), chain_graph(1), chain_graph(7), cycle_graph(4)]
+    graphs += [looped_triangle(), corpus.loop_sink_graph()]
+    for k in range(count):
+        graphs.append(corpus.random_graph(rng, max_v=7, max_e=11, acyclic=k % 2 == 0))
+    return graphs
+
+
+def test_kahn_elimination_matches_rebuild_per_layer(rng):
+    for g in sample_graphs(rng):
+        core, layers, exhausted = source_elimination(g)
+        want_core, want_layers, want_exhausted = oracles.source_elimination(g)
+        assert layers == want_layers
+        assert core.to_json_dict() == want_core.to_json_dict()
+        assert exhausted == want_exhausted == has_ses(g) == oracles.is_acyclic(g)
+
+
+def test_reaches_cycle_matches_strict_reach(rng):
+    for g in sample_graphs(rng):
+        want = oracles.reaches_cycle(g)
+        assert {v: reaches_cycle(g, v) for v in g.vertices} == want
+
+
+def test_sccs_are_computed_once_on_first_use(rng):
+    for g in sample_graphs(rng, count=20):
+        assert "_sccs" not in vars(g) and "_reaches_cycle" not in vars(g)
+        comps = strongly_connected_components(g)
+        assert [sorted(c) for c in comps] == oracles.sccs(g)
+        cached = vars(g)["_sccs"]
+        for v in g.vertices:
+            assert sorted(scc_of(g, v)) == next(c for c in oracles.sccs(g) if v in c)
+        assert strongly_connected_components(g) == comps
+        assert vars(g)["_sccs"] is cached
+
+
+def random_partial_family(rng, g, max_labels=3):
+    """Structurally valid, possibly non-total data on any graph.
+
+    Every edge maps a random subset of its source labels injectively into
+    labels of its range that no other edge into that range has used, so H
+    keeps in-degree at most one and may mix root and cycle components.
+    """
+    lam = {v: tuple(f"i{k}" for k in range(rng.randint(0, max_labels))) for v in g.vertices}
+    pi = {}
+    phases = {}
+    for v in g.vertices:
+        free = list(lam[v])
+        rng.shuffle(free)
+        for eid in g.in_edges(v):
+            mapping = {}
+            for i in lam[g.src(eid)]:
+                if free and rng.random() < 0.8:
+                    mapping[i] = free.pop()
+                    if rng.random() < 0.5:
+                        phases[(eid, i)] = corpus.random_phase(rng)
+            pi[eid] = mapping
+    return ExplicitAtomic(g, lam, pi, phases)
+
+
+def test_wold_one_trace_per_component_matches_per_node_trace(rng):
+    mixed = 0
+    for k in range(80):
+        g = corpus.random_graph(rng, max_v=5, max_e=8, acyclic=False)
+        fam = random_partial_family(rng, g)
+        h = build_H(fam)
+        alpha = {}
+        remainder = set()
+        for node in h.nodes:
+            if h.pred[node] is None:
+                alpha[node[0]] = alpha.get(node[0], 0) + 1
+            if isinstance(trace_backward(h, node), CycleFound):
+                remainder.add(node)
+        core = set(oracles.source_elimination(g)[0].vertices)
+        got = wold_atomic(fam)
+        assert got.alpha == alpha
+        assert got.remainder_nodes == remainder
+        assert got.supported_on_g0 == all(v in core for v, _ in remainder)
+        mixed += bool(remainder) and bool(alpha)
+    assert mixed, "no sample mixed root and cycle components"
+
+
+def test_classify_and_wold_validate_once(rng, monkeypatch):
+    calls = []
+    original = atomic.validate_atomic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(atomic, "validate_atomic", counting)
+    g = corpus.random_graph(rng, max_v=4, max_e=5, acyclic=True)
+    fam, _ = corpus.random_root_family(rng, g)
+    classify(g, fam)
+    assert len(calls) == 1
+    wold_atomic(fam)
+    assert len(calls) == 2
+
