@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import (
@@ -53,6 +54,8 @@ Node = tuple[str, str]
 OMEGA = "omega"
 Multiplicity = Union[int, str]
 
+_ONE = Phase.one()  # the default arc phase; Phase is frozen, so one object serves
+
 
 def mult_add(a: Multiplicity, b: Multiplicity) -> Multiplicity:
     if a == OMEGA or b == OMEGA:
@@ -70,14 +73,15 @@ def mult_scale(a: Multiplicity, k: Multiplicity) -> Multiplicity:
 # explicit data
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplicitAtomic:
     """Finite atomic family presented by index sets, partial injections, phases.
 
     Index labels are scoped to their vertex: the basis node for label i at
     vertex v is the pair (v, i), so index sets at distinct vertices are
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
-    ``phases[(e, i)]`` defaults to 1 when missing.
+    ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen and
+    its ``validate_atomic`` report is computed once, on first use.
     """
 
     graph: Graph
@@ -89,14 +93,17 @@ class ExplicitAtomic:
         return self.lam.get(v, ())
 
     def nodes(self) -> list[Node]:
-        out = [(v, i) for v in sorted(self.lam) for i in self.lam[v]]
-        return out
+        return [(v, i) for v in sorted(self.lam) for i in self.lam[v]]
 
     def phase(self, eid: str, i: str) -> Phase:
-        return self.phases.get((eid, i), Phase.one())
+        return self.phases.get((eid, i), _ONE)
 
     def dim(self) -> int:
         return sum(len(ix) for ix in self.lam.values())
+
+    @cached_property
+    def _verdict(self) -> ValidationReport:
+        return validate_atomic(self, require_total=False)
 
 
 def coisometry_flags(a: ExplicitAtomic) -> tuple[bool, bool, list[str], list[str]]:
@@ -245,19 +252,20 @@ class LabeledH:
 
 
 def _require_valid(a: ExplicitAtomic, require_total: bool) -> None:
-    """Raise unless the explicit data passes ``validate_atomic``.
+    """Raise unless the family's cached validation verdict allows the call.
 
     Structural errors raise DomainError; a missing image raises
     NonTotalPresentation, and only when ``require_total`` is set.
     """
-    report = validate_atomic(a, require_total)
-    structural = [f.message for f in report.errors if f.code != "non-total"]
-    if structural:
-        raise DomainError("explicit atomic data is structurally invalid", findings=structural)
+    report = a._verdict
     if not report.valid:
+        structural = [f.message for f in report.errors]
+        raise DomainError("explicit atomic data is structurally invalid", findings=structural)
+    missing = [f.message for f in report.findings if f.code == "non-total"]
+    if require_total and missing:
         raise NonTotalPresentation(
             "pi is not total; finite explicit data cannot present this family",
-            findings=[f.message for f in report.errors],
+            findings=missing,
         )
 
 
@@ -266,12 +274,9 @@ def build_H(a: ExplicitAtomic) -> LabeledH:
 
     Totality is not required here so that depth-truncated materializations
     can still be inspected; classification enforces totality separately.
+    Valid data gives every node at most one incoming arc.
     """
     _require_valid(a, require_total=False)
-    return _labeled_H(a)
-
-
-def _labeled_H(a: ExplicitAtomic) -> LabeledH:
     g = a.graph
     nodes = tuple(a.nodes())
     arcs: list[Arc] = []
@@ -282,8 +287,6 @@ def _labeled_H(a: ExplicitAtomic) -> LabeledH:
     pred: dict[Node, Arc | None] = {n: None for n in nodes}
     out: dict[Node, list[Arc]] = {n: [] for n in nodes}
     for arc in arcs:
-        if pred[arc.dst] is not None:
-            raise DomainError("node has two incoming arcs", node=arc.dst)
         pred[arc.dst] = arc
         out[arc.src].append(arc)
     return LabeledH(
@@ -335,7 +338,7 @@ def trace_backward(h: LabeledH, node: Node) -> RootFound | CycleFound:
             cyc_arcs = labels[t : j + 1]  # arc into walk[t] .. arc into walk[j]
             nodes_fwd = (walk[t],) + tuple(reversed(walk[t + 1 : j + 1]))
             edges = tuple(a.edge for a in cyc_arcs)
-            phase = Phase.one()
+            phase = _ONE
             for a in cyc_arcs:
                 phase = phase * a.phase
             return CycleFound(nodes_fwd, Path(prev[0], edges), phase, t)
@@ -454,14 +457,6 @@ class AtomDecomposition:
                 merged.append((atom, mult))
         self.atoms = merged
 
-    def alpha(self) -> dict[str, Multiplicity]:
-        """Left-regular multiplicities by vertex."""
-        out: dict[str, Multiplicity] = {}
-        for atom, mult in self.atoms:
-            if isinstance(atom, LeftRegularAtom):
-                out[atom.vertex] = mult_add(out.get(atom.vertex, 0), mult)
-        return out
-
 
 def atoms_equal(a: Atom, b: Atom, tol: float = 1e-9) -> bool:
     if type(a) is not type(b):
@@ -525,7 +520,7 @@ def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
     _require_valid(a, require_total=True)
     g = a.graph
     atoms: list[tuple[Atom, Multiplicity]] = []
-    for _, outcome in _traced_components(_labeled_H(a)):
+    for _, outcome in _traced_components(build_H(a)):
         if isinstance(outcome, RootFound):
             v = outcome.root[0]
             if reaches_cycle(g, v):
@@ -732,8 +727,8 @@ def gauge_transform(a: ExplicitAtomic, gauge: dict[Node, Phase]) -> ExplicitAtom
             src_node = (g.src(eid), i)
             dst_node = (g.dst(eid), j)
             ph = a.phase(eid, i)
-            ph = ph * gauge.get(src_node, Phase.one())
-            ph = ph * gauge.get(dst_node, Phase.one()).conj()
+            ph = ph * gauge.get(src_node, _ONE)
+            ph = ph * gauge.get(dst_node, _ONE).conj()
             new_phases[(eid, i)] = ph
     return ExplicitAtomic(a.graph, dict(a.lam), {e: dict(m) for e, m in a.pi.items()}, new_phases)
 
@@ -884,8 +879,7 @@ def _condM_canonical(
             MClass.DOMINATES_LEBESGUE,
             "S_mu shifts the backward-infinite chain, one infinite orbit",
         )
-    trees_at_v = _has_tree_vectors_at(g, fam.cycle, v)
-    if trees_at_v:
+    if _has_tree_vectors_at(g, fam.cycle, v):
         return MReport(
             MClass.DOMINATES_LEBESGUE,
             "S_mu shifts an infinite ladder of off-cycle vectors at the base",
@@ -986,9 +980,7 @@ def pure_cycle_family(
     phase_map: dict[tuple[str, str], Phase] = {}
     if phases is not None:
         supplied = list(phases)
-        arcs = [
-            (eid, i) for eid in sorted(pi) for i in sorted(pi[eid])
-        ]
+        arcs = [(eid, i) for eid in sorted(pi) for i in sorted(pi[eid])]
         if len(supplied) != len(arcs):
             raise DomainError(
                 "need one phase per arc", arcs=len(arcs), given=len(supplied)

@@ -253,7 +253,7 @@ def cmd_atomic_condm(args) -> int:
     g, fam = _load_family(args.file)
     try:
         mu_data = _json.loads(args.mu)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"--mu is not valid JSON: {exc}")
     mu = io.path_from_json(g, mu_data)
     rep = at.orbit_condition_M(fam, mu, g)

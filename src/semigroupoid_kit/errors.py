@@ -8,8 +8,9 @@ errors and exit with status 1, keeping status 2 for usage problems.
 from __future__ import annotations
 
 # What decoding malformed JSON data raises before a decoder turns it into a
-# DomainError: a missing key, a value of the wrong type, an unparsable string.
-MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+# DomainError: a missing key, a value of the wrong type, an unparsable string,
+# a number out of range (int of Infinity, float of 10**400), nesting too deep.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError)
 
 
 class DomainError(Exception):

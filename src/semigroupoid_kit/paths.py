@@ -14,8 +14,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import GraphFormatError, NotACycle, PathError
+from .errors import EnumerationOverflow, GraphFormatError, NotACycle, PathError
 from .graph import Graph, scc_of
+
+# Largest number of paths or basis vectors any enumeration may build.
+BASIS_CAP = 200_000
 
 
 @dataclass(frozen=True, order=True)
@@ -87,7 +90,9 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     """All paths with source in ``sources`` and length <= max_len.
 
     Ordered by length, then lexicographically on the stored edge tuple;
-    length-0 vertex paths come first, sorted by vertex id.
+    length-0 vertex paths come first, sorted by vertex id.  The paths are
+    counted before any is built; more than BASIS_CAP raises
+    EnumerationOverflow.
     """
     if max_len < 0:
         raise PathError("max_len must be nonnegative", max_len=max_len)
@@ -95,9 +100,10 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     for v in start:
         if not g.has_vertex(v):
             raise GraphFormatError("unknown vertex", vertex=v)
+    levels = _count_levels(g, start, max_len)
     result: list[Path] = [Path.vertex(v) for v in start]
     level = list(result)
-    for _ in range(max_len):
+    for _ in range(levels):
         nxt = [
             Path(p.base, (eid,) + p.edges)
             for p in level
@@ -107,6 +113,32 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
         result.extend(nxt)
         level = nxt
     return result
+
+
+def _count_levels(g: Graph, start: list[str], max_len: int) -> int:
+    """Number of nonempty path levels of length 1..max_len from ``start``.
+
+    Counts the paths ending at each vertex, level by level, in integers;
+    raises EnumerationOverflow as soon as the running total passes BASIS_CAP.
+    """
+    ending = {v: 1 for v in start}
+    total = len(start)
+    for length in range(1, max_len + 1):
+        nxt: dict[str, int] = {}
+        for v, k in ending.items():
+            for eid in g.out_edges(v):
+                w = g.dst(eid)
+                nxt[w] = nxt.get(w, 0) + k
+        if not nxt:
+            return length - 1
+        total += sum(nxt.values())
+        if total > BASIS_CAP:
+            raise EnumerationOverflow(
+                "path enumeration exceeds the budget",
+                count=total, length=length, budget=BASIS_CAP,
+            )
+        ending = nxt
+    return max_len
 
 
 def irreducible_cycles_at(g: Graph, v: str, max_len: int) -> list[Path]:

@@ -94,7 +94,8 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
                     v,
                 )
             seen[col] = eid
-        if set(seen) != set(range(1, c.d + 1)):
+        # compare sizes first, so a huge d never builds range(1, d + 1)
+        if len(seen) != max(c.d, 0) or set(seen) != set(range(1, c.d + 1)):
             complete = False
     report.add(
         "complete",

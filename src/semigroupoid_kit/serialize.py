@@ -74,7 +74,7 @@ def formal_from_json(g: Graph, data: dict) -> FormalElement:
             terms[p] = terms.get(p, 0) + c
     except MALFORMED as exc:
         raise DomainError(f"formal element needs 'terms' of 'path' and numeric 're'/'im': {exc}")
-    return FormalElement(g, terms)
+    return FormalElement._trusted(g, terms)  # path_from_json validated every path
 
 
 def explicit_atomic_to_json(a: ExplicitAtomic) -> dict:
@@ -129,9 +129,7 @@ def canonical_to_json(fam: CanonicalAtomic) -> dict:
     if isinstance(fam, LeftRegular):
         return {"tag": "left_regular", "vertex": fam.vertex}
     if isinstance(fam, CycleType):
-        out = {"tag": "cycle", "path": path_to_json(fam.cycle)}
-        out["phase"] = fam.phase.to_json()
-        return out
+        return {"tag": "cycle", "path": path_to_json(fam.cycle), "phase": fam.phase.to_json()}
     if isinstance(fam, TailType):
         return {"tag": "tail", "path": path_to_json(fam.cycle)}
     if isinstance(fam, DirectSum):
@@ -224,7 +222,9 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise DomainError("file not found", path=path)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise DomainError(f"invalid JSON in {path}: {exc}")
 
 

@@ -20,17 +20,22 @@ from .paths import Path, compose, source, validate_path
 
 @dataclass
 class FormalElement:
+    """Paths of ``graph`` with nonzero coefficients; the constructor validates each path."""
+
     graph: Graph
     terms: dict[Path, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned: dict[Path, complex] = {}
-        for p, c in self.terms.items():
+        for p in self.terms:
             validate_path(self.graph, p)
-            c = complex(c)
-            if c != 0:
-                cleaned[p] = cleaned.get(p, 0) + c
-        self.terms = {p: c for p, c in cleaned.items() if c != 0}
+        self.terms = _nonzero(self.terms)
+
+    @classmethod
+    def _trusted(cls, g: Graph, terms: dict[Path, complex]) -> "FormalElement":
+        """Element over paths already known to be paths of g; nothing is validated."""
+        elem = cls.__new__(cls)
+        elem.graph, elem.terms = g, _nonzero(terms)
+        return elem
 
     @staticmethod
     def zero(g: Graph) -> "FormalElement":
@@ -61,10 +66,10 @@ class FormalElement:
         merged = dict(self.terms)
         for p, c in other.terms.items():
             merged[p] = merged.get(p, 0) + c
-        return FormalElement(self.graph, merged)
+        return FormalElement._trusted(self.graph, merged)
 
     def scale(self, c: complex) -> "FormalElement":
-        return FormalElement(self.graph, {p: c * a for p, a in self.terms.items()})
+        return FormalElement._trusted(self.graph, {p: c * a for p, a in self.terms.items()})
 
     def __sub__(self, other: "FormalElement") -> "FormalElement":
         return self + other.scale(-1)
@@ -75,6 +80,10 @@ class FormalElement:
         return all(
             abs(self.terms.get(p, 0) - other.terms.get(p, 0)) <= tol for p in keys
         )
+
+
+def _nonzero(terms: dict[Path, complex]) -> dict[Path, complex]:
+    return {p: z for p, c in terms.items() if (z := complex(c)) != 0}
 
 
 def _require_same_graph(a: FormalElement, b: FormalElement) -> None:
@@ -92,22 +101,20 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
             prod = compose(g, mu, nu)
             if prod is not None:
                 out[prod] = out.get(prod, 0) + ca * cb
-    return FormalElement(g, out)
+    return FormalElement._trusted(g, out)
 
 
 def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
     """Grade-m homogeneous part; zero element when no term has length m."""
-    return FormalElement(a.graph, {p: c for p, c in a.terms.items() if len(p) == m})
+    return FormalElement._trusted(a.graph, {p: c for p, c in a.terms.items() if len(p) == m})
 
 
 def cesaro(a: FormalElement, k: int) -> FormalElement:
     """Cesaro-weighted partial sum: terms of grade < k scaled by 1 - grade/k."""
     if k < 1:
         raise DomainError("Cesaro order must be a positive integer", k=k)
-    return FormalElement(
-        a.graph,
-        {p: c * (1 - len(p) / k) for p, c in a.terms.items() if len(p) < k},
-    )
+    terms = {p: c * (1 - len(p) / k) for p, c in a.terms.items() if len(p) < k}
+    return FormalElement._trusted(a.graph, terms)
 
 
 def graded_ideal_degree(a: FormalElement) -> int | None:

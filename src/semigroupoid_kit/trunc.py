@@ -27,11 +27,9 @@ import scipy.sparse as sp
 
 from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
-from .paths import Path, enumerate_paths, path_range
+from .paths import BASIS_CAP, Path, enumerate_paths, path_range
 from .roadcoloring import Coloring, validate_coloring
 from .series import FormalElement
-
-BASIS_CAP = 200_000
 
 Label = object  # Path for the left-regular model, (vertex, word) for the colored one
 
@@ -61,8 +59,6 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     basis = enumerate_paths(g, sources, depth)
-    if len(basis) > BASIS_CAP:
-        raise EnumerationOverflow("basis too large", size=len(basis), cap=BASIS_CAP)
     n = len(basis)
     index = {p: i for i, p in enumerate(basis)}
     grades = np.array([len(p) for p in basis], dtype=int)
@@ -184,15 +180,15 @@ def _column_residual(
 ) -> tuple[float, float]:
     """(max |entry| over columns with grade in [lo, hi], max over the rest)."""
     coo = mat.tocoo()
-    interior = 0.0
-    boundary = 0.0
-    for _, c, v in zip(coo.row, coo.col, coo.data):
-        mag = abs(v)
-        if lo <= grades[c] <= hi:
-            interior = max(interior, mag)
-        else:
-            boundary = max(boundary, mag)
-    return interior, boundary
+    # abs() entry by entry; np.abs of complex data can differ from it in the last bit
+    mags = np.hypot(coo.data.real, coo.data.imag)
+    grade = grades[coo.col]
+    inside = (lo <= grade) & (grade <= hi)
+    return _max_or_zero(mags[inside]), _max_or_zero(mags[~inside])
+
+
+def _max_or_zero(mags: np.ndarray) -> float:
+    return float(mags.max()) if mags.size else 0.0
 
 
 def verify_tck(rep: TruncatedRep) -> list[RelationReport]:

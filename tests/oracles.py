@@ -223,3 +223,16 @@ def reaches_cycle(g):
     r = reach(g)
     sr = strict_reach(g)
     return {v: any(u in sr[u] for u in r[v]) for v in g.vertices}
+
+
+def column_residual(mat, grades, lo, hi):
+    """(max |entry| over columns with grade in [lo, hi], max over the rest),
+    one stored entry at a time."""
+    coo = mat.tocoo()
+    interior = boundary = 0.0
+    for c, v in zip(coo.col, coo.data):
+        if lo <= grades[c] <= hi:
+            interior = max(interior, abs(v))
+        else:
+            boundary = max(boundary, abs(v))
+    return float(interior), float(boundary)

@@ -287,3 +287,23 @@ def test_trunc_needs_sources_or_coloring(capsys, fig1_file):
     code, out, err = run(capsys, ["trunc", "verify", fig1_file])
     assert code == 1
     assert "sources" in json.loads(err)["message"]
+
+
+def test_paths_enum_over_budget_exits_one_before_building(capsys, tmp_path):
+    two_loops = tmp_path / "two_loops.json"
+    two_loops.write_text(
+        dump_json(
+            {
+                "vertices": ["v"],
+                "edges": [{"id": "a", "src": "v", "dst": "v"}, {"id": "b", "src": "v", "dst": "v"}],
+            }
+        )
+    )
+    code, out, err = run(
+        capsys, ["paths", "enum", str(two_loops), "--source", "v", "--max-len", "30"]
+    )
+    assert code == 1 and not out
+    data = json.loads(err)
+    assert data["error"] == "enumeration-overflow"
+    assert data["details"]["budget"] == 200_000
+    assert data["details"]["count"] == 2 ** (data["details"]["length"] + 1) - 1 > 200_000

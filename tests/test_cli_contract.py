@@ -1,0 +1,228 @@
+"""The command line contract under arbitrary JSON input.
+
+Every subcommand's JSON inputs (its files, and the path given to
+``atomic condM --mu``) are replaced by arbitrary JSON or by a valid document
+with one subtree replaced; every leaf of each valid document is also
+replaced in turn by a number out of range for ``int`` or ``float``.  The
+run must exit 0, or exit 1 with a JSON error object on stderr; an escaping
+exception fails the test.  Files that are not JSON at all (bad UTF-8,
+nesting too deep, a directory) must exit 1.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from semigroupoid_kit import (
+    Coloring,
+    FormalElement,
+    Path,
+    cycle_graph,
+    looped_triangle,
+    pure_cycle_family,
+)
+from semigroupoid_kit.cli import main
+from semigroupoid_kit.serialize import explicit_atomic_to_json, formal_to_json
+
+FIG1 = looped_triangle()
+VALID = {
+    "graph": FIG1.to_json_dict(),
+    "coloring": Coloring(
+        2, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}
+    ).to_json_dict(),
+    "element": formal_to_json(
+        FormalElement(FIG1, {Path.vertex("t"): 1.0, Path("t", ("tl1",)): 2 - 1j})
+    ),
+    "family": explicit_atomic_to_json(pure_cycle_family(cycle_graph(2), laps=2)),
+    "canonical": {
+        "tag": "direct_sum",
+        "graph": FIG1.to_json_dict(),
+        "parts": [
+            {"term": {"tag": "left_regular", "vertex": "l"}, "multiplicity": 2},
+            {"term": {"tag": "cycle", "path": {"base": "t", "edges": ["loop_t"]},
+                      "phase": {"angle": {"num": 1, "den": 3}}}, "multiplicity": "omega"},
+        ],
+    },
+    "mu": {"base": "v1", "edges": ["e2", "e1"]},
+}
+
+# Each command with its JSON inputs written as {kind}; "family" inputs also
+# draw from the canonical document.
+COMMANDS = [
+    "graph check {graph}",
+    "graph check {graph} --format dot",
+    "graph period {graph} --vertex t",
+    "graph closure {graph} --set t,l",
+    "graph ses {graph}",
+    "paths enum {graph} --source t --max-len 3",
+    "paths cycles {graph} --vertex t --max-len 3",
+    "paths class {graph} --vertex t",
+    "series mul {element} {element} --graph {graph}",
+    "series fourier {element} -m 1 --graph {graph}",
+    "series cesaro {element} -k 2 --graph {graph}",
+    "series ideal-degree {element} --graph {graph}",
+    "series rownorm {element} -m 1 --vertex t --graph {graph}",
+    "atomic validate {family}",
+    "atomic validate {family} --format dot",
+    "atomic classify {family}",
+    "atomic equiv {family} {family}",
+    "atomic wold {family}",
+    "atomic condM {family} --mu={mu}",
+    "color validate {graph} {coloring}",
+    "color sync-verify {graph} {coloring} --word 12",
+    "color sync-find {graph} {coloring}",
+    "color search {graph}",
+    "color obrien {graph} --loop loop_t",
+    "color syncdiag {graph} {coloring} --gamma 1 --gamma2 21",
+    "trunc build {graph} --sources t --depth 2",
+    "trunc verify {graph} --coloring {coloring} --depth 2",
+    "trunc apply {graph} {element} --sources t --depth 2",
+]
+
+# every string of the valid documents, keys and values alike
+WORDS = sorted({w for doc in VALID.values() for w in json.dumps(doc).split('"')[1::2]})
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(WORDS)
+    | st.sampled_from([10**400, float("inf")])  # out of range for int() and float()
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one subtree, possibly the whole document, replaced."""
+    if draw(st.integers(0, 3)) == 0 or not isinstance(doc, (dict, list)) or not doc:
+        return draw(json_values)
+    keys = sorted(doc) if isinstance(doc, dict) else range(len(doc))
+    key = draw(st.sampled_from(list(keys)))
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = draw(mutated(doc[key]))
+    return out
+
+
+def json_input(kind):
+    sources = [VALID[kind]] + ([VALID["canonical"]] if kind == "family" else [])
+    return st.sampled_from(sources).flatmap(
+        lambda doc: st.one_of(st.just(doc), mutated(doc), json_values)
+    )
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        error = json.loads(err)
+        assert isinstance(error, dict) and error["error"] and not out, argv
+
+
+def argv_for(command, doc_for, tmp):
+    """``command`` with each {kind} replaced by ``doc_for(kind)``: inline for
+    ``--mu``, as a JSON file in ``tmp`` otherwise."""
+    argv = []
+    for word in command.split():
+        head, brace, kind = word.partition("{")
+        if not brace:
+            argv.append(word)
+            continue
+        doc = doc_for(kind.rstrip("}"))
+        if head == "--mu=":
+            argv.append(head + json.dumps(doc))
+            continue
+        name = os.path.join(tmp, f"{len(argv)}.json")
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv.append(head + name)
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_json_input_exits_zero_or_one_with_json_error(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_contract(
+            argv_for(command, lambda kind: data.draw(json_input(kind), label=kind), tmp)
+        )
+
+
+def test_unreadable_input_exits_one_with_json_error(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(VALID["graph"]))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(VALID["family"]))
+    bad_utf8 = tmp_path / "bad_utf8.json"
+    bad_utf8.write_bytes(b"\xff\xfe{")
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ["graph", "check", str(bad_utf8)],
+        ["graph", "check", str(too_deep)],
+        ["graph", "check", str(tmp_path)],
+        ["atomic", "condM", str(too_deep), "--mu", "{}"],
+        ["atomic", "condM", str(family), "--mu", "[" * 100_000 + "]" * 100_000],
+        ["series", "fourier", str(bad_utf8), "-m", "0", "--graph", str(graph)],
+    ):
+        code, out, err = run(argv)
+        assert code == 1 and not out, argv
+        assert json.loads(err)["error"] == "domain-error", argv
+
+
+def leaf_paths(doc, at=()):
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from leaf_paths(doc[key], at + (key,))
+    elif isinstance(doc, list):
+        for k, item in enumerate(doc):
+            yield from leaf_paths(item, at + (k,))
+    else:
+        yield at
+
+
+def replaced(doc, at, value):
+    if not at:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[at[0]] = replaced(doc[at[0]], at[1:], value)
+    return out
+
+
+# one command that decodes each kind of document
+DECODES = {
+    "graph": "graph check {graph}",
+    "coloring": "color validate {graph} {coloring}",
+    "element": "series fourier {element} -m 1 --graph {graph}",
+    "family": "atomic classify {family}",
+    "canonical": "atomic classify {canonical}",
+    "mu": "atomic condM {family} --mu={mu}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECODES))
+def test_out_of_range_numbers_exit_one_with_json_error(kind, tmp_path):
+    for k, at in enumerate(leaf_paths(VALID[kind])):
+        value = [10**400, float("inf")][k % 2]
+        docs = dict(VALID, **{kind: replaced(VALID[kind], at, value)})
+        check_contract(argv_for(DECODES[kind], docs.get, str(tmp_path)))

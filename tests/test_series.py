@@ -145,3 +145,36 @@ def test_l2_row_norm_definition(fig1):
     assert abs(l2_row_norm(a, 1, "t") - 5.0) < 1e-12
     assert abs(l2_row_norm(a, 1, "l") - 7.0) < 1e-12
     assert l2_row_norm(a, 2, "t") == 0.0
+
+
+def test_operations_trust_their_inputs_and_boundaries_validate(rng, fig1, monkeypatch):
+    from semigroupoid_kit import PathError, serialize, series
+
+    a = random_polynomial(rng, fig1)
+    b = random_polynomial(rng, fig1)
+    data = serialize.formal_to_json(a)
+    calls = []
+    original = series.validate_path
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, "validate_path", counting)
+    monkeypatch.setattr(serialize, "validate_path", counting)
+    results = [
+        a + b, a - b, a.scale(2 - 1j), formal_mul(a, b), fourier_coeff(a, 1), cesaro(a, 3)
+    ]
+    assert calls == []
+    assert all(0 not in r.terms.values() for r in results)
+    assert (a - a).is_zero()
+    # each JSON path is validated once, by the decoder, and not again
+    assert serialize.formal_from_json(fig1, data).approx_eq(a, tol=0)
+    assert len(calls) == len(a.terms) > 0
+    calls.clear()
+    with pytest.raises(PathError):
+        FormalElement(fig1, {Path("t", ("lr",)): 1.0})
+    assert len(calls) == 1
+    data["terms"][0]["path"] = {"base": "t", "edges": ["lr"]}
+    with pytest.raises(PathError):
+        serialize.formal_from_json(fig1, data)

@@ -12,12 +12,16 @@ from semigroupoid_kit import (
     CycleFound,
     ExplicitAtomic,
     Graph,
+    Path,
     Phase,
+    are_unitarily_equivalent,
     build_H,
     classify,
     cycle_graph,
+    gauge_transform,
     has_ses,
     looped_triangle,
+    orbit_condition_M,
     scc_of,
     source_elimination,
     strongly_connected_components,
@@ -124,10 +128,14 @@ def test_classify_and_wold_validate_once(rng, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(atomic, "validate_atomic", counting)
-    g = corpus.random_graph(rng, max_v=4, max_e=5, acyclic=True)
-    fam, _ = corpus.random_root_family(rng, g)
+    fam, _, _ = corpus.random_loop_sink_family(rng)
+    g = fam.graph
+    twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
     classify(g, fam)
     assert len(calls) == 1
     wold_atomic(fam)
+    assert len(calls) == 1
+    assert are_unitarily_equivalent(g, fam, twin).equivalent
     assert len(calls) == 2
-
+    orbit_condition_M(fam, Path("v", ("loop",)))
+    assert len(calls) == 2 and calls[0][0] is fam and calls[1][0] is twin

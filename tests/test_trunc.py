@@ -180,3 +180,22 @@ def test_matrix_to_coordinates_sorted(fig1):
     assert coords == sorted(coords)
     for row, col, re, im in coords:
         assert re == 1.0 and im == 0.0
+
+
+def test_column_residual_matches_entrywise_reference(rng):
+    import oracles
+    from semigroupoid_kit.trunc import _column_residual
+
+    for k in range(60):
+        n = rng.randint(1, 9)
+        grades = np.array([rng.randint(0, 4) for _ in range(n)])
+        entries = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        data = [complex(rng.choice([0, 1, -2, 0.5]), rng.choice([0, 0, 1])) for _ in entries]
+        rows = [r for r, _ in entries]
+        cols = [c for _, c in entries]
+        mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=complex if k % 2 else None)
+        lo = rng.randint(0, 3)
+        hi = rng.randint(lo - 1, 4)
+        got = _column_residual(mat, grades, lo, hi)
+        assert got == oracles.column_residual(mat, grades, lo, hi)
+        assert all(type(x) is float for x in got)
