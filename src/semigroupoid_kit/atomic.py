@@ -867,7 +867,7 @@ def _condM_canonical(
         )
     words = _incoming_words(g, v, len(mu), support, max_expansions)
     if words != {mu.edges}:
-        extra = next(iter(words - {mu.edges}), None)
+        extra = min(words - {mu.edges}, default=None)
         if extra is None:
             return MReport(MClass.NOT_UNITARY, "S_mu annihilates part of the space at the base")
         return MReport(

@@ -145,27 +145,82 @@ def irreducible_cycles_at(g: Graph, v: str, max_len: int) -> list[Path]:
     """Cycles at v of length in [1, max_len] that do not pass through v internally.
 
     Interior vertices may repeat; only returning to the base vertex closes
-    the walk.  Ordered by length then edge tuple.
+    the walk.  Ordered by length then edge tuple.  The cycles are counted
+    before any is built; more than BASIS_CAP raises EnumerationOverflow.
     """
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
+    home = _steps_home(g, v)
+    _count_cycles(g, v, max_len, home)
     found: list[Path] = []
-    # walk holds edge ids in application order (first applied first)
-    def extend(at: str, walk: list[str]) -> None:
-        if len(walk) >= max_len:
-            return
-        for eid in g.out_edges(at):
-            w = g.dst(eid)
+    # walk holds edge ids in application order (first applied first); each
+    # stack entry is the out-edge iterator of the vertex the walk reached,
+    # and a walk is only extended when it can still close within max_len
+    walk: list[str] = []
+    stack = [iter(g.out_edges(v))] if max_len >= 1 else []
+    while stack:
+        eid = next(stack[-1], None)
+        if eid is None:
+            stack.pop()
+            if walk:
+                walk.pop()
+            continue
+        w = g.dst(eid)
+        if w == v:
+            found.append(Path(v, tuple(reversed(walk + [eid]))))
+        elif w in home and len(walk) + 1 + home[w] <= max_len:
             walk.append(eid)
-            if w == v:
-                found.append(Path(v, tuple(reversed(walk))))
-            else:
-                extend(w, walk)
-            walk.pop()
-
-    extend(v, [])
+            stack.append(iter(g.out_edges(w)))
     found.sort(key=lambda p: (len(p.edges), p.edges))
     return found
+
+
+def _steps_home(g: Graph, v: str) -> dict[str, int]:
+    """Fewest edges from each vertex u != v to v along a path that meets v
+    only at its end (backward BFS from v); vertices that cannot get there are
+    absent."""
+    home: dict[str, int] = {}
+    level = [v]
+    steps = 0
+    while level:
+        steps += 1
+        nxt = []
+        for w in level:
+            for eid in g.in_edges(w):
+                u = g.src(eid)
+                if u != v and u not in home:
+                    home[u] = steps
+                    nxt.append(u)
+        level = nxt
+    return home
+
+
+def _count_cycles(g: Graph, v: str, max_len: int, home: dict[str, int]) -> None:
+    """Count the irreducible cycles at v, length by length, in integers.
+
+    Open walks from v are counted per end vertex; those that step onto v
+    close as cycles; walks that can no longer reach v are dropped.  Raises
+    EnumerationOverflow as soon as the running total passes BASIS_CAP.
+    """
+    ending = {v: 1}
+    total = 0
+    for length in range(1, max_len + 1):
+        nxt: dict[str, int] = {}
+        for u, k in ending.items():
+            for eid in g.out_edges(u):
+                w = g.dst(eid)
+                if w == v:
+                    total += k
+                elif w in home:
+                    nxt[w] = nxt.get(w, 0) + k
+        if total > BASIS_CAP:
+            raise EnumerationOverflow(
+                "cycle enumeration exceeds the budget",
+                count=total, length=length, budget=BASIS_CAP,
+            )
+        if not nxt:
+            return
+        ending = nxt
 
 
 class CycleClass(enum.Enum):

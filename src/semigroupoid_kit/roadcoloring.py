@@ -130,6 +130,11 @@ def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
         raise InvalidColoring(
             "coloring is not strong", findings=[f.message for f in report.errors]
         )
+    return _automaton(g, c)
+
+
+def _automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
+    """Backward automaton of a coloring already known to be strong on g."""
     delta: dict[tuple[str, int], tuple[str, str]] = {}
     for v in g.sorted_vertices():
         for eid in g.in_edges(v):
@@ -163,22 +168,40 @@ def follow_backward(g: Graph, c: Coloring, v: str, word: str) -> tuple[str, Path
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
     auto = backward_automaton(g, c)
-    letters = parse_word(word, c.d)
+    return _follow(auto, v, parse_word(word, c.d))
+
+
+def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
+    """The common source vertex when the word synchronizes, else None."""
+    auto = backward_automaton(g, c)
+    return _sync_target(auto, parse_word(word, c.d))
+
+
+def _follow(auto: BackwardAutomaton, v: str, letters: list[int]) -> tuple[str, Path]:
     at = v
     edges: list[str] = []
     for j in letters:
         at, eid = auto.step(at, j)
         edges.append(eid)
-    if not edges:
-        return at, Path.vertex(v)
     return at, Path(at, tuple(edges))
 
 
-def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
-    """The common source vertex when the word synchronizes, else None."""
-    sources = {follow_backward(g, c, v, word)[0] for v in g.vertices}
-    if len(sources) == 1:
-        return sources.pop()
+def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
+    """Common end of the backward walks from every vertex, or None.
+
+    The set of walk ends is stepped as a whole.  When a step is undefined,
+    the walks are retaken one vertex at a time in graph order, so the error
+    names the same (vertex, color) as reading each walk alone.
+    """
+    ends = set(auto.graph.vertices)
+    try:
+        for j in letters:
+            ends = {auto.delta[v, j][0] for v in ends}
+    except KeyError:
+        for v in auto.graph.vertices:
+            _follow(auto, v, letters)
+    if len(ends) == 1:
+        return ends.pop()
     return None
 
 
@@ -195,28 +218,68 @@ def find_synchronizing_word(g: Graph, c: Coloring) -> str | None:
     (exact, shortest); beyond that a pairwise merging heuristic produces a
     synchronizing word that need not be shortest.
     """
-    auto = backward_automaton(g, c)
-    vertices = frozenset(g.vertices)
+    return _find_word(backward_automaton(g, c))
+
+
+def _find_word(auto: BackwardAutomaton) -> str | None:
+    vertices = auto.graph.vertices
     if len(vertices) <= 1:
         return ""
     if len(vertices) <= SUBSET_BFS_LIMIT:
-        return _subset_bfs(auto, vertices)
-    return _greedy_merge(auto, vertices)
+        return _subset_bfs(auto)
+    return _greedy_merge(auto, frozenset(vertices))
 
 
-def _subset_bfs(auto: BackwardAutomaton, full: frozenset[str]) -> str | None:
-    colors = range(1, auto.coloring.d + 1)
+def _subset_bfs(auto: BackwardAutomaton) -> str | None:
+    """Breadth-first search from the full vertex set to a singleton.
+
+    A subset is an integer bitmask over the sorted vertex index.  Its image
+    under color j is read from per-color tables, one per chunk of at most 8
+    bits, indexed by the chunk's bits of the subset.  Subsets are expanded
+    in FIFO order with colors 1..d, so the first singleton reached gives the
+    shortest word, and among those the least in that order.
+    """
+    verts = auto.graph.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    width = -(-n // -(-n // 8))  # n bits in ceil(n / 8) chunks of near-equal width
+    chunk = (1 << width) - 1
+    steps = []
+    for j in range(1, auto.coloring.d + 1):
+        gaps = 0  # vertices with no incoming edge of color j
+        tables = []
+        for lo in range(0, n, width):
+            table = [0]
+            for i in range(lo, min(lo + width, n)):
+                hit = auto.delta.get((verts[i], j))
+                if hit is None:
+                    gaps |= 1 << i
+                    bit = 0
+                else:
+                    bit = 1 << index[hit[0]]
+                table += [m | bit for m in table]
+            tables.append((lo, table))
+        steps.append((j, gaps, tables))
+    full = (1 << n) - 1
     seen = {full: ""}
     queue = deque([full])
     while queue:
         cur = queue.popleft()
         word = seen[cur]
-        for j in colors:
-            nxt = _subset_step(auto, cur, j)
+        for j, gaps, tables in steps:
+            missing = cur & gaps
+            if missing:
+                raise PartialAutomaton(
+                    "no incoming edge of that color",
+                    vertex=verts[(missing & -missing).bit_length() - 1], color=j,
+                )
+            nxt = 0
+            for lo, table in tables:
+                nxt |= table[(cur >> lo) & chunk]
             if nxt in seen:
                 continue
             seen[nxt] = word + str(j)
-            if len(nxt) == 1:
+            if nxt & (nxt - 1) == 0:
                 return seen[nxt]
             queue.append(nxt)
     return None
@@ -262,7 +325,9 @@ def _candidate_colorings(g: Graph, d: int):
     Each in-fiber, sorted by edge id, gets a bijection onto 1..d.  The
     fiber of the least vertex is pinned to the identity assignment: any
     strong coloring is carried to such a candidate by a global color
-    permutation, which never changes synchronizability.
+    permutation, which never changes synchronizability.  The candidates are
+    counted first: more than SEARCH_BUDGET raises EnumerationOverflow here,
+    before the stream is returned.
     """
     vertices = sorted(g.vertices)
     fibers = [list(g.in_edges(v)) for v in vertices]
@@ -281,12 +346,14 @@ def _candidate_colorings(g: Graph, d: int):
                 "coloring search space exceeds the budget",
                 budget=SEARCH_BUDGET,
             )
-    for combo in itertools.product(*choices):
-        color: dict[str, int] = {}
-        for fiber, perm in zip(fibers, combo):
-            for eid, col in zip(fiber, perm):
-                color[eid] = col
-        yield Coloring(d, color)
+    return (
+        Coloring(d, {
+            eid: col
+            for fiber, perm in zip(fibers, combo)
+            for eid, col in zip(fiber, perm)
+        })
+        for combo in itertools.product(*choices)
+    )
 
 
 def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
@@ -295,15 +362,24 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
 
     Requires an in-degree regular graph.  On an aperiodic, transitive,
     in-degree regular graph a synchronizing coloring always exists, so the
-    search succeeds; on a graph with period p > 1 it returns None.
+    search succeeds.  On a transitive graph of period p > 1 no coloring
+    synchronizes, and None is returned without trying any: the vertices fall
+    into p classes with every edge going from one class to the next, so a
+    word of length L maps each class into the class L steps back, and the
+    image of the whole vertex set still meets all p classes.  The budget
+    check comes first either way.
     """
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
         raise DomainError("coloring search needs an in-degree regular graph with d >= 1")
     if d > 9:
         raise DomainError("color words use digits 1..9", d=d)
-    for cand in _candidate_colorings(g, d):
-        word = find_synchronizing_word(g, cand)
+    candidates = _candidate_colorings(g, d)
+    if is_transitive(g) and period(g, min(g.vertices)) != 1:
+        return None
+    for cand in candidates:
+        # candidates are strong and complete by construction
+        word = _find_word(_automaton(g, cand))
         if word is not None:
             return cand, word
     return None
@@ -378,11 +454,13 @@ def syncdiag_paths(
     with range w, whose source is v because gamma synchronizes.  The product
     lambda = mu' mu is a cycle at v with color word gamma' gamma.
     """
-    v = is_synchronizing_word(g, c, gamma)
+    auto = backward_automaton(g, c)
+    letters = parse_word(gamma, c.d)
+    v = _sync_target(auto, letters)
     if v is None:
         raise DomainError("word does not synchronize", word=gamma)
-    w, mu_prime = follow_backward(g, c, v, gamma_prime)
-    back, mu = follow_backward(g, c, w, gamma)
+    w, mu_prime = _follow(auto, v, parse_word(gamma_prime, c.d))
+    back, mu = _follow(auto, w, letters)
     if back != v:
         raise AssertionError("synchronizing word failed on the pulled-back vertex")
     closed = Path(v, mu_prime.edges + mu.edges)
@@ -393,7 +471,11 @@ def synchronizing_guarantee(g: Graph) -> dict:
     """Testable form of the coloring guarantee: a synchronizing coloring exists
     iff the graph is aperiodic, among transitive in-degree regular graphs.
 
-    Returns the hypotheses and the verdict of the exhaustive search.
+    Returns the hypotheses and the verdict of the search.  Only the
+    aperiodic direction needs a search: when the period p exceeds 1, every
+    edge moves one of p vertex classes to the next, so no color word maps
+    the whole vertex set into fewer than p vertices, and the verdict is
+    None without any coloring being tried.
     """
     regular, d = is_in_degree_regular(g)
     transitive = is_transitive(g)

@@ -103,6 +103,9 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
                 "(in-degree d-regular, every color in every fiber)",
                 vertex=v,
             )
+    size = _colored_basis_size(len(g.vertices), d, depth)
+    if size > BASIS_CAP:
+        raise EnumerationOverflow("basis too large", size=size, cap=BASIS_CAP)
     words: list[str] = [""]
     level = [""]
     for _ in range(depth):
@@ -117,8 +120,6 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
             labels.append((v, w))
             grades_list.append(len(w))
             vertex_of.append(v)
-    if len(labels) > BASIS_CAP:
-        raise EnumerationOverflow("basis too large", size=len(labels), cap=BASIS_CAP)
     n = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     grades = np.array(grades_list, dtype=int)
@@ -144,6 +145,24 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
         g, depth, "colored", labels, grades, vertex_of,
         vertex_ops, edge_ops, {"coloring": coloring.to_json_dict()},
     )
+
+
+def _colored_basis_size(vertices: int, d: int, depth: int) -> int:
+    """|V| * (d^0 + ... + d^depth), the colored basis size, in integers.
+
+    Exact up to BASIS_CAP**2.  Past that the sum stops at the first level
+    that crosses it, so a huge depth neither loops long nor yields a number
+    too long to print; any such figure is far over the cap.
+    """
+    if d == 1:
+        return vertices * min(depth + 1, BASIS_CAP**2)
+    size = level = vertices
+    for _ in range(depth):
+        level *= d
+        size += level
+        if size > BASIS_CAP**2:
+            break
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,82 @@ def column_residual(mat, grades, lo, hi):
         else:
             boundary = max(boundary, abs(v))
     return float(interior), float(boundary)
+
+
+# ---------------------------------------------------------------------------
+# road colouring: the implementations the bitmask kernel replaced
+
+
+def subset_bfs(auto, full):
+    """Shortest synchronizing word by breadth-first search over frozensets.
+
+    FIFO order, colours 1..d, the first singleton reached wins; a subset
+    holding a vertex with no edge of the colour raises from ``auto.step``.
+    """
+    from collections import deque
+
+    def image(subset, j):
+        return frozenset(auto.step(v, j)[0] for v in subset)
+
+    seen = {full: ""}
+    queue = deque([full])
+    while queue:
+        cur = queue.popleft()
+        for j in range(1, auto.coloring.d + 1):
+            nxt = image(cur, j)
+            if nxt in seen:
+                continue
+            seen[nxt] = seen[cur] + str(j)
+            if len(nxt) == 1:
+                return seen[nxt]
+            queue.append(nxt)
+    return None
+
+
+def synchronizing_word(g, coloring):
+    """``find_synchronizing_word`` with the frozenset search for small graphs."""
+    from semigroupoid_kit import roadcoloring as rc
+
+    auto = rc.backward_automaton(g, coloring)
+    full = frozenset(g.vertices)
+    if len(full) <= 1:
+        return ""
+    if len(full) <= rc.SUBSET_BFS_LIMIT:
+        return subset_bfs(auto, full)
+    return rc._greedy_merge(auto, full)
+
+
+def sync_vertex(g, coloring, word):
+    """``is_synchronizing_word`` by one ``follow_backward`` per vertex, each
+    validating the colouring again."""
+    from semigroupoid_kit import follow_backward
+
+    ends = {follow_backward(g, coloring, v, word)[0] for v in g.vertices}
+    return ends.pop() if len(ends) == 1 else None
+
+
+def candidate_colorings(g, d):
+    """Every strong colouring with the least vertex's in-fibre coloured
+    1..d in edge-id order, the rest in product order of the sorted vertices."""
+    import itertools
+
+    from semigroupoid_kit import Coloring
+
+    fibers = [g.in_edges(v) for v in sorted(g.vertices)]
+    perms = list(itertools.permutations(range(1, d + 1)))
+    choices = [[tuple(range(1, d + 1))]] + [perms] * (len(fibers) - 1)
+    for combo in itertools.product(*choices):
+        color = {}
+        for fiber, perm in zip(fibers, combo):
+            color.update(zip(fiber, perm))
+        yield Coloring(d, color)
+
+
+def search_coloring(g, d):
+    """Exhaustive search: the first candidate with a synchronizing word,
+    periodic graphs included, each candidate validated."""
+    for cand in candidate_colorings(g, d):
+        word = synchronizing_word(g, cand)
+        if word is not None:
+            return cand, word
+    return None

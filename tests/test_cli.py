@@ -307,3 +307,57 @@ def test_paths_enum_over_budget_exits_one_before_building(capsys, tmp_path):
     assert data["error"] == "enumeration-overflow"
     assert data["details"]["budget"] == 200_000
     assert data["details"]["count"] == 2 ** (data["details"]["length"] + 1) - 1 > 200_000
+
+
+def _graph_file(tmp_path, name, vertices, triples):
+    path = tmp_path / name
+    edges = [{"id": e, "src": s, "dst": d} for e, s, d in triples]
+    path.write_text(dump_json({"vertices": vertices, "edges": edges}))
+    return str(path)
+
+
+def test_paths_cycles_over_budget_exits_one_before_building(capsys, tmp_path):
+    # cycles at a: ab, then k loops at b in 2**k ways, then ba
+    g = _graph_file(
+        tmp_path, "ab.json", ["a", "b"],
+        [("ab", "a", "b"), ("l1", "b", "b"), ("l2", "b", "b"), ("ba", "b", "a")],
+    )
+    code, out, err = run(capsys, ["paths", "cycles", g, "--vertex", "a", "--max-len", "21"])
+    assert code == 1 and not out
+    data = json.loads(err)
+    assert data["error"] == "enumeration-overflow"
+    assert data["details"]["budget"] == 200_000
+    assert data["details"]["count"] == 2 ** (data["details"]["length"] - 1) - 1 > 200_000
+    code, out, _ = run(capsys, ["paths", "cycles", g, "--vertex", "a", "--max-len", "12"])
+    assert code == 0 and json.loads(out)["count"] == 2**11 - 1
+
+
+def test_paths_cycles_on_a_long_ring(capsys, tmp_path):
+    n = 1500
+    names = [f"c{i}" for i in range(n)]
+    g = _graph_file(
+        tmp_path, "ring.json", names,
+        [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)],
+    )
+    code, out, err = run(capsys, ["paths", "cycles", g, "--vertex", "c0", "--max-len", "1600"])
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["count"] == 1
+    assert data["cycles"][0]["edges"] == [f"e{i}" for i in reversed(range(n))]
+
+
+def test_trunc_colored_over_budget_exits_one_before_building(capsys, fig1_file, coloring_file):
+    code, out, err = run(
+        capsys, ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "30"]
+    )
+    assert code == 1 and not out
+    data = json.loads(err)
+    assert data["error"] == "enumeration-overflow"
+    assert data["message"] == "basis too large"
+    assert data["details"]["cap"] == 200_000 < data["details"]["size"]
+    # the size is exact for a basis that could be built: 3 vertices, 2**17 - 1 words
+    code, _, err = run(
+        capsys, ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "16"]
+    )
+    assert code == 1
+    assert json.loads(err)["details"] == {"size": 3 * (2**17 - 1), "cap": 200_000}

@@ -133,3 +133,14 @@ def test_enumeration_budget(fig1):
     fam = CycleType(Path("t", ("loop_t",)), Phase.one())
     with pytest.raises(EnumerationOverflow):
         orbit_condition_M(fam, Path("t", ("loop_t",)), fig1, max_expansions=0)
+
+
+def test_second_incoming_word_witness_is_the_least(fig1):
+    mu = Path("t", ("rt", "tr"))
+    rep = orbit_condition_M(CycleType(mu, Phase.one()), mu, fig1)
+    assert rep.kind is MClass.NOT_UNITARY
+    # the incoming words of length 2 at t, other than mu, are loop_t loop_t,
+    # loop_t rt and rt lr; the least is named whatever the hash seed
+    assert rep.detail == (
+        "a second incoming word ['loop_t', 'loop_t'] lands at t, so S_mu is not onto"
+    )

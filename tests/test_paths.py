@@ -95,6 +95,38 @@ def test_irreducible_cycles_match_oracle(rng):
         assert got == set(oracles.cycles_at(g, v, 4))
 
 
+def test_irreducible_cycle_count_is_exact(rng, monkeypatch):
+    from semigroupoid_kit import EnumerationOverflow, paths
+
+    cap = paths.BASIS_CAP
+    for _ in range(40):
+        g = corpus.random_graph(rng, max_v=4, max_e=7)
+        v = sorted(g.vertices)[0]
+        max_len = rng.randint(1, 6)
+        monkeypatch.setattr(paths, "BASIS_CAP", cap)
+        found = irreducible_cycles_at(g, v, max_len)
+        if not found:
+            continue
+        # a budget one short of the count overflows at the last cycle length
+        monkeypatch.setattr(paths, "BASIS_CAP", len(found) - 1)
+        with pytest.raises(EnumerationOverflow) as err:
+            irreducible_cycles_at(g, v, max_len)
+        assert err.value.details["count"] == len(found)
+        assert err.value.details["length"] == len(found[-1].edges)
+        monkeypatch.setattr(paths, "BASIS_CAP", len(found))
+        assert irreducible_cycles_at(g, v, max_len) == found
+
+
+def test_irreducible_cycles_skip_walks_that_cannot_return():
+    # from v the walks may wander among two loops at a and never come back;
+    # only the loop at v closes, whatever the length bound
+    g = Graph.build(
+        ["v", "a"],
+        [("lv", "v", "v"), ("va", "v", "a"), ("l1", "a", "a"), ("l2", "a", "a")],
+    )
+    assert irreducible_cycles_at(g, "v", 10**6) == [Path("v", ("lv",))]
+
+
 def test_cycle_trichotomy():
     assert vertex_cycle_class(cycle_graph(3), "v1") is CycleClass.SIMPLE_CYCLE
     assert vertex_cycle_class(looped_triangle(), "t") is CycleClass.TWO_PLUS

@@ -1,0 +1,235 @@
+"""The road-colouring kernel against the implementations it replaced.
+
+``tests/oracles.py`` keeps the frozenset subset search, the per-vertex
+synchronization check and the exhaustive candidate loop.  The library's
+bitmask search, single-automaton walks and period shortcut must give the
+same words, colourings and errors on seeded random graphs.
+"""
+
+import random
+
+import pytest
+
+import corpus
+import oracles
+from semigroupoid_kit import (
+    Coloring,
+    DomainError,
+    EnumerationOverflow,
+    Graph,
+    PartialAutomaton,
+    cycle_graph,
+    find_synchronizing_word,
+    follow_backward,
+    is_synchronizing_word,
+    is_transitive,
+    looped_triangle,
+    period,
+    search_synchronizing_coloring,
+    syncdiag_paths,
+    synchronizing_guarantee,
+)
+from semigroupoid_kit import roadcoloring as rc
+
+
+def random_coloring(rng, g, d):
+    color = {}
+    for v in g.sorted_vertices():
+        perm = list(range(1, d + 1))
+        rng.shuffle(perm)
+        color.update(zip(g.in_edges(v), perm))
+    return Coloring(d, color)
+
+
+def random_word(rng, d, max_len=6):
+    return "".join(str(rng.randint(1, d)) for _ in range(rng.randint(0, max_len)))
+
+
+def looped_graph(rng, n, d):
+    """Transitive and aperiodic: a loop at v0, a ring, d-1 random in-edges more."""
+    vertices = [f"v{i}" for i in range(n)]
+    triples = [("loop", "v0", "v0")]
+    for i in range(n):
+        triples.append((f"r{i}", vertices[i - 1], vertices[i]))
+        for k in range(d - (2 if i == 0 else 1)):
+            triples.append((f"x{i}_{k}", rng.choice(vertices), vertices[i]))
+    return Graph.build(vertices, triples)
+
+
+def periodic_graph(rng, n, d, p):
+    """Transitive, period a multiple of p: a ring through classes k mod p and
+    d-1 random in-edges from the previous class."""
+    vertices = [f"v{i}" for i in range(n)]
+    triples = []
+    for i in range(n):
+        triples.append((f"r{i}", vertices[i - 1], vertices[i]))
+        back = [u for k, u in enumerate(vertices) if k % p == (i - 1) % p]
+        for k in range(d - 1):
+            triples.append((f"x{i}_{k}", rng.choice(back), vertices[i]))
+    return Graph.build(vertices, triples)
+
+
+def partial_graph(rng, n, d):
+    """Random in-degrees 0..d with a strong colouring that misses colours."""
+    vertices = [f"v{i}" for i in range(n)]
+    triples, color = [], {}
+    for v in vertices:
+        cols = rng.sample(range(1, d + 1), rng.randint(0, d))
+        for col in cols:
+            eid = f"e{len(triples)}"
+            triples.append((eid, rng.choice(vertices), v))
+            color[eid] = col
+    return Graph.build(vertices, triples), Coloring(d, color)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc), exc.details
+
+
+def found_json(found):
+    return None if found is None else (found[0].to_json_dict(), found[1])
+
+
+def test_words_match_frozenset_references(rng):
+    for _ in range(200):
+        n, d = rng.randint(1, 10), rng.randint(1, 3)
+        g = corpus.random_in_regular_graph(rng, n, d)
+        c = random_coloring(rng, g, d)
+        assert find_synchronizing_word(g, c) == oracles.synchronizing_word(g, c)
+        for _ in range(5):
+            word = random_word(rng, d)
+            assert is_synchronizing_word(g, c, word) == oracles.sync_vertex(g, c, word)
+
+
+def test_search_matches_exhaustive_loop(rng):
+    kinds = {"periodic": 0, "found": 0, "none": 0}
+    for k in range(60):
+        d = 2 if k % 3 else 3
+        n = rng.randint(2, 8 if d == 2 else 5)
+        shape = k % 4
+        if shape == 0:
+            g = corpus.random_in_regular_graph(rng, n, d)
+        elif shape == 1:
+            g = looped_graph(rng, n, d)
+        else:
+            p = shape
+            g = periodic_graph(rng, p * max(1, n // p), d, p)
+        got = search_synchronizing_coloring(g)
+        assert found_json(got) == found_json(oracles.search_coloring(g, d))
+        if is_transitive(g) and period(g, min(g.vertices)) != 1:
+            kinds["periodic"] += 1
+            assert synchronizing_guarantee(g)["synchronizing_coloring"] is None
+        kinds["found" if got else "none"] += 1
+    assert kinds["periodic"] >= 20 and kinds["found"] >= 10
+    assert kinds["none"] > kinds["periodic"]  # some non-transitive graphs fail too
+
+
+def test_incomplete_colorings_fail_like_references(rng):
+    seen = set()
+    for _ in range(200):
+        n, d = rng.randint(1, 8), rng.randint(1, 3)
+        g, c = partial_graph(rng, n, d)
+        got = outcome(find_synchronizing_word, g, c)
+        want = outcome(oracles.synchronizing_word, g, c)
+        # the vertex named by the frozenset search followed the hash order
+        assert got[:2] == want[:2]
+        seen.add(got[0])
+        for _ in range(3):
+            word, word2 = random_word(rng, d, 4), random_word(rng, d, 3)
+            assert outcome(is_synchronizing_word, g, c, word) == outcome(
+                oracles.sync_vertex, g, c, word
+            )
+
+            def old_syncdiag():
+                v = oracles.sync_vertex(g, c, word)
+                if v is None:
+                    raise DomainError("word does not synchronize", word=word)
+                w, mu_prime = follow_backward(g, c, v, word2)
+                return v, mu_prime.edges + follow_backward(g, c, w, word)[1].edges
+
+            diag = outcome(syncdiag_paths, g, c, word, word2)
+            if diag[0] == "ok":
+                diag = "ok", (diag[1].vertex, diag[1].closed.edges)
+            assert diag == outcome(old_syncdiag)
+    assert {"PartialAutomaton", "ok"} <= seen
+
+
+def test_subset_search_names_the_least_vertex_missing_a_color():
+    # every vertex of the 3-cycle lacks color 2; the frozenset search named
+    # whichever it met first in hash order
+    g = cycle_graph(3)
+    with pytest.raises(PartialAutomaton) as err:
+        find_synchronizing_word(g, Coloring(2, {"e1": 1, "e2": 1, "e3": 1}))
+    assert err.value.details == {"vertex": "v1", "color": 2}
+
+
+def test_each_call_validates_once_and_search_candidates_never(monkeypatch):
+    g = looped_triangle()
+    c = Coloring(2, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2})
+    calls = []
+    validate = rc.validate_coloring
+    monkeypatch.setattr(rc, "validate_coloring", lambda *a: calls.append(a) or validate(*a))
+    assert is_synchronizing_word(g, c, "1") == "t"
+    assert len(calls) == 1
+    syncdiag_paths(g, c, "1", "12")
+    assert len(calls) == 2
+    builds = []
+    automaton = rc._automaton
+    monkeypatch.setattr(rc, "_automaton", lambda *a: builds.append(a) or automaton(*a))
+    # the first candidate colouring of this graph does not synchronize
+    g2 = Graph.build(
+        ["v1", "v2", "v3", "v4"],
+        [("e1", "v2", "v1"), ("e2", "v2", "v1"), ("e3", "v3", "v2"), ("e4", "v4", "v2"),
+         ("e5", "v1", "v3"), ("e6", "v1", "v3"), ("e7", "v4", "v4"), ("e8", "v3", "v4")],
+    )
+    assert search_synchronizing_coloring(g2) is not None
+    assert len(builds) == 2 and len(calls) == 2
+
+
+def test_periodic_search_tries_no_candidate_but_keeps_the_budget(monkeypatch):
+    builds = []
+    automaton = rc._automaton
+    monkeypatch.setattr(rc, "_automaton", lambda *a: builds.append(a) or automaton(*a))
+    assert search_synchronizing_coloring(periodic_graph(random.Random(1), 8, 2, 2)) is None
+    assert builds == []
+    # 6**9 candidates pass the budget: the overflow wins over the period
+    with pytest.raises(EnumerationOverflow):
+        search_synchronizing_coloring(periodic_graph(random.Random(1), 10, 3, 2))
+
+
+def test_word_lengths_respect_bounds(rng):
+    checked = 0
+    for _ in range(300):
+        n, d = rng.randint(2, 10), rng.randint(1, 3)
+        g = corpus.random_in_regular_graph(rng, n, d)
+        auto = rc.backward_automaton(g, random_coloring(rng, g, d))
+        bfs = rc._subset_bfs(auto)
+        greedy = rc._greedy_merge(auto, frozenset(g.vertices))
+        assert (bfs is None) == (greedy is None)
+        if bfs is None:
+            continue
+        checked += 1
+        # Frankl-Pin: a shortest synchronizing word has at most (n^3-n)/6 letters
+        assert len(bfs) <= (n**3 - n) // 6
+        assert len(bfs) <= len(greedy)
+        # each merge of the two least vertices takes at most C(n, 2) letters
+        assert len(greedy) <= (n - 1) * n * (n - 1) // 2
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("n", [21, 30, 40])
+def test_greedy_words_synchronize_within_bound(n):
+    rng = random.Random(n)
+    g = looped_graph(rng, n, 2)
+    tree = rc.obrien_coloring(g, "loop")[0]
+    for c in (tree, random_coloring(rng, g, 2)):
+        word = find_synchronizing_word(g, c)
+        if c is tree:
+            assert word is not None
+        if word is not None:
+            assert len(word) <= (n - 1) * n * (n - 1) // 2
+            assert oracles.sync_target(g, c, word) == is_synchronizing_word(g, c, word)
+            assert is_synchronizing_word(g, c, word) is not None
