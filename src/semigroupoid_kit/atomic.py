@@ -26,7 +26,6 @@ from typing import Iterable, Union
 
 from .errors import (
     DomainError,
-    EnumerationOverflow,
     NonTotalPresentation,
     NotACycle,
     UnboundedLeftRegularComponent,
@@ -633,14 +632,21 @@ def cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
     validate_path(g, w)
     if not is_cycle(g, w) or len(w) == 0:
         raise NotACycle("structure multiplicities need a cycle of positive length")
-    applied = list(reversed(w.edges))  # e_1, e_2, ..., e_k
     alpha = {v: 0 for v in g.vertices}
-    for eid in applied:
-        vj = g.src(eid)
-        for fid in g.out_edges(vj):
-            if fid != eid:
-                alpha[g.dst(fid)] += 1
+    for fid in _off_cycle_edges(g, w):
+        alpha[g.dst(fid)] += 1
     return alpha
+
+
+def _off_cycle_edges(g: Graph, w: Path) -> list[str]:
+    """The edges leaving each vertex the cycle w visits, other than the
+    cycle's own edge there, one entry per position (application order)."""
+    return [
+        fid
+        for eid in reversed(w.edges)
+        for fid in g.out_edges(g.src(eid))
+        if fid != eid
+    ]
 
 
 def finitely_correlated_multiplicities(
@@ -770,9 +776,7 @@ class MReport:
     detail: str
 
 
-def orbit_condition_M(
-    fam: AnyFamily, mu: Path, g: Graph | None = None, max_expansions: int = 10**6
-) -> MReport:
+def orbit_condition_M(fam: AnyFamily, mu: Path, g: Graph | None = None) -> MReport:
     """Classify the spectral behavior of S_mu on the space at its base vertex.
 
     S_mu restricted to the range of S_v (v the base of the cycle mu) is
@@ -796,7 +800,7 @@ def orbit_condition_M(
         return MReport(MClass.SINGULAR, "trivial cycle acts as the identity")
     if isinstance(fam, ExplicitAtomic):
         return _condM_explicit(fam, mu)
-    return _condM_canonical(host, fam, mu, max_expansions)
+    return _condM_canonical(host, fam, mu)
 
 
 def _condM_explicit(a: ExplicitAtomic, mu: Path) -> MReport:
@@ -842,13 +846,9 @@ def _orbit_lengths(perm: dict[str, str]) -> list[int]:
     return lengths
 
 
-def _condM_canonical(
-    g: Graph, fam: CanonicalAtomic, mu: Path, max_expansions: int
-) -> MReport:
+def _condM_canonical(g: Graph, fam: CanonicalAtomic, mu: Path) -> MReport:
     if isinstance(fam, DirectSum):
-        verdicts = [
-            _condM_canonical(g, part, mu, max_expansions) for part, _ in fam.parts
-        ]
+        verdicts = [_condM_canonical(g, part, mu) for part, _ in fam.parts]
         for rep in verdicts:
             if rep.kind is MClass.NOT_UNITARY:
                 return rep
@@ -857,7 +857,12 @@ def _condM_canonical(
                 return rep
         return MReport(MClass.SINGULAR, "every summand acts with finite orbits")
     v = mu.base
-    support = _support_vertices(g, fam)
+    # the vertices whose compression of the family is nonzero
+    if isinstance(fam, LeftRegular):
+        support = directed_closure(g, [fam.vertex])
+    else:
+        tree = directed_closure(g, [g.dst(fid) for fid in _off_cycle_edges(g, fam.cycle)])
+        support = tree.union(cycle_vertices(g, fam.cycle))
     if v not in support:
         return MReport(MClass.SINGULAR, f"no basis vectors at {v}; the compression is zero")
     if isinstance(fam, LeftRegular):
@@ -865,11 +870,8 @@ def _condM_canonical(
             MClass.NOT_UNITARY,
             "left-regular vectors of minimal length at the base escape the range of S_mu",
         )
-    words = _incoming_words(g, v, len(mu), support, max_expansions)
-    if words != {mu.edges}:
-        extra = min(words - {mu.edges}, default=None)
-        if extra is None:
-            return MReport(MClass.NOT_UNITARY, "S_mu annihilates part of the space at the base")
+    extra = _second_incoming_word(g, mu, support)
+    if extra is not None:
         return MReport(
             MClass.NOT_UNITARY,
             f"a second incoming word {list(extra)} lands at {v}, so S_mu is not onto",
@@ -879,7 +881,7 @@ def _condM_canonical(
             MClass.DOMINATES_LEBESGUE,
             "S_mu shifts the backward-infinite chain, one infinite orbit",
         )
-    if _has_tree_vectors_at(g, fam.cycle, v):
+    if v in tree:
         return MReport(
             MClass.DOMINATES_LEBESGUE,
             "S_mu shifts an infinite ladder of off-cycle vectors at the base",
@@ -890,58 +892,37 @@ def _condM_canonical(
     )
 
 
-def _support_vertices(g: Graph, fam: CanonicalAtomic) -> frozenset[str]:
-    """Vertices whose compression of the family is nonzero."""
-    if isinstance(fam, LeftRegular):
-        return directed_closure(g, [fam.vertex])
-    if isinstance(fam, (CycleType, TailType)):
-        cyc = cycle_vertices(g, fam.cycle)
-        extra: set[str] = set(cyc)
-        for j, eid in enumerate(reversed(fam.cycle.edges)):
-            vj = g.src(eid)
-            for fid in g.out_edges(vj):
-                if fid != eid:
-                    extra.update(directed_closure(g, [g.dst(fid)]))
-        return frozenset(extra)
-    raise AssertionError("direct sums handled by the caller")
+def _second_incoming_word(g: Graph, mu: Path, support: frozenset[str]) -> tuple[str, ...] | None:
+    """The least length-|mu| path into the base of mu with supported source,
+    other than mu itself (edge tuple in product order); None if mu is alone.
 
+    The support is closed under out-edges and each of its vertices has an
+    in-edge from it, so a backward walk from the base ends in the support
+    exactly when it stays inside, and inside it can always go on.  The
+    least other walk follows mu to its first step that has a smaller
+    supported in-edge, or else to its last step that has a larger one,
+    takes the least such edge there and then the least edge at every step.
+    """
 
-def _incoming_words(
-    g: Graph, v: str, n: int, support: frozenset[str], max_expansions: int
-) -> set[tuple[str, ...]]:
-    """Edge tuples (product order) of length-n paths into v with supported source."""
-    words: set[tuple[str, ...]] = set()
-    budget = max_expansions
+    def steps(x: str) -> list[str]:
+        return [eid for eid in g.in_edges(x) if g.src(eid) in support]
 
-    def walk(at: str, acc: list[str]) -> None:
-        nonlocal budget
-        if len(acc) == n:
-            if at in support:
-                words.add(tuple(acc))
-            return
-        for eid in g.in_edges(at):
-            budget -= 1
-            if budget < 0:
-                raise EnumerationOverflow(
-                    "incoming-path enumeration exceeded the budget",
-                    budget=max_expansions,
-                )
-            acc.append(eid)
-            walk(g.src(eid), acc)
-            acc.pop()
-
-    walk(v, [])
-    return words
-
-
-def _has_tree_vectors_at(g: Graph, w: Path, v: str) -> bool:
-    """Whether the cycle family on w has off-cycle basis vectors at v."""
-    for eid in reversed(w.edges):
-        vj = g.src(eid)
-        for fid in g.out_edges(vj):
-            if fid != eid and v in directed_closure(g, [g.dst(fid)]):
-                return True
-    return False
+    branch = None
+    x = mu.base
+    for j, eid in enumerate(mu.edges):
+        others = [fid for fid in steps(x) if fid != eid]
+        if others:
+            branch = j, others[0]
+            if others[0] < eid:
+                break
+        x = g.src(eid)
+    if branch is None:
+        return None
+    j, fid = branch
+    word = list(mu.edges[:j]) + [fid]
+    while len(word) < len(mu):
+        word.append(steps(g.src(word[-1]))[0])
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from .graph import Graph, scc_of
 
 # Largest number of paths or basis vectors any enumeration may build.
 BASIS_CAP = 200_000
+# Largest total length (edges or colour letters) of the paths, cycles or
+# colour words any enumeration may build; checked after BASIS_CAP.
+SYMBOL_CAP = 10_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -90,9 +93,9 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     """All paths with source in ``sources`` and length <= max_len.
 
     Ordered by length, then lexicographically on the stored edge tuple;
-    length-0 vertex paths come first, sorted by vertex id.  The paths are
-    counted before any is built; more than BASIS_CAP raises
-    EnumerationOverflow.
+    length-0 vertex paths come first, sorted by vertex id.  The paths and
+    their total length are counted before any is built; more than
+    BASIS_CAP paths or SYMBOL_CAP edges raises EnumerationOverflow.
     """
     if max_len < 0:
         raise PathError("max_len must be nonnegative", max_len=max_len)
@@ -100,10 +103,10 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     for v in start:
         if not g.has_vertex(v):
             raise GraphFormatError("unknown vertex", vertex=v)
-    levels = _count_levels(g, start, max_len)
+    _count_levels(g, start, max_len)
     result: list[Path] = [Path.vertex(v) for v in start]
     level = list(result)
-    for _ in range(levels):
+    while level and len(level[0]) < max_len:
         nxt = [
             Path(p.base, (eid,) + p.edges)
             for p in level
@@ -115,14 +118,16 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     return result
 
 
-def _count_levels(g: Graph, start: list[str], max_len: int) -> int:
-    """Number of nonempty path levels of length 1..max_len from ``start``.
+def _count_levels(g: Graph, start: list[str], max_len: int) -> None:
+    """Count the paths of length 0..max_len from ``start`` before any is built.
 
     Counts the paths ending at each vertex, level by level, in integers;
-    raises EnumerationOverflow as soon as the running total passes BASIS_CAP.
+    raises EnumerationOverflow as soon as the running total passes
+    BASIS_CAP, and after the last level if their total length passes
+    SYMBOL_CAP.
     """
     ending = {v: 1 for v in start}
-    total = len(start)
+    total, symbols = len(start), 0
     for length in range(1, max_len + 1):
         nxt: dict[str, int] = {}
         for v, k in ending.items():
@@ -130,23 +135,34 @@ def _count_levels(g: Graph, start: list[str], max_len: int) -> int:
                 w = g.dst(eid)
                 nxt[w] = nxt.get(w, 0) + k
         if not nxt:
-            return length - 1
-        total += sum(nxt.values())
+            break
+        count = sum(nxt.values())
+        total += count
+        symbols += length * count
         if total > BASIS_CAP:
             raise EnumerationOverflow(
                 "path enumeration exceeds the budget",
                 count=total, length=length, budget=BASIS_CAP,
             )
         ending = nxt
-    return max_len
+    _check_symbols("path", total, symbols)
+
+
+def _check_symbols(what: str, count: int, symbols: int) -> None:
+    if symbols > SYMBOL_CAP:
+        raise EnumerationOverflow(
+            f"{what} enumeration exceeds the symbol budget",
+            count=count, symbols=symbols, budget=SYMBOL_CAP,
+        )
 
 
 def irreducible_cycles_at(g: Graph, v: str, max_len: int) -> list[Path]:
     """Cycles at v of length in [1, max_len] that do not pass through v internally.
 
     Interior vertices may repeat; only returning to the base vertex closes
-    the walk.  Ordered by length then edge tuple.  The cycles are counted
-    before any is built; more than BASIS_CAP raises EnumerationOverflow.
+    the walk.  Ordered by length then edge tuple.  The cycles and their
+    total length are counted before any is built; more than BASIS_CAP
+    cycles or SYMBOL_CAP edges raises EnumerationOverflow.
     """
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
@@ -200,27 +216,32 @@ def _count_cycles(g: Graph, v: str, max_len: int, home: dict[str, int]) -> None:
 
     Open walks from v are counted per end vertex; those that step onto v
     close as cycles; walks that can no longer reach v are dropped.  Raises
-    EnumerationOverflow as soon as the running total passes BASIS_CAP.
+    EnumerationOverflow as soon as the running total passes BASIS_CAP, and
+    after the last length if the cycles' total length passes SYMBOL_CAP.
     """
     ending = {v: 1}
-    total = 0
+    total, symbols = 0, 0
     for length in range(1, max_len + 1):
         nxt: dict[str, int] = {}
+        closed = 0
         for u, k in ending.items():
             for eid in g.out_edges(u):
                 w = g.dst(eid)
                 if w == v:
-                    total += k
+                    closed += k
                 elif w in home:
                     nxt[w] = nxt.get(w, 0) + k
+        total += closed
+        symbols += length * closed
         if total > BASIS_CAP:
             raise EnumerationOverflow(
                 "cycle enumeration exceeds the budget",
                 count=total, length=length, budget=BASIS_CAP,
             )
         if not nxt:
-            return
+            break
         ending = nxt
+    _check_symbols("cycle", total, symbols)
 
 
 class CycleClass(enum.Enum):

@@ -21,13 +21,14 @@ in floating point, no tolerance needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
-from .paths import BASIS_CAP, Path, enumerate_paths, path_range
+from .paths import BASIS_CAP, SYMBOL_CAP, Path, enumerate_paths, path_range
 from .roadcoloring import Coloring, validate_coloring
 from .series import FormalElement
 
@@ -59,29 +60,10 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     basis = enumerate_paths(g, sources, depth)
-    n = len(basis)
-    index = {p: i for i, p in enumerate(basis)}
-    grades = np.array([len(p) for p in basis], dtype=int)
-    ranges = [path_range(g, p) for p in basis]
-    vertex_ops: dict[str, sp.csr_matrix] = {}
-    for v in g.sorted_vertices():
-        rows = [i for i, r in enumerate(ranges) if r == v]
-        data = np.ones(len(rows))
-        vertex_ops[v] = sp.csr_matrix((data, (rows, rows)), shape=(n, n))
-    edge_ops: dict[str, sp.csr_matrix] = {}
-    for eid in g.sorted_edge_ids():
-        s = g.src(eid)
-        rows, cols = [], []
-        for i, p in enumerate(basis):
-            if ranges[i] == s and len(p) < depth:
-                target = Path(p.base, (eid,) + p.edges)
-                rows.append(index[target])
-                cols.append(i)
-        data = np.ones(len(rows))
-        edge_ops[eid] = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return TruncatedRep(
-        g, depth, "left_regular", list(basis), grades, ranges,
-        vertex_ops, edge_ops, {"sources": sorted(set(sources))},
+    return _assemble(
+        g, depth, "left_regular", basis, [len(p) for p in basis],
+        [path_range(g, p) for p in basis], lambda p, eid: Path(p.base, (eid,) + p.edges),
+        {"sources": sorted(set(sources))},
     )
 
 
@@ -103,66 +85,79 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
                 "(in-degree d-regular, every color in every fiber)",
                 vertex=v,
             )
-    size = _colored_basis_size(len(g.vertices), d, depth)
+    size, symbols = _colored_basis_size(len(g.vertices), d, depth)
     if size > BASIS_CAP:
         raise EnumerationOverflow("basis too large", size=size, cap=BASIS_CAP)
+    if symbols > SYMBOL_CAP:
+        raise EnumerationOverflow(
+            "basis exceeds the symbol budget", size=size, symbols=symbols, budget=SYMBOL_CAP
+        )
     words: list[str] = [""]
     level = [""]
     for _ in range(depth):
         level = [str(j) + w for w in level for j in range(1, d + 1)]
         level.sort()
         words.extend(level)
-    labels: list = []
-    grades_list: list[int] = []
-    vertex_of: list[str] = []
-    for v in g.sorted_vertices():
-        for w in words:
-            labels.append((v, w))
-            grades_list.append(len(w))
-            vertex_of.append(v)
-    n = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    grades = np.array(grades_list, dtype=int)
-    vertex_ops: dict[str, sp.csr_matrix] = {}
-    for v in g.sorted_vertices():
-        rows = [i for i, u in enumerate(vertex_of) if u == v]
-        vertex_ops[v] = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, rows)), shape=(n, n)
-        )
-    edge_ops: dict[str, sp.csr_matrix] = {}
-    for eid in g.sorted_edge_ids():
-        s, r = g.src(eid), g.dst(eid)
-        j = str(coloring.of(eid))
-        rows, cols = [], []
-        for w in words:
-            if len(w) < depth:
-                rows.append(index[(r, j + w)])
-                cols.append(index[(s, w)])
-        edge_ops[eid] = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-        )
-    return TruncatedRep(
-        g, depth, "colored", labels, grades, vertex_of,
-        vertex_ops, edge_ops, {"coloring": coloring.to_json_dict()},
+    labels = [(v, w) for v in g.sorted_vertices() for w in words]
+    color = {eid: str(coloring.of(eid)) for eid in g.sorted_edge_ids()}
+    return _assemble(
+        g, depth, "colored", labels, [len(w) for _, w in labels], [v for v, _ in labels],
+        lambda lab, eid: (g.dst(eid), color[eid] + lab[1]),
+        {"coloring": coloring.to_json_dict()},
     )
 
 
-def _colored_basis_size(vertices: int, d: int, depth: int) -> int:
-    """|V| * (d^0 + ... + d^depth), the colored basis size, in integers.
+def _assemble(
+    g: Graph, depth: int, kind: str, labels: list, grades: list[int],
+    label_vertex: list[str], shift: Callable[[Label, str], Label], meta: dict,
+) -> TruncatedRep:
+    """Vertex projections and one 0/1 matrix per edge, from one pass over the
+    basis: the edge e sends each label of grade below ``depth`` at its source
+    vertex to ``shift(label, e)``.  Entries are laid down in basis order."""
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    diagonal = {v: [] for v in g.sorted_vertices()}
+    entries = {eid: ([], []) for eid in g.sorted_edge_ids()}
+    for i, (label, v) in enumerate(zip(labels, label_vertex)):
+        diagonal[v].append(i)
+        if grades[i] < depth:
+            for eid in g.out_edges(v):
+                rows, cols = entries[eid]
+                rows.append(index[shift(label, eid)])
+                cols.append(i)
+    vertex_ops = {
+        v: sp.csr_matrix((np.ones(len(rows)), (rows, rows)), shape=(n, n))
+        for v, rows in diagonal.items()
+    }
+    edge_ops = {
+        eid: sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        for eid, (rows, cols) in entries.items()
+    }
+    return TruncatedRep(
+        g, depth, kind, labels, np.array(grades, dtype=int), label_vertex,
+        vertex_ops, edge_ops, meta,
+    )
 
-    Exact up to BASIS_CAP**2.  Past that the sum stops at the first level
-    that crosses it, so a huge depth neither loops long nor yields a number
-    too long to print; any such figure is far over the cap.
+
+def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
+    """(size, symbols), in integers: the colored basis size |V| * (d^0 + ...
+    + d^depth) and its colour words' total length |V| * (1 d^1 + ... + depth d^depth).
+
+    Exact up to a size of BASIS_CAP**2.  Past that the sums stop at the
+    first level that crosses it, so a huge depth neither loops long nor
+    yields a number too long to print; any such figure is far over the cap.
     """
     if d == 1:
-        return vertices * min(depth + 1, BASIS_CAP**2)
+        return vertices * min(depth + 1, BASIS_CAP**2), vertices * depth * (depth + 1) // 2
     size = level = vertices
-    for _ in range(depth):
+    symbols = 0
+    for length in range(1, depth + 1):
         level *= d
         size += level
+        symbols += length * level
         if size > BASIS_CAP**2:
             break
-    return size
+    return size, symbols
 
 
 # ---------------------------------------------------------------------------

@@ -315,3 +315,114 @@ def search_coloring(g, d):
         if word is not None:
             return cand, word
     return None
+
+
+# ---------------------------------------------------------------------------
+# condition (M) on canonical families: the word enumeration that the walk
+# along mu replaced
+
+
+def cycle_tree(g, w):
+    """Vertices carrying off-cycle vectors of the cycle family on w: one
+    closure per edge that leaves a visited vertex other than the cycle's own."""
+    tree = set()
+    for eid in w.edges:
+        for fid in g.out_edges(g.src(eid)):
+            if fid != eid:
+                tree |= closure(g, [g.dst(fid)])
+    return tree
+
+
+def incoming_words(g, v, n, support):
+    """Edge tuples (product order) of every length-n path into v whose
+    source lies in ``support``, by recursion over all in-edges."""
+    words = set()
+
+    def walk(at, acc):
+        if len(acc) == n:
+            if at in support:
+                words.add(tuple(acc))
+            return
+        for eid in g.in_edges(at):
+            walk(g.src(eid), acc + [eid])
+
+    walk(v, [])
+    return words
+
+
+def condM_canonical(g, fam, mu):
+    """(class, detail) of ``orbit_condition_M`` on a canonical family and a
+    cycle mu of positive length, from every incoming word of length |mu|."""
+    from semigroupoid_kit import DirectSum, LeftRegular, TailType
+
+    if isinstance(fam, DirectSum):
+        verdicts = [condM_canonical(g, part, mu) for part, _ in fam.parts]
+        for kind in ("NotUnitary", "DominatesLebesgue"):
+            for verdict in verdicts:
+                if verdict[0] == kind:
+                    return verdict
+        return "Singular", "every summand acts with finite orbits"
+    v = mu.base
+    if isinstance(fam, LeftRegular):
+        support = closure(g, [fam.vertex])
+    else:
+        support = {g.src(eid) for eid in fam.cycle.edges} | cycle_tree(g, fam.cycle)
+    if v not in support:
+        return "Singular", f"no basis vectors at {v}; the compression is zero"
+    if isinstance(fam, LeftRegular):
+        return "NotUnitary", (
+            "left-regular vectors of minimal length at the base escape the range of S_mu"
+        )
+    others = incoming_words(g, v, len(mu), support) - {mu.edges}
+    if others:
+        return "NotUnitary", (
+            f"a second incoming word {list(min(others))} lands at {v}, so S_mu is not onto"
+        )
+    if isinstance(fam, TailType):
+        return "DominatesLebesgue", "S_mu shifts the backward-infinite chain, one infinite orbit"
+    if v in cycle_tree(g, fam.cycle):
+        return "DominatesLebesgue", (
+            "S_mu shifts an infinite ladder of off-cycle vectors at the base"
+        )
+    return "Singular", "S_mu permutes the finitely many cycle vectors at the base"
+
+
+# ---------------------------------------------------------------------------
+# truncations: the per-vertex and per-edge basis scans that the one-pass
+# assembly replaced
+
+
+def truncation_ops(rep):
+    """(vertex_ops, edge_ops) rebuilt from the labels of a truncation by
+    scanning the whole basis once per vertex and once per edge."""
+    import scipy.sparse as sp
+
+    g, labels, n = rep.graph, rep.labels, len(rep.labels)
+    colored = rep.kind == "colored"
+    index = {label: i for i, label in enumerate(labels)}
+
+    def vertex_of(label):
+        if colored:
+            return label[0]
+        return g.dst(label.edges[0]) if label.edges else label.base
+
+    def grade_of(label):
+        return len(label[1]) if colored else len(label.edges)
+
+    def shifted(label, eid):
+        if colored:
+            return g.dst(eid), str(rep.meta["coloring"]["color"][eid]) + label[1]
+        return type(label)(label.base, (eid,) + label.edges)
+
+    vertex_ops, edge_ops = {}, {}
+    for v in g.sorted_vertices():
+        rows = [i for i, label in enumerate(labels) if vertex_of(label) == v]
+        vertex_ops[v] = sp.csr_matrix((np.ones(len(rows)), (rows, rows)), shape=(n, n))
+    for eid in g.sorted_edge_ids():
+        rows, cols = [], []
+        for i, label in enumerate(labels):
+            if vertex_of(label) == g.src(eid) and grade_of(label) < rep.depth:
+                rows.append(index[shifted(label, eid)])
+                cols.append(i)
+        edge_ops[eid] = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return vertex_ops, edge_ops

@@ -346,6 +346,58 @@ def test_paths_cycles_on_a_long_ring(capsys, tmp_path):
     assert data["cycles"][0]["edges"] == [f"e{i}" for i in reversed(range(n))]
 
 
+def _overflow(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and not out
+    data = json.loads(err)
+    assert data["error"] == "enumeration-overflow"
+    return data["details"]
+
+
+def test_long_paths_exceed_the_symbol_budget_before_building(capsys, tmp_path):
+    # path and cycle counts stay under BASIS_CAP; their total lengths do not
+    loop = _graph_file(tmp_path, "loop.json", ["v"], [("loop", "v", "v")])
+    assert _overflow(capsys, ["paths", "enum", loop, "--source", "v", "--max-len", "40000"]) == {
+        "count": 40001, "symbols": 40000 * 40001 // 2, "budget": 10**7,
+    }
+    # past BASIS_CAP the count error comes first, as it did before the symbol budget
+    assert _overflow(capsys, ["paths", "enum", loop, "--source", "v", "--max-len", "250000"]) == {
+        "count": 200_001, "length": 200_000, "budget": 200_000,
+    }
+    detour = _graph_file(
+        tmp_path, "detour.json", ["v", "a"],
+        [("in", "v", "a"), ("spin", "a", "a"), ("back", "a", "v")],
+    )
+    argv = ["paths", "cycles", detour, "--vertex", "v", "--max-len", "40000"]
+    assert _overflow(capsys, argv) == {
+        "count": 39999, "symbols": 40000 * 40001 // 2 - 1, "budget": 10**7,
+    }
+    coloring = tmp_path / "one_color.json"
+    coloring.write_text(dump_json(Coloring(1, {"loop": 1}).to_json_dict()))
+    argv = ["trunc", "verify", loop, "--coloring", str(coloring), "--depth", "60000"]
+    assert _overflow(capsys, argv) == {
+        "size": 60001, "symbols": 60000 * 60001 // 2, "budget": 10**7,
+    }
+
+
+def test_atomic_condm_on_a_long_ring(capsys, tmp_path):
+    n = 1500
+    ring = [f"e{i}" for i in reversed(range(n))]  # product order, based at c0
+    graph = {
+        "vertices": [f"c{i}" for i in range(n)],
+        "edges": [{"id": f"e{i}", "src": f"c{i}", "dst": f"c{(i + 1) % n}"} for i in range(n)],
+    }
+    f = tmp_path / "ring_cycle.json"
+    f.write_text(dump_json({"tag": "cycle", "path": {"base": "c0", "edges": ring}, "graph": graph}))
+    mu = json.dumps({"base": "c0", "edges": ring})
+    code, out, err = run(capsys, ["atomic", "condM", str(f), "--mu", mu])
+    assert code == 0 and not err
+    assert json.loads(out) == {
+        "class": "Singular",
+        "detail": "S_mu permutes the finitely many cycle vectors at the base",
+    }
+
+
 def test_trunc_colored_over_budget_exits_one_before_building(capsys, fig1_file, coloring_file):
     code, out, err = run(
         capsys, ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "30"]

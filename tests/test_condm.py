@@ -1,11 +1,11 @@
 import pytest
 
 import corpus
+import oracles
 from semigroupoid_kit import (
     CycleType,
     DirectSum,
     DomainError,
-    EnumerationOverflow,
     ExplicitAtomic,
     LeftRegular,
     MClass,
@@ -13,6 +13,8 @@ from semigroupoid_kit import (
     Path,
     Phase,
     TailType,
+    Graph,
+    primitive_root,
     cycle_graph,
     looped_triangle,
     orbit_condition_M,
@@ -129,10 +131,15 @@ def test_canonical_needs_graph():
         orbit_condition_M(LeftRegular("t"), Path("t", ("loop_t",)))
 
 
-def test_enumeration_budget(fig1):
+def test_long_power_of_the_loop_names_the_next_word(fig1):
+    # every length-20 incoming word at t stays in the support {t, l, r}; the
+    # least one is loop_t^20 = mu itself, the next branches off at its last step
     fam = CycleType(Path("t", ("loop_t",)), Phase.one())
-    with pytest.raises(EnumerationOverflow):
-        orbit_condition_M(fam, Path("t", ("loop_t",)), fig1, max_expansions=0)
+    rep = orbit_condition_M(fam, Path("t", ("loop_t",) * 20), fig1)
+    assert rep.kind is MClass.NOT_UNITARY
+    assert rep.detail == (
+        f"a second incoming word {['loop_t'] * 19 + ['rt']} lands at t, so S_mu is not onto"
+    )
 
 
 def test_second_incoming_word_witness_is_the_least(fig1):
@@ -144,3 +151,41 @@ def test_second_incoming_word_witness_is_the_least(fig1):
     assert rep.detail == (
         "a second incoming word ['loop_t', 'loop_t'] lands at t, so S_mu is not onto"
     )
+
+
+def _closed_walks(g, v, max_len):
+    """Every cycle of length 1..max_len based at v."""
+    return [
+        Path(v, edges)
+        for _, edges in oracles.walks_from(g, v, max_len)
+        if edges and g.dst(edges[0]) == v
+    ]
+
+
+def _random_families(rng, g):
+    """Cycle and tail families on the short cycles of g, and sums of them."""
+    singles = []
+    for v in g.sorted_vertices():
+        for w in _closed_walks(g, v, 3):
+            singles.append(CycleType(w, corpus.random_phase(rng)))
+            singles.append(TailType(primitive_root(g, w)[0]))
+    if not singles:
+        return []
+    picked = rng.sample(singles, min(4, len(singles)))
+    parts = [(fam, rng.choice([1, 2, "omega"])) for fam in rng.sample(singles, min(2, len(singles)))]
+    parts.append((LeftRegular(rng.choice(g.sorted_vertices())), 1))
+    return picked + [DirectSum(tuple(parts))]
+
+
+def test_canonical_verdicts_match_the_word_enumeration(rng):
+    cases = 0
+    for _ in range(30):
+        g = corpus.random_graph(rng, max_v=6, max_e=9)
+        for fam in _random_families(rng, g):
+            for v in g.sorted_vertices():
+                for mu in _closed_walks(g, v, 5):
+                    rep = orbit_condition_M(fam, mu, g)
+                    expected = oracles.condM_canonical(g, fam, mu)
+                    assert (rep.kind.value, rep.detail) == expected, (g, fam, mu)
+                    cases += 1
+    assert cases > 3000

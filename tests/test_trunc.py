@@ -199,3 +199,41 @@ def test_column_residual_matches_entrywise_reference(rng):
         got = _column_residual(mat, grades, lo, hi)
         assert got == oracles.column_residual(mat, grades, lo, hi)
         assert all(type(x) is float for x in got)
+
+
+def test_one_pass_assembly_matches_per_edge_scans(rng):
+    import corpus
+    import oracles
+
+    reps = []
+    for _ in range(20):
+        g = corpus.random_graph(rng, max_v=5, max_e=8)
+        sources = rng.sample(g.sorted_vertices(), rng.randint(1, len(g.vertices)))
+        reps.append(build_left_regular_trunc(g, sources, rng.randint(0, 4)))
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        g = corpus.random_in_regular_graph(rng, rng.randint(1, 4), d)
+        color = {}
+        for v in g.sorted_vertices():
+            colors = list(range(1, d + 1))
+            rng.shuffle(colors)
+            color.update(zip(g.in_edges(v), colors))
+        reps.append(build_colored_trunc(g, Coloring(d, color), rng.randint(0, 4)))
+    for rep in reps:
+        vertex_ops, edge_ops = oracles.truncation_ops(rep)
+        for got, want in ((rep.vertex_ops, vertex_ops), (rep.edge_ops, edge_ops)):
+            assert list(got) == list(want)
+            for key, mat in want.items():
+                built = got[key]
+                for attr in ("indices", "indptr", "data"):
+                    a, b = getattr(built, attr), getattr(mat, attr)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (rep.kind, key, attr)
+
+
+def test_colored_basis_size_and_symbols():
+    from semigroupoid_kit.trunc import _colored_basis_size
+
+    # 3 vertices, d = 2, depth 4: 1 + 2 + 4 + 8 + 16 words of 1*2 + 2*4 + 3*8 + 4*16 letters
+    assert _colored_basis_size(3, 2, 4) == (3 * 31, 3 * 98)
+    assert _colored_basis_size(2, 1, 10) == (2 * 11, 2 * 55)
+    assert _colored_basis_size(4, 3, 0) == (4, 0)
