@@ -13,11 +13,10 @@ from semigroupoid_kit import (
     Path,
     Phase,
     TailType,
-    Graph,
-    primitive_root,
     cycle_graph,
     looped_triangle,
     orbit_condition_M,
+    primitive_root,
     pure_cycle_family,
 )
 
