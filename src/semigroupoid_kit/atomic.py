@@ -105,37 +105,16 @@ class ExplicitAtomic:
         return validate_atomic(self, require_total=False)
 
 
-def coisometry_flags(a: ExplicitAtomic) -> tuple[bool, bool, list[str], list[str]]:
-    """(ck_holds, fully_coisometric, ck_failures, f_failures).
-
-    ck considers vertices with at least one incoming edge: the pi-ranges
-    over incoming edges must cover Lambda_v.  The fully coisometric flag
-    additionally requires Lambda_v to be empty at in-degree-0 vertices.
-    """
-    g = a.graph
-    ck_fail: list[str] = []
-    f_fail: list[str] = []
-    for v in g.sorted_vertices():
-        labels = set(a.labels(v))
-        covered = set()
-        for eid in g.in_edges(v):
-            covered.update(a.pi.get(eid, {}).values())
-        if g.in_edges(v):
-            if labels - covered:
-                ck_fail.append(v)
-                f_fail.append(v)
-        elif labels:
-            f_fail.append(v)
-    return not ck_fail, not (ck_fail or f_fail), ck_fail, f_fail
-
-
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
     """Check the explicit data against the atomic family contract.
 
     Errors: unknown vertices/edges/labels, non-injective pi_e, overlapping
     pi-ranges among edges with a common range vertex, and (when
     ``require_total``) any source label without an image.  Informational
-    findings report which coisometry identities hold.
+    findings report which coisometry identities hold: CK asks the pi-ranges
+    over the edges into each vertex with an incoming edge to cover its
+    index set, and full coisometry also asks in-degree-0 vertices to carry
+    no labels.
     """
     g = a.graph
     report = ValidationReport()
@@ -161,7 +140,10 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
         if len(set(values)) != len(values):
             report.add("not-injective", f"pi_{eid} is not injective", eid)
     # ranges over a common range vertex must be pairwise disjoint: that is
-    # what gives every node of H at most one incoming arc
+    # what gives every node of H at most one incoming arc.  The labels hit
+    # are the range cover that the coisometry findings below read.
+    ck_fail: list[str] = []
+    f_fail: list[str] = []
     for v in g.sorted_vertices():
         hit: dict[str, str] = {}
         for eid in g.in_edges(v):
@@ -175,6 +157,12 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
                     )
                 else:
                     hit[j] = stamp
+        if g.in_edges(v):
+            if set(a.labels(v)) - hit.keys():
+                ck_fail.append(v)
+                f_fail.append(v)
+        elif a.labels(v):
+            f_fail.append(v)
     for (eid, i), ph in sorted(a.phases.items(), key=lambda kv: kv[0]):
         if eid not in known_edges:
             report.add("unknown-edge", f"phase attached to unknown edge {eid}", eid)
@@ -197,17 +185,14 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
             f"{len(missing)} undefined image(s), e.g. {sample}",
             severity="error" if require_total else "info",
         )
-    ck, fully, ck_fail, f_fail = coisometry_flags(a)
     report.add(
         "ck",
-        "CK identity holds at every finite receiver"
-        if ck
-        else f"CK fails at {ck_fail}",
+        f"CK fails at {ck_fail}" if ck_fail else "CK identity holds at every finite receiver",
         severity="info",
     )
     report.add(
         "fully-coisometric",
-        "family is fully coisometric" if fully else f"coisometry fails at {f_fail}",
+        f"coisometry fails at {f_fail}" if f_fail else "family is fully coisometric",
         severity="info",
     )
     report.add("nondegenerate", "vertex projections sum to the identity", severity="info")
@@ -231,7 +216,6 @@ class LabeledH:
     nodes: tuple[Node, ...]
     arcs: tuple[Arc, ...]
     pred: dict[Node, Arc | None]
-    out: dict[Node, tuple[Arc, ...]]
 
     def components(self) -> list[list[Node]]:
         """Undirected components of H, each sorted, ordered by least node."""
@@ -284,16 +268,9 @@ def build_H(a: ExplicitAtomic) -> LabeledH:
         for i, j in sorted(a.pi[eid].items()):
             arcs.append(Arc((src_v, i), (dst_v, j), eid, a.phase(eid, i)))
     pred: dict[Node, Arc | None] = {n: None for n in nodes}
-    out: dict[Node, list[Arc]] = {n: [] for n in nodes}
     for arc in arcs:
         pred[arc.dst] = arc
-        out[arc.src].append(arc)
-    return LabeledH(
-        nodes,
-        tuple(arcs),
-        pred,
-        {n: tuple(sorted(lst, key=lambda a: a.edge)) for n, lst in out.items()},
-    )
+    return LabeledH(nodes, tuple(arcs), pred)
 
 
 @dataclass(frozen=True)
@@ -496,6 +473,10 @@ def classify(g: Graph, fam: AnyFamily) -> AtomDecomposition:
     if isinstance(fam, ExplicitAtomic):
         return _classify_explicit(fam)
     validate_canonical(g, fam)
+    return _classify_canonical(g, fam)
+
+
+def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
     if isinstance(fam, LeftRegular):
         return AtomDecomposition([(LeftRegularAtom(fam.vertex), 1)])
     if isinstance(fam, CycleType):
@@ -506,7 +487,7 @@ def classify(g: Graph, fam: AnyFamily) -> AtomDecomposition:
     parts: list[tuple[Atom, Multiplicity]] = []
     notes: list[str] = []
     for part, mult in fam.parts:
-        sub = classify(g, part)
+        sub = _classify_canonical(g, part)
         for atom, m in sub.atoms:
             parts.append((atom, mult_scale(m, mult)))
         for note in sub.notes:
@@ -561,37 +542,36 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
     same numbers ``cycle_structure_multiplicities`` computes from the graph.
     """
     if isinstance(a, ExplicitAtomic):
-        h = build_H(a)
-        alpha: dict[str, Multiplicity] = {}
-        for node in h.nodes:
-            if h.pred[node] is None:
-                alpha[node[0]] = mult_add(alpha.get(node[0], 0), 1)
+        # each root component holds exactly one root; sorting the root
+        # vertices lists alpha in vertex order, as the nodes of H are
+        roots: list[str] = []
         remainder: set[Node] = set()
-        for comp, outcome in _traced_components(h):
-            if isinstance(outcome, CycleFound):
+        for comp, outcome in _traced_components(build_H(a)):
+            if isinstance(outcome, RootFound):
+                roots.append(outcome.root[0])
+            else:
                 remainder.update(comp)
-        g0, _, _ = source_elimination(a.graph)
-        g0_vertices = set(g0.vertices)
+        alpha: dict[str, Multiplicity] = {}
+        for v in sorted(roots):
+            alpha[v] = alpha.get(v, 0) + 1
+        g0_vertices = set(source_elimination(a.graph)[0].vertices)
         supported = all(v in g0_vertices for v, _ in remainder)
         return WoldData(alpha, frozenset(remainder), supported)
     if g is None:
         raise DomainError("canonical wold data needs the host graph")
     validate_canonical(g, a)
-    return _wold_canonical(g, a)
+    return _wold_canonical(g, a, set(source_elimination(g)[0].vertices))
 
 
-def _wold_canonical(g: Graph, fam: CanonicalAtomic) -> WoldData:
-    g0, _, _ = source_elimination(g)
-    g0_vertices = set(g0.vertices)
+def _wold_canonical(g: Graph, fam: CanonicalAtomic, g0_vertices: set[str]) -> WoldData:
     if isinstance(fam, LeftRegular):
         return WoldData({fam.vertex: 1}, frozenset(), True)
-    if isinstance(fam, CycleType):
-        alpha = {
-            v: m
-            for v, m in cycle_structure_multiplicities(g, fam.cycle).items()
-            if m
-        }
-        supported = all(v in g0_vertices for v in cycle_vertices(g, fam.cycle))
+    if isinstance(fam, (CycleType, TailType)):
+        supported = g0_vertices.issuperset(cycle_vertices(g, fam.cycle))
+        if isinstance(fam, TailType):
+            notes = ["tail families are fully coisometric"]
+            return WoldData({}, frozenset(), supported, notes=notes)
+        alpha = {v: m for v, m in cycle_structure_multiplicities(g, fam.cycle).items() if m}
         return WoldData(
             alpha,
             frozenset(),
@@ -602,14 +582,11 @@ def _wold_canonical(g: Graph, fam: CanonicalAtomic) -> WoldData:
                 "family itself is fully coisometric"
             ],
         )
-    if isinstance(fam, TailType):
-        supported = all(v in g0_vertices for v in cycle_vertices(g, fam.cycle))
-        return WoldData({}, frozenset(), supported, notes=["tail families are fully coisometric"])
     alpha: dict[str, Multiplicity] = {}
     supported = True
     notes: list[str] = []
     for part, mult in fam.parts:
-        sub = _wold_canonical(g, part)
+        sub = _wold_canonical(g, part, g0_vertices)
         for v, m in sub.alpha.items():
             alpha[v] = mult_add(alpha.get(v, 0), mult_scale(m, mult))
         supported = supported and sub.supported_on_g0
@@ -633,20 +610,11 @@ def cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
     if not is_cycle(g, w) or len(w) == 0:
         raise NotACycle("structure multiplicities need a cycle of positive length")
     alpha = {v: 0 for v in g.vertices}
-    for fid in _off_cycle_edges(g, w):
-        alpha[g.dst(fid)] += 1
+    for eid in w.edges:
+        for fid in g.out_edges(g.src(eid)):
+            if fid != eid:
+                alpha[g.dst(fid)] += 1
     return alpha
-
-
-def _off_cycle_edges(g: Graph, w: Path) -> list[str]:
-    """The edges leaving each vertex the cycle w visits, other than the
-    cycle's own edge there, one entry per position (application order)."""
-    return [
-        fid
-        for eid in reversed(w.edges)
-        for fid in g.out_edges(g.src(eid))
-        if fid != eid
-    ]
 
 
 def finitely_correlated_multiplicities(
@@ -847,22 +815,29 @@ def _orbit_lengths(perm: dict[str, str]) -> list[int]:
 
 
 def _condM_canonical(g: Graph, fam: CanonicalAtomic, mu: Path) -> MReport:
+    """Condition (M) on canonical data, from the support and a walk along mu.
+
+    The support is the closure of the family's vertex or cycle, which holds
+    the cycle and the tree off it.  A cycle family whose mu has no second
+    incoming word is singular: the base is then off the tree.  Lemma: then
+    every vertex on mu's backward walk has one supported in-edge, mu's own.
+    A tree path into the base starts with an edge f off the family's cycle
+    at a vertex u, so it runs backward along mu to u, and so does the
+    family's cycle from u.  Both are powers of one primitive cycle visiting
+    each vertex once, whose one edge out of u would be f and the family's
+    cycle edge there alike, and f is not that edge.
+    """
     if isinstance(fam, DirectSum):
         verdicts = [_condM_canonical(g, part, mu) for part, _ in fam.parts]
-        for rep in verdicts:
-            if rep.kind is MClass.NOT_UNITARY:
-                return rep
-        for rep in verdicts:
-            if rep.kind is MClass.DOMINATES_LEBESGUE:
-                return rep
+        for kind in (MClass.NOT_UNITARY, MClass.DOMINATES_LEBESGUE):
+            for rep in verdicts:
+                if rep.kind is kind:
+                    return rep
         return MReport(MClass.SINGULAR, "every summand acts with finite orbits")
     v = mu.base
     # the vertices whose compression of the family is nonzero
-    if isinstance(fam, LeftRegular):
-        support = directed_closure(g, [fam.vertex])
-    else:
-        tree = directed_closure(g, [g.dst(fid) for fid in _off_cycle_edges(g, fam.cycle)])
-        support = tree.union(cycle_vertices(g, fam.cycle))
+    start = [fam.vertex] if isinstance(fam, LeftRegular) else cycle_vertices(g, fam.cycle)
+    support = directed_closure(g, start)
     if v not in support:
         return MReport(MClass.SINGULAR, f"no basis vectors at {v}; the compression is zero")
     if isinstance(fam, LeftRegular):
@@ -880,11 +855,6 @@ def _condM_canonical(g: Graph, fam: CanonicalAtomic, mu: Path) -> MReport:
         return MReport(
             MClass.DOMINATES_LEBESGUE,
             "S_mu shifts the backward-infinite chain, one infinite orbit",
-        )
-    if v in tree:
-        return MReport(
-            MClass.DOMINATES_LEBESGUE,
-            "S_mu shifts an infinite ladder of off-cycle vectors at the base",
         )
     return MReport(
         MClass.SINGULAR,

@@ -24,7 +24,7 @@ from .errors import (
     InvalidColoring,
     PartialAutomaton,
 )
-from .graph import Graph, is_in_degree_regular, is_transitive, period
+from .graph import Graph, is_in_degree_regular, is_transitive, period, strongly_connected_components
 from .paths import Path
 from .validation import ValidationReport
 
@@ -360,14 +360,16 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     """First strong coloring (in deterministic enumeration order) that admits
     a synchronizing word, together with a shortest such word.
 
-    Requires an in-degree regular graph.  On an aperiodic, transitive,
-    in-degree regular graph a synchronizing coloring always exists, so the
-    search succeeds.  On a transitive graph of period p > 1 no coloring
-    synchronizes, and None is returned without trying any: the vertices fall
-    into p classes with every edge going from one class to the next, so a
-    word of length L maps each class into the class L steps back, and the
-    image of the whole vertex set still meets all p classes.  The budget
-    check comes first either way.
+    Requires an in-degree regular graph.  After the budget check, None is
+    returned without trying any coloring unless exactly one strongly
+    connected component has no in-edge from outside, and that component
+    has period 1.  Such a component is closed under every backward color
+    step, so a word maps it into itself: two of them never merge.  A closed
+    component of period p > 1 falls into p classes with every edge going
+    from one class to the next, so a word of length L maps each class into
+    the class L steps back, and the image still meets all p classes.  On an
+    aperiodic, transitive, in-degree regular graph a synchronizing coloring
+    always exists, so the search succeeds.
     """
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
@@ -375,7 +377,12 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     if d > 9:
         raise DomainError("color words use digits 1..9", d=d)
     candidates = _candidate_colorings(g, d)
-    if is_transitive(g) and period(g, min(g.vertices)) != 1:
+    closed = [
+        comp
+        for comp in strongly_connected_components(g)
+        if all(g.src(eid) in comp for v in comp for eid in g.in_edges(v))
+    ]
+    if len(closed) != 1 or period(g, min(closed[0])) != 1:
         return None
     for cand in candidates:
         # candidates are strong and complete by construction
@@ -471,11 +478,11 @@ def synchronizing_guarantee(g: Graph) -> dict:
     """Testable form of the coloring guarantee: a synchronizing coloring exists
     iff the graph is aperiodic, among transitive in-degree regular graphs.
 
-    Returns the hypotheses and the verdict of the search.  Only the
-    aperiodic direction needs a search: when the period p exceeds 1, every
-    edge moves one of p vertex classes to the next, so no color word maps
-    the whole vertex set into fewer than p vertices, and the verdict is
-    None without any coloring being tried.
+    Returns the hypotheses and the verdict of the search.  Only a graph
+    with exactly one strongly connected component that has no in-edge from
+    outside, of period 1, needs a search; on any other graph no color word
+    merges the whole vertex set (see ``search_synchronizing_coloring``),
+    and the verdict is None without any coloring being tried.
     """
     regular, d = is_in_degree_regular(g)
     transitive = is_transitive(g)

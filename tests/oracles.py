@@ -318,6 +318,35 @@ def search_coloring(g, d):
 
 
 # ---------------------------------------------------------------------------
+# explicit families: the coisometry scan that the disjointness pass replaced
+
+
+def coisometry_flags(a):
+    """(ck_holds, fully_coisometric, ck_failures, f_failures), by a second
+    scan of the pi-ranges into every vertex.
+
+    ck considers vertices with at least one incoming edge: the pi-ranges
+    over incoming edges must cover Lambda_v.  The fully coisometric flag
+    additionally requires Lambda_v to be empty at in-degree-0 vertices.
+    """
+    g = a.graph
+    ck_fail = []
+    f_fail = []
+    for v in g.sorted_vertices():
+        labels = set(a.labels(v))
+        covered = set()
+        for eid in g.in_edges(v):
+            covered.update(a.pi.get(eid, {}).values())
+        if g.in_edges(v):
+            if labels - covered:
+                ck_fail.append(v)
+                f_fail.append(v)
+        elif labels:
+            f_fail.append(v)
+    return not ck_fail, not (ck_fail or f_fail), ck_fail, f_fail
+
+
+# ---------------------------------------------------------------------------
 # condition (M) on canonical families: the word enumeration that the walk
 # along mu replaced
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -413,3 +414,24 @@ def test_trunc_colored_over_budget_exits_one_before_building(capsys, fig1_file, 
     )
     assert code == 1
     assert json.loads(err)["details"] == {"size": 3 * (2**17 - 1), "cap": 200_000}
+
+
+def test_color_search_on_two_disjoint_aperiodic_graphs_answers_at_once(capsys, tmp_path, rng):
+    # 2**23 candidate colourings pass the budget; two closed components
+    # never merge, so no search is needed
+    vertices, edges = [], []
+    for part in "ab":
+        names = [f"{part}{i}" for i in range(12)]
+        vertices += names
+        edges.append({"id": f"{part}loop", "src": names[0], "dst": names[0]})
+        for i, v in enumerate(names):
+            edges.append({"id": f"{part}r{i}", "src": names[i - 1], "dst": v})
+            if i:
+                edges.append({"id": f"{part}x{i}", "src": rng.choice(names), "dst": v})
+    f = tmp_path / "two_parts.json"
+    f.write_text(dump_json({"vertices": vertices, "edges": edges}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["color", "search", str(f)])
+    assert time.perf_counter() - start < 3
+    assert code == 0 and not err
+    assert json.loads(out) == {"result": None}

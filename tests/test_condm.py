@@ -14,6 +14,8 @@ from semigroupoid_kit import (
     Phase,
     TailType,
     cycle_graph,
+    cycle_vertices,
+    directed_closure,
     looped_triangle,
     orbit_condition_M,
     primitive_root,
@@ -188,3 +190,37 @@ def test_canonical_verdicts_match_the_word_enumeration(rng):
                     assert (rep.kind.value, rep.detail) == expected, (g, fam, mu)
                     cases += 1
     assert cases > 3000
+
+
+
+def _cycles(g, max_len=4):
+    return [w for v in g.sorted_vertices() for w in _closed_walks(g, v, max_len)]
+
+
+def test_cycle_closure_is_the_cycle_and_its_tree(rng):
+    cases = 0
+    for _ in range(30):
+        g = corpus.random_graph(rng, max_v=6, max_e=9)
+        for w in _cycles(g):
+            vertices = cycle_vertices(g, w)
+            assert directed_closure(g, vertices) == set(vertices) | oracles.cycle_tree(g, w)
+            cases += 1
+    assert cases > 300
+
+
+def test_a_lone_incoming_word_keeps_the_base_off_the_tree(rng):
+    # the ladder case of the oracle verdict never arises on cycle families
+    lone = 0
+    for _ in range(40):
+        g = corpus.random_graph(rng, max_v=6, max_e=9)
+        cycles = _cycles(g)
+        for w in rng.sample(cycles, min(3, len(cycles))):
+            tree = oracles.cycle_tree(g, w)
+            support = set(cycle_vertices(g, w)) | tree
+            for mu in _cycles(g, 3):
+                if mu.base in support and oracles.incoming_words(
+                    g, mu.base, len(mu), support
+                ) == {mu.edges}:
+                    lone += 1
+                    assert mu.base not in tree, (g, w, mu)
+    assert lone > 50

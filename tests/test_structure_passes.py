@@ -10,10 +10,14 @@ import corpus
 import oracles
 from semigroupoid_kit import (
     CycleFound,
+    CycleType,
+    DirectSum,
     ExplicitAtomic,
     Graph,
+    LeftRegular,
     Path,
     Phase,
+    TailType,
     are_unitarily_equivalent,
     build_H,
     classify,
@@ -26,6 +30,7 @@ from semigroupoid_kit import (
     source_elimination,
     strongly_connected_components,
     trace_backward,
+    validate_atomic,
     wold_atomic,
 )
 from semigroupoid_kit import atomic
@@ -139,3 +144,86 @@ def test_classify_and_wold_validate_once(rng, monkeypatch):
     assert len(calls) == 2
     orbit_condition_M(fam, Path("v", ("loop",)))
     assert len(calls) == 2 and calls[0][0] is fam and calls[1][0] is twin
+
+
+def _broken_variants(rng, fam):
+    """The family with one bad-to label, one overlapping range, one missing
+    image and one label dropped from an index set, where the data allow."""
+    variants = []
+    arcs = [(eid, i) for eid in sorted(fam.pi) for i in sorted(fam.pi[eid])]
+    if not arcs:
+        return variants
+    g = fam.graph
+
+    def with_pi(eid, mapping):
+        pi = {e: dict(m) for e, m in fam.pi.items()}
+        pi[eid] = mapping
+        return ExplicitAtomic(g, dict(fam.lam), pi, dict(fam.phases))
+
+    eid, i = rng.choice(arcs)
+    variants.append(with_pi(eid, {**fam.pi[eid], i: "nowhere"}))
+    taken = sorted(
+        j for fid in g.in_edges(g.dst(eid)) for j in fam.pi.get(fid, {}).values()
+    )
+    variants.append(with_pi(eid, {**fam.pi[eid], i: rng.choice(taken)}))
+    variants.append(with_pi(eid, {k: j for k, j in fam.pi[eid].items() if k != i}))
+    v = rng.choice(sorted(v for v, labels in fam.lam.items() if labels))
+    lam = dict(fam.lam)
+    lam[v] = lam[v][1:]
+    variants.append(ExplicitAtomic(g, lam, fam.pi, fam.phases))
+    return variants
+
+
+def test_coisometry_findings_match_the_second_scan(rng):
+    families = []
+    for _ in range(30):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        families.append(corpus.random_root_family(rng, g)[0])
+        families.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+        families.append(corpus.random_cycle_family(rng)[1])
+    families += [v for fam in list(families) for v in _broken_variants(rng, fam)]
+    codes = set()
+    for fam in families:
+        report = validate_atomic(fam, require_total=False)
+        codes.update(f.code for f in report.findings)
+        ck, fully, ck_fail, f_fail = oracles.coisometry_flags(fam)
+        found = {f.code: f.message for f in report.findings if f.severity == "info"}
+        assert found["ck"] == (
+            "CK identity holds at every finite receiver" if ck else f"CK fails at {ck_fail}"
+        )
+        assert found["fully-coisometric"] == (
+            "family is fully coisometric" if fully else f"coisometry fails at {f_fail}"
+        )
+    assert {"bad-to", "overlapping-ranges", "non-total", "bad-from"} <= codes
+
+
+def test_wold_alpha_lists_vertices_in_node_order(rng):
+    for _ in range(40):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=False)
+        fam = random_partial_family(rng, g)
+        h = build_H(fam)
+        want = {}
+        for node in h.nodes:
+            if h.pred[node] is None:
+                want[node[0]] = want.get(node[0], 0) + 1
+        assert list(wold_atomic(fam).alpha.items()) == list(want.items())
+
+
+def test_canonical_data_is_validated_once_per_call(fig1, monkeypatch):
+    calls = []
+    original = atomic.validate_canonical
+    monkeypatch.setattr(
+        atomic, "validate_canonical", lambda g, fam: calls.append(fam) or original(g, fam)
+    )
+    w = Path("t", ("loop_t",))
+    parts = ((CycleType(w, Phase.one()), 2), (TailType(w), 1), (LeftRegular("l"), "omega"))
+    fam = DirectSum(parts)
+    for query in (
+        lambda: classify(fig1, fam),
+        lambda: wold_atomic(fam, fig1),
+        lambda: orbit_condition_M(fam, w, fig1),
+    ):
+        calls.clear()
+        query()
+        # the sum, then each part once, from inside validate_canonical
+        assert calls == [fam] + [part for part, _ in parts]

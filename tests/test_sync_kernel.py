@@ -2,8 +2,8 @@
 
 ``tests/oracles.py`` keeps the frozenset subset search, the per-vertex
 synchronization check and the exhaustive candidate loop.  The library's
-bitmask search, single-automaton walks and period shortcut must give the
-same words, colourings and errors on seeded random graphs.
+bitmask search, single-automaton walks and closed-component rule must give
+the same words, colourings and errors on seeded random graphs.
 """
 
 import random
@@ -69,6 +69,28 @@ def periodic_graph(rng, n, d, p):
     return Graph.build(vertices, triples)
 
 
+def union_graph(*parts):
+    """Disjoint union; the vertices and edges of part k get the prefix k."""
+    vertices, triples = [], []
+    for k, g in enumerate(parts):
+        vertices += [f"{k}{v}" for v in g.vertices]
+        triples += [(f"{k}{e.id}", f"{k}{e.src}", f"{k}{e.dst}") for e in g.edges]
+    return Graph.build(vertices, triples)
+
+
+def reducible_graph(rng, n, d, feeding):
+    """No synchronizing colouring by construction: two closed aperiodic
+    components, or a closed component of period 2 or 3 whose vertex 0v0
+    feeds a looped component through that component's loop edge."""
+    half = max(1, n // 2)
+    if not feeding:
+        return union_graph(looped_graph(rng, half, d), looped_graph(rng, max(1, n - half), d))
+    p = rng.choice([2, 3])
+    g = union_graph(periodic_graph(rng, p * max(1, half // p), d, p), looped_graph(rng, half, d))
+    triples = [(e.id, "0v0" if e.id == "1loop" else e.src, e.dst) for e in g.edges]
+    return Graph.build(g.vertices, triples)
+
+
 def partial_graph(rng, n, d):
     """Random in-degrees 0..d with a strong colouring that misses colours."""
     vertices = [f"v{i}" for i in range(n)]
@@ -109,16 +131,20 @@ def test_search_matches_exhaustive_loop(rng):
     for k in range(60):
         d = 2 if k % 3 else 3
         n = rng.randint(2, 8 if d == 2 else 5)
-        shape = k % 4
+        shape = k % 5
         if shape == 0:
             g = corpus.random_in_regular_graph(rng, n, d)
         elif shape == 1:
             g = looped_graph(rng, n, d)
+        elif shape == 4:
+            g = reducible_graph(rng, n, d, feeding=k % 2)
         else:
             p = shape
             g = periodic_graph(rng, p * max(1, n // p), d, p)
         got = search_synchronizing_coloring(g)
         assert found_json(got) == found_json(oracles.search_coloring(g, d))
+        if shape == 4:
+            assert got is None and not is_transitive(g)
         if is_transitive(g) and period(g, min(g.vertices)) != 1:
             kinds["periodic"] += 1
             assert synchronizing_guarantee(g)["synchronizing_coloring"] is None
@@ -198,6 +224,15 @@ def test_periodic_search_tries_no_candidate_but_keeps_the_budget(monkeypatch):
     # 6**9 candidates pass the budget: the overflow wins over the period
     with pytest.raises(EnumerationOverflow):
         search_synchronizing_coloring(periodic_graph(random.Random(1), 10, 3, 2))
+
+
+def test_reducible_search_tries_no_candidate(monkeypatch, rng):
+    builds = []
+    automaton = rc._automaton
+    monkeypatch.setattr(rc, "_automaton", lambda *a: builds.append(a) or automaton(*a))
+    for feeding in (0, 1, 0, 1):
+        assert search_synchronizing_coloring(reducible_graph(rng, 8, 2, feeding)) is None
+    assert builds == []
 
 
 def test_word_lengths_respect_bounds(rng):
