@@ -16,19 +16,31 @@ Matrix entries of all generators are 0 or a single unimodular phase per
 column, so sums and products of small integer combinations stay exactly
 representable and interior residuals of phase-free models are exactly 0.0
 in floating point, no tolerance needed.
+
+Every operator the two builders make is a weighted partial injection: each
+row and each column holds at most one nonzero.  The checks rely on that.
+They read each operator's CSR arrays once per call, in O(nnz), as a
+column -> row index map with one value per column, so a product of
+operators is an index composition and every ``A* A`` or ``A A*`` is a
+diagonal.  The matrices on a ``TruncatedRep`` stay the one source of truth,
+so an operator edited in place is checked as it stands.  An operator with
+two nonzeros in one row or one column, which no builder makes, raises
+``DomainError("truncation operator is not a partial injection", op=...)``,
+where ``op`` is ``"v:<vertex>"`` or ``"e:<edge>"``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
-from .paths import BASIS_CAP, SYMBOL_CAP, Path, enumerate_paths, path_range
+from .paths import BASIS_CAP, SYMBOL_CAP, Path, _count_levels, enumerate_paths, path_range
 from .roadcoloring import Coloring, validate_coloring
 from .series import FormalElement
 
@@ -113,25 +125,24 @@ def _assemble(
 ) -> TruncatedRep:
     """Vertex projections and one 0/1 matrix per edge, from one pass over the
     basis: the edge e sends each label of grade below ``depth`` at its source
-    vertex to ``shift(label, e)``.  Entries are laid down in basis order."""
+    vertex to ``shift(label, e)``, which fills e's column -> row map."""
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
     diagonal = {v: [] for v in g.sorted_vertices()}
-    entries = {eid: ([], []) for eid in g.sorted_edge_ids()}
+    targets = {eid: array("i", [-1]) * n for eid in g.sorted_edge_ids()}
     for i, (label, v) in enumerate(zip(labels, label_vertex)):
         diagonal[v].append(i)
         if grades[i] < depth:
             for eid in g.out_edges(v):
-                rows, cols = entries[eid]
-                rows.append(index[shift(label, eid)])
-                cols.append(i)
-    vertex_ops = {
-        v: sp.csr_matrix((np.ones(len(rows)), (rows, rows)), shape=(n, n))
-        for v, rows in diagonal.items()
-    }
+                targets[eid][i] = index[shift(label, eid)]
+    vertex_ops = {}
+    for v, cols in diagonal.items():
+        row = np.full(n, -1, dtype=np.int32)
+        row[cols] = cols
+        vertex_ops[v] = _csr(_zero_one(row), n)
     edge_ops = {
-        eid: sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        for eid, (rows, cols) in entries.items()
+        eid: _csr(_zero_one(np.frombuffer(row, dtype=np.intc)), n)
+        for eid, row in targets.items()
     }
     return TruncatedRep(
         g, depth, kind, labels, np.array(grades, dtype=int), label_vertex,
@@ -158,6 +169,176 @@ def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
         if size > BASIS_CAP**2:
             break
     return size, symbols
+
+
+# ---------------------------------------------------------------------------
+# operators as index maps
+
+
+class _Map(NamedTuple):
+    """A weighted partial injection: column c holds ``val[c]`` at row
+    ``row[c]``.  ``dom`` lists the nonzero columns in increasing order; off
+    it ``row`` is -1 and ``val`` is 0."""
+
+    row: np.ndarray
+    val: np.ndarray
+    dom: np.ndarray
+
+
+def _zero_one(row: np.ndarray) -> _Map:
+    """The 0/1 map sending column c to ``row[c]`` wherever that is not -1."""
+    dom = np.flatnonzero(row >= 0)
+    val = np.zeros(len(row))
+    val[dom] = 1.0
+    return _Map(row, val, dom)
+
+
+def _csr(m: _Map, n: int) -> sp.csr_matrix:
+    """CSR matrix of a map, built from its arrays with no COO pass.  Exact
+    zeros are left out, as a sparse product leaves them out."""
+    cols = m.dom[m.val[m.dom] != 0]
+    rows = m.row[cols]
+    cols = cols[np.argsort(rows, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    return sp.csr_matrix((m.val[cols], cols.astype(np.int32), indptr), shape=(n, n))
+
+
+def _decode(op, name: str) -> _Map:
+    """The map of one operator, read from its CSR arrays in O(nnz)."""
+    if getattr(op, "format", None) != "csr":
+        op = sp.csr_matrix(op)
+    if not op.has_canonical_format:
+        op = op.copy()
+        op.sum_duplicates()
+    keep = op.data != 0
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))[keep]
+    cols = op.indices[keep]
+    if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
+        raise DomainError("truncation operator is not a partial injection", op=name)
+    row = np.full(op.shape[1], -1, dtype=np.int32)
+    row[cols] = rows
+    val = np.zeros(op.shape[1], dtype=op.data.dtype)
+    val[cols] = op.data[keep]
+    return _Map(row, val, np.sort(cols))
+
+
+class _Ops:
+    """The operators of one truncation as maps, each decoded on first use."""
+
+    def __init__(self, rep: TruncatedRep):
+        self.rep = rep
+        self.maps: dict[str, _Map] = {}
+
+    def vertex(self, v: str) -> _Map:
+        return self._map("vertex", self.rep.vertex_ops, v)
+
+    def edge(self, eid: str) -> _Map:
+        return self._map("edge", self.rep.edge_ops, eid)
+
+    def _map(self, kind: str, ops: dict, key: str) -> _Map:
+        name = f"{kind[0]}:{key}"
+        if name not in self.maps:
+            if key not in ops:
+                raise DomainError(f"unknown {kind}", **{kind: key})
+            self.maps[name] = _decode(ops[key], name)
+        return self.maps[name]
+
+    def path(self, p: Path) -> _Map:
+        """Map of S_p: the vertex projection for length 0, else the product of
+        the edge maps, composed left to right as the matrix product runs."""
+        if not p.edges:
+            return self.vertex(p.base)
+        m = self.edge(p.edges[0])
+        for eid in p.edges[1:]:
+            rows, cols, vals = _product(m, self.edge(eid))
+            row = np.full(len(m.row), -1, dtype=np.int32)
+            row[cols] = rows
+            val = np.zeros(len(m.row), dtype=vals.dtype)
+            val[cols] = vals
+            m = _Map(row, val, cols)
+        return m
+
+
+def _product(a: _Map, b: _Map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the entries of a @ b: b sends column c to row
+    b.row[c], and a sends that on to a.row[b.row[c]]."""
+    mid = b.row[b.dom]
+    hit = a.row[mid] >= 0
+    cols, mid = b.dom[hit], mid[hit]
+    return a.row[mid], cols, a.val[mid] * b.val[cols]
+
+
+def _square(vals: np.ndarray) -> np.ndarray:
+    """|v|^2 entry by entry, as the product v * conj(v) forms its real part."""
+    if np.iscomplexobj(vals):
+        return vals.real * vals.real + vals.imag * vals.imag
+    return vals * vals
+
+
+def _range_diagonal(m: _Map, weight: np.ndarray) -> np.ndarray:
+    """Diagonal of S diag(weight) S* for the operator S of the map m."""
+    rows = m.row[m.dom]
+    return np.bincount(rows, weights=_square(m.val[m.dom]) * weight[m.dom], minlength=len(m.row))
+
+
+def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, increasing, and each one's values summed from zero
+    in the order given."""
+    keys, where = np.unique(keys, return_inverse=True)
+    total = np.zeros(len(keys), dtype=vals.dtype)
+    np.add.at(total, where, vals)
+    return keys, total
+
+
+class _Sum(NamedTuple):
+    """A matrix given as a sum of sparse terms: ``re`` and ``im`` (None for a
+    real sum) hold its diagonal, and its entries off the diagonal are listed
+    by row, column and value."""
+
+    re: np.ndarray
+    im: np.ndarray | None
+    off_row: np.ndarray
+    off_col: np.ndarray
+    off_val: np.ndarray
+
+
+def _entries(m: _Map, negate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the entries of a map, or of its negative."""
+    vals = m.val[m.dom]
+    return m.row[m.dom], m.dom, -vals if negate else vals
+
+
+def _sum(n: int, terms: list) -> _Sum:
+    """Add sparse terms (rows, cols, vals) the way a running sparse sum adds
+    them: each entry is summed from zero, in the order of the terms.
+
+    Healthy operators put every entry on the diagonal, which one
+    ``np.bincount`` sums; only a corrupted operator puts entries off it.
+    """
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    on = rows == cols
+    re = np.bincount(cols[on], weights=vals.real[on], minlength=n)
+    im = None
+    if np.iscomplexobj(vals):
+        im = np.bincount(cols[on], weights=vals.imag[on], minlength=n)
+    off = ~on
+    if not off.any():
+        return _Sum(re, im, rows[off], cols[off], vals[off])
+    keys, total = _add_up(rows[off].astype(np.int64) * n + cols[off], vals[off])
+    return _Sum(re, im, *np.divmod(keys, n), total)
+
+
+def _residual(s: _Sum, inside: np.ndarray) -> tuple[float, float]:
+    """``_column_residual`` of a summed matrix, with ``inside`` marking the
+    columns of the interior grades."""
+    mags = np.abs(s.re) if s.im is None else np.hypot(s.re, s.im)
+    off = np.hypot(s.off_val.real, s.off_val.imag)
+    hit = inside[s.off_col]
+    return (
+        max(_max_or_zero(mags[inside]), _max_or_zero(off[hit])),
+        max(_max_or_zero(mags[~inside]), _max_or_zero(off[~hit])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +375,32 @@ def _column_residual(
 ) -> tuple[float, float]:
     """(max |entry| over columns with grade in [lo, hi], max over the rest)."""
     coo = mat.tocoo()
+    return _entry_residual(coo.col, coo.data, grades, lo, hi)
+
+
+def _entry_residual(
+    cols: np.ndarray, vals: np.ndarray, grades: np.ndarray, lo: int, hi: int
+) -> tuple[float, float]:
+    """``_column_residual`` of the entries ``vals`` in the columns ``cols``."""
     # abs() entry by entry; np.abs of complex data can differ from it in the last bit
-    mags = np.hypot(coo.data.real, coo.data.imag)
-    grade = grades[coo.col]
+    mags = np.hypot(vals.real, vals.imag)
+    grade = grades[cols]
     inside = (lo <= grade) & (grade <= hi)
     return _max_or_zero(mags[inside]), _max_or_zero(mags[~inside])
 
 
 def _max_or_zero(mags: np.ndarray) -> float:
     return float(mags.max()) if mags.size else 0.0
+
+
+def _worst(values, details: list[str]) -> tuple[float, str]:
+    """The largest value and the detail of the first place it occurs, or
+    (0.0, "") when every value is zero."""
+    worst, detail = 0.0, ""
+    for value, text in zip(values, details):
+        if value > worst:
+            worst, detail = float(value), text
+    return worst, detail
 
 
 def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
@@ -213,112 +411,127 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     move one edge, (IS), lose the top grade; range-sum identities (CK)/(F)
     also lose grade 0, where the wandering vectors of a truncation live.
     Boundary residuals are recorded but do not affect the residual field.
+
+    Every matrix checked is one ``_sum`` of sparse terms, each term an
+    index composition of the operators' maps.
     """
     g = rep.graph
     grades = rep.grades
     N = rep.depth
+    n = rep.dim
+    ops = _Ops(rep)
+    verts = g.sorted_vertices()
+    proj = {v: ops.vertex(v) for v in verts}
+    edges = {eid: ops.edge(eid) for eid in g.sorted_edge_ids()}
     reports: list[RelationReport] = []
 
-    worst = 0.0
-    detail = ""
-    n = rep.dim
-    ident = sp.identity(n, format="csr")
-    for v in g.sorted_vertices():
-        sv = rep.vertex_ops[v]
-        r1 = _column_residual(sv @ sv - sv, grades, 0, N)[0]
-        r2 = _column_residual(sv - sv.conjugate().transpose().tocsr(), grades, 0, N)[0]
-        local = max(r1, r2)
-        if local > worst:
-            worst, detail = local, f"projection identity fails at {v}"
-    for i, v in enumerate(g.sorted_vertices()):
-        for w in g.sorted_vertices()[i + 1:]:
-            r = _column_residual(
-                rep.vertex_ops[v] @ rep.vertex_ops[w], grades, 0, N
-            )[0]
-            if r > worst:
-                worst, detail = r, f"projections at {v} and {w} overlap"
+    def within(lo: int, hi: int) -> np.ndarray:
+        return (lo <= grades) & (grades <= hi)
+
+    every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
+    values, details = [], []
+    for v, s in proj.items():
+        rows, cols, vals = _entries(s)
+        square = _sum(n, [_product(s, s), (rows, cols, -vals)])
+        adjoint = _sum(n, [(rows, cols, vals), (cols, rows, -vals.conj())])
+        values.append(max(_residual(square, every)[0], _residual(adjoint, every)[0]))
+        details.append(f"projection identity fails at {v}")
+    for i, v in enumerate(verts):
+        for w in verts[i + 1:]:
+            _, cols, vals = _product(proj[v], proj[w])
+            values.append(_entry_residual(cols, vals, grades, 0, N)[0])
+            details.append(f"projections at {v} and {w} overlap")
+    worst, detail = _worst(values, details)
     reports.append(RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail))
 
-    worst, boundary, detail = 0.0, 0.0, ""
-    for eid in g.sorted_edge_ids():
-        se = rep.edge_ops[eid]
-        res = se.conjugate().transpose() @ se - rep.vertex_ops[g.src(eid)]
-        inner, outer = _column_residual(res.tocsr(), grades, 0, N - 1)
+    # S_e* S_e - S_src(e); S_e* S_e is the diagonal |val|^2 on the columns of e
+    values, boundary = [], 0.0
+    for eid, e in edges.items():
+        square = (e.dom, e.dom, _square(e.val[e.dom]))
+        inner, outer = _residual(_sum(n, [square, _entries(proj[g.src(eid)], True)]), below_top)
+        values.append(inner)
         boundary = max(boundary, outer)
-        if inner > worst:
-            worst, detail = inner, f"isometry identity fails at {eid}"
+    worst, detail = _worst(values, [f"isometry identity fails at {eid}" for eid in edges])
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    # S_v minus the range sum of the edges into v, shared by TCK, CK and F
-    defect = {}
-    for v in g.sorted_vertices():
-        acc = sp.csr_matrix((n, n))
+    # S_v minus the range sum of the edges into v, which TCK, CK and F read;
+    # S_e S_e* is the diagonal |val|^2 on the rows of e.  On the diagonal the
+    # defect exceeds by its negative real part or its imaginary part, off it
+    # by its modulus.
+    excess, misses = [], {}
+    for v in verts:
+        terms = []
         for eid in g.in_edges(v):
-            se = rep.edge_ops[eid]
-            acc = acc + se @ se.conjugate().transpose()
-        defect[v] = rep.vertex_ops[v] - acc
-
-    worst, detail = 0.0, ""
-    for v in g.sorted_vertices():
-        diff = defect[v].tocoo()
-        local = 0.0
-        for r, c, val in zip(diff.row, diff.col, diff.data):
-            if r == c:
-                local = max(local, max(0.0, -val.real), abs(val.imag))
-            else:
-                local = max(local, abs(val))
-        if local > worst:
-            worst, detail = local, f"range sum exceeds the projection at {v}"
+            e = edges[eid]
+            rows = e.row[e.dom]
+            terms.append((rows, rows, -_square(e.val[e.dom])))
+        defect = _sum(n, terms + [_entries(proj[v])])
+        over = -defect.re if defect.im is None else np.maximum(-defect.re, np.abs(defect.im))
+        off = np.hypot(defect.off_val.real, defect.off_val.imag)
+        excess.append(max(float(over.max(initial=0.0)), _max_or_zero(off)))
+        misses[v] = _residual(defect, interior)
+    worst, detail = _worst(excess, [f"range sum exceeds the projection at {v}" for v in verts])
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
 
-    for name, verts in (
-        ("CK", [v for v in g.sorted_vertices() if g.in_edges(v)]),
-        ("F", list(g.sorted_vertices())),
+    for name, keep in (
+        ("CK", [v for v in verts if g.in_edges(v)]),
+        ("F", verts),
     ):
-        worst, boundary, detail = 0.0, 0.0, ""
-        for v in verts:
-            inner, outer = _column_residual(defect[v].tocsr(), grades, 1, N - 1)
-            boundary = max(boundary, outer)
-            if inner > worst:
-                worst, detail = inner, f"range sum misses the projection at {v}"
+        worst, detail = _worst(
+            [misses[v][0] for v in keep], [f"range sum misses the projection at {v}" for v in keep]
+        )
+        boundary = max([0.0] + [misses[v][1] for v in keep])
         reports.append(
             RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail)
         )
 
-    total = sp.csr_matrix((n, n))
-    for v in g.sorted_vertices():
-        total = total + rep.vertex_ops[v]
-    worst = _column_residual(total - ident, grades, 0, N)[0]
+    diagonal = np.arange(n)
+    total = _sum(n, [_entries(s) for s in proj.values()] + [(diagonal, diagonal, -np.ones(n))])
+    worst = _residual(total, every)[0]
     reports.append(RelationReport("ND", 0, N, worst, worst == 0.0, 0.0, ""))
     return reports
 
 
 def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
-    """Matrix of S_p: product of edge matrices, vertex projection for length 0."""
+    """Matrix of S_p: product of edge matrices, vertex projection for length 0.
+
+    A path of length 0 or 1 gives its stored operator itself; a longer one
+    composes the edge maps into a new CSR matrix.
+    """
     if not p.edges:
         try:
             return rep.vertex_ops[p.base]
         except KeyError:
             raise DomainError("unknown vertex", vertex=p.base) from None
-    mat: sp.csr_matrix | None = None
-    for eid in p.edges:
+    if len(p.edges) == 1:
         try:
-            factor = rep.edge_ops[eid]
+            return rep.edge_ops[p.edges[0]].tocsr()
         except KeyError:
-            raise DomainError("unknown edge", edge=eid) from None
-        mat = factor if mat is None else mat @ factor
-    return mat.tocsr()
+            raise DomainError("unknown edge", edge=p.edges[0]) from None
+    return _csr(_Ops(rep).path(p), rep.dim)
 
 
 def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
-    """Truncated matrix of a formal polynomial."""
+    """Truncated matrix of a formal polynomial.
+
+    The terms' entries are added in term order, each entry's sum running
+    left to right from zero as a running sparse sum adds them.
+    """
     if elem.graph != rep.graph:
         raise DomainError("formal element and truncation use different graphs")
     n = rep.dim
-    acc = sp.csr_matrix((n, n), dtype=complex)
+    ops = _Ops(rep)
+    keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for p, c in elem.sorted_terms():
-        acc = acc + c * path_matrix(rep, p).astype(complex)
-    return acc.tocsr()
+        m = ops.path(p)
+        keys.append(m.row[m.dom].astype(np.int64) * n + m.dom)
+        vals.append(m.val[m.dom].astype(complex) * c)
+    keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
+    nonzero = total != 0
+    rows, cols = np.divmod(keys[nonzero], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    return sp.csr_matrix((total[nonzero], cols.astype(np.int32), indptr), shape=(n, n))
 
 
 def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
@@ -330,20 +543,38 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
     on every grade at least k; on a left-regular truncation it is the
     projection onto grades at least k, so it vanishes below grade k.  Both
     statements are checked from this one defect pair.
+
+    No path is built.  The sum is diagonal, and the part over the paths
+    into w is R_k^w = sum over edges e into w of S_e R_{k-1}^{src e} S_e*,
+    starting from R_0 = I (or S_v S_v* itself when k = 0).  The paths are
+    counted first, against the same budget as ``enumerate_paths``.
     """
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)
     g = rep.graph
     n = rep.dim
-    acc = sp.csr_matrix((n, n))
-    for p in enumerate_paths(g, g.vertices, k):
-        if len(p) != k:
-            continue
-        m = path_matrix(rep, p)
-        acc = acc + m @ m.conjugate().transpose()
-    ident = sp.identity(n, format="csr")
-    upper = _column_residual(acc - ident, rep.grades, k, rep.depth)[0]
-    lower = _column_residual(acc, rep.grades, 0, k - 1)[0] if k > 0 else 0.0
+    _count_levels(g, sorted(g.vertices), k)
+    ops = _Ops(rep)
+    verts = g.sorted_vertices()
+    ones = np.ones(n)
+    if k == 0:
+        total = sum((_range_diagonal(ops.vertex(v), ones) for v in verts), np.zeros(n))
+    else:
+        weight = dict.fromkeys(verts, ones)
+        for _ in range(k):
+            weight = {
+                w: sum(
+                    (_range_diagonal(ops.edge(eid), weight[g.src(eid)]) for eid in g.in_edges(w)),
+                    np.zeros(n),
+                )
+                for w in verts
+            }
+            if not any(r.any() for r in weight.values()):
+                break  # no longer path reaches a nonzero vector
+        total = sum(weight.values(), np.zeros(n))
+    cols = np.arange(n)
+    upper = _entry_residual(cols, total - 1.0, rep.grades, k, rep.depth)[0]
+    lower = _entry_residual(cols, total, rep.grades, 0, k - 1)[0] if k > 0 else 0.0
     return upper, lower
 
 
@@ -352,23 +583,30 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
 
     Certifies wandering behavior through grade ``upto`` (default N-1): the
     images S_mu xi over distinct paths mu must have disjoint supports or
-    vanish, which the 0/phase entries make an exact integer check.
+    vanish.  Every operator is a weighted partial injection, so each image
+    is one basis vector times a nonzero value, or zero, and the check is
+    that the nonzero images land on distinct basis vectors.
     """
     if upto is None:
         upto = rep.depth - 1
-    idx = rep.index()[label]
-    e = np.zeros(rep.dim, dtype=complex)
-    e[idx] = 1.0
-    vecs = []
-    base_vertex = rep.label_vertex[idx]
-    for p in enumerate_paths(rep.graph, [base_vertex], max(0, upto)):
-        vec = path_matrix(rep, p).astype(complex) @ e
-        if np.any(vec):
-            vecs.append(vec)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if np.vdot(vecs[i], vecs[j]) != 0:
+    try:
+        idx = rep.index()[label]
+    except KeyError:
+        raise DomainError("unknown basis label", label=str(label)) from None
+    base = rep.label_vertex[idx]
+    ops = _Ops(rep)
+    image = {(): idx}  # stored edge tuple -> where the edges send idx, -1 once it vanishes
+    hit = set()
+    for p in enumerate_paths(rep.graph, [base], max(0, upto)):
+        if p.edges:
+            j = image[p.edges[1:]]
+            j = image[p.edges] = int(ops.edge(p.edges[0]).row[j]) if j >= 0 else -1
+        else:
+            j = int(ops.vertex(base).row[idx])
+        if j >= 0:
+            if j in hit:
                 return False
+            hit.add(j)
     return True
 
 
@@ -425,7 +663,7 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
             (np.ones(len(rows)), (rows, cols)), shape=(dim, dim)
         )
         diff = rep.edge_ops[eid] - expected
-        residual = 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
+        residual = _column_residual(diff, rep.grades, 0, depth)[0]
         worst = max(worst, residual)
         if i < n:
             blocks.append(
@@ -443,10 +681,9 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:
     """Sorted (row, col, re, im) quadruples of the nonzero entries."""
     coo = mat.tocoo()
-    entries = [
-        [int(r), int(c), float(np.real(v)), float(np.imag(v))]
-        for r, c, v in zip(coo.row, coo.col, coo.data)
-        if v != 0
-    ]
-    entries.sort(key=lambda q: (q[0], q[1]))
-    return entries
+    keep = coo.data != 0
+    rows, cols, data = coo.row[keep], coo.col[keep], coo.data[keep]
+    order = np.lexsort((cols, rows))
+    data = data[order]
+    quads = zip(rows[order].tolist(), cols[order].tolist(), data.real.tolist(), data.imag.tolist())
+    return [list(q) for q in quads]

@@ -379,13 +379,15 @@ def incoming_words(g, v, n, support):
     return words
 
 
-def condM_canonical(g, fam, mu):
+def condM_canonical(g, fam, mu, words=incoming_words):
     """(class, detail) of ``orbit_condition_M`` on a canonical family and a
-    cycle mu of positive length, from every incoming word of length |mu|."""
+    cycle mu of positive length, from every incoming word of length |mu|.
+    ``words`` computes those words, as ``incoming_words`` does; a caller
+    may pass a memoized copy."""
     from semigroupoid_kit import DirectSum, LeftRegular, TailType
 
     if isinstance(fam, DirectSum):
-        verdicts = [condM_canonical(g, part, mu) for part, _ in fam.parts]
+        verdicts = [condM_canonical(g, part, mu, words) for part, _ in fam.parts]
         for kind in ("NotUnitary", "DominatesLebesgue"):
             for verdict in verdicts:
                 if verdict[0] == kind:
@@ -402,7 +404,7 @@ def condM_canonical(g, fam, mu):
         return "NotUnitary", (
             "left-regular vectors of minimal length at the base escape the range of S_mu"
         )
-    others = incoming_words(g, v, len(mu), support) - {mu.edges}
+    others = words(g, v, len(mu), support) - {mu.edges}
     if others:
         return "NotUnitary", (
             f"a second incoming word {list(min(others))} lands at {v}, so S_mu is not onto"
@@ -455,3 +457,170 @@ def truncation_ops(rep):
                 cols.append(i)
         edge_ops[eid] = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     return vertex_ops, edge_ops
+
+
+# ---------------------------------------------------------------------------
+# truncation checks: the sparse-product versions that the index-map checks
+# replaced, one SciPy product or sum per relation term, path or series term
+
+
+def verify_tck(rep):
+    """Reports of ``trunc.verify_tck``, from sparse products and sums."""
+    import scipy.sparse as sp
+    from semigroupoid_kit.trunc import RelationReport, _column_residual
+
+    g = rep.graph
+    grades = rep.grades
+    N = rep.depth
+    reports = []
+
+    worst = 0.0
+    detail = ""
+    n = rep.dim
+    ident = sp.identity(n, format="csr")
+    for v in g.sorted_vertices():
+        sv = rep.vertex_ops[v]
+        r1 = _column_residual(sv @ sv - sv, grades, 0, N)[0]
+        r2 = _column_residual(sv - sv.conjugate().transpose().tocsr(), grades, 0, N)[0]
+        local = max(r1, r2)
+        if local > worst:
+            worst, detail = local, f"projection identity fails at {v}"
+    for i, v in enumerate(g.sorted_vertices()):
+        for w in g.sorted_vertices()[i + 1:]:
+            r = _column_residual(
+                rep.vertex_ops[v] @ rep.vertex_ops[w], grades, 0, N
+            )[0]
+            if r > worst:
+                worst, detail = r, f"projections at {v} and {w} overlap"
+    reports.append(RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail))
+
+    worst, boundary, detail = 0.0, 0.0, ""
+    for eid in g.sorted_edge_ids():
+        se = rep.edge_ops[eid]
+        res = se.conjugate().transpose() @ se - rep.vertex_ops[g.src(eid)]
+        inner, outer = _column_residual(res.tocsr(), grades, 0, N - 1)
+        boundary = max(boundary, outer)
+        if inner > worst:
+            worst, detail = inner, f"isometry identity fails at {eid}"
+    reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
+
+    # S_v minus the range sum of the edges into v, shared by TCK, CK and F
+    defect = {}
+    for v in g.sorted_vertices():
+        acc = sp.csr_matrix((n, n))
+        for eid in g.in_edges(v):
+            se = rep.edge_ops[eid]
+            acc = acc + se @ se.conjugate().transpose()
+        defect[v] = rep.vertex_ops[v] - acc
+
+    worst, detail = 0.0, ""
+    for v in g.sorted_vertices():
+        diff = defect[v].tocoo()
+        local = 0.0
+        for r, c, val in zip(diff.row, diff.col, diff.data):
+            if r == c:
+                local = max(local, max(0.0, -val.real), abs(val.imag))
+            else:
+                local = max(local, abs(val))
+        if local > worst:
+            worst, detail = local, f"range sum exceeds the projection at {v}"
+    reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
+
+    for name, verts in (
+        ("CK", [v for v in g.sorted_vertices() if g.in_edges(v)]),
+        ("F", list(g.sorted_vertices())),
+    ):
+        worst, boundary, detail = 0.0, 0.0, ""
+        for v in verts:
+            inner, outer = _column_residual(defect[v].tocsr(), grades, 1, N - 1)
+            boundary = max(boundary, outer)
+            if inner > worst:
+                worst, detail = inner, f"range sum misses the projection at {v}"
+        reports.append(
+            RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail)
+        )
+
+    total = sp.csr_matrix((n, n))
+    for v in g.sorted_vertices():
+        total = total + rep.vertex_ops[v]
+    worst = _column_residual(total - ident, grades, 0, N)[0]
+    reports.append(RelationReport("ND", 0, N, worst, worst == 0.0, 0.0, ""))
+    return reports
+
+
+def path_matrix(rep, p):
+    """``trunc.path_matrix`` as a product of edge matrices."""
+    from semigroupoid_kit import DomainError
+
+    if not p.edges:
+        try:
+            return rep.vertex_ops[p.base]
+        except KeyError:
+            raise DomainError("unknown vertex", vertex=p.base) from None
+    mat = None
+    for eid in p.edges:
+        try:
+            factor = rep.edge_ops[eid]
+        except KeyError:
+            raise DomainError("unknown edge", edge=eid) from None
+        mat = factor if mat is None else mat @ factor
+    return mat.tocsr()
+
+
+def apply_formal(rep, elem):
+    """``trunc.apply_formal`` as a running sparse sum over the terms."""
+    import scipy.sparse as sp
+    from semigroupoid_kit import DomainError
+
+    if elem.graph != rep.graph:
+        raise DomainError("formal element and truncation use different graphs")
+    n = rep.dim
+    acc = sp.csr_matrix((n, n), dtype=complex)
+    for p, c in elem.sorted_terms():
+        acc = acc + c * path_matrix(rep, p).astype(complex)
+    return acc.tocsr()
+
+
+def coisometric_defect(rep, k):
+    """``trunc.coisometric_defect`` as a sum over the enumerated paths."""
+    import scipy.sparse as sp
+    from semigroupoid_kit import DomainError, enumerate_paths
+    from semigroupoid_kit.trunc import _column_residual
+
+    if k < 0:
+        raise DomainError("grade must be nonnegative", k=k)
+    g = rep.graph
+    n = rep.dim
+    acc = sp.csr_matrix((n, n))
+    for p in enumerate_paths(g, g.vertices, k):
+        if len(p) != k:
+            continue
+        m = path_matrix(rep, p)
+        acc = acc + m @ m.conjugate().transpose()
+    ident = sp.identity(n, format="csr")
+    upper = _column_residual(acc - ident, rep.grades, k, rep.depth)[0]
+    lower = _column_residual(acc, rep.grades, 0, k - 1)[0] if k > 0 else 0.0
+    return upper, lower
+
+
+def wandering_certificate(rep, label, upto=None):
+    """``trunc.wandering_certificate`` by pairwise inner products of the
+    images of the basis vector under every path."""
+    from semigroupoid_kit import enumerate_paths
+
+    if upto is None:
+        upto = rep.depth - 1
+    idx = rep.index()[label]
+    e = np.zeros(rep.dim, dtype=complex)
+    e[idx] = 1.0
+    vecs = []
+    base_vertex = rep.label_vertex[idx]
+    for p in enumerate_paths(rep.graph, [base_vertex], max(0, upto)):
+        vec = path_matrix(rep, p).astype(complex) @ e
+        if np.any(vec):
+            vecs.append(vec)
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if np.vdot(vecs[i], vecs[j]) != 0:
+                return False
+    return True

@@ -178,15 +178,30 @@ def _random_families(rng, g):
     return picked + [DirectSum(tuple(parts))]
 
 
+def _memoized_incoming_words():
+    """``oracles.incoming_words`` for one graph, computed once per
+    (vertex, length, support)."""
+    memo = {}
+
+    def words(g, v, n, support):
+        key = (v, n, frozenset(support))
+        if key not in memo:
+            memo[key] = oracles.incoming_words(g, v, n, support)
+        return memo[key]
+
+    return words
+
+
 def test_canonical_verdicts_match_the_word_enumeration(rng):
     cases = 0
     for _ in range(30):
         g = corpus.random_graph(rng, max_v=6, max_e=9)
+        words = _memoized_incoming_words()
         for fam in _random_families(rng, g):
             for v in g.sorted_vertices():
                 for mu in _closed_walks(g, v, 5):
                     rep = orbit_condition_M(fam, mu, g)
-                    expected = oracles.condM_canonical(g, fam, mu)
+                    expected = oracles.condM_canonical(g, fam, mu, words)
                     assert (rep.kind.value, rep.detail) == expected, (g, fam, mu)
                     cases += 1
     assert cases > 3000

@@ -237,3 +237,243 @@ def test_colored_basis_size_and_symbols():
     assert _colored_basis_size(3, 2, 4) == (3 * 31, 3 * 98)
     assert _colored_basis_size(2, 1, 10) == (2 * 11, 2 * 55)
     assert _colored_basis_size(4, 3, 0) == (4, 0)
+
+
+# ---------------------------------------------------------------------------
+# index-map checks against the sparse-product oracles
+
+
+def _random_reps(rng, graphs, max_dim):
+    """Left-regular and colored truncations of seeded random graphs at
+    depths 0-6, leaving out those of dimension above max_dim."""
+    import corpus
+
+    reps = []
+    for _ in range(graphs):
+        g = corpus.random_graph(rng, max_v=5, max_e=7)
+        sources = rng.sample(g.sorted_vertices(), rng.randint(1, len(g.vertices)))
+        d = rng.randint(1, 2)
+        h = corpus.random_in_regular_graph(rng, rng.randint(1, 3), d)
+        color = {}
+        for v in h.sorted_vertices():
+            colors = list(range(1, d + 1))
+            rng.shuffle(colors)
+            color.update(zip(h.in_edges(v), colors))
+        for depth in range(7):
+            for rep in (
+                build_left_regular_trunc(g, sources, depth),
+                build_colored_trunc(h, Coloring(d, color), depth),
+            ):
+                if rep.dim <= max_dim:
+                    reps.append(rep)
+    return reps
+
+
+def _faulted(rng, rep):
+    """A copy of rep with one fault that keeps every operator a partial
+    injection: an entry set to -1, i, 2 or 0.5, an entry deleted or stored
+    as an explicit zero, or an entry added in an empty row and column.
+    None when no such fault fits."""
+    import copy
+
+    bad = copy.copy(rep)
+    bad.vertex_ops, bad.edge_ops = dict(rep.vertex_ops), dict(rep.edge_ops)
+    ops = rng.choice([bad.vertex_ops, bad.edge_ops])
+    key = rng.choice(sorted(ops))
+    coo = ops[key].tocoo()
+    kind = rng.choice(["-1", "i", "2", "0.5", "delete", "stored zero", "add"])
+    if kind != "add" and not coo.nnz:
+        return None
+    if kind == "stored zero":  # an explicit zero left in the CSR arrays
+        ops[key] = ops[key].copy()
+        ops[key].data[rng.randrange(coo.nnz)] = 0.0
+        return bad
+    mat = ops[key].tolil()
+    if kind == "add":
+        free_rows = sorted(set(range(rep.dim)) - set(coo.row.tolist()))
+        free_cols = sorted(set(range(rep.dim)) - set(coo.col.tolist()))
+        if not free_rows or not free_cols:
+            return None
+        value = rng.choice([1.0, -1.0, 1j, 2.0])
+        if value == 1j:
+            mat = mat.astype(complex)
+        mat[rng.choice(free_rows), rng.choice(free_cols)] = value
+    else:
+        k = rng.randrange(coo.nnz)
+        value = {"-1": -1.0, "i": 1j, "2": 2.0, "0.5": 0.5, "delete": 0.0}[kind]
+        if kind == "i":
+            mat = mat.astype(complex)
+        mat[coo.row[k], coo.col[k]] = value
+    ops[key] = mat.tocsr()
+    return bad
+
+
+def _same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    assert got.shape == want.shape
+
+
+def _assert_checks_match_oracles(rep, rng, ks):
+    import oracles
+    from test_series import random_polynomial
+
+    assert [r.to_json() for r in verify_tck(rep)] == [
+        r.to_json() for r in oracles.verify_tck(rep)
+    ]
+    for k in ks:
+        assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k), k
+    g = rep.graph
+    paths = enumerate_paths(g, g.vertices, min(rep.depth + 1, 3))
+    for p in rng.sample(paths, min(6, len(paths))):
+        _same_csr(path_matrix(rep, p), oracles.path_matrix(rep, p))
+    elem = random_polynomial(rng, g, max_deg=min(rep.depth + 1, 3))
+    _same_csr(apply_formal(rep, elem), oracles.apply_formal(rep, elem))
+    for label in rng.sample(rep.labels, min(4, rep.dim)):
+        upto = rng.randint(-1, rep.depth + 1)
+        assert wandering_certificate(rep, label, upto) == oracles.wandering_certificate(
+            rep, label, upto
+        )
+
+
+def test_index_map_checks_match_the_sparse_oracles(rng):
+    reps = _random_reps(rng, graphs=3, max_dim=150)
+    assert len(reps) > 20
+    for rep in reps:
+        _assert_checks_match_oracles(rep, rng, range(rep.depth + 2))
+
+
+def test_index_map_checks_match_the_sparse_oracles_on_faults(rng):
+    faults = 0
+    for rep in _random_reps(rng, graphs=3, max_dim=80):
+        for _ in range(2):
+            bad = _faulted(rng, rep)
+            if bad is not None:
+                _assert_checks_match_oracles(bad, rng, [0, 2, rep.depth + 1])
+                faults += 1
+    assert faults > 30
+
+
+def test_wandering_verdicts_match_on_cycle_identifications():
+    import oracles
+
+    verdicts = set()
+    for n in range(1, 4):
+        for depth in range(n, n + 4):
+            rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
+            # close the top grade back onto the vertex vector at v1
+            closing = rep.edge_ops[f"e{n}"].tolil()
+            top = next(i for i, p in enumerate(rep.labels) if len(p) == depth)
+            if rep.label_vertex[top] == f"v{n}":
+                closing[0, top] = 1.0
+            rep.edge_ops[f"e{n}"] = closing.tocsr()
+            for label in rep.labels:
+                for upto in range(depth + 2):
+                    got = wandering_certificate(rep, label, upto)
+                    assert got == oracles.wandering_certificate(rep, label, upto)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_operator_that_is_not_a_partial_injection_is_named(fig1):
+    for ops, key, second in (
+        ("vertex_ops", "t", "row"), ("edge_ops", "tl1", "row"),
+        ("vertex_ops", "l", "column"), ("edge_ops", "rt", "column"),
+    ):
+        rep = build_left_regular_trunc(fig1, ["t"], 3)
+        mat = getattr(rep, ops)[key].tolil()
+        coo = mat.tocoo()
+        row, col = coo.row[0], coo.col[0]
+        if second == "row":  # in a column the operator leaves empty
+            mat[row, min(set(range(rep.dim)) - set(coo.col.tolist()))] = 1.0
+        else:
+            mat[min(set(range(rep.dim)) - set(coo.row.tolist())), col] = 1.0
+        getattr(rep, ops)[key] = mat.tocsr()
+        name = ("v:" if ops == "vertex_ops" else "e:") + key
+        k = 0 if ops == "vertex_ops" else 1
+        for check in (verify_tck, lambda r: coisometric_defect(r, k)):
+            with pytest.raises(DomainError, match="not a partial injection") as err:
+                check(rep)
+            assert err.value.details == {"op": name}
+
+
+def test_explicit_zeros_are_not_entries(fig1):
+    import oracles
+
+    rep = build_left_regular_trunc(fig1, ["t"], 3)
+    for ops, key in (("vertex_ops", "t"), ("edge_ops", "tl1")):
+        coo = getattr(rep, ops)[key].tocoo()
+        free = min(set(range(rep.dim)) - set(coo.col.tolist()))
+        # a stored zero in the row of the first entry, in a column left empty
+        getattr(rep, ops)[key] = sp.csr_matrix(
+            (np.append(coo.data, 0.0), (np.append(coo.row, coo.row[0]), np.append(coo.col, free))),
+            shape=coo.shape,
+        )
+    assert [r.to_json() for r in verify_tck(rep)] == [r.to_json() for r in oracles.verify_tck(rep)]
+    for k in range(4):
+        assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k)
+    for label in rep.labels:
+        assert wandering_certificate(rep, label) == oracles.wandering_certificate(rep, label)
+
+
+def _identified_loop():
+    """The loop graph with its vertex vector identified with its own image."""
+    one = sp.csr_matrix(np.array([[1.0]]))
+    return TruncatedRep(
+        cycle_graph(1), 2, "left_regular", [Path.vertex("v1")], np.array([0]), ["v1"],
+        {"v1": one}, {"e1": one}, {},
+    )
+
+
+def test_apply_formal_adds_in_term_order_and_drops_cancelled_entries():
+    import oracles
+
+    rep = _identified_loop()
+    g = rep.graph
+    v, e, ee = Path.vertex("v1"), Path.of(g, ["e1"]), Path.of(g, ["e1", "e1"])
+    for terms in (
+        {v: 1.0, e: 1e16, ee: -1e16},  # (1 + 1e16) - 1e16 is 0, 1 + (1e16 - 1e16) is 1
+        {v: 1e16, e: 1.0, ee: -1e16},
+        {v: 2.0, e: -2.0},
+        {v: 1j, e: 1.5, ee: -0.5 - 1j},
+    ):
+        elem = FormalElement(g, terms)
+        got, want = apply_formal(rep, elem), oracles.apply_formal(rep, elem)
+        _same_csr(got, want)
+    assert apply_formal(rep, FormalElement(g, {v: 2.0, e: -2.0})).nnz == 0
+
+
+def test_coisometric_defect_stops_when_no_longer_path_contributes(monkeypatch):
+    import oracles
+    from semigroupoid_kit import Graph
+    from semigroupoid_kit import trunc
+
+    g = Graph.build(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
+    rep = build_left_regular_trunc(g, ["a"], 2)
+    calls = []
+    real = trunc._range_diagonal
+    monkeypatch.setattr(trunc, "_range_diagonal", lambda m, w: calls.append(1) or real(m, w))
+    k = 10**6
+    assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k) == (0.0, 0.0)
+    assert len(calls) <= 3 * len(g.edges)
+
+
+def test_coisometric_defect_refuses_what_the_path_sum_refuses(fig1):
+    import oracles
+    from semigroupoid_kit import EnumerationOverflow
+
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    with pytest.raises(EnumerationOverflow) as want:
+        oracles.coisometric_defect(rep, 40)
+    with pytest.raises(EnumerationOverflow) as got:
+        coisometric_defect(rep, 40)
+    assert str(got.value) == str(want.value)
+    assert got.value.details == want.value.details
+
+
+def test_wandering_certificate_unknown_label_is_a_domain_error(fig1):
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    with pytest.raises(DomainError, match="unknown basis label") as err:
+        wandering_certificate(rep, "nope")
+    assert err.value.details == {"label": "nope"}
