@@ -136,14 +136,14 @@ def _assemble(
             for eid in g.out_edges(v):
                 targets[eid][i] = index[shift(label, eid)]
     vertex_ops = {}
-    for v, cols in diagonal.items():
-        row = np.full(n, -1, dtype=np.int32)
-        row[cols] = cols
-        vertex_ops[v] = _csr(_zero_one(row), n)
-    edge_ops = {
-        eid: _csr(_zero_one(np.frombuffer(row, dtype=np.intc)), n)
-        for eid, row in targets.items()
-    }
+    for v, rows in diagonal.items():
+        rows = np.array(rows, dtype=int)
+        vertex_ops[v] = _csr(n, rows, rows, np.ones(len(rows)))
+    edge_ops = {}
+    for eid, target in targets.items():
+        row = np.frombuffer(target, dtype=np.intc)
+        cols = np.flatnonzero(row >= 0)
+        edge_ops[eid] = _csr(n, row[cols], cols, np.ones(len(cols)))
     return TruncatedRep(
         g, depth, kind, labels, np.array(grades, dtype=int), label_vertex,
         vertex_ops, edge_ops, meta,
@@ -185,23 +185,13 @@ class _Map(NamedTuple):
     dom: np.ndarray
 
 
-def _zero_one(row: np.ndarray) -> _Map:
-    """The 0/1 map sending column c to ``row[c]`` wherever that is not -1."""
-    dom = np.flatnonzero(row >= 0)
-    val = np.zeros(len(row))
-    val[dom] = 1.0
-    return _Map(row, val, dom)
-
-
-def _csr(m: _Map, n: int) -> sp.csr_matrix:
-    """CSR matrix of a map, built from its arrays with no COO pass.  Exact
-    zeros are left out, as a sparse product leaves them out."""
-    cols = m.dom[m.val[m.dom] != 0]
-    rows = m.row[cols]
-    cols = cols[np.argsort(rows, kind="stable")]
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
+    """n x n CSR matrix with ``vals`` at (``rows``, ``cols``), columns
+    increasing, built from its arrays with no COO pass."""
+    order = np.argsort(rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return sp.csr_matrix((m.val[cols], cols.astype(np.int32), indptr), shape=(n, n))
+    return sp.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
 def _decode(op, name: str) -> _Map:
@@ -216,10 +206,15 @@ def _decode(op, name: str) -> _Map:
     cols = op.indices[keep]
     if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
         raise DomainError("truncation operator is not a partial injection", op=name)
-    row = np.full(op.shape[1], -1, dtype=np.int32)
+    return _from_entries(op.shape[1], rows, cols, op.data[keep])
+
+
+def _from_entries(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Map:
+    """The map with ``vals[i]`` at (``rows[i]``, ``cols[i]``), columns distinct."""
+    row = np.full(n, -1, dtype=np.int32)
     row[cols] = rows
-    val = np.zeros(op.shape[1], dtype=op.data.dtype)
-    val[cols] = op.data[keep]
+    val = np.zeros(n, dtype=vals.dtype)
+    val[cols] = vals
     return _Map(row, val, np.sort(cols))
 
 
@@ -251,12 +246,7 @@ class _Ops:
             return self.vertex(p.base)
         m = self.edge(p.edges[0])
         for eid in p.edges[1:]:
-            rows, cols, vals = _product(m, self.edge(eid))
-            row = np.full(len(m.row), -1, dtype=np.int32)
-            row[cols] = rows
-            val = np.zeros(len(m.row), dtype=vals.dtype)
-            val[cols] = vals
-            m = _Map(row, val, cols)
+            m = _from_entries(len(m.row), *_product(m, self.edge(eid)))
         return m
 
 
@@ -508,7 +498,7 @@ def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
             return rep.edge_ops[p.edges[0]].tocsr()
         except KeyError:
             raise DomainError("unknown edge", edge=p.edges[0]) from None
-    return _csr(_Ops(rep).path(p), rep.dim)
+    return _csr(rep.dim, *_entries(_Ops(rep).path(p)))
 
 
 def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:

@@ -269,19 +269,23 @@ def _random_reps(rng, graphs, max_dim):
     return reps
 
 
-def _faulted(rng, rep):
-    """A copy of rep with one fault that keeps every operator a partial
-    injection: an entry set to -1, i, 2 or 0.5, an entry deleted or stored
-    as an explicit zero, or an entry added in an empty row and column.
-    None when no such fault fits."""
+FAULTS = ("-1", "i", "2", "0.5", "delete", "stored zero", "add")
+
+
+def _faulted(rng, rep, kind, on_vertex):
+    """A copy of rep with one fault of the given kind in a vertex or an edge
+    operator that keeps every operator a partial injection: an entry set to
+    -1, i, 2 or 0.5, an entry deleted or stored as an explicit zero, or an
+    entry added in an empty row and column.  None when no such fault fits."""
     import copy
 
     bad = copy.copy(rep)
     bad.vertex_ops, bad.edge_ops = dict(rep.vertex_ops), dict(rep.edge_ops)
-    ops = rng.choice([bad.vertex_ops, bad.edge_ops])
+    ops = bad.vertex_ops if on_vertex else bad.edge_ops
+    if not ops:
+        return None
     key = rng.choice(sorted(ops))
     coo = ops[key].tocoo()
-    kind = rng.choice(["-1", "i", "2", "0.5", "delete", "stored zero", "add"])
     if kind != "add" and not coo.nnz:
         return None
     if kind == "stored zero":  # an explicit zero left in the CSR arrays
@@ -345,14 +349,17 @@ def test_index_map_checks_match_the_sparse_oracles(rng):
 
 
 def test_index_map_checks_match_the_sparse_oracles_on_faults(rng):
-    faults = 0
+    done = []
+    tries = 0
     for rep in _random_reps(rng, graphs=3, max_dim=80):
         for _ in range(2):
-            bad = _faulted(rng, rep)
+            kind, on_vertex = FAULTS[tries % len(FAULTS)], tries // len(FAULTS) % 2 == 0
+            tries += 1
+            bad = _faulted(rng, rep, kind, on_vertex)
             if bad is not None:
                 _assert_checks_match_oracles(bad, rng, [0, 2, rep.depth + 1])
-                faults += 1
-    assert faults > 30
+                done.append((kind, on_vertex))
+    assert len(done) > 30 and len(set(done)) == 2 * len(FAULTS)
 
 
 def test_wandering_verdicts_match_on_cycle_identifications():
