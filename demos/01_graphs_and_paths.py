@@ -26,7 +26,7 @@ print("vertices:", ", ".join(g.sorted_vertices()))
 for e in g.edges:
     print(f"  {e.id}: {e.src} -> {e.dst}")
 
-print("\nstrongly connected components:", strongly_connected_components(g))
+print("\nstrongly connected components:", [sorted(c) for c in strongly_connected_components(g)])
 print("transitive:", is_transitive(g))
 print("period at t:", period(g, "t"), "(aperiodic)")
 

@@ -35,7 +35,6 @@ from .graph import (
     connected_components,
     directed_closure,
     reaches_cycle,
-    source_elimination,
 )
 from .paths import (
     Path,
@@ -79,8 +78,8 @@ class ExplicitAtomic:
     Index labels are scoped to their vertex: the basis node for label i at
     vertex v is the pair (v, i), so index sets at distinct vertices are
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
-    ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen and
-    its ``validate_atomic`` report is computed once, on first use.
+    ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
+    ``validate_atomic`` report and traced split of H are computed on first use.
     """
 
     graph: Graph
@@ -103,6 +102,23 @@ class ExplicitAtomic:
     @cached_property
     def _verdict(self) -> ValidationReport:
         return validate_atomic(self, require_total=False)
+
+    @cached_property
+    def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
+        """H traced once per component, from its least node (a component holds
+        one root or one cycle, never both): the root vertices and the cycle
+        traces, each in least-node order, and the nodes of the cycle
+        components.  H itself is not kept."""
+        h = build_H(self)
+        roots, cycles, cycle_nodes = [], [], set()
+        for comp in h.components():
+            outcome = trace_backward(h, comp[0])
+            if isinstance(outcome, RootFound):
+                roots.append(outcome.root[0])
+            else:
+                cycles.append(outcome)
+                cycle_nodes.update(comp)
+        return tuple(roots), tuple(cycles), frozenset(cycle_nodes)
 
 
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
@@ -322,15 +338,6 @@ def trace_backward(h: LabeledH, node: Node) -> RootFound | CycleFound:
         walk.append(prev)
 
 
-def _traced_components(h: LabeledH) -> list[tuple[list[Node], RootFound | CycleFound]]:
-    """Each component of H with the backward trace of its least node.
-
-    A component holds a single root or a single cycle, never both, so one
-    trace decides every node of it.
-    """
-    return [(comp, trace_backward(h, comp[0])) for comp in h.components()]
-
-
 # ---------------------------------------------------------------------------
 # canonical (symbolic) families
 
@@ -499,19 +506,18 @@ def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
 def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
     _require_valid(a, require_total=True)
     g = a.graph
+    roots, cycles, _ = a._split
     atoms: list[tuple[Atom, Multiplicity]] = []
-    for _, outcome in _traced_components(build_H(a)):
-        if isinstance(outcome, RootFound):
-            v = outcome.root[0]
-            if reaches_cycle(g, v):
-                raise UnboundedLeftRegularComponent(
-                    "root vertex reaches a cycle, so its forward path space "
-                    "is infinite and no finite explicit family contains it",
-                    vertex=v,
-                )
-            atoms.append((LeftRegularAtom(v), 1))
-        else:
-            atoms.extend(decompose_cycle(g, outcome.cycle, outcome.phase))
+    for v in roots:
+        if reaches_cycle(g, v):
+            raise UnboundedLeftRegularComponent(
+                "root vertex reaches a cycle, so its forward path space "
+                "is infinite and no finite explicit family contains it",
+                vertex=v,
+            )
+        atoms.append((LeftRegularAtom(v), 1))
+    for found in cycles:
+        atoms.extend(decompose_cycle(g, found.cycle, found.phase))
     return AtomDecomposition(atoms)
 
 
@@ -531,51 +537,46 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
     """Wold-type splitting data.
 
     For explicit data: alpha_v counts the in-degree-0 nodes at v (the
-    wandering dimensions), the remainder collects every node whose backward
-    trace closes on a cycle (one trace per component of H), and the
-    remainder vertices are checked against the source-elimination core.
+    wandering dimensions), and the remainder collects every node whose
+    backward trace closes on a cycle (one trace per component of H).
 
     For canonical data: left-regular families contribute one wandering
     dimension at their vertex; tails are fully coisometric (alpha = 0);
     cycle-type families report the multiplicities of the left-regular part
     that remains after compressing away the minimal cyclic subspace, the
     same numbers ``cycle_structure_multiplicities`` computes from the graph.
+
+    ``supported_on_g0`` is always True.  Lemma: each vertex on a cycle or
+    downstream of one has an in-edge from such a vertex, so source
+    elimination removes none of them.  That covers every vertex of a
+    canonical cycle or tail, and the vertex of every remainder node, which
+    is reached forward from its H-cycle, itself a lift of a graph cycle.
     """
     if isinstance(a, ExplicitAtomic):
         # each root component holds exactly one root; sorting the root
         # vertices lists alpha in vertex order, as the nodes of H are
-        roots: list[str] = []
-        remainder: set[Node] = set()
-        for comp, outcome in _traced_components(build_H(a)):
-            if isinstance(outcome, RootFound):
-                roots.append(outcome.root[0])
-            else:
-                remainder.update(comp)
+        roots, _, remainder = a._split
         alpha: dict[str, Multiplicity] = {}
         for v in sorted(roots):
             alpha[v] = alpha.get(v, 0) + 1
-        g0_vertices = set(source_elimination(a.graph)[0].vertices)
-        supported = all(v in g0_vertices for v, _ in remainder)
-        return WoldData(alpha, frozenset(remainder), supported)
+        return WoldData(alpha, remainder, True)
     if g is None:
         raise DomainError("canonical wold data needs the host graph")
     validate_canonical(g, a)
-    return _wold_canonical(g, a, set(source_elimination(g)[0].vertices))
+    return _wold_canonical(g, a)
 
 
-def _wold_canonical(g: Graph, fam: CanonicalAtomic, g0_vertices: set[str]) -> WoldData:
+def _wold_canonical(g: Graph, fam: CanonicalAtomic) -> WoldData:
     if isinstance(fam, LeftRegular):
         return WoldData({fam.vertex: 1}, frozenset(), True)
-    if isinstance(fam, (CycleType, TailType)):
-        supported = g0_vertices.issuperset(cycle_vertices(g, fam.cycle))
-        if isinstance(fam, TailType):
-            notes = ["tail families are fully coisometric"]
-            return WoldData({}, frozenset(), supported, notes=notes)
+    if isinstance(fam, TailType):
+        return WoldData({}, frozenset(), True, notes=["tail families are fully coisometric"])
+    if isinstance(fam, CycleType):
         alpha = {v: m for v, m in cycle_structure_multiplicities(g, fam.cycle).items() if m}
         return WoldData(
             alpha,
             frozenset(),
-            supported,
+            True,
             notes=[
                 "multiplicities refer to the left-regular part left over "
                 "after compressing away the minimal cyclic subspace; the "
@@ -583,17 +584,15 @@ def _wold_canonical(g: Graph, fam: CanonicalAtomic, g0_vertices: set[str]) -> Wo
             ],
         )
     alpha: dict[str, Multiplicity] = {}
-    supported = True
     notes: list[str] = []
     for part, mult in fam.parts:
-        sub = _wold_canonical(g, part, g0_vertices)
+        sub = _wold_canonical(g, part)
         for v, m in sub.alpha.items():
             alpha[v] = mult_add(alpha.get(v, 0), mult_scale(m, mult))
-        supported = supported and sub.supported_on_g0
         for n in sub.notes:
             if n not in notes:
                 notes.append(n)
-    return WoldData(alpha, frozenset(), supported, notes=notes)
+    return WoldData(alpha, frozenset(), True, notes=notes)
 
 
 # ---------------------------------------------------------------------------

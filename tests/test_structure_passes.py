@@ -8,13 +8,16 @@ here with a slower, more literal computation from ``oracles``.
 
 import corpus
 import oracles
+import pytest
 from semigroupoid_kit import (
     CycleFound,
     CycleType,
     DirectSum,
+    DomainError,
     ExplicitAtomic,
     Graph,
     LeftRegular,
+    NonTotalPresentation,
     Path,
     Phase,
     TailType,
@@ -22,8 +25,10 @@ from semigroupoid_kit import (
     build_H,
     classify,
     cycle_graph,
+    cycle_vertices,
     gauge_transform,
     has_ses,
+    is_primitive,
     looped_triangle,
     orbit_condition_M,
     scc_of,
@@ -227,3 +232,52 @@ def test_canonical_data_is_validated_once_per_call(fig1, monkeypatch):
         query()
         # the sum, then each part once, from inside validate_canonical
         assert calls == [fam] + [part for part, _ in parts]
+
+
+def test_h_is_traced_once_per_family(rng, monkeypatch):
+    calls = []
+    original = atomic.build_H
+    monkeypatch.setattr(atomic, "build_H", lambda a: calls.append(a) or original(a))
+    fam, _, _ = corpus.random_loop_sink_family(rng)
+    g = fam.graph
+    twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
+    classify(g, fam)
+    wold_atomic(fam)
+    assert are_unitarily_equivalent(g, fam, twin).equivalent
+    assert len(calls) == 2 and calls[0] is fam and calls[1] is twin
+    bad_to = _broken_variants(rng, fam)[0]
+    # a failed trace is not cached, so an invalid family raises every time
+    for query in (lambda: classify(g, bad_to), lambda: wold_atomic(bad_to)):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                query()
+    # without its image under "out", i0 leaves j0 at the sink a second root
+    pi = {e: dict(m) for e, m in fam.pi.items()}
+    del pi["out"]["i0"]
+    phases = {arc: ph for arc, ph in fam.phases.items() if arc != ("out", "i0")}
+    partial = ExplicitAtomic(g, dict(fam.lam), pi, phases)
+    with pytest.raises(NonTotalPresentation):
+        classify(g, partial)
+    data = wold_atomic(partial)
+    assert data.alpha == {"w": 2}
+    assert data.remainder_nodes == {("v", "i0"), ("v", "i1"), ("w", "j1")}
+
+
+def test_canonical_cycles_lie_in_the_elimination_core(rng):
+    graphs = [looped_triangle(), corpus.loop_sink_graph(), cycle_graph(4)]
+    graphs += [corpus.random_graph(rng, max_v=6, max_e=9) for _ in range(30)]
+    cases = 0
+    for g in graphs:
+        core = set(oracles.source_elimination(g)[0].vertices)
+        for v in g.sorted_vertices():
+            for _, edges in oracles.walks_from(g, v, 4):
+                w = Path(v, edges)
+                if not edges or g.dst(edges[0]) != v or not is_primitive(g, w):
+                    continue
+                assert set(cycle_vertices(g, w)) <= core, (g, w)
+                cycle, tail = CycleType(w, corpus.random_phase(rng)), TailType(w)
+                mixed = DirectSum(((cycle, 2), (tail, 1), (LeftRegular(v), "omega")))
+                for fam in (cycle, tail, mixed):
+                    assert wold_atomic(fam, g).supported_on_g0 is True
+                cases += 1
+    assert cases > 100
