@@ -28,13 +28,11 @@ from .errors import (
     DomainError,
     NonTotalPresentation,
     NotACycle,
-    UnboundedLeftRegularComponent,
 )
 from .graph import (
     Graph,
     connected_components,
     directed_closure,
-    reaches_cycle,
 )
 from .paths import (
     Path,
@@ -504,20 +502,14 @@ def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
 
 
 def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
+    """Lemma: no root of valid total data reaches a cycle.  A forward walk in H
+    from the root along a path into the cycle could not stop (the data is total)
+    nor revisit a node (two in-arcs, or one at the root), and H is finite."""
     _require_valid(a, require_total=True)
-    g = a.graph
     roots, cycles, _ = a._split
-    atoms: list[tuple[Atom, Multiplicity]] = []
-    for v in roots:
-        if reaches_cycle(g, v):
-            raise UnboundedLeftRegularComponent(
-                "root vertex reaches a cycle, so its forward path space "
-                "is infinite and no finite explicit family contains it",
-                vertex=v,
-            )
-        atoms.append((LeftRegularAtom(v), 1))
+    atoms: list[tuple[Atom, Multiplicity]] = [(LeftRegularAtom(v), 1) for v in roots]
     for found in cycles:
-        atoms.extend(decompose_cycle(g, found.cycle, found.phase))
+        atoms.extend(decompose_cycle(a.graph, found.cycle, found.phase))
     return AtomDecomposition(atoms)
 
 

@@ -4,11 +4,14 @@ Subcommands are grouped by module: graph, paths, series, atomic, color,
 trunc.  Outputs are deterministic JSON by default (--format table for
 aligned text, --format dot for GraphViz where it makes sense).  Exit codes:
 0 success, 1 domain error (structured JSON on stderr), 2 usage error.
+The parser is built once per process, at the first ``main`` call, and
+``main`` may be called repeatedly: each call parses from fresh defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import atomic as at
@@ -225,7 +228,7 @@ def cmd_atomic_classify(args) -> int:
 def cmd_atomic_equiv(args) -> int:
     ga, fa = _load_family(args.left)
     gb, fb = _load_family(args.right)
-    if ga != gb:
+    if ga.key != gb.key:
         raise DomainError("families live over different host graphs")
     verdict = at.are_unitarily_equivalent(ga, fa, fb, tol=args.tol)
     _emit(
@@ -567,9 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on the parser built at the first call.  Handlers are
+    bound then, so a later reassignment of a ``cmd_*`` function is not seen."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -82,6 +82,11 @@ class Graph:
                     todo.append(u)
         return frozenset(seen)
 
+    @cached_property
+    def key(self) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
+        """Sorted vertices and (id, src, dst) triples; unlike ``==``, order-free."""
+        return self.sorted_vertices(), tuple(sorted((e.id, e.src, e.dst) for e in self.edges))
+
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
         """Build from (id, src, dst) triples."""

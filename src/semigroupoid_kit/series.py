@@ -87,7 +87,7 @@ def _nonzero(terms: dict[Path, complex]) -> dict[Path, complex]:
 
 
 def _require_same_graph(a: FormalElement, b: FormalElement) -> None:
-    if a.graph != b.graph:
+    if a.graph.key != b.graph.key:
         raise DomainError("formal elements live over different host graphs")
 
 

@@ -507,7 +507,7 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     The terms' entries are added in term order, each entry's sum running
     left to right from zero as a running sparse sum adds them.
     """
-    if elem.graph != rep.graph:
+    if elem.graph.key != rep.graph.key:
         raise DomainError("formal element and truncation use different graphs")
     n = rep.dim
     ops = _Ops(rep)

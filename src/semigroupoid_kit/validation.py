@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,7 @@ class Finding:
     severity: str = "error"
 
     def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "where": self.where,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
 
 @dataclass

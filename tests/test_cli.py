@@ -435,3 +435,178 @@ def test_color_search_on_two_disjoint_aperiodic_graphs_answers_at_once(capsys, t
     assert time.perf_counter() - start < 3
     assert code == 0 and not err
     assert json.loads(out) == {"result": None}
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _fresh_dispatch(capsys, argv):
+    """(exit code, stdout) of ``argv`` run through a newly built parser, whose
+    namespace must equal the one ``main``'s cached parser gives."""
+    from semigroupoid_kit import cli
+
+    args = cli.build_parser().parse_args(argv)
+    assert args == cli._parser().parse_args(argv)
+    code = args.func(args)
+    return code, capsys.readouterr().out
+
+
+def _cycle_family_with_phase(tmp_path, name, angle):
+    import math
+
+    fam = explicit_atomic_to_json(pure_cycle_family(cycle_graph(1)))
+    fam["phase"] = [{"edge": "e1", "from": "i0", "re": math.cos(angle), "im": math.sin(angle)}]
+    path = tmp_path / name
+    path.write_text(dump_json(fam))
+    return str(path)
+
+
+def test_repeated_main_calls_leak_no_options(capsys, tmp_path, fig1_file, coloring_file):
+    near = _cycle_family_with_phase(tmp_path, "near.json", 0.0)
+    far = _cycle_family_with_phase(tmp_path, "far.json", 1e-7)
+    sequence = [
+        ["graph", "ses", fig1_file, "--format", "table"],
+        ["graph", "ses", fig1_file],
+        ["paths", "enum", fig1_file, "--source", "t", "--max-len", "1"],
+        ["paths", "enum", fig1_file, "--source", "t"],
+        ["trunc", "build", fig1_file, "--sources", "t", "--depth", "2"],
+        ["trunc", "build", fig1_file, "--sources", "t"],
+        ["trunc", "verify", fig1_file, "--sources", "t", "--depth", "2"],
+        ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "2"],
+        ["trunc", "verify", fig1_file, "--sources", "l", "--depth", "2", "--format", "table"],
+        ["atomic", "equiv", near, far, "--tol", "1e-6"],
+        ["atomic", "equiv", near, far],
+        ["trunc", "cycle-lemma", "-n", "2", "--depth", "2"],
+        ["trunc", "cycle-lemma", "-n", "2"],
+    ]
+    outputs = []
+    for argv in sequence:
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err, argv
+        assert (code, out) == _fresh_dispatch(capsys, argv), argv
+        outputs.append(out)
+    # the options really changed the answers, so a leaked value would show
+    assert not outputs[0].startswith("{") and outputs[1].startswith("{")
+    assert outputs[2] != outputs[3] and outputs[4] != outputs[5]
+    assert json.loads(outputs[4])["depth"] == 2 and json.loads(outputs[5])["depth"] == 4
+    assert outputs[6] != outputs[7]
+    assert json.loads(outputs[9])["equivalent"] is True
+    assert json.loads(outputs[10])["equivalent"] is False
+    assert json.loads(outputs[11])["depth"] == 2 and json.loads(outputs[12])["depth"] == 4
+    # a --coloring given on one call does not satisfy the next
+    assert run(capsys, sequence[7])[0] == 0
+    code, out, err = run(capsys, ["trunc", "verify", fig1_file, "--depth", "2"])
+    assert code == 1 and not out and "sources" in json.loads(err)["message"]
+
+
+def test_main_builds_the_parser_once_on_first_use(capsys, monkeypatch, fig1_file):
+    import argparse
+    import os
+    import subprocess
+    import sys
+
+    from semigroupoid_kit import cli
+
+    probe = "import semigroupoid_kit.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "0"  # importing builds nothing
+
+    # one build of the parser makes 34 ArgumentParser objects: the root,
+    # 6 groups and 27 subcommands
+    made = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    argvs = [
+        ["graph", "period", fig1_file, "--vertex", "t"],
+        ["graph", "closure", fig1_file, "--set", "l", "--format", "table"],
+        ["paths", "class", fig1_file, "--vertex", "r"],
+        ["trunc", "cycle-lemma", "-n", "2", "--depth", "2"],
+        ["graph", "check", str(fig1_file) + ".missing"],
+    ]
+    codes = [run(capsys, argvs[k % len(argvs)])[0] for k in range(50)]
+    assert codes.count(1) == 10 and codes.count(0) == 40
+    assert len(made) == 34 and made.count("semigroupoid-kit") == 1
+
+
+def _every_command(parser):
+    """argv prefixes of the root, each group and each subcommand."""
+    import argparse
+
+    def children(p):
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    out = [[]]
+    for group, gp in children(parser).items():
+        out.append([group])
+        out += [[group, name] for name in children(gp)]
+    return out
+
+
+def test_help_and_usage_errors_match_a_fresh_parser(capsys):
+    from semigroupoid_kit import cli
+
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def fresh(argv):
+        return cli.build_parser().parse_args(argv)
+
+    prefixes = _every_command(cli.build_parser())
+    assert len(prefixes) == 1 + 6 + 27
+    for argv in prefixes * 2:
+        got = outcome(main, argv + ["--help"])
+        assert got == outcome(fresh, argv + ["--help"]), argv
+        assert got[0] == 0 and got[1].startswith("usage: semigroupoid-kit") and not got[2]
+    for argv in (
+        [],
+        ["graph", "nope"],
+        ["trunc", "build"],
+        ["paths", "enum", "g.json", "--source", "t", "--max-len", "x"],
+        ["atomic", "classify", "f.json", "--format", "dot"],
+    ):
+        got = outcome(main, argv)
+        assert got == outcome(fresh, argv), argv
+        assert got[0] == 2 and not got[1] and got[2].startswith("usage: semigroupoid-kit"), argv
+
+
+def test_atomic_equiv_ignores_the_listing_order_of_the_graph(capsys, tmp_path, rng):
+    import corpus
+
+    for k in range(6):
+        g = corpus.random_graph(rng, max_v=5, max_e=6, acyclic=True)
+        fam, _ = corpus.random_root_family(rng, g)
+        if k % 2:
+            _, fam, _, _ = corpus.random_cycle_family(rng)
+        data = explicit_atomic_to_json(fam)
+        left = tmp_path / "left.json"
+        left.write_text(dump_json(data))
+        data["graph"]["vertices"].reverse()
+        data["graph"]["edges"].reverse()
+        right = tmp_path / "right.json"
+        right.write_text(dump_json(data))
+        code, out, err = run(capsys, ["atomic", "equiv", str(left), str(right)])
+        assert code == 0 and not err
+        assert json.loads(out)["equivalent"] is True
+    # a graph that really differs is still refused
+    data["graph"]["vertices"].append("extra")
+    other = tmp_path / "other.json"
+    other.write_text(dump_json(data))
+    code, out, err = run(capsys, ["atomic", "equiv", str(left), str(other)])
+    assert code == 1 and not out
+    assert json.loads(err)["message"] == "families live over different host graphs"

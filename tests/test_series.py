@@ -178,3 +178,33 @@ def test_operations_trust_their_inputs_and_boundaries_validate(rng, fig1, monkey
     data["terms"][0]["path"] = {"base": "t", "edges": ["lr"]}
     with pytest.raises(PathError):
         serialize.formal_from_json(fig1, data)
+
+
+def reversed_listing(g):
+    from semigroupoid_kit import Graph
+
+    return Graph(tuple(reversed(g.vertices)), tuple(reversed(g.edges)))
+
+
+def test_graph_key_ignores_listing_order_but_not_content(rng, fig1):
+    from semigroupoid_kit import Graph
+
+    twin = reversed_listing(fig1)
+    assert twin != fig1 and twin.key == fig1.key
+    grown = Graph(fig1.vertices + ("extra",), fig1.edges)
+    assert grown.key != fig1.key
+    rerouted = Graph.build(fig1.vertices, [(e.id, e.dst, e.src) for e in fig1.edges])
+    assert rerouted.key != fig1.key
+
+
+def test_elements_over_two_listings_of_one_graph_combine(rng, fig1):
+    twin = reversed_listing(fig1)
+    for _ in range(20):
+        a = random_polynomial(rng, fig1)
+        b = random_polynomial(rng, fig1)
+        b_twin = FormalElement(twin, b.terms)
+        assert formal_mul(a, b_twin).terms == formal_mul(a, b).terms
+        assert (a + b_twin).terms == (a + b).terms
+        assert a.approx_eq(FormalElement(twin, a.terms), tol=0.0)
+    with pytest.raises(DomainError, match="different host graphs"):
+        formal_mul(a, FormalElement.zero(cycle_graph(2)))

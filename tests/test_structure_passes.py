@@ -17,6 +17,7 @@ from semigroupoid_kit import (
     ExplicitAtomic,
     Graph,
     LeftRegular,
+    LeftRegularAtom,
     NonTotalPresentation,
     Path,
     Phase,
@@ -281,3 +282,58 @@ def test_canonical_cycles_lie_in_the_elimination_core(rng):
                     assert wold_atomic(fam, g).supported_on_g0 is True
                 cases += 1
     assert cases > 100
+
+
+def random_total_family(rng, g, cap=6):
+    """Valid total data on any graph, or None when the index sets would
+    have to grow past ``cap``.
+
+    Starting from random sizes, each index set grows until it can take the
+    images of all its in-edges' source labels, disjointly; a cycle with
+    inflow never settles, and those draws are dropped.
+    """
+    size = {v: rng.randint(0, 2) for v in g.vertices}
+    for _ in range(len(g.vertices) + 1):
+        demand = {v: sum(size[g.src(eid)] for eid in g.in_edges(v)) for v in g.vertices}
+        if all(demand[v] <= size[v] for v in g.vertices):
+            break
+        size = {v: max(size[v], demand[v]) for v in g.vertices}
+    else:
+        return None
+    if max(size.values(), default=0) > cap:
+        return None
+    lam = {v: tuple(f"i{k}" for k in range(size[v])) for v in g.vertices}
+    pi = {}
+    for v in g.vertices:
+        free = list(lam[v])
+        rng.shuffle(free)
+        for eid in g.in_edges(v):
+            pi[eid] = {i: free.pop() for i in lam[g.src(eid)]}
+    return ExplicitAtomic(g, lam, pi)
+
+
+def test_no_root_of_a_valid_total_family_reaches_a_cycle(rng):
+    # the lemma that lets classify skip a reach check per root
+    families = []
+    for _ in range(40):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        families.append(corpus.random_root_family(rng, g)[0])
+        families.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+        families.append(corpus.random_cycle_family(rng)[1])
+    while len(families) < 400:
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=False)
+        fam = random_total_family(rng, g)
+        if fam is not None:
+            families.append(fam)
+    mixed = 0
+    for fam in families:
+        g = fam.graph
+        assert validate_atomic(fam, require_total=True).valid
+        roots, cycles, _ = fam._split
+        reach = oracles.reaches_cycle(g)
+        assert not any(reach[v] for v in roots)
+        atoms = classify(g, fam).atoms
+        left = {a.vertex: m for a, m in atoms if isinstance(a, LeftRegularAtom)}
+        assert left == {v: roots.count(v) for v in roots}
+        mixed += bool(roots) and any(reach.values())
+    assert mixed >= 40  # roots beside cycles, not only acyclic hosts

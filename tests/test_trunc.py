@@ -484,3 +484,15 @@ def test_wandering_certificate_unknown_label_is_a_domain_error(fig1):
     with pytest.raises(DomainError, match="unknown basis label") as err:
         wandering_certificate(rep, "nope")
     assert err.value.details == {"label": "nope"}
+
+
+def test_apply_formal_accepts_another_listing_of_its_graph(rng, fig1):
+    from test_series import random_polynomial, reversed_listing
+
+    rep = build_left_regular_trunc(fig1, ["t", "l"], 4)
+    twin = reversed_listing(fig1)
+    for _ in range(5):
+        a = random_polynomial(rng, fig1, max_deg=3)
+        want = apply_formal(rep, a)
+        got = apply_formal(rep, FormalElement(twin, a.terms))
+        assert (got != want).nnz == 0
