@@ -22,6 +22,7 @@ from semigroupoid_kit import (
     gauge_transform,
     pure_cycle_family,
     relabel,
+    validate_atomic,
     wold_atomic,
 )
 
@@ -87,3 +88,20 @@ print(
 wold = wold_atomic(cyc)
 print("\ncycle families have no wandering part:", dict(wold.alpha))
 print("remainder nodes:", sorted(wold.remainder_nodes))
+
+# broken data: validation names every fault with its code and place, in
+# sorted order (vertex, edge, label), whatever the hash seed
+labels = tuple(f"i{k}" for k in range(6))
+broken = ExplicitAtomic(
+    dag,
+    {"a": labels, "b": labels[:4], "c": ("j0", "j1", "j2"), "z": ("i0",)},
+    {
+        "e1": {i: f"k{i}" for i in labels},  # six images outside Lambda_c
+        "e2": {"i0": "j0", "i1": "j0", "i2": "j1", "i7": "j2"},
+        "e9": {"i0": "j0"},
+    },
+    {(e, i): Phase.one() for e, i in [("e2", "i5"), ("e9", "i0"), ("e1", "q"), ("e8", "i1")]},
+)
+print("\nfindings on broken data:")
+for f in validate_atomic(broken).findings:
+    print(f"  {f.code:18s} {f.where:3s} {f.message}")

@@ -20,6 +20,7 @@ the infinite-dimensional cases that no finite explicit family can encode.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Union
@@ -29,17 +30,14 @@ from .errors import (
     NonTotalPresentation,
     NotACycle,
 )
-from .graph import (
-    Graph,
-    connected_components,
-    directed_closure,
-)
+from .graph import Graph, directed_closure
 from .paths import (
     Path,
-    cycle_vertices,
-    cyclic_canonical_form,
+    _cycle_vertices,
+    _cyclic_canonical_form,
+    _primitive_root,
+    _require_cycle,
     is_cycle,
-    primitive_root,
     validate_path,
 )
 from .phases import Phase
@@ -77,7 +75,9 @@ class ExplicitAtomic:
     vertex v is the pair (v, i), so index sets at distinct vertices are
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
     ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
-    ``validate_atomic`` report and traced split of H are computed on first use.
+    ``validate_atomic`` report and split of H are computed on first use.  The
+    split reads the components of H off the predecessor links of pi; H itself
+    is built only to trace the cycle components.
     """
 
     graph: Graph
@@ -103,20 +103,25 @@ class ExplicitAtomic:
 
     @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
-        """H traced once per component, from its least node (a component holds
-        one root or one cycle, never both): the root vertices and the cycle
-        traces, each in least-node order, and the nodes of the cycle
-        components.  H itself is not kept."""
+        """The components of H, read off the predecessor links of pi: the
+        root vertices and the cycle traces, each in least-node order, and the
+        nodes of the cycle components.  H is built, once, only to trace the
+        cycle components, each from its least node; it is not kept."""
+        _require_valid(self, require_total=False)
+        pred = {
+            (e.dst, j): (e.src, i)
+            for e in self.graph.edges
+            for i, j in self.pi.get(e.id, {}).items()
+        }
+        nodes = [(v, i) for v in sorted(self.lam) for i in sorted(self.lam[v])]
+        comps = _h_components(nodes, pred)
+        roots = tuple(root[0] for root, _ in comps if root is not None)
+        cyclic = [members for root, members in comps if root is None]
+        if not cyclic:
+            return roots, (), frozenset()
         h = build_H(self)
-        roots, cycles, cycle_nodes = [], [], set()
-        for comp in h.components():
-            outcome = trace_backward(h, comp[0])
-            if isinstance(outcome, RootFound):
-                roots.append(outcome.root[0])
-            else:
-                cycles.append(outcome)
-                cycle_nodes.update(comp)
-        return tuple(roots), tuple(cycles), frozenset(cycle_nodes)
+        cycles = tuple(trace_backward(h, members[0]) for members in cyclic)
+        return roots, cycles, frozenset(n for members in cyclic for n in members)
 
 
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
@@ -129,69 +134,86 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     over the edges into each vertex with an incoming edge to cover its
     index set, and full coisometry also asks in-degree-0 vertices to carry
     no labels.
+
+    One pass over labels and arcs: each check is a set operation on the
+    nodes (v, i) and the arcs' source and target nodes.  Only faults a check
+    has found are named, walking vertices, edges and pi items in sorted
+    order, so findings never come out in the iteration order of a set.
     """
     g = a.graph
     report = ValidationReport()
-    for v, labels in sorted(a.lam.items()):
-        if not g.has_vertex(v):
-            report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
-        if len(set(labels)) != len(labels):
-            report.add("duplicate-label", f"duplicate index labels at {v}", v)
+    vertices = set(g.vertices)
+    nodes = {(v, i) for v, labels in a.lam.items() for i in labels}
+    if len(nodes) < sum(map(len, a.lam.values())) or not a.lam.keys() <= vertices:
+        for v, labels in sorted(a.lam.items()):
+            if v not in vertices:
+                report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
+            if len(set(labels)) != len(labels):
+                report.add("duplicate-label", f"duplicate index labels at {v}", v)
     known_edges = {e.id for e in g.edges}
-    for eid, mapping in sorted(a.pi.items()):
-        if eid not in known_edges:
-            report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
-            continue
-        src, dst = g.src(eid), g.dst(eid)
-        src_labels = set(a.labels(src))
-        dst_labels = set(a.labels(dst))
-        for i, j in sorted(mapping.items()):
-            if i not in src_labels:
-                report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
-            if j not in dst_labels:
-                report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
-        values = list(mapping.values())
-        if len(set(values)) != len(values):
-            report.add("not-injective", f"pi_{eid} is not injective", eid)
-    # ranges over a common range vertex must be pairwise disjoint: that is
-    # what gives every node of H at most one incoming arc.  The labels hit
-    # are the range cover that the coisometry findings below read.
-    ck_fail: list[str] = []
-    f_fail: list[str] = []
-    for v in g.sorted_vertices():
-        hit: dict[str, str] = {}
+    sources = [(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())]
+    targets = [(e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values()]
+    demand = sum([len(a.lam.get(e.src, ())) for e in g.edges])  # labels owing an image
+    hit = set(targets)
+    bad_from = set(sources) - nodes
+    bad_to = hit - nodes
+    # a node hit twice breaks injectivity or the disjointness of the ranges
+    # into its vertex: what gives every node of H at most one incoming arc
+    twice = Counter(targets) if len(hit) < len(targets) else {}
+    shared = {n for n, k in twice.items() if k > 1}
+    if bad_from or bad_to or shared or not a.pi.keys() <= known_edges:
+        for eid, mapping in sorted(a.pi.items()):
+            if eid not in known_edges:
+                report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
+                continue
+            src, dst = g.src(eid), g.dst(eid)
+            faulty = [
+                (i, j) for i, j in mapping.items() if (src, i) in bad_from or (dst, j) in bad_to
+            ]
+            for i, j in sorted(faulty):
+                if (src, i) in bad_from:
+                    report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
+                if (dst, j) in bad_to:
+                    report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
+            if len(set(mapping.values())) != len(mapping):
+                report.add("not-injective", f"pi_{eid} is not injective", eid)
+    first: dict[Node, str] = {}  # the first arc, in (edge, label) order, onto a shared node
+    for v in sorted({v for v, _ in shared}):
         for eid in g.in_edges(v):
-            for i, j in sorted(a.pi.get(eid, {}).items()):
+            onto = [kv for kv in a.pi.get(eid, {}).items() if (v, kv[1]) in shared]
+            for i, j in sorted(onto):
                 stamp = f"{eid}[{i}]"
-                if j in hit:
+                if (v, j) in first:
                     report.add(
                         "overlapping-ranges",
-                        f"label {j} at {v} is hit by {hit[j]} and {stamp}",
+                        f"label {j} at {v} is hit by {first[v, j]} and {stamp}",
                         v,
                     )
                 else:
-                    hit[j] = stamp
-        if g.in_edges(v):
-            if set(a.labels(v)) - hit.keys():
-                ck_fail.append(v)
-                f_fail.append(v)
-        elif a.labels(v):
-            f_fail.append(v)
-    for (eid, i), ph in sorted(a.phases.items(), key=lambda kv: kv[0]):
+                    first[v, j] = stamp
+    # the range cover: every node no arc hits fails CK at a vertex with an
+    # incoming edge, and full coisometry at any vertex
+    f_fail = sorted({v for v, _ in nodes - hit if v in vertices})
+    ck_fail = [v for v in f_fail if g.in_edges(v)]
+    stray = sorted(
+        (eid, i) for eid, i in a.phases if eid not in known_edges or i not in a.pi.get(eid, {})
+    )
+    for eid, i in stray:
         if eid not in known_edges:
             report.add("unknown-edge", f"phase attached to unknown edge {eid}", eid)
-        elif i not in a.pi.get(eid, {}):
+        else:
             report.add(
                 "phase-without-arc",
                 f"phase attached to ({eid}, {i}) but pi_{eid} is undefined there",
                 eid,
             )
-    missing = [
-        (eid, i)
-        for eid in sorted(known_edges)
-        for i in a.labels(g.src(eid))
-        if i not in a.pi.get(eid, {})
-    ]
+    # without bad-from arcs each arc answers at least one demand, so no
+    # label lacks an image when the arcs are as many as the demands
+    missing: list[tuple[str, str]] = []
+    if bad_from or demand > len(sources):
+        for eid in sorted(known_edges):
+            mapping = a.pi.get(eid, {})
+            missing.extend((eid, i) for i in a.labels(g.src(eid)) if i not in mapping)
     if missing:
         sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
         report.add(
@@ -232,8 +254,10 @@ class LabeledH:
     pred: dict[Node, Arc | None]
 
     def components(self) -> list[list[Node]]:
-        """Undirected components of H, each sorted, ordered by least node."""
-        return connected_components(self.nodes, ((arc.src, arc.dst) for arc in self.arcs))
+        """Undirected components of H, each sorted, ordered by least node,
+        read off the predecessor links as ``ExplicitAtomic._split`` does."""
+        links = {n: arc.src for n, arc in self.pred.items() if arc is not None}
+        return [members for _, members in _h_components(sorted(self.nodes), links)]
 
     def to_dot(self) -> str:
         lines = ["digraph H {"]
@@ -246,6 +270,38 @@ class LabeledH:
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _h_components(
+    nodes: list[Node], pred: dict[Node, Node]
+) -> list[tuple[Node | None, list[Node]]]:
+    """The components of H from its predecessor links alone, each with its
+    root (None for a cycle component) and its nodes in the order given.
+
+    ``nodes`` come sorted and each has at most one predecessor, so the
+    backward walk from a node ends at its component's root or closes on its
+    cycle.  Walking from each node not yet labeled, in order, meets the
+    components in least-node order.
+    """
+    roots: list[Node | None] = []
+    comp_of: dict[Node, int] = {}
+    for start in nodes:
+        walk, node = [], start
+        while node is not None and node not in comp_of:
+            comp_of[node] = -1  # on the current walk
+            walk.append(node)
+            node = pred.get(node)
+        if node is not None and comp_of[node] >= 0:
+            k = comp_of[node]
+        else:  # a new component: the walk ended at its root or closed on its cycle
+            k = len(roots)
+            roots.append(walk[-1] if node is None else None)
+        for n in walk:
+            comp_of[n] = k
+    members: list[list[Node]] = [[] for _ in roots]
+    for n in nodes:
+        members[comp_of[n]].append(n)
+    return list(zip(roots, members))
 
 
 def _require_valid(a: ExplicitAtomic, require_total: bool) -> None:
@@ -377,7 +433,7 @@ def validate_canonical(g: Graph, fam: CanonicalAtomic) -> None:
         validate_path(g, fam.cycle)
         if not is_cycle(g, fam.cycle) or len(fam.cycle) == 0:
             raise NotACycle("tail family needs a cycle of positive length")
-        if primitive_root(g, fam.cycle)[1] != 1:
+        if _primitive_root(fam.cycle)[1] != 1:
             raise DomainError(
                 "tail cycle must be primitive; pass its primitive root",
                 cycle=list(fam.cycle.edges),
@@ -455,9 +511,14 @@ def decompose_cycle(g: Graph, w: Path, phase: Phase) -> list[tuple[Atom, Multipl
     For w = u^p with u primitive, the family splits into the p atoms built
     on u whose phases are the p-th roots of the full-cycle phase.
     """
-    u, p = primitive_root(g, w)
-    u_canon = cyclic_canonical_form(g, u)
-    return [(CycleAtom(u_canon, theta), 1) for theta in phase.roots(p)]
+    _require_cycle(g, w)
+    return _decompose_cycle(g, w, phase)
+
+
+def _decompose_cycle(g: Graph, w: Path, phase: Phase) -> list[tuple[Atom, Multiplicity]]:
+    """``decompose_cycle`` of a cycle already checked."""
+    u, p = _primitive_root(w)
+    return [(CycleAtom(_cyclic_canonical_form(g, u), theta), 1) for theta in phase.roots(p)]
 
 
 _TAIL_NOTE = (
@@ -485,9 +546,9 @@ def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
     if isinstance(fam, LeftRegular):
         return AtomDecomposition([(LeftRegularAtom(fam.vertex), 1)])
     if isinstance(fam, CycleType):
-        return AtomDecomposition(decompose_cycle(g, fam.cycle, fam.phase))
+        return AtomDecomposition(_decompose_cycle(g, fam.cycle, fam.phase))
     if isinstance(fam, TailType):
-        u = cyclic_canonical_form(g, fam.cycle)
+        u = _cyclic_canonical_form(g, fam.cycle)
         return AtomDecomposition([(TailAtom(u), 1)], notes=[_TAIL_NOTE])
     parts: list[tuple[Atom, Multiplicity]] = []
     notes: list[str] = []
@@ -509,7 +570,7 @@ def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
     roots, cycles, _ = a._split
     atoms: list[tuple[Atom, Multiplicity]] = [(LeftRegularAtom(v), 1) for v in roots]
     for found in cycles:
-        atoms.extend(decompose_cycle(a.graph, found.cycle, found.phase))
+        atoms.extend(_decompose_cycle(a.graph, found.cycle, found.phase))
     return AtomDecomposition(atoms)
 
 
@@ -564,7 +625,7 @@ def _wold_canonical(g: Graph, fam: CanonicalAtomic) -> WoldData:
     if isinstance(fam, TailType):
         return WoldData({}, frozenset(), True, notes=["tail families are fully coisometric"])
     if isinstance(fam, CycleType):
-        alpha = {v: m for v, m in cycle_structure_multiplicities(g, fam.cycle).items() if m}
+        alpha = {v: m for v, m in _cycle_structure_multiplicities(g, fam.cycle).items() if m}
         return WoldData(
             alpha,
             frozenset(),
@@ -600,6 +661,11 @@ def cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
     validate_path(g, w)
     if not is_cycle(g, w) or len(w) == 0:
         raise NotACycle("structure multiplicities need a cycle of positive length")
+    return _cycle_structure_multiplicities(g, w)
+
+
+def _cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
+    """``cycle_structure_multiplicities`` of a cycle already checked."""
     alpha = {v: 0 for v in g.vertices}
     for eid in w.edges:
         for fid in g.out_edges(g.src(eid)):
@@ -827,7 +893,7 @@ def _condM_canonical(g: Graph, fam: CanonicalAtomic, mu: Path) -> MReport:
         return MReport(MClass.SINGULAR, "every summand acts with finite orbits")
     v = mu.base
     # the vertices whose compression of the family is nonzero
-    start = [fam.vertex] if isinstance(fam, LeftRegular) else cycle_vertices(g, fam.cycle)
+    start = [fam.vertex] if isinstance(fam, LeftRegular) else _cycle_vertices(g, fam.cycle)
     support = directed_closure(g, start)
     if v not in support:
         return MReport(MClass.SINGULAR, f"no basis vectors at {v}; the compression is zero")

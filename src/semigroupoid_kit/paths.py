@@ -286,6 +286,11 @@ def _require_cycle(g: Graph, w: Path) -> None:
 def primitive_root(g: Graph, w: Path) -> tuple[Path, int]:
     """Write the cycle w as u^p with u primitive and p maximal; returns (u, p)."""
     _require_cycle(g, w)
+    return _primitive_root(w)
+
+
+def _primitive_root(w: Path) -> tuple[Path, int]:
+    """``primitive_root`` of a cycle already checked."""
     seq = w.edges
     k = len(seq)
     for d in range(1, k + 1):
@@ -336,6 +341,11 @@ def cyclic_canonical_form(g: Graph, w: Path) -> Path:
     canonical representative of the cyclic equivalence class.
     """
     _require_cycle(g, w)
+    return _cyclic_canonical_form(g, w)
+
+
+def _cyclic_canonical_form(g: Graph, w: Path) -> Path:
+    """``cyclic_canonical_form`` of a cycle already checked."""
     j = least_rotation_index(w.edges)
     edges = w.edges[j:] + w.edges[:j]
     return Path(g.src(edges[-1]), edges)
@@ -358,4 +368,9 @@ def cycle_vertices(g: Graph, w: Path) -> list[str]:
     the base vertex and has the cycle's length.
     """
     _require_cycle(g, w)
+    return _cycle_vertices(g, w)
+
+
+def _cycle_vertices(g: Graph, w: Path) -> list[str]:
+    """``cycle_vertices`` of a cycle already checked."""
     return [g.src(eid) for eid in reversed(w.edges)]

@@ -346,6 +346,117 @@ def coisometry_flags(a):
     return not ck_fail, not (ck_fail or f_fail), ck_fail, f_fail
 
 
+def validate_atomic(a, require_total=True):
+    """``atomic.validate_atomic`` by walking every arc in sorted order: each
+    pi item is checked against fresh label sets, and every arc into a vertex
+    is stamped while the range cover is built label by label."""
+    from semigroupoid_kit.validation import ValidationReport
+
+    g = a.graph
+    report = ValidationReport()
+    for v, labels in sorted(a.lam.items()):
+        if not g.has_vertex(v):
+            report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
+        if len(set(labels)) != len(labels):
+            report.add("duplicate-label", f"duplicate index labels at {v}", v)
+    known_edges = {e.id for e in g.edges}
+    for eid, mapping in sorted(a.pi.items()):
+        if eid not in known_edges:
+            report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
+            continue
+        src, dst = g.src(eid), g.dst(eid)
+        src_labels = set(a.labels(src))
+        dst_labels = set(a.labels(dst))
+        for i, j in sorted(mapping.items()):
+            if i not in src_labels:
+                report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
+            if j not in dst_labels:
+                report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
+        values = list(mapping.values())
+        if len(set(values)) != len(values):
+            report.add("not-injective", f"pi_{eid} is not injective", eid)
+    ck_fail = []
+    f_fail = []
+    for v in g.sorted_vertices():
+        hit = {}
+        for eid in g.in_edges(v):
+            for i, j in sorted(a.pi.get(eid, {}).items()):
+                stamp = f"{eid}[{i}]"
+                if j in hit:
+                    report.add(
+                        "overlapping-ranges",
+                        f"label {j} at {v} is hit by {hit[j]} and {stamp}",
+                        v,
+                    )
+                else:
+                    hit[j] = stamp
+        if g.in_edges(v):
+            if set(a.labels(v)) - hit.keys():
+                ck_fail.append(v)
+                f_fail.append(v)
+        elif a.labels(v):
+            f_fail.append(v)
+    for (eid, i), ph in sorted(a.phases.items(), key=lambda kv: kv[0]):
+        if eid not in known_edges:
+            report.add("unknown-edge", f"phase attached to unknown edge {eid}", eid)
+        elif i not in a.pi.get(eid, {}):
+            report.add(
+                "phase-without-arc",
+                f"phase attached to ({eid}, {i}) but pi_{eid} is undefined there",
+                eid,
+            )
+    missing = [
+        (eid, i)
+        for eid in sorted(known_edges)
+        for i in a.labels(g.src(eid))
+        if i not in a.pi.get(eid, {})
+    ]
+    if missing:
+        sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
+        report.add(
+            "non-total",
+            f"{len(missing)} undefined image(s), e.g. {sample}",
+            severity="error" if require_total else "info",
+        )
+    report.add(
+        "ck",
+        f"CK fails at {ck_fail}" if ck_fail else "CK identity holds at every finite receiver",
+        severity="info",
+    )
+    report.add(
+        "fully-coisometric",
+        f"coisometry fails at {f_fail}" if f_fail else "family is fully coisometric",
+        severity="info",
+    )
+    report.add("nondegenerate", "vertex projections sum to the identity", severity="info")
+    return report
+
+
+def h_components(h):
+    """``LabeledH.components`` by union-find over the arcs of H, each
+    component sorted, ordered by least node."""
+    from semigroupoid_kit.graph import connected_components
+
+    return connected_components(h.nodes, ((arc.src, arc.dst) for arc in h.arcs))
+
+
+def split(a):
+    """``ExplicitAtomic._split`` from the full H: union-find components, then
+    one backward trace from the least node of each."""
+    from semigroupoid_kit import RootFound, build_H, trace_backward
+
+    h = build_H(a)
+    roots, cycles, cycle_nodes = [], [], set()
+    for comp in h_components(h):
+        outcome = trace_backward(h, comp[0])
+        if isinstance(outcome, RootFound):
+            roots.append(outcome.root[0])
+        else:
+            cycles.append(outcome)
+            cycle_nodes.update(comp)
+    return tuple(roots), tuple(cycles), frozenset(cycle_nodes)
+
+
 # ---------------------------------------------------------------------------
 # condition (M) on canonical families: the word enumeration that the walk
 # along mu replaced

@@ -3,12 +3,18 @@
 Source elimination, strongly connected components and the set of vertices
 that reach a cycle are each computed by one linear pass; the Wold remainder
 is decided by one backward trace per component of H.  Each is compared
-here with a slower, more literal computation from ``oracles``.
+here with a slower, more literal computation from ``oracles``, as are the
+set-level ``validate_atomic`` and the split of H read off predecessor links.
 """
+
+import os
+import subprocess
+import sys
 
 import corpus
 import oracles
 import pytest
+import semigroupoid_kit
 from semigroupoid_kit import (
     CycleFound,
     CycleType,
@@ -26,21 +32,28 @@ from semigroupoid_kit import (
     build_H,
     classify,
     cycle_graph,
+    cycle_structure_multiplicities,
     cycle_vertices,
+    cyclic_canonical_form,
+    decompose_cycle,
     gauge_transform,
     has_ses,
     is_primitive,
     looped_triangle,
     orbit_condition_M,
+    primitive_root,
+    relabel,
     scc_of,
     source_elimination,
     strongly_connected_components,
     trace_backward,
     validate_atomic,
+    validate_canonical,
     wold_atomic,
 )
-from semigroupoid_kit import atomic
+from semigroupoid_kit import atomic, paths
 from semigroupoid_kit.graph import reaches_cycle
+from semigroupoid_kit.serialize import dump_json, explicit_atomic_to_json
 
 
 def chain_graph(n):
@@ -337,3 +350,243 @@ def test_no_root_of_a_valid_total_family_reaches_a_cycle(rng):
         assert left == {v: roots.count(v) for v in roots}
         mixed += bool(roots) and any(reach.values())
     assert mixed >= 40  # roots beside cycles, not only acyclic hosts
+
+
+# ---------------------------------------------------------------------------
+# validate_atomic and the split of H against the arc-by-arc references
+
+
+def _mutated(rng, fam, tag):
+    """The family with one to four seeded faults, each of a kind that
+    validate_atomic names; ``tag`` keeps the invented names apart."""
+    g = fam.graph
+    lam = dict(fam.lam)
+    pi = {e: dict(m) for e, m in fam.pi.items()}
+    phases = dict(fam.phases)
+    edges = g.sorted_edge_ids()
+    for k in range(rng.randint(1, 4)):
+        fault = rng.choice(
+            ["vertex", "repeat", "pi-edge", "phase-edge", "from", "to", "collide", "stray", "drop"]
+        )
+        name = f"{tag}x{k}"
+        if fault == "vertex" or not edges:
+            lam[f"ghost{name}"] = (f"g{k}",)
+        elif fault == "repeat":
+            v = rng.choice(g.sorted_vertices())
+            lam[v] = lam.get(v, ()) + (lam.get(v) or (name,))[:1] * 2
+        elif fault == "pi-edge":
+            pi[f"ghost{name}"] = {"a": "b", "c": "d"}
+            phases[(f"ghost{name}", "a")] = corpus.random_phase(rng)
+        elif fault == "phase-edge":
+            phases[(f"ghost{name}", "a")] = corpus.random_phase(rng)
+        else:
+            eid = rng.choice(edges)
+            mapping = pi.setdefault(eid, {})
+            if fault == "from":
+                mapping[name] = rng.choice(list(fam.labels(g.dst(eid))) or [name])
+            elif fault == "to":
+                for i in sorted(mapping)[: rng.randint(1, 3)]:
+                    mapping[i] = f"{name}{i}"
+            elif fault == "collide":
+                # two arcs onto one label: the same edge twice, or a second edge
+                taken = sorted(j for f in g.in_edges(g.dst(eid)) for j in pi.get(f, {}).values())
+                sources = list(fam.labels(g.src(eid))) + [name]
+                if taken:
+                    mapping[rng.choice(sources)] = rng.choice(taken)
+            elif fault == "stray":
+                phases[(eid, rng.choice(sorted(mapping) + [name]) + "?")] = corpus.random_phase(rng)
+            elif mapping:
+                del mapping[rng.choice(sorted(mapping))]
+    return ExplicitAtomic(g, lam, pi, phases)
+
+
+def _valid_families(rng, count=25):
+    """Total families of every corpus shape, and structurally valid partial
+    ones on random graphs with cycles; each second one relabeled, so that
+    its index sets are not listed in sorted order."""
+    families = []
+    for _ in range(count):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        families.append(corpus.random_root_family(rng, g)[0])
+        families.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+        families.append(corpus.random_cycle_family(rng)[1])
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=False)
+        families.append(random_partial_family(rng, g))
+        fam = random_total_family(rng, g)
+        if fam is not None:
+            families.append(fam)
+    return [
+        relabel(fam, corpus.random_relabeling(rng, fam)) if n % 2 else fam
+        for n, fam in enumerate(families)
+    ]
+
+
+def test_validate_atomic_matches_the_arc_walk(rng):
+    valid = _valid_families(rng)
+    families = valid + [v for fam in valid for v in _broken_variants(rng, fam)]
+    families += [_mutated(rng, fam, n) for n, fam in enumerate(valid * 3)]
+    seen = set()
+    most = 0
+    for fam in families:
+        for total in (True, False):
+            report = validate_atomic(fam, require_total=total)
+            # whole findings in order: code, message, where and severity
+            assert report.findings == oracles.validate_atomic(fam, require_total=total).findings
+        for f in report.findings:
+            seen.add(f.code)
+            if f.code == "unknown-edge":
+                seen.add(f"unknown-edge in {f.message.split()[0]}")
+        most = max(most, len(report.errors))
+    assert seen >= {
+        "unknown-vertex", "duplicate-label", "unknown-edge in pi", "unknown-edge in phase",
+        "bad-from", "bad-to", "not-injective", "overlapping-ranges", "phase-without-arc",
+        "non-total", "ck", "fully-coisometric",
+    }
+    assert most >= 5  # some reports carry many findings, so their order is tested
+
+
+def test_split_and_h_components_match_union_find(rng):
+    shapes = set()
+    for fam in _valid_families(rng, count=40):
+        want = oracles.split(fam)
+        assert fam._split == want
+        h = build_H(fam)
+        assert h.components() == oracles.h_components(h)
+        shapes.add((bool(want[0]), bool(want[1]), validate_atomic(fam).valid))
+        # invalid data raises on every query, with or without a cycle in H
+        for bad in _broken_variants(rng, fam)[:1]:  # a bad-to label
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    wold_atomic(bad)
+    # roots alone, cycles alone and both, in total and in partial data
+    assert {(True, False, True), (False, True, True), (True, True, True)} <= shapes
+    assert {(True, True, False)} <= shapes
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    g = Graph.build(
+        ["a", "b", "c"],
+        [("ab", "a", "b"), ("cb", "c", "b"), ("bc", "b", "c"), ("ca", "c", "a")],
+    )
+    labels = tuple(f"k{n}" for n in range(8))
+    fam = ExplicitAtomic(
+        g,
+        {"a": labels, "b": labels[:3], "c": labels[:4] + ("k0",), "ghost": ("z",)},
+        {
+            "ab": {i: f"far{i}" for i in labels},  # eight bad-to arcs
+            "cb": {i: "k1" for i in labels[:4]},  # not injective, and overlapping
+            "bc": {"k0": "k2", "k1": "k2", "zz": "k3"},
+            "ghost_edge": {"p": "q"},
+        },
+        {("ab", "nope"): Phase.one(), ("ghost_edge", "p"): Phase.one(), ("ca", "k0"): Phase.one()},
+    )
+    path = tmp_path / "broken.json"
+    path.write_text(dump_json(explicit_atomic_to_json(fam)))
+    src = os.path.dirname(os.path.dirname(semigroupoid_kit.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for argv in (["atomic", "validate", str(path)], ["atomic", "classify", str(path)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "semigroupoid_kit.cli", *argv],
+                capture_output=True, env=env, timeout=60,
+            )
+            outputs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outputs[:2] == outputs[2:]
+    (code, out, _), (bad_code, _, err) = outputs[:2]
+    assert code == 0 and out.count(b'"error"') >= 15
+    assert bad_code == 1 and b"structurally invalid" in err
+
+
+# ---------------------------------------------------------------------------
+# canonical data: each cycle validated once per query
+
+
+def test_canonical_queries_validate_each_cycle_once(fig1, monkeypatch):
+    calls = []
+    original = paths.validate_path
+
+    def counting(g, p):
+        calls.append(p)
+        return original(g, p)
+
+    monkeypatch.setattr(paths, "validate_path", counting)
+    monkeypatch.setattr(atomic, "validate_path", counting)
+    loop_t = Path("t", ("loop_t",))
+    fam = DirectSum(
+        ((CycleType(loop_t, Phase.one()), 1), (TailType(loop_t), 1), (LeftRegular("t"), 1))
+    )
+    # one call per cycle of the family; condition (M) also checks mu
+    for query, want in (
+        (lambda: classify(fig1, fam), 2),
+        (lambda: wold_atomic(fam, fig1), 2),
+        (lambda: orbit_condition_M(fam, loop_t, fig1), 3),
+    ):
+        calls.clear()
+        query()
+        assert len(calls) == want
+    # the public helpers still validate on every call
+    for helper in (
+        primitive_root,
+        cyclic_canonical_form,
+        cycle_vertices,
+        cycle_structure_multiplicities,
+        lambda g, w: decompose_cycle(g, w, Phase.one()),
+    ):
+        calls.clear()
+        helper(fig1, loop_t)
+        assert len(calls) == 1
+
+
+def _error(call):
+    try:
+        call()
+    except DomainError as exc:
+        return type(exc).__name__, str(exc), exc.details
+    raise AssertionError("no error raised")
+
+
+def test_invalid_canonical_data_raises_as_before(fig1):
+    one = Phase.one()
+    loop_t = Path("t", ("loop_t",))
+    base_error = ("PathError", "base disagrees with the first applied edge")
+    cases = [
+        (CycleType(Path("t", ("tl1", "rt")), one), base_error),
+        (TailType(Path("l", ("tl1",))), base_error),
+        (CycleType(Path("t", ("tl1",)), one),
+         ("NotACycle", "cycle-type family needs a cycle of positive length")),
+        (TailType(Path("t", ())), ("NotACycle", "tail family needs a cycle of positive length")),
+        (CycleType(Path("t", ("nope",)), one), ("GraphFormatError", "unknown edge id")),
+        (TailType(Path("zz", ())), ("PathError", "path base is not a vertex")),
+        (DirectSum(((CycleType(loop_t, one), 1), (TailType(Path("t", ("loop_t",) * 2)), 1))),
+         ("DomainError", "tail cycle must be primitive; pass its primitive root")),
+        (LeftRegular("zz"), ("DomainError", "unknown vertex")),
+        (DirectSum(((LeftRegular("t"), 0),)),
+         ("DomainError", "multiplicity must be a positive integer or omega")),
+    ]
+    for fam, want in cases:
+        got = _error(lambda: validate_canonical(fig1, fam))
+        assert got[:2] == want
+        for query in (
+            lambda: classify(fig1, fam),
+            lambda: wold_atomic(fam, fig1),
+            lambda: orbit_condition_M(fam, loop_t, fig1),
+        ):
+            assert _error(query) == got
+    public_cases = [
+        (Path("t", ("tl1",)), ("NotACycle", "path source and range differ")),
+        (Path("t", ()), ("NotACycle", "cycle of positive length required")),
+        (Path("t", ("tl1", "rt")), base_error),
+        (Path("t", ("nope",)), ("GraphFormatError", "unknown edge id")),
+    ]
+    for w, want in public_cases:
+        for helper in (
+            primitive_root,
+            cyclic_canonical_form,
+            cycle_vertices,
+            lambda g, w: decompose_cycle(g, w, one),
+        ):
+            assert _error(lambda: helper(fig1, w))[:2] == want
+    assert _error(lambda: cycle_structure_multiplicities(fig1, Path("t", ()))) == (
+        "NotACycle", "structure multiplicities need a cycle of positive length", {}
+    )
