@@ -50,12 +50,6 @@ class NonTotalPresentation(DomainError):
     code = "non-total-presentation"
 
 
-class UnboundedLeftRegularComponent(DomainError):
-    """Explicit data claims a root whose forward path space is infinite."""
-
-    code = "unbounded-left-regular-component"
-
-
 class InvalidColoring(DomainError):
     """Edge coloring is not strong or does not match the graph."""
 

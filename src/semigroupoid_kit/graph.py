@@ -30,8 +30,9 @@ class Edge:
 class Graph:
     """Immutable directed multigraph with id-keyed adjacency caches.
 
-    Strongly connected components and the vertices that reach a cycle are
-    computed on first use and cached.
+    Strongly connected components and the source elimination (Kahn's
+    layering, which also decides acyclicity) are computed on first use and
+    cached.
     """
 
     vertices: tuple[str, ...]
@@ -68,19 +69,25 @@ class Graph:
         return {v: comp for comp in self._sccs for v in comp}
 
     @cached_property
-    def _reaches_cycle(self) -> frozenset[str]:
-        # one backward sweep from the vertices on cycles: those in a
-        # component of two or more vertices, and those carrying a loop
-        seen = {v for v, comp in self._scc_of.items() if len(comp) > 1}
-        seen.update(e.src for e in self.edges if e.src == e.dst)
-        todo = list(seen)
-        while todo:
-            for eid in self._in[todo.pop()]:
-                u = self._by_id[eid].src
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return frozenset(seen)
+    def _elimination(self) -> tuple[Graph, tuple[tuple[str, ...], ...], bool]:
+        # Kahn's layering: in-degree counters drop as each layer is removed,
+        # a vertex joins the next layer when its counter reaches zero, and
+        # every edge is visited once; the vertices left over form the core
+        indeg = {v: len(ids) for v, ids in self._in.items()}
+        layer = sorted(v for v, k in indeg.items() if k == 0)
+        layers = []
+        while layer:
+            layers.append(tuple(layer))
+            emptied = []
+            for v in layer:
+                for eid in self._out[v]:
+                    w = self._by_id[eid].dst
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        emptied.append(w)
+            layer = sorted(emptied)
+        core = _restrict(self, frozenset(v for v, k in indeg.items() if k))
+        return core, tuple(layers), not core.vertices
 
     @cached_property
     def key(self) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
@@ -244,14 +251,6 @@ def scc_of(g: Graph, v: str) -> frozenset[str]:
     return g._scc_of[v]
 
 
-def reaches_cycle(g: Graph, v: str) -> bool:
-    """Whether a path from v of length >= 0 ends on a cycle, i.e. whether
-    source elimination leaves part of v's directed closure."""
-    if not g.has_vertex(v):
-        raise GraphFormatError("unknown vertex", vertex=v)
-    return v in g._reaches_cycle
-
-
 def period(g: Graph, v: str) -> int | None:
     """Gcd of the lengths of cycles through v's strongly connected component.
 
@@ -320,31 +319,17 @@ def source_elimination(g: Graph) -> tuple[Graph, list[list[str]], bool]:
 
     Returns (fixed point graph, removal layers, has_ses) where has_ses means
     the elimination exhausts every vertex.  On finite graphs that happens
-    exactly when the graph is acyclic.  Kahn's layering: in-degree counters
-    drop as each layer is removed, a vertex joins the next layer when its
-    counter reaches zero, and every edge is visited once.  The vertices
-    whose counters never reach zero form the core.
+    exactly when the graph is acyclic.  Computed once per graph by Kahn's
+    layering and cached on ``g``: every call returns fresh layer lists, and
+    the same core ``Graph`` object.
     """
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    layer = sorted(v for v, k in indeg.items() if k == 0)
-    layers: list[list[str]] = []
-    while layer:
-        layers.append(layer)
-        emptied = []
-        for v in layer:
-            for eid in g.out_edges(v):
-                w = g.dst(eid)
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    emptied.append(w)
-        layer = sorted(emptied)
-    core = _restrict(g, frozenset(v for v, k in indeg.items() if k))
-    return core, layers, not core.vertices
+    core, layers, exhausted = g._elimination
+    return core, [list(layer) for layer in layers], exhausted
 
 
 def has_ses(g: Graph) -> bool:
     """Whether source elimination exhausts the graph (finite case: acyclicity)."""
-    return not g._reaches_cycle
+    return g._elimination[2]
 
 
 def connected_components(

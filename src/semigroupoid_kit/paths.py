@@ -261,14 +261,9 @@ def vertex_cycle_class(g: Graph, v: str) -> CycleClass:
     intra = [e for e in g.edges if e.src in comp and e.dst in comp]
     if not intra:
         return CycleClass.NO_CYCLE
-    out_deg = {u: 0 for u in comp}
-    in_deg = {u: 0 for u in comp}
-    for e in intra:
-        out_deg[e.src] += 1
-        in_deg[e.dst] += 1
-    simple = len(intra) == len(comp) and all(
-        out_deg[u] == 1 and in_deg[u] == 1 for u in comp
-    )
+    # every vertex of a component with an intra edge has an intra out-edge
+    # and in-edge, so |intra| == |comp| forces exactly one of each
+    simple = len(intra) == len(comp)
     return CycleClass.SIMPLE_CYCLE if simple else CycleClass.TWO_PLUS
 
 

@@ -500,6 +500,26 @@ def test_repeated_main_calls_leak_no_options(capsys, tmp_path, fig1_file, colori
     assert code == 1 and not out and "sources" in json.loads(err)["message"]
 
 
+def test_package_runs_as_a_module_like_the_cli_module(fig1_file):
+    import os
+    import subprocess
+    import sys
+
+    from semigroupoid_kit import cli
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    cases = [(["graph", "ses", fig1_file], 0), (["graph", "ses", fig1_file + ".missing"], 1)]
+    for argv, code in cases:
+        done = [
+            subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            )
+            for module in ("semigroupoid_kit", "semigroupoid_kit.cli")
+        ]
+        got, want = ((d.returncode, d.stdout, d.stderr) for d in done)
+        assert got == want and want[0] == code
+
+
 def test_main_builds_the_parser_once_on_first_use(capsys, monkeypatch, fig1_file):
     import argparse
     import os

@@ -134,6 +134,21 @@ def test_cycle_trichotomy():
     assert vertex_cycle_class(dag, "a") is CycleClass.NO_CYCLE
 
 
+def test_cycle_trichotomy_counts_irreducible_cycles(rng):
+    # an irreducible cycle at v that leaves a simple cycle through v takes
+    # a shortest path out to the extra edge and one back, so 2|V| suffices
+    by_count = [CycleClass.NO_CYCLE, CycleClass.SIMPLE_CYCLE]
+    seen = set()
+    for _ in range(300):
+        g = corpus.random_graph(rng)
+        for v in g.vertices:
+            count = len(oracles.cycles_at(g, v, 2 * len(g.vertices)))
+            want = by_count[count] if count < 2 else CycleClass.TWO_PLUS
+            assert vertex_cycle_class(g, v) is want
+            seen.add(want)
+    assert seen == set(CycleClass)
+
+
 def test_primitive_root_and_powers():
     g = cycle_graph(2)
     w = Path("v1", ("e2", "e1", "e2", "e1"))  # the 2-cycle squared

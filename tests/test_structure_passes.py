@@ -1,10 +1,10 @@
 """Single-pass structural quantities against their brute-force references.
 
-Source elimination, strongly connected components and the set of vertices
-that reach a cycle are each computed by one linear pass; the Wold remainder
-is decided by one backward trace per component of H.  Each is compared
-here with a slower, more literal computation from ``oracles``, as are the
-set-level ``validate_atomic`` and the split of H read off predecessor links.
+Source elimination and strongly connected components are each computed by
+one linear pass and cached on the graph; the Wold remainder is decided by
+one backward trace per component of H.  Each is compared here with a
+slower, more literal computation from ``oracles``, as are the set-level
+``validate_atomic`` and the split of H read off predecessor links.
 """
 
 import os
@@ -52,7 +52,6 @@ from semigroupoid_kit import (
     wold_atomic,
 )
 from semigroupoid_kit import atomic, paths
-from semigroupoid_kit.graph import reaches_cycle
 from semigroupoid_kit.serialize import dump_json, explicit_atomic_to_json
 
 
@@ -79,15 +78,27 @@ def test_kahn_elimination_matches_rebuild_per_layer(rng):
         assert exhausted == want_exhausted == has_ses(g) == oracles.is_acyclic(g)
 
 
-def test_reaches_cycle_matches_strict_reach(rng):
-    for g in sample_graphs(rng):
-        want = oracles.reaches_cycle(g)
-        assert {v: reaches_cycle(g, v) for v in g.vertices} == want
+def test_elimination_is_computed_once_and_shared(rng):
+    for g in sample_graphs(rng, count=20):
+        assert "_elimination" not in vars(g) and "_sccs" not in vars(g)
+        want_core, want_layers, want_exhausted = oracles.source_elimination(g)
+        assert has_ses(g) == want_exhausted
+        assert "_sccs" not in vars(g)
+        cached = vars(g)["_elimination"]
+        core, layers, exhausted = source_elimination(g)
+        assert core.to_json_dict() == want_core.to_json_dict()
+        assert (layers, exhausted) == (want_layers, want_exhausted)
+        layers.append(["stray"])
+        for layer in layers[:-1]:
+            layer.clear()
+        again = source_elimination(g)
+        assert again[0] is core and again[1:] == (want_layers, want_exhausted)
+        assert vars(g)["_elimination"] is cached and "_sccs" not in vars(g)
 
 
 def test_sccs_are_computed_once_on_first_use(rng):
     for g in sample_graphs(rng, count=20):
-        assert "_sccs" not in vars(g) and "_reaches_cycle" not in vars(g)
+        assert "_sccs" not in vars(g) and "_elimination" not in vars(g)
         comps = strongly_connected_components(g)
         assert [sorted(c) for c in comps] == oracles.sccs(g)
         cached = vars(g)["_sccs"]
