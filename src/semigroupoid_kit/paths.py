@@ -99,10 +99,7 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
     """
     if max_len < 0:
         raise PathError("max_len must be nonnegative", max_len=max_len)
-    start = sorted(set(sources))
-    for v in start:
-        if not g.has_vertex(v):
-            raise GraphFormatError("unknown vertex", vertex=v)
+    start = _sources(g, sources)
     _count_levels(g, start, max_len)
     result: list[Path] = [Path.vertex(v) for v in start]
     level = list(result)
@@ -116,6 +113,16 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
         result.extend(nxt)
         level = nxt
     return result
+
+
+def _sources(g: Graph, sources: Iterable[str]) -> list[str]:
+    """The sources sorted, without repeats; GraphFormatError on one that is
+    not a vertex of g."""
+    start = sorted(set(sources))
+    for v in start:
+        if not g.has_vertex(v):
+            raise GraphFormatError("unknown vertex", vertex=v)
+    return start
 
 
 def _count_levels(g: Graph, start: list[str], max_len: int) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .graph import Graph
-from .paths import Path, compose, source, validate_path
+from .paths import Path, compose, path_range, source, validate_path
 
 
 @dataclass
@@ -92,15 +92,22 @@ def _require_same_graph(a: FormalElement, b: FormalElement) -> None:
 
 
 def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
-    """Product by path composition; non-composable pairs contribute nothing."""
+    """Product by path composition; non-composable pairs contribute nothing.
+
+    The terms of b are grouped by range, in their order, and each term mu
+    of a meets only the group ending at its source, so the composable pairs
+    are met, and summed, in the same order as over all pairs.
+    """
     _require_same_graph(a, b)
     g = a.graph
+    ending: dict[str, list[tuple[Path, complex]]] = {}
+    for nu, cb in b.terms.items():
+        ending.setdefault(path_range(g, nu), []).append((nu, cb))
     out: dict[Path, complex] = {}
     for mu, ca in a.terms.items():
-        for nu, cb in b.terms.items():
+        for nu, cb in ending.get(source(g, mu), ()):
             prod = compose(g, mu, nu)
-            if prod is not None:
-                out[prod] = out.get(prod, 0) + ca * cb
+            out[prod] = out.get(prod, 0) + ca * cb
     return FormalElement._trusted(g, out)
 
 

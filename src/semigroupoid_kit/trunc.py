@@ -17,85 +17,159 @@ column, so sums and products of small integer combinations stay exactly
 representable and interior residuals of phase-free models are exactly 0.0
 in floating point, no tolerance needed.
 
-Every operator the two builders make is a weighted partial injection: each
-row and each column holds at most one nonzero.  The checks rely on that.
-They read each operator's CSR arrays once per call, in O(nnz), as a
-column -> row index map with one value per column, so a product of
-operators is an index composition and every ``A* A`` or ``A A*`` is a
-diagonal.  The matrices on a ``TruncatedRep`` stay the one source of truth,
-so an operator edited in place is checked as it stands.  An operator with
-two nonzeros in one row or one column, which no builder makes, raises
-``DomainError("truncation operator is not a partial injection", op=...)``,
-where ``op`` is ``"v:<vertex>"`` or ``"e:<edge>"``.
+Every operator the builders make is a weighted partial injection, a
+column -> row index map with one value per column.  The builders compute
+the maps in closed form and keep them on the ``TruncatedRep``; the checks
+compose them, so every ``A* A`` or ``A A*`` is a diagonal.  An operator's
+CSR matrix is built on first read.  One read out that way, or assigned, is
+decoded from its CSR arrays, in O(nnz), so an edit is checked as it stands;
+two nonzeros in a row or a column raise ``DomainError("truncation operator
+is not a partial injection", op=...)`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import UserDict
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
-from .paths import BASIS_CAP, SYMBOL_CAP, Path, _count_levels, enumerate_paths, path_range
+from .paths import BASIS_CAP, SYMBOL_CAP, Path, _count_levels, _sources, enumerate_paths
+from .paths import path_range
 from .roadcoloring import Coloring, validate_coloring
 from .series import FormalElement
 
-Label = object  # Path for the left-regular model, (vertex, word) for the colored one
 
-
-@dataclass
 class TruncatedRep:
-    graph: Graph
-    depth: int
-    kind: str  # "left_regular" | "colored"
-    labels: list
-    grades: np.ndarray
-    label_vertex: list[str]
-    vertex_ops: dict[str, sp.csr_matrix]
-    edge_ops: dict[str, sp.csr_matrix]
-    meta: dict = field(default_factory=dict)
+    """A "left_regular" or "colored" truncation: basis grades, a projection
+    per vertex and an operator per edge.  The builders pass None for
+    ``labels`` and ``label_vertex``, made on first read from ``meta``."""
+
+    def __init__(
+        self, graph: Graph, depth: int, kind: str, labels: list | None, grades: np.ndarray,
+        label_vertex: list[str] | None, vertex_ops, edge_ops, meta: dict | None = None,
+    ):
+        self.graph, self.depth, self.kind, self.grades = graph, depth, kind, grades
+        self.vertex_ops, self.edge_ops, self.meta = vertex_ops, edge_ops, meta or {}
+        if labels is not None:
+            self.labels = labels
+        if label_vertex is not None:
+            self.label_vertex = label_vertex
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("vertex_ops", "edge_ops"):
+            value = _Operators(value)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def labels(self) -> list:
+        """Paths for the left-regular model, (vertex, word) for the colored one."""
+        if self.kind == "left_regular":
+            return enumerate_paths(self.graph, self.meta["sources"], self.depth)
+        letters = "123456789"[: self.meta["coloring"]["d"]]
+        return [
+            (v, "".join(w)) for v in self.graph.sorted_vertices()
+            for k in range(self.depth + 1) for w in product(letters, repeat=k)
+        ]
+
+    @cached_property
+    def label_vertex(self) -> list[str]:
+        colored = self.kind == "colored"
+        return [label[0] if colored else path_range(self.graph, label) for label in self.labels]
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return len(self.grades)
 
     def index(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}
 
 
+class _Operators(UserDict):
+    """The operators of a rep by vertex or edge id; ``data`` holds each as a
+    builder's ``_Map`` or as a matrix.  A map is read as its CSR matrix,
+    built on first read and held in its place, so an edit to what was read
+    is what the checks see."""
+
+    def __init__(self, ops):
+        self.data = ops
+
+    def __getitem__(self, key: str):
+        op = self.data[key]
+        if isinstance(op, _Map):
+            op = self.data[key] = _csr(len(op.row), *_entries(op))
+        return op
+
+
 def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
-    """Truncation of the path-space family generated by the source vertices."""
+    """Truncation of the path-space family generated by the source vertices.
+
+    The basis is ``enumerate_paths(g, sources, depth)``, by length and then
+    by stored edge tuple, which starts with the last edge.  So level k+1
+    lists, for each edge e in id order, the level-k paths that end at the
+    source of e, in level-k order, and e sends each of them there.
+    """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
-    basis = enumerate_paths(g, sources, depth)
-    return _assemble(
-        g, depth, "left_regular", basis, [len(p) for p in basis],
-        [path_range(g, p) for p in basis], lambda p, eid: Path(p.base, (eid,) + p.edges),
-        {"sources": sorted(set(sources))},
+    start = _sources(g, sources)
+    _count_levels(g, start, depth)
+    verts, edges = g.sorted_vertices(), g.sorted_edge_ids()
+    at = {v: i for i, v in enumerate(verts)}
+    src, dst = (np.array([at[end(e)] for e in edges], dtype=np.intp) for end in (g.src, g.dst))
+    ends = [np.array([at[v] for v in start], dtype=np.intp)]  # each level's ranges
+    parent, via = [ends[0][:0]], [ends[0][:0]]  # for each longer path: what it extends, by what
+    first = 0  # index of the first path of the last level
+    while len(ends) <= depth and len(ends[-1]):
+        level = ends[-1]
+        order = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(level[order], np.arange(len(verts) + 1))
+        count = bounds[src + 1] - bounds[src]  # the paths each edge extends
+        edge = np.repeat(np.arange(len(edges)), count)
+        # the k-th path an edge extends is order[bounds[src] + k]
+        skip = np.repeat(bounds[src] - (np.cumsum(count) - count), count)
+        parent.append(order[skip + np.arange(len(edge))] + first)
+        via.append(edge)
+        ends.append(dst[edge])
+        first += len(level)
+    end, parent, via = (np.concatenate(part) for part in (ends, parent, via))
+    n = len(end)
+    blocks = [np.flatnonzero(end == i) for i in range(len(verts))]
+    hits = [np.flatnonzero(via == j) for j in range(len(edges))]
+    return TruncatedRep(
+        g, depth, "left_regular", None,
+        np.repeat(np.arange(len(ends)), [len(level) for level in ends]), None,
+        {v: _from_entries(n, rows, rows) for v, rows in zip(verts, blocks)},
+        {e: _from_entries(n, hit + len(start), parent[hit]) for e, hit in zip(edges, hits)},
+        {"sources": start},
     )
 
 
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
-    """Colored model: vertex blocks of color words, edges act by their color shift."""
+    """Colored model: vertex blocks of color words, edges act by their color shift.
+
+    A block holds the words of length 0..depth by length, then in string
+    order, which for at most nine colours is base-d order.  So the word w of
+    length k has local index j = off[k] + rank(w), and an edge of colour c
+    sends it to c w at off[k+1] + (c-1) d^k + rank(w) = j + c d^k.
+    """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     report = validate_coloring(g, coloring)
     if not report.valid:
-        raise DomainError(
-            "coloring is not strong", findings=[f.message for f in report.errors]
-        )
+        raise DomainError("coloring is not strong", findings=[f.message for f in report.errors])
     d = coloring.d
     for v in g.sorted_vertices():
         fiber = sorted(coloring.of(e) for e in g.in_edges(v))
         if fiber != list(range(1, d + 1)):
             raise DomainError(
                 "colored truncation needs a complete strong coloring "
-                "(in-degree d-regular, every color in every fiber)",
-                vertex=v,
+                "(in-degree d-regular, every color in every fiber)", vertex=v
             )
     size, symbols = _colored_basis_size(len(g.vertices), d, depth)
     if size > BASIS_CAP:
@@ -104,49 +178,21 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
         raise EnumerationOverflow(
             "basis exceeds the symbol budget", size=size, symbols=symbols, budget=SYMBOL_CAP
         )
-    words: list[str] = [""]
-    level = [""]
-    for _ in range(depth):
-        level = [str(j) + w for w in level for j in range(1, d + 1)]
-        level.sort()
-        words.extend(level)
-    labels = [(v, w) for v in g.sorted_vertices() for w in words]
-    color = {eid: str(coloring.of(eid)) for eid in g.sorted_edge_ids()}
-    return _assemble(
-        g, depth, "colored", labels, [len(w) for _, w in labels], [v for v, _ in labels],
-        lambda lab, eid: (g.dst(eid), color[eid] + lab[1]),
-        {"coloring": coloring.to_json_dict()},
-    )
-
-
-def _assemble(
-    g: Graph, depth: int, kind: str, labels: list, grades: list[int],
-    label_vertex: list[str], shift: Callable[[Label, str], Label], meta: dict,
-) -> TruncatedRep:
-    """Vertex projections and one 0/1 matrix per edge, from one pass over the
-    basis: the edge e sends each label of grade below ``depth`` at its source
-    vertex to ``shift(label, e)``, which fills e's column -> row map."""
-    n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    diagonal = {v: [] for v in g.sorted_vertices()}
-    targets = {eid: array("i", [-1]) * n for eid in g.sorted_edge_ids()}
-    for i, (label, v) in enumerate(zip(labels, label_vertex)):
-        diagonal[v].append(i)
-        if grades[i] < depth:
-            for eid in g.out_edges(v):
-                targets[eid][i] = index[shift(label, eid)]
-    vertex_ops = {}
-    for v, rows in diagonal.items():
-        rows = np.array(rows, dtype=int)
-        vertex_ops[v] = _csr(n, rows, rows, np.ones(len(rows)))
-    edge_ops = {}
-    for eid, target in targets.items():
-        row = np.frombuffer(target, dtype=np.intc)
-        cols = np.flatnonzero(row >= 0)
-        edge_ops[eid] = _csr(n, row[cols], cols, np.ones(len(cols)))
+    # words per length; a graph with no vertex has none, at any depth
+    count = d ** np.arange(depth + 1 if g.vertices else 0)
+    grade = np.repeat(np.arange(len(count)), count)  # of each word in a block
+    j = np.flatnonzero(grade < depth)  # the words an edge moves
+    at = {v: i * len(grade) for i, v in enumerate(g.sorted_vertices())}
+    n, step = len(at) * len(grade), count[grade[j]]  # d^k for each word moved
+    blocks = {v: base + np.arange(len(grade)) for v, base in at.items()}
     return TruncatedRep(
-        g, depth, kind, labels, np.array(grades, dtype=int), label_vertex,
-        vertex_ops, edge_ops, meta,
+        g, depth, "colored", None, np.tile(grade, len(at)), None,
+        {v: _from_entries(n, rows, rows) for v, rows in blocks.items()},
+        {
+            e: _from_entries(n, at[g.dst(e)] + j + coloring.of(e) * step, at[g.src(e)] + j)
+            for e in g.sorted_edge_ids()
+        },
+        {"coloring": coloring.to_json_dict()},
     )
 
 
@@ -158,14 +204,12 @@ def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
     first level that crosses it, so a huge depth neither loops long nor
     yields a number too long to print; any such figure is far over the cap.
     """
-    if d == 1:
+    if d == 1 or not vertices:  # the levels do not grow
         return vertices * min(depth + 1, BASIS_CAP**2), vertices * depth * (depth + 1) // 2
-    size = level = vertices
-    symbols = 0
+    size, symbols, level = vertices, 0, vertices
     for length in range(1, depth + 1):
         level *= d
-        size += level
-        symbols += length * level
+        size, symbols = size + level, symbols + length * level
         if size > BASIS_CAP**2:
             break
     return size, symbols
@@ -196,11 +240,8 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr
 
 def _decode(op, name: str) -> _Map:
     """The map of one operator, read from its CSR arrays in O(nnz)."""
-    if getattr(op, "format", None) != "csr":
-        op = sp.csr_matrix(op)
-    if not op.has_canonical_format:
-        op = op.copy()
-        op.sum_duplicates()
+    op = sp.csr_matrix(op, copy=True)
+    op.sum_duplicates()
     keep = op.data != 0
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))[keep]
     cols = op.indices[keep]
@@ -209,17 +250,18 @@ def _decode(op, name: str) -> _Map:
     return _from_entries(op.shape[1], rows, cols, op.data[keep])
 
 
-def _from_entries(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Map:
-    """The map with ``vals[i]`` at (``rows[i]``, ``cols[i]``), columns distinct."""
+def _from_entries(n: int, rows: np.ndarray, cols: np.ndarray, vals=None) -> _Map:
+    """The map with ``vals[i]``, or 1.0, at (``rows[i]``, ``cols[i]``), columns distinct."""
     row = np.full(n, -1, dtype=np.int32)
     row[cols] = rows
-    val = np.zeros(n, dtype=vals.dtype)
-    val[cols] = vals
-    return _Map(row, val, np.sort(cols))
+    val = np.zeros(n, dtype=float if vals is None else vals.dtype)
+    val[cols] = 1.0 if vals is None else vals
+    return _Map(row, val, np.sort(cols).astype(np.int32, copy=False))
 
 
 class _Ops:
-    """The operators of one truncation as maps, each decoded on first use."""
+    """The operators of one truncation as maps: a builder's map as it is, a
+    matrix decoded on first use."""
 
     def __init__(self, rep: TruncatedRep):
         self.rep = rep
@@ -231,12 +273,13 @@ class _Ops:
     def edge(self, eid: str) -> _Map:
         return self._map("edge", self.rep.edge_ops, eid)
 
-    def _map(self, kind: str, ops: dict, key: str) -> _Map:
+    def _map(self, kind: str, ops: _Operators, key: str) -> _Map:
         name = f"{kind[0]}:{key}"
         if name not in self.maps:
             if key not in ops:
                 raise DomainError(f"unknown {kind}", **{kind: key})
-            self.maps[name] = _decode(ops[key], name)
+            op = ops.data[key]
+            self.maps[name] = op if isinstance(op, _Map) else _decode(op, name)
         return self.maps[name]
 
     def path(self, p: Path) -> _Map:
@@ -320,8 +363,8 @@ def _sum(n: int, terms: list) -> _Sum:
 
 
 def _residual(s: _Sum, inside: np.ndarray) -> tuple[float, float]:
-    """``_column_residual`` of a summed matrix, with ``inside`` marking the
-    columns of the interior grades."""
+    """(max |entry| over the columns ``inside`` marks, max over the rest) of a
+    summed matrix."""
     mags = np.abs(s.re) if s.im is None else np.hypot(s.re, s.im)
     off = np.hypot(s.off_val.real, s.off_val.imag)
     hit = inside[s.off_col]
@@ -350,28 +393,16 @@ class RelationReport:
         return self.max_residual == 0.0
 
     def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "interior": [self.interior_lo, self.interior_hi],
-            "max_residual": self.max_residual,
-            "exact_zero": self.exact_zero,
-            "boundary_residual": self.boundary_residual,
-            "detail": self.detail,
-        }
-
-
-def _column_residual(
-    mat: sp.spmatrix, grades: np.ndarray, lo: int, hi: int
-) -> tuple[float, float]:
-    """(max |entry| over columns with grade in [lo, hi], max over the rest)."""
-    coo = mat.tocoo()
-    return _entry_residual(coo.col, coo.data, grades, lo, hi)
+        data = asdict(self)
+        data["interior"] = [data.pop("interior_lo"), data.pop("interior_hi")]
+        return data
 
 
 def _entry_residual(
     cols: np.ndarray, vals: np.ndarray, grades: np.ndarray, lo: int, hi: int
 ) -> tuple[float, float]:
-    """``_column_residual`` of the entries ``vals`` in the columns ``cols``."""
+    """(max |entry| over the entries in columns with grade in [lo, hi], max
+    over the rest), for the entries ``vals`` in the columns ``cols``."""
     # abs() entry by entry; np.abs of complex data can differ from it in the last bit
     mags = np.hypot(vals.real, vals.imag)
     grade = grades[cols]
@@ -463,17 +494,12 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     worst, detail = _worst(excess, [f"range sum exceeds the projection at {v}" for v in verts])
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
 
-    for name, keep in (
-        ("CK", [v for v in verts if g.in_edges(v)]),
-        ("F", verts),
-    ):
+    for name, keep in (("CK", [v for v in verts if g.in_edges(v)]), ("F", verts)):
         worst, detail = _worst(
             [misses[v][0] for v in keep], [f"range sum misses the projection at {v}" for v in keep]
         )
         boundary = max([0.0] + [misses[v][1] for v in keep])
-        reports.append(
-            RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail)
-        )
+        reports.append(RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail))
 
     diagonal = np.arange(n)
     total = _sum(n, [_entries(s) for s in proj.values()] + [(diagonal, diagonal, -np.ones(n))])
@@ -488,17 +514,14 @@ def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
     A path of length 0 or 1 gives its stored operator itself; a longer one
     composes the edge maps into a new CSR matrix.
     """
-    if not p.edges:
-        try:
-            return rep.vertex_ops[p.base]
-        except KeyError:
-            raise DomainError("unknown vertex", vertex=p.base) from None
-    if len(p.edges) == 1:
-        try:
-            return rep.edge_ops[p.edges[0]].tocsr()
-        except KeyError:
-            raise DomainError("unknown edge", edge=p.edges[0]) from None
-    return _csr(rep.dim, *_entries(_Ops(rep).path(p)))
+    if len(p.edges) > 1:
+        return _csr(rep.dim, *_entries(_Ops(rep).path(p)))
+    kind, ops, key = ("edge", rep.edge_ops, p.edges[0]) if p.edges else (
+        "vertex", rep.vertex_ops, p.base
+    )
+    if key not in ops:
+        raise DomainError(f"unknown {kind}", **{kind: key})
+    return ops[key].tocsr()
 
 
 def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
@@ -518,10 +541,7 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
         vals.append(m.val[m.dom].astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
     nonzero = total != 0
-    rows, cols = np.divmod(keys[nonzero], n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return sp.csr_matrix((total[nonzero], cols.astype(np.int32), indptr), shape=(n, n))
+    return _csr(n, *np.divmod(keys[nonzero], n), total[nonzero])
 
 
 def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
@@ -613,13 +633,7 @@ class CycleLemmaReport:
     blocks: list[str]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "ok": self.ok,
-            "max_residual": self.max_residual,
-            "blocks": self.blocks,
-        }
+        return asdict(self)
 
 
 def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
@@ -637,34 +651,19 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
         raise DomainError("depth below the cycle length leaves blocks empty", depth=depth)
     g = cycle_graph(n)
     rep = build_left_regular_trunc(g, ["v1"], depth)
-    # the unique path of length k is mu_k; locate basis indices by length
-    by_len = {len(p): i for i, p in enumerate(rep.labels)}
-    dim = rep.dim
+    ops = _Ops(rep)
     worst = 0.0
     blocks: list[str] = []
     for i in range(1, n + 1):
-        eid = f"e{i}"
-        rows, cols = [], []
-        for k in range(0, depth):
-            if k % n == i - 1:
-                rows.append(by_len[k + 1])
-                cols.append(by_len[k])
-        expected = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(dim, dim)
-        )
-        diff = rep.edge_ops[eid] - expected
-        residual = _column_residual(diff, rep.grades, 0, depth)[0]
+        # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
+        want = _from_entries(rep.dim, np.arange(i, depth + 1, n), np.arange(i - 1, depth, n))
+        diff = _sum(rep.dim, [_entries(ops.edge(f"e{i}")), _entries(want, negate=True)])
+        residual = _residual(diff, rep.grades >= 0)[0]
         worst = max(worst, residual)
-        if i < n:
-            blocks.append(
-                f"edge e{i}: identity block from vertex block {i} to {i + 1}"
-                + ("" if residual == 0 else f" (residual {residual})")
-            )
-        else:
-            blocks.append(
-                f"edge e{n}: one-step shift block from vertex block {n} to 1"
-                + ("" if residual == 0 else f" (residual {residual})")
-            )
+        block = f"identity block from vertex block {i} to {i + 1}" if i < n else (
+            f"one-step shift block from vertex block {n} to 1"
+        )
+        blocks.append(f"edge e{i}: {block}" + ("" if residual == 0 else f" (residual {residual})"))
     return CycleLemmaReport(n, depth, worst == 0.0, worst, blocks)
 
 

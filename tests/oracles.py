@@ -182,6 +182,20 @@ def convolve(g, terms_a, terms_b):
     return {k: c for k, c in out.items() if c != 0}
 
 
+def formal_mul(a, b):
+    """``series.formal_mul`` over every pair of terms, as it was before the
+    terms of b were grouped by range."""
+    from semigroupoid_kit import FormalElement, compose
+
+    out = {}
+    for mu, ca in a.terms.items():
+        for nu, cb in b.terms.items():
+            prod = compose(a.graph, mu, nu)
+            if prod is not None:
+                out[prod] = out.get(prod, 0) + ca * cb
+    return FormalElement._trusted(a.graph, out)
+
+
 def turns_of(z):
     """Angle of a unimodular complex number in turns, in [0, 1)."""
     t = math.atan2(z.imag, z.real) / (2 * math.pi)
@@ -223,6 +237,17 @@ def reaches_cycle(g):
     r = reach(g)
     sr = strict_reach(g)
     return {v: any(u in sr[u] for u in r[v]) for v in g.vertices}
+
+
+def _column_residual(mat, grades, lo, hi):
+    """(max |entry| over columns with grade in [lo, hi], max over the rest),
+    over all stored entries at once."""
+    coo = mat.tocoo()
+    # abs() entry by entry; np.abs of complex data can differ from it in the last bit
+    mags = np.hypot(coo.data.real, coo.data.imag)
+    grade = grades[coo.col]
+    inside = (lo <= grade) & (grade <= hi)
+    return tuple(float(m.max()) if m.size else 0.0 for m in (mags[inside], mags[~inside]))
 
 
 def column_residual(mat, grades, lo, hi):
@@ -530,8 +555,98 @@ def condM_canonical(g, fam, mu, words=incoming_words):
 
 
 # ---------------------------------------------------------------------------
-# truncations: the per-vertex and per-edge basis scans that the one-pass
-# assembly replaced
+# truncations: the label-driven builders that the closed-form index maps
+# replaced, and the per-vertex and per-edge basis scans before them
+
+
+def build_left_regular_trunc(g, sources, depth):
+    """``trunc.build_left_regular_trunc`` from the enumerated path labels."""
+    from semigroupoid_kit import DomainError, Path, enumerate_paths, path_range
+
+    if depth < 0:
+        raise DomainError("depth must be nonnegative", depth=depth)
+    basis = enumerate_paths(g, sources, depth)
+    return _assemble(
+        g, depth, "left_regular", basis, [len(p) for p in basis],
+        [path_range(g, p) for p in basis], lambda p, eid: Path(p.base, (eid,) + p.edges),
+        {"sources": sorted(set(sources))},
+    )
+
+
+def build_colored_trunc(g, coloring, depth):
+    """``trunc.build_colored_trunc`` from the sorted colour-word labels."""
+    from semigroupoid_kit import DomainError, EnumerationOverflow, validate_coloring
+    from semigroupoid_kit.paths import BASIS_CAP, SYMBOL_CAP
+    from semigroupoid_kit.trunc import _colored_basis_size
+
+    if depth < 0:
+        raise DomainError("depth must be nonnegative", depth=depth)
+    report = validate_coloring(g, coloring)
+    if not report.valid:
+        raise DomainError(
+            "coloring is not strong", findings=[f.message for f in report.errors]
+        )
+    d = coloring.d
+    for v in g.sorted_vertices():
+        fiber = sorted(coloring.of(e) for e in g.in_edges(v))
+        if fiber != list(range(1, d + 1)):
+            raise DomainError(
+                "colored truncation needs a complete strong coloring "
+                "(in-degree d-regular, every color in every fiber)",
+                vertex=v,
+            )
+    size, symbols = _colored_basis_size(len(g.vertices), d, depth)
+    if size > BASIS_CAP:
+        raise EnumerationOverflow("basis too large", size=size, cap=BASIS_CAP)
+    if symbols > SYMBOL_CAP:
+        raise EnumerationOverflow(
+            "basis exceeds the symbol budget", size=size, symbols=symbols, budget=SYMBOL_CAP
+        )
+    words = [""]
+    level = [""]
+    for _ in range(depth):
+        level = [str(j) + w for w in level for j in range(1, d + 1)]
+        level.sort()
+        words.extend(level)
+    labels = [(v, w) for v in g.sorted_vertices() for w in words]
+    color = {eid: str(coloring.of(eid)) for eid in g.sorted_edge_ids()}
+    return _assemble(
+        g, depth, "colored", labels, [len(w) for _, w in labels], [v for v, _ in labels],
+        lambda lab, eid: (g.dst(eid), color[eid] + lab[1]),
+        {"coloring": coloring.to_json_dict()},
+    )
+
+
+def _assemble(g, depth, kind, labels, grades, label_vertex, shift, meta):
+    """Vertex projections and one 0/1 matrix per edge, from one pass over the
+    basis: the edge e sends each label of grade below ``depth`` at its source
+    vertex to ``shift(label, e)``, which fills e's column -> row map."""
+    from array import array
+
+    from semigroupoid_kit.trunc import TruncatedRep, _csr
+
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    diagonal = {v: [] for v in g.sorted_vertices()}
+    targets = {eid: array("i", [-1]) * n for eid in g.sorted_edge_ids()}
+    for i, (label, v) in enumerate(zip(labels, label_vertex)):
+        diagonal[v].append(i)
+        if grades[i] < depth:
+            for eid in g.out_edges(v):
+                targets[eid][i] = index[shift(label, eid)]
+    vertex_ops = {}
+    for v, rows in diagonal.items():
+        rows = np.array(rows, dtype=int)
+        vertex_ops[v] = _csr(n, rows, rows, np.ones(len(rows)))
+    edge_ops = {}
+    for eid, target in targets.items():
+        row = np.frombuffer(target, dtype=np.intc)
+        cols = np.flatnonzero(row >= 0)
+        edge_ops[eid] = _csr(n, row[cols], cols, np.ones(len(cols)))
+    return TruncatedRep(
+        g, depth, kind, labels, np.array(grades, dtype=int), label_vertex,
+        vertex_ops, edge_ops, meta,
+    )
 
 
 def truncation_ops(rep):
@@ -578,7 +693,7 @@ def truncation_ops(rep):
 def verify_tck(rep):
     """Reports of ``trunc.verify_tck``, from sparse products and sums."""
     import scipy.sparse as sp
-    from semigroupoid_kit.trunc import RelationReport, _column_residual
+    from semigroupoid_kit.trunc import RelationReport
 
     g = rep.graph
     grades = rep.grades
@@ -696,7 +811,6 @@ def coisometric_defect(rep, k):
     """``trunc.coisometric_defect`` as a sum over the enumerated paths."""
     import scipy.sparse as sp
     from semigroupoid_kit import DomainError, enumerate_paths
-    from semigroupoid_kit.trunc import _column_residual
 
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)

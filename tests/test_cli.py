@@ -630,3 +630,57 @@ def test_atomic_equiv_ignores_the_listing_order_of_the_graph(capsys, tmp_path, r
     code, out, err = run(capsys, ["atomic", "equiv", str(left), str(other)])
     assert code == 1 and not out
     assert json.loads(err)["message"] == "families live over different host graphs"
+
+
+def test_trunc_output_matches_the_label_assembly(capsys, monkeypatch, tmp_path, fig1):
+    import oracles
+    from semigroupoid_kit import FormalElement, Graph, enumerate_paths, trunc
+
+    d3 = Graph.build(
+        ["a", "b"],
+        [("x1", "a", "a"), ("x2", "b", "a"), ("x3", "b", "a"),
+         ("y1", "a", "b"), ("y2", "a", "b"), ("y3", "b", "b")],
+    )
+    d3_coloring = Coloring(3, {"x1": 2, "x2": 3, "x3": 1, "y1": 1, "y2": 3, "y3": 2})
+    files = []
+    for name, g, coloring, sources in (
+        ("fig1", fig1, None, "t,l"),
+        ("triangle", fig1, Coloring(2, OBRIEN_FIG1), None),
+        ("d3", d3, d3_coloring, "b"),
+    ):
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(dump_json(g.to_json_dict()))
+        elem = tmp_path / f"{name}-elem.json"
+        paths = enumerate_paths(g, g.vertices, 2)
+        terms = {p: complex(1 + i, i % 3 - 1) for i, p in enumerate(paths)}
+        elem.write_text(dump_json(formal_to_json(FormalElement(g, terms))))
+        picks = []
+        if sources:
+            picks.append(["--sources", sources])
+        if coloring:
+            color = tmp_path / f"{name}-coloring.json"
+            color.write_text(dump_json(coloring.to_json_dict()))
+            picks.append(["--coloring", str(color)])
+        files.append((str(graph), str(elem), picks))
+    argvs = []
+    for graph, elem, picks in files:
+        for pick in picks:
+            for fmt in ("json", "table"):
+                for depth in ("0", "2", "4"):
+                    tail = pick + ["--depth", depth, "--format", fmt]
+                    argvs += [
+                        ["trunc", "build", graph] + tail,
+                        ["trunc", "verify", graph] + tail,
+                        ["trunc", "apply", graph, elem] + tail,
+                    ]
+    argvs.append(["trunc", "verify", files[0][0], "--sources", "t,zz", "--depth", "2"])
+    argvs.append(["trunc", "verify", files[1][0], "--coloring", files[1][2][0][1], "--depth", "30"])
+    got = [run(capsys, argv) for argv in argvs]
+    built = []
+    for name in ("build_left_regular_trunc", "build_colored_trunc"):
+        assemble = getattr(oracles, name)
+        monkeypatch.setattr(trunc, name, lambda *a, f=assemble: built.append(1) or f(*a))
+    want = [run(capsys, argv) for argv in argvs]
+    assert len(built) == len(argvs) and [code for code, _, _ in got].count(1) == 2
+    for argv, a, b in zip(argvs, got, want):
+        assert a == b, argv

@@ -75,6 +75,17 @@ def test_product_matches_convolution_oracle(rng, fig1):
             assert abs(got_dict[k] - want[k]) < 1e-12
 
 
+def test_product_sums_the_pairs_in_the_order_of_all_pairs(rng, fig1):
+    import corpus
+
+    graphs = [fig1] + [corpus.random_graph(rng, max_v=4, max_e=8) for _ in range(10)]
+    for g in graphs:
+        for _ in range(6):
+            a, b = random_polynomial(rng, g), random_polynomial(rng, g)
+            got, want = formal_mul(a, b), oracles.formal_mul(a, b)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_fourier_parts_sum_to_whole(rng, fig1):
     a = random_polynomial(rng, fig1)
     deg = a.degree()

@@ -25,6 +25,16 @@ from semigroupoid_kit import (
 OBRIEN_FIG1 = {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}
 
 
+def _complete_coloring(rng, g, d):
+    """A random complete strong colouring of an in-degree d-regular graph."""
+    color = {}
+    for v in g.sorted_vertices():
+        colors = list(range(1, d + 1))
+        rng.shuffle(colors)
+        color.update(zip(g.in_edges(v), colors))
+    return Coloring(d, color)
+
+
 def test_left_regular_basis_is_path_enumeration(fig1):
     rep = build_left_regular_trunc(fig1, ["t"], 2)
     assert rep.dim == 12  # 1 vertex + 4 one-step + 7 two-step walks
@@ -174,6 +184,26 @@ def test_cycle_lemma_block_descriptions():
     ]
 
 
+def test_cycle_lemma_reports_a_faulted_block(monkeypatch):
+    from semigroupoid_kit import trunc
+
+    real = trunc.build_left_regular_trunc
+
+    def faulted(g, sources, depth):
+        rep = real(g, sources, depth)
+        rep.edge_ops["e1"].data[0] = 3.0  # e1 on the vertex path: 3, not 1
+        rep.edge_ops["e2"].indices[-1] = 0  # e2's entry for the length-3 path moves to column 0
+        return rep
+
+    monkeypatch.setattr(trunc, "build_left_regular_trunc", faulted)
+    report = cycle_lemma_check(2, 4)
+    assert not report.ok and report.max_residual == 2.0
+    assert report.blocks == [
+        "edge e1: identity block from vertex block 1 to 2 (residual 2.0)",
+        "edge e2: one-step shift block from vertex block 2 to 1 (residual 1.0)",
+    ]
+
+
 def test_matrix_to_coordinates_sorted(fig1):
     rep = build_left_regular_trunc(fig1, ["t"], 2)
     coords = matrix_to_coordinates(rep.edge_ops["loop_t"])
@@ -184,7 +214,7 @@ def test_matrix_to_coordinates_sorted(fig1):
 
 def test_column_residual_matches_entrywise_reference(rng):
     import oracles
-    from semigroupoid_kit.trunc import _column_residual
+    from oracles import _column_residual
 
     for k in range(60):
         n = rng.randint(1, 9)
@@ -213,12 +243,7 @@ def test_one_pass_assembly_matches_per_edge_scans(rng):
     for _ in range(12):
         d = rng.randint(1, 3)
         g = corpus.random_in_regular_graph(rng, rng.randint(1, 4), d)
-        color = {}
-        for v in g.sorted_vertices():
-            colors = list(range(1, d + 1))
-            rng.shuffle(colors)
-            color.update(zip(g.in_edges(v), colors))
-        reps.append(build_colored_trunc(g, Coloring(d, color), rng.randint(0, 4)))
+        reps.append(build_colored_trunc(g, _complete_coloring(rng, g, d), rng.randint(0, 4)))
     for rep in reps:
         vertex_ops, edge_ops = oracles.truncation_ops(rep)
         for got, want in ((rep.vertex_ops, vertex_ops), (rep.edge_ops, edge_ops)):
@@ -254,15 +279,11 @@ def _random_reps(rng, graphs, max_dim):
         sources = rng.sample(g.sorted_vertices(), rng.randint(1, len(g.vertices)))
         d = rng.randint(1, 2)
         h = corpus.random_in_regular_graph(rng, rng.randint(1, 3), d)
-        color = {}
-        for v in h.sorted_vertices():
-            colors = list(range(1, d + 1))
-            rng.shuffle(colors)
-            color.update(zip(h.in_edges(v), colors))
+        coloring = _complete_coloring(rng, h, d)
         for depth in range(7):
             for rep in (
                 build_left_regular_trunc(g, sources, depth),
-                build_colored_trunc(h, Coloring(d, color), depth),
+                build_colored_trunc(h, coloring, depth),
             ):
                 if rep.dim <= max_dim:
                     reps.append(rep)
@@ -496,3 +517,144 @@ def test_apply_formal_accepts_another_listing_of_its_graph(rng, fig1):
         want = apply_formal(rep, a)
         got = apply_formal(rep, FormalElement(twin, a.terms))
         assert (got != want).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form builders against the label-driven assembly they replaced
+
+
+def _same_rep(got, want):
+    """A fresh build equals the assembled one: first each stored map, then
+    the labels, grades and label vertices, then each operator's CSR arrays."""
+    from semigroupoid_kit.trunc import _decode, _Map
+
+    assert (got.kind, got.depth, got.dim, got.meta) == (want.kind, want.depth, want.dim, want.meta)
+    for ops, ref in ((got.vertex_ops, want.vertex_ops), (got.edge_ops, want.edge_ops)):
+        assert list(ops) == list(ref)
+        for key in ref:
+            stored = ops.data[key]
+            assert isinstance(stored, _Map)
+            for a, b in zip(stored, _decode(ref[key], key)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), key
+    assert got.labels == want.labels
+    assert got.label_vertex == want.label_vertex
+    assert got.grades.dtype == want.grades.dtype and np.array_equal(got.grades, want.grades)
+    for ops, ref in ((got.vertex_ops, want.vertex_ops), (got.edge_ops, want.edge_ops)):
+        for key in ref:
+            _same_csr(ops[key], ref[key])
+
+
+def test_left_regular_builder_matches_the_assembly(rng, fig1):
+    import corpus
+    import oracles
+    from semigroupoid_kit import Graph
+
+    chain = Graph.build(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c")])
+    graphs = [fig1, cycle_graph(1), cycle_graph(3), corpus.loop_sink_graph(), chain]
+    graphs += [corpus.random_graph(rng, max_v=5, max_e=10) for _ in range(8)]
+    graphs += [corpus.random_graph(rng, max_v=5, max_e=10, acyclic=True) for _ in range(4)]
+    seen = set()
+    for g in graphs:
+        verts = g.sorted_vertices()
+        sinks = [v for v in verts if not g.out_edges(v)]
+        for sources in ([verts[0]], list(verts), rng.sample(verts, rng.randint(1, len(verts))) + sinks[:1]):
+            seen.add((len(set(sources)) > 1, bool(set(sources) & set(sinks))))
+            for depth in range(7):
+                want = oracles.build_left_regular_trunc(g, sources, depth)
+                _same_rep(build_left_regular_trunc(g, sources, depth), want)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_colored_builder_matches_the_assembly(rng, fig1):
+    import corpus
+    import oracles
+
+    cases = [(fig1, Coloring(2, OBRIEN_FIG1)), (cycle_graph(3), Coloring(1, {"e1": 1, "e2": 1, "e3": 1}))]
+    for d in (1, 2, 3):
+        for _ in range(3):
+            g = corpus.random_in_regular_graph(rng, rng.randint(1, 3), d)
+            cases.append((g, _complete_coloring(rng, g, d)))
+    for g, coloring in cases:
+        for depth in range(7):
+            want = oracles.build_colored_trunc(g, coloring, depth)
+            _same_rep(build_colored_trunc(g, coloring, depth), want)
+
+
+def test_colored_builder_on_a_graph_with_no_vertex():
+    from semigroupoid_kit import Graph
+
+    rep = build_colored_trunc(Graph.build([], []), Coloring(2, {}), 10**9)
+    assert rep.dim == 0 and rep.labels == [] and not rep.vertex_ops and not rep.edge_ops
+
+
+# ---------------------------------------------------------------------------
+# stored maps and operators read out, edited or replaced after the build
+
+
+def _all_checks(rep):
+    """Every check's answer on rep, in a comparable form."""
+    g = rep.graph
+    elem = FormalElement(g, {p: 1.0 + i for i, p in enumerate(enumerate_paths(g, g.vertices, 2))})
+    return (
+        [r.to_json() for r in verify_tck(rep)],
+        [coisometric_defect(rep, k) for k in range(rep.depth + 2)],
+        matrix_to_coordinates(apply_formal(rep, elem)),
+        [wandering_certificate(rep, label) for label in rep.labels],
+    )
+
+
+def test_checks_read_the_stored_maps_and_build_no_matrix(fig1):
+    from semigroupoid_kit.trunc import _Map
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        _all_checks(rep)
+        path_matrix(rep, Path.of(fig1, ["rt", "lr", "tl1"]))
+        for ops in (rep.vertex_ops, rep.edge_ops):
+            assert all(isinstance(ops.data[key], _Map) for key in ops)
+            assert "nope" not in ops and all(key in ops for key in ops)
+            assert all(isinstance(ops.data[key], _Map) for key in ops)
+
+
+def test_operator_read_out_and_edited_in_place_is_checked_as_edited(fig1):
+    import oracles
+
+    for ops, key in (("vertex_ops", "t"), ("edge_ops", "tl1"), ("edge_ops", "loop_t")):
+        rep = build_left_regular_trunc(fig1, ["t"], 3)
+        clean = _all_checks(rep)
+        getattr(rep, ops)[key].data[0] = 2.0
+        edited = _all_checks(rep)
+        assert edited != clean
+        assert edited[0] == [r.to_json() for r in oracles.verify_tck(rep)]
+        assert not all(r.ok for r in verify_tck(rep))
+
+
+def test_operator_dicts_copied_or_replaced_give_the_same_reports(fig1):
+    import copy
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "r"], 4),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        want = _all_checks(rep)
+        twin = copy.copy(rep)
+        twin.vertex_ops, twin.edge_ops = dict(rep.vertex_ops), dict(rep.edge_ops)
+        assert _all_checks(twin) == want
+        plain = TruncatedRep(
+            rep.graph, rep.depth, rep.kind, rep.labels, rep.grades, rep.label_vertex,
+            dict(rep.vertex_ops), dict(rep.edge_ops), rep.meta,
+        )
+        assert _all_checks(plain) == want
+        assert _all_checks(rep) == want
+
+
+def test_in_place_edit_that_breaks_injectivity_is_named(fig1):
+    rep = build_left_regular_trunc(fig1, ["t"], 3)
+    mat = rep.edge_ops["tl1"]
+    assert mat.nnz >= 2
+    mat.indices[1] = mat.indices[0]  # two entries in one column
+    with pytest.raises(DomainError, match="not a partial injection") as err:
+        verify_tck(rep)
+    assert err.value.details == {"op": "e:tl1"}
