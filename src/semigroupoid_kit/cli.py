@@ -1,17 +1,21 @@
 """Command line interface.
 
 Subcommands are grouped by module: graph, paths, series, atomic, color,
-trunc.  Outputs are deterministic JSON by default (--format table for
-aligned text, --format dot for GraphViz where it makes sense).  Exit codes:
-0 success, 1 domain error (structured JSON on stderr), 2 usage error.
-The parser is built once per process, at the first ``main`` call, and
-``main`` may be called repeatedly: each call parses from fresh defaults.
+trunc.  Each ``cmd_*`` handler returns its answer and prints nothing: a
+``(data, lines)`` pair, the JSON object and the table lines, or DOT text
+for --format dot (``graph check`` and explicit ``atomic validate``).  Only
+``main`` renders the answer (deterministic JSON by default, the lines
+under --format table) and chooses the exit code: 0 success, 1 domain
+error (structured JSON on stderr), 2 usage error.  The parser is built
+once per process, at the first ``main`` call, and ``main`` may be called
+repeatedly: each call parses from fresh defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from . import atomic as at
@@ -26,6 +30,9 @@ from .errors import DomainError
 DEFAULT_MAX_LEN = 6
 DEFAULT_DEPTH = 4
 
+# What a handler returns: (JSON object, table lines), or DOT text.
+Answer = tuple[dict, list[str]] | str
+
 
 def _load_graph(path: str) -> gr.Graph:
     return gr.Graph.from_json_dict(io.load_json(path))
@@ -37,13 +44,6 @@ def _load_coloring(path: str) -> rc.Coloring:
 
 def _load_family(path: str):
     return io.atomic_family_from_json(io.load_json(path))
-
-
-def _emit(args, data: dict, table_lines=None) -> None:
-    if args.format == "table" and table_lines is not None:
-        print("\n".join(table_lines))
-    else:
-        sys.stdout.write(io.dump_json(data))
 
 
 def _report_table(report) -> list[str]:
@@ -59,36 +59,31 @@ def _report_table(report) -> list[str]:
 # graph
 
 
-def cmd_graph_check(args) -> int:
+def cmd_graph_check(args) -> Answer:
     g = _load_graph(args.file)
     if args.format == "dot":
-        sys.stdout.write(gr.graph_to_dot(g))
-        return 0
+        return gr.graph_to_dot(g)
     report = gr.validate_graph(g)
-    _emit(args, report.to_json(), _report_table(report))
-    return 0
+    return report.to_json(), _report_table(report)
 
 
-def cmd_graph_period(args) -> int:
+def cmd_graph_period(args) -> Answer:
     g = _load_graph(args.file)
     p = gr.period(g, args.vertex)
-    _emit(
-        args,
+    return (
         {"vertex": args.vertex, "period": p},
         [f"period({args.vertex}) = {p if p is not None else 'none (no cycle)'}"],
     )
-    return 0
 
 
-def cmd_graph_closure(args) -> int:
+def cmd_graph_closure(args) -> Answer:
     g = _load_graph(args.file)
     subset = [v for v in args.set.split(",") if v]
     closure = sorted(gr.directed_closure(g, subset))
-    _emit(args, {"closure": closure}, [", ".join(closure)])
-    return 0
+    return {"closure": closure}, [", ".join(closure)]
 
 
-def cmd_graph_ses(args) -> int:
+def cmd_graph_ses(args) -> Answer:
     g = _load_graph(args.file)
     g0, layers, ok = gr.source_elimination(g)
     data = {"has_ses": ok, "layers": layers, "g0": g0.to_json_dict()}
@@ -96,44 +91,36 @@ def cmd_graph_ses(args) -> int:
     for i, layer in enumerate(layers, 1):
         lines.append(f"layer {i}: {', '.join(layer)}")
     lines.append(f"core vertices: {', '.join(g0.sorted_vertices()) or '(none)'}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
-def cmd_paths_enum(args) -> int:
+def cmd_paths_enum(args) -> Answer:
     g = _load_graph(args.file)
     sources = [v for v in args.source.split(",") if v]
     found = pa.enumerate_paths(g, sources, args.max_len)
     data = {"count": len(found), "paths": [io.path_to_json(p) for p in found]}
     lines = [f"{len(p)}: {p.base} {' '.join(p.edges) or '(vertex)'}" for p in found]
     lines.append(f"count: {len(found)}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def cmd_paths_cycles(args) -> int:
+def cmd_paths_cycles(args) -> Answer:
     g = _load_graph(args.file)
     found = pa.irreducible_cycles_at(g, args.vertex, args.max_len)
     data = {"count": len(found), "cycles": [io.path_to_json(p) for p in found]}
     lines = [f"{len(p)}: {' '.join(p.edges)}" for p in found]
     lines.append(f"count: {len(found)}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def cmd_paths_class(args) -> int:
+def cmd_paths_class(args) -> Answer:
     g = _load_graph(args.file)
     cls = pa.vertex_cycle_class(g, args.vertex)
-    _emit(
-        args,
-        {"vertex": args.vertex, "class": cls.value},
-        [f"{args.vertex}: {cls.value}"],
-    )
-    return 0
+    return {"vertex": args.vertex, "class": cls.value}, [f"{args.vertex}: {cls.value}"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,187 +137,153 @@ def _formal_lines(a: se.FormalElement) -> list[str]:
     return out
 
 
-def cmd_series_mul(args) -> int:
+def cmd_series_mul(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.left))
     b = io.formal_from_json(g, io.load_json(args.right))
     prod = se.formal_mul(a, b)
-    _emit(args, io.formal_to_json(prod), _formal_lines(prod))
-    return 0
+    return io.formal_to_json(prod), _formal_lines(prod)
 
 
-def cmd_series_fourier(args) -> int:
+def cmd_series_fourier(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.file))
     part = se.fourier_coeff(a, args.m)
-    _emit(args, io.formal_to_json(part), _formal_lines(part))
-    return 0
+    return io.formal_to_json(part), _formal_lines(part)
 
 
-def cmd_series_cesaro(args) -> int:
+def cmd_series_cesaro(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.file))
     out = se.cesaro(a, args.k)
-    _emit(args, io.formal_to_json(out), _formal_lines(out))
-    return 0
+    return io.formal_to_json(out), _formal_lines(out)
 
 
-def cmd_series_ideal_degree(args) -> int:
+def cmd_series_ideal_degree(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.file))
     deg = se.graded_ideal_degree(a)
     value = "infinity" if deg is None else deg
-    _emit(args, {"degree": value}, [f"degree: {value}"])
-    return 0
+    return {"degree": value}, [f"degree: {value}"]
 
 
-def cmd_series_rownorm(args) -> int:
+def cmd_series_rownorm(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.file))
     value = se.l2_row_norm(a, args.m, args.vertex)
-    _emit(
-        args,
+    return (
         {"m": args.m, "vertex": args.vertex, "value": value},
         [f"l2 row norm at grade {args.m}, vertex {args.vertex}: {value}"],
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # atomic
 
 
-def cmd_atomic_validate(args) -> int:
+def cmd_atomic_validate(args) -> Answer:
     g, fam = _load_family(args.file)
-    if isinstance(fam, at.ExplicitAtomic):
-        if args.format == "dot":
-            sys.stdout.write(at.build_H(fam).to_dot())
-            return 0
-        report = at.validate_atomic(fam)
-        _emit(args, report.to_json(), _report_table(report))
-    else:
+    if not isinstance(fam, at.ExplicitAtomic):
         at.validate_canonical(g, fam)
-        _emit(args, {"valid": True, "findings": []}, ["valid (canonical data)"])
-    return 0
+        return {"valid": True, "findings": []}, ["valid (canonical data)"]
+    if args.format == "dot":
+        return at.build_H(fam).to_dot()
+    report = at.validate_atomic(fam)
+    return report.to_json(), _report_table(report)
 
 
-def cmd_atomic_classify(args) -> int:
+def cmd_atomic_classify(args) -> Answer:
     g, fam = _load_family(args.file)
     dec = at.classify(g, fam)
     data = io.decomposition_to_json(dec)
     lines = [
         f"{at.describe_atom(atom)}  x{mult}" for atom, mult in dec.atoms
     ] + [f"note: {n}" for n in dec.notes]
-    _emit(args, data, lines or ["empty decomposition"])
-    return 0
+    return data, lines or ["empty decomposition"]
 
 
-def cmd_atomic_equiv(args) -> int:
+def cmd_atomic_equiv(args) -> Answer:
     ga, fa = _load_family(args.left)
     gb, fb = _load_family(args.right)
     if ga.key != gb.key:
         raise DomainError("families live over different host graphs")
     verdict = at.are_unitarily_equivalent(ga, fa, fb, tol=args.tol)
-    _emit(
-        args,
+    return (
         {"equivalent": verdict.equivalent, "witness": verdict.witness},
         [f"equivalent: {verdict.equivalent}", f"witness: {verdict.witness}"],
     )
-    return 0
 
 
-def cmd_atomic_wold(args) -> int:
+def cmd_atomic_wold(args) -> Answer:
     g, fam = _load_family(args.file)
     data = at.wold_atomic(fam, g if not isinstance(fam, at.ExplicitAtomic) else None)
     payload = io.wold_to_json(data)
     lines = [f"alpha[{v}] = {m}" for v, m in sorted(data.alpha.items())]
     lines.append(f"remainder nodes: {len(data.remainder_nodes)}")
     lines.append(f"supported on elimination core: {data.supported_on_g0}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_atomic_condm(args) -> int:
-    import json as _json
-
+def cmd_atomic_condm(args) -> Answer:
     g, fam = _load_family(args.file)
     try:
-        mu_data = _json.loads(args.mu)
+        mu_data = json.loads(args.mu)
     except (ValueError, RecursionError) as exc:
         raise DomainError(f"--mu is not valid JSON: {exc}")
     mu = io.path_from_json(g, mu_data)
     rep = at.orbit_condition_M(fam, mu, g)
-    _emit(
-        args,
-        {"class": rep.kind.value, "detail": rep.detail},
-        [f"{rep.kind.value}: {rep.detail}"],
-    )
-    return 0
+    return {"class": rep.kind.value, "detail": rep.detail}, [f"{rep.kind.value}: {rep.detail}"]
 
 
 # ---------------------------------------------------------------------------
 # color
 
 
-def cmd_color_validate(args) -> int:
+def cmd_color_validate(args) -> Answer:
     g = _load_graph(args.graph)
     c = _load_coloring(args.coloring)
     report = rc.validate_coloring(g, c)
-    _emit(args, report.to_json(), _report_table(report))
-    return 0
+    return report.to_json(), _report_table(report)
 
 
-def cmd_color_sync_verify(args) -> int:
+def cmd_color_sync_verify(args) -> Answer:
     g = _load_graph(args.graph)
     c = _load_coloring(args.coloring)
     target = rc.is_synchronizing_word(g, c, args.word)
-    _emit(
-        args,
+    return (
         {"word": args.word, "synchronizing": target is not None, "target": target},
         [f"word {args.word!r}: " + (f"synchronizes to {target}" if target else "not synchronizing")],
     )
-    return 0
 
 
-def cmd_color_sync_find(args) -> int:
+def cmd_color_sync_find(args) -> Answer:
     g = _load_graph(args.graph)
     c = _load_coloring(args.coloring)
     word = rc.find_synchronizing_word(g, c)
-    _emit(
-        args,
+    return (
         {"word": word},
         [f"shortest synchronizing word: {word!r}" if word is not None else "no synchronizing word"],
     )
-    return 0
 
 
-def cmd_color_search(args) -> int:
-    g = _load_graph(args.graph)
-    found = rc.search_synchronizing_coloring(g)
+def _coloring_answer(coloring: rc.Coloring, word: str) -> Answer:
+    """The answer of ``color search`` and ``color obrien``: a colouring and its word."""
+    color = coloring.to_json_dict()
+    return {"coloring": color, "word": word}, [f"word: {word!r}", f"coloring: {color['color']}"]
+
+
+def cmd_color_search(args) -> Answer:
+    found = rc.search_synchronizing_coloring(_load_graph(args.graph))
     if found is None:
-        _emit(args, {"result": None}, ["no synchronizing coloring"])
-        return 0
-    coloring, word = found
-    _emit(
-        args,
-        {"coloring": coloring.to_json_dict(), "word": word},
-        [f"word: {word!r}", f"coloring: {coloring.to_json_dict()['color']}"],
-    )
-    return 0
+        return {"result": None}, ["no synchronizing coloring"]
+    return _coloring_answer(*found)
 
 
-def cmd_color_obrien(args) -> int:
-    g = _load_graph(args.graph)
-    coloring, word = rc.obrien_coloring(g, args.loop)
-    _emit(
-        args,
-        {"coloring": coloring.to_json_dict(), "word": word},
-        [f"word: {word!r}", f"coloring: {coloring.to_json_dict()['color']}"],
-    )
-    return 0
+def cmd_color_obrien(args) -> Answer:
+    return _coloring_answer(*rc.obrien_coloring(_load_graph(args.graph), args.loop))
 
 
-def cmd_color_syncdiag(args) -> int:
+def cmd_color_syncdiag(args) -> Answer:
     g = _load_graph(args.graph)
     c = _load_coloring(args.coloring)
     diag = rc.syncdiag_paths(g, c, args.gamma, args.gamma2)
@@ -348,8 +301,7 @@ def cmd_color_syncdiag(args) -> int:
         f"lambda = {' '.join(diag.closed.edges) or '(vertex)'}",
         f"colors: {data['colors']}",
     ]
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +310,9 @@ def cmd_color_syncdiag(args) -> int:
 
 def _build_rep(args) -> tr.TruncatedRep:
     g = _load_graph(args.graph)
-    if getattr(args, "coloring", None):
-        coloring = _load_coloring(args.coloring)
-        return tr.build_colored_trunc(g, coloring, args.depth)
-    if not getattr(args, "sources", None):
+    if args.coloring:
+        return tr.build_colored_trunc(g, _load_coloring(args.coloring), args.depth)
+    if not args.sources:
         raise DomainError("need --sources or --coloring")
     sources = [v for v in args.sources.split(",") if v]
     return tr.build_left_regular_trunc(g, sources, args.depth)
@@ -374,7 +325,7 @@ def _label_str(rep: tr.TruncatedRep, label) -> str:
     return f"{v}:{w or '()'}"
 
 
-def cmd_trunc_build(args) -> int:
+def cmd_trunc_build(args) -> Answer:
     rep = _build_rep(args)
     ops = {}
     for v, m in rep.vertex_ops.items():
@@ -390,11 +341,10 @@ def cmd_trunc_build(args) -> int:
     }
     lines = [f"kind: {rep.kind}", f"dim: {rep.dim}"]
     lines += [f"basis[{i}] = {_label_str(rep, lab)}" for i, lab in enumerate(rep.labels)]
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def cmd_trunc_verify(args) -> int:
+def cmd_trunc_verify(args) -> Answer:
     rep = _build_rep(args)
     reports = tr.verify_tck(rep)
     data = {"dim": rep.dim, "relations": [r.to_json() for r in reports]}
@@ -405,31 +355,23 @@ def cmd_trunc_verify(args) -> int:
             f"{r.relation:3s} grades [{r.interior_lo},{r.interior_hi}]: {status}"
             + (f" (boundary {r.boundary_residual:.3e})" if r.boundary_residual else "")
         )
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def cmd_trunc_cycle_lemma(args) -> int:
+def cmd_trunc_cycle_lemma(args) -> Answer:
     report = tr.cycle_lemma_check(args.n, args.depth)
-    _emit(
-        args,
-        report.to_json(),
-        [f"n={report.n} depth={report.depth} ok={report.ok}"] + report.blocks,
-    )
-    return 0
+    return report.to_json(), [f"n={report.n} depth={report.depth} ok={report.ok}"] + report.blocks
 
 
-def cmd_trunc_apply(args) -> int:
+def cmd_trunc_apply(args) -> Answer:
     rep = _build_rep(args)
-    g = rep.graph
-    elem = io.formal_from_json(g, io.load_json(args.element))
+    elem = io.formal_from_json(rep.graph, io.load_json(args.element))
     mat = tr.apply_formal(rep, elem)
     entries = tr.matrix_to_coordinates(mat)
     data = {"dim": rep.dim, "entries": entries}
     lines = [f"({r},{c}) = {re:+.6g}{im:+.6g}i" for r, c, re, im in entries]
     lines.append(f"nnz: {len(entries)}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +385,13 @@ def _command(group, name: str, func, help: str, dot: bool = False) -> argparse.A
     choices = ["json", "table"] + (["dot"] if dot else [])
     p.add_argument("--format", choices=choices, default="json")
     return p
+
+
+def _trunc_options(p: argparse.ArgumentParser) -> None:
+    """The model options of ``trunc build``, ``verify`` and ``apply``."""
+    p.add_argument("--sources", help="comma-separated vertices")
+    p.add_argument("--coloring", help="coloring file for the colored model")
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,23 +498,17 @@ def build_parser() -> argparse.ArgumentParser:
     ts = g_trunc.add_subparsers(dest="cmd", required=True)
     p = _command(ts, "build", cmd_trunc_build, "basis and matrices of a truncation")
     p.add_argument("graph")
-    p.add_argument("--sources", help="comma-separated vertices")
-    p.add_argument("--coloring", help="coloring file for the colored model")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    _trunc_options(p)
     p = _command(ts, "verify", cmd_trunc_verify, "interior-exact axiom checks")
     p.add_argument("graph")
-    p.add_argument("--sources")
-    p.add_argument("--coloring")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    _trunc_options(p)
     p = _command(ts, "cycle-lemma", cmd_trunc_cycle_lemma, "block identity of the cycle truncation")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p = _command(ts, "apply", cmd_trunc_apply, "matrix of a formal element")
     p.add_argument("graph")
     p.add_argument("element")
-    p.add_argument("--sources")
-    p.add_argument("--coloring")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    _trunc_options(p)
 
     return parser
 
@@ -573,15 +516,28 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def main(argv=None) -> int:
-    """Run one command on the parser built at the first call.  Handlers are
-    bound then, so a later reassignment of a ``cmd_*`` function is not seen."""
-    args = _parser().parse_args(argv)
+def _run(args) -> int:
+    """Call the handler of parsed ``args``, render its answer and return the
+    exit code: 0, or 1 with the error as JSON on stderr on a DomainError."""
     try:
-        return args.func(args)
+        answer = args.func(args)
     except DomainError as exc:
         sys.stderr.write(io.dump_json(exc.to_json()))
         return 1
+    if isinstance(answer, str):
+        sys.stdout.write(answer)
+    elif args.format == "table":
+        print("\n".join(answer[1]))
+    else:
+        sys.stdout.write(io.dump_json(answer[0]))
+    return 0
+
+
+def main(argv=None) -> int:
+    """Run one command on the parser built at the first call.  Handlers are
+    bound then, so a later reassignment of a ``cmd_*`` function is not seen.
+    A usage error exits 2 from argparse."""
+    return _run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

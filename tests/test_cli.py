@@ -448,7 +448,7 @@ def _fresh_dispatch(capsys, argv):
 
     args = cli.build_parser().parse_args(argv)
     assert args == cli._parser().parse_args(argv)
-    code = args.func(args)
+    code = cli._run(args)
     return code, capsys.readouterr().out
 
 
