@@ -23,6 +23,7 @@ from .errors import (
     GraphFormatError,
     InvalidColoring,
     PartialAutomaton,
+    json_int,
 )
 from .graph import Graph, is_in_degree_regular, is_transitive, period, strongly_connected_components
 from .paths import Path
@@ -49,8 +50,8 @@ class Coloring:
     @staticmethod
     def from_json_dict(data: dict) -> "Coloring":
         try:
-            d = int(data["d"])
-            color = {str(k): int(v) for k, v in data["color"].items()}
+            d = json_int(data["d"])
+            color = {str(k): json_int(v) for k, v in data["color"].items()}
         except MALFORMED as exc:
             raise InvalidColoring(f"coloring object needs 'd' and 'color': {exc}")
         return Coloring(d, color)
@@ -208,7 +209,8 @@ def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
 def _subset_step(
     auto: BackwardAutomaton, subset: frozenset[str], j: int
 ) -> frozenset[str]:
-    return frozenset(auto.step(v, j)[0] for v in subset)
+    # sorted, so that an undefined step names the least vertex, not a hash-order one
+    return frozenset(auto.step(v, j)[0] for v in sorted(subset))
 
 
 def find_synchronizing_word(g: Graph, c: Coloring) -> str | None:

@@ -520,6 +520,42 @@ def test_package_runs_as_a_module_like_the_cli_module(fig1_file):
         assert got == want and want[0] == code
 
 
+def test_greedy_sync_find_names_the_least_vertex_under_any_hash_seed(tmp_path):
+    """Past 20 vertices the word is built by pair merging; when colour 3 is
+    missing at some vertex of the set being stepped, the error names the
+    least such vertex, whatever the hash order of the process."""
+    import os
+    import subprocess
+    import sys
+
+    from semigroupoid_kit import cli
+
+    n = 24
+    names = [f"v{i}" for i in range(n)]
+    edges, color = [], {}
+    for i in range(n):
+        edges.append({"id": f"r{i}", "src": names[i - 1], "dst": names[i]})
+        edges.append({"id": f"s{i}", "src": names[(3 * i + 1) % n], "dst": names[i]})
+        color.update({f"r{i}": 1, f"s{i}": 2})
+    for i in (0, 1, 5, 9, 13, 17):  # v0 and v1 merge at once under colour 3
+        edges.append({"id": f"x{i}", "src": "v7", "dst": names[i]})
+        color[f"x{i}"] = 3
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    g.write_text(dump_json({"vertices": names, "edges": edges}))
+    c.write_text(dump_json({"d": 3, "color": color}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = [
+        subprocess.run(
+            [sys.executable, "-m", "semigroupoid_kit", "color", "sync-find", str(g), str(c)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        )
+        for seed in ("1", "2")
+    ]
+    assert [d.returncode for d in done] == [1, 1]
+    assert done[0].stderr == done[1].stderr
+    assert json.loads(done[0].stderr)["details"] == {"vertex": "v10", "color": 3}
+
+
 def test_main_builds_the_parser_once_on_first_use(capsys, monkeypatch, fig1_file):
     import argparse
     import os
