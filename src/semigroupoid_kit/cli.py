@@ -195,11 +195,10 @@ def cmd_atomic_validate(args) -> Answer:
 def cmd_atomic_classify(args) -> Answer:
     g, fam = _load_family(args.file)
     dec = at.classify(g, fam)
-    data = io.decomposition_to_json(dec)
     lines = [
         f"{at.describe_atom(atom)}  x{mult}" for atom, mult in dec.atoms
     ] + [f"note: {n}" for n in dec.notes]
-    return data, lines or ["empty decomposition"]
+    return io.decomposition_to_json(dec), lines or ["empty decomposition"]
 
 
 def cmd_atomic_equiv(args) -> Answer:
@@ -217,11 +216,10 @@ def cmd_atomic_equiv(args) -> Answer:
 def cmd_atomic_wold(args) -> Answer:
     g, fam = _load_family(args.file)
     data = at.wold_atomic(fam, g if not isinstance(fam, at.ExplicitAtomic) else None)
-    payload = io.wold_to_json(data)
     lines = [f"alpha[{v}] = {m}" for v, m in sorted(data.alpha.items())]
     lines.append(f"remainder nodes: {len(data.remainder_nodes)}")
     lines.append(f"supported on elimination core: {data.supported_on_g0}")
-    return payload, lines
+    return io.wold_to_json(data), lines
 
 
 def cmd_atomic_condm(args) -> Answer:

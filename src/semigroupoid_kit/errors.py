@@ -13,6 +13,13 @@ from __future__ import annotations
 MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError)
 
 
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string raises TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class DomainError(Exception):
     """Base class for input data that is well-formed JSON but invalid mathematics."""
 

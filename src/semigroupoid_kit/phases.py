@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MALFORMED, DomainError
+from .errors import MALFORMED, DomainError, json_int
 
 DEFAULT_TOL = 1e-9
 
@@ -121,7 +121,7 @@ class Phase:
         try:
             if "angle" in data:
                 ang = data["angle"]
-                return Phase.from_turns(int(ang["num"]), int(ang["den"]))
+                return Phase.from_turns(json_int(ang["num"]), json_int(ang["den"]))
             if "re" in data or "im" in data:
                 return Phase.from_complex(complex(data.get("re", 0.0), data.get("im", 0.0)))
             got = sorted(data)

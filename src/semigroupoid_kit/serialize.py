@@ -29,7 +29,7 @@ from .atomic import (
     TailType,
     WoldData,
 )
-from .errors import MALFORMED, DomainError
+from .errors import MALFORMED, DomainError, json_int
 from .graph import Graph
 from .paths import Path, validate_path
 from .phases import Phase
@@ -159,7 +159,7 @@ def canonical_from_json(g: Graph, data: dict) -> CanonicalAtomic:
             for item in data.get("parts", []):
                 term = canonical_from_json(g, item["term"])
                 mult = item.get("multiplicity", 1)
-                mult = OMEGA if mult == OMEGA else int(mult)
+                mult = OMEGA if mult == OMEGA else json_int(mult)
                 parts.append((term, mult))
             return DirectSum(tuple(parts))
     except MALFORMED as exc:

@@ -132,3 +132,85 @@ def test_phase_appears_as_exact_fraction_in_family_json():
     for row in data.get("phases", []):
         assert "angle" in row["phase"]
         assert set(row["phase"]["angle"]) == {"num", "den"}
+
+
+# integer fields take JSON integers only: no float, bool or numeric string
+
+NOT_INTEGERS = [0.5, 2.0, 2.7, True, "2"]
+CANONICAL_SUM = {
+    "tag": "direct_sum",
+    "parts": [{"term": {"tag": "left_regular", "vertex": "t"}, "multiplicity": 2}],
+}
+
+
+def _with(doc, at, value):
+    import copy
+
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    return doc
+
+
+def _decoders(fig1):
+    """(decode, document, path to one integer field, error code, message prefix)"""
+    from semigroupoid_kit import Coloring
+
+    angle = {"angle": {"num": 1, "den": 4}}
+    coloring = {"d": 2, "color": {"loop_t": 1, "tl1": 2}}
+    return [
+        (Phase.from_json, angle, ("angle", "num"), "domain-error", "phase object malformed"),
+        (Phase.from_json, angle, ("angle", "den"), "domain-error", "phase object malformed"),
+        (Coloring.from_json_dict, coloring, ("d",), "invalid-coloring", "coloring object needs"),
+        (
+            Coloring.from_json_dict, coloring, ("color", "tl1"),
+            "invalid-coloring", "coloring object needs",
+        ),
+        (
+            lambda doc: canonical_from_json(fig1, doc), CANONICAL_SUM,
+            ("parts", 0, "multiplicity"), "domain-error", "canonical atomic object malformed",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_integer_fields_refuse_non_integers(fig1, bad):
+    for decode, doc, at, code, prefix in _decoders(fig1):
+        decode(doc)  # the document as written decodes
+        with pytest.raises(DomainError) as info:
+            decode(_with(doc, at, bad))
+        assert info.value.code == code and str(info.value).startswith(prefix), at
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_integer_fields_refuse_non_integers_on_the_command_line(capsys, tmp_path, fig1, bad):
+    import json
+
+    from semigroupoid_kit import obrien_coloring
+    from semigroupoid_kit.cli import main
+
+    coloring = coloring_to_json(obrien_coloring(fig1, "loop_t")[0])
+    family = _with(CANONICAL_SUM, ("graph",), fig1.to_json_dict())
+    cycle = {
+        "tag": "cycle", "graph": fig1.to_json_dict(),
+        "path": {"base": "t", "edges": ["loop_t"]}, "phase": {"angle": {"num": 1, "den": 4}},
+    }
+    graph = tmp_path / "fig1.json"
+    graph.write_text(dump_json(fig1.to_json_dict()))
+    requests = [
+        (["color", "validate", str(graph)], coloring, ("d",), "coloring object needs"),
+        (["color", "validate", str(graph)], coloring, ("color", "rt"), "coloring object needs"),
+        (["atomic", "classify"], family, ("parts", 0, "multiplicity"), "canonical atomic"),
+        (["atomic", "classify"], cycle, ("phase", "angle", "num"), "phase object malformed"),
+    ]
+    for argv, doc, at, prefix in requests:
+        for value, want in ((_with(doc, at, bad), 1), (doc, 0)):
+            f = tmp_path / "input.json"
+            f.write_text(dump_json(value))
+            code = main(argv + [str(f)])
+            out, err = capsys.readouterr()
+            assert code == want, (at, out, err)
+            if want:
+                assert not out and json.loads(err)["message"].startswith(prefix), at
