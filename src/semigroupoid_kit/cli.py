@@ -325,17 +325,12 @@ def _label_str(rep: tr.TruncatedRep, label) -> str:
 
 def cmd_trunc_build(args) -> Answer:
     rep = _build_rep(args)
-    ops = {}
-    for v, m in rep.vertex_ops.items():
-        ops[f"v:{v}"] = tr.matrix_to_coordinates(m)
-    for e, m in rep.edge_ops.items():
-        ops[f"e:{e}"] = tr.matrix_to_coordinates(m)
     data = {
         "kind": rep.kind,
         "depth": rep.depth,
         "dim": rep.dim,
         "basis": [_label_str(rep, lab) for lab in rep.labels],
-        "ops": ops,
+        "ops": tr.operator_coordinates(rep),
     }
     lines = [f"kind: {rep.kind}", f"dim: {rep.dim}"]
     lines += [f"basis[{i}] = {_label_str(rep, lab)}" for i, lab in enumerate(rep.labels)]

@@ -20,6 +20,14 @@ def json_int(value) -> int:
     return value
 
 
+def json_number(value) -> float:
+    """``float(value)`` if ``value`` is a JSON number; a bool, string or anything else
+    raises TypeError, and an integer too large for a float raises OverflowError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 class DomainError(Exception):
     """Base class for input data that is well-formed JSON but invalid mathematics."""
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MALFORMED, DomainError, json_int
+from .errors import MALFORMED, DomainError, json_int, json_number
 
 DEFAULT_TOL = 1e-9
 
@@ -123,7 +123,8 @@ class Phase:
                 ang = data["angle"]
                 return Phase.from_turns(json_int(ang["num"]), json_int(ang["den"]))
             if "re" in data or "im" in data:
-                return Phase.from_complex(complex(data.get("re", 0.0), data.get("im", 0.0)))
+                re, im = (json_number(data.get(k, 0.0)) for k in ("re", "im"))
+                return Phase.from_complex(complex(re, im))
             got = sorted(data)
         except MALFORMED as exc:
             raise DomainError(f"phase object malformed: {exc}") from None

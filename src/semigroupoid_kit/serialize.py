@@ -29,7 +29,7 @@ from .atomic import (
     TailType,
     WoldData,
 )
-from .errors import MALFORMED, DomainError, json_int
+from .errors import MALFORMED, DomainError, json_int, json_number
 from .graph import Graph
 from .paths import Path, validate_path
 from .phases import Phase
@@ -70,7 +70,7 @@ def formal_from_json(g: Graph, data: dict) -> FormalElement:
     try:
         for item in data["terms"]:
             p = path_from_json(g, item["path"])
-            c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            c = complex(json_number(item.get("re", 0.0)), json_number(item.get("im", 0.0)))
             terms[p] = terms.get(p, 0) + c
     except MALFORMED as exc:
         raise DomainError(f"formal element needs 'terms' of 'path' and numeric 're'/'im': {exc}")

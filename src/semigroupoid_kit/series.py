@@ -5,7 +5,10 @@ part of the operator calculus: symbols multiply by path composition, with
 non-composable products contributing zero.  The grade of a term is its path
 length; grade-m extraction, Cesaro-weighted partial sums, the minimum grade
 of an element, and the column l2 norms of a graded piece are the tools the
-truncation module cross-checks against.
+truncation module cross-checks against.  Only the public constructor
+validates and copies its terms.  Each operation builds a fresh dict and
+hands it to ``FormalElement._trusted``, which keeps it as the result's
+terms and rebuilds it only to drop a zero or make a value a ``complex``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .graph import Graph
-from .paths import Path, compose, path_range, source, validate_path
+from .paths import Path, validate_path
 
 
 @dataclass
@@ -32,9 +35,13 @@ class FormalElement:
 
     @classmethod
     def _trusted(cls, g: Graph, terms: dict[Path, complex]) -> "FormalElement":
-        """Element over paths already known to be paths of g; nothing is validated."""
+        """Element owning ``terms``, a fresh dict over paths of g; validates nothing."""
+        for c in terms.values():
+            if type(c) is not complex or not c:
+                terms = _nonzero(terms)
+                break
         elem = cls.__new__(cls)
-        elem.graph, elem.terms = g, _nonzero(terms)
+        elem.graph, elem.terms = g, terms
         return elem
 
     @staticmethod
@@ -56,10 +63,10 @@ class FormalElement:
         """Largest grade with a nonzero term; None for the zero element."""
         if not self.terms:
             return None
-        return max(len(p) for p in self.terms)
+        return max(len(p.edges) for p in self.terms)
 
     def sorted_terms(self) -> list[tuple[Path, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0].edges, kv[0].base))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0].edges), t[0].edges, t[0].base))
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
         _require_same_graph(self, other)
@@ -96,31 +103,32 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
 
     The terms of b are grouped by range, in their order, and each term mu
     of a meets only the group ending at its source, so the composable pairs
-    are met, and summed, in the same order as over all pairs.
+    are met, and summed, in the same order as over all pairs.  Every pair
+    met composes, so its product path is built with no check.
     """
     _require_same_graph(a, b)
     g = a.graph
     ending: dict[str, list[tuple[Path, complex]]] = {}
     for nu, cb in b.terms.items():
-        ending.setdefault(path_range(g, nu), []).append((nu, cb))
+        ending.setdefault(g.dst(nu.edges[0]) if nu.edges else nu.base, []).append((nu, cb))
     out: dict[Path, complex] = {}
     for mu, ca in a.terms.items():
-        for nu, cb in ending.get(source(g, mu), ()):
-            prod = compose(g, mu, nu)
+        for nu, cb in ending.get(mu.base, ()):
+            prod = Path(nu.base, mu.edges + nu.edges)
             out[prod] = out.get(prod, 0) + ca * cb
     return FormalElement._trusted(g, out)
 
 
 def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
     """Grade-m homogeneous part; zero element when no term has length m."""
-    return FormalElement._trusted(a.graph, {p: c for p, c in a.terms.items() if len(p) == m})
+    return FormalElement._trusted(a.graph, {p: c for p, c in a.terms.items() if len(p.edges) == m})
 
 
 def cesaro(a: FormalElement, k: int) -> FormalElement:
     """Cesaro-weighted partial sum: terms of grade < k scaled by 1 - grade/k."""
     if k < 1:
         raise DomainError("Cesaro order must be a positive integer", k=k)
-    terms = {p: c * (1 - len(p) / k) for p, c in a.terms.items() if len(p) < k}
+    terms = {p: c * (1 - n / k) for p, c in a.terms.items() if (n := len(p.edges)) < k}
     return FormalElement._trusted(a.graph, terms)
 
 
@@ -128,7 +136,7 @@ def graded_ideal_degree(a: FormalElement) -> int | None:
     """Minimum grade carrying a nonzero term; None (infinity marker) for zero."""
     if not a.terms:
         return None
-    return min(len(p) for p in a.terms)
+    return min(len(p.edges) for p in a.terms)
 
 
 def l2_row_norm(a: FormalElement, m: int, v: str) -> float:
@@ -138,9 +146,8 @@ def l2_row_norm(a: FormalElement, m: int, v: str) -> float:
     the ranges of distinct paths are orthogonal, so the norm is the plain
     l2 norm of the coefficient family {a_mu : |mu| = m, source(mu) = v}.
     """
-    g = a.graph
     total = 0.0
     for p, c in a.terms.items():
-        if len(p) == m and source(g, p) == v:
+        if len(p.edges) == m and p.base == v:
             total += abs(c) ** 2
     return math.sqrt(total)

@@ -667,11 +667,25 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
     return CycleLemmaReport(n, depth, worst == 0.0, worst, blocks)
 
 
+def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
+    """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
+    ``e:<edge>``, read off the maps with no matrix built."""
+    ops = _Ops(rep)
+    coords = {f"v:{v}": _quadruples(*_entries(ops.vertex(v))) for v in rep.vertex_ops}
+    coords.update({f"e:{e}": _quadruples(*_entries(ops.edge(e))) for e in rep.edge_ops})
+    return coords
+
+
 def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:
     """Sorted (row, col, re, im) quadruples of the nonzero entries."""
     coo = mat.tocoo()
-    keep = coo.data != 0
-    rows, cols, data = coo.row[keep], coo.col[keep], coo.data[keep]
+    return _quadruples(coo.row, coo.col, coo.data)
+
+
+def _quadruples(rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> list[list[float]]:
+    """(row, col, re, im) of the nonzero entries, sorted by row and then column."""
+    keep = data != 0
+    rows, cols, data = rows[keep], cols[keep], data[keep]
     order = np.lexsort((cols, rows))
     data = data[order]
     quads = zip(rows[order].tolist(), cols[order].tolist(), data.real.tolist(), data.imag.tolist())

@@ -196,6 +196,71 @@ def formal_mul(a, b):
     return FormalElement._trusted(a.graph, out)
 
 
+# The series kernels as they were while every result went through
+# ``_nonzero`` and every grade and source was read through ``len(p)`` and
+# ``source``; each returns the terms of its result as a dict.
+
+
+def _nonzero(terms):
+    return {p: z for p, c in terms.items() if (z := complex(c)) != 0}
+
+
+def series_add(terms_a, terms_b):
+    merged = dict(terms_a)
+    for p, c in terms_b.items():
+        merged[p] = merged.get(p, 0) + c
+    return _nonzero(merged)
+
+
+def series_scale(terms, c):
+    return _nonzero({p: c * a for p, a in terms.items()})
+
+
+def series_sub(terms_a, terms_b):
+    return series_add(terms_a, series_scale(terms_b, -1))
+
+
+def series_mul(g, terms_a, terms_b):
+    """The product with b's terms grouped by range, each pair through ``compose``."""
+    from semigroupoid_kit import compose, path_range, source
+
+    ending = {}
+    for nu, cb in terms_b.items():
+        ending.setdefault(path_range(g, nu), []).append((nu, cb))
+    out = {}
+    for mu, ca in terms_a.items():
+        for nu, cb in ending.get(source(g, mu), ()):
+            prod = compose(g, mu, nu)
+            out[prod] = out.get(prod, 0) + ca * cb
+    return _nonzero(out)
+
+
+def fourier_coeff(terms, m):
+    return _nonzero({p: c for p, c in terms.items() if len(p) == m})
+
+
+def cesaro(terms, k):
+    return _nonzero({p: c * (1 - len(p) / k) for p, c in terms.items() if len(p) < k})
+
+
+def degree(terms):
+    return max(len(p) for p in terms) if terms else None
+
+
+def graded_ideal_degree(terms):
+    return min(len(p) for p in terms) if terms else None
+
+
+def l2_row_norm(g, terms, m, v):
+    from semigroupoid_kit import source
+
+    total = 0.0
+    for p, c in terms.items():
+        if len(p) == m and source(g, p) == v:
+            total += abs(c) ** 2
+    return math.sqrt(total)
+
+
 def turns_of(z):
     """Angle of a unimodular complex number in turns, in [0, 1)."""
     t = math.atan2(z.imag, z.real) / (2 * math.pi)

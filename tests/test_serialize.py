@@ -214,3 +214,59 @@ def test_integer_fields_refuse_non_integers_on_the_command_line(capsys, tmp_path
             assert code == want, (at, out, err)
             if want:
                 assert not out and json.loads(err)["message"].startswith(prefix), at
+
+
+# float fields take JSON numbers only: an integer or a float, no bool or string
+
+NOT_NUMBERS = [True, False, "1.5", None, [1.0]]
+ONE_TERM = {"terms": [{"path": {"base": "t", "edges": ["loop_t"]}, "re": 1.5, "im": -2}]}
+LOOP_FAMILY = {
+    "graph": {"vertices": ["v1"], "edges": [{"id": "e1", "src": "v1", "dst": "v1"}]},
+    "lambda": {"v1": ["0"]},
+    "pi": [{"edge": "e1", "from": "0", "to": "0"}],
+    "phase": [{"edge": "e1", "from": "0", "re": 0, "im": 1.0}],
+}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+def test_float_fields_refuse_non_numbers(fig1, bad):
+    formal = lambda doc: formal_from_json(fig1, doc)  # noqa: E731
+    prefix = "formal element needs 'terms' of 'path' and numeric 're'/'im'"
+    decoders = [
+        (formal, ONE_TERM, ("terms", 0, "re"), prefix),
+        (formal, ONE_TERM, ("terms", 0, "im"), prefix),
+        (Phase.from_json, {"re": 0, "im": 1.0}, ("re",), "phase object malformed"),
+        (Phase.from_json, {"re": 0, "im": 1.0}, ("im",), "phase object malformed"),
+        (explicit_atomic_from_json, LOOP_FAMILY, ("phase", 0, "im"), "phase object malformed"),
+    ]
+    assert formal(ONE_TERM).terms == {Path("t", ("loop_t",)): 1.5 - 2j}
+    assert Phase.from_json({"re": 0, "im": 1.0}).approx_eq(Phase.from_turns(1, 4))
+    for decode, doc, at, want in decoders:
+        decode(doc)  # the document as written decodes
+        with pytest.raises(DomainError) as info:
+            decode(_with(doc, at, bad))
+        assert info.value.code == "domain-error" and str(info.value).startswith(want), at
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+def test_float_fields_refuse_non_numbers_on_the_command_line(capsys, tmp_path, fig1, bad):
+    import json
+
+    from semigroupoid_kit.cli import main
+
+    graph = tmp_path / "fig1.json"
+    graph.write_text(dump_json(fig1.to_json_dict()))
+    requests = [
+        (["series", "fourier", "-m", "1", "--graph", str(graph)], ONE_TERM, ("terms", 0, "re"),
+         "formal element needs"),
+        (["atomic", "validate"], LOOP_FAMILY, ("phase", 0, "im"), "phase object malformed"),
+    ]
+    for argv, doc, at, prefix in requests:
+        for value, want in ((_with(doc, at, bad), 1), (doc, 0)):
+            f = tmp_path / "input.json"
+            f.write_text(dump_json(value))
+            code = main(argv + [str(f)])
+            out, err = capsys.readouterr()
+            assert code == want, (at, out, err)
+            if want:
+                assert not out and json.loads(err)["message"].startswith(prefix), at

@@ -219,3 +219,87 @@ def test_elements_over_two_listings_of_one_graph_combine(rng, fig1):
         assert a.approx_eq(FormalElement(twin, a.terms), tol=0.0)
     with pytest.raises(DomainError, match="different host graphs"):
         formal_mul(a, FormalElement.zero(cycle_graph(2)))
+
+
+def exact(terms):
+    """The terms in order, each value by its type and the bits of both parts."""
+    return [(p, type(c), c.real.hex(), c.imag.hex()) for p, c in terms.items()]
+
+
+def unit_polynomial(rng, g, max_deg=3):
+    """Coefficients from {0, +-1} + {0, +-1}i, so sums cancel exactly and signed zeros arise."""
+    from semigroupoid_kit import enumerate_paths
+
+    terms = {}
+    for p in enumerate_paths(g, sorted(g.vertices), max_deg):
+        c = complex(rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
+        if rng.random() < 0.4 and c:
+            terms[p] = c
+    return FormalElement(g, terms)
+
+
+def test_kernels_match_the_earlier_kernels_bit_for_bit(rng, fig1):
+    """On fig1 (the looped triangle), random small graphs and in-degree 3
+    graphs, every operation gives the terms of the earlier kernels in
+    ``oracles`` in the same order, with the same bits and every value a
+    ``complex``; the product also matches the all-pairs product."""
+    import corpus
+    import numpy as np
+
+    hosts = [fig1] * 3 + [corpus.random_graph(rng, max_v=4, max_e=8) for _ in range(3)]
+    hosts += [corpus.random_in_regular_graph(rng, rng.randint(1, 4), 3) for _ in range(3)]
+    for g in hosts:
+        for _ in range(8):
+            make = rng.choice([random_polynomial, unit_polynomial])
+            a, b = make(rng, g), make(rng, g)
+            c = rng.choice([2 - 1j, -1, 0.5, 3, np.float64(0.5), np.complex128(1j)])
+            k, v = rng.randint(1, 5), rng.choice(g.vertices)
+            pairs = [
+                (formal_mul(a, b), oracles.series_mul(g, a.terms, b.terms)),
+                (formal_mul(a, b), oracles.formal_mul(a, b).terms),
+                (a + b, oracles.series_add(a.terms, b.terms)),
+                (a - b, oracles.series_sub(a.terms, b.terms)),
+                (a.scale(c), oracles.series_scale(a.terms, c)),
+                (cesaro(a, k), oracles.cesaro(a.terms, k)),
+            ] + [(fourier_coeff(a, m), oracles.fourier_coeff(a.terms, m)) for m in range(5)]
+            for got, want in pairs:
+                assert exact(got.terms) == exact(want)
+                assert all(type(z) is complex for z in got.terms.values())
+            assert a.degree() == oracles.degree(a.terms)
+            assert graded_ideal_degree(a) == oracles.graded_ideal_degree(a.terms)
+            for m in range(5):
+                assert l2_row_norm(a, m, v).hex() == oracles.l2_row_norm(g, a.terms, m, v).hex()
+            assert a.sorted_terms() == sorted(
+                a.terms.items(), key=lambda kv: (len(kv[0]), kv[0].edges, kv[0].base)
+            )
+
+
+def test_zeros_arising_inside_an_operation_are_dropped(fig1):
+    loop, edge, vt, vl = (
+        Path("t", ("loop_t",)), Path("t", ("tl1",)), Path.vertex("t"), Path.vertex("l")
+    )
+    a = FormalElement(fig1, {edge: 1.0, vt: 2.0})
+    b = FormalElement(fig1, {vt: 1.0, edge: -1.0})
+    assert list((a + b).terms.items()) == [(vt, 3 + 0j)]
+    assert list((a - a).terms.items()) == []
+    assert list(a.scale(0).terms.items()) == []
+    # l * tl1 and tl1 * t both give tl1, with coefficients 1 and -1
+    left = FormalElement(fig1, {vl: 1.0, edge: 1.0, loop: 1.0})
+    right = FormalElement(fig1, {edge: 1.0, vt: -1.0})
+    assert list(formal_mul(left, right).terms.items()) == [(loop, -1 + 0j)]
+    # 5e-324 * (1 - 1/2) underflows to 0
+    tiny = FormalElement(fig1, {vt: 1.0, loop: 5e-324})
+    assert list(cesaro(tiny, 2).terms.items()) == [(vt, 1 + 0j)]
+
+
+def test_the_constructor_copies_its_terms_and_operations_do_not_alias(fig1):
+    p, q = Path("t", ("loop_t",)), Path.vertex("t")
+    d = {p: 1.0}
+    e = FormalElement(fig1, d)
+    d[p], d[q] = 5.0, 1.0
+    assert list(e.terms.items()) == [(p, 1 + 0j)]
+    results = [e + FormalElement.zero(fig1), e.scale(1), fourier_coeff(e, 1), cesaro(e, 9)]
+    for r in results:
+        assert r.terms is not e.terms
+        r.terms[q] = 7j
+    assert list(e.terms.items()) == [(p, 1 + 0j)]

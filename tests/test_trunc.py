@@ -618,6 +618,30 @@ def test_checks_read_the_stored_maps_and_build_no_matrix(fig1):
             assert all(isinstance(ops.data[key], _Map) for key in ops)
 
 
+def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1):
+    import json
+
+    import corpus
+    from semigroupoid_kit.trunc import _Map, operator_coordinates
+
+    g3 = corpus.random_in_regular_graph(rng, 3, 3)
+    edited = build_left_regular_trunc(fig1, ["t"], 3)
+    edited.edge_ops["tl1"].data[0] = 2.0
+    reps = [
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+        build_colored_trunc(g3, _complete_coloring(rng, g3, 3), 2),
+        edited,
+    ]
+    for rep in reps:
+        fresh = [key for key, op in rep.edge_ops.data.items() if isinstance(op, _Map)]
+        got = operator_coordinates(rep)
+        assert all(isinstance(rep.edge_ops.data[key], _Map) for key in fresh)
+        want = {f"v:{v}": matrix_to_coordinates(m) for v, m in rep.vertex_ops.items()}
+        want.update({f"e:{e}": matrix_to_coordinates(m) for e, m in rep.edge_ops.items()})
+        assert json.dumps(got) == json.dumps(want)
+
+
 def test_operator_read_out_and_edited_in_place_is_checked_as_edited(fig1):
     import oracles
 
