@@ -8,6 +8,10 @@ is read left to right starting at the range vertex: the first letter names
 the last applied edge, matching the path convention c(e_k ... e_1) =
 c(e_k) ... c(e_1).  A word gamma synchronizes for v when the unique
 backward gamma-path from every vertex has source v.
+
+Kernels walk delta as integer rows over the sorted vertex index (there is
+no ``BackwardAutomaton.delta`` dict any more); validation is one set-level
+pass, and the sorted scans that name each fault run only when it fails.
 """
 
 from __future__ import annotations
@@ -62,42 +66,53 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
 
     An info finding records whether the coloring is complete (each vertex
     sees every color exactly once on its incoming edges), which is what the
-    backward automaton needs to be total.
+    backward automaton needs to be total.  The sorted scans name faults
+    only when one set-level pass finds that there are some.
     """
     report = ValidationReport()
-    if c.d < 1 or c.d > 9:
-        report.add("bad-d", f"color count d={c.d} outside 1..9")
-    edge_ids = {e.id for e in g.edges}
-    for eid in sorted(c.color):
-        if eid not in edge_ids:
-            report.add("unknown-edge", f"color assigned to unknown edge {eid}", eid)
-    for eid in sorted(edge_ids):
-        if eid not in c.color:
-            report.add("uncolored-edge", f"edge {eid} has no color", eid)
-        elif not 1 <= c.color[eid] <= c.d:
-            report.add(
-                "color-out-of-range",
-                f"edge {eid} has color {c.color[eid]} outside 1..{c.d}",
-                eid,
-            )
-    complete = True
-    for v in g.sorted_vertices():
-        seen: dict[int, str] = {}
-        for eid in g.in_edges(v):
-            col = c.color.get(eid)
-            if col is None:
-                complete = False
-                continue
-            if col in seen:
+    d, color, edges = c.d, c.color, g.edges
+    if (
+        1 <= d <= 9
+        and color.keys() == g._by_id.keys()
+        and set(color.values()) <= set(range(1, d + 1))
+        and len({(e.dst, color[e.id]) for e in edges}) == len(edges)
+    ):
+        # strong with colors in 1..d: complete iff every in-fiber has d edges
+        complete = len(edges) == d * len(g.vertices)
+    else:  # name each fault, in sorted order
+        if c.d < 1 or c.d > 9:
+            report.add("bad-d", f"color count d={c.d} outside 1..9")
+        edge_ids = {e.id for e in g.edges}
+        for eid in sorted(c.color):
+            if eid not in edge_ids:
+                report.add("unknown-edge", f"color assigned to unknown edge {eid}", eid)
+        for eid in sorted(edge_ids):
+            if eid not in c.color:
+                report.add("uncolored-edge", f"edge {eid} has no color", eid)
+            elif not 1 <= c.color[eid] <= c.d:
                 report.add(
-                    "not-strong",
-                    f"edges {seen[col]} and {eid} into {v} share color {col}",
-                    v,
+                    "color-out-of-range",
+                    f"edge {eid} has color {c.color[eid]} outside 1..{c.d}",
+                    eid,
                 )
-            seen[col] = eid
-        # compare sizes first, so a huge d never builds range(1, d + 1)
-        if len(seen) != max(c.d, 0) or set(seen) != set(range(1, c.d + 1)):
-            complete = False
+        complete = True
+        for v in g.sorted_vertices():
+            seen: dict[int, str] = {}
+            for eid in g.in_edges(v):
+                col = c.color.get(eid)
+                if col is None:
+                    complete = False
+                    continue
+                if col in seen:
+                    report.add(
+                        "not-strong",
+                        f"edges {seen[col]} and {eid} into {v} share color {col}",
+                        v,
+                    )
+                seen[col] = eid
+            # compare sizes first, so a huge d never builds range(1, d + 1)
+            if len(seen) != max(c.d, 0) or set(seen) != set(range(1, c.d + 1)):
+                complete = False
     report.add(
         "complete",
         "every vertex receives each color exactly once"
@@ -110,19 +125,21 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
 
 @dataclass(frozen=True)
 class BackwardAutomaton:
-    """Total map (vertex, color) -> (source vertex, edge id) of the color-j in-edge."""
+    """``src[j][i]``: index in ``verts`` of the source of the color-j edge into
+    ``verts[i]``, None when there is none; ``via[j][i]``: its id.  Row 0 is empty."""
 
     graph: Graph
     coloring: Coloring
-    delta: dict[tuple[str, int], tuple[str, str]]
+    verts: tuple[str, ...]
+    index: dict[str, int]
+    src: tuple[list[int | None], ...]
+    via: tuple[list[str | None], ...]
 
     def step(self, v: str, j: int) -> tuple[str, str]:
-        key = (v, j)
-        if key not in self.delta:
-            raise PartialAutomaton(
-                "no incoming edge of that color", vertex=v, color=j
-            )
-        return self.delta[key]
+        i = self.index.get(v)
+        if i is None or not 0 < j <= self.coloring.d or self.src[j][i] is None:
+            raise PartialAutomaton("no incoming edge of that color", vertex=v, color=j)
+        return self.verts[self.src[j][i]], self.via[j][i]
 
 
 def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
@@ -136,11 +153,18 @@ def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
 
 def _automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
     """Backward automaton of a coloring already known to be strong on g."""
-    delta: dict[tuple[str, int], tuple[str, str]] = {}
-    for v in g.sorted_vertices():
-        for eid in g.in_edges(v):
-            delta[(v, c.of(eid))] = (g.src(eid), eid)
-    return BackwardAutomaton(g, c, delta)
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    src: list = [()] + [[None] * len(verts) for _ in range(c.d)]
+    via: list = [()] + [[None] * len(verts) for _ in range(c.d)]
+    for e in g.edges:
+        src[c.color[e.id]][index[e.dst]] = index[e.src]
+        via[c.color[e.id]][index[e.dst]] = e.id
+    return BackwardAutomaton(g, c, verts, index, tuple(src), tuple(via))
+
+
+def _gap(auto: BackwardAutomaton, i: int, j: int) -> PartialAutomaton:
+    return PartialAutomaton("no incoming edge of that color", vertex=auto.verts[i], color=j)
 
 
 def parse_word(word: str, d: int) -> list[int]:
@@ -168,23 +192,23 @@ def follow_backward(g: Graph, c: Coloring, v: str, word: str) -> tuple[str, Path
     """
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
-    auto = backward_automaton(g, c)
-    return _follow(auto, v, parse_word(word, c.d))
+    return _follow(backward_automaton(g, c), v, parse_word(word, c.d))
 
 
 def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
     """The common source vertex when the word synchronizes, else None."""
-    auto = backward_automaton(g, c)
-    return _sync_target(auto, parse_word(word, c.d))
+    return _sync_target(backward_automaton(g, c), parse_word(word, c.d))
 
 
 def _follow(auto: BackwardAutomaton, v: str, letters: list[int]) -> tuple[str, Path]:
-    at = v
+    i = auto.index[v]
     edges: list[str] = []
     for j in letters:
-        at, eid = auto.step(at, j)
-        edges.append(eid)
-    return at, Path(at, tuple(edges))
+        if auto.src[j][i] is None:
+            raise _gap(auto, i, j)
+        edges.append(auto.via[j][i])
+        i = auto.src[j][i]
+    return auto.verts[i], Path(auto.verts[i], tuple(edges))
 
 
 def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
@@ -194,23 +218,16 @@ def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
     the walks are retaken one vertex at a time in graph order, so the error
     names the same (vertex, color) as reading each walk alone.
     """
-    ends = set(auto.graph.vertices)
-    try:
-        for j in letters:
-            ends = {auto.delta[v, j][0] for v in ends}
-    except KeyError:
-        for v in auto.graph.vertices:
-            _follow(auto, v, letters)
+    ends = set(range(len(auto.verts)))
+    for j in letters:
+        row = auto.src[j]
+        ends = {row[i] for i in ends}
+        if None in ends:
+            for v in auto.graph.vertices:
+                _follow(auto, v, letters)
     if len(ends) == 1:
-        return ends.pop()
+        return auto.verts[ends.pop()]
     return None
-
-
-def _subset_step(
-    auto: BackwardAutomaton, subset: frozenset[str], j: int
-) -> frozenset[str]:
-    # sorted, so that an undefined step names the least vertex, not a hash-order one
-    return frozenset(auto.step(v, j)[0] for v in sorted(subset))
 
 
 def find_synchronizing_word(g: Graph, c: Coloring) -> str | None:
@@ -224,12 +241,12 @@ def find_synchronizing_word(g: Graph, c: Coloring) -> str | None:
 
 
 def _find_word(auto: BackwardAutomaton) -> str | None:
-    vertices = auto.graph.vertices
-    if len(vertices) <= 1:
+    n = len(auto.verts)
+    if n <= 1:
         return ""
-    if len(vertices) <= SUBSET_BFS_LIMIT:
+    if n <= SUBSET_BFS_LIMIT:
         return _subset_bfs(auto)
-    return _greedy_merge(auto, frozenset(vertices))
+    return _greedy_merge(auto)
 
 
 def _subset_bfs(auto: BackwardAutomaton) -> str | None:
@@ -241,24 +258,19 @@ def _subset_bfs(auto: BackwardAutomaton) -> str | None:
     in FIFO order with colors 1..d, so the first singleton reached gives the
     shortest word, and among those the least in that order.
     """
-    verts = auto.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    n = len(auto.verts)
     width = -(-n // -(-n // 8))  # n bits in ceil(n / 8) chunks of near-equal width
     chunk = (1 << width) - 1
     steps = []
     for j in range(1, auto.coloring.d + 1):
-        gaps = 0  # vertices with no incoming edge of color j
+        row = auto.src[j]
+        # vertices with no incoming edge of color j
+        gaps = sum(1 << i for i, s in enumerate(row) if s is None)
         tables = []
         for lo in range(0, n, width):
             table = [0]
             for i in range(lo, min(lo + width, n)):
-                hit = auto.delta.get((verts[i], j))
-                if hit is None:
-                    gaps |= 1 << i
-                    bit = 0
-                else:
-                    bit = 1 << index[hit[0]]
+                bit = 0 if row[i] is None else 1 << row[i]
                 table += [m | bit for m in table]
             tables.append((lo, table))
         steps.append((j, gaps, tables))
@@ -271,10 +283,7 @@ def _subset_bfs(auto: BackwardAutomaton) -> str | None:
         for j, gaps, tables in steps:
             missing = cur & gaps
             if missing:
-                raise PartialAutomaton(
-                    "no incoming edge of that color",
-                    vertex=verts[(missing & -missing).bit_length() - 1], color=j,
-                )
+                raise _gap(auto, (missing & -missing).bit_length() - 1, j)
             nxt = 0
             for lo, table in tables:
                 nxt |= table[(cur >> lo) & chunk]
@@ -287,37 +296,40 @@ def _subset_bfs(auto: BackwardAutomaton) -> str | None:
     return None
 
 
-def _pair_merge_word(auto: BackwardAutomaton, a: str, b: str) -> str | None:
-    colors = range(1, auto.coloring.d + 1)
+def _pair_merge_word(auto: BackwardAutomaton, a: int, b: int) -> str | None:
+    rows = [(j, str(j), auto.src[j]) for j in range(1, auto.coloring.d + 1)]
     start = (a, b) if a <= b else (b, a)
     seen = {start: ""}
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
+        x, y = cur = queue.popleft()
         word = seen[cur]
-        for j in colors:
-            na = auto.step(cur[0], j)[0]
-            nb = auto.step(cur[1], j)[0]
-            if na == nb:
-                return word + str(j)
-            key = (na, nb) if na <= nb else (nb, na)
+        for j, letter, row in rows:
+            nx, ny = row[x], row[y]
+            if nx is None or ny is None:
+                raise _gap(auto, x if nx is None else y, j)
+            if nx == ny:
+                return word + letter
+            key = (nx, ny) if nx <= ny else (ny, nx)
             if key not in seen:
-                seen[key] = word + str(j)
+                seen[key] = word + letter
                 queue.append(key)
     return None
 
 
-def _greedy_merge(auto: BackwardAutomaton, full: frozenset[str]) -> str | None:
-    current = full
+def _greedy_merge(auto: BackwardAutomaton) -> str | None:
+    current = list(range(len(auto.verts)))  # sorted vertex indices; the least two merge
     word = ""
     while len(current) > 1:
-        a, b = sorted(current)[:2]
-        piece = _pair_merge_word(auto, a, b)
+        piece = _pair_merge_word(auto, current[0], current[1])
         if piece is None:
             return None
         word += piece
-        for j in parse_word(piece, auto.coloring.d):
-            current = _subset_step(auto, current, j)
+        for j in map(int, piece):
+            image = [auto.src[j][i] for i in current]
+            if None in image:  # name the least vertex with no edge of color j
+                raise _gap(auto, current[image.index(None)], j)
+            current = sorted(set(image))
     return word
 
 
@@ -334,12 +346,7 @@ def _candidate_colorings(g: Graph, d: int):
     vertices = sorted(g.vertices)
     fibers = [list(g.in_edges(v)) for v in vertices]
     perms = list(itertools.permutations(range(1, d + 1)))
-    choices: list[list[tuple[int, ...]]] = []
-    for idx, fiber in enumerate(fibers):
-        if idx == 0:
-            choices.append([tuple(range(1, d + 1))])
-        else:
-            choices.append(perms)
+    choices = [[tuple(range(1, d + 1))]] + [perms] * (len(fibers) - 1)
     total = 1
     for ch in choices:
         total *= len(ch)
@@ -434,7 +441,7 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
             color[eid] = col
     coloring = Coloring(d, color)
     word = "1" * max(depth.values())
-    target = is_synchronizing_word(g, coloring, word)
+    target = _sync_target(backward_automaton(g, coloring), [1] * len(word))
     if target != v0:
         raise AssertionError("tree coloring failed to synchronize to the loop vertex")
     return coloring, word

@@ -358,17 +358,175 @@ def subset_bfs(auto, full):
     return None
 
 
+# The dict-keyed backward automaton and kernels that the integer rows
+# replaced, with the validation they ran before it became a set-level pass.
+
+
+def validate_coloring(g, c):
+    """Strongness report, each fault named by sorted scans over every edge
+    and every in-fibre."""
+    from semigroupoid_kit.validation import ValidationReport
+
+    report = ValidationReport()
+    if c.d < 1 or c.d > 9:
+        report.add("bad-d", f"color count d={c.d} outside 1..9")
+    edge_ids = {e.id for e in g.edges}
+    for eid in sorted(c.color):
+        if eid not in edge_ids:
+            report.add("unknown-edge", f"color assigned to unknown edge {eid}", eid)
+    for eid in sorted(edge_ids):
+        if eid not in c.color:
+            report.add("uncolored-edge", f"edge {eid} has no color", eid)
+        elif not 1 <= c.color[eid] <= c.d:
+            report.add(
+                "color-out-of-range",
+                f"edge {eid} has color {c.color[eid]} outside 1..{c.d}",
+                eid,
+            )
+    complete = True
+    for v in g.sorted_vertices():
+        seen = {}
+        for eid in g.in_edges(v):
+            col = c.color.get(eid)
+            if col is None:
+                complete = False
+                continue
+            if col in seen:
+                report.add(
+                    "not-strong",
+                    f"edges {seen[col]} and {eid} into {v} share color {col}",
+                    v,
+                )
+            seen[col] = eid
+        # compare sizes first, so a huge d never builds range(1, d + 1)
+        if len(seen) != max(c.d, 0) or set(seen) != set(range(1, c.d + 1)):
+            complete = False
+    report.add(
+        "complete",
+        "every vertex receives each color exactly once"
+        if complete
+        else "some vertex misses a color on its incoming edges",
+        severity="info",
+    )
+    return report
+
+
+class DictAutomaton:
+    """Map (vertex, color) -> (source vertex, edge id) of the color-j in-edge."""
+
+    def __init__(self, g, c):
+        self.graph, self.coloring = g, c
+        self.delta = {}
+        for v in g.sorted_vertices():
+            for eid in g.in_edges(v):
+                self.delta[(v, c.of(eid))] = (g.src(eid), eid)
+
+    def step(self, v, j):
+        from semigroupoid_kit import PartialAutomaton
+
+        if (v, j) not in self.delta:
+            raise PartialAutomaton("no incoming edge of that color", vertex=v, color=j)
+        return self.delta[(v, j)]
+
+
+def backward_automaton(g, c):
+    """``DictAutomaton`` of a colouring that ``validate_coloring`` passes."""
+    from semigroupoid_kit import InvalidColoring
+
+    report = validate_coloring(g, c)
+    if not report.valid:
+        raise InvalidColoring(
+            "coloring is not strong", findings=[f.message for f in report.errors]
+        )
+    return DictAutomaton(g, c)
+
+
+def follow(auto, v, word):
+    """(source, edge ids) of the backward walk from v, one ``step`` a letter."""
+    at, edges = v, []
+    for ch in word:
+        at, eid = auto.step(at, int(ch))
+        edges.append(eid)
+    return at, tuple(edges)
+
+
+def sync_target_dict(auto, word):
+    """Common end of the walks from every vertex, the set of ends stepped as
+    a whole; on an undefined step the walks are retaken in graph order, so
+    the error names the first vertex whose own walk meets it."""
+    ends = set(auto.graph.vertices)
+    try:
+        for ch in word:
+            ends = {auto.delta[v, int(ch)][0] for v in ends}
+    except KeyError:
+        for v in auto.graph.vertices:
+            follow(auto, v, word)
+    return ends.pop() if len(ends) == 1 else None
+
+
+def syncdiag(g, c, gamma, gamma_prime):
+    """(vertex, mu' edges, mu edges) of the sync diagram on the dict automaton."""
+    from semigroupoid_kit import DomainError
+
+    auto = backward_automaton(g, c)
+    v = sync_target_dict(auto, gamma)
+    if v is None:
+        raise DomainError("word does not synchronize", word=gamma)
+    w, mu_prime = follow(auto, v, gamma_prime)
+    back, mu = follow(auto, w, gamma)
+    assert back == v
+    return v, mu_prime, mu
+
+
+def pair_merge_word(auto, a, b):
+    """Shortest word taking a and b to one vertex, by BFS over name pairs."""
+    from collections import deque
+
+    start = (a, b) if a <= b else (b, a)
+    seen = {start: ""}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for j in range(1, auto.coloring.d + 1):
+            na = auto.step(cur[0], j)[0]
+            nb = auto.step(cur[1], j)[0]
+            if na == nb:
+                return seen[cur] + str(j)
+            key = (na, nb) if na <= nb else (nb, na)
+            if key not in seen:
+                seen[key] = seen[cur] + str(j)
+                queue.append(key)
+    return None
+
+
+def greedy_merge(auto, full):
+    """Merge the two least vertices of the set until one is left; each step
+    of the set takes its vertices in sorted order."""
+    current = frozenset(full)
+    word = ""
+    while len(current) > 1:
+        a, b = sorted(current)[:2]
+        piece = pair_merge_word(auto, a, b)
+        if piece is None:
+            return None
+        word += piece
+        for ch in piece:
+            current = frozenset(auto.step(v, int(ch))[0] for v in sorted(current))
+    return word
+
+
 def synchronizing_word(g, coloring):
-    """``find_synchronizing_word`` with the frozenset search for small graphs."""
+    """``find_synchronizing_word`` on the dict-keyed automaton: the frozenset
+    search for small graphs, the name-pair greedy merge for large ones."""
     from semigroupoid_kit import roadcoloring as rc
 
-    auto = rc.backward_automaton(g, coloring)
+    auto = backward_automaton(g, coloring)
     full = frozenset(g.vertices)
     if len(full) <= 1:
         return ""
     if len(full) <= rc.SUBSET_BFS_LIMIT:
         return subset_bfs(auto, full)
-    return rc._greedy_merge(auto, full)
+    return greedy_merge(auto, full)
 
 
 def sync_vertex(g, coloring, word):

@@ -24,6 +24,9 @@ from semigroupoid_kit import (
     synchronizing_guarantee,
     validate_coloring,
 )
+from semigroupoid_kit import roadcoloring as rc
+from semigroupoid_kit.cli import main
+from semigroupoid_kit.serialize import dump_json
 
 OBRIEN_FIG1 = {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}
 
@@ -201,3 +204,76 @@ def test_synchronizing_guarantee_summary(fig1):
 def test_coloring_json_round_trip(fig1):
     c = Coloring(2, OBRIEN_FIG1)
     assert Coloring.from_json_dict(c.to_json_dict()).to_json_dict() == c.to_json_dict()
+
+
+def faulty_colorings(rng, g, c):
+    """Seeded faults on a strong colouring c of g, one or two at a time."""
+    pick = rng.choice(sorted(c.color))
+    fiber = next(g.in_edges(v) for v in g.sorted_vertices() if len(g.in_edges(v)) > 1)
+    yield c
+    yield Coloring(c.d, dict(c.color, ghost=1))
+    yield Coloring(c.d, {k: v for k, v in c.color.items() if k != pick})
+    yield Coloring(c.d, dict(c.color, **{pick: 0}))
+    yield Coloring(c.d, dict(c.color, **{pick: c.d + 1}))
+    yield Coloring(c.d, dict(c.color, **{fiber[1]: c.color[fiber[0]]}))
+    yield Coloring(c.d, dict(c.color, ghost=c.d + 1, **{fiber[0]: 0}))
+    for d in (0, 10, 10**12):
+        yield Coloring(d, c.color)
+
+
+def test_validation_report_matches_sorted_scans(rng, monkeypatch):
+    def bounded_range(*args):
+        assert args[-1] <= 10**6, "range(1, d + 1) built for a huge d"
+        return range(*args)
+
+    monkeypatch.setattr(rc, "range", bounded_range, raising=False)
+    codes, complete = set(), set()
+    for _ in range(40):
+        n, d = rng.randint(2, 12), rng.randint(2, 3)
+        g = corpus.random_in_regular_graph(rng, n, d)
+        c = Coloring(d, {})
+        for v in g.sorted_vertices():
+            c.color.update(zip(g.in_edges(v), rng.sample(range(1, d + 1), d)))
+        gone = rng.choice(g.edges)  # its range vertex then misses a colour
+        short = Graph.build(g.vertices, [(e.id, e.src, e.dst) for e in g.edges if e is not gone])
+        rest = Coloring(d, {k: v for k, v in c.color.items() if k != gone.id})
+        cases = [(g, bad) for bad in faulty_colorings(rng, g, c)] + [(short, c), (short, rest)]
+        for h, bad in cases:
+            got = validate_coloring(h, bad).to_json()
+            assert got == oracles.validate_coloring(h, bad).to_json()
+            codes.update(f["code"] for f in got["findings"])
+            complete.update((got["valid"], f["message"]) for f in got["findings"] if f["code"] == "complete")
+    assert codes == {
+        "bad-d", "unknown-edge", "uncolored-edge", "color-out-of-range", "not-strong", "complete"
+    }
+    assert len(complete) == 4  # both verdicts, on valid and invalid colourings
+
+
+def in_degree_ten_graph():
+    """Two vertices, each receiving ten edges; a carries the loop l."""
+    triples = [("l", "a", "a")] + [(f"x{k}", "b", "a") for k in range(9)]
+    return Graph.build(["a", "b"], triples + [(f"y{k}", "a", "b") for k in range(10)])
+
+
+D10_STDERR = """{
+  "details": {
+    "findings": [
+      "color count d=10 outside 1..9"
+    ]
+  },
+  "error": "invalid-coloring",
+  "message": "coloring is not strong"
+}
+"""
+
+
+def test_obrien_rejects_ten_colors(tmp_path, capsys):
+    g = in_degree_ten_graph()
+    with pytest.raises(InvalidColoring) as err:
+        obrien_coloring(g, "l")
+    assert err.value.details == {"findings": ["color count d=10 outside 1..9"]}
+    path = tmp_path / "d10.json"
+    path.write_text(dump_json(g.to_json_dict()))
+    for fmt in ("json", "table"):
+        assert main(["color", "obrien", str(path), "--loop", "l", "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", D10_STDERR)

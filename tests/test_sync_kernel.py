@@ -242,7 +242,7 @@ def test_word_lengths_respect_bounds(rng):
         g = corpus.random_in_regular_graph(rng, n, d)
         auto = rc.backward_automaton(g, random_coloring(rng, g, d))
         bfs = rc._subset_bfs(auto)
-        greedy = rc._greedy_merge(auto, frozenset(g.vertices))
+        greedy = rc._greedy_merge(auto)
         assert (bfs is None) == (greedy is None)
         if bfs is None:
             continue
@@ -268,3 +268,85 @@ def test_greedy_words_synchronize_within_bound(n):
             assert len(word) <= (n - 1) * n * (n - 1) // 2
             assert oracles.sync_target(g, c, word) == is_synchronizing_word(g, c, word)
             assert is_synchronizing_word(g, c, word) is not None
+
+
+def drop_one_edge(rng, g, c):
+    """The graph and colouring without one random edge: its range vertex
+    misses that colour, every other vertex keeps all of them."""
+    gone = rng.choice(g.edges).id
+    kept = [(e.id, e.src, e.dst) for e in g.edges if e.id != gone]
+    return Graph.build(g.vertices, kept), Coloring(c.d, {k: v for k, v in c.color.items() if k != gone})
+
+
+def row_kernel_cases(rng):
+    """(graph, colouring) on 2-150 vertices, d = 1..3: random complete
+    colourings, tree colourings that synchronize, and both with one edge gone;
+    then colourings missing colours at many vertices."""
+    for k in range(48):
+        n = rng.randint(2, 20) if k % 2 else rng.randint(21, 150)
+        d = rng.randint(1, 3)
+        if k % 3 == 0 and d > 1:
+            g = looped_graph(rng, n, d)
+            c = rc.obrien_coloring(g, "loop")[0]
+        else:
+            g = corpus.random_in_regular_graph(rng, n, d)
+            c = random_coloring(rng, g, d)
+        yield g, c
+        yield drop_one_edge(rng, g, c)
+    for _ in range(24):
+        yield partial_graph(rng, rng.randint(2, 150), rng.randint(1, 3))
+
+
+def test_row_kernels_match_dict_references(rng):
+    seen = {"word": 0, "no word": 0, "PartialAutomaton": 0, "diagram": 0}
+    for g, c in row_kernel_cases(rng):
+        auto = rc.backward_automaton(g, c)
+        ref = oracles.backward_automaton(g, c)
+        for v in g.sorted_vertices():
+            for j in range(0, c.d + 2):
+                assert outcome(auto.step, v, j) == outcome(ref.step, v, j)
+        got = outcome(find_synchronizing_word, g, c)
+        want = outcome(oracles.synchronizing_word, g, c)
+        # the frozenset search names a hash-order vertex; the greedy merge does not
+        assert got[:2] == want[:2] if len(g.vertices) <= rc.SUBSET_BFS_LIMIT else got == want
+        if got[0] == "ok" and len(g.vertices) > rc.SUBSET_BFS_LIMIT:
+            assert got[1] == oracles.greedy_merge(ref, g.vertices)
+        seen["PartialAutomaton" if got[0] != "ok" else "no word" if got[1] is None else "word"] += 1
+        words = [random_word(rng, c.d, 8) for _ in range(3)]
+        if got[0] == "ok" and got[1]:
+            words.append(got[1])
+        for word in words:
+            assert outcome(is_synchronizing_word, g, c, word) == outcome(
+                oracles.sync_target_dict, ref, word
+            )
+            word2 = random_word(rng, c.d, 5)
+            diag = outcome(syncdiag_paths, g, c, word, word2)
+            if diag[0] == "ok":
+                seen["diagram"] += 1
+                d = diag[1]
+                diag = "ok", (d.vertex, d.mu_prime.edges, d.mu.edges)
+                assert d.closed.edges == d.mu_prime.edges + d.mu.edges
+            assert diag == outcome(oracles.syncdiag, g, c, word, word2)
+            v = rng.choice(g.vertices)
+            walk = outcome(follow_backward, g, c, v, word)
+            if walk[0] == "ok":
+                walk = "ok", (walk[1][0], walk[1][1].edges)
+            assert walk == outcome(oracles.follow, ref, v, word)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_greedy_step_names_the_least_vertex_missing_a_color():
+    # 22 vertices: the ring merges v00 and v01 with colour 1, and the first
+    # step of the whole set meets v05 and v09, which lack colour 1
+    n = 22
+    verts = [f"v{i:02d}" for i in range(n)]
+    triples = [("loop", "v00", "v00")]
+    color = {"loop": 1}
+    for i in range(1, n):
+        triples.append((f"r{i}", verts[i - 1], verts[i]))
+        color[f"r{i}"] = 2 if i in (5, 9) else 1
+    g = Graph.build(verts, triples)
+    c = Coloring(2, color)
+    want = outcome(oracles.synchronizing_word, g, c)
+    assert outcome(find_synchronizing_word, g, c) == want
+    assert want[0] == "PartialAutomaton"
