@@ -15,6 +15,13 @@ atoms named by their root vertex, cycle atoms named by a primitive cycle
 with a unimodular eigenvalue phase, and tail atoms named by a primitive
 cycle repeated backward forever.  Canonical (symbolic) families describe
 the infinite-dimensional cases that no finite explicit family can encode.
+
+One pass over pi gives the nodes of H and its target-to-source links; the
+validation verdict and the split of H are both read off it.  The roots are
+the nodes no arc hits, listed in node order.  Core lemma: every node of a
+cycle component lies over the graph's elimination core, as an H-cycle lifts
+a graph cycle and the rest of its component lies downstream of it; so the
+walks that find cycles start only over the core, and on a forest none does.
 """
 
 from __future__ import annotations
@@ -75,9 +82,8 @@ class ExplicitAtomic:
     vertex v is the pair (v, i), so index sets at distinct vertices are
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
     ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
-    ``validate_atomic`` report and split of H are computed on first use.  The
-    split reads the components of H off the predecessor links of pi; H itself
-    is built only to trace the cycle components.
+    ``validate_atomic`` report and split of H are computed on first use, from
+    one pass over pi whose nodes and links are not kept.
     """
 
     graph: Graph
@@ -103,25 +109,35 @@ class ExplicitAtomic:
 
     @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
-        """The components of H, read off the predecessor links of pi: the
-        root vertices and the cycle traces, each in least-node order, and the
-        nodes of the cycle components.  H is built, once, only to trace the
-        cycle components, each from its least node; it is not kept."""
-        _require_valid(self, require_total=False)
-        pred = {
-            (e.dst, j): (e.src, i)
-            for e in self.graph.edges
-            for i, j in self.pi.get(e.id, {}).items()
-        }
-        nodes = [(v, i) for v in sorted(self.lam) for i in sorted(self.lam[v])]
-        comps = _h_components(nodes, pred)
-        roots = tuple(root[0] for root, _ in comps if root is not None)
-        cyclic = [members for root, members in comps if root is None]
+        """The root vertices in sorted root-node order, the cycle traces in
+        least-node order, and the nodes of the cycle components.  By the core
+        lemma, backward walks start only over the elimination core; H is
+        built only to trace each cycle component from its least node."""
+        links = None
+        if "_verdict" not in self.__dict__:  # the same pass gives the verdict
+            links = _h_links(self)
+            self.__dict__["_verdict"] = _report(self, *links, require_total=False)
+        _require_valid(self, require_total=False)  # a cached refusal needs no pass
+        nodes, pred = links or _h_links(self)
+        roots = tuple(v for v, _ in sorted(nodes.difference(pred)))
+        core = self.graph._elimination[0]
+        starts = sorted((v, i) for v in core.vertices for i in self.labels(v))
+        cyclic = [members for root, members in _h_components(starts, pred) if root is None]
         if not cyclic:
             return roots, (), frozenset()
         h = build_H(self)
         cycles = tuple(trace_backward(h, members[0]) for members in cyclic)
         return roots, cycles, frozenset(n for members in cyclic for n in members)
+
+
+def _h_links(a: ExplicitAtomic) -> tuple[set[Node], dict[Node, Node]]:
+    """The nodes (v, i) of H and its target-to-source links over known edges,
+    in one pass over pi; a node hit twice keeps one link."""
+    nodes = {(v, i) for v, labels in a.lam.items() for i in labels}
+    pred = {
+        (e.dst, j): (e.src, i) for e in a.graph.edges for i, j in a.pi.get(e.id, {}).items()
+    }
+    return nodes, pred
 
 
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
@@ -134,43 +150,49 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     over the edges into each vertex with an incoming edge to cover its
     index set, and full coisometry also asks in-degree-0 vertices to carry
     no labels.
+    """
+    return _report(a, *_h_links(a), require_total)
 
-    One pass over labels and arcs: each check is a set operation on the
-    nodes (v, i) and the arcs' source and target nodes.  Only faults a check
-    has found are named, walking vertices, edges and pi items in sorted
-    order, so findings never come out in the iteration order of a set.
+
+def _report(
+    a: ExplicitAtomic, nodes: set[Node], pred: dict[Node, Node], require_total: bool
+) -> ValidationReport:
+    """``validate_atomic`` from the nodes and links of H.  Links as many as
+    the arcs mean that no node is hit twice; with every source and target a
+    node as well, the nodes no arc hits give the CK and coisometry findings,
+    and the arcs against the demand give totality.  Only when a count
+    disagrees are faults named, walking vertices, edges and pi items in
+    sorted order, so findings never come out in the iteration order of a set.
     """
     g = a.graph
     report = ValidationReport()
     vertices = set(g.vertices)
-    nodes = {(v, i) for v, labels in a.lam.items() for i in labels}
     if len(nodes) < sum(map(len, a.lam.values())) or not a.lam.keys() <= vertices:
         for v, labels in sorted(a.lam.items()):
             if v not in vertices:
                 report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
             if len(set(labels)) != len(labels):
                 report.add("duplicate-label", f"duplicate index labels at {v}", v)
-    known_edges = {e.id for e in g.edges}
-    sources = [(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())]
-    targets = [(e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values()]
-    demand = sum([len(a.lam.get(e.src, ())) for e in g.edges])  # labels owing an image
-    hit = set(targets)
-    bad_from = set(sources) - nodes
-    bad_to = hit - nodes
-    # a node hit twice breaks injectivity or the disjointness of the ranges
-    # into its vertex: what gives every node of H at most one incoming arc
-    twice = Counter(targets) if len(hit) < len(targets) else {}
-    shared = {n for n, k in twice.items() if k > 1}
-    if bad_from or bad_to or shared or not a.pi.keys() <= known_edges:
+    known_edges = g._by_id.keys()
+    sourced = sum(map(len, a.pi.values()))  # the arcs, each answering one demand
+    bad_from, shared = set(), set()
+    linked = len(pred) == sourced and pred.keys() <= nodes and nodes.issuperset(pred.values())
+    if not linked or not a.pi.keys() <= known_edges:
+        sources = [(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())]
+        sourced = len(sources)
+        bad_from = set(sources) - nodes
+        bad_to = pred.keys() - nodes
+        # a node hit twice breaks injectivity or the disjointness of the ranges
+        # into its vertex: what gives every node of H at most one incoming arc
+        if len(pred) < sourced:
+            twice = Counter((e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values())
+            shared = {n for n, k in twice.items() if k > 1}
         for eid, mapping in sorted(a.pi.items()):
             if eid not in known_edges:
                 report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
                 continue
             src, dst = g.src(eid), g.dst(eid)
-            faulty = [
-                (i, j) for i, j in mapping.items() if (src, i) in bad_from or (dst, j) in bad_to
-            ]
-            for i, j in sorted(faulty):
+            for i, j in sorted(mapping.items()):
                 if (src, i) in bad_from:
                     report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
                 if (dst, j) in bad_to:
@@ -193,7 +215,7 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
                     first[v, j] = stamp
     # the range cover: every node no arc hits fails CK at a vertex with an
     # incoming edge, and full coisometry at any vertex
-    f_fail = sorted({v for v, _ in nodes - hit if v in vertices})
+    f_fail = sorted({v for v, _ in nodes.difference(pred) if v in vertices})
     ck_fail = [v for v in f_fail if g.in_edges(v)]
     stray = sorted(
         (eid, i) for eid, i in a.phases if eid not in known_edges or i not in a.pi.get(eid, {})
@@ -209,8 +231,9 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
             )
     # without bad-from arcs each arc answers at least one demand, so no
     # label lacks an image when the arcs are as many as the demands
+    demand = sum([len(a.lam.get(e.src, ())) for e in g.edges])  # labels owing an image
     missing: list[tuple[str, str]] = []
-    if bad_from or demand > len(sources):
+    if bad_from or demand > sourced:
         for eid in sorted(known_edges):
             mapping = a.pi.get(eid, {})
             missing.extend((eid, i) for i in a.labels(g.src(eid)) if i not in mapping)
@@ -275,13 +298,14 @@ class LabeledH:
 def _h_components(
     nodes: list[Node], pred: dict[Node, Node]
 ) -> list[tuple[Node | None, list[Node]]]:
-    """The components of H from its predecessor links alone, each with its
-    root (None for a cycle component) and its nodes in the order given.
+    """The components of H met from ``nodes``, by its predecessor links
+    alone, each with its root (None for a cycle component) and its nodes
+    among ``nodes`` in the order given.
 
     ``nodes`` come sorted and each has at most one predecessor, so the
     backward walk from a node ends at its component's root or closes on its
     cycle.  Walking from each node not yet labeled, in order, meets the
-    components in least-node order.
+    components in the order of their least nodes among ``nodes``.
     """
     roots: list[Node | None] = []
     comp_of: dict[Node, int] = {}
@@ -565,9 +589,10 @@ def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
 def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
     """Lemma: no root of valid total data reaches a cycle.  A forward walk in H
     from the root along a path into the cycle could not stop (the data is total)
-    nor revisit a node (two in-arcs, or one at the root), and H is finite."""
-    _require_valid(a, require_total=True)
+    nor revisit a node (two in-arcs, or one at the root), and H is finite.
+    The split comes first: its pass over pi gives the verdict too."""
     roots, cycles, _ = a._split
+    _require_valid(a, require_total=True)
     atoms: list[tuple[Atom, Multiplicity]] = [(LeftRegularAtom(v), 1) for v in roots]
     for found in cycles:
         atoms.extend(_decompose_cycle(a.graph, found.cycle, found.phase))
@@ -606,13 +631,9 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
     is reached forward from its H-cycle, itself a lift of a graph cycle.
     """
     if isinstance(a, ExplicitAtomic):
-        # each root component holds exactly one root; sorting the root
-        # vertices lists alpha in vertex order, as the nodes of H are
+        # one root per root component, in node order: alpha is in vertex order
         roots, _, remainder = a._split
-        alpha: dict[str, Multiplicity] = {}
-        for v in sorted(roots):
-            alpha[v] = alpha.get(v, 0) + 1
-        return WoldData(alpha, remainder, True)
+        return WoldData(dict(Counter(roots)), remainder, True)
     if g is None:
         raise DomainError("canonical wold data needs the host graph")
     validate_canonical(g, a)

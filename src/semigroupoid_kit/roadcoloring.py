@@ -170,7 +170,7 @@ def _gap(auto: BackwardAutomaton, i: int, j: int) -> PartialAutomaton:
 def parse_word(word: str, d: int) -> list[int]:
     letters = []
     for ch in word:
-        if not ch.isdigit() or ch == "0":
+        if not "1" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '١'
             raise DomainError("color words use digits 1..9", word=word)
         j = int(ch)
         if j > d:
@@ -421,16 +421,15 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     v0 = e.src
     tree_edge: dict[str, str] = {}
     depth = {v0: 0}
-    queue = deque([v0])
-    while queue:
-        u = queue.popleft()
+    queue = [v0]
+    for u in queue:  # the queue grows while it is read
         for eid in g.out_edges(u):
-            w = g.dst(eid)
+            w = g._by_id[eid].dst  # the id is the graph's own: no checked lookup
             if w not in depth:
                 depth[w] = depth[u] + 1
                 tree_edge[w] = eid
                 queue.append(w)
-    if set(depth) != set(g.vertices):
+    if len(depth) != len(g.vertices):
         raise DomainError("graph is not transitive from the loop vertex", vertex=v0)
     color: dict[str, int] = {}
     for v in g.sorted_vertices():

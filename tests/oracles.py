@@ -565,6 +565,36 @@ def search_coloring(g, d):
     return None
 
 
+def obrien_coloring(g, loop_edge):
+    """``obrien_coloring`` by a deque breadth-first tree that reads each
+    out-edge's range through the checked ``Graph.dst``: the loop and the
+    tree edges get colour 1, each in-fibre's other edges 2, 3, ... in
+    edge-id order.  The graph must be in-degree regular and transitive."""
+    from collections import deque
+
+    from semigroupoid_kit import Coloring
+
+    v0 = g.src(loop_edge)
+    tree_edge, depth = {}, {v0: 0}
+    queue = deque([v0])
+    while queue:
+        u = queue.popleft()
+        for eid in g.out_edges(u):
+            w = g.dst(eid)
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                tree_edge[w] = eid
+                queue.append(w)
+    color = {}
+    for v in g.sorted_vertices():
+        ones = loop_edge if v == v0 else tree_edge[v]
+        color[ones] = 1
+        rest = [eid for eid in g.in_edges(v) if eid != ones]
+        for col, eid in enumerate(rest, start=2):
+            color[eid] = col
+    return Coloring(len(g.in_edges(v0)), color), "1" * max(depth.values())
+
+
 # ---------------------------------------------------------------------------
 # explicit families: the coisometry scan that the disjointness pass replaced
 
@@ -690,7 +720,9 @@ def h_components(h):
 
 def split(a):
     """``ExplicitAtomic._split`` from the full H: union-find components, then
-    one backward trace from the least node of each."""
+    one backward trace from the least node of each.  Root vertices are
+    listed in the order of their root nodes, cycle traces in the order of
+    their components' least nodes."""
     from semigroupoid_kit import RootFound, build_H, trace_backward
 
     h = build_H(a)
@@ -698,11 +730,11 @@ def split(a):
     for comp in h_components(h):
         outcome = trace_backward(h, comp[0])
         if isinstance(outcome, RootFound):
-            roots.append(outcome.root[0])
+            roots.append(outcome.root)
         else:
             cycles.append(outcome)
             cycle_nodes.update(comp)
-    return tuple(roots), tuple(cycles), frozenset(cycle_nodes)
+    return tuple(v for v, _ in sorted(roots)), tuple(cycles), frozenset(cycle_nodes)
 
 
 # ---------------------------------------------------------------------------

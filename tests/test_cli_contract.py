@@ -1,12 +1,13 @@
-"""The command line contract under arbitrary JSON input.
+"""The command line contract under arbitrary JSON input and colour words.
 
 Every subcommand's JSON inputs (its files, and the path given to
 ``atomic condM --mu``) are replaced by arbitrary JSON or by a valid document
 with one subtree replaced; every leaf of each valid document is also
-replaced in turn by a number out of range for ``int`` or ``float``.  The
-run must exit 0, or exit 1 with a JSON error object on stderr; an escaping
-exception fails the test.  Files that are not JSON at all (bad UTF-8,
-nesting too deep, a directory) must exit 1.
+replaced in turn by a number out of range for ``int`` or ``float``.  Each
+colour word argument is replaced by arbitrary text.  The run must exit 0,
+or exit 1 with a JSON error object on stderr; an escaping exception fails
+the test.  Files that are not JSON at all (bad UTF-8, nesting too deep, a
+directory) must exit 1.
 """
 
 import contextlib
@@ -226,3 +227,46 @@ def test_out_of_range_numbers_exit_one_with_json_error(kind, tmp_path):
         value = [10**400, float("inf")][k % 2]
         docs = dict(VALID, **{kind: replaced(VALID[kind], at, value)})
         check_contract(argv_for(DECODES[kind], docs.get, str(tmp_path)))
+
+
+# each colour word argument of a command, given inline as --option=WORD
+WORD_COMMANDS = [
+    "color sync-verify {graph} {coloring} --word=WORD",
+    "color syncdiag {graph} {coloring} --gamma=WORD --gamma2=21",
+    "color syncdiag {graph} {coloring} --gamma=1 --gamma2=WORD",
+]
+# digits that str.isdigit accepts beyond ASCII: superscripts, Arabic-Indic,
+# fullwidth and Devanagari
+ODD_DIGITS = ["\u00b2", "\u0661", "\uff11", "\u0967", "\u2081"]
+word_texts = st.text(
+    alphabet=st.sampled_from("0123456789" + "".join(ODD_DIGITS) + "a -"), max_size=6
+)
+
+
+def word_argv(command, word, tmp):
+    return [a.replace("WORD", word) for a in argv_for(command, VALID.get, tmp)]
+
+
+@pytest.mark.parametrize("command", WORD_COMMANDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(word=word_texts | st.text(max_size=4))
+def test_any_word_exits_zero_or_one_with_json_error(command, word):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = word_argv(command, word, tmp)
+        code, out, err = run(argv)
+        assert code in (0, 1), argv
+        # the looped triangle is coloured with d = 2, so only 1 and 2 are letters
+        if code == 1 or not set(word) <= set("12"):
+            assert code == 1 and not out, argv
+            assert json.loads(err)["error"] == "domain-error", argv
+
+
+@pytest.mark.parametrize("command", WORD_COMMANDS)
+def test_non_ascii_digits_are_refused(command, tmp_path):
+    for odd in ODD_DIGITS:
+        for word in ("1" + odd, odd + "1", odd):
+            code, out, err = run(word_argv(command, word, str(tmp_path)))
+            assert code == 1 and not out, word
+            error = json.loads(err)
+            assert error["message"] == "color words use digits 1..9", word
+            assert error["details"] == {"word": word}, word

@@ -16,6 +16,7 @@ import oracles
 import pytest
 import semigroupoid_kit
 from semigroupoid_kit import (
+    AtomDecomposition,
     CycleFound,
     CycleType,
     DirectSum,
@@ -155,14 +156,16 @@ def test_wold_one_trace_per_component_matches_per_node_trace(rng):
 
 
 def test_classify_and_wold_validate_once(rng, monkeypatch):
+    # the verdict and the split of H share one pass over pi, so counting
+    # that pass counts both
     calls = []
-    original = atomic.validate_atomic
+    original = atomic._h_links
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(atomic, "validate_atomic", counting)
+    monkeypatch.setattr(atomic, "_h_links", counting)
     fam, _, _ = corpus.random_loop_sink_family(rng)
     g = fam.graph
     twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
@@ -174,6 +177,12 @@ def test_classify_and_wold_validate_once(rng, monkeypatch):
     assert len(calls) == 2
     orbit_condition_M(fam, Path("v", ("loop",)))
     assert len(calls) == 2 and calls[0][0] is fam and calls[1][0] is twin
+    # invalid data is refused from its cached verdict, with no second pass
+    bad_to = _broken_variants(rng, fam)[0]
+    for query in (lambda: classify(g, bad_to), lambda: wold_atomic(bad_to)):
+        with pytest.raises(DomainError):
+            query()
+    assert len(calls) == 3 and calls[2][0] is bad_to
 
 
 def _broken_variants(rng, fam):
@@ -472,6 +481,108 @@ def test_split_and_h_components_match_union_find(rng):
     # roots alone, cycles alone and both, in total and in partial data
     assert {(True, False, True), (False, True, True), (True, True, True)} <= shapes
     assert {(True, True, False)} <= shapes
+
+
+def fed_core_graph(rng, into_cycle):
+    """A cycle with a sink chain w0 -> w1 downstream of it, and source
+    vertices s0, s1 off the elimination core whose edges run into the cycle
+    (``into_cycle``) or into the sinks only; only the latter admit total
+    data."""
+    n = rng.randint(1, 4)
+    cyc = [f"c{k}" for k in range(n)]
+    triples = [(f"r{k}", cyc[k], cyc[(k + 1) % n]) for k in range(n)]
+    triples += [("x0", rng.choice(cyc), "w0"), ("x1", "w0", "w1")]
+    targets = cyc if into_cycle else ["w0", "w1"]
+    triples += [(f"f{k}", f"s{k % 2}", rng.choice(targets)) for k in range(3)]
+    return Graph.build(cyc + ["s0", "s1", "w0", "w1"], triples)
+
+
+def _oracle_atoms(fam):
+    roots, cycles, _ = oracles.split(fam)
+    atoms = [(LeftRegularAtom(v), 1) for v in roots]
+    for found in cycles:
+        atoms += decompose_cycle(fam.graph, found.cycle, found.phase)
+    return AtomDecomposition(atoms).atoms
+
+
+def _split_lemma_families(rng):
+    """(shape, family) pairs: acyclic hosts, pure cycles, and roots off the
+    core that feed nodes over it, each in total and partial data."""
+    out = []
+    for k in range(30):
+        g = chain_graph(rng.randint(1, 9)) if k % 3 == 0 else corpus.random_graph(
+            rng, max_v=8, max_e=10, acyclic=True
+        )
+        out += [("acyclic", corpus.random_root_family(rng, g)[0])]
+        out += [("acyclic", random_partial_family(rng, g))]
+        cyc = corpus.random_cycle_family(rng, laps=rng.randint(1, 3))[1]
+        out += [("cycle", cyc)]
+        # one arc dropped: the cycle of H opens into a chain with a root
+        pi = {e: dict(m) for e, m in cyc.pi.items()}
+        eid = rng.choice(sorted(pi))
+        del pi[eid][rng.choice(sorted(pi[eid]))]
+        out += [("cycle", ExplicitAtomic(cyc.graph, dict(cyc.lam), pi))]
+        for into_cycle in (True, False):
+            g = fed_core_graph(rng, into_cycle)
+            out += [("fed", random_partial_family(rng, g))]
+            fam = random_total_family(rng, g)
+            if fam is not None:
+                out += [("fed", fam)]
+    return out
+
+
+def test_split_lemma_cases_match_union_find(rng):
+    seen = set()
+    for n, (shape, fam) in enumerate(_split_lemma_families(rng)):
+        g = fam.graph
+        total = validate_atomic(fam).valid
+        if n % 2:  # the verdict first, so that the split makes its own pass
+            assert fam._verdict.findings == oracles.validate_atomic(fam, False).findings
+        got = fam._split  # otherwise the split's pass gives the verdict too
+        want = oracles.split(fam)
+        assert got == want
+        assert wold_atomic(fam).remainder_nodes == want[2]
+        if total:
+            assert classify(g, fam).atoms == _oracle_atoms(fam)
+        else:
+            with pytest.raises(NonTotalPresentation):
+                classify(g, fam)
+        assert fam._verdict.findings == oracles.validate_atomic(fam, False).findings
+        core = set(oracles.source_elimination(g)[0].vertices)
+        h = build_H(fam)
+        # a root off the core whose component holds nodes over the core
+        fed = any(
+            h.pred[node] is None and node[0] not in core and any(v in core for v, _ in comp)
+            for comp in oracles.h_components(h)
+            for node in comp
+        )
+        seen.add((shape, total, fed))
+    assert {("acyclic", True, False), ("acyclic", False, False)} <= seen
+    assert {("cycle", True, False), ("cycle", False, False)} <= seen
+    assert {("fed", True, True), ("fed", False, True)} <= seen
+
+
+def test_families_cache_only_the_verdict_and_the_split(rng):
+    # a per-node link map or node set kept on each family would raise the
+    # peak memory of every structure query
+    fields = {"graph", "lam", "pi", "phases"}
+    for _ in range(10):
+        g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
+        families = [
+            corpus.random_root_family(rng, g)[0],
+            corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0],
+            corpus.random_cycle_family(rng)[1],
+        ]
+        for fam in families:
+            twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
+            classify(fam.graph, fam)
+            wold_atomic(fam)
+            assert are_unitarily_equivalent(fam.graph, fam, twin).equivalent
+            for a in (fam, twin):
+                assert set(vars(a)) == fields | {"_verdict", "_split"}
+                roots, cycles, cycle_nodes = a._split
+                assert all(type(v) is str for v in roots)
+                assert len(roots) + len(cycle_nodes) <= a.dim()
 
 
 def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):

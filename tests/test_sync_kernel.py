@@ -183,6 +183,22 @@ def test_incomplete_colorings_fail_like_references(rng):
     assert {"PartialAutomaton", "ok"} <= seen
 
 
+def test_obrien_matches_the_reference_tree(rng):
+    # looped graphs, some with loops at other vertices too and edge ids
+    # whose sorted order differs from the order of construction
+    for k in range(120):
+        n, d = rng.randint(1, 12), rng.randint(2, 4)
+        g = looped_graph(rng, n, d)
+        if k % 2:
+            g = Graph.build(g.vertices, [(f"{rng.randrange(100)}_{e.id}", e.src, e.dst)
+                                         for e in g.edges])
+        loops = [e.id for e in g.edges if e.src == e.dst]
+        for loop in loops[:2]:
+            coloring, word = rc.obrien_coloring(g, loop)
+            want_coloring, want_word = oracles.obrien_coloring(g, loop)
+            assert (coloring, word) == (want_coloring, want_word)
+
+
 def test_subset_search_names_the_least_vertex_missing_a_color():
     # every vertex of the 3-cycle lacks color 2; the frozenset search named
     # whichever it met first in hash order
