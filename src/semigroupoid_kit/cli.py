@@ -90,7 +90,8 @@ def cmd_graph_ses(args) -> Answer:
     lines = [f"has_ses: {ok}"]
     for i, layer in enumerate(layers, 1):
         lines.append(f"layer {i}: {', '.join(layer)}")
-    lines.append(f"core vertices: {', '.join(g0.sorted_vertices()) or '(none)'}")
+    core = g0.sorted_vertices()
+    lines.append(f"core vertices: {', '.join(core) if core else '(none)'}")
     return data, lines
 
 
@@ -103,7 +104,7 @@ def cmd_paths_enum(args) -> Answer:
     sources = [v for v in args.source.split(",") if v]
     found = pa.enumerate_paths(g, sources, args.max_len)
     data = {"count": len(found), "paths": [io.path_to_json(p) for p in found]}
-    lines = [f"{len(p)}: {p.base} {' '.join(p.edges) or '(vertex)'}" for p in found]
+    lines = [f"{len(p)}: {p.base} {' '.join(p.edges) if p.edges else '(vertex)'}" for p in found]
     lines.append(f"count: {len(found)}")
     return data, lines
 
@@ -248,9 +249,10 @@ def cmd_color_sync_verify(args) -> Answer:
     g = _load_graph(args.graph)
     c = _load_coloring(args.coloring)
     target = rc.is_synchronizing_word(g, c, args.word)
+    verdict = "not synchronizing" if target is None else f"synchronizes to {target}"
     return (
         {"word": args.word, "synchronizing": target is not None, "target": target},
-        [f"word {args.word!r}: " + (f"synchronizes to {target}" if target else "not synchronizing")],
+        [f"word {args.word!r}: {verdict}"],
     )
 
 
@@ -292,13 +294,10 @@ def cmd_color_syncdiag(args) -> Answer:
         "lambda": io.path_to_json(diag.closed),
         "colors": diag.color_word(g, c),
     }
-    lines = [
-        f"vertex: {diag.vertex}",
-        f"mu' = {' '.join(diag.mu_prime.edges) or '(vertex)'}",
-        f"mu  = {' '.join(diag.mu.edges) or '(vertex)'}",
-        f"lambda = {' '.join(diag.closed.edges) or '(vertex)'}",
-        f"colors: {data['colors']}",
-    ]
+    lines = [f"vertex: {diag.vertex}"]
+    for name, p in (("mu'", diag.mu_prime), ("mu ", diag.mu), ("lambda", diag.closed)):
+        lines.append(f"{name} = {' '.join(p.edges) if p.edges else '(vertex)'}")
+    lines.append(f"colors: {data['colors']}")
     return data, lines
 
 
@@ -318,7 +317,7 @@ def _build_rep(args) -> tr.TruncatedRep:
 
 def _label_str(rep: tr.TruncatedRep, label) -> str:
     if rep.kind == "left_regular":
-        return f"{label.base}:{' '.join(label.edges) or '()'}"
+        return f"{label.base}:{' '.join(label.edges) if label.edges else '()'}"
     v, w = label
     return f"{v}:{w or '()'}"
 
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--word", required=True)
-    p = _command(cs, "sync-find", cmd_color_sync_find, "shortest synchronizing word")
+    p = _command(cs, "sync-find", cmd_color_sync_find, "synchronizing word (shortest when small)")
     p.add_argument("graph")
     p.add_argument("coloring")
     p = _command(

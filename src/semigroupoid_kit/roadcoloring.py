@@ -9,15 +9,16 @@ the last applied edge, matching the path convention c(e_k ... e_1) =
 c(e_k) ... c(e_1).  A word gamma synchronizes for v when the unique
 backward gamma-path from every vertex has source v.
 
-Kernels walk delta as integer rows over the sorted vertex index (there is
-no ``BackwardAutomaton.delta`` dict any more); validation is one set-level
-pass, and the sorted scans that name each fault run only when it fails.
+Kernels walk delta as integer rows over the sorted vertex index and words
+as int letter tuples; only ``parse_word`` and ``format_word`` see a word's
+text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,6 +36,24 @@ from .validation import ValidationReport
 
 SUBSET_BFS_LIMIT = 20
 SEARCH_BUDGET = 10**7
+MAX_COLORS = 9  # a letter is written as one digit
+
+
+def parse_word(word: str, d: int) -> list[int]:
+    letters = []
+    for ch in word:
+        if not "1" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '١'
+            raise DomainError(f"color words use digits 1..{MAX_COLORS}", word=word)
+        j = int(ch)
+        if j > d:
+            raise DomainError("letter exceeds the color count", letter=j, d=d)
+        letters.append(j)
+    return letters
+
+
+def format_word(letters: Iterable[int]) -> str:
+    """The text of a color word, as ``parse_word`` reads it: one digit a letter."""
+    return "".join(map(str, letters))
 
 
 @dataclass(frozen=True)
@@ -72,7 +91,7 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
     report = ValidationReport()
     d, color, edges = c.d, c.color, g.edges
     if (
-        1 <= d <= 9
+        1 <= d <= MAX_COLORS
         and color.keys() == g._by_id.keys()
         and set(color.values()) <= set(range(1, d + 1))
         and len({(e.dst, color[e.id]) for e in edges}) == len(edges)
@@ -80,13 +99,12 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
         # strong with colors in 1..d: complete iff every in-fiber has d edges
         complete = len(edges) == d * len(g.vertices)
     else:  # name each fault, in sorted order
-        if c.d < 1 or c.d > 9:
-            report.add("bad-d", f"color count d={c.d} outside 1..9")
-        edge_ids = {e.id for e in g.edges}
+        if c.d < 1 or c.d > MAX_COLORS:
+            report.add("bad-d", f"color count d={c.d} outside 1..{MAX_COLORS}")
         for eid in sorted(c.color):
-            if eid not in edge_ids:
+            if eid not in g._by_id:
                 report.add("unknown-edge", f"color assigned to unknown edge {eid}", eid)
-        for eid in sorted(edge_ids):
+        for eid in sorted(g._by_id):
             if eid not in c.color:
                 report.add("uncolored-edge", f"edge {eid} has no color", eid)
             elif not 1 <= c.color[eid] <= c.d:
@@ -167,21 +185,9 @@ def _gap(auto: BackwardAutomaton, i: int, j: int) -> PartialAutomaton:
     return PartialAutomaton("no incoming edge of that color", vertex=auto.verts[i], color=j)
 
 
-def parse_word(word: str, d: int) -> list[int]:
-    letters = []
-    for ch in word:
-        if not "1" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '١'
-            raise DomainError("color words use digits 1..9", word=word)
-        j = int(ch)
-        if j > d:
-            raise DomainError("letter exceeds the color count", letter=j, d=d)
-        letters.append(j)
-    return letters
-
-
 def color_word(g: Graph, c: Coloring, p: Path) -> str:
     """Word of a path: colors in product order (first letter = last applied edge)."""
-    return "".join(str(c.of(eid)) for eid in p.edges)
+    return format_word(c.of(eid) for eid in p.edges)
 
 
 def follow_backward(g: Graph, c: Coloring, v: str, word: str) -> tuple[str, Path]:
@@ -200,7 +206,7 @@ def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
     return _sync_target(backward_automaton(g, c), parse_word(word, c.d))
 
 
-def _follow(auto: BackwardAutomaton, v: str, letters: list[int]) -> tuple[str, Path]:
+def _follow(auto: BackwardAutomaton, v: str, letters: Sequence[int]) -> tuple[str, Path]:
     i = auto.index[v]
     edges: list[str] = []
     for j in letters:
@@ -211,7 +217,7 @@ def _follow(auto: BackwardAutomaton, v: str, letters: list[int]) -> tuple[str, P
     return auto.verts[i], Path(auto.verts[i], tuple(edges))
 
 
-def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
+def _sync_target(auto: BackwardAutomaton, letters: Sequence[int]) -> str | None:
     """Common end of the backward walks from every vertex, or None.
 
     The set of walk ends is stepped as a whole.  When a step is undefined,
@@ -231,25 +237,26 @@ def _sync_target(auto: BackwardAutomaton, letters: list[int]) -> str | None:
 
 
 def find_synchronizing_word(g: Graph, c: Coloring) -> str | None:
-    """Shortest synchronizing word, or None when no word synchronizes.
+    """A synchronizing word, or None when no word synchronizes.
 
     Breadth-first search over the subset automaton for up to 20 vertices
     (exact, shortest); beyond that a pairwise merging heuristic produces a
     synchronizing word that need not be shortest.
     """
-    return _find_word(backward_automaton(g, c))
+    word = _find_word(backward_automaton(g, c))
+    return None if word is None else format_word(word)
 
 
-def _find_word(auto: BackwardAutomaton) -> str | None:
+def _find_word(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     n = len(auto.verts)
     if n <= 1:
-        return ""
+        return ()
     if n <= SUBSET_BFS_LIMIT:
         return _subset_bfs(auto)
     return _greedy_merge(auto)
 
 
-def _subset_bfs(auto: BackwardAutomaton) -> str | None:
+def _subset_bfs(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     """Breadth-first search from the full vertex set to a singleton.
 
     A subset is an integer bitmask over the sorted vertex index.  Its image
@@ -275,7 +282,7 @@ def _subset_bfs(auto: BackwardAutomaton) -> str | None:
             tables.append((lo, table))
         steps.append((j, gaps, tables))
     full = (1 << n) - 1
-    seen = {full: ""}
+    seen: dict[int, tuple[int, ...]] = {full: ()}
     queue = deque([full])
     while queue:
         cur = queue.popleft()
@@ -289,17 +296,17 @@ def _subset_bfs(auto: BackwardAutomaton) -> str | None:
                 nxt |= table[(cur >> lo) & chunk]
             if nxt in seen:
                 continue
-            seen[nxt] = word + str(j)
+            seen[nxt] = word + (j,)
             if nxt & (nxt - 1) == 0:
                 return seen[nxt]
             queue.append(nxt)
     return None
 
 
-def _pair_merge_word(auto: BackwardAutomaton, a: int, b: int) -> str | None:
-    rows = [(j, str(j), auto.src[j]) for j in range(1, auto.coloring.d + 1)]
+def _pair_merge_word(auto: BackwardAutomaton, a: int, b: int) -> tuple[int, ...] | None:
+    rows = [(j, (j,), auto.src[j]) for j in range(1, auto.coloring.d + 1)]
     start = (a, b) if a <= b else (b, a)
-    seen = {start: ""}
+    seen: dict[tuple[int, int], tuple[int, ...]] = {start: ()}
     queue = deque([start])
     while queue:
         x, y = cur = queue.popleft()
@@ -317,20 +324,20 @@ def _pair_merge_word(auto: BackwardAutomaton, a: int, b: int) -> str | None:
     return None
 
 
-def _greedy_merge(auto: BackwardAutomaton) -> str | None:
+def _greedy_merge(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     current = list(range(len(auto.verts)))  # sorted vertex indices; the least two merge
-    word = ""
+    word: list[int] = []
     while len(current) > 1:
         piece = _pair_merge_word(auto, current[0], current[1])
         if piece is None:
             return None
-        word += piece
-        for j in map(int, piece):
+        word.extend(piece)
+        for j in piece:
             image = [auto.src[j][i] for i in current]
             if None in image:  # name the least vertex with no edge of color j
                 raise _gap(auto, current[image.index(None)], j)
             current = sorted(set(image))
-    return word
+    return tuple(word)
 
 
 def _candidate_colorings(g: Graph, d: int):
@@ -367,7 +374,7 @@ def _candidate_colorings(g: Graph, d: int):
 
 def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     """First strong coloring (in deterministic enumeration order) that admits
-    a synchronizing word, together with a shortest such word.
+    a synchronizing word, with the word ``find_synchronizing_word`` gives it.
 
     Requires an in-degree regular graph.  After the budget check, None is
     returned without trying any coloring unless exactly one strongly
@@ -383,8 +390,8 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
         raise DomainError("coloring search needs an in-degree regular graph with d >= 1")
-    if d > 9:
-        raise DomainError("color words use digits 1..9", d=d)
+    if d > MAX_COLORS:
+        raise DomainError(f"color words use digits 1..{MAX_COLORS}", d=d)
     candidates = _candidate_colorings(g, d)
     closed = [
         comp
@@ -397,7 +404,7 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
         # candidates are strong and complete by construction
         word = _find_word(_automaton(g, cand))
         if word is not None:
-            return cand, word
+            return cand, format_word(word)
     return None
 
 
@@ -429,8 +436,6 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
                 depth[w] = depth[u] + 1
                 tree_edge[w] = eid
                 queue.append(w)
-    if len(depth) != len(g.vertices):
-        raise DomainError("graph is not transitive from the loop vertex", vertex=v0)
     color: dict[str, int] = {}
     for v in g.sorted_vertices():
         ones = loop_edge if v == v0 else tree_edge[v]
@@ -439,11 +444,10 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
         for col, eid in enumerate(rest, start=2):
             color[eid] = col
     coloring = Coloring(d, color)
-    word = "1" * max(depth.values())
-    target = _sync_target(backward_automaton(g, coloring), [1] * len(word))
-    if target != v0:
+    word = (1,) * max(depth.values())
+    if _sync_target(backward_automaton(g, coloring), word) != v0:
         raise AssertionError("tree coloring failed to synchronize to the loop vertex")
-    return coloring, word
+    return coloring, format_word(word)
 
 
 @dataclass

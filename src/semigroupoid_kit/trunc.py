@@ -42,7 +42,7 @@ from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
 from .paths import BASIS_CAP, SYMBOL_CAP, Path, _count_levels, _sources, enumerate_paths
 from .paths import path_range
-from .roadcoloring import Coloring, validate_coloring
+from .roadcoloring import Coloring, format_word, validate_coloring
 from .series import FormalElement
 
 
@@ -72,11 +72,11 @@ class TruncatedRep:
         """Paths for the left-regular model, (vertex, word) for the colored one."""
         if self.kind == "left_regular":
             return enumerate_paths(self.graph, self.meta["sources"], self.depth)
-        letters = "123456789"[: self.meta["coloring"]["d"]]
-        return [
-            (v, "".join(w)) for v in self.graph.sorted_vertices()
-            for k in range(self.depth + 1) for w in product(letters, repeat=k)
-        ]
+        letters = range(1, self.meta["coloring"]["d"] + 1)
+        # one block's words, shared by every vertex; a graph with no vertex has none
+        levels = range(self.depth + 1 if self.graph.vertices else 0)
+        words = [format_word(w) for k in levels for w in product(letters, repeat=k)]
+        return [(v, w) for v in self.graph.sorted_vertices() for w in words]
 
     @cached_property
     def label_vertex(self) -> list[str]:
@@ -153,10 +153,10 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
     """Colored model: vertex blocks of color words, edges act by their color shift.
 
-    A block holds the words of length 0..depth by length, then in string
-    order, which for at most nine colours is base-d order.  So the word w of
-    length k has local index j = off[k] + rank(w), and an edge of colour c
-    sends it to c w at off[k+1] + (c-1) d^k + rank(w) = j + c d^k.
+    A block holds the words of length 0..depth by length, then in base-d
+    order.  So the word w of length k has local index j = off[k] + rank(w),
+    and an edge of colour c sends it to c w at off[k+1] + (c-1) d^k +
+    rank(w) = j + c d^k.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
@@ -165,8 +165,8 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
         raise DomainError("coloring is not strong", findings=[f.message for f in report.errors])
     d = coloring.d
     for v in g.sorted_vertices():
-        fiber = sorted(coloring.of(e) for e in g.in_edges(v))
-        if fiber != list(range(1, d + 1)):
+        # strong with colours in 1..d: complete iff the in-fibre has d edges
+        if len(g.in_edges(v)) != d:
             raise DomainError(
                 "colored truncation needs a complete strong coloring "
                 "(in-degree d-regular, every color in every fiber)", vertex=v

@@ -872,6 +872,19 @@ def build_colored_trunc(g, coloring, depth):
     )
 
 
+def colored_labels(g, d, depth):
+    """The colored truncation's labels as its digit strings were built when a
+    letter was a character of ``"123456789"[:d]``: each vertex block by
+    length, then in string order."""
+    from itertools import product
+
+    letters = "123456789"[:d]
+    return [
+        (v, "".join(w)) for v in g.sorted_vertices()
+        for k in range(depth + 1) for w in product(letters, repeat=k)
+    ]
+
+
 def _assemble(g, depth, kind, labels, grades, label_vertex, shift, meta):
     """Vertex projections and one 0/1 matrix per edge, from one pass over the
     basis: the edge e sends each label of grade below ``depth`` at its source

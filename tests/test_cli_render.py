@@ -17,7 +17,9 @@ import sys
 import pytest
 
 from semigroupoid_kit import (
+    Coloring,
     FormalElement,
+    Graph,
     Path,
     Phase,
     cycle_graph,
@@ -168,6 +170,46 @@ def test_rendering_is_unchanged(argv, files):
     assert render(argv, files) == EXPECTED[_key(argv)]
 
 
+# vertex "" and edge "": the tables name them as JSON does
+EMPTY_ID_TABLES = {
+    ("color", "sync-verify", "@g", "@c", "--word", "1"): "word '1': synchronizes to \n",
+    ("graph", "ses", "@h"): "has_ses: False\nlayer 1: a\ncore vertices: \n",
+    ("paths", "enum", "@g", "--source", "a", "--max-len", "1"):
+        "0: a (vertex)\n1: a \n1: a d\ncount: 3\n",
+    ("color", "syncdiag", "@g", "@c", "--gamma", "1", "--gamma2", "2"):
+        "vertex: \nmu' = \nmu  = c\nlambda =  c\ncolors: 21\n",
+    ("trunc", "build", "@g", "--sources", "a", "--depth", "1"):
+        "kind: left_regular\ndim: 3\nbasis[0] = a:()\nbasis[1] = a:\nbasis[2] = a:d\n",
+}
+
+
+def test_tables_agree_with_json_on_empty_ids(tmp_path):
+    g = Graph.build(["", "a"], [("l", "", ""), ("", "a", ""), ("c", "", "a"), ("d", "a", "a")])
+    docs = {
+        "g": g.to_json_dict(),
+        "c": Coloring(2, {"l": 1, "": 2, "c": 1, "d": 2}).to_json_dict(),
+        "h": Graph.build(["", "a"], [("l", "", ""), ("x", "a", "")]).to_json_dict(),
+    }
+    files = {}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(dump_json(doc))
+        files[name] = str(tmp_path / f"{name}.json")
+    answers = {}
+    for argv, table in EMPTY_ID_TABLES.items():
+        assert render([*argv, "--format", "table"], files) == {
+            "code": 0, "stdout": table, "stderr": ""
+        }
+        out = render(list(argv), files)
+        assert out["code"] == 0 and out["stderr"] == ""
+        answers[argv[1]] = json.loads(out["stdout"])
+    assert answers["sync-verify"] == {"word": "1", "synchronizing": True, "target": ""}
+    assert answers["ses"]["g0"]["vertices"] == [""]
+    assert answers["enum"]["paths"][1] == {"base": "a", "edges": [""]}
+    assert answers["syncdiag"]["vertex"] == ""
+    assert answers["syncdiag"]["mu_prime"] == {"base": "a", "edges": [""]}
+    assert answers["build"]["basis"] == ["a:()", "a:", "a:d"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -177,3 +219,4 @@ if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"recorded {len(recorded)} requests in {DATA}\n")
+

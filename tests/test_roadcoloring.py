@@ -277,3 +277,13 @@ def test_obrien_rejects_ten_colors(tmp_path, capsys):
     for fmt in ("json", "table"):
         assert main(["color", "obrien", str(path), "--loop", "l", "--format", fmt]) == 1
         assert capsys.readouterr() == ("", D10_STDERR)
+
+
+def test_format_word_inverts_parse_word():
+    for d in range(1, rc.MAX_COLORS + 1):
+        for k in range(5):
+            for letters in itertools.product("123456789"[:d], repeat=k):
+                word = "".join(letters)
+                parsed = rc.parse_word(word, d)
+                assert parsed == [int(ch) for ch in word]
+                assert rc.format_word(parsed) == rc.format_word(tuple(parsed)) == word

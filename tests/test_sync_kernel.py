@@ -6,6 +6,7 @@ bitmask search, single-automaton walks and closed-component rule must give
 the same words, colourings and errors on seeded random graphs.
 """
 
+import itertools
 import random
 
 import pytest
@@ -366,3 +367,33 @@ def test_greedy_step_names_the_least_vertex_missing_a_color():
     want = outcome(oracles.synchronizing_word, g, c)
     assert outcome(find_synchronizing_word, g, c) == want
     assert want[0] == "PartialAutomaton"
+
+
+def test_kernels_return_letter_tuples_that_format_to_the_reference_words(rng):
+    def in_regular_cases():
+        for _ in range(200):
+            n, d = rng.randint(1, 10), rng.randint(1, 3)
+            g = corpus.random_in_regular_graph(rng, n, d)
+            yield g, random_coloring(rng, g, d)
+
+    def text(kernel, auto):
+        word = kernel(auto)
+        if word is not None:
+            assert type(word) is tuple and all(type(j) is int for j in word), word
+            word = rc.format_word(word)
+        return word
+
+    checked = 0
+    for g, c in itertools.chain(in_regular_cases(), row_kernel_cases(rng)):
+        auto, ref = rc.backward_automaton(g, c), oracles.backward_automaton(g, c)
+        n = len(g.vertices)
+        got = outcome(text, rc._greedy_merge, auto)
+        assert got == outcome(oracles.greedy_merge, ref, g.vertices)
+        checked += got[0] == "ok" and got[1] is not None
+        if n <= rc.SUBSET_BFS_LIMIT:
+            got = outcome(text, rc._subset_bfs, auto)
+            # the frozenset search names a hash-order vertex
+            assert got[:2] == outcome(oracles.subset_bfs, ref, frozenset(g.vertices))[:2]
+        want = outcome(oracles.synchronizing_word, g, c)
+        assert outcome(text, rc._find_word, auto)[:2] == want[:2]
+    assert checked >= 100

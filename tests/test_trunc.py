@@ -6,6 +6,7 @@ from semigroupoid_kit import (
     Coloring,
     DomainError,
     FormalElement,
+    Graph,
     Path,
     TruncatedRep,
     apply_formal,
@@ -21,6 +22,7 @@ from semigroupoid_kit import (
     verify_tck,
     wandering_certificate,
 )
+from semigroupoid_kit.roadcoloring import parse_word
 
 OBRIEN_FIG1 = {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}
 
@@ -682,3 +684,23 @@ def test_in_place_edit_that_breaks_injectivity_is_named(fig1):
     with pytest.raises(DomainError, match="not a partial injection") as err:
         verify_tck(rep)
     assert err.value.details == {"op": "e:tl1"}
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_colored_labels_keep_the_digit_order_and_are_in_rank_order(d):
+    import oracles
+
+    g = Graph.build(
+        ["a", "b"], [(f"{v}{j}", w, v) for v, w in (("a", "b"), ("b", "a")) for j in range(d)]
+    )
+    coloring = Coloring(d, {f"{v}{j}": j + 1 for v in "ab" for j in range(d)})
+    depth = 3
+    rep = build_colored_trunc(g, coloring, depth)
+    assert rep.labels == oracles.colored_labels(g, d, depth)
+    for v in g.sorted_vertices():
+        block = [tuple(parse_word(w, d)) for u, w in rep.labels if u == v]
+        # local index of a word of length k: d^0 + ... + d^(k-1), plus its base-d rank
+        for i, w in enumerate(block):
+            offset = sum(d**m for m in range(len(w)))
+            rank = sum((j - 1) * d ** (len(w) - 1 - pos) for pos, j in enumerate(w))
+            assert i == offset + rank
