@@ -78,7 +78,7 @@ def cmd_graph_period(args) -> Answer:
 
 def cmd_graph_closure(args) -> Answer:
     g = _load_graph(args.file)
-    subset = [v for v in args.set.split(",") if v]
+    subset = args.set.split(",")
     closure = sorted(gr.directed_closure(g, subset))
     return {"closure": closure}, [", ".join(closure)]
 
@@ -101,7 +101,7 @@ def cmd_graph_ses(args) -> Answer:
 
 def cmd_paths_enum(args) -> Answer:
     g = _load_graph(args.file)
-    sources = [v for v in args.source.split(",") if v]
+    sources = args.source.split(",")
     found = pa.enumerate_paths(g, sources, args.max_len)
     data = {"count": len(found), "paths": [io.path_to_json(p) for p in found]}
     lines = [f"{len(p)}: {p.base} {' '.join(p.edges) if p.edges else '(vertex)'}" for p in found]
@@ -309,10 +309,9 @@ def _build_rep(args) -> tr.TruncatedRep:
     g = _load_graph(args.graph)
     if args.coloring:
         return tr.build_colored_trunc(g, _load_coloring(args.coloring), args.depth)
-    if not args.sources:
+    if args.sources is None:
         raise DomainError("need --sources or --coloring")
-    sources = [v for v in args.sources.split(",") if v]
-    return tr.build_left_regular_trunc(g, sources, args.depth)
+    return tr.build_left_regular_trunc(g, args.sources.split(","), args.depth)
 
 
 def _label_str(rep: tr.TruncatedRep, label) -> str:

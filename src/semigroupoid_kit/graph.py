@@ -10,10 +10,9 @@ not meaningful.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import GraphFormatError
 from .validation import ValidationReport
@@ -62,7 +61,44 @@ class Graph:
 
     @cached_property
     def _sccs(self) -> tuple[frozenset[str], ...]:
-        return tuple(_tarjan(self))
+        # Kosaraju: an iterative DFS lists the vertices by finishing time;
+        # then, latest finisher first, a BFS over in-edges from each vertex
+        # not yet placed collects one component
+        out, inc, by_id = self._out, self._in, self._by_id
+        finished: list[str] = []
+        seen: set[str] = set()
+        for root in self.vertices:
+            if root in seen:
+                continue
+            seen.add(root)
+            work = [(root, iter(out[root]))]
+            while work:
+                v, it = work[-1]
+                for eid in it:
+                    w = by_id[eid].dst
+                    if w not in seen:
+                        seen.add(w)
+                        work.append((w, iter(out[w])))
+                        break
+                else:
+                    work.pop()
+                    finished.append(v)
+        placed: set[str] = set()
+        components = []
+        for root in reversed(finished):
+            if root in placed:
+                continue
+            placed.add(root)
+            comp = [root]
+            for v in comp:
+                for eid in inc[v]:
+                    u = by_id[eid].src
+                    if u not in placed:
+                        placed.add(u)
+                        comp.append(u)
+            components.append(frozenset(comp))
+        components.sort(key=min)
+        return tuple(components)
 
     @cached_property
     def _scc_of(self) -> dict[str, frozenset[str]]:
@@ -189,57 +225,6 @@ def strongly_connected_components(g: Graph) -> list[frozenset[str]]:
     return list(g._sccs)
 
 
-def _tarjan(g: Graph) -> list[frozenset[str]]:
-    """Tarjan's algorithm, iterative, components listed by least vertex id."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    for root in g.sorted_vertices():
-        if root in index:
-            continue
-        work = [(root, iter(g.out_edges(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for eid in it:
-                w = g.dst(eid)
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out_edges(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    components.sort(key=lambda c: min(c))
-    return components
-
-
 def is_transitive(g: Graph) -> bool:
     """True when every vertex reaches every other (single strongly connected component)."""
     return len(g._sccs) <= 1
@@ -262,12 +247,11 @@ def period(g: Graph, v: str) -> int | None:
     if not intra:
         return None
     dist = {v: 0}
-    queue = deque([v])
+    queue = [v]
     out_intra: dict[str, list[Edge]] = {u: [] for u in comp}
     for e in intra:
         out_intra[e.src].append(e)
-    while queue:
-        u = queue.popleft()
+    for u in queue:
         for e in out_intra[u]:
             if e.dst not in dist:
                 dist[e.dst] = dist[u] + 1
@@ -280,21 +264,20 @@ def period(g: Graph, v: str) -> int | None:
 
 def directed_closure(g: Graph, subset: Iterable[str]) -> frozenset[str]:
     """Smallest vertex set containing ``subset`` and closed under following out-edges."""
-    todo = deque()
+    queue: list[str] = []
     seen: set[str] = set()
     for v in subset:
         if not g.has_vertex(v):
             raise GraphFormatError("unknown vertex", vertex=v)
         if v not in seen:
             seen.add(v)
-            todo.append(v)
-    while todo:
-        u = todo.popleft()
-        for eid in g.out_edges(u):
-            w = g.dst(eid)
+            queue.append(v)
+    for u in queue:
+        for eid in g._out[u]:
+            w = g._by_id[eid].dst
             if w not in seen:
                 seen.add(w)
-                todo.append(w)
+                queue.append(w)
     return frozenset(seen)
 
 
@@ -332,34 +315,25 @@ def has_ses(g: Graph) -> bool:
     return g._elimination[2]
 
 
-def connected_components(
-    nodes: Sequence[Hashable], links: Iterable[tuple[Hashable, Hashable]]
-) -> list[list]:
-    """Union-find components of ``nodes`` joined by ``links``, each sorted,
-    ordered by least member."""
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict = {}
-    for n in nodes:
-        groups.setdefault(find(n), []).append(n)
-    comps = [sorted(ns) for ns in groups.values()]
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def undirected_components(g: Graph) -> list[list[str]]:
-    """Connected components ignoring orientation, as sorted vertex lists."""
-    return connected_components(g.vertices, ((e.src, e.dst) for e in g.edges))
+    """Connected components ignoring orientation, as sorted vertex lists,
+    ordered by least member; one BFS over in- and out-edges per component."""
+    seen: set[str] = set()
+    comps = []
+    for root in g.sorted_vertices():
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:
+            ends = [g._by_id[eid].dst for eid in g._out[v]]
+            ends += [g._by_id[eid].src for eid in g._in[v]]
+            for w in ends:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:

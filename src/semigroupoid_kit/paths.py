@@ -203,18 +203,14 @@ def _steps_home(g: Graph, v: str) -> dict[str, int]:
     only at its end (backward BFS from v); vertices that cannot get there are
     absent."""
     home: dict[str, int] = {}
-    level = [v]
-    steps = 0
-    while level:
-        steps += 1
-        nxt = []
-        for w in level:
-            for eid in g.in_edges(w):
-                u = g.src(eid)
-                if u != v and u not in home:
-                    home[u] = steps
-                    nxt.append(u)
-        level = nxt
+    queue = [v]
+    for w in queue:
+        steps = home.get(w, 0) + 1
+        for eid in g._in[w]:
+            u = g._by_id[eid].src
+            if u != v and u not in home:
+                home[u] = steps
+                queue.append(u)
     return home
 
 
@@ -311,28 +307,25 @@ def is_primitive(g: Graph, w: Path) -> bool:
 def least_rotation_index(seq: tuple[str, ...]) -> int:
     """Index j such that seq[j:]+seq[:j] is the lexicographically least rotation.
 
-    Booth's failure-function algorithm, linear in len(seq).
+    The two-pointer scan, linear in len(seq): the rotations at candidates
+    i < j agree for k letters; the one with the larger next letter, and the
+    k starts after it, cannot begin a least rotation.  When k reaches n the
+    sequence is periodic and i is the least start.
     """
     n = len(seq)
-    if n <= 1:
-        return 0
     s = seq + seq
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
         else:
-            f[j - k] = i + 1
-    return k % n
+            j += k + 1
+        k = 0
+    return i
 
 
 def cyclic_canonical_form(g: Graph, w: Path) -> Path:

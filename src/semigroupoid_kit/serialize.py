@@ -167,13 +167,13 @@ def canonical_from_json(g: Graph, data: dict) -> CanonicalAtomic:
     raise DomainError("unknown canonical tag", tag=tag)
 
 
-def atomic_family_from_json(data: dict, g: Graph | None = None):
-    """Accepts an explicit atomic object or, with a host graph, a canonical tag."""
+def atomic_family_from_json(data: dict) -> tuple[Graph, ExplicitAtomic | CanonicalAtomic]:
+    """Decode an explicit atomic object, or a canonical one (with a ``"tag"``)
+    whose host graph is its ``"graph"`` field; returns (graph, family)."""
     if isinstance(data, dict) and "tag" in data:
-        if g is None and "graph" in data:
-            g = Graph.from_json_dict(data["graph"])
-        if g is None:
+        if "graph" not in data:
             raise DomainError("canonical atomic JSON needs a host graph")
+        g = Graph.from_json_dict(data["graph"])
         return g, canonical_from_json(g, data)
     fam = explicit_atomic_from_json(data)
     return fam.graph, fam

@@ -2,7 +2,7 @@
 
 Everything here favors obviousness over speed and takes a different
 algorithmic route than the package: recursion instead of worklists, dense
-reachability instead of Tarjan, definition chasing instead of canonical
+reachability instead of Kosaraju, union-find instead of BFS, definition chasing instead of canonical
 forms.  Tests compare library output against these.
 """
 
@@ -710,11 +710,35 @@ def validate_atomic(a, require_total=True):
     return report
 
 
+def connected_components(nodes, links):
+    """Union-find components of ``nodes`` joined by ``links``, each sorted,
+    ordered by least member."""
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for n in nodes:
+        groups.setdefault(find(n), []).append(n)
+    return sorted((sorted(ns) for ns in groups.values()), key=lambda c: c[0])
+
+
+def undirected_components(g):
+    """``graph.undirected_components`` by union-find over the edges."""
+    return connected_components(g.vertices, ((e.src, e.dst) for e in g.edges))
+
+
 def h_components(h):
     """``LabeledH.components`` by union-find over the arcs of H, each
     component sorted, ordered by least node."""
-    from semigroupoid_kit.graph import connected_components
-
     return connected_components(h.nodes, ((arc.src, arc.dst) for arc in h.arcs))
 
 

@@ -720,3 +720,98 @@ def test_trunc_output_matches_the_label_assembly(capsys, monkeypatch, tmp_path, 
     assert len(built) == len(argvs) and [code for code, _, _ in got].count(1) == 2
     for argv, a, b in zip(argvs, got, want):
         assert a == b, argv
+
+
+def test_comma_lists_keep_every_name_in_both_formats(capsys, tmp_path):
+    # the vertex "" is named by an empty list item; on a graph without it a
+    # trailing or doubled comma is an unknown vertex, not a dropped one
+    empty = _graph_file(tmp_path, "empty.json", ["", "a"], [("x", "", "a"), ("y", "a", "")])
+    loop = _graph_file(tmp_path, "loop.json", ["t"], [("x", "t", "t")])
+    named = [
+        (["paths", "enum", empty, "--source", "", "--max-len", "1"], "count", 2, "count: 2"),
+        (["graph", "closure", empty, "--set", ""], "closure", ["", "a"], ", a"),
+        (["trunc", "build", empty, "--sources", "", "--depth", "1"], "dim", 2, "basis[1] = :x"),
+    ]
+    for argv, key, want, line in named:
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err and json.loads(out)[key] == want, argv
+        code, out, err = run(capsys, argv + ["--format", "table"])
+        assert code == 0 and not err and line in out.splitlines(), argv
+    for argv in (
+        ["paths", "enum", loop, "--source", "t,,t", "--max-len", "1"],
+        ["graph", "closure", loop, "--set", "t,"],
+        ["trunc", "build", loop, "--sources", ",t", "--depth", "1"],
+    ):
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert code == 1 and not out, argv
+            assert json.loads(err)["message"] == "unknown vertex", argv
+            assert json.loads(err)["details"] == {"vertex": ""}, argv
+
+
+def test_graph_check_table_reports_varying_in_degrees_and_sources(capsys, tmp_path):
+    dag = _graph_file(
+        tmp_path, "dag.json", ["a", "b", "c"], [("x", "a", "b"), ("y", "a", "c"), ("z", "b", "c")]
+    )
+    code, out, err = run(capsys, ["graph", "check", dag, "--format", "table"])
+    assert code == 0 and not err
+    assert out.splitlines()[:2] == [
+        "info  in-degree-varies: in-degrees {'a': 0, 'b': 1, 'c': 2}",
+        "info  sources: in-degree-0 vertices: ['a']",
+    ]
+
+
+def test_series_fourier_table_of_an_empty_grade_prints_zero(capsys, tmp_path, fig1_file):
+    f = tmp_path / "one.json"
+    f.write_text(dump_json({"terms": [{"path": {"base": "t", "edges": []}, "re": 1.0}]}))
+    argv = ["series", "fourier", str(f), "-m", "1", "--graph", fig1_file, "--format", "table"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and not err and out == "0\n"
+
+
+def test_malformed_inputs_exit_one_with_their_message(capsys, tmp_path, fig1_file):
+    def write(data):
+        path = tmp_path / f"input{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(dump_json(data))
+        return str(path)
+
+    def family(key, row):
+        loop = {"graph": {"vertices": ["v1"], "edges": [{"id": "e1", "src": "v1", "dst": "v1"}]}}
+        rows = {"pi": [{"edge": "e1", "from": "0", "to": "0"}], "phase": []}
+        rows[key].append(row)
+        return write({**loop, "lambda": {"v1": ["0", "1"]}, **rows})
+
+    def graph(vertices, triples):
+        edges = [{"id": e, "src": s, "dst": d} for e, s, d in triples]
+        return write({"vertices": vertices, "edges": edges})
+
+    one = {"vertices": ["v"], "edges": []}
+    nested = {"term": {"tag": "direct_sum", "parts": []}, "multiplicity": 1}
+    ten_loops = graph(["v"], [(f"e{k}", "v", "v") for k in range(10)])
+    two_loops = graph(["a", "b"], [("la", "a", "a"), ("lb", "b", "b")])
+    uneven = graph(["a", "b"], [("la", "a", "a"), ("x1", "a", "b"), ("x2", "a", "b")])
+    no_base = write({"terms": [{"path": {}, "re": 1}]})
+    cases = [
+        (["atomic", "classify", write({"tag": "left_regular", "vertex": "v"})],
+         "canonical atomic JSON needs a host graph"),
+        (["atomic", "validate", family("pi", {"edge": "e1", "from": "0", "to": "1"})],
+         "duplicate pi row"),
+        (["atomic", "validate", family("pi", {"edge": "e1", "from": "1"})],
+         "pi row needs 'edge', 'from', 'to': 'to'"),
+        (["atomic", "validate", family("phase", {"from": "0", "re": 1})],
+         "phase row needs 'edge' and 'from': 'edge'"),
+        (["atomic", "validate", family("phase", {"edge": "e1", "from": "0"})],
+         "phase object needs 'angle' or 're'/'im'"),
+        (["series", "fourier", no_base, "-m", "0", "--graph", fig1_file],
+         "path object without edges needs a base vertex"),
+        (["atomic", "classify", write({"tag": "direct_sum", "graph": one, "parts": [nested]})],
+         "direct sums do not nest; flatten the parts"),
+        (["color", "search", ten_loops], "color words use digits 1..9"),
+        (["color", "obrien", two_loops, "--loop", "la"], "construction needs a transitive graph"),
+        (["color", "obrien", uneven, "--loop", "la"],
+         "construction needs an in-degree regular graph"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out, argv
+        assert json.loads(err)["message"] == message, (argv, err)

@@ -128,6 +128,18 @@ def test_undirected_components():
     assert undirected_components(g) == [["a", "b"], ["c"]]
 
 
+def test_undirected_components_match_union_find(rng):
+    # the empty graph, isolated vertices, loops and parallel edges included
+    graphs = [Graph.build([], []), Graph.build(["b", "a"], [("l", "a", "a"), ("p", "a", "a")])]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        vertices = [f"v{i}" for i in rng.sample(range(20), n)]
+        edges = [(f"e{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, n))]
+        graphs.append(Graph.build(vertices, edges))
+    for g in graphs:
+        assert undirected_components(g) == oracles.undirected_components(g), g.to_json_dict()
+
+
 def test_figure_one_shape(fig1):
     assert is_in_degree_regular(fig1) == (True, 2)
     assert is_transitive(fig1)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import corpus
@@ -23,6 +25,7 @@ from semigroupoid_kit import (
     validate_path,
     vertex_cycle_class,
 )
+from semigroupoid_kit.paths import least_rotation_index
 
 
 def test_path_validation(fig1):
@@ -174,6 +177,17 @@ def test_rotations_and_canonical_form(fig1):
     for r in rots:
         assert cyclic_canonical_form(fig1, r) == canon
         assert is_cycle(fig1, r)
+
+
+def test_least_rotation_index_is_the_least_start_of_the_least_rotation():
+    count = 0
+    for n in range(1, 9):
+        for letters in range(1, 4):
+            for seq in itertools.product("abc"[:letters], repeat=n):
+                rots = [seq[j:] + seq[:j] for j in range(n)]
+                assert least_rotation_index(seq) == rots.index(min(rots)), seq
+                count += 1
+    assert count == 10358
 
 
 def test_cycle_vertices_walk_order(fig1):
