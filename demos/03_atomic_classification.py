@@ -104,4 +104,4 @@ broken = ExplicitAtomic(
 )
 print("\nfindings on broken data:")
 for f in validate_atomic(broken).findings:
-    print(f"  {f.code:18s} {f.where:3s} {f.message}")
+    print(f"  {f.code:18s} {f.where or '':3s} {f.message}")

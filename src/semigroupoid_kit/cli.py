@@ -49,7 +49,7 @@ def _load_family(path: str):
 def _report_table(report) -> list[str]:
     lines = []
     for f in report.findings:
-        where = f" [{f.where}]" if f.where else ""
+        where = "" if f.where is None else f" [{f.where}]"
         lines.append(f"{f.severity:5s} {f.code}{where}: {f.message}")
     lines.append("valid" if report.valid else "INVALID")
     return lines

@@ -25,6 +25,13 @@ CSR matrix is built on first read.  One read out that way, or assigned, is
 decoded from its CSR arrays, in O(nnz), so an edit is checked as it stands;
 two nonzeros in a row or a column raise ``DomainError("truncation operator
 is not a partial injection", op=...)`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``.
+
+``verify_tck`` and ``coisometric_defect`` stack the vertex maps, and the
+edge maps, end to end once and check each relation in a fixed number of
+array passes: O(n + nnz) work in O(1) numpy calls, whatever the graph.
+Each entry of a checked matrix has a closed form per column, summed from
+zero in term order by ``np.bincount`` or one scalar operation and never by
+numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
 """
 
 from __future__ import annotations
@@ -309,10 +316,17 @@ def _square(vals: np.ndarray) -> np.ndarray:
     return vals * vals
 
 
-def _range_diagonal(m: _Map, weight: np.ndarray) -> np.ndarray:
-    """Diagonal of S diag(weight) S* for the operator S of the map m."""
-    rows = m.row[m.dom]
-    return np.bincount(rows, weights=_square(m.val[m.dom]) * weight[m.dom], minlength=len(m.row))
+def _abs(vals: np.ndarray) -> np.ndarray:
+    """|v| entry by entry as abs() gives it; np.abs of complex data can
+    differ from it in the last bit."""
+    return np.hypot(vals.real, vals.imag) if np.iscomplexobj(vals) else np.abs(vals)
+
+
+def _range_diagonal(entries, weight: np.ndarray) -> np.ndarray:
+    """Diagonal of S diag(weight) S* for the operator S with the entries
+    (rows, cols, vals), each row's terms summed from zero in entry order."""
+    rows, cols, vals = entries
+    return np.bincount(rows, weights=_square(vals) * weight[cols], minlength=len(weight))
 
 
 def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,54 +338,47 @@ def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return keys, total
 
 
-class _Sum(NamedTuple):
-    """A matrix given as a sum of sparse terms: ``re`` and ``im`` (None for a
-    real sum) hold its diagonal, and its entries off the diagonal are listed
-    by row, column and value."""
-
-    re: np.ndarray
-    im: np.ndarray | None
-    off_row: np.ndarray
-    off_col: np.ndarray
-    off_val: np.ndarray
+def _entries(m: _Map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the entries of a map."""
+    return m.row.take(m.dom), m.dom, m.val.take(m.dom)
 
 
-def _entries(m: _Map, negate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the entries of a map, or of its negative."""
-    vals = m.val[m.dom]
-    return m.row[m.dom], m.dom, -vals if negate else vals
+class _Stack(NamedTuple):
+    """The entries of several maps end to end, map by map and column by
+    column: map ``group[i]`` sends column ``col[i]`` to row ``row[i]`` with
+    value ``val[i]``, and map j owns the entries ``start[j]:start[j + 1]``."""
+
+    group: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+    val: np.ndarray
+    start: np.ndarray
 
 
-def _sum(n: int, terms: list) -> _Sum:
-    """Add sparse terms (rows, cols, vals) the way a running sparse sum adds
-    them: each entry is summed from zero, in the order of the terms.
-
-    Healthy operators put every entry on the diagonal, which one
-    ``np.bincount`` sums; only a corrupted operator puts entries off it.
-    """
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    on = rows == cols
-    re = np.bincount(cols[on], weights=vals.real[on], minlength=n)
-    im = None
-    if np.iscomplexobj(vals):
-        im = np.bincount(cols[on], weights=vals.imag[on], minlength=n)
-    off = ~on
-    if not off.any():
-        return _Sum(re, im, rows[off], cols[off], vals[off])
-    keys, total = _add_up(rows[off].astype(np.int64) * n + cols[off], vals[off])
-    return _Sum(re, im, *np.divmod(keys, n), total)
+def _stack(maps: list[_Map]) -> _Stack:
+    start = np.zeros(len(maps) + 1, dtype=np.int64)
+    start[1:] = np.cumsum([len(m.dom) for m in maps])
+    parts = [_entries(m) for m in maps] or [(np.zeros(0, np.int32),) * 2 + (np.zeros(0),)]
+    row, col, val = (np.concatenate(part) for part in zip(*parts))
+    group = np.repeat(np.arange(len(maps), dtype=np.int32), np.diff(start))
+    return _Stack(group, col, row, val, start)
 
 
-def _residual(s: _Sum, inside: np.ndarray) -> tuple[float, float]:
-    """(max |entry| over the columns ``inside`` marks, max over the rest) of a
-    summed matrix."""
-    mags = np.abs(s.re) if s.im is None else np.hypot(s.re, s.im)
-    off = np.hypot(s.off_val.real, s.off_val.imag)
-    hit = inside[s.off_col]
-    return (
-        max(_max_or_zero(mags[inside]), _max_or_zero(off[hit])),
-        max(_max_or_zero(mags[~inside]), _max_or_zero(off[~hit])),
-    )
+def _find(s: _Stack, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
+    -1 where it has none: a binary search of the keys group * n + col, which
+    increase, so nothing is sorted."""
+    keys, want = s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols
+    at = np.searchsorted(keys, want)
+    return np.where(np.append(keys, -1)[at] == want, at, -1)
+
+
+def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The largest of each ``vals[..., start[j]:start[j + 1]]``, 0.0 if empty."""
+    out = np.zeros(vals.shape[:-1] + (len(start) - 1,))
+    full = np.flatnonzero(start[:-1] < start[1:])
+    out[..., full] = np.maximum.reduceat(vals, start[full], axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +410,7 @@ def _entry_residual(
 ) -> tuple[float, float]:
     """(max |entry| over the entries in columns with grade in [lo, hi], max
     over the rest), for the entries ``vals`` in the columns ``cols``."""
-    # abs() entry by entry; np.abs of complex data can differ from it in the last bit
-    mags = np.hypot(vals.real, vals.imag)
+    mags = _abs(vals)
     grade = grades[cols]
     inside = (lo <= grade) & (grade <= hi)
     return _max_or_zero(mags[inside]), _max_or_zero(mags[~inside])
@@ -414,14 +420,14 @@ def _max_or_zero(mags: np.ndarray) -> float:
     return float(mags.max()) if mags.size else 0.0
 
 
-def _worst(values, details: list[str]) -> tuple[float, str]:
-    """The largest value and the detail of the first place it occurs, or
-    (0.0, "") when every value is zero."""
-    worst, detail = 0.0, ""
-    for value, text in zip(values, details):
-        if value > worst:
-            worst, detail = float(value), text
-    return worst, detail
+def _worst(values: np.ndarray, detail=lambda i: "") -> tuple[float, str]:
+    """The largest value above zero and ``detail(i)`` of the first place i
+    it occurs, or (0.0, "") when no value is above zero."""
+    above = np.flatnonzero(values > 0.0)
+    if not above.size:
+        return 0.0, ""
+    i = above[np.argmax(values[above])]
+    return float(values[i]), detail(i)
 
 
 def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
@@ -433,79 +439,144 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     also lose grade 0, where the wandering vectors of a truncation live.
     Boundary residuals are recorded but do not affect the residual field.
 
-    Every matrix checked is one ``_sum`` of sparse terms, each term an
-    index composition of the operators' maps.
+    Each relation is a fixed number of array passes over the stacked maps.
+    The products of two projections are formed only when (P) or (ND) fails:
+    a projection that passes (P) exactly is diagonal with entries 1.0, and
+    an exact (ND) then gives each column to one vertex, so no two meet.
     """
-    g = rep.graph
-    grades = rep.grades
-    N = rep.depth
-    n = rep.dim
+    g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     ops = _Ops(rep)
-    verts = g.sorted_vertices()
-    proj = {v: ops.vertex(v) for v in verts}
-    edges = {eid: ops.edge(eid) for eid in g.sorted_edge_ids()}
-    reports: list[RelationReport] = []
+    verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
+    P, E = _stack([ops.vertex(v) for v in verts]), _stack([ops.edge(eid) for eid in eids])
+    at = {v: i for i, v in enumerate(verts)}
+    src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int32) for end in (g.src, g.dst))
 
     def within(lo: int, hi: int) -> np.ndarray:
         return (lo <= grades) & (grades <= hi)
 
     every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
-    values, details = [], []
-    for v, s in proj.items():
-        rows, cols, vals = _entries(s)
-        square = _sum(n, [_product(s, s), (rows, cols, -vals)])
-        adjoint = _sum(n, [(rows, cols, vals), (cols, rows, -vals.conj())])
-        values.append(max(_residual(square, every)[0], _residual(adjoint, every)[0]))
-        details.append(f"projection identity fails at {v}")
-    for i, v in enumerate(verts):
-        for w in verts[i + 1:]:
-            _, cols, vals = _product(proj[v], proj[w])
-            values.append(_entry_residual(cols, vals, grades, 0, N)[0])
-            details.append(f"projections at {v} and {w} overlap")
-    worst, detail = _worst(values, details)
-    reports.append(RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail))
+    nd = _vertex_sum_residual(P, n, every)
+    values, pairs = _projection_residuals(P, n, every), []
+    if values.any() or nd != 0.0:
+        proj = {v: ops.vertex(v) for v in verts}
+        pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
+        values = np.append(values, [
+            _entry_residual(*_product(proj[v], proj[w])[1:], grades, 0, N)[0] for v, w in pairs
+        ])
+    worst, detail = _worst(values, lambda i: (
+        f"projection identity fails at {verts[i]}" if i < len(verts)
+        else "projections at {} and {} overlap".format(*pairs[i - len(verts)])
+    ))
+    reports = [RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail)]
 
-    # S_e* S_e - S_src(e); S_e* S_e is the diagonal |val|^2 on the columns of e
-    values, boundary = [], 0.0
-    for eid, e in edges.items():
-        square = (e.dom, e.dom, _square(e.val[e.dom]))
-        inner, outer = _residual(_sum(n, [square, _entries(proj[g.src(eid)], True)]), below_top)
-        values.append(inner)
-        boundary = max(boundary, outer)
-    worst, detail = _worst(values, [f"isometry identity fails at {eid}" for eid in edges])
+    values, boundary = _isometry_residuals(P, E, src, below_top)
+    worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    # S_v minus the range sum of the edges into v, which TCK, CK and F read;
-    # S_e S_e* is the diagonal |val|^2 on the rows of e.  On the diagonal the
-    # defect exceeds by its negative real part or its imaginary part, off it
-    # by its modulus.
-    excess, misses = [], {}
-    for v in verts:
-        terms = []
-        for eid in g.in_edges(v):
-            e = edges[eid]
-            rows = e.row[e.dom]
-            terms.append((rows, rows, -_square(e.val[e.dom])))
-        defect = _sum(n, terms + [_entries(proj[v])])
-        over = -defect.re if defect.im is None else np.maximum(-defect.re, np.abs(defect.im))
-        off = np.hypot(defect.off_val.real, defect.off_val.imag)
-        excess.append(max(float(over.max(initial=0.0)), _max_or_zero(off)))
-        misses[v] = _residual(defect, interior)
-    worst, detail = _worst(excess, [f"range sum exceeds the projection at {v}" for v in verts])
+    excess, inner, outer = _range_defects(P, E, dst, interior)
+    worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
-
-    for name, keep in (("CK", [v for v in verts if g.in_edges(v)]), ("F", verts)):
+    has_in = np.array([bool(g.in_edges(v)) for v in verts], dtype=bool)
+    for name, keep in (("CK", has_in), ("F", np.ones(len(verts), dtype=bool))):
         worst, detail = _worst(
-            [misses[v][0] for v in keep], [f"range sum misses the projection at {v}" for v in keep]
+            np.where(keep, inner, 0.0), lambda i: f"range sum misses the projection at {verts[i]}"
         )
-        boundary = max([0.0] + [misses[v][1] for v in keep])
+        boundary = _worst(outer[keep])[0]
         reports.append(RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail))
-
-    diagonal = np.arange(n)
-    total = _sum(n, [_entries(s) for s in proj.values()] + [(diagonal, diagonal, -np.ones(n))])
-    worst = _residual(total, every)[0]
-    reports.append(RelationReport("ND", 0, N, worst, worst == 0.0, 0.0, ""))
+    reports.append(RelationReport("ND", 0, N, nd, nd == 0.0, 0.0, ""))
     return reports
+
+
+def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:
+    """(ND): max |entry| of the vertex sum minus the identity, on ``every``."""
+    on = P.row == P.col
+    re = np.bincount(P.col[on], weights=P.val.real[on], minlength=n) - 1.0
+    mags = np.abs(re)
+    if np.iscomplexobj(P.val):
+        mags = np.hypot(re, np.bincount(P.col[on], weights=P.val.imag[on], minlength=n))
+    worst = _max_or_zero(mags[every])
+    if not on.all():  # entries off the diagonal: corrupted projections
+        keys, off = _add_up(P.row[~on].astype(np.int64) * n + P.col[~on], P.val[~on])
+        worst = max(worst, _max_or_zero(_abs(off)[every[keys % n]]))
+    return worst
+
+
+def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
+    """(P) at each vertex: max |entry| of S^2 - S and of S - S* on ``every``.
+
+    S sends column c to r = row[c].  When r is a column of S, S^2 has an
+    entry in column c at row[r], meeting that of S when row[r] = r; S* sends
+    column r to row c, meeting the entry of S there when row[r] = c.
+    """
+    j = _find(P, n, P.group, P.row)
+    row2, val2 = np.append(P.row, -1)[j], np.append(P.val, 0)[j]  # row[r], val[r]
+    size, prod = _abs(P.val), val2 * P.val
+    square = np.where(
+        row2 == P.row, _abs(prod - P.val), np.maximum(np.where(j >= 0, _abs(prod), 0.0), size)
+    )
+    paired = row2 == P.col
+    adjoint = np.where(paired, _abs(P.val - val2.conj()), size)
+    return _group_max(np.maximum(
+        np.where(every[P.col], np.maximum(square, adjoint), 0.0),
+        np.where(~paired & every[P.row], size, 0.0),  # an entry of S* alone in column r
+    ), P.start)
+
+
+def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarray):
+    """(IS) S_e* S_e - S_src(e): max |entry| at each edge on ``inside``, and
+    over all edges off it.
+
+    S_e* S_e is |val|^2 on the diagonal in the columns of e, which the entry
+    of S_src(e) in such a column meets when on the diagonal.  Each other
+    entry of S_src(e) stands alone, once for every edge e out of its vertex:
+    entry k is at first[e] + k - start[src[e]] in the list of them all.
+    """
+    n, sq = len(inside), _square(E.val)
+    j = _find(P, n, src[E.group], E.col)
+    meets = np.append(P.row, -1)[j] == E.col
+    own = np.where(meets, _abs(sq - np.append(P.val, 0)[j]), sq)
+    count = np.diff(P.start)[src]
+    first = np.cumsum(count) - count
+    k = np.arange(count.sum()) + np.repeat(P.start[src] - first, count)
+    rest = _abs(P.val)[k]
+    rest[(first - P.start[src])[E.group[meets]] + j[meets]] = 0.0
+    own_in, rest_in = inside[E.col], inside[P.col[k]]
+    values = np.maximum(
+        _group_max(np.where(own_in, own, 0.0), E.start),
+        _group_max(np.where(rest_in, rest, 0.0), np.append(first, count.sum())),
+    )
+    return values, _worst(np.concatenate([own[~own_in], rest[~rest_in]]))[0]
+
+
+def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """S_v less the range sum of the edges into v, which TCK, CK and F read:
+    at each vertex, by how much the sum exceeds S_v, and max |entry| on
+    ``inside`` and off it, as three rows.
+
+    S_e S_e* is |val|^2 on the diagonal at the rows of e.  These add up in
+    edge order in the slot of the entry of S_v in that column, and the entry
+    of S_v comes last.  On the diagonal the defect exceeds by its negative
+    real part or its imaginary part, off it by its modulus.
+    """
+    n, sq = len(inside), _square(E.val)
+    j = _find(P, n, dst[E.group], E.row)
+    hit, on = j >= 0, P.row == P.col
+    slot = np.bincount(j[hit], weights=-sq[hit], minlength=len(P.col))
+    diag = np.where(on, slot + P.val, slot)
+    alone = np.where(on, 0.0, _abs(P.val))
+    miss, miss_in = np.maximum(_abs(diag), alone), inside[P.col]
+    out = _group_max(np.array([
+        np.maximum(np.maximum(-diag.real, np.abs(diag.imag)), alone),
+        np.where(miss_in, miss, 0.0),
+        np.where(miss_in, 0.0, miss),
+    ]), P.start)
+    if not hit.all():  # rows of an edge into v that are no column of S_v: a corruption
+        keys, stray = _add_up((dst[E.group].astype(np.int64) * n + E.row)[~hit], sq[~hit])
+        vertex, stray_in = keys // n, inside[keys % n]
+        split = np.where(stray_in, stray, 0.0), np.where(stray_in, 0.0, stray)
+        for row, vals in zip(out, (stray, *split)):
+            np.maximum.at(row, vertex, vals)
+    return out
 
 
 def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
@@ -556,36 +627,44 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
 
     No path is built.  The sum is diagonal, and the part over the paths
     into w is R_k^w = sum over edges e into w of S_e R_{k-1}^{src e} S_e*,
-    starting from R_0 = I (or S_v S_v* itself when k = 0).  The paths are
-    counted first, against the same budget as ``enumerate_paths``.
+    starting from R_0 = I (or S_v S_v* itself when k = 0).  The R^w are the
+    rows of one vertices x n array; a grade step is one ``np.bincount`` of
+    the stacked edge entries, in ``in_edges`` order, and the rows are then
+    added vertex by vertex.  The paths are counted first, against the same
+    budget as ``enumerate_paths``.
     """
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)
     g = rep.graph
     n = rep.dim
     _count_levels(g, sorted(g.vertices), k)
-    ops = _Ops(rep)
-    verts = g.sorted_vertices()
-    ones = np.ones(n)
-    if k == 0:
-        total = sum((_range_diagonal(ops.vertex(v), ones) for v in verts), np.zeros(n))
-    else:
-        weight = dict.fromkeys(verts, ones)
-        for _ in range(k):
-            weight = {
-                w: sum(
-                    (_range_diagonal(ops.edge(eid), weight[g.src(eid)]) for eid in g.in_edges(w)),
-                    np.zeros(n),
-                )
-                for w in verts
-            }
-            if not any(r.any() for r in weight.values()):
-                break  # no longer path reaches a nonzero vector
-        total = sum(weight.values(), np.zeros(n))
+    total = _range_sum(rep, k)
     cols = np.arange(n)
     upper = _entry_residual(cols, total - 1.0, rep.grades, k, rep.depth)[0]
     lower = _entry_residual(cols, total, rep.grades, 0, k - 1)[0] if k > 0 else 0.0
     return upper, lower
+
+
+def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
+    """The diagonal of the grade-k range sum that ``coisometric_defect`` checks."""
+    g, n = rep.graph, rep.dim
+    ops = _Ops(rep)
+    verts = g.sorted_vertices()
+    if k == 0:
+        P = _stack([ops.vertex(v) for v in verts])
+        return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
+    at = {v: i for i, v in enumerate(verts)}
+    eids = [eid for w in verts for eid in g.in_edges(w)]
+    E = _stack([ops.edge(eid) for eid in eids])
+    src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int64) for end in (g.src, g.dst))
+    # row w of the weights, flat, is R^w on the basis
+    step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
+    weight = np.broadcast_to(1.0, len(verts) * n)
+    for _ in range(k):
+        weight = _range_diagonal(step, weight)
+        if not weight.any():
+            break  # no longer path reaches a nonzero vector
+    return sum(weight.reshape(len(verts), n), np.zeros(n))  # vertex by vertex, from zero
 
 
 def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> bool:
@@ -657,8 +736,11 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
     for i in range(1, n + 1):
         # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
         want = _from_entries(rep.dim, np.arange(i, depth + 1, n), np.arange(i - 1, depth, n))
-        diff = _sum(rep.dim, [_entries(ops.edge(f"e{i}")), _entries(want, negate=True)])
-        residual = _residual(diff, rep.grades >= 0)[0]
+        e = ops.edge(f"e{i}")
+        # column by column: the difference of two entries in one row, else each entry
+        residual = _max_or_zero(np.where(
+            e.row == want.row, _abs(e.val - want.val), np.maximum(_abs(e.val), _abs(want.val))
+        ))
         worst = max(worst, residual)
         block = f"identity block from vertex block {i} to {i + 1}" if i < n else (
             f"one-step shift block from vertex block {n} to 1"

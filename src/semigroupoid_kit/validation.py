@@ -11,11 +11,13 @@ class Finding:
 
     severity is "error" for contract violations, "info" for properties that
     are reported but not required (e.g. which coisometry conditions hold).
+    where is the vertex or edge a finding is about, or None for the whole
+    input, so that one with the empty id "" stays distinguishable.
     """
 
     code: str
     message: str
-    where: str = ""
+    where: str | None = None
     severity: str = "error"
 
     def to_json(self) -> dict:
@@ -26,7 +28,9 @@ class Finding:
 class ValidationReport:
     findings: list[Finding] = field(default_factory=list)
 
-    def add(self, code: str, message: str, where: str = "", severity: str = "error") -> None:
+    def add(
+        self, code: str, message: str, where: str | None = None, severity: str = "error"
+    ) -> None:
         self.findings.append(Finding(code, message, where, severity))
 
     @property

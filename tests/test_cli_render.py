@@ -210,6 +210,24 @@ def test_tables_agree_with_json_on_empty_ids(tmp_path):
     assert answers["build"]["basis"] == ["a:()", "a:", "a:d"]
 
 
+def test_a_finding_at_the_edge_with_the_empty_id_keeps_its_location(tmp_path):
+    g = Graph.build(["", "a"], [("l", "", ""), ("", "a", ""), ("c", "", "a"), ("d", "a", "a")])
+    files = {}
+    for name, doc in (("g", g.to_json_dict()), ("c", {"d": 2, "color": {"l": 1, "c": 1, "d": 2}})):
+        (tmp_path / f"{name}.json").write_text(dump_json(doc))
+        files[name] = str(tmp_path / f"{name}.json")
+    argv = ["color", "validate", "@g", "@c"]
+    out = render(argv, files)
+    assert out["code"] == 0 and out["stderr"] == ""
+    located = {f["code"]: f["where"] for f in json.loads(out["stdout"])["findings"]}
+    assert located == {"uncolored-edge": "", "complete": None}
+    assert render([*argv, "--format", "table"], files) == {"code": 0, "stderr": "", "stdout": (
+        "error uncolored-edge []: edge  has no color\n"
+        "info  complete: some vertex misses a color on its incoming edges\n"
+        "INVALID\n"
+    )}
+
+
 if __name__ == "__main__":
     import tempfile
 

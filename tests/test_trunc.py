@@ -385,6 +385,146 @@ def test_index_map_checks_match_the_sparse_oracles_on_faults(rng):
     assert len(done) > 30 and len(set(done)) == 2 * len(FAULTS)
 
 
+def _relations_match_the_oracles(rep, ks):
+    import oracles
+
+    assert [r.to_json() for r in verify_tck(rep)] == [
+        r.to_json() for r in oracles.verify_tck(rep)
+    ]
+    for k in ks:
+        assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k), k
+
+
+def _pool_reps(rng):
+    """Colored truncations of the sizes the benchmark's pool checks: six
+    vertices at d = 2 and depth 7 or 8, four to six at d = 3 and depth 4 or 5."""
+    import corpus
+
+    reps = []
+    for vertices, d, depth in ((6, 2, 7), (6, 2, 8), (4, 3, 4), (5, 3, 5), (6, 3, 5)):
+        h = corpus.random_in_regular_graph(rng, vertices, d)
+        reps.append(build_colored_trunc(h, _complete_coloring(rng, h, d), depth))
+    return reps
+
+
+def test_relations_match_the_oracles_at_pool_sizes(rng):
+    reps = _pool_reps(rng)
+    assert [rep.dim for rep in reps] == [1530, 3066, 484, 1820, 2184]
+    for rep in reps:
+        # the path-sum oracle takes seconds per grade past dimension 1600
+        _relations_match_the_oracles(rep, range(rep.depth + 2) if rep.dim < 1600 else range(4))
+
+
+def test_relations_match_the_oracles_at_pool_sizes_on_faults(rng):
+    reps = _pool_reps(rng)
+    for i, kind in enumerate(FAULTS):
+        for on_vertex in (True, False):
+            bad = _faulted(rng, reps[(2 * i + on_vertex) % len(reps)], kind, on_vertex)
+            # grade 0 reads the projections, higher grades the edges
+            _relations_match_the_oracles(bad, range(4))
+
+
+def test_relations_match_the_oracles_on_mixed_dtypes_and_edge_cases(rng):
+    import corpus
+
+    h = corpus.random_in_regular_graph(rng, 3, 2)
+    mixed = build_colored_trunc(h, _complete_coloring(rng, h, 2), 4)
+    v, e = h.sorted_vertices()[1], h.sorted_edge_ids()[2]
+    mixed.vertex_ops[v] = mixed.vertex_ops[v].astype(complex)
+    mixed.edge_ops[e] = mixed.edge_ops[e] * 1j  # a unimodular phase
+    assert all(r.exact_zero for r in verify_tck(mixed))
+    # a vertex no edge enters, and an edge that no path from the source reaches
+    g = Graph.build(["a", "b", "c"], [("x", "a", "b"), ("y", "c", "b"), ("z", "b", "b")])
+    reps = [
+        mixed,
+        build_colored_trunc(Graph.build([], []), Coloring(2, {}), 3),  # dimension 0
+        build_colored_trunc(h, _complete_coloring(rng, h, 2), 0),
+        build_left_regular_trunc(g, ["a"], 0),
+        build_left_regular_trunc(g, ["a"], 3),
+    ]
+    assert [rep.dim for rep in reps] == [93, 0, 3, 1, 4]
+    assert not reps[-1].edge_ops.data["y"].dom.size
+    for rep in reps:
+        _relations_match_the_oracles(rep, range(rep.depth + 2))
+
+
+def test_range_sums_add_up_in_edge_order():
+    """Three loops send basis vector 0 to row 1 with |val|^2 = 1, s and s,
+    where s is about 0.6 ulp of 1.0: (1 + s) + s is 1 + 2 ulp while
+    (s + s) + 1 is 1 + 1 ulp, so the residuals show the order of the sum."""
+    import math
+
+    import oracles
+
+    g = Graph.build(["v"], [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")])
+    t = math.sqrt(0.6) * 2.0**-26
+
+    def loop(val):
+        return sp.csr_matrix(([val], ([1], [0])), shape=(2, 2))
+
+    rep = TruncatedRep(
+        g, 1, "left_regular", None, np.array([0, 1]), None,
+        {"v": sp.identity(2, format="csr")}, {"e1": loop(1.0), "e2": loop(t), "e3": loop(t)}, {},
+    )
+    reports = verify_tck(rep)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in oracles.verify_tck(rep)]
+    assert reports[2].relation == "TCK" and reports[2].max_residual == 2.0**-51
+    assert coisometric_defect(rep, 1) == oracles.coisometric_defect(rep, 1) == (2.0**-51, 0.0)
+
+
+def test_a_projection_that_swaps_two_columns_fails_by_its_adjoint(fig1):
+    """S swaps basis vectors a and c with values 0.5 and -0.5: S^2 - S has
+    entries of size at most 0.5, but S - S* pairs them into 1.0."""
+    import oracles
+
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    t = rep.vertex_ops["t"].tocoo()
+    a, c = int(t.col[0]), int(t.col[1])
+    keep = (t.col != a) & (t.col != c)
+    rows, cols = np.append(t.row[keep], [c, a]), np.append(t.col[keep], [a, c])
+    vals = np.append(t.data[keep], [0.5, -0.5])
+    rep.vertex_ops["t"] = sp.csr_matrix((vals, (rows, cols)), shape=t.shape)
+    reports = verify_tck(rep)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in oracles.verify_tck(rep)]
+    assert (reports[0].max_residual, reports[0].detail) == (1.0, "projection identity fails at t")
+
+
+def test_projections_that_share_a_column_are_named_as_the_oracle_names_them(fig1):
+    """Two exact diagonal projections with a basis index in common: (P) holds
+    at each vertex and (ND) fails, so the pair products run and name them."""
+    import oracles
+
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    t, lv = rep.vertex_ops["t"].tocoo(), rep.vertex_ops["l"].tocoo()
+    c = int(t.col[0])
+    rep.vertex_ops["l"] = sp.csr_matrix(
+        (np.append(lv.data, 1.0), (np.append(lv.row, c), np.append(lv.col, c))), shape=lv.shape
+    )
+    reports = verify_tck(rep)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in oracles.verify_tck(rep)]
+    p, nd = reports[0], reports[-1]
+    assert (p.relation, p.max_residual, p.detail) == ("P", 1.0, "projections at l and t overlap")
+    assert (nd.relation, nd.max_residual) == ("ND", 1.0)
+
+
+def test_pair_products_run_only_when_p_or_nd_fails(monkeypatch, fig1):
+    from semigroupoid_kit import trunc
+
+    calls = []
+    real = trunc._product
+    monkeypatch.setattr(trunc, "_product", lambda a, b: calls.append(1) or real(a, b))
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 4),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 4),
+    ):
+        reports = verify_tck(rep)
+        assert reports[0].ok and reports[-1].ok and not calls
+        rep.vertex_ops["r"] = rep.vertex_ops["r"] * 2.0  # (P) fails at r
+        assert verify_tck(rep)[0].detail == "projection identity fails at r"
+        assert len(calls) == 3  # one product for each pair of the three vertices
+        calls.clear()
+
+
 def test_wandering_verdicts_match_on_cycle_identifications():
     import oracles
 
