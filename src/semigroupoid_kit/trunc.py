@@ -17,12 +17,13 @@ column, so sums and products of small integer combinations stay exactly
 representable and interior residuals of phase-free models are exactly 0.0
 in floating point, no tolerance needed.
 
-Every operator the builders make is a weighted partial injection, a
-column -> row index map with one value per column.  The builders compute
-the maps in closed form and keep them on the ``TruncatedRep``; the checks
-compose them, so every ``A* A`` or ``A A*`` is a diagonal.  An operator's
-CSR matrix is built on first read.  One read out that way, or assigned, is
-decoded from its CSR arrays, in O(nnz), so an edit is checked as it stands;
+Every operator the builders make is a weighted partial injection, kept as
+its entry list ``_Map(row, dom, val)``: one item per nonzero, columns
+increasing.  The builders compute the lists in closed form, in Theta(n + nnz),
+and keep them on the ``TruncatedRep``; the checks compose them, so every
+``A* A`` or ``A A*`` is a diagonal, and find an entry by one binary search.
+An operator's CSR matrix is built on first read.  One read out that way, or
+assigned, is decoded from its CSC arrays, so an edit is checked as it stands;
 two nonzeros in a row or a column raise ``DomainError("truncation operator
 is not a partial injection", op=...)`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``.
 
@@ -71,7 +72,7 @@ class TruncatedRep:
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("vertex_ops", "edge_ops"):
-            value = _Operators(value)
+            value = _Operators(value, self.dim)
         super().__setattr__(name, value)
 
     @cached_property
@@ -104,13 +105,13 @@ class _Operators(UserDict):
     built on first read and held in its place, so an edit to what was read
     is what the checks see."""
 
-    def __init__(self, ops):
-        self.data = ops
+    def __init__(self, ops, n: int):
+        self.data, self.n = ops, n
 
     def __getitem__(self, key: str):
         op = self.data[key]
         if isinstance(op, _Map):
-            op = self.data[key] = _csr(len(op.row), *_entries(op))
+            op = self.data[key] = _csr(self.n, *op)
         return op
 
 
@@ -120,7 +121,8 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     The basis is ``enumerate_paths(g, sources, depth)``, by length and then
     by stored edge tuple, which starts with the last edge.  So level k+1
     lists, for each edge e in id order, the level-k paths that end at the
-    source of e, in level-k order, and e sends each of them there.
+    source of e, in level-k order, and e sends each of them there: the
+    columns of each edge's map increase with its rows.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
@@ -144,17 +146,21 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
         via.append(edge)
         ends.append(dst[edge])
         first += len(level)
-    end, parent, via = (np.concatenate(part) for part in (ends, parent, via))
-    n = len(end)
-    blocks = [np.flatnonzero(end == i) for i in range(len(verts))]
-    hits = [np.flatnonzero(via == j) for j in range(len(edges))]
+    end, parent, via = (np.concatenate(part).astype(np.int32) for part in (ends, parent, via))
+    blocks, hits = _split(end, len(verts)), _split(via, len(edges))
     return TruncatedRep(
         g, depth, "left_regular", None,
         np.repeat(np.arange(len(ends)), [len(level) for level in ends]), None,
-        {v: _from_entries(n, rows, rows) for v, rows in zip(verts, blocks)},
-        {e: _from_entries(n, hit + len(start), parent[hit]) for e, hit in zip(edges, hits)},
+        {v: _Map(rows, rows, np.ones(len(rows))) for v, rows in zip(verts, blocks)},
+        {e: _Map(hit + len(start), parent[hit], np.ones(len(hit))) for e, hit in zip(edges, hits)},
         {"sources": start},
     )
+
+
+def _split(keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """For each key 0..count-1, the increasing int32 indices that hold it."""
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    return np.split(order, np.searchsorted(keys[order], np.arange(1, count)))
 
 
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
@@ -188,15 +194,15 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     # words per length; a graph with no vertex has none, at any depth
     count = d ** np.arange(depth + 1 if g.vertices else 0)
     grade = np.repeat(np.arange(len(count)), count)  # of each word in a block
-    j = np.flatnonzero(grade < depth)  # the words an edge moves
+    j = np.flatnonzero(grade < depth).astype(np.int32)  # the words an edge moves
     at = {v: i * len(grade) for i, v in enumerate(g.sorted_vertices())}
-    n, step = len(at) * len(grade), count[grade[j]]  # d^k for each word moved
-    blocks = {v: base + np.arange(len(grade)) for v, base in at.items()}
+    step = count[grade[j]].astype(np.int32)  # d^k for each word moved
+    blocks = {v: base + np.arange(len(grade), dtype=np.int32) for v, base in at.items()}
     return TruncatedRep(
         g, depth, "colored", None, np.tile(grade, len(at)), None,
-        {v: _from_entries(n, rows, rows) for v, rows in blocks.items()},
+        {v: _Map(rows, rows, np.ones(len(rows))) for v, rows in blocks.items()},
         {
-            e: _from_entries(n, at[g.dst(e)] + j + coloring.of(e) * step, at[g.src(e)] + j)
+            e: _Map(at[g.dst(e)] + j + coloring.of(e) * step, at[g.src(e)] + j, np.ones(len(j)))
             for e in g.sorted_edge_ids()
         },
         {"coloring": coloring.to_json_dict()},
@@ -227,13 +233,13 @@ def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
 
 
 class _Map(NamedTuple):
-    """A weighted partial injection: column c holds ``val[c]`` at row
-    ``row[c]``.  ``dom`` lists the nonzero columns in increasing order; off
-    it ``row`` is -1 and ``val`` is 0."""
+    """A weighted partial injection as its entry list, laid out as a
+    ``_Stack`` segment: column ``dom[i]`` holds ``val[i]`` at row ``row[i]``,
+    one item per nonzero, and ``dom`` strictly increases."""
 
     row: np.ndarray
-    val: np.ndarray
     dom: np.ndarray
+    val: np.ndarray
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
@@ -246,24 +252,15 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr
 
 
 def _decode(op, name: str) -> _Map:
-    """The map of one operator, read from its CSR arrays in O(nnz)."""
-    op = sp.csr_matrix(op, copy=True)
+    """The map of one operator, read from its CSC arrays in column order."""
+    op = sp.csc_matrix(op, copy=True)
     op.sum_duplicates()
-    keep = op.data != 0
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))[keep]
-    cols = op.indices[keep]
+    op.eliminate_zeros()
+    rows = op.indices.astype(np.int32, copy=False)
+    cols = np.repeat(np.arange(op.shape[1], dtype=np.int32), np.diff(op.indptr))
     if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
         raise DomainError("truncation operator is not a partial injection", op=name)
-    return _from_entries(op.shape[1], rows, cols, op.data[keep])
-
-
-def _from_entries(n: int, rows: np.ndarray, cols: np.ndarray, vals=None) -> _Map:
-    """The map with ``vals[i]``, or 1.0, at (``rows[i]``, ``cols[i]``), columns distinct."""
-    row = np.full(n, -1, dtype=np.int32)
-    row[cols] = rows
-    val = np.zeros(n, dtype=float if vals is None else vals.dtype)
-    val[cols] = 1.0 if vals is None else vals
-    return _Map(row, val, np.sort(cols).astype(np.int32, copy=False))
+    return _Map(rows, cols, op.data)
 
 
 class _Ops:
@@ -296,17 +293,24 @@ class _Ops:
             return self.vertex(p.base)
         m = self.edge(p.edges[0])
         for eid in p.edges[1:]:
-            m = _from_entries(len(m.row), *_product(m, self.edge(eid)))
+            m = _product(m, self.edge(eid))
         return m
 
 
-def _product(a: _Map, b: _Map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the entries of a @ b: b sends column c to row
-    b.row[c], and a sends that on to a.row[b.row[c]]."""
-    mid = b.row[b.dom]
-    hit = a.row[mid] >= 0
-    cols, mid = b.dom[hit], mid[hit]
-    return a.row[mid], cols, a.val[mid] * b.val[cols]
+def _product(a: _Map, b: _Map) -> _Map:
+    """The map of a @ b: b sends column b.dom[i] to row b.row[i], and a
+    sends that on if it is a column of a, so the columns stay increasing."""
+    j = _search(a.dom, b.row)
+    hit = j >= 0
+    j = j[hit]
+    return _Map(a.row[j], b.dom[hit], a.val[j] * b.val[hit])
+
+
+def _search(keys: np.ndarray, want):
+    """The index of each ``want`` in the increasing ``keys``, or -1 where it
+    is absent, as it is from empty ``keys``: a binary search, nothing sorted."""
+    at = np.searchsorted(keys, want)
+    return np.where(len(keys) and keys[np.minimum(at, len(keys) - 1)] == want, at, -1)
 
 
 def _square(vals: np.ndarray) -> np.ndarray:
@@ -338,15 +342,10 @@ def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return keys, total
 
 
-def _entries(m: _Map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the entries of a map."""
-    return m.row.take(m.dom), m.dom, m.val.take(m.dom)
-
-
 class _Stack(NamedTuple):
-    """The entries of several maps end to end, map by map and column by
-    column: map ``group[i]`` sends column ``col[i]`` to row ``row[i]`` with
-    value ``val[i]``, and map j owns the entries ``start[j]:start[j + 1]``."""
+    """Several maps' entry lists end to end: map ``group[i]`` sends column
+    ``col[i]`` to row ``row[i]`` with value ``val[i]``, and the entries
+    ``start[j]:start[j + 1]`` are map j's ``row``, ``dom`` and ``val``."""
 
     group: np.ndarray
     col: np.ndarray
@@ -358,7 +357,7 @@ class _Stack(NamedTuple):
 def _stack(maps: list[_Map]) -> _Stack:
     start = np.zeros(len(maps) + 1, dtype=np.int64)
     start[1:] = np.cumsum([len(m.dom) for m in maps])
-    parts = [_entries(m) for m in maps] or [(np.zeros(0, np.int32),) * 2 + (np.zeros(0),)]
+    parts = maps or [(np.zeros(0, np.int32),) * 2 + (np.zeros(0),)]
     row, col, val = (np.concatenate(part) for part in zip(*parts))
     group = np.repeat(np.arange(len(maps), dtype=np.int32), np.diff(start))
     return _Stack(group, col, row, val, start)
@@ -366,11 +365,8 @@ def _stack(maps: list[_Map]) -> _Stack:
 
 def _find(s: _Stack, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
-    -1 where it has none: a binary search of the keys group * n + col, which
-    increase, so nothing is sorted."""
-    keys, want = s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols
-    at = np.searchsorted(keys, want)
-    return np.where(np.append(keys, -1)[at] == want, at, -1)
+    -1 where it has none, found by its key group * n + col."""
+    return _search(s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols)
 
 
 def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -586,7 +582,7 @@ def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
     composes the edge maps into a new CSR matrix.
     """
     if len(p.edges) > 1:
-        return _csr(rep.dim, *_entries(_Ops(rep).path(p)))
+        return _csr(rep.dim, *_Ops(rep).path(p))
     kind, ops, key = ("edge", rep.edge_ops, p.edges[0]) if p.edges else (
         "vertex", rep.vertex_ops, p.base
     )
@@ -608,8 +604,8 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for p, c in elem.sorted_terms():
         m = ops.path(p)
-        keys.append(m.row[m.dom].astype(np.int64) * n + m.dom)
-        vals.append(m.val[m.dom].astype(complex) * c)
+        keys.append(m.row.astype(np.int64) * n + m.dom)
+        vals.append(m.val.astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
     nonzero = total != 0
     return _csr(n, *np.divmod(keys[nonzero], n), total[nonzero])
@@ -687,11 +683,13 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
     image = {(): idx}  # stored edge tuple -> where the edges send idx, -1 once it vanishes
     hit = set()
     for p in enumerate_paths(rep.graph, [base], max(0, upto)):
+        j = image[p.edges[1:]] if p.edges else idx
+        if j >= 0:  # an operator is read only where an image reaches it
+            m = ops.edge(p.edges[0]) if p.edges else ops.vertex(base)
+            i = _search(m.dom, j)
+            j = int(m.row[i]) if i >= 0 else -1
         if p.edges:
-            j = image[p.edges[1:]]
-            j = image[p.edges] = int(ops.edge(p.edges[0]).row[j]) if j >= 0 else -1
-        else:
-            j = int(ops.vertex(base).row[idx])
+            image[p.edges] = j
         if j >= 0:
             if j in hit:
                 return False
@@ -728,19 +726,21 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
         raise DomainError("cycle length must be positive", n=n)
     if depth < n:
         raise DomainError("depth below the cycle length leaves blocks empty", depth=depth)
-    g = cycle_graph(n)
-    rep = build_left_regular_trunc(g, ["v1"], depth)
+    # one path per level, as on the loop: count them before building the graph
+    _count_levels(cycle_graph(1), ["v1"], depth)
+    rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
     ops = _Ops(rep)
     worst = 0.0
     blocks: list[str] = []
     for i in range(1, n + 1):
         # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
-        want = _from_entries(rep.dim, np.arange(i, depth + 1, n), np.arange(i - 1, depth, n))
+        rows, cols = np.arange(i, depth + 1, n), np.arange(i - 1, depth, n)
         e = ops.edge(f"e{i}")
-        # column by column: the difference of two entries in one row, else each entry
-        residual = _max_or_zero(np.where(
-            e.row == want.row, _abs(e.val - want.val), np.maximum(_abs(e.val), _abs(want.val))
-        ))
+        # entry by entry: the built one less the wanted one, each summed from zero
+        residual = _max_or_zero(_abs(_add_up(
+            np.concatenate([e.row, rows]) * rep.dim + np.concatenate([e.dom, cols]),
+            np.concatenate([e.val, -np.ones(len(rows))]),
+        )[1]))
         worst = max(worst, residual)
         block = f"identity block from vertex block {i} to {i + 1}" if i < n else (
             f"one-step shift block from vertex block {n} to 1"
@@ -753,8 +753,8 @@ def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
     ``e:<edge>``, read off the maps with no matrix built."""
     ops = _Ops(rep)
-    coords = {f"v:{v}": _quadruples(*_entries(ops.vertex(v))) for v in rep.vertex_ops}
-    coords.update({f"e:{e}": _quadruples(*_entries(ops.edge(e))) for e in rep.edge_ops})
+    coords = {f"v:{v}": _quadruples(*ops.vertex(v)) for v in rep.vertex_ops}
+    coords.update({f"e:{e}": _quadruples(*ops.edge(e)) for e in rep.edge_ops})
     return coords
 
 

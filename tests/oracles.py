@@ -1100,7 +1100,12 @@ def apply_formal(rep, elem):
 
 
 def coisometric_defect(rep, k):
-    """``trunc.coisometric_defect`` as a sum over the enumerated paths."""
+    """``trunc.coisometric_defect`` as a sum over the enumerated paths.
+
+    Each path's matrix is its prefix's times its first-applied edge, which
+    is ``path_matrix``'s left-to-right product; only the paths one shorter
+    are kept, by edge tuple.
+    """
     import scipy.sparse as sp
     from semigroupoid_kit import DomainError, enumerate_paths
 
@@ -1108,11 +1113,18 @@ def coisometric_defect(rep, k):
         raise DomainError("grade must be nonnegative", k=k)
     g = rep.graph
     n = rep.dim
+    paths = enumerate_paths(g, g.vertices, k)
+    level = {}
+    for length in range(1, k + 1):
+        level = {
+            p.edges: level[p.edges[:-1]] @ rep.edge_ops[p.edges[-1]] if length > 1
+            else path_matrix(rep, p)
+            for p in paths if len(p) == length
+        }
+        if not level:
+            break  # no longer path either
     acc = sp.csr_matrix((n, n))
-    for p in enumerate_paths(g, g.vertices, k):
-        if len(p) != k:
-            continue
-        m = path_matrix(rep, p)
+    for m in level.values() if k else [path_matrix(rep, p) for p in paths]:
         acc = acc + m @ m.conjugate().transpose()
     ident = sp.identity(n, format="csr")
     upper = _column_residual(acc - ident, rep.grades, k, rep.depth)[0]

@@ -411,8 +411,7 @@ def test_relations_match_the_oracles_at_pool_sizes(rng):
     reps = _pool_reps(rng)
     assert [rep.dim for rep in reps] == [1530, 3066, 484, 1820, 2184]
     for rep in reps:
-        # the path-sum oracle takes seconds per grade past dimension 1600
-        _relations_match_the_oracles(rep, range(rep.depth + 2) if rep.dim < 1600 else range(4))
+        _relations_match_the_oracles(rep, range(rep.depth + 2))
 
 
 def test_relations_match_the_oracles_at_pool_sizes_on_faults(rng):
@@ -421,7 +420,7 @@ def test_relations_match_the_oracles_at_pool_sizes_on_faults(rng):
         for on_vertex in (True, False):
             bad = _faulted(rng, reps[(2 * i + on_vertex) % len(reps)], kind, on_vertex)
             # grade 0 reads the projections, higher grades the edges
-            _relations_match_the_oracles(bad, range(4))
+            _relations_match_the_oracles(bad, range(bad.depth + 2))
 
 
 def test_relations_match_the_oracles_on_mixed_dtypes_and_edge_cases(rng):
@@ -727,6 +726,81 @@ def test_colored_builder_on_a_graph_with_no_vertex():
 
     rep = build_colored_trunc(Graph.build([], []), Coloring(2, {}), 10**9)
     assert rep.dim == 0 and rep.labels == [] and not rep.vertex_ops and not rep.edge_ops
+
+
+def test_stored_maps_hold_only_their_entries(rng, fig1):
+    import corpus
+    from semigroupoid_kit.trunc import _Map
+
+    h = corpus.random_in_regular_graph(rng, 3, 2)
+    g = Graph.build(["a", "b", "c"], [("x", "a", "b"), ("y", "c", "b"), ("z", "b", "b")])
+    reps = [
+        build_left_regular_trunc(fig1, ["t", "l"], 4),
+        build_left_regular_trunc(g, ["a"], 3),
+        build_left_regular_trunc(g, [], 3),
+        build_left_regular_trunc(g, ["a", "c"], 0),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+        build_colored_trunc(h, _complete_coloring(rng, h, 2), 0),
+    ]
+    assert [rep.dim for rep in reps] == [67, 4, 0, 2, 45, 3]
+    assert not reps[1].edge_ops.data["y"].dom.size  # no path from a reaches c
+    for rep in reps:
+        for ops in (rep.vertex_ops, rep.edge_ops):
+            for key in list(ops):
+                m = ops.data[key]
+                assert isinstance(m, _Map)
+                assert len(m.row) == len(m.dom) == len(m.val) == ops[key].nnz, key
+                assert (np.diff(m.dom) > 0).all(), key
+
+
+def test_an_assigned_matrix_decodes_as_its_canonical_form(fig1):
+    """Unsorted columns, two halves of one entry and explicit zeros give the
+    map of the matrix with none of them."""
+    import oracles
+    from semigroupoid_kit.trunc import _decode
+
+    rep = build_left_regular_trunc(fig1, ["t"], 3)
+    stored, canon = rep.edge_ops.data["tl1"], rep.edge_ops["tl1"]
+    coo = canon.tocoo()
+    r, c = int(coo.row[0]), int(coo.col[0])
+    free = min(set(range(rep.dim)) - set(coo.col.tolist()))
+    cells = [(int(i), int(j), v) for i, j, v in zip(coo.row, coo.col, coo.data) if (i, j) != (r, c)]
+    cells += [(r, c, 0.25), (r, free, 0.0), (r, c, 0.75), (int(coo.row[-1]), free, 0.0)]
+    cells.sort(key=lambda cell: (cell[0], -cell[1]))  # rows in order, columns decreasing
+    indptr = np.searchsorted([i for i, _, _ in cells], np.arange(rep.dim + 1))
+    messy = sp.csr_matrix(
+        ([v for _, _, v in cells], [j for _, j, _ in cells], indptr), shape=canon.shape
+    )
+    assert not messy.has_sorted_indices and messy.nnz == canon.nnz + 3
+    for got, want in ((_decode(messy, "e:tl1"), stored), (_decode(canon, "e:tl1"), stored)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    clean = [r.to_json() for r in verify_tck(rep)]
+    rep.edge_ops["tl1"] = messy
+    assert [r.to_json() for r in verify_tck(rep)] == clean
+    assert clean == [r.to_json() for r in oracles.verify_tck(rep)]
+
+
+def test_cycle_lemma_counts_its_basis_before_it_builds_the_cycle(monkeypatch):
+    from semigroupoid_kit import EnumerationOverflow, trunc
+    from semigroupoid_kit.paths import BASIS_CAP, SYMBOL_CAP
+
+    real = trunc.cycle_graph
+
+    def guarded(n):
+        # cycle_lemma_check(n, n) has one path per level, n(n + 1)/2 edges in all
+        assert n * (n + 1) // 2 <= SYMBOL_CAP, f"the {n}-cycle is built over budget"
+        return real(n)
+
+    monkeypatch.setattr(trunc, "cycle_graph", guarded)
+    for n, details in (
+        (5000, {"count": 5001, "symbols": 5000 * 5001 // 2, "budget": SYMBOL_CAP}),
+        (10**9, {"count": BASIS_CAP + 1, "length": BASIS_CAP, "budget": BASIS_CAP}),
+    ):
+        with pytest.raises(EnumerationOverflow) as err:
+            cycle_lemma_check(n, n)
+        assert err.value.details == details
+    assert cycle_lemma_check(4, 4).ok
 
 
 # ---------------------------------------------------------------------------
