@@ -29,9 +29,9 @@ class Edge:
 class Graph:
     """Immutable directed multigraph with id-keyed adjacency caches.
 
-    Strongly connected components and the source elimination (Kahn's
-    layering, which also decides acyclicity) are computed on first use and
-    cached.
+    Strongly connected components, the source elimination (Kahn's
+    layering, which also decides acyclicity) and the sorted vertex tuple
+    with its ``{v: i}`` index are computed on first use and cached.
     """
 
     vertices: tuple[str, ...]
@@ -101,6 +101,14 @@ class Graph:
         return tuple(components)
 
     @cached_property
+    def _sorted(self) -> tuple[str, ...]:
+        return tuple(sorted(self.vertices))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:  # position in sorted_vertices(); read only
+        return {v: i for i, v in enumerate(self._sorted)}
+
+    @cached_property
     def _scc_of(self) -> dict[str, frozenset[str]]:
         return {v: comp for comp in self._sccs for v in comp}
 
@@ -159,7 +167,7 @@ class Graph:
         return self._in[v]
 
     def sorted_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices))
+        return self._sorted
 
     def sorted_edge_ids(self) -> tuple[str, ...]:
         return tuple(sorted(e.id for e in self.edges))

@@ -11,15 +11,17 @@ backward gamma-path from every vertex has source v.
 
 Kernels walk delta as integer rows over the sorted vertex index and words
 as int letter tuples; only ``parse_word`` and ``format_word`` see a word's
-text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass.
+text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass,
+once per (graph, coloring): the checked automaton is kept on the Coloring.
+The word searches keep one parent link per state and spell the word once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     MALFORMED,
@@ -58,6 +60,9 @@ def format_word(letters: Iterable[int]) -> str:
 
 @dataclass(frozen=True)
 class Coloring:
+    """Colors 1..d by edge id; ``backward_automaton`` keeps its checked
+    automaton here, so editing ``color`` after a query is unsupported."""
+
     d: int
     color: dict[str, int]
 
@@ -144,41 +149,47 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
 @dataclass(frozen=True)
 class BackwardAutomaton:
     """``src[j][i]``: index in ``verts`` of the source of the color-j edge into
-    ``verts[i]``, None when there is none; ``via[j][i]``: its id.  Row 0 is empty."""
+    ``verts[i]``, None when there is none; ``via[j][i]``: its id.  Row 0 is empty.
+    Shared by every query on its coloring, so no part of it is mutable."""
 
     graph: Graph
     coloring: Coloring
     verts: tuple[str, ...]
-    index: dict[str, int]
-    src: tuple[list[int | None], ...]
-    via: tuple[list[str | None], ...]
+    src: tuple[tuple[int | None, ...], ...]
+    via: tuple[tuple[str | None, ...], ...]
+
+    @property
+    def index(self) -> Mapping[str, int]:  # read-only position of each vertex in verts
+        return MappingProxyType(self.graph._index)
 
     def step(self, v: str, j: int) -> tuple[str, str]:
-        i = self.index.get(v)
+        i = self.graph._index.get(v)
         if i is None or not 0 < j <= self.coloring.d or self.src[j][i] is None:
             raise PartialAutomaton("no incoming edge of that color", vertex=v, color=j)
         return self.verts[self.src[j][i]], self.via[j][i]
 
 
 def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
-    report = validate_coloring(g, c)
-    if not report.valid:
-        raise InvalidColoring(
-            "coloring is not strong", findings=[f.message for f in report.errors]
-        )
-    return _automaton(g, c)
+    """The automaton of c on g, validated and built once per (g, c) and kept
+    on c for the graph object g; a coloring that fails raises on every call."""
+    auto = c.__dict__.get("_automaton")
+    if auto is None or auto.graph is not g:
+        if not (report := validate_coloring(g, c)).valid:
+            findings = [f.message for f in report.errors]
+            raise InvalidColoring("coloring is not strong", findings=findings)
+        auto = c.__dict__["_automaton"] = _automaton(g, c)
+    return auto
 
 
 def _automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
     """Backward automaton of a coloring already known to be strong on g."""
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
+    verts, index = g.sorted_vertices(), g._index
     src: list = [()] + [[None] * len(verts) for _ in range(c.d)]
     via: list = [()] + [[None] * len(verts) for _ in range(c.d)]
     for e in g.edges:
         src[c.color[e.id]][index[e.dst]] = index[e.src]
         via[c.color[e.id]][index[e.dst]] = e.id
-    return BackwardAutomaton(g, c, verts, index, tuple(src), tuple(via))
+    return BackwardAutomaton(g, c, verts, tuple(map(tuple, src)), tuple(map(tuple, via)))
 
 
 def _gap(auto: BackwardAutomaton, i: int, j: int) -> PartialAutomaton:
@@ -207,7 +218,7 @@ def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
 
 
 def _follow(auto: BackwardAutomaton, v: str, letters: Sequence[int]) -> tuple[str, Path]:
-    i = auto.index[v]
+    i = auto.graph._index[v]
     edges: list[str] = []
     for j in letters:
         if auto.src[j][i] is None:
@@ -256,6 +267,16 @@ def _find_word(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     return _greedy_merge(auto)
 
 
+def _unwind(link: dict[int, int], state: int, letter: int) -> tuple[int, ...]:
+    """The search-tree word to ``state``, then ``letter``: ``link[s]`` is
+    ``parent << 4 | letter`` (d <= 9), with letter 0 at the start state."""
+    word = [letter]
+    while (step := link[state]) & 15:
+        word.append(step & 15)
+        state = step >> 4
+    return tuple(reversed(word))
+
+
 def _subset_bfs(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     """Breadth-first search from the full vertex set to a singleton.
 
@@ -263,7 +284,8 @@ def _subset_bfs(auto: BackwardAutomaton) -> tuple[int, ...] | None:
     under color j is read from per-color tables, one per chunk of at most 8
     bits, indexed by the chunk's bits of the subset.  Subsets are expanded
     in FIFO order with colors 1..d, so the first singleton reached gives the
-    shortest word, and among those the least in that order.
+    shortest word, and among those the least in that order.  Each subset
+    reached keeps only its parent link: about 100 bytes, 2^n at most.
     """
     n = len(auto.verts)
     width = -(-n // -(-n // 8))  # n bits in ceil(n / 8) chunks of near-equal width
@@ -282,11 +304,9 @@ def _subset_bfs(auto: BackwardAutomaton) -> tuple[int, ...] | None:
             tables.append((lo, table))
         steps.append((j, gaps, tables))
     full = (1 << n) - 1
-    seen: dict[int, tuple[int, ...]] = {full: ()}
-    queue = deque([full])
-    while queue:
-        cur = queue.popleft()
-        word = seen[cur]
+    link = {full: full << 4}
+    queue = [full]
+    for cur in queue:  # the queue grows while it is read
         for j, gaps, tables in steps:
             missing = cur & gaps
             if missing:
@@ -294,32 +314,34 @@ def _subset_bfs(auto: BackwardAutomaton) -> tuple[int, ...] | None:
             nxt = 0
             for lo, table in tables:
                 nxt |= table[(cur >> lo) & chunk]
-            if nxt in seen:
+            if nxt in link:
                 continue
-            seen[nxt] = word + (j,)
             if nxt & (nxt - 1) == 0:
-                return seen[nxt]
+                return _unwind(link, cur, j)
+            link[nxt] = cur << 4 | j
             queue.append(nxt)
     return None
 
 
 def _pair_merge_word(auto: BackwardAutomaton, a: int, b: int) -> tuple[int, ...] | None:
-    rows = [(j, (j,), auto.src[j]) for j in range(1, auto.coloring.d + 1)]
-    start = (a, b) if a <= b else (b, a)
-    seen: dict[tuple[int, int], tuple[int, ...]] = {start: ()}
-    queue = deque([start])
-    while queue:
-        x, y = cur = queue.popleft()
-        word = seen[cur]
-        for j, letter, row in rows:
+    """Shortest word merging a and b: BFS over pairs x <= y coded as x * n + y,
+    each keeping only its parent link, so memory is O(n^2) ints."""
+    n = len(auto.verts)
+    rows = [(j, auto.src[j]) for j in range(1, auto.coloring.d + 1)]
+    start = a * n + b if a <= b else b * n + a
+    link = {start: start << 4}
+    queue = [start]
+    for cur in queue:
+        x, y = divmod(cur, n)
+        for j, row in rows:
             nx, ny = row[x], row[y]
             if nx is None or ny is None:
                 raise _gap(auto, x if nx is None else y, j)
             if nx == ny:
-                return word + letter
-            key = (nx, ny) if nx <= ny else (ny, nx)
-            if key not in seen:
-                seen[key] = word + letter
+                return _unwind(link, cur, j)
+            key = nx * n + ny if nx <= ny else ny * n + nx
+            if key not in link:
+                link[key] = cur << 4 | j
                 queue.append(key)
     return None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .graph import Graph
-from .paths import Path, validate_path
+from .paths import Path, _check_symbols, validate_path
 
 
 @dataclass
@@ -104,19 +104,34 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
     The terms of b are grouped by range, in their order, and each term mu
     of a meets only the group ending at its source, so the composable pairs
     are met, and summed, in the same order as over all pairs.  Every pair
-    met composes, so its product path is built with no check.
+    met composes, so its product is made with no check: summed under the
+    key (base, edges), whose hash is a plain tuple's, and made a path once.
+
+    The pairs and their total length are counted first, from each group's
+    size and length sum: past SYMBOL_CAP raises before any path is built.
     """
     _require_same_graph(a, b)
     g = a.graph
+    if not (a.terms and b.terms):
+        return FormalElement._trusted(g, {})
     ending: dict[str, list[tuple[Path, complex]]] = {}
+    length: dict[str, int] = {}
     for nu, cb in b.terms.items():
-        ending.setdefault(g.dst(nu.edges[0]) if nu.edges else nu.base, []).append((nu, cb))
-    out: dict[Path, complex] = {}
+        v = g._by_id[nu.edges[0]].dst if nu.edges else nu.base  # the graph's own edge
+        ending.setdefault(v, []).append((nu, cb))
+        length[v] = length.get(v, 0) + len(nu.edges)
+    pairs = symbols = 0
+    for mu in a.terms:
+        if (v := mu.base) in ending:
+            pairs += len(ending[v])
+            symbols += len(ending[v]) * len(mu.edges) + length[v]
+    _check_symbols("product", pairs, symbols)
+    out: dict[tuple[str, tuple[str, ...]], complex] = {}
     for mu, ca in a.terms.items():
         for nu, cb in ending.get(mu.base, ()):
-            prod = Path(nu.base, mu.edges + nu.edges)
-            out[prod] = out.get(prod, 0) + ca * cb
-    return FormalElement._trusted(g, out)
+            key = nu.base, mu.edges + nu.edges
+            out[key] = out.get(key, 0) + ca * cb
+    return FormalElement._trusted(g, {Path(*key): c for key, c in out.items()})
 
 
 def fourier_coeff(a: FormalElement, m: int) -> FormalElement:

@@ -128,8 +128,7 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
         raise DomainError("depth must be nonnegative", depth=depth)
     start = _sources(g, sources)
     _count_levels(g, start, depth)
-    verts, edges = g.sorted_vertices(), g.sorted_edge_ids()
-    at = {v: i for i, v in enumerate(verts)}
+    verts, edges, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
     src, dst = (np.array([at[end(e)] for e in edges], dtype=np.intp) for end in (g.src, g.dst))
     ends = [np.array([at[v] for v in start], dtype=np.intp)]  # each level's ranges
     parent, via = [ends[0][:0]], [ends[0][:0]]  # for each longer path: what it extends, by what
@@ -442,9 +441,8 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     """
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     ops = _Ops(rep)
-    verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
+    verts, eids, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
     P, E = _stack([ops.vertex(v) for v in verts]), _stack([ops.edge(eid) for eid in eids])
-    at = {v: i for i, v in enumerate(verts)}
     src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int32) for end in (g.src, g.dst))
 
     def within(lo: int, hi: int) -> np.ndarray:
@@ -649,7 +647,7 @@ def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
     if k == 0:
         P = _stack([ops.vertex(v) for v in verts])
         return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
-    at = {v: i for i, v in enumerate(verts)}
+    at = g._index
     eids = [eid for w in verts for eid in g.in_edges(w)]
     E = _stack([ops.edge(eid) for eid in eids])
     src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int64) for end in (g.src, g.dst))
@@ -671,29 +669,40 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
     vanish.  Every operator is a weighted partial injection, so each image
     is one basis vector times a nonzero value, or zero, and the check is
     that the nonzero images land on distinct basis vectors.
+
+    The paths are counted first, as ``enumerate_paths`` counts them.  Those
+    of one length are stepped together, one ``_search`` per edge in id order,
+    carrying only nonzero images: an operator is read only where one reaches.
     """
-    if upto is None:
-        upto = rep.depth - 1
+    upto = max(0, rep.depth - 1 if upto is None else upto)
     try:
         idx = rep.index()[label]
     except KeyError:
         raise DomainError("unknown basis label", label=str(label)) from None
-    base = rep.label_vertex[idx]
+    g, base = rep.graph, rep.label_vertex[idx]
+    _count_levels(g, [base], upto)
     ops = _Ops(rep)
-    image = {(): idx}  # stored edge tuple -> where the edges send idx, -1 once it vanishes
-    hit = set()
-    for p in enumerate_paths(rep.graph, [base], max(0, upto)):
-        j = image[p.edges[1:]] if p.edges else idx
-        if j >= 0:  # an operator is read only where an image reaches it
-            m = ops.edge(p.edges[0]) if p.edges else ops.vertex(base)
-            i = _search(m.dom, j)
-            j = int(m.row[i]) if i >= 0 else -1
-        if p.edges:
-            image[p.edges] = j
-        if j >= 0:
-            if j in hit:
-                return False
-            hit.add(j)
+    m = ops.vertex(base)
+    i = _search(m.dom, idx)
+    hit = {int(m.row[i])} if i >= 0 else set()
+    edges = [(e, g.src(e), g.dst(e)) for e in g.sorted_edge_ids()]
+    level = {base: np.array([idx])}  # end vertex -> where the paths ending there send idx
+    for _ in range(upto):
+        ending: dict[str, list[np.ndarray]] = {}
+        for e, src, dst in edges:
+            if src in level:
+                m = ops.edge(e)
+                i = _search(m.dom, level[src])
+                image = m.row[i[i >= 0]]
+                before = len(hit)
+                hit.update(image.tolist())
+                if len(hit) < before + len(image):
+                    return False  # two paths met, or one met an earlier image
+                if len(image):
+                    ending.setdefault(dst, []).append(image)
+        level = {v: np.concatenate(parts) for v, parts in ending.items()}
+        if not level:
+            break
     return True
 
 

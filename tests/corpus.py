@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from semigroupoid_kit import ExplicitAtomic, Graph, Phase, cycle_graph
+from semigroupoid_kit import Coloring, ExplicitAtomic, Graph, Phase, cycle_graph
 
 
 def random_graph(rng, max_v=6, max_e=10, acyclic=False):
@@ -38,6 +38,22 @@ def random_in_regular_graph(rng, nv, d):
             k += 1
             triples.append((f"e{k}", rng.choice(vertices), v))
     return Graph.build(vertices, triples)
+
+
+def cerny(n):
+    """The Cerny automaton C_n in backward form, with its colouring (d = 2).
+
+    Vertices c00, c01, ... sort as their indices.  The colour-1 edge into i
+    comes from i + 1 mod n; the colour-2 edge into i comes from i, except
+    into 0, where it comes from 1.  Its shortest synchronizing word has
+    (n - 1)^2 letters, the worst case of its size.
+    """
+    verts = [f"c{i:02d}" for i in range(n)]
+    triples, color = [], {}
+    for i, v in enumerate(verts):
+        triples += [(f"a{i:02d}", verts[(i + 1) % n], v), (f"b{i:02d}", verts[i or 1], v)]
+        color[f"a{i:02d}"], color[f"b{i:02d}"] = 1, 2
+    return Graph.build(verts, triples), Coloring(2, color)
 
 
 def random_phase(rng):

@@ -86,6 +86,45 @@ def test_product_sums_the_pairs_in_the_order_of_all_pairs(rng, fig1):
             assert list(got.terms.items()) == list(want.terms.items())
 
 
+def test_an_over_budget_product_builds_no_path(monkeypatch):
+    from semigroupoid_kit import EnumerationOverflow, Graph, enumerate_paths, series
+    from semigroupoid_kit.paths import SYMBOL_CAP
+
+    g = Graph.build(["v"], [("a", "v", "v"), ("b", "v", "v")])
+    # every path of length <= 9 on two loops: 1023 terms
+    a = FormalElement(g, {p: 1.0 for p in enumerate_paths(g, ["v"], 9)})
+    built = []
+    path = series.Path
+    monkeypatch.setattr(series, "Path", lambda *args: built.append(args) or path(*args))
+    with pytest.raises(EnumerationOverflow) as err:
+        formal_mul(a, a)
+    # 2 * 1023 * (1*2 + 2*4 + ... + 9*512) edges over the 1023^2 pairs
+    assert err.value.details == {"count": 1023**2, "symbols": 16_764_924, "budget": SYMBOL_CAP}
+    assert built == []
+
+
+def test_the_product_budget_counts_every_composable_pair_exactly(rng, fig1, monkeypatch):
+    import corpus
+    from semigroupoid_kit import EnumerationOverflow, paths
+
+    graphs = [fig1] + [corpus.random_graph(rng, max_v=4, max_e=8) for _ in range(10)]
+    factors = [(random_polynomial(rng, g), random_polynomial(rng, g)) for g in graphs for _ in range(6)]
+    for a, b in factors:
+        g = a.graph
+        pairs = [
+            (mu, nu) for mu in a.terms for nu in b.terms
+            if mu.base == (g.dst(nu.edges[0]) if nu.edges else nu.base)
+        ]
+        symbols = sum(len(mu.edges) + len(nu.edges) for mu, nu in pairs)
+        monkeypatch.setattr(paths, "SYMBOL_CAP", symbols)
+        formal_mul(a, b)  # at the budget: allowed
+        if symbols:
+            monkeypatch.setattr(paths, "SYMBOL_CAP", symbols - 1)
+            with pytest.raises(EnumerationOverflow) as err:
+                formal_mul(a, b)
+            assert err.value.details == {"count": len(pairs), "symbols": symbols, "budget": symbols - 1}
+
+
 def test_fourier_parts_sum_to_whole(rng, fig1):
     a = random_polynomial(rng, fig1)
     deg = a.degree()

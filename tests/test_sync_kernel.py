@@ -8,6 +8,7 @@ the same words, colourings and errors on seeded random graphs.
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from semigroupoid_kit import (
     DomainError,
     EnumerationOverflow,
     Graph,
+    InvalidColoring,
     PartialAutomaton,
     cycle_graph,
     find_synchronizing_word,
@@ -212,16 +214,33 @@ def test_subset_search_names_the_least_vertex_missing_a_color():
 def test_each_call_validates_once_and_search_candidates_never(monkeypatch):
     g = looped_triangle()
     c = Coloring(2, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2})
-    calls = []
-    validate = rc.validate_coloring
+    calls, builds = [], []
+    validate, automaton = rc.validate_coloring, rc._automaton
     monkeypatch.setattr(rc, "validate_coloring", lambda *a: calls.append(a) or validate(*a))
-    assert is_synchronizing_word(g, c, "1") == "t"
-    assert len(calls) == 1
-    syncdiag_paths(g, c, "1", "12")
-    assert len(calls) == 2
-    builds = []
-    automaton = rc._automaton
     monkeypatch.setattr(rc, "_automaton", lambda *a: builds.append(a) or automaton(*a))
+    # one validation and one build per (graph, colouring) object, across the queries
+    assert is_synchronizing_word(g, c, "1") == "t"
+    syncdiag_paths(g, c, "1", "12")
+    assert find_synchronizing_word(g, c) == "1"
+    follow_backward(g, c, "l", "21")
+    assert rc.backward_automaton(g, c) is rc.backward_automaton(g, c)
+    assert len(calls) == len(builds) == 1
+    # a second Graph object, or a fresh equal Coloring, validates again
+    twin = looped_triangle()
+    assert is_synchronizing_word(twin, c, "1") == "t"
+    assert len(calls) == len(builds) == 2
+    assert is_synchronizing_word(twin, Coloring(2, dict(c.color)), "1") == "t"
+    assert len(calls) == len(builds) == 3
+    # an invalid colouring raises on every call
+    bad = Coloring(2, dict(c.color, rt=1))
+    for query in (lambda: is_synchronizing_word(g, bad, "1"), lambda: find_synchronizing_word(g, bad)):
+        with pytest.raises(InvalidColoring):
+            query()
+    assert len(calls) == 5 and len(builds) == 3
+    # the O'Brien colouring is validated and built once, for its word and its diagram
+    coloring, word = rc.obrien_coloring(g, "loop_t")
+    syncdiag_paths(g, coloring, word, "2")
+    assert len(calls) == 6 and len(builds) == 4
     # the first candidate colouring of this graph does not synchronize
     g2 = Graph.build(
         ["v1", "v2", "v3", "v4"],
@@ -229,7 +248,51 @@ def test_each_call_validates_once_and_search_candidates_never(monkeypatch):
          ("e5", "v1", "v3"), ("e6", "v1", "v3"), ("e7", "v4", "v4"), ("e8", "v3", "v4")],
     )
     assert search_synchronizing_coloring(g2) is not None
-    assert len(builds) == 2 and len(calls) == 2
+    assert len(builds) == 6 and len(calls) == 6
+
+
+def test_the_shared_automaton_exposes_nothing_mutable():
+    g = looped_triangle()
+    auto = rc.backward_automaton(g, Coloring(2, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}))
+    assert all(type(row) is tuple for row in auto.src + auto.via)
+    assert auto.index == {"l": 0, "r": 1, "t": 2}
+    with pytest.raises(TypeError):
+        auto.index["t"] = 0
+    assert g.sorted_vertices() is g.sorted_vertices() == auto.verts
+
+
+def test_cerny_words_are_the_worst_case_and_match_the_frozenset_search():
+    for n in range(3, 13):
+        g, c = corpus.cerny(n)
+        word = find_synchronizing_word(g, c)
+        assert len(word) == (n - 1) ** 2
+        assert word == oracles.subset_bfs(oracles.backward_automaton(g, c), frozenset(g.vertices))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cerny_20_is_searched_in_bounded_memory():
+    # one parent link per subset: a whole word per subset peaked at 783 MB.
+    # VmHWM is the peak of the child's own memory; its ru_maxrss would also
+    # count the memory of this process, which forked it
+    import os
+    import subprocess
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(rc.__file__))
+    probe = (
+        "import corpus\n"
+        "from semigroupoid_kit import find_synchronizing_word\n"
+        "word = find_synchronizing_word(*corpus.cerny(20))\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(len(word), *peak)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+    )
+    letters, peak_kib = map(int, done.stdout.split())
+    assert letters == 19**2
+    assert peak_kib < 200 * 1024
 
 
 def test_periodic_search_tries_no_candidate_but_keeps_the_budget(monkeypatch):
