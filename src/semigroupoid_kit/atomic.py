@@ -121,7 +121,7 @@ class ExplicitAtomic:
         nodes, pred = links or _h_links(self)
         roots = tuple(v for v, _ in sorted(nodes.difference(pred)))
         core = self.graph._elimination[0]
-        starts = sorted((v, i) for v in core.vertices for i in self.labels(v))
+        starts = sorted((v, i) for v in core for i in self.labels(v))
         cyclic = [members for root, members in _h_components(starts, pred) if root is None]
         if not cyclic:
             return roots, (), frozenset()

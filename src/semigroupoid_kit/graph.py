@@ -30,8 +30,9 @@ class Graph:
     """Immutable directed multigraph with id-keyed adjacency caches.
 
     Strongly connected components, the source elimination (Kahn's
-    layering, which also decides acyclicity) and the sorted vertex tuple
-    with its ``{v: i}`` index are computed on first use and cached.
+    layering, which also decides acyclicity, with the core's vertex set),
+    the core as a graph and the sorted vertex tuple with its ``{v: i}``
+    index are computed on first use and cached.
     """
 
     vertices: tuple[str, ...]
@@ -113,7 +114,7 @@ class Graph:
         return {v: comp for comp in self._sccs for v in comp}
 
     @cached_property
-    def _elimination(self) -> tuple[Graph, tuple[tuple[str, ...], ...], bool]:
+    def _elimination(self) -> tuple[frozenset[str], tuple[tuple[str, ...], ...], bool]:
         # Kahn's layering: in-degree counters drop as each layer is removed,
         # a vertex joins the next layer when its counter reaches zero, and
         # every edge is visited once; the vertices left over form the core
@@ -130,8 +131,13 @@ class Graph:
                     if indeg[w] == 0:
                         emptied.append(w)
             layer = sorted(emptied)
-        core = _restrict(self, frozenset(v for v, k in indeg.items() if k))
-        return core, tuple(layers), not core.vertices
+        core = frozenset(v for v, k in indeg.items() if k)
+        return core, tuple(layers), not core
+
+    @cached_property
+    def _core(self) -> Graph:
+        # the elimination core as a graph, built only when asked for
+        return _restrict(self, self._elimination[0])
 
     @cached_property
     def key(self) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
@@ -311,11 +317,12 @@ def source_elimination(g: Graph) -> tuple[Graph, list[list[str]], bool]:
     Returns (fixed point graph, removal layers, has_ses) where has_ses means
     the elimination exhausts every vertex.  On finite graphs that happens
     exactly when the graph is acyclic.  Computed once per graph by Kahn's
-    layering and cached on ``g``: every call returns fresh layer lists, and
-    the same core ``Graph`` object.
+    layering and cached on ``g``, and the core ``Graph`` is built once, on
+    the first call: every call returns fresh layer lists, and the same core
+    ``Graph`` object.
     """
-    core, layers, exhausted = g._elimination
-    return core, [list(layer) for layer in layers], exhausted
+    _, layers, exhausted = g._elimination
+    return g._core, [list(layer) for layer in layers], exhausted
 
 
 def has_ses(g: Graph) -> bool:

@@ -6,12 +6,15 @@ applied edge last, so ``edges[i+1]`` feeds into ``edges[i]`` and composing
 paths concatenates tuples.  Vertices are the length-0 paths, carried by the
 ``base`` field.  The source of a nonempty path is the source of its last
 stored edge, the range is the range of its first stored edge.
+
+A ``Path`` is the tuple ``(base, edges)``, so it equals, hashes and sorts
+as that plain tuple, in C; ``len(p)`` is the number of edges.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import EnumerationOverflow, GraphFormatError, NotACycle, PathError
@@ -24,13 +27,25 @@ BASIS_CAP = 200_000
 SYMBOL_CAP = 10_000_000
 
 
-@dataclass(frozen=True, order=True)
-class Path:
-    base: str
-    edges: tuple[str, ...] = ()
+class Path(tuple):
+    """The pair ``(base, edges)``; immutable, with no instance dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: str, edges: tuple[str, ...] = ()) -> "Path":
+        return tuple.__new__(cls, (base, edges))
+
+    base = property(itemgetter(0))
+    edges = property(itemgetter(1))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self[1])
+
+    def __getnewargs__(self) -> tuple[str, tuple[str, ...]]:
+        return self[0], self[1]
+
+    def __repr__(self) -> str:
+        return f"Path(base={self[0]!r}, edges={self[1]!r})"
 
     @staticmethod
     def vertex(v: str) -> "Path":

@@ -9,14 +9,19 @@ truncation module cross-checks against.  Only the public constructor
 validates and copies its terms.  Each operation builds a fresh dict and
 hands it to ``FormalElement._trusted``, which keeps it as the result's
 terms and rebuilds it only to drop a zero or make a value a ``complex``.
+
+``fourier_coeff``, ``l2_row_norm``, ``degree`` and ``graded_ideal_degree``
+read one split of the terms by grade, made in one pass on the first grade
+query and kept, so editing ``terms`` after a grade query is unsupported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, GraphFormatError
 from .graph import Graph
 from .paths import Path, _check_symbols, validate_path
 
@@ -56,14 +61,21 @@ class FormalElement:
     def path(g: Graph, p: Path, coeff: complex = 1.0) -> "FormalElement":
         return FormalElement(g, {p: coeff})
 
+    @cached_property
+    def _grades(self) -> dict[int, dict[Path, complex]]:
+        """The terms split by grade, ``{m: {path: coeff}}``, each part in term
+        order; built in one pass on first use and shared, so read only."""
+        grades: dict[int, dict[Path, complex]] = {}
+        for p, c in self.terms.items():
+            grades.setdefault(len(p.edges), {})[p] = c
+        return grades
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int | None:
         """Largest grade with a nonzero term; None for the zero element."""
-        if not self.terms:
-            return None
-        return max(len(p.edges) for p in self.terms)
+        return max(self._grades) if self.terms else None
 
     def sorted_terms(self) -> list[tuple[Path, complex]]:
         return sorted(self.terms.items(), key=lambda t: (len(t[0].edges), t[0].edges, t[0].base))
@@ -105,7 +117,10 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
     of a meets only the group ending at its source, so the composable pairs
     are met, and summed, in the same order as over all pairs.  Every pair
     met composes, so its product is made with no check: summed under the
-    key (base, edges), whose hash is a plain tuple's, and made a path once.
+    plain tuple (base, edges), which a ``Path`` equals and hashes as, and
+    made a path once per distinct product, since a plain tuple is built
+    with no Python-level call and a ``Path`` with one.  The grade split is
+    not used here: products of two terms land in any grade.
 
     The pairs and their total length are counted first, from each group's
     size and length sum: past SYMBOL_CAP raises before any path is built.
@@ -135,8 +150,12 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
 
 
 def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
-    """Grade-m homogeneous part; zero element when no term has length m."""
-    return FormalElement._trusted(a.graph, {p: c for p, c in a.terms.items() if len(p.edges) == m})
+    """Grade-m homogeneous part; zero element when no term has length m.
+
+    A copy of the grade-m part of a's cached split, so the result owns its
+    terms."""
+    part = a._grades.get(m)
+    return FormalElement._trusted(a.graph, part.copy() if part else {})
 
 
 def cesaro(a: FormalElement, k: int) -> FormalElement:
@@ -149,9 +168,7 @@ def cesaro(a: FormalElement, k: int) -> FormalElement:
 
 def graded_ideal_degree(a: FormalElement) -> int | None:
     """Minimum grade carrying a nonzero term; None (infinity marker) for zero."""
-    if not a.terms:
-        return None
-    return min(len(p.edges) for p in a.terms)
+    return min(a._grades) if a.terms else None
 
 
 def l2_row_norm(a: FormalElement, m: int, v: str) -> float:
@@ -159,10 +176,14 @@ def l2_row_norm(a: FormalElement, m: int, v: str) -> float:
 
     Equals the operator norm of the grade-m part compressed to the v-column:
     the ranges of distinct paths are orthogonal, so the norm is the plain
-    l2 norm of the coefficient family {a_mu : |mu| = m, source(mu) = v}.
+    l2 norm of the coefficient family {a_mu : |mu| = m, source(mu) = v},
+    summed over the grade-m part in term order.  GraphFormatError when v is
+    not a vertex of the graph.
     """
+    if not a.graph.has_vertex(v):
+        raise GraphFormatError("unknown vertex", vertex=v)
     total = 0.0
-    for p, c in a.terms.items():
-        if len(p.edges) == m and p.base == v:
+    for p, c in a._grades.get(m, {}).items():
+        if p.base == v:
             total += abs(c) ** 2
     return math.sqrt(total)

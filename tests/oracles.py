@@ -1103,8 +1103,15 @@ def coisometric_defect(rep, k):
     """``trunc.coisometric_defect`` as a sum over the enumerated paths.
 
     Each path's matrix is its prefix's times its first-applied edge, which
-    is ``path_matrix``'s left-to-right product; only the paths one shorter
-    are kept, by edge tuple.
+    is ``path_matrix``'s left-to-right product.  The prefixes of one edge
+    and one dtype are stacked with ``sp.vstack`` and multiplied at once: a
+    sparse product makes each row from the same row of its left factor, so
+    each block of n rows is that path's own product.  The range sum is
+    W W^*, W the grade's blocks side by side in path order: each row adds
+    its terms in column order, so each entry is the running sum over the
+    paths in path order, as long as a path matrix has at most one entry in
+    a row; products of partial injections do, and ``trunc`` refuses any
+    other operator.
     """
     import scipy.sparse as sp
     from semigroupoid_kit import DomainError, enumerate_paths
@@ -1114,18 +1121,35 @@ def coisometric_defect(rep, k):
     g = rep.graph
     n = rep.dim
     paths = enumerate_paths(g, g.vertices, k)
-    level = {}
-    for length in range(1, k + 1):
-        level = {
-            p.edges: level[p.edges[:-1]] @ rep.edge_ops[p.edges[-1]] if length > 1
-            else path_matrix(rep, p)
-            for p in paths if len(p) == length
-        }
-        if not level:
+    # (stacked matrices, their keys): n rows per key, which is a vertex path
+    # at grade 0 and an edge tuple above
+    groups = [(path_matrix(rep, p), [p.edges if k else p]) for p in paths if len(p) == min(k, 1)]
+    for length in range(2, k + 1):
+        if not groups:
             break  # no longer path either
-    acc = sp.csr_matrix((n, n))
-    for m in level.values() if k else [path_matrix(rep, p) for p in paths]:
-        acc = acc + m @ m.conjugate().transpose()
+        level = {e: mat[i * n:(i + 1) * n] for mat, keys in groups for i, e in enumerate(keys)}
+        picks = {}
+        for p in paths:
+            if len(p) == length:
+                picks.setdefault((p.edges[-1], level[p.edges[:-1]].dtype), []).append(p.edges)
+        groups = [
+            (sp.vstack([level[e[:-1]] for e in keys], format="csr") @ rep.edge_ops[eid], keys)
+            for (eid, _), keys in picks.items()
+        ]
+    # the grade's matrices side by side in path order
+    position = {e: i for i, e in enumerate(p.edges if k else p for p in paths if len(p) == k)}
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for mat, keys in groups:
+        coo = mat.tocoo()
+        block = np.array([position[e] for e in keys], dtype=int)[coo.row // n]
+        rows.append(coo.row % n)
+        cols.append(block * n + coo.col)
+        vals.append(coo.data)
+    side = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, len(position) * n),
+    )
+    acc = side @ side.conjugate().transpose()
     ident = sp.identity(n, format="csr")
     upper = _column_residual(acc - ident, rep.grades, k, rep.depth)[0]
     lower = _column_residual(acc, rep.grades, 0, k - 1)[0] if k > 0 else 0.0

@@ -118,6 +118,20 @@ def test_series_pipeline(capsys, tmp_path, fig1, fig1_file):
     assert abs(json.loads(out)["value"] - 2.0) < 1e-12
 
 
+def test_series_rownorm_at_an_unknown_vertex_exits_1(capsys, tmp_path, fig1, fig1_file):
+    from semigroupoid_kit import FormalElement, Path
+
+    fa = tmp_path / "a.json"
+    fa.write_text(dump_json(formal_to_json(FormalElement(fig1, {Path("t", ("tl1",)): 2.0}))))
+    argv = ["series", "rownorm", str(fa), "-m", "1", "--vertex", "nosuch", "--graph", fig1_file]
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert code == 1 and not out
+        assert json.loads(err) == {
+            "error": "graph-format", "message": "unknown vertex", "details": {"vertex": "nosuch"}
+        }
+
+
 def test_series_ideal_degree_of_zero_is_infinity(capsys, tmp_path, fig1, fig1_file):
     from semigroupoid_kit import FormalElement
 

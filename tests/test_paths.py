@@ -193,3 +193,33 @@ def test_least_rotation_index_is_the_least_start_of_the_least_rotation():
 def test_cycle_vertices_walk_order(fig1):
     w = Path("t", ("rt", "lr", "tl1"))
     assert cycle_vertices(fig1, w) == ["t", "l", "r"]
+
+
+def test_a_path_is_the_tuple_of_its_base_and_edges(fig1):
+    import copy
+    import pickle
+
+    paths = enumerate_paths(fig1, fig1.vertices, 3)
+    assert Path.__hash__ is tuple.__hash__
+    for p in paths:
+        assert p == (p.base, p.edges) and hash(p) == hash((p.base, p.edges))
+        assert len(p) == len(p.edges)
+        base, edges = p
+        assert Path(base=base, edges=edges) == p and (base, edges) == (p.base, p.edges)
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is Path and twin == p
+    # ordering is the order of (base, edges), as for the frozen dataclass
+    shuffled = sorted(paths, key=lambda p: (len(p.edges), p.edges[::-1], p.base))
+    assert sorted(shuffled) == sorted(paths, key=lambda p: (p.base, p.edges))
+    for p, q in itertools.product(paths[:12], paths[-12:]):
+        assert (p < q) == ((p.base, p.edges) < (q.base, q.edges))
+    assert len(Path.vertex("t")) == 0 and Path("t") == Path.vertex("t")
+    assert repr(Path("t", ("loop_t",))) == "Path(base='t', edges=('loop_t',))"
+
+
+def test_a_path_cannot_be_edited():
+    p = Path("t", ("loop_t",))
+    for name in ("base", "edges", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, "x")
+    assert p == Path("t", ("loop_t",)) and not hasattr(p, "__dict__")

@@ -197,6 +197,50 @@ def test_l2_row_norm_definition(fig1):
     assert l2_row_norm(a, 2, "t") == 0.0
 
 
+def test_a_row_norm_at_an_unknown_vertex_is_refused(fig1):
+    from semigroupoid_kit import GraphFormatError
+
+    a = FormalElement(fig1, {Path("t", ("tl1",)): 3.0})
+    for elem in (a, FormalElement.zero(fig1)):
+        with pytest.raises(GraphFormatError, match="unknown vertex") as err:
+            l2_row_norm(elem, 1, "nosuch")
+        assert err.value.details == {"vertex": "nosuch"}
+
+
+def test_grade_parts_are_fresh_copies_of_one_split(rng, fig1):
+    a = random_polynomial(rng, fig1, max_deg=2)
+    while not fourier_coeff(a, 1).terms:
+        a = random_polynomial(rng, fig1, max_deg=2)
+    first, second = fourier_coeff(a, 1), fourier_coeff(a, 1)
+    assert first.terms == second.terms and first.terms is not second.terms
+    whole = dict(a.terms)
+    first.terms[Path.vertex("t")] = 5j
+    first.terms.pop(next(iter(second.terms)))
+    assert a.terms == whole
+    assert fourier_coeff(a, 1).terms == second.terms
+    assert exact(fourier_coeff(a, 1).terms) == exact(oracles.fourier_coeff(a.terms, 1))
+
+
+def test_one_pass_over_the_terms_serves_every_grade_query(rng, fig1):
+    class CountingTerms(dict):
+        passes = 0
+
+        def items(self):
+            CountingTerms.passes += 1
+            return super().items()
+
+        def __iter__(self):
+            CountingTerms.passes += 1
+            return super().__iter__()
+
+    a = random_polynomial(rng, fig1)
+    a.terms = CountingTerms(a.terms)
+    answers = [fourier_coeff(a, m) for m in range(4)]
+    answers += [l2_row_norm(a, m, "t") for m in range(3)]
+    answers += [a.degree(), graded_ideal_degree(a)]
+    assert len(answers) == 9 and CountingTerms.passes == 1
+
+
 def test_operations_trust_their_inputs_and_boundaries_validate(rng, fig1, monkeypatch):
     from semigroupoid_kit import PathError, serialize, series
 
@@ -300,14 +344,18 @@ def test_kernels_match_the_earlier_kernels_bit_for_bit(rng, fig1):
                 (a - b, oracles.series_sub(a.terms, b.terms)),
                 (a.scale(c), oracles.series_scale(a.terms, c)),
                 (cesaro(a, k), oracles.cesaro(a.terms, k)),
-            ] + [(fourier_coeff(a, m), oracles.fourier_coeff(a.terms, m)) for m in range(5)]
+            ]
             for got, want in pairs:
                 assert exact(got.terms) == exact(want)
                 assert all(type(z) is complex for z in got.terms.values())
-            assert a.degree() == oracles.degree(a.terms)
-            assert graded_ideal_degree(a) == oracles.graded_ideal_degree(a.terms)
-            for m in range(5):
-                assert l2_row_norm(a, m, v).hex() == oracles.l2_row_norm(g, a.terms, m, v).hex()
+            for elem in (a, FormalElement.zero(g)):  # m < 0 and m above the degree too
+                terms = elem.terms
+                assert elem.degree() == oracles.degree(terms)
+                assert graded_ideal_degree(elem) == oracles.graded_ideal_degree(terms)
+                for m in range(-2, 7):
+                    assert exact(fourier_coeff(elem, m).terms) == exact(oracles.fourier_coeff(terms, m))
+                    got, want = l2_row_norm(elem, m, v), oracles.l2_row_norm(g, terms, m, v)
+                    assert got.hex() == want.hex()
             assert a.sorted_terms() == sorted(
                 a.terms.items(), key=lambda kv: (len(kv[0]), kv[0].edges, kv[0].base)
             )
