@@ -1,5 +1,10 @@
 """Toolkit for directed multigraphs, their free semigroupoid path spaces,
-atomic isometric families, road colorings, and finite matrix truncations."""
+atomic isometric families, road colorings, and finite matrix truncations.
+
+The truncation names, and the ``trunc`` module, load on first use (PEP
+562), so that only a program that uses them imports numpy and scipy."""
+
+from importlib import import_module as _import_module
 
 from .errors import (
     DomainError,
@@ -105,20 +110,20 @@ from .roadcoloring import (
     synchronizing_guarantee,
     validate_coloring,
 )
-from .trunc import (
-    CycleLemmaReport,
-    RelationReport,
-    TruncatedRep,
-    apply_formal,
-    build_colored_trunc,
-    build_left_regular_trunc,
-    coisometric_defect,
-    cycle_lemma_check,
-    matrix_to_coordinates,
-    path_matrix,
-    verify_tck,
-    wandering_certificate,
-)
 from .validation import Finding, ValidationReport
 
 __version__ = "0.1.0"
+
+_TRUNC = (
+    "CycleLemmaReport", "RelationReport", "TruncatedRep", "apply_formal", "build_colored_trunc",
+    "build_left_regular_trunc", "coisometric_defect", "cycle_lemma_check", "matrix_to_coordinates",
+    "path_matrix", "verify_tck", "wandering_certificate",
+)
+__all__ = [name for name in globals() if not name.startswith("_")] + ["trunc", *_TRUNC]
+
+
+def __getattr__(name: str):
+    if name == "trunc" or name in _TRUNC:
+        trunc = _import_module(".trunc", __name__)
+        return trunc if name == "trunc" else getattr(trunc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import atomic as at
 from . import graph as gr
@@ -24,8 +25,10 @@ from . import paths as pa
 from . import roadcoloring as rc
 from . import series as se
 from . import serialize as io
-from . import trunc as tr
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from . import trunc as tr
 
 DEFAULT_MAX_LEN = 6
 DEFAULT_DEPTH = 4
@@ -302,10 +305,11 @@ def cmd_color_syncdiag(args) -> Answer:
 
 
 # ---------------------------------------------------------------------------
-# trunc
+# trunc: numpy and scipy are imported here, by the commands that use them
 
 
 def _build_rep(args) -> tr.TruncatedRep:
+    from . import trunc as tr
     g = _load_graph(args.graph)
     if args.coloring:
         return tr.build_colored_trunc(g, _load_coloring(args.coloring), args.depth)
@@ -322,6 +326,7 @@ def _label_str(rep: tr.TruncatedRep, label) -> str:
 
 
 def cmd_trunc_build(args) -> Answer:
+    from . import trunc as tr
     rep = _build_rep(args)
     data = {
         "kind": rep.kind,
@@ -336,6 +341,7 @@ def cmd_trunc_build(args) -> Answer:
 
 
 def cmd_trunc_verify(args) -> Answer:
+    from . import trunc as tr
     rep = _build_rep(args)
     reports = tr.verify_tck(rep)
     data = {"dim": rep.dim, "relations": [r.to_json() for r in reports]}
@@ -350,11 +356,13 @@ def cmd_trunc_verify(args) -> Answer:
 
 
 def cmd_trunc_cycle_lemma(args) -> Answer:
+    from . import trunc as tr
     report = tr.cycle_lemma_check(args.n, args.depth)
     return report.to_json(), [f"n={report.n} depth={report.depth} ok={report.ok}"] + report.blocks
 
 
 def cmd_trunc_apply(args) -> Answer:
+    from . import trunc as tr
     rep = _build_rep(args)
     elem = io.formal_from_json(rep.graph, io.load_json(args.element))
     mat = tr.apply_formal(rep, elem)

@@ -31,8 +31,8 @@ class Graph:
 
     Strongly connected components, the source elimination (Kahn's
     layering, which also decides acyclicity, with the core's vertex set),
-    the core as a graph and the sorted vertex tuple with its ``{v: i}``
-    index are computed on first use and cached.
+    the core as a graph, the sorted vertex tuple with its ``{v: i}`` index
+    and the sorted edge ids are computed on first use and cached.
     """
 
     vertices: tuple[str, ...]
@@ -106,6 +106,10 @@ class Graph:
         return tuple(sorted(self.vertices))
 
     @cached_property
+    def _sorted_edges(self) -> tuple[str, ...]:
+        return tuple(sorted(self._by_id))
+
+    @cached_property
     def _index(self) -> dict[str, int]:  # position in sorted_vertices(); read only
         return {v: i for i, v in enumerate(self._sorted)}
 
@@ -176,7 +180,7 @@ class Graph:
         return self._sorted
 
     def sorted_edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(e.id for e in self.edges))
+        return self._sorted_edges
 
     def to_json_dict(self) -> dict:
         return {

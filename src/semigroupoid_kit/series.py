@@ -8,7 +8,8 @@ of an element, and the column l2 norms of a graded piece are the tools the
 truncation module cross-checks against.  Only the public constructor
 validates and copies its terms.  Each operation builds a fresh dict and
 hands it to ``FormalElement._trusted``, which keeps it as the result's
-terms and rebuilds it only to drop a zero or make a value a ``complex``.
+terms and rebuilds it only to drop a zero or make a value a ``complex``;
+``fourier_coeff`` copies terms that are already so and skips that scan.
 
 ``fourier_coeff``, ``l2_row_norm``, ``degree`` and ``graded_ideal_degree``
 read one split of the terms by grade, made in one pass on the first grade
@@ -39,9 +40,10 @@ class FormalElement:
         self.terms = _nonzero(self.terms)
 
     @classmethod
-    def _trusted(cls, g: Graph, terms: dict[Path, complex]) -> "FormalElement":
-        """Element owning ``terms``, a fresh dict over paths of g; validates nothing."""
-        for c in terms.values():
+    def _trusted(cls, g: Graph, terms: dict[Path, complex], scan: bool = True) -> "FormalElement":
+        """Element owning ``terms``, a fresh dict over paths of g; validates
+        nothing, and with ``scan`` false takes each value as nonzero ``complex``."""
+        for c in terms.values() if scan else ():
             if type(c) is not complex or not c:
                 terms = _nonzero(terms)
                 break
@@ -153,9 +155,9 @@ def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
     """Grade-m homogeneous part; zero element when no term has length m.
 
     A copy of the grade-m part of a's cached split, so the result owns its
-    terms."""
+    terms; they are a's own, already nonzero and ``complex``, so not scanned."""
     part = a._grades.get(m)
-    return FormalElement._trusted(a.graph, part.copy() if part else {})
+    return FormalElement._trusted(a.graph, part.copy() if part else {}, scan=False)
 
 
 def cesaro(a: FormalElement, k: int) -> FormalElement:

@@ -19,17 +19,22 @@ in floating point, no tolerance needed.
 
 Every operator the builders make is a weighted partial injection, kept as
 its entry list ``_Map(row, dom, val)``: one item per nonzero, columns
-increasing.  The builders compute the lists in closed form, in Theta(n + nnz),
-and keep them on the ``TruncatedRep``; the checks compose them, so every
-``A* A`` or ``A A*`` is a diagonal, and find an entry by one binary search.
-An operator's CSR matrix is built on first read.  One read out that way, or
-assigned, is decoded from its CSC arrays, so an edit is checked as it stands;
-two nonzeros in a row or a column raise ``DomainError("truncation operator
+increasing.  A builder writes them in closed form, in Theta(n + nnz) and
+O(1) numpy calls, as two stacked entry tables (``_Stack``): P, the vertex
+maps in sorted-vertex order, and E, the edge maps in sorted-edge order
+with each edge's source and range.  Each stored ``_Map`` is a slice of
+its table.  The checks compose maps, so every ``A* A`` or ``A A*`` is a
+diagonal, and find an entry by one lookup.  An operator's CSR matrix is
+built on first read.  Reading one out, assigning or deleting one drops
+its kind's table, and a check then stacks the maps anew, decoding a
+matrix from its CSC arrays, so an edit is checked as it stands; two
+nonzeros in a row or a column raise ``DomainError("truncation operator
 is not a partial injection", op=...)`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``.
 
-``verify_tck`` and ``coisometric_defect`` stack the vertex maps, and the
-edge maps, end to end once and check each relation in a fixed number of
-array passes: O(n + nnz) work in O(1) numpy calls, whatever the graph.
+``verify_tck``, ``coisometric_defect``, ``operator_coordinates`` and
+``cycle_lemma_check`` check each relation on the two tables in a fixed
+number of array passes: O(n + nnz) work in O(1) numpy calls, whatever the
+graph; ``apply_formal`` takes a fixed number per path length.
 Each entry of a checked matrix has a closed form per column, summed from
 zero in term order by ``np.bincount`` or one scalar operation and never by
 numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
@@ -40,7 +45,7 @@ from __future__ import annotations
 from collections import UserDict
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +61,9 @@ from .series import FormalElement
 
 class TruncatedRep:
     """A "left_regular" or "colored" truncation: basis grades, a projection
-    per vertex and an operator per edge.  The builders pass None for
-    ``labels`` and ``label_vertex``, made on first read from ``meta``."""
+    per vertex and an operator per edge.  The builders pass their tables
+    for the operators, and None for ``labels`` and ``label_vertex``, made on
+    first read from ``meta``."""
 
     def __init__(
         self, graph: Graph, depth: int, kind: str, labels: list | None, grades: np.ndarray,
@@ -103,16 +109,34 @@ class _Operators(UserDict):
     """The operators of a rep by vertex or edge id; ``data`` holds each as a
     builder's ``_Map`` or as a matrix.  A map is read as its CSR matrix,
     built on first read and held in its place, so an edit to what was read
-    is what the checks see."""
+    is what the checks see.  Given a builder's table, ``data`` holds slices
+    of it, and ``table`` keeps it until any read-out, assignment or deletion."""
+
+    table: _Stack | None = None
 
     def __init__(self, ops, n: int):
         self.data, self.n = ops, n
+        if isinstance(ops, _Stack):
+            bounds = ops.start.tolist()
+            self.table, self.data = ops, {
+                key: _Map(ops.row[a:b], ops.col[a:b], ops.val[a:b])
+                for key, a, b in zip(ops.keys, bounds, bounds[1:])
+            }
 
     def __getitem__(self, key: str):
+        self.table = None
         op = self.data[key]
         if isinstance(op, _Map):
             op = self.data[key] = _csr(self.n, *op)
         return op
+
+    def __setitem__(self, key: str, value) -> None:
+        self.table = None
+        self.data[key] = value
+
+    def __delitem__(self, key: str) -> None:
+        self.table = None
+        del self.data[key]
 
 
 def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
@@ -122,14 +146,15 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     by stored edge tuple, which starts with the last edge.  So level k+1
     lists, for each edge e in id order, the level-k paths that end at the
     source of e, in level-k order, and e sends each of them there: the
-    columns of each edge's map increase with its rows.
+    columns of each edge's map increase with its rows.  Stable argsorts of
+    the paths' ends and last edges give P and E.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     start = _sources(g, sources)
     _count_levels(g, start, depth)
     verts, edges, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
-    src, dst = (np.array([at[end(e)] for e in edges], dtype=np.intp) for end in (g.src, g.dst))
+    src, dst = _ends(g, edges)
     ends = [np.array([at[v] for v in start], dtype=np.intp)]  # each level's ranges
     parent, via = [ends[0][:0]], [ends[0][:0]]  # for each longer path: what it extends, by what
     first = 0  # index of the first path of the last level
@@ -146,20 +171,16 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
         ends.append(dst[edge])
         first += len(level)
     end, parent, via = (np.concatenate(part).astype(np.int32) for part in (ends, parent, via))
-    blocks, hits = _split(end, len(verts)), _split(via, len(edges))
+    paths, hit = (np.argsort(key, kind="stable").astype(np.int32) for key in (end, via))
     return TruncatedRep(
         g, depth, "left_regular", None,
         np.repeat(np.arange(len(ends)), [len(level) for level in ends]), None,
-        {v: _Map(rows, rows, np.ones(len(rows))) for v, rows in zip(verts, blocks)},
-        {e: _Map(hit + len(start), parent[hit], np.ones(len(hit))) for e, hit in zip(edges, hits)},
+        _Stack(end[paths], paths, paths, np.ones(len(paths)),
+               np.searchsorted(end[paths], np.arange(len(verts) + 1)), verts),
+        _Stack(via[hit], parent[hit], hit + len(start), np.ones(len(hit)),
+               np.searchsorted(via[hit], np.arange(len(edges) + 1)), edges, (src, dst)),
         {"sources": start},
     )
-
-
-def _split(keys: np.ndarray, count: int) -> list[np.ndarray]:
-    """For each key 0..count-1, the increasing int32 indices that hold it."""
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    return np.split(order, np.searchsorted(keys[order], np.arange(1, count)))
 
 
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
@@ -193,19 +214,28 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     # words per length; a graph with no vertex has none, at any depth
     count = d ** np.arange(depth + 1 if g.vertices else 0)
     grade = np.repeat(np.arange(len(count)), count)  # of each word in a block
-    j = np.flatnonzero(grade < depth).astype(np.int32)  # the words an edge moves
-    at = {v: i * len(grade) for i, v in enumerate(g.sorted_vertices())}
-    step = count[grade[j]].astype(np.int32)  # d^k for each word moved
-    blocks = {v: base + np.arange(len(grade), dtype=np.int32) for v, base in at.items()}
+    j = np.flatnonzero(grade < depth)  # the words an edge moves
+    step = count[grade[j]]  # d^k for each word moved
+    verts, edges, block, moved = g.sorted_vertices(), g.sorted_edge_ids(), len(grade), len(j)
+    src, dst = _ends(g, edges)
+    colour = np.array([coloring.of(e) for e in edges], dtype=np.intp)[:, None]
+    rows = np.arange(len(verts) * block, dtype=np.int32)
     return TruncatedRep(
-        g, depth, "colored", None, np.tile(grade, len(at)), None,
-        {v: _Map(rows, rows, np.ones(len(rows))) for v, rows in blocks.items()},
-        {
-            e: _Map(at[g.dst(e)] + j + coloring.of(e) * step, at[g.src(e)] + j, np.ones(len(j)))
-            for e in g.sorted_edge_ids()
-        },
+        g, depth, "colored", None, np.tile(grade, len(verts)), None,
+        _Stack(np.repeat(np.arange(len(verts), dtype=np.int32), block), rows, rows,
+               np.ones(len(rows)), np.arange(len(verts) + 1) * block, verts),
+        _Stack(np.repeat(np.arange(len(edges), dtype=np.int32), moved),
+               (src[:, None] * block + j).ravel().astype(np.int32),
+               (dst[:, None] * block + j + colour * step).ravel().astype(np.int32),
+               np.ones(len(edges) * moved), np.arange(len(edges) + 1) * moved, edges, (src, dst)),
         {"coloring": coloring.to_json_dict()},
     )
+
+
+def _ends(g: Graph, eids) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's source and range, as positions in ``g.sorted_vertices()``."""
+    at = g._index
+    return tuple(np.array([at[end(e)] for e in eids], dtype=np.intp) for end in (g.src, g.dst))
 
 
 def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
@@ -276,6 +306,14 @@ class _Ops:
     def edge(self, eid: str) -> _Map:
         return self._map("edge", self.rep.edge_ops, eid)
 
+    def table(self, kind: str, keys: tuple[str, ...]) -> _Stack:
+        """The maps of ``keys`` stacked: the builder's table while it stands,
+        else the maps, a matrix decoded, stacked anew in key order."""
+        ops = self.rep.vertex_ops if kind == "vertex" else self.rep.edge_ops
+        if ops.table is not None and ops.table.keys == keys:
+            return ops.table
+        return _stack(keys, [self._map(kind, ops, key) for key in keys])
+
     def _map(self, kind: str, ops: _Operators, key: str) -> _Map:
         name = f"{kind[0]}:{key}"
         if name not in self.maps:
@@ -344,28 +382,39 @@ def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 class _Stack(NamedTuple):
     """Several maps' entry lists end to end: map ``group[i]`` sends column
     ``col[i]`` to row ``row[i]`` with value ``val[i]``, and the entries
-    ``start[j]:start[j + 1]`` are map j's ``row``, ``dom`` and ``val``."""
+    ``start[j]:start[j + 1]`` are map j's ``row``, ``dom`` and ``val``.
+    Map j is the operator ``keys[j]``; a builder's edges carry ``ends``,
+    each one's source and range as positions in ``sorted_vertices()``."""
 
     group: np.ndarray
     col: np.ndarray
     row: np.ndarray
     val: np.ndarray
     start: np.ndarray
+    keys: tuple[str, ...] = ()
+    ends: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _stack(maps: list[_Map]) -> _Stack:
+def _stack(keys, maps: list[_Map]) -> _Stack:
     start = np.zeros(len(maps) + 1, dtype=np.int64)
     start[1:] = np.cumsum([len(m.dom) for m in maps])
     parts = maps or [(np.zeros(0, np.int32),) * 2 + (np.zeros(0),)]
     row, col, val = (np.concatenate(part) for part in zip(*parts))
     group = np.repeat(np.arange(len(maps), dtype=np.int32), np.diff(start))
-    return _Stack(group, col, row, val, start)
+    return _Stack(group, col, row, val, start, tuple(keys))
 
 
-def _find(s: _Stack, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
-    -1 where it has none, found by its key group * n + col."""
-    return _search(s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols)
+def _finder(s: _Stack, n: int):
+    """``find(groups, cols)``: the index of the entry of map ``groups[i]`` in
+    column ``cols[i]``, or -1 where it has none, by its key group * n + col:
+    read from a dense table of every key when that has at most 8 slots per
+    entry of s, else binary searched."""
+    keys, size = s.group.astype(np.int64) * n + s.col, (len(s.start) - 1) * n
+    if size > 8 * len(keys):
+        return lambda groups, cols: _search(keys, groups.astype(np.int64) * n + cols)
+    at = np.full(size, -1, dtype=np.int32)
+    at[keys] = np.arange(len(keys), dtype=np.int32)
+    return lambda groups, cols: at[groups.astype(np.int64) * n + cols]
 
 
 def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -441,16 +490,17 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     """
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     ops = _Ops(rep)
-    verts, eids, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
-    P, E = _stack([ops.vertex(v) for v in verts]), _stack([ops.edge(eid) for eid in eids])
-    src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int32) for end in (g.src, g.dst))
+    verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
+    P, E = ops.table("vertex", verts), ops.table("edge", eids)
+    src, dst = E.ends or _ends(g, eids)
 
     def within(lo: int, hi: int) -> np.ndarray:
         return (lo <= grades) & (grades <= hi)
 
     every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
     nd = _vertex_sum_residual(P, n, every)
-    values, pairs = _projection_residuals(P, n, every), []
+    find = _finder(P, n)  # the entry of a projection in a column
+    values, pairs = _projection_residuals(P, find, every), []
     if values.any() or nd != 0.0:
         proj = {v: ops.vertex(v) for v in verts}
         pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
@@ -463,14 +513,14 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     ))
     reports = [RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail)]
 
-    values, boundary = _isometry_residuals(P, E, src, below_top)
+    values, boundary = _isometry_residuals(P, E, find, src, below_top)
     worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    excess, inner, outer = _range_defects(P, E, dst, interior)
+    excess, inner, outer = _range_defects(P, E, find, dst, interior)
     worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
-    has_in = np.array([bool(g.in_edges(v)) for v in verts], dtype=bool)
+    has_in = np.bincount(dst, minlength=len(verts)) > 0
     for name, keep in (("CK", has_in), ("F", np.ones(len(verts), dtype=bool))):
         worst, detail = _worst(
             np.where(keep, inner, 0.0), lambda i: f"range sum misses the projection at {verts[i]}"
@@ -495,14 +545,14 @@ def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:
     return worst
 
 
-def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
+def _projection_residuals(P: _Stack, find, every: np.ndarray) -> np.ndarray:
     """(P) at each vertex: max |entry| of S^2 - S and of S - S* on ``every``.
 
     S sends column c to r = row[c].  When r is a column of S, S^2 has an
     entry in column c at row[r], meeting that of S when row[r] = r; S* sends
     column r to row c, meeting the entry of S there when row[r] = c.
     """
-    j = _find(P, n, P.group, P.row)
+    j = find(P.group, P.row)
     row2, val2 = np.append(P.row, -1)[j], np.append(P.val, 0)[j]  # row[r], val[r]
     size, prod = _abs(P.val), val2 * P.val
     square = np.where(
@@ -516,7 +566,7 @@ def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
     ), P.start)
 
 
-def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarray):
+def _isometry_residuals(P: _Stack, E: _Stack, find, src: np.ndarray, inside: np.ndarray):
     """(IS) S_e* S_e - S_src(e): max |entry| at each edge on ``inside``, and
     over all edges off it.
 
@@ -525,8 +575,8 @@ def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarra
     entry of S_src(e) stands alone, once for every edge e out of its vertex:
     entry k is at first[e] + k - start[src[e]] in the list of them all.
     """
-    n, sq = len(inside), _square(E.val)
-    j = _find(P, n, src[E.group], E.col)
+    sq = _square(E.val)
+    j = find(src[E.group], E.col)
     meets = np.append(P.row, -1)[j] == E.col
     own = np.where(meets, _abs(sq - np.append(P.val, 0)[j]), sq)
     count = np.diff(P.start)[src]
@@ -542,7 +592,7 @@ def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarra
     return values, _worst(np.concatenate([own[~own_in], rest[~rest_in]]))[0]
 
 
-def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _range_defects(P: _Stack, E: _Stack, find, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """S_v less the range sum of the edges into v, which TCK, CK and F read:
     at each vertex, by how much the sum exceeds S_v, and max |entry| on
     ``inside`` and off it, as three rows.
@@ -553,7 +603,7 @@ def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) ->
     real part or its imaginary part, off it by its modulus.
     """
     n, sq = len(inside), _square(E.val)
-    j = _find(P, n, dst[E.group], E.row)
+    j = find(dst[E.group], E.row)
     hit, on = j >= 0, P.row == P.col
     slot = np.bincount(j[hit], weights=-sq[hit], minlength=len(P.col))
     diag = np.where(on, slot + P.val, slot)
@@ -593,20 +643,51 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     """Truncated matrix of a formal polynomial.
 
     The terms' entries are added in term order, each entry's sum running
-    left to right from zero as a running sparse sum adds them.
+    left to right from zero as a running sparse sum adds them.  On the
+    builder's tables, ``_compose`` takes the terms of each length at once,
+    in term order; else each term's maps are composed in turn.
     """
     if elem.graph.key != rep.graph.key:
         raise DomainError("formal element and truncation use different graphs")
-    n = rep.dim
+    g, n = rep.graph, rep.dim
     ops = _Ops(rep)
     keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for p, c in elem.sorted_terms():
-        m = ops.path(p)
+    P, E = rep.vertex_ops.table, rep.edge_ops.table
+    if P is None or E is None or (P.keys, E.keys) != (g.sorted_vertices(), g.sorted_edge_ids()):
+        parts = [(ops.path(p), c) for p, c in elem.sorted_terms()]
+    else:
+        parts, at, find = [], {e: i for i, e in enumerate(E.keys)}, _finder(E, n)
+        for length, run in groupby(elem.sorted_terms(), key=lambda t: len(t[0].edges)):
+            paths, coefs = zip(*run)
+            table, index = (E, at) if length else (P, g._index)
+            groups = np.array([[index[key] for key in p.edges or (p.base,)] for p in paths])
+            parts.append(_compose(table, find, groups, coefs))
+    for m, c in parts:
         keys.append(m.row.astype(np.int64) * n + m.dom)
         vals.append(m.val.astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
     nonzero = total != 0
     return _csr(n, *np.divmod(keys[nonzero], n), total[nonzero])
+
+
+def _compose(s: _Stack, find, groups: np.ndarray, coefs) -> tuple[_Map, np.ndarray]:
+    """The maps of the products ``groups[i, 0] @ groups[i, 1] @ ...`` of
+    maps of s, end to end, and each entry's ``coefs[i]``: each entry of the
+    last map is followed back by ``find`` (s's), kept if every map has an
+    entry where it lands, and valued first map first, as by ``_product``.
+    """
+    last = groups[:, -1]
+    count = s.start[last + 1] - s.start[last]
+    owner = np.repeat(np.arange(len(groups)), count)
+    chain = [np.arange(len(owner)) + np.repeat(s.start[last] - (np.cumsum(count) - count), count)]
+    for k in range(groups.shape[1] - 2, -1, -1):
+        j = find(groups[owner, k], s.row[chain[-1]])
+        hit = j >= 0
+        owner, chain = owner[hit], [c[hit] for c in chain] + [j[hit]]
+    val = s.val[chain[-1]]
+    for c in chain[-2::-1]:
+        val = val * s.val[c]
+    return _Map(s.row[chain[-1]], s.col[chain[0]], val), np.array(coefs, dtype=complex)[owner]
 
 
 def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
@@ -623,9 +704,10 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
     into w is R_k^w = sum over edges e into w of S_e R_{k-1}^{src e} S_e*,
     starting from R_0 = I (or S_v S_v* itself when k = 0).  The R^w are the
     rows of one vertices x n array; a grade step is one ``np.bincount`` of
-    the stacked edge entries, in ``in_edges`` order, and the rows are then
-    added vertex by vertex.  The paths are counted first, against the same
-    budget as ``enumerate_paths``.
+    the edge table, and the rows are then added vertex by vertex.  A slot
+    w * n + row takes terms only from the edges into w, in id order as in
+    ``in_edges``, so each sum runs as over the paths.  The paths are
+    counted first, against the same budget as ``enumerate_paths``.
     """
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)
@@ -645,12 +727,10 @@ def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
     ops = _Ops(rep)
     verts = g.sorted_vertices()
     if k == 0:
-        P = _stack([ops.vertex(v) for v in verts])
+        P = ops.table("vertex", verts)
         return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
-    at = g._index
-    eids = [eid for w in verts for eid in g.in_edges(w)]
-    E = _stack([ops.edge(eid) for eid in eids])
-    src, dst = (np.array([at[end(eid)] for eid in eids], dtype=np.int64) for end in (g.src, g.dst))
+    E = ops.table("edge", g.sorted_edge_ids())
+    src, dst = E.ends or _ends(g, E.keys)
     # row w of the weights, flat, is R^w on the basis
     step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
     weight = np.broadcast_to(1.0, len(verts) * n)
@@ -738,18 +818,21 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
     # one path per level, as on the loop: count them before building the graph
     _count_levels(cycle_graph(1), ["v1"], depth)
     rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
-    ops = _Ops(rep)
+    keys, dim = rep.graph.sorted_edge_ids(), rep.dim
+    E = _Ops(rep).table("edge", keys)
+    edge = np.array([int(key[1:]) - 1 for key in keys])[E.group]  # e_{i + 1} is edge i
+    # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
+    k = np.arange(depth)
+    # entry by entry: the built one less the wanted one, each summed from zero
+    cells, total = _add_up(
+        np.concatenate([(edge * dim + E.col) * dim + E.row, (k % n * dim + k) * dim + k + 1]),
+        np.concatenate([E.val, -np.ones(depth)]),
+    )
+    residuals = np.zeros(n)
+    np.maximum.at(residuals, cells // (dim * dim), _abs(total))
     worst = 0.0
     blocks: list[str] = []
-    for i in range(1, n + 1):
-        # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
-        rows, cols = np.arange(i, depth + 1, n), np.arange(i - 1, depth, n)
-        e = ops.edge(f"e{i}")
-        # entry by entry: the built one less the wanted one, each summed from zero
-        residual = _max_or_zero(_abs(_add_up(
-            np.concatenate([e.row, rows]) * rep.dim + np.concatenate([e.dom, cols]),
-            np.concatenate([e.val, -np.ones(len(rows))]),
-        )[1]))
+    for i, residual in enumerate(residuals.tolist(), 1):
         worst = max(worst, residual)
         block = f"identity block from vertex block {i} to {i + 1}" if i < n else (
             f"one-step shift block from vertex block {n} to 1"
@@ -760,10 +843,13 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 
 def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
-    ``e:<edge>``, read off the maps with no matrix built."""
-    ops = _Ops(rep)
-    coords = {f"v:{v}": _quadruples(*ops.vertex(v)) for v in rep.vertex_ops}
-    coords.update({f"e:{e}": _quadruples(*ops.edge(e)) for e in rep.edge_ops})
+    ``e:<edge>``, read off each kind's table, sorted once, with no matrix built."""
+    ops, coords = _Ops(rep), {}
+    for kind, keys in (("vertex", tuple(rep.vertex_ops)), ("edge", tuple(rep.edge_ops))):
+        s = ops.table(kind, keys)
+        quads = _quadruples(s.row, s.col, s.val, s.group)
+        bounds = [0] + np.cumsum(np.bincount(s.group[s.val != 0], minlength=len(keys))).tolist()
+        coords.update((f"{kind[0]}:{key}", quads[a:b]) for key, a, b in zip(keys, bounds, bounds[1:]))
     return coords
 
 
@@ -773,11 +859,11 @@ def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:
     return _quadruples(coo.row, coo.col, coo.data)
 
 
-def _quadruples(rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> list[list[float]]:
-    """(row, col, re, im) of the nonzero entries, sorted by row and then column."""
+def _quadruples(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, *groups) -> list[list[float]]:
+    """(row, col, re, im) of the nonzero entries, sorted by any ``groups``
+    they are given, then by row and then by column."""
     keep = data != 0
-    rows, cols, data = rows[keep], cols[keep], data[keep]
-    order = np.lexsort((cols, rows))
-    data = data[order]
-    quads = zip(rows[order].tolist(), cols[order].tolist(), data.real.tolist(), data.imag.tolist())
+    order = np.lexsort((cols[keep], rows[keep]) + tuple(group[keep] for group in groups))
+    rows, cols, data = rows[keep][order], cols[keep][order], data[keep][order]
+    quads = zip(rows.tolist(), cols.tolist(), data.real.tolist(), data.imag.tolist())
     return [list(q) for q in quads]

@@ -534,6 +534,44 @@ def test_package_runs_as_a_module_like_the_cli_module(fig1_file):
         assert got == want and want[0] == code
 
 
+def test_only_the_trunc_commands_import_numpy_and_scipy(capsys, fig1_file, coloring_file):
+    """A process that runs ``graph check`` has imported neither numpy nor
+    scipy, and ``trunc verify`` then still gives this process's output."""
+    import os
+    import subprocess
+    import sys
+
+    import semigroupoid_kit
+    from semigroupoid_kit import cli, trunc
+
+    probe = (
+        "import sys\n"
+        "from semigroupoid_kit.cli import main\n"
+        "def heavy():\n"
+        "    return sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert main(['graph', 'check', sys.argv[1]]) == 0\n"
+        "print(heavy(), file=sys.stderr)\n"
+        "assert main(['trunc', 'verify', sys.argv[1], '--coloring', sys.argv[2], '--depth', '3']) == 0\n"
+        "print(heavy(), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, fig1_file, coloring_file],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stderr.splitlines() == ["[]", "['numpy', 'scipy']"]
+    want = [
+        run(capsys, ["graph", "check", fig1_file])[1],
+        run(capsys, ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "3"])[1],
+    ]
+    assert done.stdout == "".join(want)
+    # the package still hands out the trunc module and its names
+    assert semigroupoid_kit.trunc is trunc and semigroupoid_kit.verify_tck is trunc.verify_tck
+    assert {"trunc", "verify_tck", "Graph"} <= set(semigroupoid_kit.__all__)
+    with pytest.raises(AttributeError, match="nosuch"):
+        semigroupoid_kit.nosuch
+
+
 def test_greedy_sync_find_names_the_least_vertex_under_any_hash_seed(tmp_path):
     """Past 20 vertices the word is built by pair merging; when colour 3 is
     missing at some vertex of the set being stepped, the error names the

@@ -918,3 +918,146 @@ def test_colored_labels_keep_the_digit_order_and_are_in_rank_order(d):
             offset = sum(d**m for m in range(len(w)))
             rank = sum((j - 1) * d ** (len(w) - 1 - pos) for pos, j in enumerate(w))
             assert i == offset + rank
+
+
+# ---------------------------------------------------------------------------
+# the builders' stacked tables, and what drops them
+
+
+def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
+    """For random reps of both kinds, the builder's two tables and its edges'
+    ends equal those made from the operators' CSR matrices, bit for bit, and
+    each stored map is a slice of its table.  Once complex phases are
+    assigned, the table a check reads is the one decoded from the edits."""
+    from semigroupoid_kit.trunc import _decode, _ends, _Ops, _stack
+
+    def same(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    reps = _random_reps(rng, graphs=4, max_dim=400)
+    assert {rep.kind for rep in reps} == {"left_regular", "colored"}
+    for rep in reps:
+        g = rep.graph
+        tables = rep.vertex_ops.table, rep.edge_ops.table
+        assert [t.keys for t in tables] == [g.sorted_vertices(), g.sorted_edge_ids()]
+        assert tables[0].ends is None
+        same(tables[1].ends, _ends(g, g.sorted_edge_ids()))
+        for table, ops, kind in zip(tables, (rep.vertex_ops, rep.edge_ops), "ve"):
+            for key in table.keys:
+                assert np.shares_memory(ops.data[key].row, table.row) or not ops.data[key].row.size
+            decoded = [_decode(ops[key], f"{kind}:{key}") for key in table.keys]
+            assert ops.table is None
+            same(table[:5], _stack(table.keys, decoded)[:5])
+        if rep.edge_ops:
+            phased = rng.sample(g.sorted_edge_ids(), min(2, len(g.edges)))
+            for eid in phased:
+                rep.edge_ops[eid] = rep.edge_ops[eid] * complex(rng.choice([1j, -1j, -1]))
+            eids = g.sorted_edge_ids()
+            stack = _Ops(rep).table("edge", eids)
+            same(stack[:5], _stack(eids, [_decode(rep.edge_ops[e], e) for e in eids])[:5])
+            assert stack.val.dtype == complex and stack.ends is None
+
+
+def test_batched_apply_formal_equals_the_per_term_composition(monkeypatch, rng):
+    """With the tables standing, the terms of one length are composed
+    together: the matrix is the per-term composition's, which the same maps
+    give with no table, bit for bit, and no term is composed alone."""
+    import copy
+
+    from semigroupoid_kit import trunc
+    from test_series import random_polynomial
+
+    calls = []
+    real = trunc._product
+    monkeypatch.setattr(trunc, "_product", lambda a, b: calls.append(1) or real(a, b))
+    composed = 0
+    for rep in _random_reps(rng, graphs=3, max_dim=300):
+        plain = copy.copy(rep)  # the same maps, in dicts with no table
+        plain.vertex_ops, plain.edge_ops = dict(rep.vertex_ops.data), dict(rep.edge_ops.data)
+        for scale in (1.0, 1e200, 1e-200):
+            elem = random_polynomial(rng, rep.graph, max_deg=min(rep.depth + 2, 5)).scale(scale)
+            got = apply_formal(rep, elem)
+            assert not calls and rep.edge_ops.table is not None
+            _same_csr(got, apply_formal(plain, elem))
+            composed += len(calls)
+            calls.clear()
+    assert composed > 100
+
+
+@pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
+@pytest.mark.parametrize("how", ["read-out", "assignment", "replacement", "deletion"])
+def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, how, fig1):
+    """An edit made in place after a read-out, an assigned matrix or a
+    ``dict(...)`` replacement is what verify_tck, coisometric_defect,
+    apply_formal and operator_coordinates check; a deletion is missed."""
+    import oracles
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        g = rep.graph
+        elem = FormalElement(g, {p: 1.0 + i for i, p in enumerate(enumerate_paths(g, g.vertices, 2))})
+        clean = _all_checks(rep), operator_coordinates(rep)
+        edited = oracles.truncation_ops(rep)[ops == "edge_ops"][key].copy()
+        edited.data[0] = 2.0
+        if how == "read-out":
+            getattr(rep, ops)[key].data[0] = 2.0
+        elif how == "assignment":
+            getattr(rep, ops)[key] = edited
+        elif how == "replacement":
+            setattr(rep, ops, {**dict(getattr(rep, ops)), key: edited})
+        else:
+            del getattr(rep, ops)[key]
+        assert getattr(rep, ops).table is None
+        if how == "deletion":
+            kind = "vertex" if ops == "vertex_ops" else "edge"
+            with pytest.raises(DomainError, match=f"unknown {kind}"):
+                verify_tck(rep)
+            assert f"{kind[0]}:{key}" not in operator_coordinates(rep)
+            continue
+        got = _all_checks(rep), operator_coordinates(rep)
+        assert got[0][0] != clean[0][0] and got[1] != clean[1]
+        assert got[0][0] == [r.to_json() for r in oracles.verify_tck(rep)]
+        assert got[0][1] == [oracles.coisometric_defect(rep, k) for k in range(rep.depth + 2)]
+        assert got[0][2] == matrix_to_coordinates(oracles.apply_formal(rep, elem))
+        want = {f"v:{v}": matrix_to_coordinates(m) for v, m in rep.vertex_ops.items()}
+        want.update({f"e:{e}": matrix_to_coordinates(m) for e, m in rep.edge_ops.items()})
+        assert got[1] == want
+
+
+def test_coisometric_defect_decodes_the_edges_in_id_order(fig1):
+    """Of two edge operators that are not partial injections, both checks
+    name the first in id order, loop_t, not the first into the least
+    vertex in ``in_edges`` order, tl1."""
+    rep = build_left_regular_trunc(fig1, ["t"], 3)
+    for eid in ("tl1", "loop_t"):
+        mat = rep.edge_ops[eid]
+        mat.indices[1] = mat.indices[0]  # two entries in one column
+    for check in (verify_tck, lambda r: coisometric_defect(r, 1)):
+        with pytest.raises(DomainError, match="not a partial injection") as err:
+            check(rep)
+        assert err.value.details == {"op": "e:loop_t"}
+
+
+def test_finder_answers_as_a_lookup_of_every_key(rng):
+    """Dense (few maps) or by binary search (many sparse maps), ``_finder``
+    gives each (map, column) its entry's index, or -1."""
+    from semigroupoid_kit.trunc import _finder, _Map, _stack
+
+    n = 30
+    for maps, fewest, most in ((2, 15, n), (40, 0, 3)):  # 60 <= 8 * 30 keys, 1200 > 8 * 120
+        parts = []
+        for _ in range(maps):
+            cols = sorted(rng.sample(range(n), rng.randint(fewest, most)))
+            rows = rng.sample(range(n), len(cols))
+            parts.append(_Map(np.array(rows, np.int32), np.array(cols, np.int32), np.ones(len(cols))))
+        s = _stack(range(maps), parts)
+        entry = {key: i for i, key in enumerate(zip(s.group.tolist(), s.col.tolist()))}
+        groups = np.array([rng.randrange(maps) for _ in range(300)])
+        cols = np.array([rng.randrange(n) for _ in range(300)])
+        got = _finder(s, n)(groups, cols).tolist()
+        assert got == [entry.get(key, -1) for key in zip(groups.tolist(), cols.tolist())]
+        assert -1 in got and set(got) - {-1}
