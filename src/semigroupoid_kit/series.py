@@ -40,10 +40,9 @@ class FormalElement:
         self.terms = _nonzero(self.terms)
 
     @classmethod
-    def _trusted(cls, g: Graph, terms: dict[Path, complex], scan: bool = True) -> "FormalElement":
-        """Element owning ``terms``, a fresh dict over paths of g; validates
-        nothing, and with ``scan`` false takes each value as nonzero ``complex``."""
-        for c in terms.values() if scan else ():
+    def _trusted(cls, g: Graph, terms: dict[Path, complex]) -> "FormalElement":
+        """Element owning ``terms``, a fresh dict over paths of g; validates nothing."""
+        for c in terms.values():
             if type(c) is not complex or not c:
                 terms = _nonzero(terms)
                 break
@@ -155,9 +154,12 @@ def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
     """Grade-m homogeneous part; zero element when no term has length m.
 
     A copy of the grade-m part of a's cached split, so the result owns its
-    terms; they are a's own, already nonzero and ``complex``, so not scanned."""
+    terms; they are a's own, already nonzero and ``complex``, so it is
+    built as ``_trusted`` builds one, without the scan."""
     part = a._grades.get(m)
-    return FormalElement._trusted(a.graph, part.copy() if part else {}, scan=False)
+    elem = FormalElement.__new__(FormalElement)
+    elem.graph, elem.terms = a.graph, part.copy() if part else {}
+    return elem
 
 
 def cesaro(a: FormalElement, k: int) -> FormalElement:

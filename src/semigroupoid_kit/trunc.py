@@ -24,17 +24,17 @@ O(1) numpy calls, as two stacked entry tables (``_Stack``): P, the vertex
 maps in sorted-vertex order, and E, the edge maps in sorted-edge order
 with each edge's source and range.  Each stored ``_Map`` is a slice of
 its table.  The checks compose maps, so every ``A* A`` or ``A A*`` is a
-diagonal, and find an entry by one lookup.  An operator's CSR matrix is
-built on first read.  Reading one out, assigning or deleting one drops
-its kind's table, and a check then stacks the maps anew, decoding a
-matrix from its CSC arrays, so an edit is checked as it stands; two
-nonzeros in a row or a column raise ``DomainError("truncation operator
-is not a partial injection", op=...)`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``.
+diagonal, and find an entry by one binary search.  An operator's CSR
+matrix is built on first read.  Reading one out, assigning or deleting
+one drops its kind's table, and a check then stacks the maps anew,
+decoding a matrix from its CSC arrays, so an edit is checked as it
+stands; two nonzeros in a row or a column raise ``DomainError("truncation
+operator is not a partial injection", op=...)`` with ``op``
+``"v:<vertex>"`` or ``"e:<edge>"``.
 
-``verify_tck``, ``coisometric_defect``, ``operator_coordinates`` and
-``cycle_lemma_check`` check each relation on the two tables in a fixed
-number of array passes: O(n + nnz) work in O(1) numpy calls, whatever the
-graph; ``apply_formal`` takes a fixed number per path length.
+``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
+each relation on the two tables in a fixed number of array passes:
+O(n + nnz) work in O(1) numpy calls, whatever the graph.
 Each entry of a checked matrix has a closed form per column, summed from
 zero in term order by ``np.bincount`` or one scalar operation and never by
 numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import UserDict
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import groupby, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -404,17 +404,10 @@ def _stack(keys, maps: list[_Map]) -> _Stack:
     return _Stack(group, col, row, val, start, tuple(keys))
 
 
-def _finder(s: _Stack, n: int):
-    """``find(groups, cols)``: the index of the entry of map ``groups[i]`` in
-    column ``cols[i]``, or -1 where it has none, by its key group * n + col:
-    read from a dense table of every key when that has at most 8 slots per
-    entry of s, else binary searched."""
-    keys, size = s.group.astype(np.int64) * n + s.col, (len(s.start) - 1) * n
-    if size > 8 * len(keys):
-        return lambda groups, cols: _search(keys, groups.astype(np.int64) * n + cols)
-    at = np.full(size, -1, dtype=np.int32)
-    at[keys] = np.arange(len(keys), dtype=np.int32)
-    return lambda groups, cols: at[groups.astype(np.int64) * n + cols]
+def _find(s: _Stack, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
+    -1 where it has none, found by its key group * n + col."""
+    return _search(s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols)
 
 
 def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -499,8 +492,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
 
     every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
     nd = _vertex_sum_residual(P, n, every)
-    find = _finder(P, n)  # the entry of a projection in a column
-    values, pairs = _projection_residuals(P, find, every), []
+    values, pairs = _projection_residuals(P, n, every), []
     if values.any() or nd != 0.0:
         proj = {v: ops.vertex(v) for v in verts}
         pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
@@ -513,11 +505,11 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     ))
     reports = [RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail)]
 
-    values, boundary = _isometry_residuals(P, E, find, src, below_top)
+    values, boundary = _isometry_residuals(P, E, src, below_top)
     worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    excess, inner, outer = _range_defects(P, E, find, dst, interior)
+    excess, inner, outer = _range_defects(P, E, dst, interior)
     worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
     has_in = np.bincount(dst, minlength=len(verts)) > 0
@@ -545,14 +537,14 @@ def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:
     return worst
 
 
-def _projection_residuals(P: _Stack, find, every: np.ndarray) -> np.ndarray:
+def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
     """(P) at each vertex: max |entry| of S^2 - S and of S - S* on ``every``.
 
     S sends column c to r = row[c].  When r is a column of S, S^2 has an
     entry in column c at row[r], meeting that of S when row[r] = r; S* sends
     column r to row c, meeting the entry of S there when row[r] = c.
     """
-    j = find(P.group, P.row)
+    j = _find(P, n, P.group, P.row)
     row2, val2 = np.append(P.row, -1)[j], np.append(P.val, 0)[j]  # row[r], val[r]
     size, prod = _abs(P.val), val2 * P.val
     square = np.where(
@@ -566,7 +558,7 @@ def _projection_residuals(P: _Stack, find, every: np.ndarray) -> np.ndarray:
     ), P.start)
 
 
-def _isometry_residuals(P: _Stack, E: _Stack, find, src: np.ndarray, inside: np.ndarray):
+def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarray):
     """(IS) S_e* S_e - S_src(e): max |entry| at each edge on ``inside``, and
     over all edges off it.
 
@@ -575,8 +567,8 @@ def _isometry_residuals(P: _Stack, E: _Stack, find, src: np.ndarray, inside: np.
     entry of S_src(e) stands alone, once for every edge e out of its vertex:
     entry k is at first[e] + k - start[src[e]] in the list of them all.
     """
-    sq = _square(E.val)
-    j = find(src[E.group], E.col)
+    n, sq = len(inside), _square(E.val)
+    j = _find(P, n, src[E.group], E.col)
     meets = np.append(P.row, -1)[j] == E.col
     own = np.where(meets, _abs(sq - np.append(P.val, 0)[j]), sq)
     count = np.diff(P.start)[src]
@@ -592,7 +584,7 @@ def _isometry_residuals(P: _Stack, E: _Stack, find, src: np.ndarray, inside: np.
     return values, _worst(np.concatenate([own[~own_in], rest[~rest_in]]))[0]
 
 
-def _range_defects(P: _Stack, E: _Stack, find, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """S_v less the range sum of the edges into v, which TCK, CK and F read:
     at each vertex, by how much the sum exceeds S_v, and max |entry| on
     ``inside`` and off it, as three rows.
@@ -603,7 +595,7 @@ def _range_defects(P: _Stack, E: _Stack, find, dst: np.ndarray, inside: np.ndarr
     real part or its imaginary part, off it by its modulus.
     """
     n, sq = len(inside), _square(E.val)
-    j = find(dst[E.group], E.row)
+    j = _find(P, n, dst[E.group], E.row)
     hit, on = j >= 0, P.row == P.col
     slot = np.bincount(j[hit], weights=-sq[hit], minlength=len(P.col))
     diag = np.where(on, slot + P.val, slot)
@@ -643,51 +635,20 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     """Truncated matrix of a formal polynomial.
 
     The terms' entries are added in term order, each entry's sum running
-    left to right from zero as a running sparse sum adds them.  On the
-    builder's tables, ``_compose`` takes the terms of each length at once,
-    in term order; else each term's maps are composed in turn.
+    left to right from zero as a running sparse sum adds them.
     """
     if elem.graph.key != rep.graph.key:
         raise DomainError("formal element and truncation use different graphs")
-    g, n = rep.graph, rep.dim
+    n = rep.dim
     ops = _Ops(rep)
     keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    P, E = rep.vertex_ops.table, rep.edge_ops.table
-    if P is None or E is None or (P.keys, E.keys) != (g.sorted_vertices(), g.sorted_edge_ids()):
-        parts = [(ops.path(p), c) for p, c in elem.sorted_terms()]
-    else:
-        parts, at, find = [], {e: i for i, e in enumerate(E.keys)}, _finder(E, n)
-        for length, run in groupby(elem.sorted_terms(), key=lambda t: len(t[0].edges)):
-            paths, coefs = zip(*run)
-            table, index = (E, at) if length else (P, g._index)
-            groups = np.array([[index[key] for key in p.edges or (p.base,)] for p in paths])
-            parts.append(_compose(table, find, groups, coefs))
-    for m, c in parts:
+    for p, c in elem.sorted_terms():
+        m = ops.path(p)
         keys.append(m.row.astype(np.int64) * n + m.dom)
         vals.append(m.val.astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
     nonzero = total != 0
     return _csr(n, *np.divmod(keys[nonzero], n), total[nonzero])
-
-
-def _compose(s: _Stack, find, groups: np.ndarray, coefs) -> tuple[_Map, np.ndarray]:
-    """The maps of the products ``groups[i, 0] @ groups[i, 1] @ ...`` of
-    maps of s, end to end, and each entry's ``coefs[i]``: each entry of the
-    last map is followed back by ``find`` (s's), kept if every map has an
-    entry where it lands, and valued first map first, as by ``_product``.
-    """
-    last = groups[:, -1]
-    count = s.start[last + 1] - s.start[last]
-    owner = np.repeat(np.arange(len(groups)), count)
-    chain = [np.arange(len(owner)) + np.repeat(s.start[last] - (np.cumsum(count) - count), count)]
-    for k in range(groups.shape[1] - 2, -1, -1):
-        j = find(groups[owner, k], s.row[chain[-1]])
-        hit = j >= 0
-        owner, chain = owner[hit], [c[hit] for c in chain] + [j[hit]]
-    val = s.val[chain[-1]]
-    for c in chain[-2::-1]:
-        val = val * s.val[c]
-    return _Map(s.row[chain[-1]], s.col[chain[0]], val), np.array(coefs, dtype=complex)[owner]
 
 
 def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
@@ -843,13 +804,10 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 
 def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
-    ``e:<edge>``, read off each kind's table, sorted once, with no matrix built."""
-    ops, coords = _Ops(rep), {}
-    for kind, keys in (("vertex", tuple(rep.vertex_ops)), ("edge", tuple(rep.edge_ops))):
-        s = ops.table(kind, keys)
-        quads = _quadruples(s.row, s.col, s.val, s.group)
-        bounds = [0] + np.cumsum(np.bincount(s.group[s.val != 0], minlength=len(keys))).tolist()
-        coords.update((f"{kind[0]}:{key}", quads[a:b]) for key, a, b in zip(keys, bounds, bounds[1:]))
+    ``e:<edge>``, read off the maps with no matrix built."""
+    ops = _Ops(rep)
+    coords = {f"v:{v}": _quadruples(*ops.vertex(v)) for v in rep.vertex_ops}
+    coords.update({f"e:{e}": _quadruples(*ops.edge(e)) for e in rep.edge_ops})
     return coords
 
 
@@ -859,11 +817,11 @@ def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:
     return _quadruples(coo.row, coo.col, coo.data)
 
 
-def _quadruples(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, *groups) -> list[list[float]]:
-    """(row, col, re, im) of the nonzero entries, sorted by any ``groups``
-    they are given, then by row and then by column."""
+def _quadruples(rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> list[list[float]]:
+    """(row, col, re, im) of the nonzero entries, sorted by row and then column."""
     keep = data != 0
-    order = np.lexsort((cols[keep], rows[keep]) + tuple(group[keep] for group in groups))
-    rows, cols, data = rows[keep][order], cols[keep][order], data[keep][order]
-    quads = zip(rows.tolist(), cols.tolist(), data.real.tolist(), data.imag.tolist())
+    rows, cols, data = rows[keep], cols[keep], data[keep]
+    order = np.lexsort((cols, rows))
+    data = data[order]
+    quads = zip(rows[order].tolist(), cols[order].tolist(), data.real.tolist(), data.imag.tolist())
     return [list(q) for q in quads]

@@ -959,32 +959,6 @@ def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
             assert stack.val.dtype == complex and stack.ends is None
 
 
-def test_batched_apply_formal_equals_the_per_term_composition(monkeypatch, rng):
-    """With the tables standing, the terms of one length are composed
-    together: the matrix is the per-term composition's, which the same maps
-    give with no table, bit for bit, and no term is composed alone."""
-    import copy
-
-    from semigroupoid_kit import trunc
-    from test_series import random_polynomial
-
-    calls = []
-    real = trunc._product
-    monkeypatch.setattr(trunc, "_product", lambda a, b: calls.append(1) or real(a, b))
-    composed = 0
-    for rep in _random_reps(rng, graphs=3, max_dim=300):
-        plain = copy.copy(rep)  # the same maps, in dicts with no table
-        plain.vertex_ops, plain.edge_ops = dict(rep.vertex_ops.data), dict(rep.edge_ops.data)
-        for scale in (1.0, 1e200, 1e-200):
-            elem = random_polynomial(rng, rep.graph, max_deg=min(rep.depth + 2, 5)).scale(scale)
-            got = apply_formal(rep, elem)
-            assert not calls and rep.edge_ops.table is not None
-            _same_csr(got, apply_formal(plain, elem))
-            composed += len(calls)
-            calls.clear()
-    assert composed > 100
-
-
 @pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
 @pytest.mark.parametrize("how", ["read-out", "assignment", "replacement", "deletion"])
 def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, how, fig1):
@@ -1042,22 +1016,18 @@ def test_coisometric_defect_decodes_the_edges_in_id_order(fig1):
         assert err.value.details == {"op": "e:loop_t"}
 
 
-def test_finder_answers_as_a_lookup_of_every_key(rng):
-    """Dense (few maps) or by binary search (many sparse maps), ``_finder``
-    gives each (map, column) its entry's index, or -1."""
-    from semigroupoid_kit.trunc import _finder, _Map, _stack
 
-    n = 30
-    for maps, fewest, most in ((2, 15, n), (40, 0, 3)):  # 60 <= 8 * 30 keys, 1200 > 8 * 120
-        parts = []
-        for _ in range(maps):
-            cols = sorted(rng.sample(range(n), rng.randint(fewest, most)))
-            rows = rng.sample(range(n), len(cols))
-            parts.append(_Map(np.array(rows, np.int32), np.array(cols, np.int32), np.ones(len(cols))))
-        s = _stack(range(maps), parts)
-        entry = {key: i for i, key in enumerate(zip(s.group.tolist(), s.col.tolist()))}
-        groups = np.array([rng.randrange(maps) for _ in range(300)])
-        cols = np.array([rng.randrange(n) for _ in range(300)])
-        got = _finder(s, n)(groups, cols).tolist()
-        assert got == [entry.get(key, -1) for key in zip(groups.tolist(), cols.tolist())]
-        assert -1 in got and set(got) - {-1}
+def test_operator_coordinates_keep_each_assigned_operators_dtype(fig1):
+    """With the table dropped, each operator is listed in its own dtype: an
+    integer or bool matrix assigned beside float ones gives 1, not 1.0."""
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    rep = build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3)
+    rep.edge_ops["tl1"] = rep.edge_ops["tl1"].astype(np.int64)
+    rep.vertex_ops["t"] = rep.vertex_ops["t"].astype(bool)
+    got = operator_coordinates(rep)
+    want = {f"v:{v}": matrix_to_coordinates(m) for v, m in rep.vertex_ops.items()}
+    want.update({f"e:{e}": matrix_to_coordinates(m) for e, m in rep.edge_ops.items()})
+    assert got == want
+    for key, kind in (("e:tl1", int), ("v:t", bool), ("e:loop_t", float)):
+        assert got[key] and {type(value) for quad in got[key] for value in quad[2:]} == {kind}
