@@ -17,20 +17,19 @@ column, so sums and products of small integer combinations stay exactly
 representable and interior residuals of phase-free models are exactly 0.0
 in floating point, no tolerance needed.
 
-Every operator the builders make is a weighted partial injection, kept as
-its entry list ``_Map(row, dom, val)``: one item per nonzero, columns
+Every operator of a rep is a weighted partial injection, kept as its
+entry list ``_Map(row, dom, val)``: one item per nonzero, columns
 increasing.  A builder writes them in closed form, in Theta(n + nnz) and
 O(1) numpy calls, as two stacked entry tables (``_Stack``): P, the vertex
 maps in sorted-vertex order, and E, the edge maps in sorted-edge order
 with each edge's source and range.  Each stored ``_Map`` is a slice of
 its table.  The checks compose maps, so every ``A* A`` or ``A A*`` is a
-diagonal, and find an entry by one binary search.  An operator's CSR
-matrix is built on first read.  Reading one out, assigning or deleting
-one drops its kind's table, and a check then stacks the maps anew,
-decoding a matrix from its CSC arrays, so an edit is checked as it
-stands; two nonzeros in a row or a column raise ``DomainError("truncation
-operator is not a partial injection", op=...)`` with ``op``
-``"v:<vertex>"`` or ``"e:<edge>"``.
+diagonal, and find an entry by one binary search.  Reading an operator
+out gives a new CSR matrix and changes nothing.  An assigned matrix is
+decoded once, from its CSC arrays: one of the wrong shape, or with two
+nonzeros in a row or a column, raises a ``DomainError`` with ``op``
+``"v:<vertex>"`` or ``"e:<edge>"`` and is not stored.  An assignment or a
+deletion drops its kind's table, and the next check stacks the maps anew.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
 each relation on the two tables in a fixed number of array passes:
@@ -63,7 +62,9 @@ class TruncatedRep:
     """A "left_regular" or "colored" truncation: basis grades, a projection
     per vertex and an operator per edge.  The builders pass their tables
     for the operators, and None for ``labels`` and ``label_vertex``, made on
-    first read from ``meta``."""
+    first read from ``meta``.  Operators given as matrices, here or later
+    as a dict for ``vertex_ops`` or ``edge_ops``, are checked in sorted key
+    order, so of two bad ones the first in id order is named."""
 
     def __init__(
         self, graph: Graph, depth: int, kind: str, labels: list | None, grades: np.ndarray,
@@ -78,7 +79,7 @@ class TruncatedRep:
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("vertex_ops", "edge_ops"):
-            value = _Operators(value, self.dim)
+            value = _Operators(value, self.dim, name.removesuffix("_ops"))
         super().__setattr__(name, value)
 
     @cached_property
@@ -106,37 +107,45 @@ class TruncatedRep:
 
 
 class _Operators(UserDict):
-    """The operators of a rep by vertex or edge id; ``data`` holds each as a
-    builder's ``_Map`` or as a matrix.  A map is read as its CSR matrix,
-    built on first read and held in its place, so an edit to what was read
-    is what the checks see.  Given a builder's table, ``data`` holds slices
-    of it, and ``table`` keeps it until any read-out, assignment or deletion."""
+    """The "vertex" or "edge" operators of a rep by id, each held in
+    ``data`` as its ``_Map``.  A read gives a new CSR matrix and changes
+    nothing, so an edit to it must be assigned back.  An assigned matrix is
+    decoded once and, if refused, leaves the operators as they were.
+    ``table`` holds the builder's stacked maps, or the last restack, until
+    an assignment or a deletion."""
 
-    table: _Stack | None = None
-
-    def __init__(self, ops, n: int):
-        self.data, self.n = ops, n
+    def __init__(self, ops, n: int, kind: str):
+        self.n, self.kind, self.table = n, kind, None
         if isinstance(ops, _Stack):
             bounds = ops.start.tolist()
             self.table, self.data = ops, {
                 key: _Map(ops.row[a:b], ops.col[a:b], ops.val[a:b])
                 for key, a, b in zip(ops.keys, bounds, bounds[1:])
             }
+        else:
+            maps = {key: _decode(ops[key], n, f"{kind[0]}:{key}") for key in sorted(ops)}
+            self.data = {key: maps[key] for key in ops}
 
-    def __getitem__(self, key: str):
-        self.table = None
-        op = self.data[key]
-        if isinstance(op, _Map):
-            op = self.data[key] = _csr(self.n, *op)
-        return op
+    def __getitem__(self, key: str) -> sp.csr_matrix:
+        return _csr(self.n, *self.data[key])
 
     def __setitem__(self, key: str, value) -> None:
-        self.table = None
-        self.data[key] = value
+        self.data[key], self.table = _decode(value, self.n, f"{self.kind[0]}:{key}"), None
 
     def __delitem__(self, key: str) -> None:
-        self.table = None
         del self.data[key]
+        self.table = None
+
+    def map(self, key: str) -> _Map:
+        if key not in self.data:
+            raise DomainError(f"unknown {self.kind}", **{self.kind: key})
+        return self.data[key]
+
+    def stack(self, keys: tuple[str, ...]) -> _Stack:
+        """The maps of ``keys`` stacked: the table, made anew if it has other keys."""
+        if self.table is None or self.table.keys != keys:
+            self.table = _stack(keys, [self.map(key) for key in keys])
+        return self.table
 
 
 def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
@@ -280,58 +289,29 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr
     return sp.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
-def _decode(op, name: str) -> _Map:
-    """The map of one operator, read from its CSC arrays in column order."""
+def _decode(op, n: int, name: str) -> _Map:
+    """The map of one n x n operator, read from its CSC arrays in column order."""
     op = sp.csc_matrix(op, copy=True)
+    if op.shape != (n, n):
+        raise DomainError("truncation operator has the wrong shape", op=name, shape=list(op.shape))
     op.sum_duplicates()
     op.eliminate_zeros()
     rows = op.indices.astype(np.int32, copy=False)
-    cols = np.repeat(np.arange(op.shape[1], dtype=np.int32), np.diff(op.indptr))
+    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(op.indptr))
     if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
         raise DomainError("truncation operator is not a partial injection", op=name)
     return _Map(rows, cols, op.data)
 
 
-class _Ops:
-    """The operators of one truncation as maps: a builder's map as it is, a
-    matrix decoded on first use."""
-
-    def __init__(self, rep: TruncatedRep):
-        self.rep = rep
-        self.maps: dict[str, _Map] = {}
-
-    def vertex(self, v: str) -> _Map:
-        return self._map("vertex", self.rep.vertex_ops, v)
-
-    def edge(self, eid: str) -> _Map:
-        return self._map("edge", self.rep.edge_ops, eid)
-
-    def table(self, kind: str, keys: tuple[str, ...]) -> _Stack:
-        """The maps of ``keys`` stacked: the builder's table while it stands,
-        else the maps, a matrix decoded, stacked anew in key order."""
-        ops = self.rep.vertex_ops if kind == "vertex" else self.rep.edge_ops
-        if ops.table is not None and ops.table.keys == keys:
-            return ops.table
-        return _stack(keys, [self._map(kind, ops, key) for key in keys])
-
-    def _map(self, kind: str, ops: _Operators, key: str) -> _Map:
-        name = f"{kind[0]}:{key}"
-        if name not in self.maps:
-            if key not in ops:
-                raise DomainError(f"unknown {kind}", **{kind: key})
-            op = ops.data[key]
-            self.maps[name] = op if isinstance(op, _Map) else _decode(op, name)
-        return self.maps[name]
-
-    def path(self, p: Path) -> _Map:
-        """Map of S_p: the vertex projection for length 0, else the product of
-        the edge maps, composed left to right as the matrix product runs."""
-        if not p.edges:
-            return self.vertex(p.base)
-        m = self.edge(p.edges[0])
-        for eid in p.edges[1:]:
-            m = _product(m, self.edge(eid))
-        return m
+def _path_map(rep: TruncatedRep, p: Path) -> _Map:
+    """Map of S_p: the vertex projection for length 0, else the product of
+    the edge maps, composed left to right as the matrix product runs."""
+    if not p.edges:
+        return rep.vertex_ops.map(p.base)
+    m = rep.edge_ops.map(p.edges[0])
+    for eid in p.edges[1:]:
+        m = _product(m, rep.edge_ops.map(eid))
+    return m
 
 
 def _product(a: _Map, b: _Map) -> _Map:
@@ -404,10 +384,11 @@ def _stack(keys, maps: list[_Map]) -> _Stack:
     return _Stack(group, col, row, val, start, tuple(keys))
 
 
-def _find(s: _Stack, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _find(at: np.ndarray, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
-    -1 where it has none, found by its key group * n + col."""
-    return _search(s.group.astype(np.int64) * n + s.col, groups.astype(np.int64) * n + cols)
+    -1 where it has none, found by its key group * n + col in ``at``, the
+    keys of a table's entries."""
+    return _search(at, groups.astype(np.int64) * n + cols)
 
 
 def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -482,19 +463,19 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     an exact (ND) then gives each column to one vertex, so no two meet.
     """
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
-    ops = _Ops(rep)
     verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
-    P, E = ops.table("vertex", verts), ops.table("edge", eids)
+    P, E = rep.vertex_ops.stack(verts), rep.edge_ops.stack(eids)
     src, dst = E.ends or _ends(g, eids)
+    at = P.group.astype(np.int64) * n + P.col  # the keys _find searches
 
     def within(lo: int, hi: int) -> np.ndarray:
         return (lo <= grades) & (grades <= hi)
 
     every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
     nd = _vertex_sum_residual(P, n, every)
-    values, pairs = _projection_residuals(P, n, every), []
+    values, pairs = _projection_residuals(P, at, every), []
     if values.any() or nd != 0.0:
-        proj = {v: ops.vertex(v) for v in verts}
+        proj = {v: rep.vertex_ops.map(v) for v in verts}
         pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
         values = np.append(values, [
             _entry_residual(*_product(proj[v], proj[w])[1:], grades, 0, N)[0] for v, w in pairs
@@ -505,11 +486,11 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     ))
     reports = [RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail)]
 
-    values, boundary = _isometry_residuals(P, E, src, below_top)
+    values, boundary = _isometry_residuals(P, at, E, src, below_top)
     worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    excess, inner, outer = _range_defects(P, E, dst, interior)
+    excess, inner, outer = _range_defects(P, at, E, dst, interior)
     worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
     has_in = np.bincount(dst, minlength=len(verts)) > 0
@@ -537,14 +518,14 @@ def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:
     return worst
 
 
-def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
+def _projection_residuals(P: _Stack, at: np.ndarray, every: np.ndarray) -> np.ndarray:
     """(P) at each vertex: max |entry| of S^2 - S and of S - S* on ``every``.
 
     S sends column c to r = row[c].  When r is a column of S, S^2 has an
     entry in column c at row[r], meeting that of S when row[r] = r; S* sends
     column r to row c, meeting the entry of S there when row[r] = c.
     """
-    j = _find(P, n, P.group, P.row)
+    j = _find(at, len(every), P.group, P.row)
     row2, val2 = np.append(P.row, -1)[j], np.append(P.val, 0)[j]  # row[r], val[r]
     size, prod = _abs(P.val), val2 * P.val
     square = np.where(
@@ -558,7 +539,7 @@ def _projection_residuals(P: _Stack, n: int, every: np.ndarray) -> np.ndarray:
     ), P.start)
 
 
-def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarray):
+def _isometry_residuals(P: _Stack, at: np.ndarray, E: _Stack, src: np.ndarray, inside: np.ndarray):
     """(IS) S_e* S_e - S_src(e): max |entry| at each edge on ``inside``, and
     over all edges off it.
 
@@ -568,7 +549,7 @@ def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarra
     entry k is at first[e] + k - start[src[e]] in the list of them all.
     """
     n, sq = len(inside), _square(E.val)
-    j = _find(P, n, src[E.group], E.col)
+    j = _find(at, n, src[E.group], E.col)
     meets = np.append(P.row, -1)[j] == E.col
     own = np.where(meets, _abs(sq - np.append(P.val, 0)[j]), sq)
     count = np.diff(P.start)[src]
@@ -584,7 +565,9 @@ def _isometry_residuals(P: _Stack, E: _Stack, src: np.ndarray, inside: np.ndarra
     return values, _worst(np.concatenate([own[~own_in], rest[~rest_in]]))[0]
 
 
-def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _range_defects(
+    P: _Stack, at: np.ndarray, E: _Stack, dst: np.ndarray, inside: np.ndarray
+) -> np.ndarray:
     """S_v less the range sum of the edges into v, which TCK, CK and F read:
     at each vertex, by how much the sum exceeds S_v, and max |entry| on
     ``inside`` and off it, as three rows.
@@ -595,7 +578,7 @@ def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) ->
     real part or its imaginary part, off it by its modulus.
     """
     n, sq = len(inside), _square(E.val)
-    j = _find(P, n, dst[E.group], E.row)
+    j = _find(at, n, dst[E.group], E.row)
     hit, on = j >= 0, P.row == P.col
     slot = np.bincount(j[hit], weights=-sq[hit], minlength=len(P.col))
     diag = np.where(on, slot + P.val, slot)
@@ -616,19 +599,9 @@ def _range_defects(P: _Stack, E: _Stack, dst: np.ndarray, inside: np.ndarray) ->
 
 
 def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
-    """Matrix of S_p: product of edge matrices, vertex projection for length 0.
-
-    A path of length 0 or 1 gives its stored operator itself; a longer one
-    composes the edge maps into a new CSR matrix.
-    """
-    if len(p.edges) > 1:
-        return _csr(rep.dim, *_Ops(rep).path(p))
-    kind, ops, key = ("edge", rep.edge_ops, p.edges[0]) if p.edges else (
-        "vertex", rep.vertex_ops, p.base
-    )
-    if key not in ops:
-        raise DomainError(f"unknown {kind}", **{kind: key})
-    return ops[key].tocsr()
+    """Matrix of S_p: product of edge matrices, vertex projection for length 0,
+    built anew from the stored maps for every call."""
+    return _csr(rep.dim, *_path_map(rep, p))
 
 
 def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
@@ -640,10 +613,9 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     if elem.graph.key != rep.graph.key:
         raise DomainError("formal element and truncation use different graphs")
     n = rep.dim
-    ops = _Ops(rep)
     keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for p, c in elem.sorted_terms():
-        m = ops.path(p)
+        m = _path_map(rep, p)
         keys.append(m.row.astype(np.int64) * n + m.dom)
         vals.append(m.val.astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
@@ -685,12 +657,11 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
 def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
     """The diagonal of the grade-k range sum that ``coisometric_defect`` checks."""
     g, n = rep.graph, rep.dim
-    ops = _Ops(rep)
     verts = g.sorted_vertices()
     if k == 0:
-        P = ops.table("vertex", verts)
+        P = rep.vertex_ops.stack(verts)
         return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
-    E = ops.table("edge", g.sorted_edge_ids())
+    E = rep.edge_ops.stack(g.sorted_edge_ids())
     src, dst = E.ends or _ends(g, E.keys)
     # row w of the weights, flat, is R^w on the basis
     step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
@@ -722,8 +693,7 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
         raise DomainError("unknown basis label", label=str(label)) from None
     g, base = rep.graph, rep.label_vertex[idx]
     _count_levels(g, [base], upto)
-    ops = _Ops(rep)
-    m = ops.vertex(base)
+    m = rep.vertex_ops.map(base)
     i = _search(m.dom, idx)
     hit = {int(m.row[i])} if i >= 0 else set()
     edges = [(e, g.src(e), g.dst(e)) for e in g.sorted_edge_ids()]
@@ -732,7 +702,7 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
         ending: dict[str, list[np.ndarray]] = {}
         for e, src, dst in edges:
             if src in level:
-                m = ops.edge(e)
+                m = rep.edge_ops.map(e)
                 i = _search(m.dom, level[src])
                 image = m.row[i[i >= 0]]
                 before = len(hit)
@@ -780,7 +750,7 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
     _count_levels(cycle_graph(1), ["v1"], depth)
     rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
     keys, dim = rep.graph.sorted_edge_ids(), rep.dim
-    E = _Ops(rep).table("edge", keys)
+    E = rep.edge_ops.stack(keys)
     edge = np.array([int(key[1:]) - 1 for key in keys])[E.group]  # e_{i + 1} is edge i
     # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
     k = np.arange(depth)
@@ -805,9 +775,8 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
     ``e:<edge>``, read off the maps with no matrix built."""
-    ops = _Ops(rep)
-    coords = {f"v:{v}": _quadruples(*ops.vertex(v)) for v in rep.vertex_ops}
-    coords.update({f"e:{e}": _quadruples(*ops.edge(e)) for e in rep.edge_ops})
+    coords = {f"v:{v}": _quadruples(*m) for v, m in rep.vertex_ops.data.items()}
+    coords.update({f"e:{e}": _quadruples(*m) for e, m in rep.edge_ops.data.items()})
     return coords
 
 

@@ -193,8 +193,10 @@ def test_cycle_lemma_reports_a_faulted_block(monkeypatch):
 
     def faulted(g, sources, depth):
         rep = real(g, sources, depth)
-        rep.edge_ops["e1"].data[0] = 3.0  # e1 on the vertex path: 3, not 1
-        rep.edge_ops["e2"].indices[-1] = 0  # e2's entry for the length-3 path moves to column 0
+        e1, e2 = rep.edge_ops["e1"], rep.edge_ops["e2"]
+        e1.data[0] = 3.0  # e1 on the vertex path: 3, not 1
+        e2.indices[-1] = 0  # e2's entry for the length-3 path moves to column 0
+        rep.edge_ops["e1"], rep.edge_ops["e2"] = e1, e2
         return rep
 
     monkeypatch.setattr(trunc, "build_left_regular_trunc", faulted)
@@ -312,8 +314,9 @@ def _faulted(rng, rep, kind, on_vertex):
     if kind != "add" and not coo.nnz:
         return None
     if kind == "stored zero":  # an explicit zero left in the CSR arrays
-        ops[key] = ops[key].copy()
-        ops[key].data[rng.randrange(coo.nnz)] = 0.0
+        mat = ops[key]
+        mat.data[rng.randrange(coo.nnz)] = 0.0
+        ops[key] = mat
         return bad
     mat = ops[key].tolil()
     if kind == "add":
@@ -558,13 +561,10 @@ def test_operator_that_is_not_a_partial_injection_is_named(fig1):
             mat[row, min(set(range(rep.dim)) - set(coo.col.tolist()))] = 1.0
         else:
             mat[min(set(range(rep.dim)) - set(coo.row.tolist())), col] = 1.0
-        getattr(rep, ops)[key] = mat.tocsr()
-        name = ("v:" if ops == "vertex_ops" else "e:") + key
-        k = 0 if ops == "vertex_ops" else 1
-        for check in (verify_tck, lambda r: coisometric_defect(r, k)):
-            with pytest.raises(DomainError, match="not a partial injection") as err:
-                check(rep)
-            assert err.value.details == {"op": name}
+        with pytest.raises(DomainError, match="not a partial injection") as err:
+            getattr(rep, ops)[key] = mat.tocsr()
+        assert err.value.details == {"op": ("v:" if ops == "vertex_ops" else "e:") + key}
+        assert all(r.ok for r in verify_tck(rep))  # the refused matrix was not stored
 
 
 def test_explicit_zeros_are_not_entries(fig1):
@@ -675,7 +675,7 @@ def _same_rep(got, want):
         for key in ref:
             stored = ops.data[key]
             assert isinstance(stored, _Map)
-            for a, b in zip(stored, _decode(ref[key], key)):
+            for a, b in zip(stored, _decode(ref[key], want.dim, key)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), key
     assert got.labels == want.labels
     assert got.label_vertex == want.label_vertex
@@ -772,8 +772,8 @@ def test_an_assigned_matrix_decodes_as_its_canonical_form(fig1):
         ([v for _, _, v in cells], [j for _, j, _ in cells], indptr), shape=canon.shape
     )
     assert not messy.has_sorted_indices and messy.nnz == canon.nnz + 3
-    for got, want in ((_decode(messy, "e:tl1"), stored), (_decode(canon, "e:tl1"), stored)):
-        for a, b in zip(got, want):
+    for mat in (messy, canon):
+        for a, b in zip(_decode(mat, rep.dim, "e:tl1"), stored):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     clean = [r.to_json() for r in verify_tck(rep)]
     rep.edge_ops["tl1"] = messy
@@ -842,7 +842,9 @@ def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1)
 
     g3 = corpus.random_in_regular_graph(rng, 3, 3)
     edited = build_left_regular_trunc(fig1, ["t"], 3)
-    edited.edge_ops["tl1"].data[0] = 2.0
+    mat = edited.edge_ops["tl1"]
+    mat.data[0] = 2.0
+    edited.edge_ops["tl1"] = mat
     reps = [
         build_left_regular_trunc(fig1, ["t", "l"], 3),
         build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
@@ -850,25 +852,13 @@ def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1)
         edited,
     ]
     for rep in reps:
-        fresh = [key for key, op in rep.edge_ops.data.items() if isinstance(op, _Map)]
         got = operator_coordinates(rep)
-        assert all(isinstance(rep.edge_ops.data[key], _Map) for key in fresh)
+        assert all(isinstance(m, _Map) for m in rep.edge_ops.data.values())
         want = {f"v:{v}": matrix_to_coordinates(m) for v, m in rep.vertex_ops.items()}
         want.update({f"e:{e}": matrix_to_coordinates(m) for e, m in rep.edge_ops.items()})
         assert json.dumps(got) == json.dumps(want)
-
-
-def test_operator_read_out_and_edited_in_place_is_checked_as_edited(fig1):
-    import oracles
-
-    for ops, key in (("vertex_ops", "t"), ("edge_ops", "tl1"), ("edge_ops", "loop_t")):
-        rep = build_left_regular_trunc(fig1, ["t"], 3)
-        clean = _all_checks(rep)
-        getattr(rep, ops)[key].data[0] = 2.0
-        edited = _all_checks(rep)
-        assert edited != clean
-        assert edited[0] == [r.to_json() for r in oracles.verify_tck(rep)]
-        assert not all(r.ok for r in verify_tck(rep))
+    assert operator_coordinates(edited) != operator_coordinates(reps[0])
+    assert operator_coordinates(edited)["e:tl1"][0][2] == 2.0
 
 
 def test_operator_dicts_copied_or_replaced_give_the_same_reports(fig1):
@@ -891,13 +881,17 @@ def test_operator_dicts_copied_or_replaced_give_the_same_reports(fig1):
 
 
 def test_in_place_edit_that_breaks_injectivity_is_named(fig1):
+    """A read-out edited to break injectivity is refused when assigned back,
+    and the rep keeps its map and its table."""
     rep = build_left_regular_trunc(fig1, ["t"], 3)
+    table, stored = rep.edge_ops.table, rep.edge_ops.data["tl1"]
     mat = rep.edge_ops["tl1"]
     assert mat.nnz >= 2
     mat.indices[1] = mat.indices[0]  # two entries in one column
     with pytest.raises(DomainError, match="not a partial injection") as err:
-        verify_tck(rep)
+        rep.edge_ops["tl1"] = mat
     assert err.value.details == {"op": "e:tl1"}
+    assert rep.edge_ops.table is table and rep.edge_ops.data["tl1"] is stored
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -927,9 +921,10 @@ def test_colored_labels_keep_the_digit_order_and_are_in_rank_order(d):
 def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
     """For random reps of both kinds, the builder's two tables and its edges'
     ends equal those made from the operators' CSR matrices, bit for bit, and
-    each stored map is a slice of its table.  Once complex phases are
-    assigned, the table a check reads is the one decoded from the edits."""
-    from semigroupoid_kit.trunc import _decode, _ends, _Ops, _stack
+    each stored map is a slice of its table, which reads leave in place.
+    Once complex phases are assigned, the table a check reads is the one
+    decoded from the edits, kept until the next assignment."""
+    from semigroupoid_kit.trunc import _decode, _ends, _stack
 
     def same(got, want):
         for a, b in zip(got, want):
@@ -946,25 +941,28 @@ def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
         for table, ops, kind in zip(tables, (rep.vertex_ops, rep.edge_ops), "ve"):
             for key in table.keys:
                 assert np.shares_memory(ops.data[key].row, table.row) or not ops.data[key].row.size
-            decoded = [_decode(ops[key], f"{kind}:{key}") for key in table.keys]
-            assert ops.table is None
+            decoded = [_decode(ops[key], rep.dim, f"{kind}:{key}") for key in table.keys]
+            assert ops.table is table
             same(table[:5], _stack(table.keys, decoded)[:5])
         if rep.edge_ops:
             phased = rng.sample(g.sorted_edge_ids(), min(2, len(g.edges)))
             for eid in phased:
                 rep.edge_ops[eid] = rep.edge_ops[eid] * complex(rng.choice([1j, -1j, -1]))
             eids = g.sorted_edge_ids()
-            stack = _Ops(rep).table("edge", eids)
-            same(stack[:5], _stack(eids, [_decode(rep.edge_ops[e], e) for e in eids])[:5])
+            stack = rep.edge_ops.stack(eids)
+            decoded = [_decode(rep.edge_ops[e], rep.dim, e) for e in eids]
+            same(stack[:5], _stack(eids, decoded)[:5])
             assert stack.val.dtype == complex and stack.ends is None
+            assert rep.edge_ops.stack(eids) is stack and rep.edge_ops.table is stack
 
 
 @pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
-@pytest.mark.parametrize("how", ["read-out", "assignment", "replacement", "deletion"])
+@pytest.mark.parametrize("how", ["assignment", "replacement", "deletion"])
 def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, how, fig1):
-    """An edit made in place after a read-out, an assigned matrix or a
-    ``dict(...)`` replacement is what verify_tck, coisometric_defect,
-    apply_formal and operator_coordinates check; a deletion is missed."""
+    """An edit drops the table: an assigned matrix or a ``dict(...)``
+    replacement is what verify_tck, coisometric_defect, apply_formal and
+    operator_coordinates check, and a deletion is missed.  A read-out
+    leaves the table, as the test after this one shows."""
     import oracles
     from semigroupoid_kit.trunc import operator_coordinates
 
@@ -977,9 +975,7 @@ def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, h
         clean = _all_checks(rep), operator_coordinates(rep)
         edited = oracles.truncation_ops(rep)[ops == "edge_ops"][key].copy()
         edited.data[0] = 2.0
-        if how == "read-out":
-            getattr(rep, ops)[key].data[0] = 2.0
-        elif how == "assignment":
+        if how == "assignment":
             getattr(rep, ops)[key] = edited
         elif how == "replacement":
             setattr(rep, ops, {**dict(getattr(rep, ops)), key: edited})
@@ -1002,18 +998,100 @@ def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, h
         assert got[1] == want
 
 
+def test_reads_leave_the_tables_and_an_edit_to_a_read_out_changes_nothing(fig1):
+    """After ``ops[k]``, ``.values()``, ``dict(ops)``, ``path_matrix`` and
+    ``operator_coordinates`` both tables are the builder's, and editing
+    what was read in place changes no check's answer."""
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        tables = rep.vertex_ops.table, rep.edge_ops.table
+        clean = _all_checks(rep), operator_coordinates(rep)
+        for ops, key in ((rep.vertex_ops, "t"), (rep.edge_ops, "tl1")):
+            ops[key].data[0] = 2.0
+            for mat in ops.values():
+                mat.data[:] = 2.0
+            dict(ops)[key].data[0] = 2.0
+        for p in (Path.vertex("t"), Path.of(fig1, ["tl1"]), Path.of(fig1, ["lr", "tl1"])):
+            path_matrix(rep, p).data[:] = 2.0
+        assert (_all_checks(rep), operator_coordinates(rep)) == clean
+        assert rep.vertex_ops.table is tables[0] and rep.edge_ops.table is tables[1]
+
+
 def test_coisometric_defect_decodes_the_edges_in_id_order(fig1):
-    """Of two edge operators that are not partial injections, both checks
-    name the first in id order, loop_t, not the first into the least
-    vertex in ``in_edges`` order, tl1."""
+    """Of two edge operators that are not partial injections, a replacement
+    dict names the first in id order, loop_t, whatever the dict's order,
+    and the rep keeps the operators it had."""
     rep = build_left_regular_trunc(fig1, ["t"], 3)
+    clean = _all_checks(rep)
+    ops = dict(rep.edge_ops)
     for eid in ("tl1", "loop_t"):
-        mat = rep.edge_ops[eid]
-        mat.indices[1] = mat.indices[0]  # two entries in one column
-    for check in (verify_tck, lambda r: coisometric_defect(r, 1)):
+        ops[eid].indices[1] = ops[eid].indices[0]  # two entries in one column
+    ops = {eid: ops[eid] for eid in reversed(list(ops))}  # tl1 before loop_t
+    for assign in (
+        lambda: setattr(rep, "edge_ops", ops),
+        lambda: TruncatedRep(
+            rep.graph, rep.depth, rep.kind, None, rep.grades, None, dict(rep.vertex_ops), ops,
+            rep.meta,
+        ),
+    ):
         with pytest.raises(DomainError, match="not a partial injection") as err:
-            check(rep)
+            assign()
         assert err.value.details == {"op": "e:loop_t"}
+    assert _all_checks(rep) == clean
+
+
+@pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
+def test_an_operator_of_the_wrong_shape_is_refused_at_assignment(ops, key, fig1):
+    """A (dim + 2) square identity or a 2 x 2 matrix is refused, named, when
+    assigned, replaced or passed to a rep, and the rep and its table stay
+    as they were."""
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    name = ("v:" if ops == "vertex_ops" else "e:") + key
+    table, stored = getattr(rep, ops).table, getattr(rep, ops).data[key]
+    clean = _all_checks(rep), operator_coordinates(rep)
+    for bad in (sp.identity(rep.dim + 2, format="csr"), sp.csr_matrix(np.eye(2))):
+        given = {**dict(getattr(rep, ops)), key: bad}
+        operators = dict(rep.vertex_ops), dict(rep.edge_ops)
+        operators[ops == "edge_ops"][key] = bad
+        for assign in (
+            lambda: getattr(rep, ops).__setitem__(key, bad),
+            lambda: setattr(rep, ops, given),
+            lambda: TruncatedRep(
+                rep.graph, rep.depth, rep.kind, None, rep.grades, None, *operators, rep.meta
+            ),
+        ):
+            with pytest.raises(DomainError, match="wrong shape") as err:
+                assign()
+            assert err.value.details == {"op": name, "shape": list(bad.shape)}
+        assert getattr(rep, ops).table is table and getattr(rep, ops).data[key] is stored
+        assert (_all_checks(rep), operator_coordinates(rep)) == clean
+
+
+def test_every_stored_operator_is_a_map_after_assignments(fig1):
+    """Dense, LIL, COO and CSR matrices, assigned one by one, in a
+    replacement dict or to a new rep, are all stored as maps."""
+    from semigroupoid_kit.trunc import _Map
+
+    rep = build_left_regular_trunc(fig1, ["t", "l"], 3)
+    rep.vertex_ops["t"] = rep.vertex_ops["t"].toarray()
+    rep.vertex_ops["l"] = rep.vertex_ops["l"].tolil()
+    rep.edge_ops["tl1"] = rep.edge_ops["tl1"].tocoo()
+    rep.edge_ops["rt"] = rep.edge_ops["rt"] * 1j
+    twin = TruncatedRep(
+        rep.graph, rep.depth, rep.kind, None, rep.grades, None,
+        dict(rep.vertex_ops), {**dict(rep.edge_ops), "lr": rep.edge_ops["lr"].todense()}, rep.meta,
+    )
+    twin.edge_ops = {key: twin.edge_ops[key].tocsc() for key in twin.edge_ops}
+    for r in (rep, twin):
+        for ops in (r.vertex_ops, r.edge_ops):
+            assert all(isinstance(m, _Map) for m in ops.data.values())
+    assert _all_checks(twin) == _all_checks(rep)
 
 
 
