@@ -861,6 +861,24 @@ def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1)
     assert operator_coordinates(edited)["e:tl1"][0][2] == 2.0
 
 
+def test_operator_read_out_and_edited_in_place_is_checked_as_edited(fig1):
+    """A matrix read out and edited in place is checked as edited once it is
+    assigned back, and not before."""
+    import oracles
+
+    for ops, key in (("vertex_ops", "t"), ("edge_ops", "tl1"), ("edge_ops", "loop_t")):
+        rep = build_left_regular_trunc(fig1, ["t"], 3)
+        clean = _all_checks(rep)
+        mat = getattr(rep, ops)[key]
+        mat.data[0] = 2.0
+        assert _all_checks(rep) == clean
+        getattr(rep, ops)[key] = mat
+        edited = _all_checks(rep)
+        assert edited != clean
+        assert edited[0] == [r.to_json() for r in oracles.verify_tck(rep)]
+        assert not all(r.ok for r in verify_tck(rep))
+
+
 def test_operator_dicts_copied_or_replaced_give_the_same_reports(fig1):
     import copy
 
@@ -957,12 +975,13 @@ def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
 
 
 @pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
-@pytest.mark.parametrize("how", ["assignment", "replacement", "deletion"])
+@pytest.mark.parametrize("how", ["read-out", "assignment", "replacement", "deletion"])
 def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, how, fig1):
-    """An edit drops the table: an assigned matrix or a ``dict(...)``
-    replacement is what verify_tck, coisometric_defect, apply_formal and
-    operator_coordinates check, and a deletion is missed.  A read-out
-    leaves the table, as the test after this one shows."""
+    """An edit drops the table: a read-out edited in place and assigned
+    back, an assigned matrix or a ``dict(...)`` replacement is what
+    verify_tck, coisometric_defect, apply_formal and operator_coordinates
+    check, and a deletion is missed.  Until it is assigned back, the
+    edited read-out leaves the table and the checks as they were."""
     import oracles
     from semigroupoid_kit.trunc import operator_coordinates
 
@@ -975,7 +994,13 @@ def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, h
         clean = _all_checks(rep), operator_coordinates(rep)
         edited = oracles.truncation_ops(rep)[ops == "edge_ops"][key].copy()
         edited.data[0] = 2.0
-        if how == "assignment":
+        if how == "read-out":
+            table, mat = getattr(rep, ops).table, getattr(rep, ops)[key]
+            mat.data[0] = 2.0
+            assert getattr(rep, ops).table is table
+            assert (_all_checks(rep), operator_coordinates(rep)) == clean
+            getattr(rep, ops)[key] = mat
+        elif how == "assignment":
             getattr(rep, ops)[key] = edited
         elif how == "replacement":
             setattr(rep, ops, {**dict(getattr(rep, ops)), key: edited})
