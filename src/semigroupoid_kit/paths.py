@@ -140,21 +140,23 @@ def _sources(g: Graph, sources: Iterable[str]) -> list[str]:
     return start
 
 
-def _count_levels(g: Graph, start: list[str], max_len: int) -> None:
+def _count_levels(g: Graph, start: list[str], max_len: int) -> list[dict[str, int]]:
     """Count the paths of length 0..max_len from ``start`` before any is built.
 
     Counts the paths ending at each vertex, level by level, in integers;
     raises EnumerationOverflow as soon as the running total passes
     BASIS_CAP, and after the last level if their total length passes
-    SYMBOL_CAP.
+    SYMBOL_CAP.  Returns the counts, ``{end: count}`` per level up to the
+    last nonempty one.
     """
     ending = {v: 1 for v in start}
+    levels = [ending]
     total, symbols = len(start), 0
     for length in range(1, max_len + 1):
         nxt: dict[str, int] = {}
         for v, k in ending.items():
-            for eid in g.out_edges(v):
-                w = g.dst(eid)
+            for eid in g._out[v]:
+                w = g._by_id[eid].dst
                 nxt[w] = nxt.get(w, 0) + k
         if not nxt:
             break
@@ -166,8 +168,10 @@ def _count_levels(g: Graph, start: list[str], max_len: int) -> None:
                 "path enumeration exceeds the budget",
                 count=total, length=length, budget=BASIS_CAP,
             )
+        levels.append(nxt)
         ending = nxt
     _check_symbols("path", total, symbols)
+    return levels
 
 
 def _check_symbols(what: str, count: int, symbols: int) -> None:

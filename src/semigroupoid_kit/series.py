@@ -10,6 +10,8 @@ validates and copies its terms.  Each operation builds a fresh dict and
 hands it to ``FormalElement._trusted``, which keeps it as the result's
 terms and rebuilds it only to drop a zero or make a value a ``complex``;
 ``fourier_coeff`` copies terms that are already so and skips that scan.
+The kernels read a path as the pair ``(base, edges)`` it is, and
+``formal_mul`` builds each distinct product path in one C call.
 
 ``fourier_coeff``, ``l2_row_norm``, ``degree`` and ``graded_ideal_degree``
 read one split of the terms by grade, made in one pass on the first grade
@@ -20,11 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import DomainError, GraphFormatError
 from .graph import Graph
 from .paths import Path, _check_symbols, validate_path
+
+# A path from its (base, edges) key in one C call, not through Path.__new__.
+_make_path = partial(tuple.__new__, Path)
 
 
 @dataclass
@@ -68,7 +73,7 @@ class FormalElement:
         order; built in one pass on first use and shared, so read only."""
         grades: dict[int, dict[Path, complex]] = {}
         for p, c in self.terms.items():
-            grades.setdefault(len(p.edges), {})[p] = c
+            grades.setdefault(len(p[1]), {})[p] = c
         return grades
 
     def is_zero(self) -> bool:
@@ -79,7 +84,7 @@ class FormalElement:
         return max(self._grades) if self.terms else None
 
     def sorted_terms(self) -> list[tuple[Path, complex]]:
-        return sorted(self.terms.items(), key=lambda t: (len(t[0].edges), t[0].edges, t[0].base))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0][1]), t[0][1], t[0][0]))
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
         _require_same_graph(self, other)
@@ -114,14 +119,14 @@ def _require_same_graph(a: FormalElement, b: FormalElement) -> None:
 def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
     """Product by path composition; non-composable pairs contribute nothing.
 
-    The terms of b are grouped by range, in their order, and each term mu
-    of a meets only the group ending at its source, so the composable pairs
-    are met, and summed, in the same order as over all pairs.  Every pair
-    met composes, so its product is made with no check: summed under the
-    plain tuple (base, edges), which a ``Path`` equals and hashes as, and
-    made a path once per distinct product, since a plain tuple is built
-    with no Python-level call and a ``Path`` with one.  The grade split is
-    not used here: products of two terms land in any grade.
+    The terms of b are grouped by range, in their order, as (base, edges,
+    coeff) triples, and each term (v, mu) of a meets only the group ending
+    at its source v, so the composable pairs are met, and summed, in the
+    same order as over all pairs.  Every pair met composes, so its product
+    is made with no check: summed under the plain tuple (base, edges),
+    which a ``Path`` equals and hashes as, and made a path by
+    ``_make_path`` once per distinct product.  The grade split is not used
+    here: products of two terms land in any grade.
 
     The pairs and their total length are counted first, from each group's
     size and length sum: past SYMBOL_CAP raises before any path is built.
@@ -130,24 +135,24 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
     g = a.graph
     if not (a.terms and b.terms):
         return FormalElement._trusted(g, {})
-    ending: dict[str, list[tuple[Path, complex]]] = {}
+    ending: dict[str, list[tuple[str, tuple[str, ...], complex]]] = {}
     length: dict[str, int] = {}
-    for nu, cb in b.terms.items():
-        v = g._by_id[nu.edges[0]].dst if nu.edges else nu.base  # the graph's own edge
-        ending.setdefault(v, []).append((nu, cb))
-        length[v] = length.get(v, 0) + len(nu.edges)
+    for (base, edges), cb in b.terms.items():
+        v = g._by_id[edges[0]].dst if edges else base  # the graph's own edge
+        ending.setdefault(v, []).append((base, edges, cb))
+        length[v] = length.get(v, 0) + len(edges)
     pairs = symbols = 0
-    for mu in a.terms:
-        if (v := mu.base) in ending:
+    for v, edges in a.terms:
+        if v in ending:
             pairs += len(ending[v])
-            symbols += len(ending[v]) * len(mu.edges) + length[v]
+            symbols += len(ending[v]) * len(edges) + length[v]
     _check_symbols("product", pairs, symbols)
     out: dict[tuple[str, tuple[str, ...]], complex] = {}
-    for mu, ca in a.terms.items():
-        for nu, cb in ending.get(mu.base, ()):
-            key = nu.base, mu.edges + nu.edges
+    for (v, mu), ca in a.terms.items():
+        for base, nu, cb in ending.get(v, ()):
+            key = base, mu + nu
             out[key] = out.get(key, 0) + ca * cb
-    return FormalElement._trusted(g, {Path(*key): c for key, c in out.items()})
+    return FormalElement._trusted(g, {_make_path(key): c for key, c in out.items()})
 
 
 def fourier_coeff(a: FormalElement, m: int) -> FormalElement:
@@ -166,7 +171,7 @@ def cesaro(a: FormalElement, k: int) -> FormalElement:
     """Cesaro-weighted partial sum: terms of grade < k scaled by 1 - grade/k."""
     if k < 1:
         raise DomainError("Cesaro order must be a positive integer", k=k)
-    terms = {p: c * (1 - n / k) for p, c in a.terms.items() if (n := len(p.edges)) < k}
+    terms = {p: c * (1 - n / k) for p, c in a.terms.items() if (n := len(p[1])) < k}
     return FormalElement._trusted(a.graph, terms)
 
 
@@ -188,6 +193,6 @@ def l2_row_norm(a: FormalElement, m: int, v: str) -> float:
         raise GraphFormatError("unknown vertex", vertex=v)
     total = 0.0
     for p, c in a._grades.get(m, {}).items():
-        if p.base == v:
+        if p[0] == v:
             total += abs(c) ** 2
     return math.sqrt(total)

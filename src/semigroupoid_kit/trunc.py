@@ -155,35 +155,37 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     by stored edge tuple, which starts with the last edge.  So level k+1
     lists, for each edge e in id order, the level-k paths that end at the
     source of e, in level-k order, and e sends each of them there: the
-    columns of each edge's map increase with its rows.  Stable argsorts of
-    the paths' ends and last edges give P and E.
+    columns of each edge's map increase with its rows.  The budget's
+    counts of paths per (level, end) lay out every level at once: the
+    level-k paths ending at v are one group of a stable argsort of level *
+    |V| + end, and each edge out of v extends it as one block of level k+1,
+    one block per nonempty group and out-edge.  Stable argsorts of the
+    paths' ends and last edges give P and E.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     start = _sources(g, sources)
-    _count_levels(g, start, depth)
+    levels = _count_levels(g, start, depth)
     verts, edges, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
     src, dst = _ends(g, edges)
-    ends = [np.array([at[v] for v in start], dtype=np.intp)]  # each level's ranges
-    parent, via = [ends[0][:0]], [ends[0][:0]]  # for each longer path: what it extends, by what
-    first = 0  # index of the first path of the last level
-    while len(ends) <= depth and len(ends[-1]):
-        level = ends[-1]
-        order = np.argsort(level, kind="stable")
-        bounds = np.searchsorted(level[order], np.arange(len(verts) + 1))
-        count = bounds[src + 1] - bounds[src]  # the paths each edge extends
-        edge = np.repeat(np.arange(len(edges)), count)
-        # the k-th path an edge extends is order[bounds[src] + k]
-        skip = np.repeat(bounds[src] - (np.cumsum(count) - count), count)
-        parent.append(order[skip + np.arange(len(edge))] + first)
-        via.append(edge)
-        ends.append(dst[edge])
-        first += len(level)
-    end, parent, via = (np.concatenate(part).astype(np.int32) for part in (ends, parent, via))
+    edge_at = {e: i for i, e in enumerate(edges)}
+    blocks, offset = [], 0  # (level, edge, size, group position of its first parent)
+    for k, level in enumerate(levels[:-1]):
+        for v in sorted(level):
+            for e in g.out_edges(v):
+                blocks.append((k, edge_at[e], level[v], offset))
+            offset += level[v]
+    blocks.sort()
+    _, via, size, first = np.array(blocks, dtype=np.intp).reshape(-1, 4).T
+    via = np.repeat(via, size)
+    end = np.concatenate((np.array([at[v] for v in start], dtype=np.intp), dst[via]))
+    grades = np.repeat(np.arange(len(levels)), [sum(level.values()) for level in levels])
+    order = np.argsort(grades * len(verts) + end, kind="stable")
+    parent = order[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(len(via))]
+    end, parent, via = (part.astype(np.int32) for part in (end, parent, via))
     paths, hit = (np.argsort(key, kind="stable").astype(np.int32) for key in (end, via))
     return TruncatedRep(
-        g, depth, "left_regular", None,
-        np.repeat(np.arange(len(ends)), [len(level) for level in ends]), None,
+        g, depth, "left_regular", None, grades, None,
         _Stack(end[paths], paths, paths, np.ones(len(paths)),
                np.searchsorted(end[paths], np.arange(len(verts) + 1)), verts),
         _Stack(via[hit], parent[hit], hit + len(start), np.ones(len(hit)),

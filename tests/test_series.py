@@ -94,13 +94,40 @@ def test_an_over_budget_product_builds_no_path(monkeypatch):
     # every path of length <= 9 on two loops: 1023 terms
     a = FormalElement(g, {p: 1.0 for p in enumerate_paths(g, ["v"], 9)})
     built = []
-    path = series.Path
-    monkeypatch.setattr(series, "Path", lambda *args: built.append(args) or path(*args))
+    make = series._make_path
+    monkeypatch.setattr(series, "_make_path", lambda key: built.append(key) or make(key))
     with pytest.raises(EnumerationOverflow) as err:
         formal_mul(a, a)
     # 2 * 1023 * (1*2 + 2*4 + ... + 9*512) edges over the 1023^2 pairs
     assert err.value.details == {"count": 1023**2, "symbols": 16_764_924, "budget": SYMBOL_CAP}
     assert built == []
+    # the name watched is the one every product path is built by
+    small = FormalElement(g, {p: 1.0 for p in enumerate_paths(g, ["v"], 1)})
+    assert list(formal_mul(small, small).terms) == built and len(built) == 7
+
+
+def test_result_keys_are_paths_in_the_all_pairs_order(rng, fig1, monkeypatch):
+    """Every key of a product, sum, grade part and Cesaro sum is a ``Path``,
+    not the plain (base, edges) tuple it equals, and reads as one; the
+    product's terms are the all-pairs oracle's, in order and value, and no
+    product path goes through the Python-level ``Path.__new__``."""
+    import corpus
+
+    graphs = [fig1] + [corpus.random_graph(rng, max_v=5, max_e=9) for _ in range(8)]
+    for g in graphs:
+        for _ in range(6):
+            make = rng.choice([random_polynomial, unit_polynomial])
+            a, b = make(rng, g), make(rng, g)
+            want = oracles.formal_mul(a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "__new__", lambda *args: pytest.fail("Path.__new__ called"))
+                prod = formal_mul(a, b)
+            assert list(prod.terms.items()) == list(want.terms.items())
+            results = [prod, a + b, cesaro(prod, rng.randint(1, 7))]
+            results += [fourier_coeff(prod, m) for m in range(7)]
+            for elem in results:
+                for p in elem.terms:
+                    assert type(p) is Path and (p.base, p.edges) == (p[0], p[1])
 
 
 def test_the_product_budget_counts_every_composable_pair_exactly(rng, fig1, monkeypatch):
