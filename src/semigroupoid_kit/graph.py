@@ -230,7 +230,7 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 def is_in_degree_regular(g: Graph) -> tuple[bool, int | None]:
     """Whether all in-degrees agree; returns (flag, common degree or None)."""
-    degrees = {len(g.in_edges(v)) for v in g.vertices}
+    degrees = {len(ids) for ids in g._in.values()}
     if not degrees:
         return True, None
     if len(degrees) == 1:

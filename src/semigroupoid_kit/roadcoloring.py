@@ -13,7 +13,9 @@ Kernels walk delta as integer rows over the sorted vertex index and words
 as int letter tuples; only ``parse_word`` and ``format_word`` see a word's
 text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass,
 once per (graph, coloring): the checked automaton is kept on the Coloring.
-The word searches keep one parent link per state and spell the word once.
+A coloring the library constructs (O'Brien, search) carries its automaton
+and is not validated again.  The word searches keep one parent link per
+state and spell the word once.
 """
 
 from __future__ import annotations
@@ -171,25 +173,29 @@ class BackwardAutomaton:
 
 def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
     """The automaton of c on g, validated and built once per (g, c) and kept
-    on c for the graph object g; a coloring that fails raises on every call."""
+    on c for the graph object g; a coloring that fails raises on every call.
+    Colorings the library constructs come with theirs and skip validation."""
     auto = c.__dict__.get("_automaton")
     if auto is None or auto.graph is not g:
         if not (report := validate_coloring(g, c)).valid:
             findings = [f.message for f in report.errors]
             raise InvalidColoring("coloring is not strong", findings=findings)
-        auto = c.__dict__["_automaton"] = _automaton(g, c)
+        auto = _automaton(g, c)
     return auto
 
 
 def _automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
-    """Backward automaton of a coloring already known to be strong on g."""
-    verts, index = g.sorted_vertices(), g._index
+    """Backward automaton of a coloring known to be strong on g, kept on c."""
+    verts, index, color = g.sorted_vertices(), g._index, c.color
     src: list = [()] + [[None] * len(verts) for _ in range(c.d)]
     via: list = [()] + [[None] * len(verts) for _ in range(c.d)]
     for e in g.edges:
-        src[c.color[e.id]][index[e.dst]] = index[e.src]
-        via[c.color[e.id]][index[e.dst]] = e.id
-    return BackwardAutomaton(g, c, verts, tuple(map(tuple, src)), tuple(map(tuple, via)))
+        j, i = color[e.id], index[e.dst]
+        src[j][i] = index[e.src]
+        via[j][i] = e.id
+    auto = BackwardAutomaton(g, c, verts, tuple(map(tuple, src)), tuple(map(tuple, via)))
+    c.__dict__["_automaton"] = auto
+    return auto
 
 
 def _gap(auto: BackwardAutomaton, i: int, j: int) -> PartialAutomaton:
@@ -423,7 +429,7 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
     if len(closed) != 1 or period(g, min(closed[0])) != 1:
         return None
     for cand in candidates:
-        # candidates are strong and complete by construction
+        # candidates are strong and complete by construction, and keep their automaton
         word = _find_word(_automaton(g, cand))
         if word is not None:
             return cand, format_word(word)
@@ -438,6 +444,8 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     the loop; each remaining in-fiber takes the unused colors in edge-id
     order.  Reading color 1 backward walks every vertex up its tree branch
     to the loop vertex and holds it there, so the word 1^depth synchronizes.
+    The tree and one search over in-edges decide transitivity, with no SCC
+    pass; the coloring, strong by construction, carries its automaton.
     """
     e = g.edge(loop_edge)
     if e.src != e.dst:
@@ -445,29 +453,38 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
         raise DomainError("construction needs an in-degree regular graph")
-    if not is_transitive(g):
-        raise DomainError("construction needs a transitive graph")
     v0 = e.src
     tree_edge: dict[str, str] = {}
     depth = {v0: 0}
     queue = [v0]
     for u in queue:  # the queue grows while it is read
-        for eid in g.out_edges(u):
+        for eid in g._out[u]:
             w = g._by_id[eid].dst  # the id is the graph's own: no checked lookup
             if w not in depth:
                 depth[w] = depth[u] + 1
                 tree_edge[w] = eid
                 queue.append(w)
+    back, reaching = [v0], {v0}
+    for w in back:  # every vertex reaches v0 iff this search meets it
+        for eid in g._in[w]:
+            if (u := g._by_id[eid].src) not in reaching:
+                reaching.add(u)
+                back.append(u)
+    if len(queue) < len(g.vertices) or len(back) < len(g.vertices):
+        raise DomainError("construction needs a transitive graph")
+    if d > MAX_COLORS:  # the one fault validation finds in this coloring
+        bad_d = f"color count d={d} outside 1..{MAX_COLORS}"
+        raise InvalidColoring("coloring is not strong", findings=[bad_d])
     color: dict[str, int] = {}
     for v in g.sorted_vertices():
         ones = loop_edge if v == v0 else tree_edge[v]
         color[ones] = 1
-        rest = [eid for eid in g.in_edges(v) if eid != ones]
+        rest = [eid for eid in g._in[v] if eid != ones]
         for col, eid in enumerate(rest, start=2):
             color[eid] = col
     coloring = Coloring(d, color)
     word = (1,) * max(depth.values())
-    if _sync_target(backward_automaton(g, coloring), word) != v0:
+    if _sync_target(_automaton(g, coloring), word) != v0:
         raise AssertionError("tree coloring failed to synchronize to the loop vertex")
     return coloring, format_word(word)
 

@@ -52,8 +52,8 @@ import scipy.sparse as sp
 
 from .errors import DomainError, EnumerationOverflow
 from .graph import Graph, cycle_graph
-from .paths import BASIS_CAP, SYMBOL_CAP, Path, _count_levels, _sources, enumerate_paths
-from .paths import path_range
+from .paths import BASIS_CAP, SYMBOL_CAP, Path, _check_symbols, _count_levels, _sources
+from .paths import enumerate_paths, path_range
 from .roadcoloring import Coloring, format_word, validate_coloring
 from .series import FormalElement
 
@@ -748,8 +748,11 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
         raise DomainError("cycle length must be positive", n=n)
     if depth < n:
         raise DomainError("depth below the cycle length leaves blocks empty", depth=depth)
-    # one path per level, as on the loop: count them before building the graph
-    _count_levels(cycle_graph(1), ["v1"], depth)
+    # one path per level, as on the loop: _count_levels' budget, in closed form
+    if depth >= BASIS_CAP:
+        details = dict(count=BASIS_CAP + 1, length=BASIS_CAP, budget=BASIS_CAP)
+        raise EnumerationOverflow("path enumeration exceeds the budget", **details)
+    _check_symbols("path", depth + 1, depth * (depth + 1) // 2)
     rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
     keys, dim = rep.graph.sorted_edge_ids(), rep.dim
     E = rep.edge_ops.stack(keys)

@@ -202,6 +202,88 @@ def test_obrien_matches_the_reference_tree(rng):
             assert (coloring, word) == (want_coloring, want_word)
 
 
+def reference_obrien(g, loop):
+    """``obrien_coloring`` as it was with a component pass and a validation:
+    the loop, regular and transitive checks in that order, then the
+    colouring of ``oracles.obrien_coloring`` validated by the oracle."""
+    e = g.edge(loop)
+    if e.src != e.dst:
+        raise DomainError("edge is not a loop", edge=loop)
+    degrees = {len(g.in_edges(v)) for v in g.vertices}
+    if len(degrees) != 1 or 0 in degrees:
+        raise DomainError("construction needs an in-degree regular graph")
+    if len(oracles.sccs(g)) != 1:
+        raise DomainError("construction needs a transitive graph")
+    coloring, word = oracles.obrien_coloring(g, loop)
+    if not (report := oracles.validate_coloring(g, coloring)).valid:
+        raise InvalidColoring("coloring is not strong", findings=[f.message for f in report.errors])
+    return coloring, word
+
+
+def obrien_graphs(rng):
+    """(graph, loop edge): looped graphs at d = 2, 3, the looped triangle,
+    Cerny graphs, random in-regular graphs with a loop (most of them not
+    transitive), and hand-made graphs failing one reachability direction."""
+    for _ in range(60):
+        g = looped_graph(rng, rng.randint(1, 40), rng.choice([2, 3]))
+        yield g, "loop"
+    yield looped_triangle(), "loop_t"
+    for n in range(2, 13):
+        g = corpus.cerny(n)[0]
+        yield g, next(e.id for e in g.edges if e.src == e.dst)
+    for _ in range(150):
+        g = corpus.random_in_regular_graph(rng, rng.randint(1, 8), rng.randint(1, 3))
+        loops = [e.id for e in g.edges if e.src == e.dst]
+        if loops:
+            yield g, rng.choice(loops)
+    # every vertex reaches the loop vertex a, which reaches nothing else
+    yield Graph.build(["a", "b"], [("la", "a", "a"), ("ba", "b", "a"),
+                                   ("lb1", "b", "b"), ("lb2", "b", "b")]), "la"
+    # a reaches b, which never comes back
+    yield Graph.build(["a", "b"], [("la1", "a", "a"), ("la2", "a", "a"),
+                                   ("ab", "a", "b"), ("lb", "b", "b")]), "la1"
+    # d = 10 and not transitive: the transitivity error comes first
+    yield Graph.build(["a", "b"], [(f"l{k}", "a", "a") for k in range(10)]
+                      + [(f"y{k}", "a", "b") for k in range(10)]), "l0"
+
+
+def test_obrien_colourings_carry_their_automaton_and_match_the_checked_reference(
+    monkeypatch, rng
+):
+    def unused(*args):
+        raise AssertionError("O'Brien colourings are neither validated nor split into SCCs")
+
+    validate = rc.validate_coloring
+    monkeypatch.setattr(rc, "validate_coloring", unused)
+    monkeypatch.setattr(rc, "is_transitive", unused)
+    seen = {"ok": 0, "construction needs a transitive graph": 0}
+    for g, loop in obrien_graphs(rng):
+        got = outcome(rc.obrien_coloring, g, loop)
+        assert got == outcome(reference_obrien, g, loop)
+        assert "_sccs" not in g.__dict__
+        if got[0] != "ok":
+            seen[got[1]] = seen.get(got[1], 0) + 1
+            continue
+        seen["ok"] += 1
+        c, word = got[1]
+        report = validate(g, c)
+        assert report.valid and report.findings[-1].message == (
+            "every vertex receives each color exactly once"
+        )
+        auto = c.__dict__["_automaton"]
+        assert rc.backward_automaton(g, c) is auto
+        assert auto == rc._automaton(g, Coloring(c.d, dict(c.color)))
+        assert oracles.sync_target(g, c, word) == g.src(loop)
+    assert seen["ok"] >= 60 and seen["construction needs a transitive graph"] >= 10
+    # on a transitive graph, d = 10 gets the error validation gives such a d
+    d10 = Graph.build(["a", "b"], [(f"l{k}", "a", "a") for k in range(9)] + [("ba", "b", "a")]
+                      + [(f"y{k}", "a", "b") for k in range(10)])
+    assert outcome(rc.obrien_coloring, d10, "l0") == outcome(reference_obrien, d10, "l0") == (
+        "InvalidColoring", "coloring is not strong",
+        {"findings": ["color count d=10 outside 1..9"]},
+    )
+
+
 def test_subset_search_names_the_least_vertex_missing_a_color():
     # every vertex of the 3-cycle lacks color 2; the frozenset search named
     # whichever it met first in hash order
@@ -237,18 +319,23 @@ def test_each_call_validates_once_and_search_candidates_never(monkeypatch):
         with pytest.raises(InvalidColoring):
             query()
     assert len(calls) == 5 and len(builds) == 3
-    # the O'Brien colouring is validated and built once, for its word and its diagram
+    # the O'Brien colouring is built once, for its word and its diagram, and
+    # never validated: it is strong and complete by construction
     coloring, word = rc.obrien_coloring(g, "loop_t")
     syncdiag_paths(g, coloring, word, "2")
-    assert len(calls) == 6 and len(builds) == 4
+    assert len(calls) == 5 and len(builds) == 4
     # the first candidate colouring of this graph does not synchronize
     g2 = Graph.build(
         ["v1", "v2", "v3", "v4"],
         [("e1", "v2", "v1"), ("e2", "v2", "v1"), ("e3", "v3", "v2"), ("e4", "v4", "v2"),
          ("e5", "v1", "v3"), ("e6", "v1", "v3"), ("e7", "v4", "v4"), ("e8", "v3", "v4")],
     )
-    assert search_synchronizing_coloring(g2) is not None
-    assert len(builds) == 6 and len(calls) == 6
+    found = search_synchronizing_coloring(g2)
+    assert found is not None
+    assert len(builds) == 6 and len(calls) == 5
+    # the colouring found keeps the automaton its word was searched on
+    syncdiag_paths(g2, found[0], found[1], "12")
+    assert len(builds) == 6 and len(calls) == 5
 
 
 def test_the_shared_automaton_exposes_nothing_mutable():

@@ -803,6 +803,37 @@ def test_cycle_lemma_counts_its_basis_before_it_builds_the_cycle(monkeypatch):
     assert cycle_lemma_check(4, 4).ok
 
 
+def test_an_over_budget_cycle_lemma_counts_in_closed_form(monkeypatch):
+    # an over-budget depth is refused with no walk over its levels
+    from semigroupoid_kit import EnumerationOverflow, trunc
+    from semigroupoid_kit.paths import BASIS_CAP, SYMBOL_CAP
+
+    real, walks = trunc._count_levels, []
+    monkeypatch.setattr(trunc, "_count_levels", lambda *a: walks.append(a) or real(*a))
+
+    def overflow(count, depth):
+        with pytest.raises(EnumerationOverflow) as err:
+            count(depth)
+        return str(err.value), err.value.details
+
+    # the deepest loop truncation within the symbol budget, and the depths past it
+    fits = max(k for k in range(5000) if k * (k + 1) // 2 <= SYMBOL_CAP)
+    for depth in (fits + 1, fits + 2, 5000):
+        walked = overflow(lambda k: real(cycle_graph(1), ["v1"], k), depth)
+        assert overflow(lambda k: cycle_lemma_check(1, k), depth) == walked
+    symbols = (BASIS_CAP - 1) * BASIS_CAP // 2
+    assert overflow(lambda k: cycle_lemma_check(1, k), BASIS_CAP - 1) == (
+        "path enumeration exceeds the symbol budget",
+        {"count": BASIS_CAP, "symbols": symbols, "budget": SYMBOL_CAP},
+    )
+    for n, depth in ((1, BASIS_CAP), (10**9, 10**9)):
+        assert overflow(lambda k: cycle_lemma_check(n, k), depth) == (
+            "path enumeration exceeds the budget",
+            {"count": BASIS_CAP + 1, "length": BASIS_CAP, "budget": BASIS_CAP},
+        )
+    assert walks == []
+
+
 # ---------------------------------------------------------------------------
 # stored maps and operators read out, edited or replaced after the build
 
