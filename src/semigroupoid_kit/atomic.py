@@ -16,12 +16,14 @@ with a unimodular eigenvalue phase, and tail atoms named by a primitive
 cycle repeated backward forever.  Canonical (symbolic) families describe
 the infinite-dimensional cases that no finite explicit family can encode.
 
-One pass over pi gives the nodes of H and its target-to-source links; the
-validation verdict and the split of H are both read off it.  The roots are
-the nodes no arc hits, listed in node order.  Core lemma: every node of a
-cycle component lies over the graph's elimination core, as an H-cycle lifts
-a graph cycle and the rest of its component lies downstream of it; so the
-walks that find cycles start only over the core, and on a forest none does.
+One scan of the label sets, a vertex at a time, accepts valid total data
+and counts the labels no arc hits: the verdict and the roots of H are read
+off those counts.  Only data it refuses takes a pass over the nodes of H,
+which names the faults and splits valid partial data.  Core lemma: every
+node of a cycle component lies over the graph's elimination core, as an
+H-cycle lifts a graph cycle and the rest of its component lies downstream
+of it; so cycles are sought only through links into the core, and on a
+forest there are none.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Iterable, Union
 
 from .errors import (
@@ -56,6 +59,7 @@ OMEGA = "omega"
 Multiplicity = Union[int, str]
 
 _ONE = Phase.one()  # the default arc phase; Phase is frozen, so one object serves
+_NO_LABELS: frozenset[str] = frozenset()
 
 
 def mult_add(a: Multiplicity, b: Multiplicity) -> Multiplicity:
@@ -83,7 +87,7 @@ class ExplicitAtomic:
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
     ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
     ``validate_atomic`` report and split of H are computed on first use, from
-    one pass over pi whose nodes and links are not kept.
+    one scan of the label sets whose counts are not kept.
     """
 
     graph: Graph
@@ -110,18 +114,28 @@ class ExplicitAtomic:
     @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
         """The root vertices in sorted root-node order, the cycle traces in
-        least-node order, and the nodes of the cycle components.  By the core
-        lemma, backward walks start only over the elimination core; H is
-        built only to trace each cycle component from its least node."""
-        links = None
-        if "_verdict" not in self.__dict__:  # the same pass gives the verdict
-            links = _h_links(self)
-            self.__dict__["_verdict"] = _report(self, *links, require_total=False)
-        _require_valid(self, require_total=False)  # a cached refusal needs no pass
-        nodes, pred = links or _h_links(self)
-        roots = tuple(v for v, _ in sorted(nodes.difference(pred)))
+        least-node order, and the nodes of the cycle components.  The label
+        scan gives the roots, and the verdict when none is cached; only data
+        it refuses takes the node pass.  By the core lemma, backward walks
+        start only over the elimination core, and on accepted data read only
+        the links into it; H is built only to trace each cycle component."""
+        if "_verdict" in self.__dict__:
+            _require_valid(self, require_total=False)  # a cached refusal needs no scan
+        free = _scan(self)
+        links = None if free is not None else _h_links(self)
+        if "_verdict" not in self.__dict__:  # the same scan or pass gives the verdict
+            self.__dict__["_verdict"] = (
+                _cover(ValidationReport(), self.graph, free)
+                if links is None
+                else _report(self, *links, require_total=False)
+            )
+            _require_valid(self, require_total=False)
+        if links is not None:
+            free = Counter(v for v, _ in links[0].difference(links[1]))
+        roots = tuple(v for v in sorted(free) for _ in range(free[v]))
         core = self.graph._elimination[0]
         starts = sorted((v, i) for v in core for i in self.labels(v))
+        pred = _links(self, core) if links is None else links[1]
         cyclic = [members for root, members in _h_components(starts, pred) if root is None]
         if not cyclic:
             return roots, (), frozenset()
@@ -130,14 +144,60 @@ class ExplicitAtomic:
         return roots, cycles, frozenset(n for members in cyclic for n in members)
 
 
+def _scan(a: ExplicitAtomic) -> dict[str, int] | None:
+    """How many labels at each vertex no arc hits, where that is not zero;
+    None, as soon as a count shows it, unless the data is valid and total.
+
+    Each labelled vertex is checked once: its in-edges' maps must have its
+    sources' labels as keys and hit only its own labels.  The labels hit are
+    at most the arcs met, which are at most the arcs in pi and the images
+    labelled sources owe; when these three agree, no label is hit twice, no
+    arc lands off a label and no image is missing.  Phases sit on arcs.
+    """
+    g, lam, pi = a.graph, a.lam, a.pi
+    by_id, inc, out = g._by_id, g._in, g._out
+    if not (lam.keys() <= inc.keys() and pi.keys() <= by_id.keys()):
+        return None
+    own = {v: set(labels) for v, labels in lam.items() if labels}
+    free: dict[str, int] = {}
+    hits = owed = 0
+    for v, labels in own.items():
+        n = len(labels)
+        hit: set[str] = set()
+        for eid in inc[v]:
+            mapping = pi.get(eid, {})
+            if mapping.keys() != own.get(by_id[eid].src, _NO_LABELS):
+                return None
+            hit.update(mapping.values())
+        if n != len(lam[v]) or not hit <= labels:  # a label listed twice, or hit off the set
+            return None
+        hits += len(hit)
+        owed += len(out[v]) * n
+        if len(hit) < n:
+            free[v] = n - len(hit)
+    if not hits == owed == sum(map(len, pi.values())):
+        return None
+    for eid, i in a.phases:
+        if i not in pi.get(eid, ()):
+            return None
+    return free
+
+
 def _h_links(a: ExplicitAtomic) -> tuple[set[Node], dict[Node, Node]]:
-    """The nodes (v, i) of H and its target-to-source links over known edges,
-    in one pass over pi; a node hit twice keeps one link."""
-    nodes = {(v, i) for v, labels in a.lam.items() for i in labels}
-    pred = {
-        (e.dst, j): (e.src, i) for e in a.graph.edges for i, j in a.pi.get(e.id, {}).items()
+    """The nodes (v, i) of H and its target-to-source links over known edges."""
+    return {(v, i) for v, labels in a.lam.items() for i in labels}, _links(a, a.graph.vertices)
+
+
+def _links(a: ExplicitAtomic, vertices: Iterable[str]) -> dict[Node, Node]:
+    """The target-to-source links of H into the nodes over ``vertices``, in
+    one pass over their in-edges' maps; a node hit twice keeps one link."""
+    g = a.graph
+    return {
+        (v, j): (g._by_id[eid].src, i)
+        for v in vertices
+        for eid in g.in_edges(v)
+        for i, j in a.pi.get(eid, {}).items()
     }
-    return nodes, pred
 
 
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
@@ -149,56 +209,48 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     findings report which coisometry identities hold: CK asks the pi-ranges
     over the edges into each vertex with an incoming edge to cover its
     index set, and full coisometry also asks in-degree-0 vertices to carry
-    no labels.
+    no labels.  One scan of the label sets decides valid total data; only
+    data it refuses takes the pass over the nodes of H that names faults.
     """
-    return _report(a, *_h_links(a), require_total)
+    free = _scan(a)
+    if free is None:
+        return _report(a, *_h_links(a), require_total)
+    return _cover(ValidationReport(), a.graph, free)
 
 
 def _report(
     a: ExplicitAtomic, nodes: set[Node], pred: dict[Node, Node], require_total: bool
 ) -> ValidationReport:
-    """``validate_atomic`` from the nodes and links of H.  Links as many as
-    the arcs mean that no node is hit twice; with every source and target a
-    node as well, the nodes no arc hits give the CK and coisometry findings,
-    and the arcs against the demand give totality.  Only when a count
-    disagrees are faults named, walking vertices, edges and pi items in
-    sorted order, so findings never come out in the iteration order of a set.
-    """
+    """``validate_atomic`` of data the scan refused, from the nodes and links
+    of H.  Faults are named walking vertices, edges and pi items in sorted
+    order, so findings never come out in the iteration order of a set."""
     g = a.graph
     report = ValidationReport()
     vertices = set(g.vertices)
-    if len(nodes) < sum(map(len, a.lam.values())) or not a.lam.keys() <= vertices:
-        for v, labels in sorted(a.lam.items()):
-            if v not in vertices:
-                report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
-            if len(set(labels)) != len(labels):
-                report.add("duplicate-label", f"duplicate index labels at {v}", v)
+    for v, labels in sorted(a.lam.items()):
+        if v not in vertices:
+            report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
+        if len(set(labels)) != len(labels):
+            report.add("duplicate-label", f"duplicate index labels at {v}", v)
     known_edges = g._by_id.keys()
-    sourced = sum(map(len, a.pi.values()))  # the arcs, each answering one demand
-    bad_from, shared = set(), set()
-    linked = len(pred) == sourced and pred.keys() <= nodes and nodes.issuperset(pred.values())
-    if not linked or not a.pi.keys() <= known_edges:
-        sources = [(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())]
-        sourced = len(sources)
-        bad_from = set(sources) - nodes
-        bad_to = pred.keys() - nodes
-        # a node hit twice breaks injectivity or the disjointness of the ranges
-        # into its vertex: what gives every node of H at most one incoming arc
-        if len(pred) < sourced:
-            twice = Counter((e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values())
-            shared = {n for n, k in twice.items() if k > 1}
-        for eid, mapping in sorted(a.pi.items()):
-            if eid not in known_edges:
-                report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
-                continue
-            src, dst = g.src(eid), g.dst(eid)
-            for i, j in sorted(mapping.items()):
-                if (src, i) in bad_from:
-                    report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
-                if (dst, j) in bad_to:
-                    report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
-            if len(set(mapping.values())) != len(mapping):
-                report.add("not-injective", f"pi_{eid} is not injective", eid)
+    bad_from = {(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())} - nodes
+    bad_to = pred.keys() - nodes
+    # a node hit twice breaks injectivity or the disjointness of the ranges
+    # into its vertex: what gives every node of H at most one incoming arc
+    twice = Counter((e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values())
+    shared = {n for n, k in twice.items() if k > 1}
+    for eid, mapping in sorted(a.pi.items()):
+        if eid not in known_edges:
+            report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
+            continue
+        src, dst = g.src(eid), g.dst(eid)
+        for i, j in sorted(mapping.items()):
+            if (src, i) in bad_from:
+                report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
+            if (dst, j) in bad_to:
+                report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
+        if len(set(mapping.values())) != len(mapping):
+            report.add("not-injective", f"pi_{eid} is not injective", eid)
     first: dict[Node, str] = {}  # the first arc, in (edge, label) order, onto a shared node
     for v in sorted({v for v, _ in shared}):
         for eid in g.in_edges(v):
@@ -213,10 +265,6 @@ def _report(
                     )
                 else:
                     first[v, j] = stamp
-    # the range cover: every node no arc hits fails CK at a vertex with an
-    # incoming edge, and full coisometry at any vertex
-    f_fail = sorted({v for v, _ in nodes.difference(pred) if v in vertices})
-    ck_fail = [v for v in f_fail if g.in_edges(v)]
     stray = sorted(
         (eid, i) for eid, i in a.phases if eid not in known_edges or i not in a.pi.get(eid, {})
     )
@@ -229,14 +277,12 @@ def _report(
                 f"phase attached to ({eid}, {i}) but pi_{eid} is undefined there",
                 eid,
             )
-    # without bad-from arcs each arc answers at least one demand, so no
-    # label lacks an image when the arcs are as many as the demands
-    demand = sum([len(a.lam.get(e.src, ())) for e in g.edges])  # labels owing an image
-    missing: list[tuple[str, str]] = []
-    if bad_from or demand > sourced:
-        for eid in sorted(known_edges):
-            mapping = a.pi.get(eid, {})
-            missing.extend((eid, i) for i in a.labels(g.src(eid)) if i not in mapping)
+    missing = [
+        (eid, i)
+        for eid in sorted(known_edges)
+        for i in a.labels(g.src(eid))
+        if i not in a.pi.get(eid, {})
+    ]
     if missing:
         sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
         report.add(
@@ -244,6 +290,14 @@ def _report(
             f"{len(missing)} undefined image(s), e.g. {sample}",
             severity="error" if require_total else "info",
         )
+    return _cover(report, g, {v for v, _ in nodes.difference(pred) if v in vertices})
+
+
+def _cover(report: ValidationReport, g: Graph, free: Iterable[str]) -> ValidationReport:
+    """Close ``report`` with the range cover: each vertex in ``free`` holds a
+    label no arc hits, so it fails full coisometry, and CK if it has an in-edge."""
+    f_fail = sorted(free)
+    ck_fail = [v for v in f_fail if g.in_edges(v)]
     report.add(
         "ck",
         f"CK fails at {ck_fail}" if ck_fail else "CK identity holds at every finite receiver",
@@ -408,12 +462,22 @@ def trace_backward(h: LabeledH, node: Node) -> RootFound | CycleFound:
             cyc_arcs = labels[t : j + 1]  # arc into walk[t] .. arc into walk[j]
             nodes_fwd = (walk[t],) + tuple(reversed(walk[t + 1 : j + 1]))
             edges = tuple(a.edge for a in cyc_arcs)
-            phase = _ONE
-            for a in cyc_arcs:
-                phase = phase * a.phase
+            phase = _phase_product([a.phase for a in cyc_arcs])
             return CycleFound(nodes_fwd, Path(prev[0], edges), phase, t)
         seen[prev] = len(walk)
         walk.append(prev)
+
+
+def _phase_product(phases: list[Phase]) -> Phase:
+    """The product of ``phases``: exact turns summed as integers per
+    denominator and reduced mod 1 once, or, with an approximate phase
+    anywhere, the ordered product, the same to the bit."""
+    if any(ph.turns is None for ph in phases):
+        return reduce(Phase.__mul__, phases, _ONE)
+    sums: dict[int, int] = {}
+    for ph in phases:
+        sums[ph.turns.denominator] = sums.get(ph.turns.denominator, 0) + ph.turns.numerator
+    return Phase(sum((Fraction(n, d) for d, n in sums.items()), Fraction(0)) % 1, None)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,7 @@ class Graph:
         # Kahn's layering: in-degree counters drop as each layer is removed,
         # a vertex joins the next layer when its counter reaches zero, and
         # every edge is visited once; the vertices left over form the core
+        out, by_id = self._out, self._by_id
         indeg = {v: len(ids) for v, ids in self._in.items()}
         layer = sorted(v for v, k in indeg.items() if k == 0)
         layers = []
@@ -129,8 +130,8 @@ class Graph:
             layers.append(tuple(layer))
             emptied = []
             for v in layer:
-                for eid in self._out[v]:
-                    w = self._by_id[eid].dst
+                for eid in out[v]:
+                    w = by_id[eid].dst
                     indeg[w] -= 1
                     if indeg[w] == 0:
                         emptied.append(w)

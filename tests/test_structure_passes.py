@@ -7,6 +7,8 @@ slower, more literal computation from ``oracles``, as are the set-level
 ``validate_atomic`` and the split of H read off predecessor links.
 """
 
+import cmath
+import functools
 import os
 import subprocess
 import sys
@@ -156,33 +158,34 @@ def test_wold_one_trace_per_component_matches_per_node_trace(rng):
 
 
 def test_classify_and_wold_validate_once(rng, monkeypatch):
-    # the verdict and the split of H share one pass over pi, so counting
-    # that pass counts both
-    calls = []
-    original = atomic._h_links
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(atomic, "_h_links", counting)
+    # the verdict and the split of H share one label scan, so counting that
+    # scan counts both; the node pass runs only on data the scan refuses
+    calls = {"_scan": [], "_h_links": []}
+    for name, seen in calls.items():
+        original = getattr(atomic, name)
+        monkeypatch.setattr(
+            atomic, name, lambda a, seen=seen, original=original: seen.append(a) or original(a)
+        )
+    scans, passes = calls["_scan"], calls["_h_links"]
     fam, _, _ = corpus.random_loop_sink_family(rng)
     g = fam.graph
     twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
     classify(g, fam)
-    assert len(calls) == 1
+    assert len(scans) == 1
     wold_atomic(fam)
-    assert len(calls) == 1
+    assert len(scans) == 1
     assert are_unitarily_equivalent(g, fam, twin).equivalent
-    assert len(calls) == 2
+    assert len(scans) == 2
     orbit_condition_M(fam, Path("v", ("loop",)))
-    assert len(calls) == 2 and calls[0][0] is fam and calls[1][0] is twin
+    assert len(scans) == 2 and scans[0] is fam and scans[1] is twin
+    assert passes == []  # valid total data never takes the node pass
     # invalid data is refused from its cached verdict, with no second pass
     bad_to = _broken_variants(rng, fam)[0]
     for query in (lambda: classify(g, bad_to), lambda: wold_atomic(bad_to)):
         with pytest.raises(DomainError):
             query()
-    assert len(calls) == 3 and calls[2][0] is bad_to
+    assert len(scans) == 3 and scans[2] is bad_to
+    assert passes == [bad_to]
 
 
 def _broken_variants(rng, fam):
@@ -481,6 +484,79 @@ def test_split_and_h_components_match_union_find(rng):
     # roots alone, cycles alone and both, in total and in partial data
     assert {(True, False, True), (False, True, True), (True, True, True)} <= shapes
     assert {(True, True, False)} <= shapes
+
+
+def test_cycle_phase_products_match_the_ordered_product(rng):
+    # exact turns are summed per denominator; one approximate phase keeps
+    # the ordered product, to the bit
+    for _ in range(200):
+        phases = [
+            Phase.from_turns(rng.randint(-30, 30), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 200))
+        ]
+        want = functools.reduce(Phase.__mul__, phases, Phase.one())
+        assert atomic._phase_product(phases) == want
+        at = rng.randrange(len(phases))
+        phases[at] = Phase.from_complex(cmath.exp(1j * rng.uniform(-4, 4)))
+        want = functools.reduce(Phase.__mul__, phases, Phase.one()).approx
+        got = atomic._phase_product(phases).approx
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def _scan_faults(fam):
+    """Loop-sink data with one fault each that the label scan must refuse:
+    an unknown vertex (labelled or not), an unknown edge (mapped or not),
+    stray phases, arcs into unlabelled vertices, an empty map from a
+    labelled source, and a duplicate label."""
+    g, lam, pi, phases = fam.graph, fam.lam, fam.pi, fam.phases
+
+    def variant(lam=lam, pi=pi, phases=phases):
+        return ExplicitAtomic(g, dict(lam), {e: dict(m) for e, m in pi.items()}, dict(phases))
+
+    return [
+        variant(lam={**lam, "ghost": ("z",)}),
+        variant(lam={**lam, "ghost": ()}),
+        variant(pi={**pi, "ghost": {"i0": "j0"}}),
+        variant(pi={**pi, "ghost": {}}),  # no arc, so only the edge check sees it
+        variant(phases={**phases, ("loop", "nope"): Phase.one()}),
+        variant(phases={**phases, ("ghost", "i0"): Phase.one()}),
+        variant(lam={"v": lam["v"]}),  # the exit arcs land at an unlabelled sink
+        variant(lam={"v": lam["v"], "w": ()}),
+        # the loop's arcs run between unlabelled nodes; no labelled source owes them
+        variant(lam={"w": lam["w"]}, pi={"loop": pi["loop"], "out": {}}, phases={}),
+        variant(pi={**pi, "out": {}}),
+        variant(lam={**lam, "w": lam["w"] + lam["w"][:1]}),
+    ]
+
+
+def test_label_scan_matches_the_node_pass_and_the_oracles(rng):
+    families, sinks = [], []
+    for _ in range(15):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        families.append(corpus.random_root_family(rng, g)[0])
+        sinks.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+        families.append(corpus.random_cycle_family(rng)[1])
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=False)
+        families.append(random_partial_family(rng, g))
+    families += sinks
+    families += [v for fam in list(families) for v in _broken_variants(rng, fam)]
+    families += [v for fam in sinks for v in _scan_faults(fam)]
+    accepted = refused = 0
+    for fam in families:
+        for total in (True, False):
+            want = oracles.validate_atomic(fam, require_total=total).findings
+            assert validate_atomic(fam, require_total=total).findings == want
+        named = atomic._report(fam, *atomic._h_links(fam), require_total=False).findings
+        faulty = any(f.severity == "error" or f.code == "non-total" for f in named)
+        assert (atomic._scan(fam) is None) == faulty
+        accepted += not faulty
+        refused += faulty
+        if oracles.validate_atomic(fam, require_total=False).valid:
+            assert fam._split == oracles.split(fam)
+        else:
+            with pytest.raises(DomainError):
+                fam._split
+    assert accepted >= 40 and refused >= 200
 
 
 def fed_core_graph(rng, into_cycle):
