@@ -5,10 +5,12 @@ trunc.  Each ``cmd_*`` handler returns its answer and prints nothing: a
 ``(data, lines)`` pair, the JSON object and the table lines, or DOT text
 for --format dot (``graph check`` and explicit ``atomic validate``).  Only
 ``main`` renders the answer (deterministic JSON by default, the lines
-under --format table) and chooses the exit code: 0 success, 1 domain
-error (structured JSON on stderr), 2 usage error.  The parser is built
-once per process, at the first ``main`` call, and ``main`` may be called
-repeatedly: each call parses from fresh defaults.
+under --format table) in batches and chooses the exit code: 0 success, 1
+domain error (structured JSON on stderr), 2 usage error.  The parser is
+built once per process, at the first ``main`` call, and ``main`` may be
+called repeatedly: each call parses from fresh defaults.  ``main`` looks up
+the subcommand's own parser by the first two words; the whole tree answers
+help and usage errors.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_LEN = 6
 DEFAULT_DEPTH = 4
+_LINES = 8192  # table lines joined per write
 
 # What a handler returns: (JSON object, table lines), or DOT text.
 Answer = tuple[dict, list[str]] | str
@@ -377,13 +380,20 @@ def cmd_trunc_apply(args) -> Answer:
 # parser
 
 
-def _command(group, name: str, func, help: str, dot: bool = False) -> argparse.ArgumentParser:
-    """Subcommand ``name`` of ``group`` that runs ``func``, with --format."""
-    p = group.add_parser(name, help=help)
-    p.set_defaults(func=func)
-    choices = ["json", "table"] + (["dot"] if dot else [])
-    p.add_argument("--format", choices=choices, default="json")
-    return p
+def _group(parser: argparse.ArgumentParser, sub, group: str, help: str):
+    """Add ``group`` under ``sub``; its ``command`` adds a subcommand that runs
+    ``func``, with --format, and records it in ``parser.leaves[group, name]``."""
+    cmds = sub.add_parser(group, help=help).add_subparsers(dest="cmd", required=True)
+
+    def command(name: str, func, help: str, dot: bool = False) -> argparse.ArgumentParser:
+        p = cmds.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        choices = ["json", "table"] + (["dot"] if dot else [])
+        p.add_argument("--format", choices=choices, default="json")
+        parser.leaves[group, name] = p
+        return p
+
+    return command
 
 
 def _trunc_options(p: argparse.ArgumentParser) -> None:
@@ -399,112 +409,105 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graphs, path spaces, atomic families, road colorings, truncations",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    parser.leaves = {}
 
-    g_graph = sub.add_parser("graph", help="graph structure commands")
-    gs = g_graph.add_subparsers(dest="cmd", required=True)
-    p = _command(gs, "check", cmd_graph_check, "validate a graph file, or export DOT", dot=True)
+    graph = _group(parser, sub, "graph", "graph structure commands")
+    p = graph("check", cmd_graph_check, "validate a graph file, or export DOT", dot=True)
     p.add_argument("file")
-    p = _command(gs, "period", cmd_graph_period, "gcd of cycle lengths through a vertex")
+    p = graph("period", cmd_graph_period, "gcd of cycle lengths through a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
-    p = _command(gs, "closure", cmd_graph_closure, "directed closure of a vertex set")
+    p = graph("closure", cmd_graph_closure, "directed closure of a vertex set")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated vertices")
-    p = _command(gs, "ses", cmd_graph_ses, "source elimination layers and core")
+    p = graph("ses", cmd_graph_ses, "source elimination layers and core")
     p.add_argument("file")
 
-    g_paths = sub.add_parser("paths", help="path space commands")
-    ps = g_paths.add_subparsers(dest="cmd", required=True)
-    p = _command(ps, "enum", cmd_paths_enum, "enumerate paths from sources")
+    paths = _group(parser, sub, "paths", "path space commands")
+    p = paths("enum", cmd_paths_enum, "enumerate paths from sources")
     p.add_argument("file")
     p.add_argument("--source", required=True, help="comma-separated vertices")
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p = _command(ps, "cycles", cmd_paths_cycles, "irreducible cycles at a vertex")
+    p = paths("cycles", cmd_paths_cycles, "irreducible cycles at a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p = _command(ps, "class", cmd_paths_class, "cycle trichotomy at a vertex")
+    p = paths("class", cmd_paths_class, "cycle trichotomy at a vertex")
     p.add_argument("file")
     p.add_argument("--vertex", required=True)
 
-    g_series = sub.add_parser("series", help="formal series commands")
-    ss = g_series.add_subparsers(dest="cmd", required=True)
-    p = _command(ss, "mul", cmd_series_mul, "multiply two formal elements")
+    series = _group(parser, sub, "series", "formal series commands")
+    p = series("mul", cmd_series_mul, "multiply two formal elements")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--graph", required=True)
-    p = _command(ss, "fourier", cmd_series_fourier, "grade-m homogeneous part")
+    p = series("fourier", cmd_series_fourier, "grade-m homogeneous part")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--graph", required=True)
-    p = _command(ss, "cesaro", cmd_series_cesaro, "Cesaro-weighted partial sum")
+    p = series("cesaro", cmd_series_cesaro, "Cesaro-weighted partial sum")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--graph", required=True)
-    p = _command(ss, "ideal-degree", cmd_series_ideal_degree, "minimum grade of a nonzero term")
+    p = series("ideal-degree", cmd_series_ideal_degree, "minimum grade of a nonzero term")
     p.add_argument("file")
     p.add_argument("--graph", required=True)
-    p = _command(ss, "rownorm", cmd_series_rownorm, "l2 norm of grade-m coefficients at a vertex")
+    p = series("rownorm", cmd_series_rownorm, "l2 norm of grade-m coefficients at a vertex")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--vertex", required=True)
     p.add_argument("--graph", required=True)
 
-    g_atomic = sub.add_parser("atomic", help="atomic family commands")
-    as_ = g_atomic.add_subparsers(dest="cmd", required=True)
-    p = _command(
-        as_, "validate", cmd_atomic_validate, "validate explicit data, or export H as DOT", dot=True
+    atomic = _group(parser, sub, "atomic", "atomic family commands")
+    p = atomic(
+        "validate", cmd_atomic_validate, "validate explicit data, or export H as DOT", dot=True
     )
     p.add_argument("file")
-    p = _command(as_, "classify", cmd_atomic_classify, "decompose into irreducible atoms")
+    p = atomic("classify", cmd_atomic_classify, "decompose into irreducible atoms")
     p.add_argument("file")
-    p = _command(as_, "equiv", cmd_atomic_equiv, "unitary equivalence of two families")
+    p = atomic("equiv", cmd_atomic_equiv, "unitary equivalence of two families")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--tol", type=float, default=1e-9, help="phase comparison tolerance")
-    p = _command(as_, "wold", cmd_atomic_wold, "wandering multiplicities and remainder")
+    p = atomic("wold", cmd_atomic_wold, "wandering multiplicities and remainder")
     p.add_argument("file")
-    p = _command(as_, "condM", cmd_atomic_condm, "orbit analysis of S_mu at its base vertex")
+    p = atomic("condM", cmd_atomic_condm, "orbit analysis of S_mu at its base vertex")
     p.add_argument("file")
     p.add_argument("--mu", required=True, help='path JSON, e.g. {"base":"v","edges":["e"]}')
 
-    g_color = sub.add_parser("color", help="road coloring commands")
-    cs = g_color.add_subparsers(dest="cmd", required=True)
-    p = _command(cs, "validate", cmd_color_validate, "strong coloring report")
+    color = _group(parser, sub, "color", "road coloring commands")
+    p = color("validate", cmd_color_validate, "strong coloring report")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p = _command(cs, "sync-verify", cmd_color_sync_verify, "check a word synchronizes")
+    p = color("sync-verify", cmd_color_sync_verify, "check a word synchronizes")
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--word", required=True)
-    p = _command(cs, "sync-find", cmd_color_sync_find, "synchronizing word (shortest when small)")
+    p = color("sync-find", cmd_color_sync_find, "synchronizing word (shortest when small)")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p = _command(
-        cs, "search", cmd_color_search, "search all strong colorings for a synchronizing one"
-    )
+    p = color("search", cmd_color_search, "search all strong colorings for a synchronizing one")
     p.add_argument("graph")
-    p = _command(cs, "obrien", cmd_color_obrien, "loop plus spanning tree coloring")
+    p = color("obrien", cmd_color_obrien, "loop plus spanning tree coloring")
     p.add_argument("graph")
     p.add_argument("--loop", required=True, help="id of a loop edge")
-    p = _command(cs, "syncdiag", cmd_color_syncdiag, "closed path realizing gamma' gamma")
+    p = color("syncdiag", cmd_color_syncdiag, "closed path realizing gamma' gamma")
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--gamma", required=True, help="synchronizing word")
     p.add_argument("--gamma2", required=True, help="prefix word")
 
-    g_trunc = sub.add_parser("trunc", help="finite truncation commands")
-    ts = g_trunc.add_subparsers(dest="cmd", required=True)
-    p = _command(ts, "build", cmd_trunc_build, "basis and matrices of a truncation")
+    trunc = _group(parser, sub, "trunc", "finite truncation commands")
+    p = trunc("build", cmd_trunc_build, "basis and matrices of a truncation")
     p.add_argument("graph")
     _trunc_options(p)
-    p = _command(ts, "verify", cmd_trunc_verify, "interior-exact axiom checks")
+    p = trunc("verify", cmd_trunc_verify, "interior-exact axiom checks")
     p.add_argument("graph")
     _trunc_options(p)
-    p = _command(ts, "cycle-lemma", cmd_trunc_cycle_lemma, "block identity of the cycle truncation")
+    p = trunc("cycle-lemma", cmd_trunc_cycle_lemma, "block identity of the cycle truncation")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p = _command(ts, "apply", cmd_trunc_apply, "matrix of a formal element")
+    p = trunc("apply", cmd_trunc_apply, "matrix of a formal element")
     p.add_argument("graph")
     p.add_argument("element")
     _trunc_options(p)
@@ -521,22 +524,33 @@ def _run(args) -> int:
     try:
         answer = args.func(args)
     except DomainError as exc:
-        sys.stderr.write(io.dump_json(exc.to_json()))
+        io.write_json(exc.to_json(), sys.stderr.write)
         return 1
     if isinstance(answer, str):
         sys.stdout.write(answer)
     elif args.format == "table":
-        print("\n".join(answer[1]))
+        lines = answer[1]
+        for k in range(0, len(lines) or 1, _LINES):  # no lines still print one newline
+            sys.stdout.write("\n".join(lines[k : k + _LINES]) + "\n")
     else:
-        sys.stdout.write(io.dump_json(answer[0]))
+        io.write_json(answer[0], sys.stdout.write)
     return 0
 
 
 def main(argv=None) -> int:
     """Run one command on the parser built at the first call.  Handlers are
     bound then, so a later reassignment of a ``cmd_*`` function is not seen.
-    A usage error exits 2 from argparse."""
-    return _run(_parser().parse_args(argv))
+    The first two words pick the subcommand's parser; anything it does not
+    parse whole goes to the tree, whose usage errors exit 2 from argparse."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[2:])
+        if not rest:
+            args.group, args.cmd = argv[:2]
+            return _run(args)
+    return _run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

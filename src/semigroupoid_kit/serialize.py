@@ -8,11 +8,17 @@ Formats:
   explicit atomic {"graph": ..., "lambda": {...}, "pi": [...], "phase": [...]}
   canonical atomic {"tag": "left_regular"|"cycle"|"tail"|"direct_sum", ...}
   coloring       {"d": 2, "color": {"e1": 1, ...}}
+
+Output goes through one streaming renderer, ``write_json``: the text of
+``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, byte for byte,
+handed to ``write`` in batches, so a large answer is never held whole.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _str
 from typing import Any
 
 from .atomic import (
@@ -228,5 +234,83 @@ def load_json(path: str) -> dict:
         raise DomainError(f"invalid JSON in {path}: {exc}")
 
 
+_FLUSH = 8192  # chunks gathered before one call of ``write``
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOATS.get(text, text)
+
+
+_EXACT = {str: _str, int: int.__repr__, float: _float}  # skip the chain of ``_scalar``
+
+
+def _scalar(o) -> str:
+    """The text of a scalar, tested in the order ``json`` tests it."""
+    if isinstance(o, str):
+        return _str(o)
+    if o is None or o is True or o is False:
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, (int, float)):
+        return int.__repr__(o) if isinstance(o, int) else _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _str(k if isinstance(k, str) else _scalar(k))
+
+
+def _render(o, buf: list, write, nl: str) -> None:
+    """Append the text of ``o``, nested at newline ``nl``, to ``buf``; the
+    container loop passes ``buf`` to ``write`` once it holds _FLUSH chunks."""
+    if isinstance(o, (list, tuple)):
+        pairs, brackets = zip(repeat(None), o), "[]"
+    elif isinstance(o, dict):
+        pairs, brackets = sorted(o.items()), "{}"
+    else:
+        buf.append(_scalar(o))
+        return
+    if not o:
+        buf.append(brackets)
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    keyed = brackets == "{}"
+    kinds = () if keyed or len(o) > _FLUSH else set(map(type, o))
+    if len(kinds) == 1 and (text := _EXACT.get(kinds.pop())):  # a list of one scalar type
+        buf.append("[" + inner + sep.join(map(text, o)) + nl + "]")
+        return
+    head = brackets[0] + inner
+    for k, v in pairs:
+        if keyed:
+            head += (_str(k) if k.__class__ is str else _key(k)) + ": "
+        text = _EXACT.get(v.__class__)
+        if text is None:
+            buf.append(head)
+            _render(v, buf, write, inner)
+        else:
+            buf.append(head + text(v))
+        head = sep
+        if len(buf) >= _FLUSH:
+            write("".join(buf))
+            buf.clear()
+    buf.append(nl + brackets[1])
+
+
+def write_json(data, write) -> None:
+    """Render ``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus
+    a newline would, passing the text to ``write`` in batches.  A type that
+    ``json`` refuses raises ``TypeError``; reference cycles are not checked."""
+    buf: list[str] = []
+    _render(data, buf, write, "\n")
+    buf.append("\n")
+    write("".join(buf))
+
+
 def dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    buf: list[str] = []
+    write_json(data, buf.append)
+    return "".join(buf)
