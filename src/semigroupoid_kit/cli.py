@@ -368,8 +368,7 @@ def cmd_trunc_apply(args) -> Answer:
     from . import trunc as tr
     rep = _build_rep(args)
     elem = io.formal_from_json(rep.graph, io.load_json(args.element))
-    mat = tr.apply_formal(rep, elem)
-    entries = tr.matrix_to_coordinates(mat)
+    entries = tr._quadruples(*tr._formal_entries(rep, elem))
     data = {"dim": rep.dim, "entries": entries}
     lines = [f"({r},{c}) = {re:+.6g}{im:+.6g}i" for r, c, re, im in entries]
     lines.append(f"nnz: {len(entries)}")

@@ -29,10 +29,10 @@ class Edge:
 class Graph:
     """Immutable directed multigraph with id-keyed adjacency caches.
 
-    Strongly connected components, the source elimination (Kahn's
-    layering, which also decides acyclicity, with the core's vertex set),
-    the core as a graph, the sorted vertex tuple with its ``{v: i}`` index
-    and the sorted edge ids are computed on first use and cached.
+    Strongly connected components and their periods, the source elimination
+    (Kahn's layering, which also decides acyclicity, with the core's vertex
+    set), the core as a graph, the sorted vertex tuple with its ``{v: i}``
+    index and the sorted edge ids are computed on first use and cached.
     """
 
     vertices: tuple[str, ...]
@@ -100,6 +100,27 @@ class Graph:
             components.append(frozenset(comp))
         components.sort(key=min)
         return tuple(components)
+
+    @cached_property
+    def _periods(self) -> dict[str, int | None]:
+        # one BFS per component over its own edges: the gcd of dist(src) + 1
+        # - dist(dst) over them, whatever the root; distances are final when set
+        out, by_id, scc_of = self._out, self._by_id, self._scc_of
+        periods: dict[str, int | None] = {}
+        for comp in self._sccs:
+            root = min(comp)
+            dist, queue, p = {root: 0}, [root], 0
+            for u in queue:  # the queue grows while it is read
+                step = dist[u] + 1
+                for eid in out[u]:
+                    w = by_id[eid].dst
+                    if w in dist:  # only comp's vertices get a distance
+                        p = math.gcd(p, step - dist[w])
+                    elif scc_of[w] is comp:  # a tree edge adds 0 to the gcd
+                        dist[w] = step
+                        queue.append(w)
+            periods.update(dict.fromkeys(comp, p or None))
+        return periods
 
     @cached_property
     def _sorted(self) -> tuple[str, ...]:
@@ -258,27 +279,12 @@ def scc_of(g: Graph, v: str) -> frozenset[str]:
 def period(g: Graph, v: str) -> int | None:
     """Gcd of the lengths of cycles through v's strongly connected component.
 
-    None when no cycle passes through v.  Computed from one BFS inside the
-    component: the gcd of dist(src)+1-dist(dst) over intra-component edges.
+    None when no cycle passes through v.  Read from ``g``, which finds every
+    component's period by one BFS inside it on the first call.
     """
-    comp = scc_of(g, v)
-    intra = [e for e in g.edges if e.src in comp and e.dst in comp]
-    if not intra:
-        return None
-    dist = {v: 0}
-    queue = [v]
-    out_intra: dict[str, list[Edge]] = {u: [] for u in comp}
-    for e in intra:
-        out_intra[e.src].append(e)
-    for u in queue:
-        for e in out_intra[u]:
-            if e.dst not in dist:
-                dist[e.dst] = dist[u] + 1
-                queue.append(e.dst)
-    p = 0
-    for e in intra:
-        p = math.gcd(p, dist[e.src] + 1 - dist[e.dst])
-    return p if p > 0 else None
+    if not g.has_vertex(v):
+        raise GraphFormatError("unknown vertex", vertex=v)
+    return g._periods[v]
 
 
 def directed_closure(g: Graph, subset: Iterable[str]) -> frozenset[str]:

@@ -12,9 +12,9 @@ backward gamma-path from every vertex has source v.
 Kernels walk delta as integer rows over the sorted vertex index and words
 as int letter tuples; only ``parse_word`` and ``format_word`` see a word's
 text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass,
-once per (graph, coloring): the checked automaton is kept on the Coloring.
-A coloring the library constructs (O'Brien, search) carries its automaton
-and is not validated again.  The word searches keep one parent link per
+once per (graph, coloring): the automaton is kept on the Coloring, with the
+last word walked and its target.  Colorings the library builds (O'Brien,
+search) carry their automaton.  The word searches keep one parent link per
 state and spell the word once.
 """
 
@@ -237,10 +237,19 @@ def _follow(auto: BackwardAutomaton, v: str, letters: Sequence[int]) -> tuple[st
 def _sync_target(auto: BackwardAutomaton, letters: Sequence[int]) -> str | None:
     """Common end of the backward walks from every vertex, or None.
 
-    The set of walk ends is stepped as a whole.  When a step is undefined,
-    the walks are retaken one vertex at a time in graph order, so the error
-    names the same (vertex, color) as reading each walk alone.
+    The coloring keeps its last (automaton, letters, target): the same
+    automaton reads the same word's target back.  A raising walk is not kept.
     """
+    letters, memo = tuple(letters), auto.coloring.__dict__.get("_target")
+    if memo is None or memo[0] is not auto or memo[1] != letters:
+        memo = auto.coloring.__dict__["_target"] = (auto, letters, _walk(auto, letters))
+    return memo[2]
+
+
+def _walk(auto: BackwardAutomaton, letters: Sequence[int]) -> str | None:
+    """The walk ends, stepped as a set; on an undefined step the walks are
+    retaken one vertex at a time in graph order, so the error names the same
+    (vertex, color) as reading each walk alone."""
     ends = set(range(len(auto.verts)))
     for j in letters:
         row = auto.src[j]
@@ -444,8 +453,8 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     the loop; each remaining in-fiber takes the unused colors in edge-id
     order.  Reading color 1 backward walks every vertex up its tree branch
     to the loop vertex and holds it there, so the word 1^depth synchronizes.
-    The tree and one search over in-edges decide transitivity, with no SCC
-    pass; the coloring, strong by construction, carries its automaton.
+    The tree and one search over the automaton's rows decide transitivity,
+    with no SCC pass; the coloring, strong by construction, carries its automaton.
     """
     e = g.edge(loop_edge)
     if e.src != e.dst:
@@ -453,38 +462,42 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
         raise DomainError("construction needs an in-degree regular graph")
-    v0 = e.src
-    tree_edge: dict[str, str] = {}
-    depth = {v0: 0}
-    queue = [v0]
-    for u in queue:  # the queue grows while it is read
-        for eid in g._out[u]:
-            w = g._by_id[eid].dst  # the id is the graph's own: no checked lookup
-            if w not in depth:
-                depth[w] = depth[u] + 1
-                tree_edge[w] = eid
-                queue.append(w)
-    back, reaching = [v0], {v0}
-    for w in back:  # every vertex reaches v0 iff this search meets it
-        for eid in g._in[w]:
-            if (u := g._by_id[eid].src) not in reaching:
+    v0, out, by_id = e.src, g._out, g._by_id
+    tree_edge, level, depth = {v0: loop_edge}, [v0], -1
+    while level:  # breadth first, one level of the tree at a time
+        depth, nxt = depth + 1, []
+        for u in level:
+            for eid in out[u]:  # the ids are the graph's own: no checked lookup
+                if (w := by_id[eid].dst) not in tree_edge:
+                    tree_edge[w] = eid
+                    nxt.append(w)
+        level = nxt
+    if len(tree_edge) < len(g.vertices):
+        raise DomainError("construction needs a transitive graph")
+    color: dict[str, int] = {}
+    for v in g.sorted_vertices():
+        color[ones := tree_edge[v]] = 1
+        col = 2
+        for eid in g._in[v]:
+            if eid != ones:
+                color[eid] = col
+                col += 1
+    coloring = Coloring(d, color)
+    auto = _automaton(g, coloring)
+    rows, start = auto.src[1:], g._index[v0]
+    back, reaching = [start], {start}
+    for i in back:  # every vertex reaches v0 iff this search over the rows meets it
+        for row in rows:
+            if (u := row[i]) not in reaching:
                 reaching.add(u)
                 back.append(u)
-    if len(queue) < len(g.vertices) or len(back) < len(g.vertices):
+    if len(back) < len(g.vertices):
         raise DomainError("construction needs a transitive graph")
     if d > MAX_COLORS:  # the one fault validation finds in this coloring
         bad_d = f"color count d={d} outside 1..{MAX_COLORS}"
         raise InvalidColoring("coloring is not strong", findings=[bad_d])
-    color: dict[str, int] = {}
-    for v in g.sorted_vertices():
-        ones = loop_edge if v == v0 else tree_edge[v]
-        color[ones] = 1
-        rest = [eid for eid in g._in[v] if eid != ones]
-        for col, eid in enumerate(rest, start=2):
-            color[eid] = col
-    coloring = Coloring(d, color)
-    word = (1,) * max(depth.values())
-    if _sync_target(_automaton(g, coloring), word) != v0:
+    word = (1,) * depth
+    if _sync_target(auto, word) != v0:
         raise AssertionError("tree coloring failed to synchronize to the loop vertex")
     return coloring, format_word(word)
 

@@ -612,6 +612,11 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
     The terms' entries are added in term order, each entry's sum running
     left to right from zero as a running sparse sum adds them.
     """
+    return _csr(rep.dim, *_formal_entries(rep, elem))
+
+
+def _formal_entries(rep: TruncatedRep, elem: FormalElement) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of the nonzero entries of ``apply_formal``."""
     if elem.graph.key != rep.graph.key:
         raise DomainError("formal element and truncation use different graphs")
     n = rep.dim
@@ -622,7 +627,7 @@ def apply_formal(rep: TruncatedRep, elem: FormalElement) -> sp.csr_matrix:
         vals.append(m.val.astype(complex) * c)
     keys, total = _add_up(np.concatenate(keys), np.concatenate(vals))
     nonzero = total != 0
-    return _csr(n, *np.divmod(keys[nonzero], n), total[nonzero])
+    return (*np.divmod(keys[nonzero], n), total[nonzero])
 
 
 def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:

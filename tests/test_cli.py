@@ -235,6 +235,43 @@ def test_trunc_subcommands(capsys, tmp_path, fig1, fig1_file, coloring_file):
     assert code == 0 and json.loads(out)["entries"]
 
 
+def test_trunc_apply_lists_the_summed_entries_without_a_sparse_matrix(
+    capsys, monkeypatch, tmp_path, rng, fig1, fig1_file, coloring_file
+):
+    from semigroupoid_kit import FormalElement, enumerate_paths, trunc
+
+    paths = enumerate_paths(fig1, fig1.vertices, 2)
+    terms = {p: complex(rng.randint(-2, 2), rng.randint(-2, 2)) for p in paths}
+    terms[paths[0]] = 0.5 + 0.25j
+    elem = tmp_path / "elem.json"
+    elem.write_text(dump_json(formal_to_json(FormalElement(fig1, terms))))
+    picks = [
+        (["--sources", "t,l"], trunc.build_left_regular_trunc(fig1, ["t", "l"], 3)),
+        (["--coloring", coloring_file], trunc.build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3)),
+    ]
+    want = []
+    for pick, rep in picks:
+        mat = trunc.apply_formal(rep, FormalElement(fig1, terms))
+        entries = trunc.matrix_to_coordinates(mat)
+        assert len(entries) > 10
+        want.append({"dim": rep.dim, "entries": entries})
+        for fmt in ("json", "table"):
+            want.append(run(capsys, ["trunc", "apply", fig1_file, str(elem), "--format", fmt,
+                                     "--depth", "3"] + pick))
+
+    def unused(*args, **kwargs):
+        raise AssertionError("trunc apply builds no sparse matrix")
+
+    monkeypatch.setattr(trunc, "_csr", unused)
+    monkeypatch.setattr(trunc.sp, "csr_matrix", unused)
+    for k, (pick, _) in enumerate(picks):
+        data, as_json, as_table = want[3 * k: 3 * k + 3]
+        assert as_json == (0, dump_json(data), "") and json.loads(as_json[1]) == data
+        for fmt, before in (("json", as_json), ("table", as_table)):
+            argv = ["trunc", "apply", fig1_file, str(elem), "--format", fmt, "--depth", "3"]
+            assert run(capsys, argv + pick) == before
+
+
 def test_domain_error_exits_one_with_json(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, ["graph", "check", missing])

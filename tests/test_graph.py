@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 import corpus
@@ -66,6 +68,29 @@ def test_period_matches_walk_gcd_oracle(rng):
         g = corpus.random_graph(rng)
         for v in g.vertices:
             assert period(g, v) == oracles.period_at(g, v), (g.to_json_dict(), v)
+
+
+def test_periods_are_cached_per_graph_and_read_in_any_order(monkeypatch, rng):
+    # every component's period comes from one pass per Graph object, however
+    # many vertices are asked for and in whatever order
+    passes = []
+    compute = Graph.__dict__["_periods"].func
+    counted = cached_property(lambda g: passes.append(g) or compute(g))
+    counted.__set_name__(Graph, "_periods")
+    monkeypatch.setattr(Graph, "_periods", counted)
+    for k in range(60):
+        g = corpus.random_graph(rng)
+        order = list(g.vertices) * 2
+        rng.shuffle(order)
+        for v in order:
+            assert period(g, v) == oracles.period_at(g, v), (g.to_json_dict(), v)
+        assert len(passes) == k + 1 and passes[-1] is g
+    twin = Graph.build(g.vertices, [(e.id, e.src, e.dst) for e in g.edges])
+    assert [period(twin, v) for v in twin.vertices] == [period(g, v) for v in g.vertices]
+    assert len(passes) == 61 and passes[-1] is twin
+    with pytest.raises(GraphFormatError) as err:
+        period(g, "nosuch")
+    assert err.value.details == {"vertex": "nosuch"} and len(passes) == 61
 
 
 def test_period_known_values():

@@ -547,3 +547,86 @@ def test_kernels_return_letter_tuples_that_format_to_the_reference_words(rng):
         want = outcome(oracles.synchronizing_word, g, c)
         assert outcome(text, rc._find_word, auto)[:2] == want[:2]
     assert checked >= 100
+
+
+def memo_cases(rng):
+    """(graph, colouring): corpus in-regular graphs with random complete
+    colourings, and corpus random graphs with random strong colourings that
+    miss colours (every in-fibre takes distinct colours of 1..d)."""
+    for k in range(160):
+        if k % 2:
+            d = rng.randint(1, 3)
+            g = corpus.random_in_regular_graph(rng, rng.randint(1, 8), d)
+            yield g, random_coloring(rng, g, d)
+        else:
+            g = corpus.random_graph(rng, max_e=9)
+            d = min(9, max(len(g.in_edges(v)) for v in g.vertices) + rng.randint(0, 1)) or 1
+            color = {}
+            for v in g.sorted_vertices():
+                color.update(zip(g.in_edges(v), rng.sample(range(1, d + 1), len(g.in_edges(v)))))
+            yield g, Coloring(d, color)
+
+
+def test_the_target_memo_answers_like_the_references_in_any_order(rng):
+    # the four word queries in a seeded random order on a few words each:
+    # whatever word the colouring walked last, every answer or error is the
+    # references', and a word that raises raises again on every call
+    def sync(g, c, w):
+        target = oracles.sync_target_dict(oracles.backward_automaton(g, c), w)
+        assert target == oracles.sync_target(g, c, w)
+        return target
+
+    def diag(g, c, w, w2):
+        got = syncdiag_paths(g, c, w, w2)
+        return got.vertex, got.mu_prime.edges, got.mu.edges
+
+    def follow(g, c, v, w):
+        at, path = follow_backward(g, c, v, w)
+        return at, path.edges
+
+    seen = set()
+    for g, c in memo_cases(rng):
+        words = [random_word(rng, c.d, 4) for _ in range(3)]
+        for _ in range(12):
+            w, w2, v = rng.choice(words), rng.choice(words), rng.choice(g.sorted_vertices())
+            query = rng.randrange(4)
+            if query == 0:
+                got, want = outcome(is_synchronizing_word, g, c, w), outcome(sync, g, c, w)
+            elif query == 1:
+                got, want = outcome(diag, g, c, w, w2), outcome(oracles.syncdiag, g, c, w, w2)
+            elif query == 2:
+                got = outcome(follow, g, c, v, w)
+                want = outcome(oracles.follow, oracles.backward_automaton(g, c), v, w)
+            else:  # the frozenset search names a hash-order vertex
+                got = outcome(find_synchronizing_word, g, c)[:2]
+                want = outcome(oracles.synchronizing_word, g, c)[:2]
+            assert got == want, (g.to_json_dict(), c, query, w, w2, v)
+            seen.add((query, got[0]))
+    assert {(q, kind) for q in range(4) for kind in ("ok", "PartialAutomaton")} <= seen
+
+
+def test_a_colouring_walks_a_word_once_per_automaton(monkeypatch):
+    walks = []
+    walk = rc._walk
+    monkeypatch.setattr(rc, "_walk", lambda auto, letters: walks.append(letters) or walk(auto, letters))
+    g = looped_triangle()
+    # the O'Brien self-check walks the tree word, and its diagram reads the target back
+    coloring, word = rc.obrien_coloring(g, "loop_t")
+    assert syncdiag_paths(g, coloring, word, "2").vertex == "t" and len(walks) == 1
+    assert is_synchronizing_word(g, coloring, word) == "t" and len(walks) == 1
+    # a different word walks, and then the tree word walks again
+    assert is_synchronizing_word(g, coloring, "2") == oracles.sync_target(g, coloring, "2")
+    assert len(walks) == 2
+    assert syncdiag_paths(g, coloring, word, "21").vertex == "t" and len(walks) == 3
+    # a second Graph object, or a fresh equal Coloring, walks again
+    twin = looped_triangle()
+    assert is_synchronizing_word(twin, coloring, word) == "t" and len(walks) == 4
+    fresh = Coloring(coloring.d, dict(coloring.color))
+    assert is_synchronizing_word(twin, fresh, word) == "t" and len(walks) == 5
+    assert is_synchronizing_word(twin, fresh, word) == "t" and len(walks) == 5
+    # a walk that raises is not kept: every call walks and names the same step
+    g3, partial = cycle_graph(3), Coloring(2, {"e1": 1, "e2": 1, "e3": 1})
+    want = outcome(oracles.sync_target_dict, oracles.backward_automaton(g3, partial), "12")
+    for k in range(2):
+        assert outcome(is_synchronizing_word, g3, partial, "12") == want
+        assert want[0] == "PartialAutomaton" and len(walks) == 6 + k
