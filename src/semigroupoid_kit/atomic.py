@@ -87,7 +87,7 @@ class ExplicitAtomic:
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
     ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
     ``validate_atomic`` report and split of H are computed on first use, from
-    one scan of the label sets whose counts are not kept.
+    one kept ``_survey``: the label scan's counts, or else H's node pass.
     """
 
     graph: Graph
@@ -108,30 +108,26 @@ class ExplicitAtomic:
         return sum(len(ix) for ix in self.lam.values())
 
     @cached_property
+    def _survey(self) -> dict[str, int] | tuple[set[Node], dict[Node, Node]]:
+        free = _scan(self)
+        return _h_links(self) if free is None else free
+
+    @cached_property
     def _verdict(self) -> ValidationReport:
         return validate_atomic(self, require_total=False)
 
     @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
         """The root vertices in sorted root-node order, the cycle traces in
-        least-node order, and the nodes of the cycle components.  The label
-        scan gives the roots, and the verdict when none is cached; only data
-        it refuses takes the node pass.  By the core lemma, backward walks
+        least-node order, and the nodes of the cycle components.  The survey
+        the verdict read gives the roots: the label scan's counts, or the
+        node pass on data the scan refuses.  By the core lemma, backward walks
         start only over the elimination core, and on accepted data read only
         the links into it; H is built only to trace each cycle component."""
-        if "_verdict" in self.__dict__:
-            _require_valid(self, require_total=False)  # a cached refusal needs no scan
-        free = _scan(self)
-        links = None if free is not None else _h_links(self)
-        if "_verdict" not in self.__dict__:  # the same scan or pass gives the verdict
-            self.__dict__["_verdict"] = (
-                _cover(ValidationReport(), self.graph, free)
-                if links is None
-                else _report(self, *links, require_total=False)
-            )
-            _require_valid(self, require_total=False)
-        if links is not None:
-            free = Counter(v for v, _ in links[0].difference(links[1]))
+        _require_valid(self, require_total=False)
+        survey = self._survey
+        links = None if isinstance(survey, dict) else survey
+        free = survey if links is None else Counter(v for v, _ in links[0].difference(links[1]))
         roots = tuple(v for v in sorted(free) for _ in range(free[v]))
         core = self.graph._elimination[0]
         starts = sorted((v, i) for v in core for i in self.labels(v))
@@ -210,12 +206,12 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     over the edges into each vertex with an incoming edge to cover its
     index set, and full coisometry also asks in-degree-0 vertices to carry
     no labels.  One scan of the label sets decides valid total data; only
-    data it refuses takes the pass over the nodes of H that names faults.
+    data it refuses takes the pass over the nodes of H that names faults;
+    the family keeps the one it took as its ``_survey``.
     """
-    free = _scan(a)
-    if free is None:
-        return _report(a, *_h_links(a), require_total)
-    return _cover(ValidationReport(), a.graph, free)
+    if isinstance(a._survey, dict):
+        return _cover(ValidationReport(), a.graph, a._survey)
+    return _report(a, *a._survey, require_total)
 
 
 def _report(

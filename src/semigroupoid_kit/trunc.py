@@ -19,17 +19,16 @@ in floating point, no tolerance needed.
 
 Every operator of a rep is a weighted partial injection, kept as its
 entry list ``_Map(row, dom, val)``: one item per nonzero, columns
-increasing.  A builder writes them in closed form, in Theta(n + nnz) and
-O(1) numpy calls, as two stacked entry tables (``_Stack``): P, the vertex
-maps in sorted-vertex order, and E, the edge maps in sorted-edge order
-with each edge's source and range.  Each stored ``_Map`` is a slice of
-its table.  The checks compose maps, so every ``A* A`` or ``A A*`` is a
-diagonal, and find an entry by one binary search.  Reading an operator
-out gives a new CSR matrix and changes nothing.  An assigned matrix is
-decoded once, from its CSC arrays: one of the wrong shape, or with two
-nonzeros in a row or a column, raises a ``DomainError`` with ``op``
-``"v:<vertex>"`` or ``"e:<edge>"`` and is not stored.  An assignment or a
-deletion drops its kind's table, and the next check stacks the maps anew.
+increasing.  Each kind is one stacked entry table (``_Stack``) in sorted
+key order: P, the vertex maps, and E, the edge maps, which a builder
+writes in closed form, in Theta(n + nnz) and O(1) numpy calls.  A map is
+a slice of its table.  The checks compose maps, so every ``A* A`` or ``A
+A*`` is a diagonal, and find an entry by one binary search.  A read-out
+is a new CSR matrix in the dtype its operator was given in.  An assigned
+matrix is decoded once, from its CSC arrays: one of the wrong shape, or
+with two nonzeros in a row or a column, raises a ``DomainError`` with
+``op`` ``"v:<vertex>"`` or ``"e:<edge>"``; otherwise it is restacked into
+its kind's table, as a deletion restacks the table without its key.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
 each relation on the two tables in a fixed number of array passes:
@@ -98,54 +97,65 @@ class TruncatedRep:
         colored = self.kind == "colored"
         return [label[0] if colored else path_range(self.graph, label) for label in self.labels]
 
+    @cached_property
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ends(self.graph)
+
+    @cached_property
+    def _label_index(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
+
     @property
     def dim(self) -> int:
         return len(self.grades)
 
     def index(self) -> dict:
-        return {label: i for i, label in enumerate(self.labels)}
+        return dict(self._label_index)
 
 
 class _Operators(UserDict):
-    """The "vertex" or "edge" operators of a rep by id, each held in
-    ``data`` as its ``_Map``.  A read gives a new CSR matrix and changes
-    nothing, so an edit to it must be assigned back.  An assigned matrix is
-    decoded once and, if refused, leaves the operators as they were.
-    ``table`` holds the builder's stacked maps, or the last restack, until
-    an assignment or a deletion."""
+    """The "vertex" or "edge" operators of a rep by id: one ``_Stack``,
+    ``table``, in sorted key order, and in ``data`` each key's segment and
+    the dtype it was given in.  A map is a slice of the table; a read gives
+    a new CSR matrix, so an edit to it must be assigned back.  An edit
+    restacks the table, and a refused one leaves it as it was."""
 
     def __init__(self, ops, n: int, kind: str):
-        self.n, self.kind, self.table = n, kind, None
+        self.n, self.kind = n, kind
         if isinstance(ops, _Stack):
-            bounds = ops.start.tolist()
-            self.table, self.data = ops, {
-                key: _Map(ops.row[a:b], ops.col[a:b], ops.val[a:b])
-                for key, a, b in zip(ops.keys, bounds, bounds[1:])
-            }
+            self.table, self.data = ops, {key: (j, ops.val.dtype) for j, key in enumerate(ops.keys)}
         else:
-            maps = {key: _decode(ops[key], n, f"{kind[0]}:{key}") for key in sorted(ops)}
-            self.data = {key: maps[key] for key in ops}
+            self._restack({key: _decode(ops[key], n, f"{kind[0]}:{key}") for key in sorted(ops)})
 
     def __getitem__(self, key: str) -> sp.csr_matrix:
-        return _csr(self.n, *self.data[key])
+        if key not in self.data:
+            raise KeyError(key)
+        return _csr(self.n, *self.map(key))
 
     def __setitem__(self, key: str, value) -> None:
-        self.data[key], self.table = _decode(value, self.n, f"{self.kind[0]}:{key}"), None
+        new = _decode(value, self.n, f"{self.kind[0]}:{key}")
+        self._restack({**{k: self.map(k) for k in self.data}, key: new})
 
     def __delitem__(self, key: str) -> None:
-        del self.data[key]
-        self.table = None
+        del self.data[key]  # the others keep their segments until the restack
+        self._restack({k: self.map(k) for k in self.data})
 
     def map(self, key: str) -> _Map:
         if key not in self.data:
             raise DomainError(f"unknown {self.kind}", **{self.kind: key})
-        return self.data[key]
+        (j, dtype), t = self.data[key], self.table
+        a, b = t.start[j], t.start[j + 1]
+        val = t.val[a:b] if dtype.kind == "c" else t.val[a:b].real
+        return _Map(t.row[a:b], t.col[a:b], val.astype(dtype, copy=False))
 
     def stack(self, keys: tuple[str, ...]) -> _Stack:
-        """The maps of ``keys`` stacked: the table, made anew if it has other keys."""
-        if self.table is None or self.table.keys != keys:
-            self.table = _stack(keys, [self.map(key) for key in keys])
-        return self.table
+        """The maps of ``keys`` stacked: the table, or a new stack if it has other keys."""
+        return self.table if self.table.keys == keys else _stack(keys, [self.map(k) for k in keys])
+
+    def _restack(self, maps: dict[str, _Map]) -> None:
+        keys = sorted(maps)
+        self.table = _stack(keys, [maps[key] for key in keys])
+        self.data = {key: (j, maps[key].val.dtype) for j, key in enumerate(keys)}
 
 
 def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
@@ -166,8 +176,7 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
         raise DomainError("depth must be nonnegative", depth=depth)
     start = _sources(g, sources)
     levels = _count_levels(g, start, depth)
-    verts, edges, at = g.sorted_vertices(), g.sorted_edge_ids(), g._index
-    src, dst = _ends(g, edges)
+    verts, edges, at, (src, dst) = g.sorted_vertices(), g.sorted_edge_ids(), g._index, _ends(g)
     edge_at = {e: i for i, e in enumerate(edges)}
     blocks, offset = [], 0  # (level, edge, size, group position of its first parent)
     for k, level in enumerate(levels[:-1]):
@@ -184,14 +193,16 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
     parent = order[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(len(via))]
     end, parent, via = (part.astype(np.int32) for part in (end, parent, via))
     paths, hit = (np.argsort(key, kind="stable").astype(np.int32) for key in (end, via))
-    return TruncatedRep(
+    rep = TruncatedRep(
         g, depth, "left_regular", None, grades, None,
         _Stack(end[paths], paths, paths, np.ones(len(paths)),
                np.searchsorted(end[paths], np.arange(len(verts) + 1)), verts),
         _Stack(via[hit], parent[hit], hit + len(start), np.ones(len(hit)),
-               np.searchsorted(via[hit], np.arange(len(edges) + 1)), edges, (src, dst)),
+               np.searchsorted(via[hit], np.arange(len(edges) + 1)), edges),
         {"sources": start},
     )
+    rep._edge_ends = src, dst
+    return rep
 
 
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
@@ -228,24 +239,26 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     j = np.flatnonzero(grade < depth)  # the words an edge moves
     step = count[grade[j]]  # d^k for each word moved
     verts, edges, block, moved = g.sorted_vertices(), g.sorted_edge_ids(), len(grade), len(j)
-    src, dst = _ends(g, edges)
+    src, dst = _ends(g)
     colour = np.array([coloring.of(e) for e in edges], dtype=np.intp)[:, None]
     rows = np.arange(len(verts) * block, dtype=np.int32)
-    return TruncatedRep(
+    rep = TruncatedRep(
         g, depth, "colored", None, np.tile(grade, len(verts)), None,
         _Stack(np.repeat(np.arange(len(verts), dtype=np.int32), block), rows, rows,
                np.ones(len(rows)), np.arange(len(verts) + 1) * block, verts),
         _Stack(np.repeat(np.arange(len(edges), dtype=np.int32), moved),
                (src[:, None] * block + j).ravel().astype(np.int32),
                (dst[:, None] * block + j + colour * step).ravel().astype(np.int32),
-               np.ones(len(edges) * moved), np.arange(len(edges) + 1) * moved, edges, (src, dst)),
+               np.ones(len(edges) * moved), np.arange(len(edges) + 1) * moved, edges),
         {"coloring": coloring.to_json_dict()},
     )
+    rep._edge_ends = src, dst
+    return rep
 
 
-def _ends(g: Graph, eids) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge's source and range, as positions in ``g.sorted_vertices()``."""
-    at = g._index
+def _ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's source and range, in id order, as positions in ``sorted_vertices()``."""
+    at, eids = g._index, g.sorted_edge_ids()
     return tuple(np.array([at[end(e)] for e in eids], dtype=np.intp) for end in (g.src, g.dst))
 
 
@@ -334,9 +347,7 @@ def _search(keys: np.ndarray, want):
 
 def _square(vals: np.ndarray) -> np.ndarray:
     """|v|^2 entry by entry, as the product v * conj(v) forms its real part."""
-    if np.iscomplexobj(vals):
-        return vals.real * vals.real + vals.imag * vals.imag
-    return vals * vals
+    return vals.real * vals.real + vals.imag * vals.imag if np.iscomplexobj(vals) else vals * vals
 
 
 def _abs(vals: np.ndarray) -> np.ndarray:
@@ -365,16 +376,14 @@ class _Stack(NamedTuple):
     """Several maps' entry lists end to end: map ``group[i]`` sends column
     ``col[i]`` to row ``row[i]`` with value ``val[i]``, and the entries
     ``start[j]:start[j + 1]`` are map j's ``row``, ``dom`` and ``val``.
-    Map j is the operator ``keys[j]``; a builder's edges carry ``ends``,
-    each one's source and range as positions in ``sorted_vertices()``."""
+    Map j is the operator ``keys[j]``."""
 
     group: np.ndarray
     col: np.ndarray
     row: np.ndarray
     val: np.ndarray
     start: np.ndarray
-    keys: tuple[str, ...] = ()
-    ends: tuple[np.ndarray, np.ndarray] | None = None
+    keys: tuple[str, ...]
 
 
 def _stack(keys, maps: list[_Map]) -> _Stack:
@@ -467,7 +476,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
     P, E = rep.vertex_ops.stack(verts), rep.edge_ops.stack(eids)
-    src, dst = E.ends or _ends(g, eids)
+    src, dst = rep._edge_ends
     at = P.group.astype(np.int64) * n + P.col  # the keys _find searches
 
     def within(lo: int, hi: int) -> np.ndarray:
@@ -651,8 +660,7 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
     """
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)
-    g = rep.graph
-    n = rep.dim
+    g, n = rep.graph, rep.dim
     _count_levels(g, sorted(g.vertices), k)
     total = _range_sum(rep, k)
     cols = np.arange(n)
@@ -663,13 +671,12 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
 
 def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
     """The diagonal of the grade-k range sum that ``coisometric_defect`` checks."""
-    g, n = rep.graph, rep.dim
-    verts = g.sorted_vertices()
+    g, n, verts = rep.graph, rep.dim, rep.graph.sorted_vertices()
     if k == 0:
         P = rep.vertex_ops.stack(verts)
         return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
     E = rep.edge_ops.stack(g.sorted_edge_ids())
-    src, dst = E.ends or _ends(g, E.keys)
+    src, dst = rep._edge_ends
     # row w of the weights, flat, is R^w on the basis
     step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
     weight = np.broadcast_to(1.0, len(verts) * n)
@@ -694,10 +701,9 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
     carrying only nonzero images: an operator is read only where one reaches.
     """
     upto = max(0, rep.depth - 1 if upto is None else upto)
-    try:
-        idx = rep.index()[label]
-    except KeyError:
-        raise DomainError("unknown basis label", label=str(label)) from None
+    idx = rep._label_index.get(label)
+    if idx is None:
+        raise DomainError("unknown basis label", label=str(label))
     g, base = rep.graph, rep.label_vertex[idx]
     _count_levels(g, [base], upto)
     m = rep.vertex_ops.map(base)
@@ -759,9 +765,8 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
         raise EnumerationOverflow("path enumeration exceeds the budget", **details)
     _check_symbols("path", depth + 1, depth * (depth + 1) // 2)
     rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
-    keys, dim = rep.graph.sorted_edge_ids(), rep.dim
-    E = rep.edge_ops.stack(keys)
-    edge = np.array([int(key[1:]) - 1 for key in keys])[E.group]  # e_{i + 1} is edge i
+    E, dim = rep.edge_ops.table, rep.dim  # the builder's, in sorted-edge order
+    edge = np.array([int(key[1:]) - 1 for key in E.keys])[E.group]  # e_{i + 1} is edge i
     # the path of length k is basis vector k, which e_i moves when k = i - 1 mod n
     k = np.arange(depth)
     # entry by entry: the built one less the wanted one, each summed from zero
@@ -784,10 +789,9 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 
 def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
-    ``e:<edge>``, read off the maps with no matrix built."""
-    coords = {f"v:{v}": _quadruples(*m) for v, m in rep.vertex_ops.data.items()}
-    coords.update({f"e:{e}": _quadruples(*m) for e, m in rep.edge_ops.data.items()})
-    return coords
+    ``e:<edge>``, read off the tables' segments with no matrix built."""
+    kinds = rep.vertex_ops, rep.edge_ops
+    return {f"{ops.kind[0]}:{key}": _quadruples(*ops.map(key)) for ops in kinds for key in ops}
 
 
 def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:

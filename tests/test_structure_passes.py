@@ -640,8 +640,9 @@ def test_split_lemma_cases_match_union_find(rng):
 
 def test_families_cache_only_the_verdict_and_the_split(rng):
     # a per-node link map or node set kept on each family would raise the
-    # peak memory of every structure query
-    fields = {"graph", "lam", "pi", "phases"}
+    # peak memory of every structure query: on valid total data the survey
+    # kept beside the verdict and the split is the label scan's counts
+    fields = {"graph", "lam", "pi", "phases", "_survey"}
     for _ in range(10):
         g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
         families = [
@@ -656,9 +657,50 @@ def test_families_cache_only_the_verdict_and_the_split(rng):
             assert are_unitarily_equivalent(fam.graph, fam, twin).equivalent
             for a in (fam, twin):
                 assert set(vars(a)) == fields | {"_verdict", "_split"}
+                assert all(type(n) is int and n > 0 for n in a._survey.values())
+                assert len(a._survey) <= len(a.graph.vertices)
                 roots, cycles, cycle_nodes = a._split
                 assert all(type(v) is str for v in roots)
                 assert len(roots) + len(cycle_nodes) <= a.dim()
+
+
+def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
+    """Whichever of the verdict and the split is read first, a family makes
+    one label scan and at most one node pass: the scan alone on valid total
+    data, the scan and the node pass on valid partial and invalid data."""
+    from semigroupoid_kit import atomic
+
+    calls = []
+    for name in ("_scan", "_h_links"):
+        real = getattr(atomic, name)
+        monkeypatch.setattr(atomic, name, functools.partial(
+            lambda real, name, a: calls.append(name) or real(a), real, name
+        ))
+    seen = set()
+    for _ in range(10):
+        g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
+        total = corpus.random_root_family(rng, g)[0]
+        partial = random_partial_family(rng, g)
+        broken = ExplicitAtomic(g, {**total.lam, "ghost": ("z",)}, total.pi)
+        for fam, shape in ((total, "total"), (partial, "partial"), (broken, "invalid")):
+            want = oracles.validate_atomic(fam, require_total=False)
+            if shape == "partial" and want.valid == validate_atomic(fam).valid:
+                continue  # the random data came out total
+            seen.add(shape)
+            for verdict_first in (True, False):
+                twin = ExplicitAtomic(fam.graph, fam.lam, fam.pi, fam.phases)
+                calls.clear()
+                reads = ["_verdict", "_split"] if verdict_first else ["_split", "_verdict"]
+                for read in reads:
+                    if read == "_split" and not want.valid:
+                        with pytest.raises(DomainError):
+                            twin._split
+                    elif read == "_split":
+                        assert twin._split == oracles.split(twin)
+                    else:
+                        assert twin._verdict.findings == want.findings
+                assert calls == ["_scan"] + ["_h_links"] * (shape != "total"), (shape, reads)
+    assert seen == {"total", "partial", "invalid"}
 
 
 def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -445,7 +445,7 @@ def test_relations_match_the_oracles_on_mixed_dtypes_and_edge_cases(rng):
         build_left_regular_trunc(g, ["a"], 3),
     ]
     assert [rep.dim for rep in reps] == [93, 0, 3, 1, 4]
-    assert not reps[-1].edge_ops.data["y"].dom.size
+    assert not reps[-1].edge_ops.map("y").dom.size
     for rep in reps:
         _relations_match_the_oracles(rep, range(rep.depth + 2))
 
@@ -673,7 +673,7 @@ def _same_rep(got, want):
     for ops, ref in ((got.vertex_ops, want.vertex_ops), (got.edge_ops, want.edge_ops)):
         assert list(ops) == list(ref)
         for key in ref:
-            stored = ops.data[key]
+            stored = ops.map(key)
             assert isinstance(stored, _Map)
             for a, b in zip(stored, _decode(ref[key], want.dim, key)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), key
@@ -743,11 +743,11 @@ def test_stored_maps_hold_only_their_entries(rng, fig1):
         build_colored_trunc(h, _complete_coloring(rng, h, 2), 0),
     ]
     assert [rep.dim for rep in reps] == [67, 4, 0, 2, 45, 3]
-    assert not reps[1].edge_ops.data["y"].dom.size  # no path from a reaches c
+    assert not reps[1].edge_ops.map("y").dom.size  # no path from a reaches c
     for rep in reps:
         for ops in (rep.vertex_ops, rep.edge_ops):
             for key in list(ops):
-                m = ops.data[key]
+                m = ops.map(key)
                 assert isinstance(m, _Map)
                 assert len(m.row) == len(m.dom) == len(m.val) == ops[key].nnz, key
                 assert (np.diff(m.dom) > 0).all(), key
@@ -760,7 +760,7 @@ def test_an_assigned_matrix_decodes_as_its_canonical_form(fig1):
     from semigroupoid_kit.trunc import _decode
 
     rep = build_left_regular_trunc(fig1, ["t"], 3)
-    stored, canon = rep.edge_ops.data["tl1"], rep.edge_ops["tl1"]
+    stored, canon = rep.edge_ops.map("tl1"), rep.edge_ops["tl1"]
     coo = canon.tocoo()
     r, c = int(coo.row[0]), int(coo.col[0])
     free = min(set(range(rep.dim)) - set(coo.col.tolist()))
@@ -850,26 +850,34 @@ def _all_checks(rep):
     )
 
 
-def test_checks_read_the_stored_maps_and_build_no_matrix(fig1):
-    from semigroupoid_kit.trunc import _Map
+def test_checks_read_the_stored_maps_and_build_no_matrix(fig1, monkeypatch):
+    """No check, ``path_matrix`` or ``in`` reads an operator out as a
+    matrix, and each leaves both tables in place."""
+    from semigroupoid_kit.trunc import _Map, _Operators
+
+    def read_out(ops, key):
+        raise AssertionError(f"{key} was read out as a matrix")
 
     for rep in (
         build_left_regular_trunc(fig1, ["t", "l"], 3),
         build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
     ):
-        _all_checks(rep)
-        path_matrix(rep, Path.of(fig1, ["rt", "lr", "tl1"]))
-        for ops in (rep.vertex_ops, rep.edge_ops):
-            assert all(isinstance(ops.data[key], _Map) for key in ops)
-            assert "nope" not in ops and all(key in ops for key in ops)
-            assert all(isinstance(ops.data[key], _Map) for key in ops)
+        tables = rep.vertex_ops.table, rep.edge_ops.table
+        with monkeypatch.context() as patch:
+            patch.setattr(_Operators, "__getitem__", read_out)
+            _all_checks(rep)
+            path_matrix(rep, Path.of(fig1, ["rt", "lr", "tl1"]))
+            for ops in (rep.vertex_ops, rep.edge_ops):
+                assert all(isinstance(ops.map(key), _Map) for key in ops)
+                assert "nope" not in ops and all(key in ops for key in ops)
+        assert rep.vertex_ops.table is tables[0] and rep.edge_ops.table is tables[1]
 
 
-def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1):
+def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1, monkeypatch):
     import json
 
     import corpus
-    from semigroupoid_kit.trunc import _Map, operator_coordinates
+    from semigroupoid_kit.trunc import _Map, _Operators, operator_coordinates
 
     g3 = corpus.random_in_regular_graph(rng, 3, 3)
     edited = build_left_regular_trunc(fig1, ["t"], 3)
@@ -883,8 +891,10 @@ def test_operator_coordinates_read_the_maps_as_the_matrices_give_them(rng, fig1)
         edited,
     ]
     for rep in reps:
-        got = operator_coordinates(rep)
-        assert all(isinstance(m, _Map) for m in rep.edge_ops.data.values())
+        with monkeypatch.context() as patch:  # no operator is read out as a matrix
+            patch.setattr(_Operators, "__getitem__", lambda ops, key: pytest.fail(key))
+            got = operator_coordinates(rep)
+            assert all(isinstance(rep.edge_ops.map(e), _Map) for e in rep.edge_ops)
         want = {f"v:{v}": matrix_to_coordinates(m) for v, m in rep.vertex_ops.items()}
         want.update({f"e:{e}": matrix_to_coordinates(m) for e, m in rep.edge_ops.items()})
         assert json.dumps(got) == json.dumps(want)
@@ -933,14 +943,15 @@ def test_in_place_edit_that_breaks_injectivity_is_named(fig1):
     """A read-out edited to break injectivity is refused when assigned back,
     and the rep keeps its map and its table."""
     rep = build_left_regular_trunc(fig1, ["t"], 3)
-    table, stored = rep.edge_ops.table, rep.edge_ops.data["tl1"]
+    table, stored = rep.edge_ops.table, rep.edge_ops.map("tl1")
     mat = rep.edge_ops["tl1"]
     assert mat.nnz >= 2
     mat.indices[1] = mat.indices[0]  # two entries in one column
     with pytest.raises(DomainError, match="not a partial injection") as err:
         rep.edge_ops["tl1"] = mat
     assert err.value.details == {"op": "e:tl1"}
-    assert rep.edge_ops.table is table and rep.edge_ops.data["tl1"] is stored
+    assert rep.edge_ops.table is table
+    assert all(np.array_equal(a, b) for a, b in zip(rep.edge_ops.map("tl1"), stored))
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -967,52 +978,166 @@ def test_colored_labels_keep_the_digit_order_and_are_in_rank_order(d):
 # the builders' stacked tables, and what drops them
 
 
-def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
-    """For random reps of both kinds, the builder's two tables and its edges'
-    ends equal those made from the operators' CSR matrices, bit for bit, and
-    each stored map is a slice of its table, which reads leave in place.
-    Once complex phases are assigned, the table a check reads is the one
-    decoded from the edits, kept until the next assignment."""
-    from semigroupoid_kit.trunc import _decode, _ends, _stack
+def _is_the_stack_of_its_read_outs(ops, dim):
+    """``ops.table`` equals the stack of the operators read out and decoded
+    anew, bit for bit and in sorted key order, and each map is a slice of it."""
+    from semigroupoid_kit.trunc import _decode, _stack
 
-    def same(got, want):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    keys = tuple(sorted(ops))
+    want = _stack(keys, [_decode(ops[key], dim, key) for key in keys])
+    assert ops.table.keys == want.keys == tuple(ops)
+    for got, wanted in zip(ops.table[:5], want[:5]):
+        assert got.dtype == wanted.dtype and np.array_equal(got, wanted)
+    for key in keys:
+        assert np.shares_memory(ops.map(key).row, ops.table.row) or not ops.map(key).row.size
+
+
+def _random_edit(rng, rep, name, saved):
+    """Assign a phase or a new dtype to one operator of ``rep.<name>``,
+    replace the whole kind by a dict in another order, or delete one; an
+    operator deleted before is put back from ``saved``."""
+    ops, key = getattr(rep, name), rng.choice(sorted(saved))
+    how = rng.choice(["phase", "dtype", "replacement", "deletion"])
+    if key not in ops:
+        how, ops[key] = "put back", saved[key]
+    elif how == "phase":
+        ops[key] = ops[key] * complex(rng.choice([1j, -1j, -1]))
+    elif how == "dtype":
+        kinds = [np.complex64] if ops[key].dtype.kind == "c" else [np.float32, np.int64, bool]
+        ops[key] = ops[key].astype(rng.choice(kinds + [complex]))
+    elif how == "replacement":
+        setattr(rep, name, {k: ops[k] for k in reversed(list(ops))})
+    else:
+        del ops[key]
+    return how
+
+
+def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
+    """For random reps of both kinds, the builder's two tables equal those
+    made from the operators' CSR matrices, bit for bit, each stored map is a
+    slice of its table, which reads leave in place, and the edge ends the
+    builder seeds are its graph's.  After random assignments, replacements
+    and deletions, each table is still the stack of the decoded read-outs;
+    once every key is back it is the one the checks read, and reads leave
+    it the same object."""
+    from semigroupoid_kit.trunc import _ends, operator_coordinates
 
     reps = _random_reps(rng, graphs=4, max_dim=400)
     assert {rep.kind for rep in reps} == {"left_regular", "colored"}
+    seen = set()
     for rep in reps:
         g = rep.graph
+        assert "_edge_ends" in vars(rep)
+        for got, want in zip(rep._edge_ends, _ends(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         tables = rep.vertex_ops.table, rep.edge_ops.table
         assert [t.keys for t in tables] == [g.sorted_vertices(), g.sorted_edge_ids()]
-        assert tables[0].ends is None
-        same(tables[1].ends, _ends(g, g.sorted_edge_ids()))
-        for table, ops, kind in zip(tables, (rep.vertex_ops, rep.edge_ops), "ve"):
-            for key in table.keys:
-                assert np.shares_memory(ops.data[key].row, table.row) or not ops.data[key].row.size
-            decoded = [_decode(ops[key], rep.dim, f"{kind}:{key}") for key in table.keys]
+        for ops in (rep.vertex_ops, rep.edge_ops):
+            _is_the_stack_of_its_read_outs(ops, rep.dim)
+        assert rep.vertex_ops.table is tables[0] and rep.edge_ops.table is tables[1]
+        for name, keys in (("vertex_ops", g.sorted_vertices()), ("edge_ops", g.sorted_edge_ids())):
+            if not keys:
+                continue
+            saved = dict(getattr(rep, name))
+            for _ in range(4):
+                seen.add(_random_edit(rng, rep, name, saved))
+                _is_the_stack_of_its_read_outs(getattr(rep, name), rep.dim)
+            for key in set(keys) - set(getattr(rep, name)):
+                getattr(rep, name)[key] = saved[key]
+            ops = getattr(rep, name)
+            table = ops.table
+            assert ops.stack(keys) is table
+            verify_tck(rep), coisometric_defect(rep, 1), operator_coordinates(rep)
+            dict(ops), ops[keys[0]], ops.map(keys[-1])
             assert ops.table is table
-            same(table[:5], _stack(table.keys, decoded)[:5])
-        if rep.edge_ops:
-            phased = rng.sample(g.sorted_edge_ids(), min(2, len(g.edges)))
-            for eid in phased:
-                rep.edge_ops[eid] = rep.edge_ops[eid] * complex(rng.choice([1j, -1j, -1]))
-            eids = g.sorted_edge_ids()
-            stack = rep.edge_ops.stack(eids)
-            decoded = [_decode(rep.edge_ops[e], rep.dim, e) for e in eids]
-            same(stack[:5], _stack(eids, decoded)[:5])
-            assert stack.val.dtype == complex and stack.ends is None
-            assert rep.edge_ops.stack(eids) is stack and rep.edge_ops.table is stack
+            _is_the_stack_of_its_read_outs(ops, rep.dim)
+    assert seen >= {"phase", "dtype", "replacement", "deletion", "put back"}
+
+
+def test_operators_keyed_by_no_vertex_or_edge_are_kept_and_ignored(fig1):
+    """An operator keyed by no vertex or edge is kept and listed by
+    operator_coordinates, and no check reads it; a check on operators that
+    miss some of the graph's keys names the first missing one in id order."""
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        clean = _all_checks(rep), operator_coordinates(rep)
+        extra = {"e:zz": sp.identity(rep.dim, format="csr") * 1j, "v:q": rep.vertex_ops["t"] * 2.0}
+        rep.edge_ops["zz"], rep.vertex_ops["q"] = extra["e:zz"], extra["v:q"]
+        assert "zz" in rep.edge_ops and "q" in rep.vertex_ops
+        assert _all_checks(rep) == clean[0]
+        coords = operator_coordinates(rep)
+        assert coords == {**clean[1], **{k: matrix_to_coordinates(m) for k, m in extra.items()}}
+        del rep.edge_ops["tl1"], rep.edge_ops["lr"]
+        for check in (verify_tck, lambda r: coisometric_defect(r, 1)):
+            with pytest.raises(DomainError, match="unknown edge") as err:
+                check(rep)
+            assert err.value.details == {"edge": "lr"}
+        assert "e:zz" in operator_coordinates(rep) and "e:lr" not in operator_coordinates(rep)
+
+
+def test_a_build_makes_no_map(fig1, monkeypatch):
+    """The builders hand over their tables and slice nothing: a map is made
+    only when one is read."""
+    from semigroupoid_kit import trunc
+
+    made = []
+
+    class Counted(trunc._Map):
+        def __new__(cls, *parts):
+            made.append(parts)
+            return super().__new__(cls, *parts)
+
+    monkeypatch.setattr(trunc, "_Map", Counted)
+    rep = build_left_regular_trunc(fig1, ["t", "l"], 9)
+    colored = build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 9)
+    assert made == [] and rep.dim > 2000 and colored.dim > 3000
+    colored.edge_ops.map("tl1")
+    assert len(made) == 1
+
+
+def test_wandering_certificate_builds_one_label_index(fig1, monkeypatch):
+    """Certifying every basis vector builds the label index once per rep,
+    copies it never, and gives the oracle's verdicts; ``index()`` still
+    returns a fresh dict."""
+    import functools
+
+    import oracles
+
+    real, built = TruncatedRep._label_index.func, []
+    counted = functools.cached_property(lambda rep: built.append(rep) or real(rep))
+    counted.__set_name__(TruncatedRep, "_label_index")
+    monkeypatch.setattr(TruncatedRep, "_label_index", counted)
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        built.clear()
+        cases = [(label, upto) for label in rep.labels for upto in (None, 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(TruncatedRep, "index", lambda rep: pytest.fail("index copied"))
+            got = [wandering_certificate(rep, *case) for case in cases]
+        assert built == [rep]
+        assert got == [oracles.wandering_certificate(rep, *case) for case in cases]
+        index = rep.index()
+        assert index == {label: i for i, label in enumerate(rep.labels)}
+        index.clear()
+        assert rep.index() is not index and len(rep.index()) == rep.dim
+        assert wandering_certificate(rep, rep.labels[-1]) and built == [rep]
 
 
 @pytest.mark.parametrize("ops, key", [("vertex_ops", "t"), ("edge_ops", "tl1")])
 @pytest.mark.parametrize("how", ["read-out", "assignment", "replacement", "deletion"])
 def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, how, fig1):
-    """An edit drops the table: a read-out edited in place and assigned
-    back, an assigned matrix or a ``dict(...)`` replacement is what
-    verify_tck, coisometric_defect, apply_formal and operator_coordinates
-    check, and a deletion is missed.  Until it is assigned back, the
-    edited read-out leaves the table and the checks as they were."""
+    """An edit drops the table for a new one, the stack of the decoded
+    read-outs: a read-out edited in place and assigned back, an assigned
+    matrix or a ``dict(...)`` replacement is what verify_tck,
+    coisometric_defect, apply_formal and operator_coordinates check, and a
+    deletion is missed.  Until it is assigned back, the edited read-out
+    leaves the table and the checks as they were."""
     import oracles
     from semigroupoid_kit.trunc import operator_coordinates
 
@@ -1025,8 +1150,9 @@ def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, h
         clean = _all_checks(rep), operator_coordinates(rep)
         edited = oracles.truncation_ops(rep)[ops == "edge_ops"][key].copy()
         edited.data[0] = 2.0
+        table = getattr(rep, ops).table
         if how == "read-out":
-            table, mat = getattr(rep, ops).table, getattr(rep, ops)[key]
+            mat = getattr(rep, ops)[key]
             mat.data[0] = 2.0
             assert getattr(rep, ops).table is table
             assert (_all_checks(rep), operator_coordinates(rep)) == clean
@@ -1037,7 +1163,8 @@ def test_a_read_out_or_an_edit_drops_the_table_and_the_checks_see_it(ops, key, h
             setattr(rep, ops, {**dict(getattr(rep, ops)), key: edited})
         else:
             del getattr(rep, ops)[key]
-        assert getattr(rep, ops).table is None
+        assert getattr(rep, ops).table is not table
+        _is_the_stack_of_its_read_outs(getattr(rep, ops), rep.dim)
         if how == "deletion":
             kind = "vertex" if ops == "vertex_ops" else "edge"
             with pytest.raises(DomainError, match=f"unknown {kind}"):
@@ -1109,7 +1236,7 @@ def test_an_operator_of_the_wrong_shape_is_refused_at_assignment(ops, key, fig1)
 
     rep = build_left_regular_trunc(fig1, ["t"], 2)
     name = ("v:" if ops == "vertex_ops" else "e:") + key
-    table, stored = getattr(rep, ops).table, getattr(rep, ops).data[key]
+    table, stored = getattr(rep, ops).table, getattr(rep, ops).map(key)
     clean = _all_checks(rep), operator_coordinates(rep)
     for bad in (sp.identity(rep.dim + 2, format="csr"), sp.csr_matrix(np.eye(2))):
         given = {**dict(getattr(rep, ops)), key: bad}
@@ -1125,13 +1252,15 @@ def test_an_operator_of_the_wrong_shape_is_refused_at_assignment(ops, key, fig1)
             with pytest.raises(DomainError, match="wrong shape") as err:
                 assign()
             assert err.value.details == {"op": name, "shape": list(bad.shape)}
-        assert getattr(rep, ops).table is table and getattr(rep, ops).data[key] is stored
+        assert getattr(rep, ops).table is table
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(rep, ops).map(key), stored))
         assert (_all_checks(rep), operator_coordinates(rep)) == clean
 
 
 def test_every_stored_operator_is_a_map_after_assignments(fig1):
     """Dense, LIL, COO and CSR matrices, assigned one by one, in a
-    replacement dict or to a new rep, are all stored as maps."""
+    replacement dict or to a new rep, are all stored as maps, slices of
+    their kind's table, which is the stack of the decoded read-outs."""
     from semigroupoid_kit.trunc import _Map
 
     rep = build_left_regular_trunc(fig1, ["t", "l"], 3)
@@ -1146,7 +1275,8 @@ def test_every_stored_operator_is_a_map_after_assignments(fig1):
     twin.edge_ops = {key: twin.edge_ops[key].tocsc() for key in twin.edge_ops}
     for r in (rep, twin):
         for ops in (r.vertex_ops, r.edge_ops):
-            assert all(isinstance(m, _Map) for m in ops.data.values())
+            assert all(isinstance(ops.map(key), _Map) for key in ops)
+            _is_the_stack_of_its_read_outs(ops, r.dim)
     assert _all_checks(twin) == _all_checks(rep)
 
 
