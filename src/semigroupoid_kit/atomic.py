@@ -150,25 +150,29 @@ def _scan(a: ExplicitAtomic) -> dict[str, int] | None:
     labelled sources owe; when these three agree, no label is hit twice, no
     arc lands off a label and no image is missing.  Phases sit on arcs.
     """
-    g, lam, pi = a.graph, a.lam, a.pi
-    by_id, inc, out = g._by_id, g._in, g._out
-    if not (lam.keys() <= inc.keys() and pi.keys() <= by_id.keys()):
+    ix, lam, pi = a.graph.index, a.lam, a.pi
+    at, edges, src, inc, out = ix.at, ix.edges, ix.src, ix.inc, ix.out
+    if not (lam.keys() <= at.keys() and pi.keys() <= ix.edge_at.keys()):
         return None
-    own = {v: set(labels) for v, labels in lam.items() if labels}
+    own: list = [_NO_LABELS] * len(at)  # each vertex's label set, by position
+    for v, listed in lam.items():
+        own[at[v]] = set(listed)
     free: dict[str, int] = {}
     hits = owed = 0
-    for v, labels in own.items():
+    for v, listed in lam.items():
+        if not (labels := own[i := at[v]]):
+            continue
         n = len(labels)
         hit: set[str] = set()
-        for eid in inc[v]:
-            mapping = pi.get(eid, {})
-            if mapping.keys() != own.get(by_id[eid].src, _NO_LABELS):
+        for j in inc[i]:
+            mapping = pi.get(edges[j], {})
+            if mapping.keys() != own[src[j]]:
                 return None
             hit.update(mapping.values())
-        if n != len(lam[v]) or not hit <= labels:  # a label listed twice, or hit off the set
+        if n != len(listed) or not hit <= labels:  # a label listed twice, or hit off the set
             return None
         hits += len(hit)
-        owed += len(out[v]) * n
+        owed += len(out[i]) * n
         if len(hit) < n:
             free[v] = n - len(hit)
     if not hits == owed == sum(map(len, pi.values())):
@@ -187,12 +191,12 @@ def _h_links(a: ExplicitAtomic) -> tuple[set[Node], dict[Node, Node]]:
 def _links(a: ExplicitAtomic, vertices: Iterable[str]) -> dict[Node, Node]:
     """The target-to-source links of H into the nodes over ``vertices``, in
     one pass over their in-edges' maps; a node hit twice keeps one link."""
-    g = a.graph
+    ix = a.graph.index
     return {
-        (v, j): (g._by_id[eid].src, i)
+        (v, j): (ix.vertices[ix.src[e]], i)
         for v in vertices
-        for eid in g.in_edges(v)
-        for i, j in a.pi.get(eid, {}).items()
+        for e in ix.inc[ix.at[v]]
+        for i, j in a.pi.get(ix.edges[e], {}).items()
     }
 
 
@@ -228,7 +232,7 @@ def _report(
             report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
         if len(set(labels)) != len(labels):
             report.add("duplicate-label", f"duplicate index labels at {v}", v)
-    known_edges = g._by_id.keys()
+    known_edges = g.index.edge_at.keys()
     bad_from = {(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())} - nodes
     bad_to = pred.keys() - nodes
     # a node hit twice breaks injectivity or the disjointness of the ranges
@@ -274,10 +278,7 @@ def _report(
                 eid,
             )
     missing = [
-        (eid, i)
-        for eid in sorted(known_edges)
-        for i in a.labels(g.src(eid))
-        if i not in a.pi.get(eid, {})
+        (eid, i) for eid, src, _ in g.key[1] for i in a.labels(src) if i not in a.pi.get(eid, {})
     ]
     if missing:
         sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
@@ -1052,20 +1053,15 @@ def pure_cycle_family(
                 "pure cycle family needs a single-cycle graph", vertex=v
             )
     lam = {v: tuple(f"i{t}" for t in range(laps)) for v in g.vertices}
-    start = min(g.vertices)
-    order = [start]
-    while True:
-        nxt = g.dst(g.out_edges(order[-1])[0])
-        if nxt == start:
-            break
-        order.append(nxt)
     pi: dict[str, dict[str, str]] = {}
-    for pos, v in enumerate(order):
-        eid = g.out_edges(v)[0]
-        if pos < len(order) - 1:
-            pi[eid] = {f"i{t}": f"i{t}" for t in range(laps)}
-        else:
-            pi[eid] = {f"i{t}": f"i{(t + 1) % laps}" for t in range(laps)}
+    v = start = min(g.vertices)
+    while True:  # round the cycle from its least vertex
+        (eid,) = g.out_edges(v)
+        v = g.dst(eid)
+        closing = v == start  # the edge closing the cycle advances the lap counter
+        pi[eid] = {f"i{t}": f"i{(t + closing) % laps}" for t in range(laps)}
+        if closing:
+            break
     phase_map: dict[tuple[str, str], Phase] = {}
     if phases is not None:
         supplied = list(phases)

@@ -10,129 +10,142 @@ not meaningful.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import GraphFormatError
 from .validation import ValidationReport
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
+class Edge(tuple):
+    """The triple ``(id, src, dst)``; immutable, with no instance dict.  It
+    equals, hashes and sorts as that plain tuple, in C."""
+
+    __slots__ = ()
+    id, src, dst = (property(itemgetter(k)) for k in range(3))
+
+    def __new__(cls, id: str, src: str, dst: str) -> "Edge":
+        return tuple.__new__(cls, (id, src, dst))
+
+    def __getnewargs__(self) -> tuple[str, str, str]:
+        return self[0], self[1], self[2]
+
+    def __repr__(self) -> str:
+        return f"Edge(id={self[0]!r}, src={self[1]!r}, dst={self[2]!r})"
+
+
+GraphIndex = namedtuple("GraphIndex", "vertices at edges edge_at src dst out inc")
+GraphIndex.__doc__ = """A graph's integer index, built once with the graph; read only.  A
+vertex is its position in ``vertices`` (sorted names; the dict ``at`` finds it), an edge its
+position in ``edges`` (sorted ids; ``edge_at``).  ``src[j]``, ``dst[j]`` (``array('i')``) are
+edge j's ends, and ``out[v]``, ``inc[v]`` the edges out of and into v, in id order."""
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable directed multigraph with id-keyed adjacency caches.
-
-    Strongly connected components and their periods, the source elimination
-    (Kahn's layering, which also decides acyclicity, with the core's vertex
-    set), the core as a graph, the sorted vertex tuple with its ``{v: i}``
-    index and the sorted edge ids are computed on first use and cached.
+    """Immutable directed multigraph over one integer index, ``index``, built
+    by construction once the input is checked.  Every algorithm here runs on
+    its positions; names appear only at the public API.  Strongly connected
+    components and their periods, the source elimination (Kahn's layering,
+    which also decides acyclicity, with the core's vertex set) and the core
+    as a graph are computed on first use and cached.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise GraphFormatError("duplicate vertex ids", vertices=sorted(self.vertices))
-        eids = [e.id for e in self.edges]
-        if len(set(eids)) != len(eids):
-            raise GraphFormatError("duplicate edge ids", edges=sorted(eids))
-        for e in self.edges:
-            if e.src not in vset or e.dst not in vset:
-                raise GraphFormatError(
-                    "edge endpoint is not a vertex", edge=e.id, src=e.src, dst=e.dst
-                )
-        by_id = {e.id: e for e in self.edges}
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges, key=lambda e: e.id):
-            out[e.src].append(e.id)
-            inc[e.dst].append(e.id)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", {v: tuple(ids) for v, ids in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(ids) for v, ids in inc.items()})
+        names = tuple(sorted(self.vertices))
+        ints = list(range(max(len(names), len(self.edges))))  # one int object per position
+        at = dict(zip(names, ints))
+        if len(at) != len(names):
+            raise GraphFormatError("duplicate vertex ids", vertices=list(names))
+        ordered = sorted(self.edges)  # by id: the ids of distinct edges differ
+        eids = tuple(map(itemgetter(0), ordered))
+        edge_at = dict(zip(eids, ints))
+        if len(edge_at) != len(eids):
+            raise GraphFormatError("duplicate edge ids", edges=list(eids))
+        try:
+            src = list(map(at.__getitem__, map(itemgetter(1), ordered)))
+            dst = list(map(at.__getitem__, map(itemgetter(2), ordered)))
+        except KeyError:
+            e = next(e for e in self.edges if e.src not in at or e.dst not in at)
+            raise GraphFormatError(
+                "edge endpoint is not a vertex", edge=e.id, src=e.src, dst=e.dst
+            ) from None
+        index = [names, at, eids, edge_at, array("i", src), array("i", dst)]
+        for ends in (src, dst):  # out, then inc: one stable sort by end, cut where it changes
+            grouped, key = [()] * len(names), ends.__getitem__
+            for v, group in groupby(sorted(islice(ints, len(eids)), key=key), key):
+                grouped[v] = tuple(group)
+            index.append(tuple(grouped))
+        object.__setattr__(self, "index", GraphIndex(*index))
 
     @cached_property
     def _sccs(self) -> tuple[frozenset[str], ...]:
         # Kosaraju: an iterative DFS lists the vertices by finishing time;
         # then, latest finisher first, a BFS over in-edges from each vertex
         # not yet placed collects one component
-        out, inc, by_id = self._out, self._in, self._by_id
-        finished: list[str] = []
-        seen: set[str] = set()
-        for root in self.vertices:
-            if root in seen:
+        names, _, _, _, src, dst, out, inc = self.index
+        finished: list[int] = []
+        seen = bytearray(len(names))
+        for root in range(len(names)):
+            if seen[root]:
                 continue
-            seen.add(root)
+            seen[root] = 1
             work = [(root, iter(out[root]))]
             while work:
                 v, it = work[-1]
-                for eid in it:
-                    w = by_id[eid].dst
-                    if w not in seen:
-                        seen.add(w)
+                for j in it:
+                    w = dst[j]
+                    if not seen[w]:
+                        seen[w] = 1
                         work.append((w, iter(out[w])))
                         break
                 else:
                     work.pop()
                     finished.append(v)
-        placed: set[str] = set()
+        placed = bytearray(len(names))
         components = []
         for root in reversed(finished):
-            if root in placed:
+            if placed[root]:
                 continue
-            placed.add(root)
+            placed[root] = 1
             comp = [root]
             for v in comp:
-                for eid in inc[v]:
-                    u = by_id[eid].src
-                    if u not in placed:
-                        placed.add(u)
+                for j in inc[v]:
+                    u = src[j]
+                    if not placed[u]:
+                        placed[u] = 1
                         comp.append(u)
-            components.append(frozenset(comp))
-        components.sort(key=min)
-        return tuple(components)
+            components.append(comp)
+        components.sort(key=min)  # the least position is the least name
+        return tuple(frozenset(map(names.__getitem__, comp)) for comp in components)
 
     @cached_property
     def _periods(self) -> dict[str, int | None]:
         # one BFS per component over its own edges: the gcd of dist(src) + 1
         # - dist(dst) over them, whatever the root; distances are final when set
-        out, by_id, scc_of = self._out, self._by_id, self._scc_of
-        periods: dict[str, int | None] = {}
+        ix, periods = self.index, {}
         for comp in self._sccs:
-            root = min(comp)
+            root = ix.at[min(comp)]
             dist, queue, p = {root: 0}, [root], 0
             for u in queue:  # the queue grows while it is read
                 step = dist[u] + 1
-                for eid in out[u]:
-                    w = by_id[eid].dst
+                for j in ix.out[u]:
+                    w = ix.dst[j]
                     if w in dist:  # only comp's vertices get a distance
                         p = math.gcd(p, step - dist[w])
-                    elif scc_of[w] is comp:  # a tree edge adds 0 to the gcd
+                    elif ix.vertices[w] in comp:  # a tree edge adds 0 to the gcd
                         dist[w] = step
                         queue.append(w)
             periods.update(dict.fromkeys(comp, p or None))
         return periods
-
-    @cached_property
-    def _sorted(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices))
-
-    @cached_property
-    def _sorted_edges(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_id))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:  # position in sorted_vertices(); read only
-        return {v: i for i, v in enumerate(self._sorted)}
 
     @cached_property
     def _scc_of(self) -> dict[str, frozenset[str]]:
@@ -143,21 +156,21 @@ class Graph:
         # Kahn's layering: in-degree counters drop as each layer is removed,
         # a vertex joins the next layer when its counter reaches zero, and
         # every edge is visited once; the vertices left over form the core
-        out, by_id = self._out, self._by_id
-        indeg = {v: len(ids) for v, ids in self._in.items()}
-        layer = sorted(v for v, k in indeg.items() if k == 0)
+        names, dst, out = self.index.vertices, self.index.dst, self.index.out
+        indeg = list(map(len, self.index.inc))
+        layer = [v for v, k in enumerate(indeg) if not k]
         layers = []
         while layer:
-            layers.append(tuple(layer))
+            layers.append(tuple(map(names.__getitem__, layer)))
             emptied = []
             for v in layer:
-                for eid in out[v]:
-                    w = by_id[eid].dst
+                for j in out[v]:
+                    w = dst[j]
                     indeg[w] -= 1
-                    if indeg[w] == 0:
+                    if not indeg[w]:
                         emptied.append(w)
             layer = sorted(emptied)
-        core = frozenset(v for v, k in indeg.items() if k)
+        core = frozenset(names[v] for v, k in enumerate(indeg) if k)
         return core, tuple(layers), not core
 
     @cached_property
@@ -168,7 +181,9 @@ class Graph:
     @cached_property
     def key(self) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
         """Sorted vertices and (id, src, dst) triples; unlike ``==``, order-free."""
-        return self.sorted_vertices(), tuple(sorted((e.id, e.src, e.dst) for e in self.edges))
+        ix = self.index
+        ends = map(ix.vertices.__getitem__, ix.src), map(ix.vertices.__getitem__, ix.dst)
+        return ix.vertices, tuple(zip(ix.edges, *ends))
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "Graph":
@@ -176,33 +191,38 @@ class Graph:
         return Graph(tuple(vertices), tuple(Edge(i, s, d) for i, s, d in edges))
 
     def edge(self, eid: str) -> Edge:
+        return Edge(eid, self.src(eid), self.dst(eid))
+
+    def has_vertex(self, v: str) -> bool:
+        return v in self.index.at
+
+    def src(self, eid: str) -> str:
+        return self.index.vertices[self.index.src[self._edge_at(eid)]]
+
+    def dst(self, eid: str) -> str:
+        return self.index.vertices[self.index.dst[self._edge_at(eid)]]
+
+    def _edge_at(self, eid: str) -> int:
         try:
-            return self._by_id[eid]
+            return self.index.edge_at[eid]
         except KeyError:
             raise GraphFormatError("unknown edge id", edge=eid) from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._out
-
-    def src(self, eid: str) -> str:
-        return self.edge(eid).src
-
-    def dst(self, eid: str) -> str:
-        return self.edge(eid).dst
-
     def out_edges(self, v: str) -> tuple[str, ...]:
         """Ids of edges with source v, sorted."""
-        return self._out[v]
+        ix = self.index
+        return tuple(map(ix.edges.__getitem__, ix.out[ix.at[v]]))
 
     def in_edges(self, v: str) -> tuple[str, ...]:
         """Ids of edges with range v, sorted."""
-        return self._in[v]
+        ix = self.index
+        return tuple(map(ix.edges.__getitem__, ix.inc[ix.at[v]]))
 
     def sorted_vertices(self) -> tuple[str, ...]:
-        return self._sorted
+        return self.index.vertices
 
     def sorted_edge_ids(self) -> tuple[str, ...]:
-        return self._sorted_edges
+        return self.index.edges
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,13 +237,14 @@ class Graph:
             raw_edges = list(data["edges"])
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"graph object needs 'vertices' and 'edges': {exc}")
-        triples = []
+        edges = []
         for item in raw_edges:
             try:
-                triples.append((str(item["id"]), str(item["src"]), str(item["dst"])))
+                triple = str(item["id"]), str(item["src"]), str(item["dst"])
             except (KeyError, TypeError) as exc:
                 raise GraphFormatError(f"edge object needs 'id', 'src', 'dst': {exc}")
-        return Graph.build([str(v) for v in vertices], triples)
+            edges.append(tuple.__new__(Edge, triple))  # an Edge made in C
+        return Graph(tuple(map(str, vertices)), tuple(edges))
 
 
 def validate_graph(g: Graph) -> ValidationReport:
@@ -237,9 +258,9 @@ def validate_graph(g: Graph) -> ValidationReport:
     if regular:
         report.add("in-degree-regular", f"every vertex has in-degree {degree}", severity="info")
     else:
-        degrees = {v: len(g.in_edges(v)) for v in g.sorted_vertices()}
+        degrees = dict(zip(g.index.vertices, map(len, g.index.inc)))
         report.add("in-degree-varies", f"in-degrees {degrees}", severity="info")
-    sources = [v for v in g.sorted_vertices() if not g.in_edges(v)]
+    sources = [v for v, ids in zip(g.index.vertices, g.index.inc) if not ids]
     if sources:
         report.add("sources", f"in-degree-0 vertices: {sources}", severity="info")
     report.add(
@@ -252,12 +273,8 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 def is_in_degree_regular(g: Graph) -> tuple[bool, int | None]:
     """Whether all in-degrees agree; returns (flag, common degree or None)."""
-    degrees = {len(ids) for ids in g._in.values()}
-    if not degrees:
-        return True, None
-    if len(degrees) == 1:
-        return True, degrees.pop()
-    return False, None
+    degrees = set(map(len, g.index.inc))
+    return len(degrees) <= 1, degrees.pop() if len(degrees) == 1 else None
 
 
 def strongly_connected_components(g: Graph) -> list[frozenset[str]]:
@@ -289,21 +306,18 @@ def period(g: Graph, v: str) -> int | None:
 
 def directed_closure(g: Graph, subset: Iterable[str]) -> frozenset[str]:
     """Smallest vertex set containing ``subset`` and closed under following out-edges."""
-    queue: list[str] = []
-    seen: set[str] = set()
-    for v in subset:
-        if not g.has_vertex(v):
-            raise GraphFormatError("unknown vertex", vertex=v)
-        if v not in seen:
-            seen.add(v)
-            queue.append(v)
+    ix = g.index
+    try:
+        queue = list(dict.fromkeys(map(ix.at.__getitem__, subset)))
+    except KeyError as exc:
+        raise GraphFormatError("unknown vertex", vertex=exc.args[0]) from None
+    seen = set(queue)
     for u in queue:
-        for eid in g._out[u]:
-            w = g._by_id[eid].dst
-            if w not in seen:
+        for j in ix.out[u]:
+            if (w := ix.dst[j]) not in seen:
                 seen.add(w)
                 queue.append(w)
-    return frozenset(seen)
+    return frozenset(map(ix.vertices.__getitem__, queue))
 
 
 def induced_subgraph(g: Graph, subset: Iterable[str]) -> Graph:
@@ -318,7 +332,7 @@ def induced_subgraph(g: Graph, subset: Iterable[str]) -> Graph:
 
 def _restrict(g: Graph, keep: frozenset[str]) -> Graph:
     vertices = tuple(v for v in g.vertices if v in keep)
-    edges = tuple(e for e in g.edges if e.src in keep and e.dst in keep)
+    edges = tuple(e for e in g.edges if e[1] in keep and e[2] in keep)
     return Graph(vertices, edges)
 
 
@@ -344,21 +358,19 @@ def has_ses(g: Graph) -> bool:
 def undirected_components(g: Graph) -> list[list[str]]:
     """Connected components ignoring orientation, as sorted vertex lists,
     ordered by least member; one BFS over in- and out-edges per component."""
-    seen: set[str] = set()
-    comps = []
-    for root in g.sorted_vertices():
-        if root in seen:
+    ix, comps = g.index, []
+    seen = bytearray(len(ix.vertices))
+    for root in range(len(ix.vertices)):
+        if seen[root]:
             continue
-        seen.add(root)
+        seen[root] = 1
         comp = [root]
         for v in comp:
-            ends = [g._by_id[eid].dst for eid in g._out[v]]
-            ends += [g._by_id[eid].src for eid in g._in[v]]
-            for w in ends:
-                if w not in seen:
-                    seen.add(w)
+            for w in [ix.dst[j] for j in ix.out[v]] + [ix.src[j] for j in ix.inc[v]]:
+                if not seen[w]:
+                    seen[w] = 1
                     comp.append(w)
-        comps.append(sorted(comp))
+        comps.append([ix.vertices[v] for v in sorted(comp)])
     return comps
 
 
@@ -367,9 +379,8 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"digraph {name} {{"]
     for v in g.sorted_vertices():
         lines.append(f'  "{v}";')
-    for eid in g.sorted_edge_ids():
-        e = g.edge(eid)
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];')
+    for eid, src, dst in g.key[1]:
+        lines.append(f'  "{src}" -> "{dst}" [label="{eid}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import EnumerationOverflow, GraphFormatError, NotACycle, PathError
-from .graph import Graph, scc_of
+from .graph import Graph, GraphIndex, scc_of
 
 # Largest number of paths or basis vectors any enumeration may build.
 BASIS_CAP = 200_000
@@ -66,18 +66,17 @@ def validate_path(g: Graph, p: Path) -> None:
     """Raise PathError unless p is a path of g (base consistent, edges composable)."""
     if not g.has_vertex(p.base):
         raise PathError("path base is not a vertex", base=p.base)
-    for eid in p.edges:
-        g.edge(eid)
-    for left, right in zip(p.edges, p.edges[1:]):
-        if g.src(left) != g.dst(right):
+    srcs, dsts = list(map(g.src, p.edges)), list(map(g.dst, p.edges))
+    for k, (need, got) in enumerate(zip(srcs, dsts[1:])):
+        if need != got:
             raise PathError(
-                "edges are not composable", left=left, right=right,
-                need=g.src(left), got=g.dst(right),
+                "edges are not composable", left=p.edges[k], right=p.edges[k + 1],
+                need=need, got=got,
             )
-    if p.edges and g.src(p.edges[-1]) != p.base:
+    if p.edges and srcs[-1] != p.base:
         raise PathError(
             "base disagrees with the first applied edge",
-            base=p.base, edge=p.edges[-1], src=g.src(p.edges[-1]),
+            base=p.base, edge=p.edges[-1], src=srcs[-1],
         )
 
 
@@ -116,17 +115,17 @@ def enumerate_paths(g: Graph, sources: Iterable[str], max_len: int) -> list[Path
         raise PathError("max_len must be nonnegative", max_len=max_len)
     start = _sources(g, sources)
     _count_levels(g, start, max_len)
+    ix = g.index
     result: list[Path] = [Path.vertex(v) for v in start]
-    level = list(result)
-    while level and len(level[0]) < max_len:
-        nxt = [
-            Path(p.base, (eid,) + p.edges)
-            for p in level
-            for eid in g.out_edges(path_range(g, p))
+    level = [(p, ix.at[p.base]) for p in result]  # each path with its end's position
+    while level and len(level[0][0]) < max_len:
+        level = [
+            (Path(p.base, (ix.edges[j],) + p.edges), ix.dst[j])
+            for p, end in level
+            for j in ix.out[end]
         ]
-        nxt.sort(key=lambda p: p.edges)
-        result.extend(nxt)
-        level = nxt
+        level.sort(key=lambda item: item[0].edges)
+        result.extend(p for p, _ in level)
     return result
 
 
@@ -140,23 +139,24 @@ def _sources(g: Graph, sources: Iterable[str]) -> list[str]:
     return start
 
 
-def _count_levels(g: Graph, start: list[str], max_len: int) -> list[dict[str, int]]:
+def _count_levels(g: Graph, start: list[str], max_len: int) -> list[dict[int, int]]:
     """Count the paths of length 0..max_len from ``start`` before any is built.
 
     Counts the paths ending at each vertex, level by level, in integers;
     raises EnumerationOverflow as soon as the running total passes
     BASIS_CAP, and after the last level if their total length passes
     SYMBOL_CAP.  Returns the counts, ``{end: count}`` per level up to the
-    last nonempty one.
+    last nonempty one, each end a position in ``g.index``.
     """
-    ending = {v: 1 for v in start}
+    ix = g.index
+    ending = {ix.at[v]: 1 for v in start}
     levels = [ending]
     total, symbols = len(start), 0
     for length in range(1, max_len + 1):
-        nxt: dict[str, int] = {}
+        nxt: dict[int, int] = {}
         for v, k in ending.items():
-            for eid in g._out[v]:
-                w = g._by_id[eid].dst
+            for j in ix.out[v]:
+                w = ix.dst[j]
                 nxt[w] = nxt.get(w, 0) + k
         if not nxt:
             break
@@ -192,48 +192,49 @@ def irreducible_cycles_at(g: Graph, v: str, max_len: int) -> list[Path]:
     """
     if not g.has_vertex(v):
         raise GraphFormatError("unknown vertex", vertex=v)
-    home = _steps_home(g, v)
-    _count_cycles(g, v, max_len, home)
+    ix, base = g.index, g.index.at[v]
+    home = _steps_home(ix, base)
+    _count_cycles(ix, base, max_len, home)
     found: list[Path] = []
     # walk holds edge ids in application order (first applied first); each
     # stack entry is the out-edge iterator of the vertex the walk reached,
     # and a walk is only extended when it can still close within max_len
     walk: list[str] = []
-    stack = [iter(g.out_edges(v))] if max_len >= 1 else []
+    stack = [iter(ix.out[base])] if max_len >= 1 else []
     while stack:
-        eid = next(stack[-1], None)
-        if eid is None:
+        j = next(stack[-1], None)
+        if j is None:
             stack.pop()
             if walk:
                 walk.pop()
             continue
-        w = g.dst(eid)
-        if w == v:
-            found.append(Path(v, tuple(reversed(walk + [eid]))))
+        w = ix.dst[j]
+        if w == base:
+            found.append(Path(v, tuple(reversed(walk + [ix.edges[j]]))))
         elif w in home and len(walk) + 1 + home[w] <= max_len:
-            walk.append(eid)
-            stack.append(iter(g.out_edges(w)))
+            walk.append(ix.edges[j])
+            stack.append(iter(ix.out[w]))
     found.sort(key=lambda p: (len(p.edges), p.edges))
     return found
 
 
-def _steps_home(g: Graph, v: str) -> dict[str, int]:
+def _steps_home(ix: GraphIndex, v: int) -> dict[int, int]:
     """Fewest edges from each vertex u != v to v along a path that meets v
-    only at its end (backward BFS from v); vertices that cannot get there are
-    absent."""
-    home: dict[str, int] = {}
+    only at its end (backward BFS from v), by position in ``ix``; vertices
+    that cannot get there are absent."""
+    home: dict[int, int] = {}
     queue = [v]
     for w in queue:
         steps = home.get(w, 0) + 1
-        for eid in g._in[w]:
-            u = g._by_id[eid].src
+        for j in ix.inc[w]:
+            u = ix.src[j]
             if u != v and u not in home:
                 home[u] = steps
                 queue.append(u)
     return home
 
 
-def _count_cycles(g: Graph, v: str, max_len: int, home: dict[str, int]) -> None:
+def _count_cycles(ix: GraphIndex, v: int, max_len: int, home: dict[int, int]) -> None:
     """Count the irreducible cycles at v, length by length, in integers.
 
     Open walks from v are counted per end vertex; those that step onto v
@@ -244,11 +245,11 @@ def _count_cycles(g: Graph, v: str, max_len: int, home: dict[str, int]) -> None:
     ending = {v: 1}
     total, symbols = 0, 0
     for length in range(1, max_len + 1):
-        nxt: dict[str, int] = {}
+        nxt: dict[int, int] = {}
         closed = 0
         for u, k in ending.items():
-            for eid in g.out_edges(u):
-                w = g.dst(eid)
+            for j in ix.out[u]:
+                w = ix.dst[j]
                 if w == v:
                     closed += k
                 elif w in home:

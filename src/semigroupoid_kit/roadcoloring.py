@@ -9,13 +9,14 @@ the last applied edge, matching the path convention c(e_k ... e_1) =
 c(e_k) ... c(e_1).  A word gamma synchronizes for v when the unique
 backward gamma-path from every vertex has source v.
 
-Kernels walk delta as integer rows over the sorted vertex index and words
-as int letter tuples; only ``parse_word`` and ``format_word`` see a word's
-text, one digit a letter, hence the cap MAX_COLORS.  Validation is one pass,
-once per (graph, coloring): the automaton is kept on the Coloring, with the
-last word walked and its target.  Colorings the library builds (O'Brien,
-search) carry their automaton.  The word searches keep one parent link per
-state and spell the word once.
+Kernels walk delta as integer rows over the graph's index (a vertex is its
+position in ``g.index``) and words as int letter tuples; only
+``parse_word`` and ``format_word`` see a word's text, one digit a letter,
+hence the cap MAX_COLORS.  Validation is one pass, once per (graph,
+coloring): the automaton is kept on the Coloring, with the last word
+walked and its target.  Colorings the library builds (O'Brien, search)
+carry their automaton.  The word searches keep one parent link per state
+and spell the word once.
 """
 
 from __future__ import annotations
@@ -96,22 +97,22 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
     only when one set-level pass finds that there are some.
     """
     report = ValidationReport()
-    d, color, edges = c.d, c.color, g.edges
+    d, color, ix = c.d, c.color, g.index
     if (
         1 <= d <= MAX_COLORS
-        and color.keys() == g._by_id.keys()
+        and color.keys() == ix.edge_at.keys()
         and set(color.values()) <= set(range(1, d + 1))
-        and len({(e.dst, color[e.id]) for e in edges}) == len(edges)
+        and len(set(zip(ix.dst, map(color.__getitem__, ix.edges)))) == len(ix.edges)
     ):
         # strong with colors in 1..d: complete iff every in-fiber has d edges
-        complete = len(edges) == d * len(g.vertices)
+        complete = len(ix.edges) == d * len(ix.vertices)
     else:  # name each fault, in sorted order
         if c.d < 1 or c.d > MAX_COLORS:
             report.add("bad-d", f"color count d={c.d} outside 1..{MAX_COLORS}")
         for eid in sorted(c.color):
-            if eid not in g._by_id:
+            if eid not in ix.edge_at:
                 report.add("unknown-edge", f"color assigned to unknown edge {eid}", eid)
-        for eid in sorted(g._by_id):
+        for eid in ix.edges:
             if eid not in c.color:
                 report.add("uncolored-edge", f"edge {eid} has no color", eid)
             elif not 1 <= c.color[eid] <= c.d:
@@ -162,10 +163,10 @@ class BackwardAutomaton:
 
     @property
     def index(self) -> Mapping[str, int]:  # read-only position of each vertex in verts
-        return MappingProxyType(self.graph._index)
+        return MappingProxyType(self.graph.index.at)
 
     def step(self, v: str, j: int) -> tuple[str, str]:
-        i = self.graph._index.get(v)
+        i = self.graph.index.at.get(v)
         if i is None or not 0 < j <= self.coloring.d or self.src[j][i] is None:
             raise PartialAutomaton("no incoming edge of that color", vertex=v, color=j)
         return self.verts[self.src[j][i]], self.via[j][i]
@@ -186,14 +187,13 @@ def backward_automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
 
 def _automaton(g: Graph, c: Coloring) -> BackwardAutomaton:
     """Backward automaton of a coloring known to be strong on g, kept on c."""
-    verts, index, color = g.sorted_vertices(), g._index, c.color
-    src: list = [()] + [[None] * len(verts) for _ in range(c.d)]
-    via: list = [()] + [[None] * len(verts) for _ in range(c.d)]
-    for e in g.edges:
-        j, i = color[e.id], index[e.dst]
-        src[j][i] = index[e.src]
-        via[j][i] = e.id
-    auto = BackwardAutomaton(g, c, verts, tuple(map(tuple, src)), tuple(map(tuple, via)))
+    ix, color = g.index, c.color
+    src: list = [()] + [[None] * len(ix.vertices) for _ in range(c.d)]
+    via: list = [()] + [[None] * len(ix.vertices) for _ in range(c.d)]
+    for eid, s, i in zip(ix.edges, ix.src, ix.dst):
+        j = color[eid]
+        src[j][i], via[j][i] = s, eid
+    auto = BackwardAutomaton(g, c, ix.vertices, tuple(map(tuple, src)), tuple(map(tuple, via)))
     c.__dict__["_automaton"] = auto
     return auto
 
@@ -224,7 +224,7 @@ def is_synchronizing_word(g: Graph, c: Coloring, word: str) -> str | None:
 
 
 def _follow(auto: BackwardAutomaton, v: str, letters: Sequence[int]) -> tuple[str, Path]:
-    i = auto.graph._index[v]
+    i = auto.graph.index.at[v]
     edges: list[str] = []
     for j in letters:
         if auto.src[j][i] is None:
@@ -387,8 +387,7 @@ def _candidate_colorings(g: Graph, d: int):
     counted first: more than SEARCH_BUDGET raises EnumerationOverflow here,
     before the stream is returned.
     """
-    vertices = sorted(g.vertices)
-    fibers = [list(g.in_edges(v)) for v in vertices]
+    fibers = [g.in_edges(v) for v in g.sorted_vertices()]
     perms = list(itertools.permutations(range(1, d + 1)))
     choices = [[tuple(range(1, d + 1))]] + [perms] * (len(fibers) - 1)
     total = 1
@@ -429,11 +428,11 @@ def search_synchronizing_coloring(g: Graph) -> tuple[Coloring, str] | None:
         raise DomainError("coloring search needs an in-degree regular graph with d >= 1")
     if d > MAX_COLORS:
         raise DomainError(f"color words use digits 1..{MAX_COLORS}", d=d)
-    candidates = _candidate_colorings(g, d)
+    candidates, ix = _candidate_colorings(g, d), g.index
     closed = [
         comp
         for comp in strongly_connected_components(g)
-        if all(g.src(eid) in comp for v in comp for eid in g.in_edges(v))
+        if all(ix.vertices[ix.src[j]] in comp for v in comp for j in ix.inc[ix.at[v]])
     ]
     if len(closed) != 1 or period(g, min(closed[0])) != 1:
         return None
@@ -462,31 +461,31 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
     regular, d = is_in_degree_regular(g)
     if not regular or d is None or d == 0:
         raise DomainError("construction needs an in-degree regular graph")
-    v0, out, by_id = e.src, g._out, g._by_id
-    tree_edge, level, depth = {v0: loop_edge}, [v0], -1
+    ix, start = g.index, g.index.at[e.src]
+    tree_edge = [-1] * len(ix.vertices)  # each vertex's tree edge, by position
+    tree_edge[start], level, depth = ix.edge_at[loop_edge], [start], -1
     while level:  # breadth first, one level of the tree at a time
         depth, nxt = depth + 1, []
         for u in level:
-            for eid in out[u]:  # the ids are the graph's own: no checked lookup
-                if (w := by_id[eid].dst) not in tree_edge:
-                    tree_edge[w] = eid
+            for j in ix.out[u]:
+                if tree_edge[w := ix.dst[j]] < 0:
+                    tree_edge[w] = j
                     nxt.append(w)
         level = nxt
-    if len(tree_edge) < len(g.vertices):
+    if -1 in tree_edge:
         raise DomainError("construction needs a transitive graph")
     color: dict[str, int] = {}
-    for v in g.sorted_vertices():
-        color[ones := tree_edge[v]] = 1
+    for v, ones in enumerate(tree_edge):
+        color[ix.edges[ones]] = 1
         col = 2
-        for eid in g._in[v]:
-            if eid != ones:
-                color[eid] = col
+        for j in ix.inc[v]:
+            if j != ones:
+                color[ix.edges[j]] = col
                 col += 1
     coloring = Coloring(d, color)
     auto = _automaton(g, coloring)
-    rows, start = auto.src[1:], g._index[v0]
-    back, reaching = [start], {start}
-    for i in back:  # every vertex reaches v0 iff this search over the rows meets it
+    rows, back, reaching = auto.src[1:], [start], {start}
+    for i in back:  # every vertex reaches the loop iff this search over the rows meets it
         for row in rows:
             if (u := row[i]) not in reaching:
                 reaching.add(u)
@@ -497,7 +496,7 @@ def obrien_coloring(g: Graph, loop_edge: str) -> tuple[Coloring, str]:
         bad_d = f"color count d={d} outside 1..{MAX_COLORS}"
         raise InvalidColoring("coloring is not strong", findings=[bad_d])
     word = (1,) * depth
-    if _sync_target(auto, word) != v0:
+    if _sync_target(auto, word) != e.src:
         raise AssertionError("tree coloring failed to synchronize to the loop vertex")
     return coloring, format_word(word)
 

@@ -135,10 +135,11 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
     g = a.graph
     if not (a.terms and b.terms):
         return FormalElement._trusted(g, {})
+    names, edge_at, dst = g.index.vertices, g.index.edge_at, g.index.dst
     ending: dict[str, list[tuple[str, tuple[str, ...], complex]]] = {}
     length: dict[str, int] = {}
     for (base, edges), cb in b.terms.items():
-        v = g._by_id[edges[0]].dst if edges else base  # the graph's own edge
+        v = names[dst[edge_at[edges[0]]]] if edges else base  # the graph's own edge
         ending.setdefault(v, []).append((base, edges, cb))
         length[v] = length.get(v, 0) + len(edges)
     pairs = symbols = 0

@@ -25,10 +25,12 @@ writes in closed form, in Theta(n + nnz) and O(1) numpy calls.  A map is
 a slice of its table.  The checks compose maps, so every ``A* A`` or ``A
 A*`` is a diagonal, and find an entry by one binary search.  A read-out
 is a new CSR matrix in the dtype its operator was given in.  An assigned
-matrix is decoded once, from its CSC arrays: one of the wrong shape, or
-with two nonzeros in a row or a column, raises a ``DomainError`` with
-``op`` ``"v:<vertex>"`` or ``"e:<edge>"``; otherwise it is restacked into
-its kind's table, as a deletion restacks the table without its key.
+matrix is decoded once, from its CSC arrays: one of the wrong shape, with
+two nonzeros in a row or a column, or of an integer dtype with an entry
+past 2^53 in magnitude, which float64 would round, raises a
+``DomainError`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``; otherwise
+it is restacked into its kind's table, as a deletion restacks the table
+without its key.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
 each relation on the two tables in a fixed number of array passes:
@@ -96,10 +98,6 @@ class TruncatedRep:
     def label_vertex(self) -> list[str]:
         colored = self.kind == "colored"
         return [label[0] if colored else path_range(self.graph, label) for label in self.labels]
-
-    @cached_property
-    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ends(self.graph)
 
     @cached_property
     def _label_index(self) -> dict:
@@ -176,33 +174,30 @@ def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
         raise DomainError("depth must be nonnegative", depth=depth)
     start = _sources(g, sources)
     levels = _count_levels(g, start, depth)
-    verts, edges, at, (src, dst) = g.sorted_vertices(), g.sorted_edge_ids(), g._index, _ends(g)
-    edge_at = {e: i for i, e in enumerate(edges)}
+    ix, dst = g.index, np.frombuffer(g.index.dst, dtype=np.intc)
     blocks, offset = [], 0  # (level, edge, size, group position of its first parent)
     for k, level in enumerate(levels[:-1]):
         for v in sorted(level):
-            for e in g.out_edges(v):
-                blocks.append((k, edge_at[e], level[v], offset))
+            for e in ix.out[v]:
+                blocks.append((k, e, level[v], offset))
             offset += level[v]
     blocks.sort()
     _, via, size, first = np.array(blocks, dtype=np.intp).reshape(-1, 4).T
     via = np.repeat(via, size)
-    end = np.concatenate((np.array([at[v] for v in start], dtype=np.intp), dst[via]))
+    end = np.concatenate((np.array([ix.at[v] for v in start], dtype=np.intp), dst[via]))
     grades = np.repeat(np.arange(len(levels)), [sum(level.values()) for level in levels])
-    order = np.argsort(grades * len(verts) + end, kind="stable")
+    order = np.argsort(grades * len(ix.vertices) + end, kind="stable")
     parent = order[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(len(via))]
     end, parent, via = (part.astype(np.int32) for part in (end, parent, via))
     paths, hit = (np.argsort(key, kind="stable").astype(np.int32) for key in (end, via))
-    rep = TruncatedRep(
+    return TruncatedRep(
         g, depth, "left_regular", None, grades, None,
         _Stack(end[paths], paths, paths, np.ones(len(paths)),
-               np.searchsorted(end[paths], np.arange(len(verts) + 1)), verts),
+               np.searchsorted(end[paths], np.arange(len(ix.vertices) + 1)), ix.vertices),
         _Stack(via[hit], parent[hit], hit + len(start), np.ones(len(hit)),
-               np.searchsorted(via[hit], np.arange(len(edges) + 1)), edges),
+               np.searchsorted(via[hit], np.arange(len(ix.edges) + 1)), ix.edges),
         {"sources": start},
     )
-    rep._edge_ends = src, dst
-    return rep
 
 
 def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRep:
@@ -239,10 +234,10 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     j = np.flatnonzero(grade < depth)  # the words an edge moves
     step = count[grade[j]]  # d^k for each word moved
     verts, edges, block, moved = g.sorted_vertices(), g.sorted_edge_ids(), len(grade), len(j)
-    src, dst = _ends(g)
+    src, dst = (np.frombuffer(a, dtype=np.intc) for a in (g.index.src, g.index.dst))
     colour = np.array([coloring.of(e) for e in edges], dtype=np.intp)[:, None]
     rows = np.arange(len(verts) * block, dtype=np.int32)
-    rep = TruncatedRep(
+    return TruncatedRep(
         g, depth, "colored", None, np.tile(grade, len(verts)), None,
         _Stack(np.repeat(np.arange(len(verts), dtype=np.int32), block), rows, rows,
                np.ones(len(rows)), np.arange(len(verts) + 1) * block, verts),
@@ -252,14 +247,6 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
                np.ones(len(edges) * moved), np.arange(len(edges) + 1) * moved, edges),
         {"coloring": coloring.to_json_dict()},
     )
-    rep._edge_ends = src, dst
-    return rep
-
-
-def _ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge's source and range, in id order, as positions in ``sorted_vertices()``."""
-    at, eids = g._index, g.sorted_edge_ids()
-    return tuple(np.array([at[end(e)] for e in eids], dtype=np.intp) for end in (g.src, g.dst))
 
 
 def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
@@ -305,12 +292,16 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr
 
 
 def _decode(op, n: int, name: str) -> _Map:
-    """The map of one n x n operator, read from its CSC arrays in column order."""
+    """The map of one n x n operator, read from its CSC arrays in column order.
+    The checks compute in float64, so an integer entry past 2^53 in
+    magnitude, which float64 would round, is refused."""
     op = sp.csc_matrix(op, copy=True)
     if op.shape != (n, n):
         raise DomainError("truncation operator has the wrong shape", op=name, shape=list(op.shape))
     op.sum_duplicates()
     op.eliminate_zeros()
+    if op.dtype.kind in "iu" and op.nnz and max(-int(op.data.min()), int(op.data.max())) > 2**53:
+        raise DomainError("integer truncation operator has an entry past 2^53", op=name)
     rows = op.indices.astype(np.int32, copy=False)
     cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(op.indptr))
     if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
@@ -476,7 +467,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
     P, E = rep.vertex_ops.stack(verts), rep.edge_ops.stack(eids)
-    src, dst = rep._edge_ends
+    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
     at = P.group.astype(np.int64) * n + P.col  # the keys _find searches
 
     def within(lo: int, hi: int) -> np.ndarray:
@@ -676,7 +667,7 @@ def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
         P = rep.vertex_ops.stack(verts)
         return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
     E = rep.edge_ops.stack(g.sorted_edge_ids())
-    src, dst = rep._edge_ends
+    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
     # row w of the weights, flat, is R^w on the basis
     step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
     weight = np.broadcast_to(1.0, len(verts) * n)
@@ -709,7 +700,7 @@ def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> 
     m = rep.vertex_ops.map(base)
     i = _search(m.dom, idx)
     hit = {int(m.row[i])} if i >= 0 else set()
-    edges = [(e, g.src(e), g.dst(e)) for e in g.sorted_edge_ids()]
+    edges = g.key[1]  # (id, src, dst), in id order
     level = {base: np.array([idx])}  # end vertex -> where the paths ending there send idx
     for _ in range(upto):
         ending: dict[str, list[np.ndarray]] = {}

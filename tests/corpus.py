@@ -7,9 +7,19 @@ through the code under test.
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
-from semigroupoid_kit import Coloring, ExplicitAtomic, Graph, Phase, cycle_graph
+from semigroupoid_kit import (
+    Coloring,
+    ExplicitAtomic,
+    Graph,
+    Phase,
+    cycle_graph,
+    looped_triangle,
+    obrien_coloring,
+)
 
 
 def random_graph(rng, max_v=6, max_e=10, acyclic=False):
@@ -172,3 +182,51 @@ def random_cycle_family(rng, n=None, laps=None):
     fam = pure_cycle_family(g, laps, phases)
     total = sum((p.turns for p in phases), Fraction(0)) % 1
     return g, fam, laps, total
+
+
+# ---------------------------------------------------------------------------
+# large inputs for the process-level scale suite (tests/scale.py), as JSON data
+
+
+def looped_graph_json(n=100_000, seed=30):
+    """A looped 2-in-regular graph: the loop e0 at v0, the ring r_k: v_{k-1}
+    -> v_k, and one random in-edge x_k into every other vertex.  Transitive
+    and aperiodic, so O'Brien's colouring synchronizes it to v0."""
+    rng = random.Random(seed)
+    vs = [f"v{k}" for k in range(n)]
+    es = [("e0", "v0", "v0")] + [(f"r{k}", vs[k - 1], vs[k]) for k in range(n)]
+    es += [(f"x{k}", rng.choice(vs), vs[k]) for k in range(1, n)]
+    return {"vertices": vs, "edges": [{"id": i, "src": s, "dst": d} for i, s, d in es]}
+
+
+def chain_family_json(n=100_000):
+    """A chain v0 -> ... -> v_{n-1} with labels a and b at every vertex and
+    each edge mapping a to a and b to b: one left-regular atom at v0 of
+    multiplicity 2."""
+    vs = [f"v{k}" for k in range(n)]
+    edges = [{"id": f"e{k}", "src": vs[k], "dst": vs[k + 1]} for k in range(n - 1)]
+    return {
+        "graph": {"vertices": vs, "edges": edges},
+        "lambda": {v: ["a", "b"] for v in vs},
+        "pi": [{"edge": f"e{k}", "from": i, "to": i} for k in range(n - 1) for i in "ab"],
+    }
+
+
+def two_loops_json():
+    """One vertex v with the loops a and b."""
+    loops = [{"id": e, "src": "v", "dst": "v"} for e in "ab"]
+    return {"vertices": ["v"], "edges": loops}
+
+
+def loop_words_json(max_len):
+    """The formal sum of every path of length at most ``max_len`` on two loops."""
+    return {"terms": [
+        {"path": {"base": "v", "edges": list(w)}, "re": 1}
+        for k in range(max_len + 1) for w in itertools.product("ab", repeat=k)
+    ]}
+
+
+def triangle_coloring_json():
+    """O'Brien's colouring of the looped triangle from its loop at t."""
+    coloring, _ = obrien_coloring(looped_triangle(), "loop_t")
+    return coloring.to_json_dict()

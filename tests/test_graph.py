@@ -5,6 +5,7 @@ import pytest
 import corpus
 import oracles
 from semigroupoid_kit import (
+    Edge,
     Graph,
     GraphFormatError,
     cycle_graph,
@@ -30,13 +31,104 @@ def test_build_and_lookups():
     assert g.sorted_vertices() == ("a", "b")
 
 
+def _refusal(build, *args) -> tuple[str, dict]:
+    with pytest.raises(GraphFormatError) as err:
+        build(*args)
+    return str(err.value), err.value.details
+
+
 def test_build_rejects_duplicates_and_dangling():
-    with pytest.raises(GraphFormatError):
-        Graph.build(["a", "a"], [])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["a"], [("e", "a", "a"), ("e", "a", "a")])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["a"], [("e", "a", "missing")])
+    """Each construction fault has its message and details.  Of several,
+    duplicate vertex ids come first, then duplicate edge ids, listing every
+    id sorted, then the first dangling edge in input order."""
+    assert _refusal(Graph.build, ["b", "a", "b"], []) == (
+        "duplicate vertex ids", {"vertices": ["a", "b", "b"]}
+    )
+    assert _refusal(Graph.build, ["a"], [("e", "a", "a"), ("e", "a", "a")]) == (
+        "duplicate edge ids", {"edges": ["e", "e"]}
+    )
+    assert _refusal(Graph.build, ["a"], [("e", "a", "missing")]) == (
+        "edge endpoint is not a vertex", {"edge": "e", "src": "a", "dst": "missing"}
+    )
+    assert _refusal(Graph.build, ["a", "b"], [("z", "a", "b"), ("y", "q", "a"), ("x", "a", "r")]) == (
+        "edge endpoint is not a vertex", {"edge": "y", "src": "q", "dst": "a"}
+    )
+    every_fault = [("f", "a", "x"), ("e", "a", "a"), ("f", "a", "a"), ("d", "y", "a")]
+    assert _refusal(Graph.build, ["a", "c", "a"], every_fault) == (
+        "duplicate vertex ids", {"vertices": ["a", "a", "c"]}
+    )
+    assert _refusal(Graph.build, ["a", "c"], every_fault) == (
+        "duplicate edge ids", {"edges": ["d", "e", "f", "f"]}
+    )
+    assert _refusal(Graph.build, ["a", "c"], [("e", "a", "a"), ("g", "y", "a"), ("f", "a", "x")]) == (
+        "edge endpoint is not a vertex", {"edge": "g", "src": "y", "dst": "a"}
+    )
+    # from JSON: the first edge object short of a field, in input order, is named
+    short = {"vertices": ["a"], "edges": [{"id": "e", "src": "a"}, {"src": "a"}, "x"]}
+    assert _refusal(Graph.from_json_dict, short) == (
+        "edge object needs 'id', 'src', 'dst': 'dst'", {}
+    )
+    assert _refusal(Graph.from_json_dict, {"vertices": ["a"], "edges": ["x", {}]}) == (
+        "edge object needs 'id', 'src', 'dst': string indices must be integers, not 'str'", {}
+    )
+    assert _refusal(Graph.from_json_dict, {"vertices": ["a"]}) == (
+        "graph object needs 'vertices' and 'edges': 'edges'", {}
+    )
+
+
+def _fuzzed_edge_lists(rng):
+    """Vertex lists and edge triples with loops, parallel edges and isolated
+    vertices, in shuffled order, and the empty graph."""
+    yield [], []
+    yield ["only"], []
+    for _ in range(60):
+        g = corpus.random_graph(rng, max_v=7, max_e=14)
+        vertices = list(g.vertices) + [f"iso{k}" for k in range(rng.randrange(3))]
+        triples = [(e.id, e.src, e.dst) for e in g.edges]
+        if triples:
+            i, s, d = rng.choice(triples)  # a parallel edge and a loop
+            triples += [(i + "p", s, d), (i + "l", s, s)]
+        rng.shuffle(vertices)
+        rng.shuffle(triples)
+        yield vertices, triples
+
+
+def test_lookups_match_a_dict_built_oracle(rng):
+    """On fuzzed edge lists, every lookup equals the one a dict-built
+    adjacency gives, input order is kept, and the edges of one graph build
+    an equal graph."""
+    for vertices, triples in _fuzzed_edge_lists(rng):
+        g = Graph.build(vertices, triples)
+        ends = {i: (s, d) for i, s, d in triples}
+        assert g.vertices == tuple(vertices)
+        assert [(e.id, e.src, e.dst) for e in g.edges] == triples
+        assert g.sorted_vertices() == tuple(sorted(vertices))
+        assert g.sorted_edge_ids() == tuple(sorted(ends))
+        for i, (s, d) in ends.items():
+            assert (g.src(i), g.dst(i)) == (s, d)
+            assert (g.edge(i).id, g.edge(i).src, g.edge(i).dst) == (i, s, d)
+        for v in vertices:
+            assert g.has_vertex(v)
+            assert g.out_edges(v) == tuple(sorted(i for i, (s, _) in ends.items() if s == v))
+            assert g.in_edges(v) == tuple(sorted(i for i, (_, d) in ends.items() if d == v))
+        assert not g.has_vertex("absent")
+        with pytest.raises(GraphFormatError, match="unknown edge id"):
+            g.src("absent")
+        again = Graph(g.vertices, g.edges)
+        assert again == g and again.key == g.key and again.to_json_dict() == g.to_json_dict()
+
+
+def test_an_edge_is_its_plain_triple():
+    """An edge equals, hashes and sorts as the tuple (id, src, dst), and
+    pickles and prints as an ``Edge``."""
+    import pickle
+
+    e = looped_triangle().edge("tl1")
+    assert e == ("tl1", "t", "l") and hash(e) == hash(("tl1", "t", "l"))
+    assert sorted([e, ("a", "z", "z")]) == [("a", "z", "z"), e]
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is Edge and back == e and back.dst == "l"
+    assert repr(e) == "Edge(id='tl1', src='t', dst='l')"
 
 
 def test_json_round_trip(rng):

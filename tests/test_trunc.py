@@ -1015,21 +1015,20 @@ def _random_edit(rng, rep, name, saved):
 def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
     """For random reps of both kinds, the builder's two tables equal those
     made from the operators' CSR matrices, bit for bit, each stored map is a
-    slice of its table, which reads leave in place, and the edge ends the
-    builder seeds are its graph's.  After random assignments, replacements
+    slice of its table, which reads leave in place, and the rep keeps no
+    edge ends of its own: the checks read its graph's index.  After random assignments, replacements
     and deletions, each table is still the stack of the decoded read-outs;
     once every key is back it is the one the checks read, and reads leave
     it the same object."""
-    from semigroupoid_kit.trunc import _ends, operator_coordinates
+    from semigroupoid_kit.trunc import operator_coordinates
 
     reps = _random_reps(rng, graphs=4, max_dim=400)
     assert {rep.kind for rep in reps} == {"left_regular", "colored"}
     seen = set()
     for rep in reps:
         g = rep.graph
-        assert "_edge_ends" in vars(rep)
-        for got, want in zip(rep._edge_ends, _ends(g)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert set(vars(rep)) <= {"graph", "depth", "kind", "grades", "vertex_ops", "edge_ops",
+                                  "meta", "labels", "label_vertex", "_label_index"}
         tables = rep.vertex_ops.table, rep.edge_ops.table
         assert [t.keys for t in tables] == [g.sorted_vertices(), g.sorted_edge_ids()]
         for ops in (rep.vertex_ops, rep.edge_ops):
@@ -1295,3 +1294,42 @@ def test_operator_coordinates_keep_each_assigned_operators_dtype(fig1):
     assert got == want
     for key, kind in (("e:tl1", int), ("v:t", bool), ("e:loop_t", float)):
         assert got[key] and {type(value) for quad in got[key] for value in quad[2:]} == {kind}
+
+
+def test_integer_operators_past_2_53_are_refused(fig1):
+    """The checks compute in float64, so an operator of an integer dtype with
+    an entry past 2^53 in magnitude, which float64 would round, is refused
+    and named when assigned, given in a dict or passed to a rep: int64,
+    uint64 and negative entries alike, and the table stays as it was.  An
+    entry of 2^53 in magnitude is kept, and reads back exactly."""
+    rep = build_left_regular_trunc(fig1, ["t"], 2)
+    clean = _all_checks(rep)
+    for ops, key in (("edge_ops", "tl1"), ("vertex_ops", "t")):
+        name = ("v:" if ops == "vertex_ops" else "e:") + key
+        table, given = getattr(rep, ops).table, getattr(rep, ops)[key]
+        assert given.nnz
+        for dtype, value in ((np.int64, 2**53 + 1), (np.uint64, 2**63 + 1), (np.int64, -(2**53) - 1)):
+            bad = given.astype(dtype)
+            bad.data[:] = value
+            operators = [dict(rep.vertex_ops), dict(rep.edge_ops)]
+            operators[ops == "edge_ops"][key] = bad
+            for assign in (
+                lambda: getattr(rep, ops).__setitem__(key, bad),
+                lambda: setattr(rep, ops, {**dict(getattr(rep, ops)), key: bad}),
+                lambda: TruncatedRep(
+                    rep.graph, rep.depth, rep.kind, None, rep.grades, None, *operators, rep.meta
+                ),
+            ):
+                with pytest.raises(DomainError, match="past 2\\^53") as err:
+                    assign()
+                assert err.value.details == {"op": name}
+            assert getattr(rep, ops).table is table
+        assert _all_checks(rep) == clean
+        for value in (2**53, -(2**53)):
+            exact = given.astype(np.int64)
+            exact.data[:] = value
+            getattr(rep, ops)[key] = exact
+            back = getattr(rep, ops)[key]
+            assert back.dtype == np.int64 and back.data.tolist() == [value] * given.nnz
+        getattr(rep, ops)[key] = given
+    assert _all_checks(rep) == clean
