@@ -253,7 +253,7 @@ def _report(
             report.add("not-injective", f"pi_{eid} is not injective", eid)
     first: dict[Node, str] = {}  # the first arc, in (edge, label) order, onto a shared node
     for v in sorted({v for v, _ in shared}):
-        for eid in g.in_edges(v):
+        for eid in map(g.index.edges.__getitem__, g.index.inc[g.index.at[v]]):
             onto = [kv for kv in a.pi.get(eid, {}).items() if (v, kv[1]) in shared]
             for i, j in sorted(onto):
                 stamp = f"{eid}[{i}]"
@@ -293,8 +293,8 @@ def _report(
 def _cover(report: ValidationReport, g: Graph, free: Iterable[str]) -> ValidationReport:
     """Close ``report`` with the range cover: each vertex in ``free`` holds a
     label no arc hits, so it fails full coisometry, and CK if it has an in-edge."""
-    f_fail = sorted(free)
-    ck_fail = [v for v in f_fail if g.in_edges(v)]
+    f_fail, ix = sorted(free), g.index
+    ck_fail = [v for v in f_fail if ix.inc[ix.at[v]]]
     report.add(
         "ck",
         f"CK fails at {ck_fail}" if ck_fail else "CK identity holds at every finite receiver",
@@ -313,7 +313,7 @@ def _cover(report: ValidationReport, g: Graph, free: Iterable[str]) -> Validatio
 # the index-level labeled graph H
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     src: Node
     dst: Node
@@ -418,13 +418,13 @@ def build_H(a: ExplicitAtomic) -> LabeledH:
     return LabeledH(nodes, tuple(arcs), pred)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootFound:
     root: Node
     path: Path  # the path carrying the root basis vector onto the queried one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleFound:
     cycle_nodes: tuple[Node, ...]  # forward order, starting at the entry node
     cycle: Path  # cycle in the host graph based at the entry node's vertex
@@ -474,30 +474,30 @@ def _phase_product(phases: list[Phase]) -> Phase:
     sums: dict[int, int] = {}
     for ph in phases:
         sums[ph.turns.denominator] = sums.get(ph.turns.denominator, 0) + ph.turns.numerator
-    return Phase(sum((Fraction(n, d) for d, n in sums.items()), Fraction(0)) % 1, None)
+    return Phase.from_fraction(sum((Fraction(n, d) for d, n in sums.items()), Fraction(0)))
 
 
 # ---------------------------------------------------------------------------
 # canonical (symbolic) families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftRegular:
     vertex: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleType:
     cycle: Path
     phase: Phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailType:
     cycle: Path  # primitive cycle whose backward-infinite repetition is the tail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectSum:
     parts: tuple[tuple["CanonicalAtomic", Multiplicity], ...]
 
@@ -538,18 +538,18 @@ def validate_canonical(g: Graph, fam: CanonicalAtomic) -> None:
 # atoms and decompositions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftRegularAtom:
     vertex: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleAtom:
     cycle: Path  # canonical rotation of a primitive cycle
     phase: Phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailAtom:
     cycle: Path  # canonical rotation of the primitive period
 
@@ -748,11 +748,11 @@ def cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
 
 def _cycle_structure_multiplicities(g: Graph, w: Path) -> dict[str, int]:
     """``cycle_structure_multiplicities`` of a cycle already checked."""
-    alpha = {v: 0 for v in g.vertices}
-    for eid in w.edges:
-        for fid in g.out_edges(g.src(eid)):
-            if fid != eid:
-                alpha[g.dst(fid)] += 1
+    alpha, ix = {v: 0 for v in g.vertices}, g.index
+    for e in map(ix.edge_at.__getitem__, w.edges):
+        for f in ix.out[ix.src[e]]:
+            if f != e:
+                alpha[ix.vertices[ix.dst[f]]] += 1
     return alpha
 
 
@@ -763,8 +763,9 @@ def finitely_correlated_multiplicities(
     for v in g.vertices:
         if v not in rank:
             raise DomainError("rank value missing for vertex", vertex=v)
+    ix = g.index
     return {
-        v: -rank[v] + sum(rank[g.src(eid)] for eid in g.in_edges(v))
+        v: -rank[v] + sum(rank[ix.vertices[ix.src[e]]] for e in ix.inc[ix.at[v]])
         for v in g.vertices
     }
 
@@ -1014,7 +1015,8 @@ def _second_incoming_word(g: Graph, mu: Path, support: frozenset[str]) -> tuple[
     """
 
     def steps(x: str) -> list[str]:
-        return [eid for eid in g.in_edges(x) if g.src(eid) in support]
+        ix = g.index
+        return [ix.edges[e] for e in ix.inc[ix.at[x]] if ix.vertices[ix.src[e]] in support]
 
     branch = None
     x = mu.base
@@ -1047,8 +1049,9 @@ def pure_cycle_family(
     on the edge closing the cycle.  Valid only on graphs where every vertex
     has exactly one outgoing and one incoming edge.
     """
+    ix = g.index
     for v in g.vertices:
-        if len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1:
+        if len(ix.out[ix.at[v]]) != 1 or len(ix.inc[ix.at[v]]) != 1:
             raise DomainError(
                 "pure cycle family needs a single-cycle graph", vertex=v
             )
@@ -1056,8 +1059,8 @@ def pure_cycle_family(
     pi: dict[str, dict[str, str]] = {}
     v = start = min(g.vertices)
     while True:  # round the cycle from its least vertex
-        (eid,) = g.out_edges(v)
-        v = g.dst(eid)
+        (e,) = ix.out[ix.at[v]]
+        eid, v = ix.edges[e], ix.vertices[ix.dst[e]]
         closing = v == start  # the edge closing the cycle advances the lap counter
         pi[eid] = {f"i{t}": f"i{(t + closing) % laps}" for t in range(laps)}
         if closing:

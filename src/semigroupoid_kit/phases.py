@@ -4,7 +4,9 @@ A phase is a point on the unit circle.  When the angle is a rational number
 of full turns it is stored as a reduced ``Fraction`` in [0, 1), so products,
 powers and p-th roots stay exact and quarter-turn phases evaluate to exact
 complex units.  Phases built from raw complex data fall back to a float
-representation; comparisons then use a tolerance (default 1e-9).
+representation; comparisons then use a tolerance (default 1e-9).  The library
+builds every exact phase through one bounded cache, so equal turns share one
+object while it is cached; identity is not part of the contract.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import MALFORMED, DomainError, json_int, json_number
 
@@ -26,7 +29,7 @@ _QUARTER_VALUES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     """e^(2*pi*i*turns) when ``turns`` is set, otherwise the stored complex unit."""
 
@@ -35,17 +38,20 @@ class Phase:
 
     @staticmethod
     def one() -> "Phase":
-        return Phase(Fraction(0), None)
+        return _exact(0, 1)
 
     @staticmethod
     def from_turns(num: int, den: int) -> "Phase":
         if den == 0:
             raise DomainError("phase angle denominator must be nonzero")
-        return Phase(Fraction(num, den) % 1, None)
+        return Phase.from_fraction(Fraction(num, den))
 
     @staticmethod
     def from_fraction(q: Fraction) -> "Phase":
-        return Phase(q % 1, None)
+        if not isinstance(q, Fraction):
+            return Phase(q % 1, None)
+        q = q if 0 <= q.numerator < q.denominator else q % 1
+        return _exact(q.numerator, q.denominator)
 
     @staticmethod
     def from_complex(z: complex, tol: float = 1e-6) -> "Phase":
@@ -76,17 +82,17 @@ class Phase:
 
     def __mul__(self, other: "Phase") -> "Phase":
         if self.turns is not None and other.turns is not None:
-            return Phase((self.turns + other.turns) % 1, None)
+            return Phase.from_fraction(self.turns + other.turns)
         return Phase(None, self.value * other.value)
 
     def conj(self) -> "Phase":
         if self.turns is not None:
-            return Phase((-self.turns) % 1, None)
+            return Phase.from_fraction(-self.turns)
         return Phase(None, self.approx.conjugate())
 
     def __pow__(self, n: int) -> "Phase":
         if self.turns is not None:
-            return Phase((self.turns * n) % 1, None)
+            return Phase.from_fraction(self.turns * n)
         return Phase(None, self.approx**n)
 
     def roots(self, p: int) -> list["Phase"]:
@@ -94,7 +100,7 @@ class Phase:
         if p < 1:
             raise DomainError("root order must be positive", p=p)
         if self.turns is not None:
-            out = [Phase((self.turns + j) / p % 1, None) for j in range(p)]
+            out = [Phase.from_fraction((self.turns + j) / p) for j in range(p)]
             return sorted(out, key=lambda ph: ph.turns)
         base = cmath.phase(self.approx) / (2 * math.pi) % 1.0
         out = [
@@ -134,3 +140,9 @@ class Phase:
         if self.turns is not None:
             return f"exp(2*pi*i*{self.turns})"
         return f"{self.approx:.6g}"
+
+
+@lru_cache(maxsize=4096)
+def _exact(num: int, den: int) -> Phase:
+    """The phase of num/den turns, reduced in [0, 1); an int pair hashes in C."""
+    return Phase(Fraction(num, den), None)

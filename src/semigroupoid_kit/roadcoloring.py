@@ -122,9 +122,9 @@ def validate_coloring(g: Graph, c: Coloring) -> ValidationReport:
                     eid,
                 )
         complete = True
-        for v in g.sorted_vertices():
+        for v, inc in zip(ix.vertices, ix.inc):
             seen: dict[int, str] = {}
-            for eid in g.in_edges(v):
+            for eid in map(ix.edges.__getitem__, inc):
                 col = c.color.get(eid)
                 if col is None:
                     complete = False
@@ -387,7 +387,8 @@ def _candidate_colorings(g: Graph, d: int):
     counted first: more than SEARCH_BUDGET raises EnumerationOverflow here,
     before the stream is returned.
     """
-    fibers = [g.in_edges(v) for v in g.sorted_vertices()]
+    ix = g.index
+    fibers = [[ix.edges[e] for e in inc] for inc in ix.inc]
     perms = list(itertools.permutations(range(1, d + 1)))
     choices = [[tuple(range(1, d + 1))]] + [perms] * (len(fibers) - 1)
     total = 1

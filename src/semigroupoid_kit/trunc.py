@@ -29,8 +29,8 @@ matrix is decoded once, from its CSC arrays: one of the wrong shape, with
 two nonzeros in a row or a column, or of an integer dtype with an entry
 past 2^53 in magnitude, which float64 would round, raises a
 ``DomainError`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``; otherwise
-it is restacked into its kind's table, as a deletion restacks the table
-without its key.
+its entries are spliced into its kind's table in key order, as a deletion
+cuts its key's entries out.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
 each relation on the two tables in a fixed number of array passes:
@@ -42,8 +42,9 @@ numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import UserDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple
@@ -116,14 +117,16 @@ class _Operators(UserDict):
     ``table``, in sorted key order, and in ``data`` each key's segment and
     the dtype it was given in.  A map is a slice of the table; a read gives
     a new CSR matrix, so an edit to it must be assigned back.  An edit
-    restacks the table, and a refused one leaves it as it was."""
+    splices the table, and a refused one leaves it as it was."""
 
     def __init__(self, ops, n: int, kind: str):
         self.n, self.kind = n, kind
         if isinstance(ops, _Stack):
             self.table, self.data = ops, {key: (j, ops.val.dtype) for j, key in enumerate(ops.keys)}
         else:
-            self._restack({key: _decode(ops[key], n, f"{kind[0]}:{key}") for key in sorted(ops)})
+            maps = {key: _decode(ops[key], n, f"{kind[0]}:{key}") for key in sorted(ops)}
+            self.table = _stack(maps, list(maps.values()))
+            self.data = {key: (j, m.val.dtype) for j, (key, m) in enumerate(maps.items())}
 
     def __getitem__(self, key: str) -> sp.csr_matrix:
         if key not in self.data:
@@ -131,12 +134,11 @@ class _Operators(UserDict):
         return _csr(self.n, *self.map(key))
 
     def __setitem__(self, key: str, value) -> None:
-        new = _decode(value, self.n, f"{self.kind[0]}:{key}")
-        self._restack({**{k: self.map(k) for k in self.data}, key: new})
+        self._splice(key, _decode(value, self.n, f"{self.kind[0]}:{key}"))
 
     def __delitem__(self, key: str) -> None:
-        del self.data[key]  # the others keep their segments until the restack
-        self._restack({k: self.map(k) for k in self.data})
+        del self.data[key]  # its entries stay in the table until the splice
+        self._splice(key, None)
 
     def map(self, key: str) -> _Map:
         if key not in self.data:
@@ -150,10 +152,27 @@ class _Operators(UserDict):
         """The maps of ``keys`` stacked: the table, or a new stack if it has other keys."""
         return self.table if self.table.keys == keys else _stack(keys, [self.map(k) for k in keys])
 
-    def _restack(self, maps: dict[str, _Map]) -> None:
-        keys = sorted(maps)
-        self.table = _stack(keys, [maps[key] for key in keys])
-        self.data = {key: (j, maps[key].val.dtype) for j, key in enumerate(keys)}
+    def _splice(self, key: str, new: _Map | None) -> None:
+        """The table with ``new`` as ``key``'s entries, in key order, or None to cut them
+        out; the rest move as two blocks, and values take the recorded dtypes' common one."""
+        t, data = self.table, self.data
+        j = bisect_left(t.keys, key)
+        had = int(t.keys[j:j + 1] == (key,))  # the table's keys: UserDict.copy empties data
+        a, b = t.start[j], t.start[j + had]
+        mid = () if new is None else (key,)
+        new = new or _Map(t.row[:0], t.col[:0], t.val[:0])  # a deletion leaves no entries
+        keys, shift = t.keys[:j] + mid + t.keys[j + had:], len(new.dom) - (b - a)
+        start = np.concatenate((t.start[:j + 1], t.start[j + had + 1 - len(mid):] + shift))
+        group = np.repeat(np.arange(len(keys), dtype=np.int32), np.diff(start))
+        row, col, val = (np.concatenate((old[:a], part, old[b:]))
+                         for old, part in zip((t.row, t.col, t.val), new))
+        if mid:
+            data[key] = (j, new.val.dtype)
+        if len(keys) != len(t.keys):  # the keys after j move by one place
+            self.data = data = {k: (i, data[k][1]) for i, k in enumerate(keys)}
+        common = np.result_type(*{dtype for _, dtype in data.values()}) if data else np.dtype(float)
+        val = np.ascontiguousarray(val if common.kind == "c" else val.real, dtype=common)
+        self.table = _Stack(group, col, row, val, start, keys)
 
 
 def build_left_regular_trunc(g: Graph, sources, depth: int) -> TruncatedRep:
@@ -214,9 +233,9 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     if not report.valid:
         raise DomainError("coloring is not strong", findings=[f.message for f in report.errors])
     d = coloring.d
-    for v in g.sorted_vertices():
+    for v, inc in zip(g.sorted_vertices(), g.index.inc):
         # strong with colours in 1..d: complete iff the in-fibre has d edges
-        if len(g.in_edges(v)) != d:
+        if len(inc) != d:
             raise DomainError(
                 "colored truncation needs a complete strong coloring "
                 "(in-degree d-regular, every color in every fiber)", vertex=v
@@ -420,9 +439,9 @@ class RelationReport:
         return self.max_residual == 0.0
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        data["interior"] = [data.pop("interior_lo"), data.pop("interior_hi")]
-        return data
+        return {"relation": self.relation, "max_residual": self.max_residual,
+                "exact_zero": self.exact_zero, "boundary_residual": self.boundary_residual,
+                "detail": self.detail, "interior": [self.interior_lo, self.interior_hi]}
 
 
 def _entry_residual(
@@ -734,7 +753,8 @@ class CycleLemmaReport:
     blocks: list[str]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"n": self.n, "depth": self.depth, "ok": self.ok,
+                "max_residual": self.max_residual, "blocks": list(self.blocks)}
 
 
 def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One validation observation.
 
@@ -21,7 +21,8 @@ class Finding:
     severity: str = "error"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"code": self.code, "message": self.message, "where": self.where,
+                "severity": self.severity}
 
 
 @dataclass

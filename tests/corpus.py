@@ -212,6 +212,18 @@ def chain_family_json(n=100_000):
     }
 
 
+def phased_chain_family_json(n=100_000, seed=34):
+    """``chain_family_json`` with an exact phase on every arc, of denominator
+    1, 2, 3, 4, 6 or 8: still one left-regular atom at v0 of multiplicity 2."""
+    rng, data = random.Random(seed), chain_family_json(n)
+    data["phase"] = [
+        {"edge": row["edge"], "from": row["from"], "angle": {"num": rng.randrange(den), "den": den}}
+        for row in data["pi"]
+        for den in [rng.choice([1, 2, 3, 4, 6, 8])]
+    ]
+    return data
+
+
 def two_loops_json():
     """One vertex v with the loops a and b."""
     loops = [{"id": e, "src": "v", "dst": "v"} for e in "ab"]

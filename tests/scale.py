@@ -122,6 +122,11 @@ ROWS = [
     Row("atomic classify 1e5 chain",
         lambda w: ["atomic", "classify", f"{w}/chain.json"],
         {"chain.json": corpus.chain_family_json}, 0, _one_atom, 400),
+    # the same chain with an exact phase on every arc: the phases are shared
+    # values, so the 199,998 of them cost little over the plain chain
+    Row("atomic classify 1e5 phased chain",
+        lambda w: ["atomic", "classify", f"{w}/phased-chain.json"],
+        {"phased-chain.json": corpus.phased_chain_family_json}, 0, _one_atom, 340),
     # O'Brien on a 100,000-vertex looped graph; its word synchronizes to v0
     Row("color obrien 1e5",
         lambda w: ["color", "obrien", f"{w}/looped.json", "--loop", "e0"],

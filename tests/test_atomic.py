@@ -300,3 +300,81 @@ def test_equivalence_of_identical_canonical(fig1):
     a = CycleType(w, Phase.from_turns(1, 3))
     b = CycleType(rotated, Phase.from_turns(1, 3))
     assert are_unitarily_equivalent(fig1, a, b).equivalent
+
+
+def test_classified_and_traced_phases_are_the_shared_exact_values(rng):
+    """A cycle's phase product, its traced phase and each atom's root phase
+    are the one object of their turn, as ``Phase.from_fraction`` gives it."""
+    for _ in range(20):
+        g, fam, laps, total = corpus.random_cycle_family(rng)
+        found = trace_backward(build_H(fam), min(fam.nodes()))
+        assert found.phase is Phase.from_fraction(total)
+        for atom, _ in classify(g, fam).atoms:
+            assert atom.phase is Phase.from_fraction(atom.phase.turns)
+            assert atom.phase is Phase.from_turns(atom.phase.turns.numerator * 2,
+                                                  atom.phase.turns.denominator * 2)
+
+
+def test_atom_arc_and_finding_values_are_slotted_and_copy_and_pickle_equal(rng, fig1):
+    """The small frozen values of ``atomic`` and ``validation`` keep no
+    instance dict, refuse assignment, and come back equal from
+    ``copy.copy``, ``copy.deepcopy`` and ``pickle``."""
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError, fields
+
+    from semigroupoid_kit.atomic import Arc
+    from semigroupoid_kit.validation import Finding
+
+    g, fam, _, _ = corpus.random_cycle_family(rng, n=2, laps=2)
+    h = build_H(fam)
+    cycle = Path.of(fig1, ["loop_t"])
+    values = [
+        h.arcs[0],
+        trace_backward(h, h.nodes[0]),
+        trace_backward(build_H(ExplicitAtomic(two_vertex_dag(), {"a": ("0",)}, {})), ("a", "0")),
+        LeftRegular("t"),
+        CycleType(cycle, Phase.from_turns(1, 3)),
+        TailType(cycle),
+        DirectSum(((LeftRegular("t"), 2), (TailType(cycle), OMEGA))),
+        LeftRegularAtom("t"),
+        CycleAtom(cycle, Phase.from_complex(1j)),
+        TailAtom(cycle),
+        Finding("ck", "CK identity holds", None, "info"),
+        validate_atomic(fam).findings[0],
+    ]
+    assert {type(v) for v in values} >= {Arc, CycleFound, RootFound, Finding}
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, fields(value)[0].name, None)
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and type(copied) is type(value)
+            assert hash(copied) == hash(value)
+
+
+def test_finding_json_is_its_fields(rng):
+    """``Finding.to_json`` gives each field under its own name, as
+    ``dataclasses.asdict`` gives it, for findings with and without a place."""
+    from dataclasses import asdict
+
+    fam, _, _ = corpus.random_loop_sink_family(rng)
+    bad = ExplicitAtomic(two_vertex_dag(), {"a": ("0", "0"), "z": ("1",)}, {"e": {"0": "9"}})
+    findings = validate_atomic(fam).findings + validate_atomic(bad).findings
+    assert {f.where for f in findings} >= {None, "a", "z", "e"}
+    for f in findings:
+        assert f.to_json() == asdict(f)
+        assert list(f.to_json()) == ["code", "message", "where", "severity"]
+
+
+def test_the_phased_chain_of_the_scale_suite_is_one_atom_of_multiplicity_two():
+    """Its small twin: an exact phase on every arc, of denominator 1, 2, 3,
+    4, 6 or 8, and one left-regular atom at v0 of multiplicity 2."""
+    from semigroupoid_kit.serialize import explicit_atomic_from_json
+
+    data = corpus.phased_chain_family_json(n=60)
+    fam = explicit_atomic_from_json(data)
+    assert set(fam.phases) == {(eid, i) for eid, m in fam.pi.items() for i in m}
+    assert {ph.turns.denominator for ph in fam.phases.values()} <= {1, 2, 3, 4, 6, 8}
+    assert len({id(ph) for ph in fam.phases.values()}) == len(set(fam.phases.values())) > 4
+    assert classify(fam.graph, fam).atoms == [(LeftRegularAtom("v0"), 2)]

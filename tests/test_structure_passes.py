@@ -830,3 +830,60 @@ def test_invalid_canonical_data_raises_as_before(fig1):
     assert _error(lambda: cycle_structure_multiplicities(fig1, Path("t", ()))) == (
         "NotACycle", "structure multiplicities need a cycle of positive length", {}
     )
+
+
+def test_per_vertex_loops_read_the_index_not_edge_id_tuples(rng, fig1, monkeypatch):
+    """Atomic validation, the multiplicity formulas, condition (M), the pure
+    cycle family, colouring checks and search, and the colored build read
+    each vertex's edges off ``g.index``: with ``in_edges`` and ``out_edges``
+    refused they give the same answers, findings and error details."""
+    from semigroupoid_kit import (
+        Coloring,
+        build_colored_trunc,
+        finitely_correlated_multiplicities,
+        pure_cycle_family,
+        search_synchronizing_coloring,
+        validate_coloring,
+    )
+
+    families = []
+    for _ in range(10):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        families.append(corpus.random_root_family(rng, g)[0])
+        families.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+    families += [v for fam in list(families) for v in _broken_variants(rng, fam)]
+    mus = [Path("t", ("rt", "tr")), Path("t", ("loop_t",) * 6), Path("t", ("rt", "lr", "tl1"))]
+    colorings = [
+        Coloring(2, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}),
+        Coloring(2, {"loop_t": 1, "tl1": 2, "tr": 1, "tl2": 2, "lr": 2, "rt": 1}),
+        Coloring(3, {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2}),
+    ]
+
+    def answers():
+        out = [dump_json(validate_atomic(fam, require_total=False).to_json()) for fam in families]
+        out += [cycle_structure_multiplicities(fig1, mu) for mu in mus]
+        out.append(finitely_correlated_multiplicities(fig1, {"t": 1, "l": 2, "r": 3}))
+        for mu in mus:
+            for fam in (CycleType(mu, Phase.one()), TailType(primitive_root(fig1, mu)[0])):
+                out.append(orbit_condition_M(fam, mu, fig1).detail)
+        out.append(pure_cycle_family(cycle_graph(4), 3))
+        for g in (fig1, chain_graph(3)):
+            try:
+                pure_cycle_family(g)
+            except DomainError as exc:
+                out.append(exc.details)
+        out += [dump_json(validate_coloring(fig1, c).to_json()) for c in colorings]
+        out.append(search_synchronizing_coloring(fig1))
+        for c in colorings:
+            try:
+                out.append(build_colored_trunc(fig1, c, 2).dim)
+            except DomainError as exc:
+                out.append((str(exc), exc.details))
+        return out
+
+    want = answers()
+    assert any("overlapping-ranges" in a for a in want[:len(families)])
+    assert any("second incoming word" in str(a) for a in want)
+    for name in ("in_edges", "out_edges"):
+        monkeypatch.setattr(Graph, name, lambda g, v, name=name: pytest.fail(f"{name}({v!r})"))
+    assert answers() == want

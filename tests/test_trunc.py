@@ -1053,6 +1053,88 @@ def test_builder_tables_equal_the_tables_decoded_from_the_matrices(rng):
     assert seen >= {"phase", "dtype", "replacement", "deletion", "put back"}
 
 
+def _per_key_edits(rng, ops, dim):
+    """Edit every key of ``ops`` once, in random order: a phase, a new dtype
+    or a deletion put back at once; and put in, then edit or take out, keys
+    of no vertex or edge that sort before and after the others."""
+    dtypes = [np.float64, np.float32, np.int64, np.uint8, bool, np.complex64, complex]
+    for key in ["!", "~"] + rng.sample(sorted(ops), len(ops)):
+        mat = ops[key] if key in ops else sp.identity(dim, format="csr")[::-1]
+        how = rng.choice(["phase", "dtype", "dtype", "delete"])
+        if how == "phase":
+            ops[key] = mat * complex(rng.choice([1j, -1j, -1]))
+        elif how == "dtype":
+            ops[key] = abs(mat).astype(rng.choice(dtypes))
+        else:
+            ops[key] = mat
+            del ops[key]
+            if key not in "!~":
+                ops[key] = mat
+
+
+def test_per_key_edits_give_the_tables_of_one_whole_dict_assignment(rng):
+    """Edits one key at a time leave each kind's table, bit for bit, its
+    recorded dtypes and every check's answer as one whole-dict assignment of
+    the same operators gives them: with mixed dtypes, with keys put in and
+    taken out at either end, and when the last complex or float operator
+    is replaced by an integer one, and so does a ``copy()``, whose edits
+    leave the original as it was.  A refused edit keeps the table object,
+    and deleting an unknown key raises KeyError."""
+    from semigroupoid_kit.trunc import operator_coordinates
+
+    reps = _random_reps(rng, graphs=3, max_dim=150)
+    for rep in rng.sample(reps, 8):
+        for name in ("vertex_ops", "edge_ops"):
+            ops = getattr(rep, name)
+            _per_key_edits(rng, ops, rep.dim)
+            _is_one_assignment(rep, name)
+            for key in rng.sample(sorted(ops), len(ops)):  # every operator an integer one
+                ops[key] = abs(ops[key]).astype(np.int64)
+            _is_one_assignment(rep, name)
+            table = ops.table
+            with pytest.raises(DomainError, match="wrong shape"):
+                ops["!"] = sp.identity(rep.dim + 1, format="csr")
+            with pytest.raises(KeyError):
+                del ops["?"]
+            assert ops.table is table
+            _per_key_edits(rng, ops, rep.dim)
+            whole = _is_one_assignment(rep, name)
+            twin, table = ops.copy(), ops.table
+            assert twin.data == ops.data and twin.table.keys == ops.table.keys
+            for part, want in zip(twin.table[:5], table[:5]):
+                assert part.dtype == want.dtype and np.array_equal(part, want)
+            twin["?"] = sp.identity(rep.dim, format="csr")
+            del twin[sorted(twin)[0]]
+            assert "?" not in ops and ops.table is table and len(ops) == len(twin)
+        assert _outcome(_all_checks, rep) == _outcome(_all_checks, whole)
+        assert operator_coordinates(rep) == operator_coordinates(whole)
+
+
+def _is_one_assignment(rep, name):
+    """A new rep given ``rep``'s operators as whole dicts, once it is checked
+    that the ``name`` kind's table and recorded dtypes are that rep's."""
+    whole = TruncatedRep(
+        rep.graph, rep.depth, rep.kind, None, rep.grades, None,
+        dict(rep.vertex_ops), dict(rep.edge_ops), rep.meta,
+    )
+    ops, wanted = getattr(rep, name), getattr(whole, name)
+    assert ops.data == wanted.data and ops.table.keys == wanted.table.keys
+    for part, want in zip(ops.table[:5], wanted.table[:5]):
+        assert part.dtype == want.dtype and np.array_equal(part, want)
+    _is_the_stack_of_its_read_outs(ops, rep.dim)
+    return whole
+
+
+def _outcome(check, rep):
+    """What ``check(rep)`` gives, or the error it raises: the checks cannot
+    yet read a kind whose operators are all bool (see CHANGES.md), and the
+    two ways of assigning must agree on that too."""
+    try:
+        return check(rep)
+    except TypeError as exc:
+        return repr(exc)
+
+
 def test_operators_keyed_by_no_vertex_or_edge_are_kept_and_ignored(fig1):
     """An operator keyed by no vertex or edge is kept and listed by
     operator_coordinates, and no check reads it; a check on operators that
@@ -1333,3 +1415,28 @@ def test_integer_operators_past_2_53_are_refused(fig1):
             assert back.dtype == np.int64 and back.data.tolist() == [value] * given.nnz
         getattr(rep, ops)[key] = given
     assert _all_checks(rep) == clean
+
+
+def test_report_json_holds_the_fields_as_asdict_gives_them(rng, fig1):
+    """``RelationReport.to_json`` gives each field but the interior under
+    its own name and the interior as [lo, hi]; ``CycleLemmaReport.to_json``
+    gives every field; the values are the report's own, with a fresh list
+    of blocks."""
+    from dataclasses import asdict
+
+    reports = [r for rep in _random_reps(rng, graphs=2, max_dim=100)[:6] for r in verify_tck(rep)]
+    faulted = build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3)
+    faulted.edge_ops["tl1"] = faulted.edge_ops["tl1"] * 2.0
+    reports += verify_tck(faulted)
+    assert {r.detail != "" for r in reports} == {True, False}
+    for report in reports:
+        want = asdict(report)
+        want["interior"] = [want.pop("interior_lo"), want.pop("interior_hi")]
+        got = report.to_json()
+        assert got == want and list(got) == list(want)
+        assert all(type(got[k]) is type(want[k]) for k in want)
+    for n, depth in ((1, 1), (3, 5), (4, 9)):
+        report = cycle_lemma_check(n, depth)
+        got = report.to_json()
+        assert got == asdict(report) and list(got) == list(asdict(report))
+        assert got["blocks"] is not report.blocks
