@@ -142,16 +142,16 @@ def _sources(g: Graph, sources: Iterable[str]) -> list[str]:
 def _count_levels(g: Graph, start: list[str], max_len: int) -> list[dict[int, int]]:
     """Count the paths of length 0..max_len from ``start`` before any is built.
 
-    Counts the paths ending at each vertex, level by level, in integers;
-    raises EnumerationOverflow as soon as the running total passes
-    BASIS_CAP, and after the last level if their total length passes
-    SYMBOL_CAP.  Returns the counts, ``{end: count}`` per level up to the
-    last nonempty one, each end a position in ``g.index``.
+    Counts the paths ending at each vertex, level by level, in integers,
+    checking the running total after every level, 0 included, and the
+    total length after the last.  Returns ``{end: count}`` per level up to
+    the last nonempty one, each end a position in ``g.index``.
     """
     ix = g.index
     ending = {ix.at[v]: 1 for v in start}
     levels = [ending]
     total, symbols = len(start), 0
+    _check_budget("path", total, 0)
     for length in range(1, max_len + 1):
         nxt: dict[int, int] = {}
         for v, k in ending.items():
@@ -163,23 +163,51 @@ def _count_levels(g: Graph, start: list[str], max_len: int) -> list[dict[int, in
         count = sum(nxt.values())
         total += count
         symbols += length * count
-        if total > BASIS_CAP:
-            raise EnumerationOverflow(
-                "path enumeration exceeds the budget",
-                count=total, length=length, budget=BASIS_CAP,
-            )
+        _check_budget("path", total, length)
         levels.append(nxt)
         ending = nxt
-    _check_symbols("path", total, symbols)
+    _check_budget("path", total, symbols=symbols)
     return levels
 
 
-def _check_symbols(what: str, count: int, symbols: int) -> None:
-    if symbols > SYMBOL_CAP:
-        raise EnumerationOverflow(
-            f"{what} enumeration exceeds the symbol budget",
-            count=count, symbols=symbols, budget=SYMBOL_CAP,
-        )
+def _count_in_regular(vertices: int, d: int, depth: int) -> int:
+    """The number of paths of length 0..depth on ``vertices`` vertices of
+    in-degree d, in closed form, vertices * d^k of length k, budgeted as
+    ``_count_levels`` from every vertex budgets them; at d = 1 the level
+    that passes BASIS_CAP is one division."""
+    _check_budget("path", vertices, 0)
+    top = depth if vertices else 0  # the last level that holds a path
+    if d == 1:
+        top = min(top, BASIS_CAP // max(vertices, 1))
+        total, symbols = vertices * (top + 1), vertices * top * (top + 1) // 2
+        _check_budget("path", total, top)
+    else:
+        total, symbols, level = vertices, 0, vertices
+        for length in range(1, top + 1):
+            level *= d
+            total, symbols = total + level, symbols + length * level
+            _check_budget("path", total, length)
+    _check_budget("path", total, symbols=symbols)
+    return total
+
+
+def _check_budget(
+    what: str, count: int, length: int | None = None, *,
+    symbols: int | None = None, budget: int | None = None,
+) -> None:
+    """The one budget check, reading the caps at call time: ``symbols``
+    against SYMBOL_CAP, with details ``{count, symbols, budget}``, or else
+    ``count`` against ``budget``, BASIS_CAP unless given, with ``{count,
+    length, budget}``, where ``length`` is the level reached, if any."""
+    if symbols is None:
+        budget = BASIS_CAP if budget is None else budget
+        at = {} if length is None else {"length": length}
+        over, of, details = count > budget, "budget", {"count": count, **at, "budget": budget}
+    else:
+        over, of = symbols > SYMBOL_CAP, "symbol budget"
+        details = {"count": count, "symbols": symbols, "budget": SYMBOL_CAP}
+    if over:
+        raise EnumerationOverflow(f"{what} enumeration exceeds the {of}", **details)
 
 
 def irreducible_cycles_at(g: Graph, v: str, max_len: int) -> list[Path]:
@@ -238,9 +266,9 @@ def _count_cycles(ix: GraphIndex, v: int, max_len: int, home: dict[int, int]) ->
     """Count the irreducible cycles at v, length by length, in integers.
 
     Open walks from v are counted per end vertex; those that step onto v
-    close as cycles; walks that can no longer reach v are dropped.  Raises
-    EnumerationOverflow as soon as the running total passes BASIS_CAP, and
-    after the last length if the cycles' total length passes SYMBOL_CAP.
+    close as cycles; walks that can no longer reach v are dropped.  The
+    running total is checked against the budget after every length, and
+    the cycles' total length after the last.
     """
     ending = {v: 1}
     total, symbols = 0, 0
@@ -256,15 +284,11 @@ def _count_cycles(ix: GraphIndex, v: int, max_len: int, home: dict[int, int]) ->
                     nxt[w] = nxt.get(w, 0) + k
         total += closed
         symbols += length * closed
-        if total > BASIS_CAP:
-            raise EnumerationOverflow(
-                "cycle enumeration exceeds the budget",
-                count=total, length=length, budget=BASIS_CAP,
-            )
+        _check_budget("cycle", total, length)
         if not nxt:
             break
         ending = nxt
-    _check_symbols("cycle", total, symbols)
+    _check_budget("cycle", total, symbols=symbols)
 
 
 class CycleClass(enum.Enum):

@@ -29,14 +29,13 @@ from types import MappingProxyType
 from .errors import (
     MALFORMED,
     DomainError,
-    EnumerationOverflow,
     GraphFormatError,
     InvalidColoring,
     PartialAutomaton,
     json_int,
 )
 from .graph import Graph, is_in_degree_regular, is_transitive, period, strongly_connected_components
-from .paths import Path
+from .paths import Path, _check_budget
 from .validation import ValidationReport
 
 SUBSET_BFS_LIMIT = 20
@@ -384,8 +383,8 @@ def _candidate_colorings(g: Graph, d: int):
     fiber of the least vertex is pinned to the identity assignment: any
     strong coloring is carried to such a candidate by a global color
     permutation, which never changes synchronizability.  The candidates are
-    counted first: more than SEARCH_BUDGET raises EnumerationOverflow here,
-    before the stream is returned.
+    counted first, up to the first product past SEARCH_BUDGET, and an
+    overflow raises here, before the stream is returned.
     """
     ix = g.index
     fibers = [[ix.edges[e] for e in inc] for inc in ix.inc]
@@ -394,11 +393,9 @@ def _candidate_colorings(g: Graph, d: int):
     total = 1
     for ch in choices:
         total *= len(ch)
-        if total > SEARCH_BUDGET:
-            raise EnumerationOverflow(
-                "coloring search space exceeds the budget",
-                budget=SEARCH_BUDGET,
-            )
+        if total > SEARCH_BUDGET:  # the whole product can run to millions of digits
+            break
+    _check_budget("coloring", total, budget=SEARCH_BUDGET)
     return (
         Coloring(d, {
             eid: col

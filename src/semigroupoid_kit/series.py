@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 from .errors import DomainError, GraphFormatError
 from .graph import Graph
-from .paths import Path, _check_symbols, validate_path
+from .paths import Path, _check_budget, validate_path
 
 # A path from its (base, edges) key in one C call, not through Path.__new__.
 _make_path = partial(tuple.__new__, Path)
@@ -147,7 +147,7 @@ def formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
         if v in ending:
             pairs += len(ending[v])
             symbols += len(ending[v]) * len(edges) + length[v]
-    _check_symbols("product", pairs, symbols)
+    _check_budget("product", pairs, symbols=symbols)
     out: dict[tuple[str, tuple[str, ...]], complex] = {}
     for (v, mu), ca in a.terms.items():
         for base, nu, cb in ending.get(v, ()):

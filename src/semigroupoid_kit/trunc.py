@@ -52,11 +52,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, EnumerationOverflow
+from .errors import DomainError
 from .graph import Graph, cycle_graph
-from .paths import BASIS_CAP, SYMBOL_CAP, Path, _check_symbols, _count_levels, _sources
-from .paths import enumerate_paths, path_range
-from .roadcoloring import Coloring, format_word, validate_coloring
+from .paths import Path, _count_in_regular, _count_levels, _sources, enumerate_paths, path_range
+from .roadcoloring import Coloring, backward_automaton, format_word
 from .series import FormalElement
 
 
@@ -140,6 +139,8 @@ class _Operators(UserDict):
         del self.data[key]  # its entries stay in the table until the splice
         self._splice(key, None)
 
+    copy = UserDict.__copy__  # the table is shared: no edit writes its arrays in place
+
     def map(self, key: str) -> _Map:
         if key not in self.data:
             raise DomainError(f"unknown {self.kind}", **{self.kind: key})
@@ -157,7 +158,7 @@ class _Operators(UserDict):
         out; the rest move as two blocks, and values take the recorded dtypes' common one."""
         t, data = self.table, self.data
         j = bisect_left(t.keys, key)
-        had = int(t.keys[j:j + 1] == (key,))  # the table's keys: UserDict.copy empties data
+        had = int(t.keys[j:j + 1] == (key,))  # the table's keys: a deletion has left data
         a, b = t.start[j], t.start[j + had]
         mid = () if new is None else (key,)
         new = new or _Map(t.row[:0], t.col[:0], t.val[:0])  # a deletion leaves no entries
@@ -225,28 +226,18 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
     A block holds the words of length 0..depth by length, then in base-d
     order.  So the word w of length k has local index j = off[k] + rank(w),
     and an edge of colour c sends it to c w at off[k+1] + (c-1) d^k +
-    rank(w) = j + c d^k.
+    rank(w) = j + c d^k.  The words of a block are the paths into its
+    vertex, and are budgeted as paths, in closed form.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
-    report = validate_coloring(g, coloring)
-    if not report.valid:
-        raise DomainError("coloring is not strong", findings=[f.message for f in report.errors])
-    d = coloring.d
-    for v, inc in zip(g.sorted_vertices(), g.index.inc):
-        # strong with colours in 1..d: complete iff the in-fibre has d edges
-        if len(inc) != d:
-            raise DomainError(
-                "colored truncation needs a complete strong coloring "
-                "(in-degree d-regular, every color in every fiber)", vertex=v
-            )
-    size, symbols = _colored_basis_size(len(g.vertices), d, depth)
-    if size > BASIS_CAP:
-        raise EnumerationOverflow("basis too large", size=size, cap=BASIS_CAP)
-    if symbols > SYMBOL_CAP:
-        raise EnumerationOverflow(
-            "basis exceeds the symbol budget", size=size, symbols=symbols, budget=SYMBOL_CAP
-        )
+    backward_automaton(g, coloring)
+    d, ix = coloring.d, g.index
+    if len(ix.edges) != d * len(ix.vertices):  # strong: complete iff every in-fibre has d edges
+        v = next(v for v, inc in zip(ix.vertices, ix.inc) if len(inc) != d)
+        raise DomainError("colored truncation needs a complete strong coloring "
+                          "(in-degree d-regular, every color in every fiber)", vertex=v)
+    _count_in_regular(len(ix.vertices), d, depth)
     # words per length; a graph with no vertex has none, at any depth
     count = d ** np.arange(depth + 1 if g.vertices else 0)
     grade = np.repeat(np.arange(len(count)), count)  # of each word in a block
@@ -266,25 +257,6 @@ def build_colored_trunc(g: Graph, coloring: Coloring, depth: int) -> TruncatedRe
                np.ones(len(edges) * moved), np.arange(len(edges) + 1) * moved, edges),
         {"coloring": coloring.to_json_dict()},
     )
-
-
-def _colored_basis_size(vertices: int, d: int, depth: int) -> tuple[int, int]:
-    """(size, symbols), in integers: the colored basis size |V| * (d^0 + ...
-    + d^depth) and its colour words' total length |V| * (1 d^1 + ... + depth d^depth).
-
-    Exact up to a size of BASIS_CAP**2.  Past that the sums stop at the
-    first level that crosses it, so a huge depth neither loops long nor
-    yields a number too long to print; any such figure is far over the cap.
-    """
-    if d == 1 or not vertices:  # the levels do not grow
-        return vertices * min(depth + 1, BASIS_CAP**2), vertices * depth * (depth + 1) // 2
-    size, symbols, level = vertices, 0, vertices
-    for length in range(1, depth + 1):
-        level *= d
-        size, symbols = size + level, symbols + length * level
-        if size > BASIS_CAP**2:
-            break
-    return size, symbols
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +328,11 @@ def _search(keys: np.ndarray, want):
 
 
 def _square(vals: np.ndarray) -> np.ndarray:
-    """|v|^2 entry by entry, as the product v * conj(v) forms its real part."""
-    return vals.real * vals.real + vals.imag * vals.imag if np.iscomplexobj(vals) else vals * vals
+    """|v|^2 entry by entry, as v * conj(v) forms its real part; real ones,
+    bool and unsigned too, in float64."""
+    if np.iscomplexobj(vals):
+        return vals.real * vals.real + vals.imag * vals.imag
+    return np.square(vals, dtype=np.float64)
 
 
 def _abs(vals: np.ndarray) -> np.ndarray:
@@ -770,11 +745,7 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
         raise DomainError("cycle length must be positive", n=n)
     if depth < n:
         raise DomainError("depth below the cycle length leaves blocks empty", depth=depth)
-    # one path per level, as on the loop: _count_levels' budget, in closed form
-    if depth >= BASIS_CAP:
-        details = dict(count=BASIS_CAP + 1, length=BASIS_CAP, budget=BASIS_CAP)
-        raise EnumerationOverflow("path enumeration exceeds the budget", **details)
-    _check_symbols("path", depth + 1, depth * (depth + 1) // 2)
+    _count_in_regular(1, 1, depth)  # one path per level, as on the loop, before the n-cycle
     rep = build_left_regular_trunc(cycle_graph(n), ["v1"], depth)
     E, dim = rep.edge_ops.table, rep.dim  # the builder's, in sorted-edge order
     edge = np.array([int(key[1:]) - 1 for key in E.keys])[E.group]  # e_{i + 1} is edge i

@@ -854,15 +854,14 @@ def build_left_regular_trunc(g, sources, depth):
 
 def build_colored_trunc(g, coloring, depth):
     """``trunc.build_colored_trunc`` from the sorted colour-word labels."""
-    from semigroupoid_kit import DomainError, EnumerationOverflow, validate_coloring
-    from semigroupoid_kit.paths import BASIS_CAP, SYMBOL_CAP
-    from semigroupoid_kit.trunc import _colored_basis_size
+    from semigroupoid_kit import DomainError, InvalidColoring, validate_coloring
+    from semigroupoid_kit.paths import _count_levels
 
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     report = validate_coloring(g, coloring)
     if not report.valid:
-        raise DomainError(
+        raise InvalidColoring(
             "coloring is not strong", findings=[f.message for f in report.errors]
         )
     d = coloring.d
@@ -874,13 +873,8 @@ def build_colored_trunc(g, coloring, depth):
                 "(in-degree d-regular, every color in every fiber)",
                 vertex=v,
             )
-    size, symbols = _colored_basis_size(len(g.vertices), d, depth)
-    if size > BASIS_CAP:
-        raise EnumerationOverflow("basis too large", size=size, cap=BASIS_CAP)
-    if symbols > SYMBOL_CAP:
-        raise EnumerationOverflow(
-            "basis exceeds the symbol budget", size=size, symbols=symbols, budget=SYMBOL_CAP
-        )
+    # the words of the blocks are the paths into their vertices: the walk counts them
+    _count_levels(g, g.sorted_vertices(), depth)
     words = [""]
     level = [""]
     for _ in range(depth):

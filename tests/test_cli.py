@@ -424,12 +424,13 @@ def test_long_paths_exceed_the_symbol_budget_before_building(capsys, tmp_path):
     assert _overflow(capsys, argv) == {
         "count": 39999, "symbols": 40000 * 40001 // 2 - 1, "budget": 10**7,
     }
+    # the colored model's basis vectors are the paths into each vertex
     coloring = tmp_path / "one_color.json"
     coloring.write_text(dump_json(Coloring(1, {"loop": 1}).to_json_dict()))
     argv = ["trunc", "verify", loop, "--coloring", str(coloring), "--depth", "60000"]
-    assert _overflow(capsys, argv) == {
-        "size": 60001, "symbols": 60000 * 60001 // 2, "budget": 10**7,
-    }
+    assert _overflow(capsys, argv) == _overflow(
+        capsys, ["paths", "enum", loop, "--source", "v", "--max-len", "60000"]
+    ) == {"count": 60001, "symbols": 60000 * 60001 // 2, "budget": 10**7}
 
 
 def test_atomic_condm_on_a_long_ring(capsys, tmp_path):
@@ -457,14 +458,28 @@ def test_trunc_colored_over_budget_exits_one_before_building(capsys, fig1_file, 
     assert code == 1 and not out
     data = json.loads(err)
     assert data["error"] == "enumeration-overflow"
-    assert data["message"] == "basis too large"
-    assert data["details"]["cap"] == 200_000 < data["details"]["size"]
-    # the size is exact for a basis that could be built: 3 vertices, 2**17 - 1 words
+    assert data["message"] == "path enumeration exceeds the budget"
+    # the running count passes the budget at level 16: 3 vertices, 2**17 - 1 words each
+    want = {"count": 3 * (2**17 - 1), "length": 16, "budget": 200_000}
+    assert data["details"] == want
     code, _, err = run(
         capsys, ["trunc", "verify", fig1_file, "--coloring", coloring_file, "--depth", "16"]
     )
     assert code == 1
-    assert json.loads(err)["details"] == {"size": 3 * (2**17 - 1), "cap": 200_000}
+    assert json.loads(err)["details"] == want
+
+
+def test_trunc_with_a_coloring_that_is_not_strong_is_an_invalid_coloring(capsys, tmp_path, fig1_file):
+    # the colored truncation validates the colouring as the color commands do
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(Coloring(2, dict(OBRIEN_FIG1, rt=1)).to_json_dict()))
+    _, _, want = run(capsys, ["color", "sync-verify", fig1_file, str(bad), "--word", "1"])
+    assert json.loads(want)["error"] == "invalid-coloring"
+    elem = tmp_path / "elem.json"
+    elem.write_text(dump_json({"terms": []}))
+    for argv in (["build", fig1_file], ["verify", fig1_file], ["apply", fig1_file, str(elem)]):
+        code, out, err = run(capsys, ["trunc", *argv, "--coloring", str(bad), "--depth", "2"])
+        assert code == 1 and not out and err == want, argv
 
 
 def test_color_search_on_two_disjoint_aperiodic_graphs_answers_at_once(capsys, tmp_path, rng):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -153,6 +154,18 @@ def test_search_on_figure_one(fig1):
 def test_search_returns_none_on_periodic_graphs():
     for g in [cycle_graph(2), cycle_graph(3), doubled_two_cycle()]:
         assert search_synchronizing_coloring(g) is None
+
+
+def test_an_over_budget_search_reports_the_first_count_past_the_budget(monkeypatch):
+    # d = 3 on a 10-vertex graph: 6 candidates per fibre but the first, and
+    # the count stops at the first product past the budget
+    g = corpus.random_in_regular_graph(random.Random(1), 10, 3)
+    for budget, count in ((10**7, 6**9), (1000, 6**4), (0, 1)):
+        monkeypatch.setattr(rc, "SEARCH_BUDGET", budget)
+        with pytest.raises(EnumerationOverflow) as err:
+            search_synchronizing_coloring(g)
+        assert str(err.value) == "coloring enumeration exceeds the budget"
+        assert err.value.details == {"count": count, "budget": budget}
 
 
 def test_search_requires_regular_in_degree():

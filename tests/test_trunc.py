@@ -259,13 +259,42 @@ def test_one_pass_assembly_matches_per_edge_scans(rng):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (rep.kind, key, attr)
 
 
-def test_colored_basis_size_and_symbols():
-    from semigroupoid_kit.trunc import _colored_basis_size
+def test_the_closed_form_count_is_budgeted_as_the_walk(rng, monkeypatch):
+    """On in-regular graphs the closed-form count and the level-by-level
+    walk from every vertex both pass, with the same total, or both raise
+    the same overflow: at the real caps and at small ones, which level 0
+    alone can pass."""
+    import corpus
+    from semigroupoid_kit import EnumerationOverflow, paths
 
-    # 3 vertices, d = 2, depth 4: 1 + 2 + 4 + 8 + 16 words of 1*2 + 2*4 + 3*8 + 4*16 letters
-    assert _colored_basis_size(3, 2, 4) == (3 * 31, 3 * 98)
-    assert _colored_basis_size(2, 1, 10) == (2 * 11, 2 * 55)
-    assert _colored_basis_size(4, 3, 0) == (4, 0)
+    def outcome(count, *args):
+        try:
+            return count(*args)
+        except EnumerationOverflow as exc:
+            return str(exc), exc.details
+
+    caps = [(paths.BASIS_CAP, paths.SYMBOL_CAP), (0, 10**9), (3, 10**9), (10**9, 0), (10**9, 40)]
+    caps += [(rng.randint(0, 40), rng.randint(0, 300)) for _ in range(5)]
+    seen = set()
+    for d in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                g = corpus.random_in_regular_graph(rng, n, d)
+                for depth in range(9):
+                    for basis, symbols in caps:
+                        monkeypatch.setattr(paths, "BASIS_CAP", basis)
+                        monkeypatch.setattr(paths, "SYMBOL_CAP", symbols)
+                        walked = outcome(paths._count_levels, g, g.sorted_vertices(), depth)
+                        got = outcome(paths._count_in_regular, n, d, depth)
+                        if isinstance(walked, list):
+                            walked = sum(sum(level.values()) for level in walked)
+                        assert got == walked, (d, n, depth, basis, symbols)
+                        seen.add(got[0] if isinstance(got, tuple) else "pass")
+                        seen.add(isinstance(got, tuple) and got[1].get("length") == 0)
+    assert seen == {
+        "pass", "path enumeration exceeds the budget",
+        "path enumeration exceeds the symbol budget", True, False,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1135,7 @@ def test_per_key_edits_give_the_tables_of_one_whole_dict_assignment(rng):
             twin["?"] = sp.identity(rep.dim, format="csr")
             del twin[sorted(twin)[0]]
             assert "?" not in ops and ops.table is table and len(ops) == len(twin)
-        assert _outcome(_all_checks, rep) == _outcome(_all_checks, whole)
+        assert _all_checks(rep) == _all_checks(whole)
         assert operator_coordinates(rep) == operator_coordinates(whole)
 
 
@@ -1125,14 +1154,42 @@ def _is_one_assignment(rep, name):
     return whole
 
 
-def _outcome(check, rep):
-    """What ``check(rep)`` gives, or the error it raises: the checks cannot
-    yet read a kind whose operators are all bool (see CHANGES.md), and the
-    two ways of assigning must agree on that too."""
-    try:
-        return check(rep)
-    except TypeError as exc:
-        return repr(exc)
+def test_a_copy_shares_the_table_and_decodes_nothing(rng, monkeypatch):
+    """``copy()`` of an operator store keeps its table object and decodes no
+    matrix; an edit to the copy replaces the copy's table only."""
+    from semigroupoid_kit import trunc
+
+    decoded = []
+    real = trunc._decode
+    monkeypatch.setattr(trunc, "_decode", lambda *a: decoded.append(a) or real(*a))
+    for rep in rng.sample(_random_reps(rng, graphs=3, max_dim=150), 4):
+        for ops in (rep.vertex_ops, rep.edge_ops):
+            twin = ops.copy()
+            assert decoded == [] and twin.table is ops.table and twin.data == ops.data
+            twin["?"] = sp.identity(rep.dim, format="csr")
+            assert "?" not in ops and twin.table is not ops.table
+            decoded.clear()
+
+
+def test_checks_read_bool_and_integer_operators_as_their_float_values(rng):
+    """A kind whose operators are all bool, all uint8 or all int64 gives the
+    checks and the range-sum defect of its float64 original."""
+    import corpus
+
+    g, h = corpus.random_in_regular_graph(rng, 3, 2), corpus.random_graph(rng, max_v=4, max_e=6)
+    reps = [build_colored_trunc(g, _complete_coloring(rng, g, 2), 3)]
+    reps.append(build_left_regular_trunc(h, h.sorted_vertices()[:1], 3))
+    for rep in reps:
+        want = [r.to_json() for r in verify_tck(rep)], coisometric_defect(rep, 2)
+        for name in ("vertex_ops", "edge_ops"):
+            for dtype in (bool, np.uint8, np.int64):
+                ops = {"vertex_ops": dict(rep.vertex_ops), "edge_ops": dict(rep.edge_ops)}
+                ops[name] = {key: m.astype(dtype) for key, m in ops[name].items()}
+                twin = TruncatedRep(rep.graph, rep.depth, rep.kind, None, rep.grades, None,
+                                    ops["vertex_ops"], ops["edge_ops"], rep.meta)
+                assert {dt for _, dt in getattr(twin, name).data.values()} <= {np.dtype(dtype)}
+                got = [r.to_json() for r in verify_tck(twin)], coisometric_defect(twin, 2)
+                assert got == want, (rep.kind, name, dtype)
 
 
 def test_operators_keyed_by_no_vertex_or_edge_are_kept_and_ignored(fig1):
