@@ -3,7 +3,9 @@
 Subcommands are grouped by module: graph, paths, series, atomic, color,
 trunc.  Each ``cmd_*`` handler returns its answer and prints nothing: a
 ``(data, lines)`` pair, the JSON object and the table lines, or DOT text
-for --format dot (``graph check`` and explicit ``atomic validate``).  Only
+for --format dot (``graph check`` and explicit ``atomic validate``).  What
+can fail is computed before a handler returns; its long lists are iterators,
+so only the side asked for is made, item by item as it is written.  Only
 ``main`` renders the answer (deterministic JSON by default, the lines
 under --format table) in batches and chooses the exit code: 0 success, 1
 domain error (structured JSON on stderr), 2 usage error.  The parser is
@@ -19,7 +21,8 @@ import argparse
 import functools
 import json
 import sys
-from typing import TYPE_CHECKING
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import atomic as at
 from . import graph as gr
@@ -37,7 +40,7 @@ DEFAULT_DEPTH = 4
 _LINES = 8192  # table lines joined per write
 
 # What a handler returns: (JSON object, table lines), or DOT text.
-Answer = tuple[dict, list[str]] | str
+Answer = tuple[dict, Iterable[str]] | str
 
 
 def _load_graph(path: str) -> gr.Graph:
@@ -52,13 +55,15 @@ def _load_family(path: str):
     return io.atomic_family_from_json(io.load_json(path))
 
 
-def _report_table(report) -> list[str]:
-    lines = []
+def _load_formal(args) -> se.FormalElement:
+    return io.formal_from_json(_load_graph(args.graph), io.load_json(args.file))
+
+
+def _report_table(report) -> Iterator[str]:
     for f in report.findings:
         where = "" if f.where is None else f" [{f.where}]"
-        lines.append(f"{f.severity:5s} {f.code}{where}: {f.message}")
-    lines.append("valid" if report.valid else "INVALID")
-    return lines
+        yield f"{f.severity:5s} {f.code}{where}: {f.message}"
+    yield "valid" if report.valid else "INVALID"
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +112,18 @@ def cmd_graph_ses(args) -> Answer:
 
 def cmd_paths_enum(args) -> Answer:
     g = _load_graph(args.file)
-    sources = args.source.split(",")
-    found = pa.enumerate_paths(g, sources, args.max_len)
-    data = {"count": len(found), "paths": [io.path_to_json(p) for p in found]}
-    lines = [f"{len(p)}: {p.base} {' '.join(p.edges) if p.edges else '(vertex)'}" for p in found]
-    lines.append(f"count: {len(found)}")
-    return data, lines
+    found = pa.enumerate_paths(g, args.source.split(","), args.max_len)
+    lines = (f"{len(p)}: {p.base} {' '.join(p.edges) if p.edges else '(vertex)'}" for p in found)
+    data = {"count": len(found), "paths": map(io.path_to_json, found)}
+    return data, chain(lines, [f"count: {len(found)}"])
 
 
 def cmd_paths_cycles(args) -> Answer:
     g = _load_graph(args.file)
     found = pa.irreducible_cycles_at(g, args.vertex, args.max_len)
-    data = {"count": len(found), "cycles": [io.path_to_json(p) for p in found]}
-    lines = [f"{len(p)}: {' '.join(p.edges)}" for p in found]
-    lines.append(f"count: {len(found)}")
-    return data, lines
+    lines = (f"{len(p)}: {' '.join(p.edges)}" for p in found)
+    data = {"count": len(found), "cycles": map(io.path_to_json, found)}
+    return data, chain(lines, [f"count: {len(found)}"])
 
 
 def cmd_paths_class(args) -> Answer:
@@ -134,50 +136,37 @@ def cmd_paths_class(args) -> Answer:
 # series
 
 
-def _formal_lines(a: se.FormalElement) -> list[str]:
-    if a.is_zero():
-        return ["0"]
-    out = []
-    for p, c in a.sorted_terms():
-        word = " ".join(p.edges) if p.edges else p.base
-        out.append(f"({c.real:+.6g}{c.imag:+.6g}i) * [{word}]")
-    return out
+def _formal_answer(a: se.FormalElement) -> Answer:
+    """The answer of ``series mul``, ``fourier`` and ``cesaro``: the terms of ``a``."""
+    terms = a.sorted_terms()
+    lines = (f"({c.real:+.6g}{c.imag:+.6g}i) * [{' '.join(p.edges) if p.edges else p.base}]"
+             for p, c in terms)
+    return {"terms": io._terms(terms)}, lines if terms else ["0"]
 
 
 def cmd_series_mul(args) -> Answer:
     g = _load_graph(args.graph)
     a = io.formal_from_json(g, io.load_json(args.left))
     b = io.formal_from_json(g, io.load_json(args.right))
-    prod = se.formal_mul(a, b)
-    return io.formal_to_json(prod), _formal_lines(prod)
+    return _formal_answer(se.formal_mul(a, b))
 
 
 def cmd_series_fourier(args) -> Answer:
-    g = _load_graph(args.graph)
-    a = io.formal_from_json(g, io.load_json(args.file))
-    part = se.fourier_coeff(a, args.m)
-    return io.formal_to_json(part), _formal_lines(part)
+    return _formal_answer(se.fourier_coeff(_load_formal(args), args.m))
 
 
 def cmd_series_cesaro(args) -> Answer:
-    g = _load_graph(args.graph)
-    a = io.formal_from_json(g, io.load_json(args.file))
-    out = se.cesaro(a, args.k)
-    return io.formal_to_json(out), _formal_lines(out)
+    return _formal_answer(se.cesaro(_load_formal(args), args.k))
 
 
 def cmd_series_ideal_degree(args) -> Answer:
-    g = _load_graph(args.graph)
-    a = io.formal_from_json(g, io.load_json(args.file))
-    deg = se.graded_ideal_degree(a)
+    deg = se.graded_ideal_degree(_load_formal(args))
     value = "infinity" if deg is None else deg
     return {"degree": value}, [f"degree: {value}"]
 
 
 def cmd_series_rownorm(args) -> Answer:
-    g = _load_graph(args.graph)
-    a = io.formal_from_json(g, io.load_json(args.file))
-    value = se.l2_row_norm(a, args.m, args.vertex)
+    value = se.l2_row_norm(_load_formal(args), args.m, args.vertex)
     return (
         {"m": args.m, "vertex": args.vertex, "value": value},
         [f"l2 row norm at grade {args.m}, vertex {args.vertex}: {value}"],
@@ -335,27 +324,24 @@ def cmd_trunc_build(args) -> Answer:
         "kind": rep.kind,
         "depth": rep.depth,
         "dim": rep.dim,
-        "basis": [_label_str(rep, lab) for lab in rep.labels],
-        "ops": tr.operator_coordinates(rep),
+        "basis": map(functools.partial(_label_str, rep), rep.labels),
+        "ops": tr._coordinates(rep),
     }
-    lines = [f"kind: {rep.kind}", f"dim: {rep.dim}"]
-    lines += [f"basis[{i}] = {_label_str(rep, lab)}" for i, lab in enumerate(rep.labels)]
-    return data, lines
+    lines = (f"basis[{i}] = {_label_str(rep, lab)}" for i, lab in enumerate(rep.labels))
+    return data, chain([f"kind: {rep.kind}", f"dim: {rep.dim}"], lines)
 
 
 def cmd_trunc_verify(args) -> Answer:
     from . import trunc as tr
     rep = _build_rep(args)
     reports = tr.verify_tck(rep)
-    data = {"dim": rep.dim, "relations": [r.to_json() for r in reports]}
-    lines = []
-    for r in reports:
-        status = "exact" if r.exact_zero else f"residual {r.max_residual:.3e}"
-        lines.append(
-            f"{r.relation:3s} grades [{r.interior_lo},{r.interior_hi}]: {status}"
-            + (f" (boundary {r.boundary_residual:.3e})" if r.boundary_residual else "")
-        )
-    return data, lines
+    lines = (
+        f"{r.relation:3s} grades [{r.interior_lo},{r.interior_hi}]: "
+        + ("exact" if r.exact_zero else f"residual {r.max_residual:.3e}")
+        + (f" (boundary {r.boundary_residual:.3e})" if r.boundary_residual else "")
+        for r in reports
+    )
+    return {"dim": rep.dim, "relations": [r.to_json() for r in reports]}, lines
 
 
 def cmd_trunc_cycle_lemma(args) -> Answer:
@@ -369,10 +355,8 @@ def cmd_trunc_apply(args) -> Answer:
     rep = _build_rep(args)
     elem = io.formal_from_json(rep.graph, io.load_json(args.element))
     entries = tr._quadruples(*tr._formal_entries(rep, elem))
-    data = {"dim": rep.dim, "entries": entries}
-    lines = [f"({r},{c}) = {re:+.6g}{im:+.6g}i" for r, c, re, im in entries]
-    lines.append(f"nnz: {len(entries)}")
-    return data, lines
+    lines = (f"({r},{c}) = {re:+.6g}{im:+.6g}i" for r, c, re, im in entries)
+    return {"dim": rep.dim, "entries": entries}, chain(lines, [f"nnz: {len(entries)}"])
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +512,10 @@ def _run(args) -> int:
     if isinstance(answer, str):
         sys.stdout.write(answer)
     elif args.format == "table":
-        lines = answer[1]
-        for k in range(0, len(lines) or 1, _LINES):  # no lines still print one newline
-            sys.stdout.write("\n".join(lines[k : k + _LINES]) + "\n")
+        lines = iter(answer[1])  # the first batch is written even if empty: one newline
+        sys.stdout.write("\n".join(islice(lines, _LINES)) + "\n")
+        for batch in iter(lambda: list(islice(lines, _LINES)), []):
+            sys.stdout.write("\n".join(batch) + "\n")
     else:
         io.write_json(answer[0], sys.stdout.write)
     return 0

@@ -11,15 +11,17 @@ Formats:
 
 Output goes through one streaming renderer, ``write_json``: the text of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, byte for byte,
-handed to ``write`` in batches, so a large answer is never held whole.
+handed to ``write`` in batches, so a large answer is never held whole.  An
+iterator in it renders as a list whose items are made as they are written.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _str
-from typing import Any
+from types import GeneratorType
+from typing import Any, Iterable, Iterator
 
 from .atomic import (
     OMEGA,
@@ -63,12 +65,12 @@ def path_from_json(g: Graph, data: dict) -> Path:
 
 
 def formal_to_json(a: FormalElement) -> dict:
-    return {
-        "terms": [
-            {"path": path_to_json(p), "re": c.real, "im": c.imag}
-            for p, c in a.sorted_terms()
-        ]
-    }
+    return {"terms": list(_terms(a.sorted_terms()))}
+
+
+def _terms(pairs: Iterable[tuple[Path, complex]]) -> Iterator[dict]:
+    """The JSON term of each (path, coefficient) pair, made as it is read."""
+    return ({"path": path_to_json(p), "re": c.real, "im": c.imag} for p, c in pairs)
 
 
 def formal_from_json(g: Graph, data: dict) -> FormalElement:
@@ -244,6 +246,7 @@ def _float(x: float) -> str:
 
 
 _EXACT = {str: _str, int: int.__repr__, float: _float}  # skip the chain of ``_scalar``
+_ITERATORS = (map, GeneratorType, chain)  # rendered as lists; concrete types, no ABC check
 
 
 def _scalar(o) -> str:
@@ -268,22 +271,21 @@ def _render(o, buf: list, write, nl: str) -> None:
     container loop passes ``buf`` to ``write`` once it holds _FLUSH chunks."""
     if isinstance(o, (list, tuple)):
         pairs, brackets = zip(repeat(None), o), "[]"
+        kinds = set(map(type, o)) if len(o) <= _FLUSH else ()
     elif isinstance(o, dict):
-        pairs, brackets = sorted(o.items()), "{}"
+        pairs, brackets, kinds = sorted(o.items()), "{}", ()
+    elif isinstance(o, _ITERATORS):
+        pairs, brackets, kinds = zip(repeat(None), o), "[]", ()
     else:
         buf.append(_scalar(o))
         return
-    if not o:
-        buf.append(brackets)
-        return
     inner = nl + "  "
     sep = "," + inner
-    keyed = brackets == "{}"
-    kinds = () if keyed or len(o) > _FLUSH else set(map(type, o))
     if len(kinds) == 1 and (text := _EXACT.get(kinds.pop())):  # a list of one scalar type
         buf.append("[" + inner + sep.join(map(text, o)) + nl + "]")
         return
-    head = brackets[0] + inner
+    keyed = brackets == "{}"
+    head = first = brackets[0] + inner
     for k, v in pairs:
         if keyed:
             head += (_str(k) if k.__class__ is str else _key(k)) + ": "
@@ -297,12 +299,13 @@ def _render(o, buf: list, write, nl: str) -> None:
         if len(buf) >= _FLUSH:
             write("".join(buf))
             buf.clear()
-    buf.append(nl + brackets[1])
+    buf.append(brackets if head is first else nl + brackets[1])  # nothing written: empty
 
 
 def write_json(data, write) -> None:
     """Render ``data`` as ``json.dumps(data, indent=2, sort_keys=True)`` plus
-    a newline would, passing the text to ``write`` in batches.  A type that
+    a newline would, passing the text to ``write`` in batches; an iterator
+    (``map``, generator, ``chain``) renders as ``list`` of it.  A type that
     ``json`` refuses raises ``TypeError``; reference cycles are not checked."""
     buf: list[str] = []
     _render(data, buf, write, "\n")

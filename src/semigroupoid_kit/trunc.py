@@ -313,11 +313,13 @@ def _path_map(rep: TruncatedRep, p: Path) -> _Map:
 
 def _product(a: _Map, b: _Map) -> _Map:
     """The map of a @ b: b sends column b.dom[i] to row b.row[i], and a
-    sends that on if it is a column of a, so the columns stay increasing."""
+    sends that on if it is a column of a, so the columns stay increasing.
+    Integer and bool values multiply in float64, where they cannot wrap."""
     j = _search(a.dom, b.row)
     hit = j >= 0
     j = j[hit]
-    return _Map(a.row[j], b.dom[hit], a.val[j] * b.val[hit])
+    dtype = np.float64 if a.val.dtype.kind in "biu" and b.val.dtype.kind in "biu" else None
+    return _Map(a.row[j], b.dom[hit], np.multiply(a.val[j], b.val[hit], dtype=dtype))
 
 
 def _search(keys: np.ndarray, want):
@@ -772,8 +774,14 @@ def cycle_lemma_check(n: int, depth: int) -> CycleLemmaReport:
 def operator_coordinates(rep: TruncatedRep) -> dict[str, list[list[float]]]:
     """``matrix_to_coordinates`` of every operator, keyed ``v:<vertex>`` and
     ``e:<edge>``, read off the tables' segments with no matrix built."""
-    kinds = rep.vertex_ops, rep.edge_ops
-    return {f"{ops.kind[0]}:{key}": _quadruples(*ops.map(key)) for ops in kinds for key in ops}
+    return {name: list(quads) for name, quads in _coordinates(rep).items()}
+
+
+def _coordinates(rep: TruncatedRep) -> dict:
+    """``operator_coordinates``, each operator's quadruples made as they are read:
+    its map is sliced now, and ``_quadruples`` runs at the first read."""
+    maps = {f"{o.kind[0]}:{k}": o.map(k) for o in (rep.vertex_ops, rep.edge_ops) for k in o}
+    return {name: (q for one in [m] for q in _quadruples(*one)) for name, m in maps.items()}
 
 
 def matrix_to_coordinates(mat: sp.spmatrix) -> list[list[float]]:

@@ -1061,7 +1061,8 @@ def verify_tck(rep):
 
 
 def path_matrix(rep, p):
-    """``trunc.path_matrix`` as a product of edge matrices."""
+    """``trunc.path_matrix`` as a product of edge matrices; integer and bool
+    ones multiply in float64, as ``trunc`` multiplies them."""
     from semigroupoid_kit import DomainError
 
     if not p.edges:
@@ -1075,6 +1076,8 @@ def path_matrix(rep, p):
             factor = rep.edge_ops[eid]
         except KeyError:
             raise DomainError("unknown edge", edge=eid) from None
+        if mat is not None and np.result_type(mat.dtype, factor.dtype).kind in "biu":
+            mat, factor = mat.astype(np.float64), factor.astype(np.float64)  # no wrap-around
         mat = factor if mat is None else mat @ factor
     return mat.tocsr()
 

@@ -3,8 +3,9 @@
     python3 tests/scale.py [--cli COMMAND] [--only NAME ...]
 
 Each row names a command, the seeded inputs it reads (generated by
-``corpus``), the exit code it must give, a check of its answer, a bound
-on the child's peak resident set and a timeout.  The rows run one at a
+``corpus`` in a forked process, so the suite's own resident size never
+enters a child's peak), the exit code it must give, a check of its answer,
+a bound on the child's peak resident set and a timeout.  The rows run one at a
 time in one temporary directory, in table order, so a row may read what
 an earlier row's check left there.  For each row one JSON line is
 printed: the row, its exit code, seconds, the child's peak MB
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import shlex
 import shutil
@@ -79,6 +81,11 @@ def _synchronizes(work: str, out: str, err: str) -> str | None:
     return None if verdict["synchronizing"] is True and verdict["target"] == "v0" else str(verdict)
 
 
+def _every_path(work: str, out: str, err: str) -> str | None:
+    last = _read(out).rsplit("\n", 2)[-2]
+    return None if last == "count: 131071" else f"last line {last!r}"
+
+
 def _dim(work: str, out: str, err: str) -> str | None:
     with open(out, encoding="utf-8") as fh:
         found = any('"dim": 196605' in line for line in fh)
@@ -113,11 +120,16 @@ ROWS = [
         lambda w: ["series", "mul", "--graph", f"{w}/loops.json", f"{w}/loops8.json",
                    f"{w}/loops8.json"],
         {"loops.json": corpus.two_loops_json, "loops8.json": lambda: corpus.loop_words_json(8)},
-        0, _passes, 300),
+        0, _passes, 130),
     # every path of length <= 16 on the loops: 131,071 paths, streamed
     Row("paths enum --max-len 16",
         lambda w: ["paths", "enum", f"{w}/loops.json", "--source", "v", "--max-len", "16"],
-        {"loops.json": corpus.two_loops_json}, 0, _passes, 300),
+        {"loops.json": corpus.two_loops_json}, 0, _passes, 85),
+    # the same paths as 4.7 MB of table lines, made and written in batches
+    Row("paths enum --max-len 16 --format table",
+        lambda w: ["paths", "enum", f"{w}/loops.json", "--source", "v", "--max-len", "16",
+                   "--format", "table"],
+        {"loops.json": corpus.two_loops_json}, 0, _every_path, 85),
     # a 100,000-vertex chain with two labels per vertex: one atom at v0
     Row("atomic classify 1e5 chain",
         lambda w: ["atomic", "classify", f"{w}/chain.json"],
@@ -135,13 +147,14 @@ ROWS = [
         lambda w: ["color", "sync-verify", f"{w}/looped.json", f"{w}/tree-coloring.json",
                    "--word", _word(w)],
         {}, 0, _synchronizes, 400),
-    # the colored model of the looped triangle at depth 15 (dim 196,605)
+    # the colored model of the looped triangle at depth 15 (dim 196,605);
+    # each label and each operator's quadruples are made as they are written
     Row("trunc build depth 15",
         lambda w: ["trunc", "build", f"{w}/triangle.json", "--coloring",
                    f"{w}/triangle-coloring.json", "--depth", "15"],
         {"triangle.json": lambda: corpus.looped_triangle().to_json_dict(),
          "triangle-coloring.json": corpus.triangle_coloring_json},
-        0, _dim, 300),
+        0, _dim, 150),
     # building the 100,000-vertex looped graph and reading its structure
     Row("graph check 1e5",
         lambda w: ["graph", "check", f"{w}/looped.json"],
@@ -149,12 +162,22 @@ ROWS = [
 ]
 
 
+def _write(path: str, make: Callable[[], object]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(make(), fh)
+
+
 def run(row: Row, cli: list[str], work: str) -> dict:
     for name, make in row.inputs.items():
         path = os.path.join(work, name)
         if not os.path.exists(path):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(make(), fh)
+            # written by a forked child: a child's ru_maxrss starts at the
+            # resident size of the process that starts it, so this one stays small
+            writer = multiprocessing.get_context("fork").Process(target=_write, args=(path, make))
+            writer.start()
+            writer.join()
+            if writer.exitcode:
+                return {"row": row.name, "ok": False, "fault": f"input {name} not written"}
     out, err = os.path.join(work, "stdout"), os.path.join(work, "stderr")
     try:
         command = cli + row.args(work)

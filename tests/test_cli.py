@@ -919,3 +919,43 @@ def test_malformed_inputs_exit_one_with_their_message(capsys, tmp_path, fig1_fil
         code, out, err = run(capsys, argv)
         assert code == 1 and not out, argv
         assert json.loads(err)["message"] == message, (argv, err)
+
+
+def test_each_answer_is_made_once_in_the_form_asked_for(
+    capsys, monkeypatch, tmp_path, fig1, fig1_file, coloring_file
+):
+    """A JSON request makes each listed item once (a path through
+    ``serialize.path_to_json``, a basis label through ``cli._label_str``),
+    and a table request makes no JSON item and each label once."""
+    from semigroupoid_kit import FormalElement, cli, enumerate_paths, serialize
+
+    elem = tmp_path / "elem.json"
+    terms = {p: 1.0 + i for i, p in enumerate(enumerate_paths(fig1, ["t", "l"], 2))}
+    elem.write_text(dump_json(formal_to_json(FormalElement(fig1, terms))))
+    made = {}
+
+    def counted(item, fn):
+        def call(*args):
+            made[item] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(serialize, "path_to_json", counted("path", serialize.path_to_json))
+    monkeypatch.setattr(cli, "_label_str", counted("label", cli._label_str))
+    cases = [
+        (["paths", "enum", fig1_file, "--source", "t", "--max-len", "3"], "paths", "path"),
+        (["paths", "cycles", fig1_file, "--vertex", "t", "--max-len", "4"], "cycles", "path"),
+        (["series", "mul", str(elem), str(elem), "--graph", fig1_file], "terms", "path"),
+        (["trunc", "build", fig1_file, "--sources", "t", "--depth", "3"], "basis", "label"),
+        (["trunc", "build", fig1_file, "--coloring", coloring_file, "--depth", "3"], "basis", "label"),
+    ]
+    for argv, key, item in cases:
+        made.update(path=0, label=0)
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err
+        n = len(json.loads(out)[key])
+        assert n > 1 and made == {"path": 0, "label": 0, item: n}, argv
+        made.update(path=0, label=0)
+        code, out, err = run(capsys, argv + ["--format", "table"])
+        assert code == 0 and not err and out.count("\n") > n // 2
+        assert made == {"path": 0, "label": n if item == "label" else 0}, argv

@@ -2,6 +2,8 @@
 
 import enum
 import json
+from itertools import chain
+from types import GeneratorType
 
 import pytest
 
@@ -113,3 +115,37 @@ def test_unsupported_types_raise_what_json_raises():
         with pytest.raises(TypeError) as theirs:
             reference(data)
         assert str(ours.value) == str(theirs.value)
+
+
+def listed(o):
+    """``o`` with every iterator in it, at any depth, read into a list."""
+    if isinstance(o, dict):
+        return {k: listed(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, map, chain, GeneratorType)):
+        return [listed(v) for v in o]
+    return o
+
+
+def test_iterators_render_as_the_lists_of_their_items(rng):
+    rows = [random_data(rng, 3) for _ in range(40)]
+    flat = [random_str(rng) for _ in range(_FLUSH + 1)]
+    cases = [
+        lambda: map(str, range(7)),
+        lambda: (row for row in rows),
+        lambda: chain(rows[:5], (k / 3 for k in range(4)), map(bool, [0, 1])),
+        lambda: map(str, []),
+        lambda: (row for row in ()),
+        lambda: chain(),
+        lambda: [map(int, ""), {"k": chain()}, (x for x in [[], {}])],
+        lambda: {"a": map(lambda k: (v for v in range(k)), range(4)), "b": chain([], map(str, "xy"))},
+        lambda: (map(abs, range(-k, 1)) for k in range(3)),
+        lambda: {"flat": (s for s in flat), "rows": map(lambda r: {"r": r}, rows)},
+        lambda: (s for s in flat),
+    ]
+    for make in cases:
+        chunks = []
+        write_json(make(), chunks.append)
+        assert "".join(chunks) == dump_json(make()) == reference(listed(make()))
+    chunks = []
+    write_json((s for s in flat), chunks.append)
+    assert len(chunks) > 1

@@ -1474,6 +1474,27 @@ def test_integer_operators_past_2_53_are_refused(fig1):
     assert _all_checks(rep) == clean
 
 
+def test_integer_products_multiply_in_float64():
+    """A path of length >= 2 over integer operators reads out in float64, so
+    it cannot wrap around: on the one-loop truncation at depth 3, with e1 an
+    int64 operator of entries 2^33, e1 e1 has two entries of 2^66, where an
+    int64 product is the zero matrix.  The oracle multiplies the same way."""
+    import oracles
+
+    g = cycle_graph(1)
+    rep = build_left_regular_trunc(g, ["v1"], 3)
+    big = rep.edge_ops["e1"].astype(np.int64)
+    big.data[:] = 2**33
+    rep.edge_ops["e1"] = big
+    p = Path("v1", ("e1", "e1"))
+    for mat in (path_matrix(rep, p), oracles.path_matrix(rep, p)):
+        assert mat.dtype == np.float64 and mat.data.tolist() == [2.0**66] * 2
+    elem = FormalElement.path(g, p)
+    for mat in (apply_formal(rep, elem), oracles.apply_formal(rep, elem)):
+        assert mat.data.tolist() == [complex(2.0**66)] * 2
+    assert path_matrix(rep, Path("v1", ("e1",))).dtype == np.int64
+
+
 def test_report_json_holds_the_fields_as_asdict_gives_them(rng, fig1):
     """``RelationReport.to_json`` gives each field but the interior under
     its own name and the interior as [lo, hi]; ``CycleLemmaReport.to_json``
