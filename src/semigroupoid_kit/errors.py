@@ -20,6 +20,15 @@ def json_int(value) -> int:
     return value
 
 
+def json_list(value) -> list:
+    """``value`` as a list if it is a JSON array, a list or tuple; a string or an
+    object, which ``list()`` reads as its characters or keys, raises TypeError."""
+    if not isinstance(value, (list, tuple)):
+        iter(value)  # a number, bool or null: list()'s "... object is not iterable"
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return list(value)
+
+
 def json_number(value) -> float:
     """``float(value)`` if ``value`` is a JSON number; a bool, string or anything else
     raises TypeError, and an integer too large for a float raises OverflowError."""

@@ -18,7 +18,7 @@ from itertools import groupby, islice
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, json_list
 from .validation import ValidationReport
 
 
@@ -233,8 +233,8 @@ class Graph:
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
         try:
-            vertices = list(data["vertices"])
-            raw_edges = list(data["edges"])
+            vertices = json_list(data["vertices"])
+            raw_edges = json_list(data["edges"])
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"graph object needs 'vertices' and 'edges': {exc}")
         edges = []

@@ -37,7 +37,7 @@ from .atomic import (
     TailType,
     WoldData,
 )
-from .errors import MALFORMED, DomainError, json_int, json_number
+from .errors import MALFORMED, DomainError, json_int, json_list, json_number
 from .graph import Graph
 from .paths import Path, validate_path
 from .phases import Phase
@@ -51,7 +51,7 @@ def path_to_json(p: Path) -> dict:
 
 def path_from_json(g: Graph, data: dict) -> Path:
     try:
-        edges = tuple(str(e) for e in data.get("edges", ()))
+        edges = tuple(str(e) for e in json_list(data.get("edges", ())))
         base = data.get("base")
     except MALFORMED as exc:
         raise DomainError(f"path object needs 'base' and 'edges': {exc}")
@@ -110,7 +110,7 @@ def explicit_atomic_from_json(data: dict) -> ExplicitAtomic:
         lam_raw = dict(data.get("lambda", {}))
         pi_raw = list(data.get("pi", []))
         phase_raw = list(data.get("phase", []))
-        lam = {str(v): tuple(str(i) for i in labels) for v, labels in lam_raw.items()}
+        lam = {str(v): tuple(str(i) for i in json_list(labels)) for v, labels in lam_raw.items()}
     except MALFORMED as exc:
         raise DomainError(f"explicit atomic object malformed: {exc}")
     pi: dict[str, dict[str, str]] = {}

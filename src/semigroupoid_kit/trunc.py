@@ -33,8 +33,9 @@ its entries are spliced into its kind's table in key order, as a deletion
 cuts its key's entries out.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
-each relation on the two tables in a fixed number of array passes:
-O(n + nnz) work in O(1) numpy calls, whatever the graph.
+each relation on the two tables in a fixed number of array passes, a
+range sum in one pass per grade over O(n + nnz) slots.  (IS) lists every
+entry of S_src(e) once per edge e, so its work grows with the out-degrees.
 Each entry of a checked matrix has a closed form per column, summed from
 zero in term order by ``np.bincount`` or one scalar operation and never by
 numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
@@ -343,13 +344,6 @@ def _abs(vals: np.ndarray) -> np.ndarray:
     return np.hypot(vals.real, vals.imag) if np.iscomplexobj(vals) else np.abs(vals)
 
 
-def _range_diagonal(entries, weight: np.ndarray) -> np.ndarray:
-    """Diagonal of S diag(weight) S* for the operator S with the entries
-    (rows, cols, vals), each row's terms summed from zero in entry order."""
-    rows, cols, vals = entries
-    return np.bincount(rows, weights=_square(vals) * weight[cols], minlength=len(weight))
-
-
 def _add_up(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, increasing, and each one's values summed from zero
     in the order given."""
@@ -488,7 +482,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    excess, inner, outer = _range_defects(P, at, E, dst, interior)
+    excess, inner, outer = _range_defects(P, at, E, src, dst, interior)
     worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
     has_in = np.bincount(dst, minlength=len(verts)) > 0
@@ -564,36 +558,52 @@ def _isometry_residuals(P: _Stack, at: np.ndarray, E: _Stack, src: np.ndarray, i
 
 
 def _range_defects(
-    P: _Stack, at: np.ndarray, E: _Stack, dst: np.ndarray, inside: np.ndarray
+    P: _Stack, at: np.ndarray, E: _Stack, src: np.ndarray, dst: np.ndarray, inside: np.ndarray
 ) -> np.ndarray:
-    """S_v less the range sum of the edges into v, which TCK, CK and F read:
-    at each vertex, by how much the sum exceeds S_v, and max |entry| on
-    ``inside`` and off it, as three rows.
-
-    S_e S_e* is |val|^2 on the diagonal at the rows of e.  These add up in
-    edge order in the slot of the entry of S_v in that column, and the entry
-    of S_v comes last.  On the diagonal the defect exceeds by its negative
-    real part or its imaginary part, off it by its modulus.
+    """S_v less R_1^v, the range sum of the edges into v, which TCK, CK and F
+    read: at each vertex, by how much the sum exceeds S_v, and max |entry| on
+    ``inside`` and off it, as three rows.  The entry of S_v in a slot's
+    column meets R_1^v there when on the diagonal; there the defect exceeds
+    by its negative real part or its imaginary part, elsewhere by its modulus.
     """
-    n, sq = len(inside), _square(E.val)
-    j = _find(at, n, dst[E.group], E.row)
-    hit, on = j >= 0, P.row == P.col
-    slot = np.bincount(j[hit], weights=-sq[hit], minlength=len(P.col))
-    diag = np.where(on, slot + P.val, slot)
-    alone = np.where(on, 0.0, _abs(P.val))
-    miss, miss_in = np.maximum(_abs(diag), alone), inside[P.col]
-    out = _group_max(np.array([
+    n, on = len(inside), P.row == P.col
+    slots, r = _range_sums(E, src, dst, n, at, 1)
+    j = np.searchsorted(slots, at) if len(slots) > len(at) else np.arange(len(at))  # S_v's slots
+    own, alone = np.zeros(len(slots), np.result_type(float, P.val)), np.zeros(len(slots))
+    own[j[on]], alone[j[~on]] = P.val[on], _abs(P.val[~on])
+    diag = own - r
+    miss, miss_in = np.maximum(_abs(diag), alone), inside[slots % n]
+    return _group_max(np.array([
         np.maximum(np.maximum(-diag.real, np.abs(diag.imag)), alone),
         np.where(miss_in, miss, 0.0),
         np.where(miss_in, 0.0, miss),
-    ]), P.start)
-    if not hit.all():  # rows of an edge into v that are no column of S_v: a corruption
-        keys, stray = _add_up((dst[E.group].astype(np.int64) * n + E.row)[~hit], sq[~hit])
-        vertex, stray_in = keys // n, inside[keys % n]
-        split = np.where(stray_in, stray, 0.0), np.where(stray_in, 0.0, stray)
-        for row, vals in zip(out, (stray, *split)):
-            np.maximum.at(row, vertex, vals)
-    return out
+    ]), np.searchsorted(slots, np.arange(len(P.start)) * n))
+
+
+def _range_sums(
+    E: _Stack, src: np.ndarray, dst: np.ndarray, n: int, slots: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slots and the diagonal of R_k^w on them, k >= 1: the sum of S_p S_p*
+    over the length-k paths p into w, from R_0^w = I by R_k^w = the sum over
+    the edges e into w of S_e R_{k-1}^{src e} S_e*.  A slot w * n + row is
+    one of ``slots`` (a projection table's keys, or none) or, on a corrupted
+    rep only, another row an edge into w reaches.  A grade step is one
+    ``np.bincount`` of the edge table over the slots, each adding its terms
+    from zero in entry order; a term from an empty slot reads 0.0 there.
+    """
+    keys = dst[E.group] * n + E.row
+    into = _search(slots, keys)
+    if (into < 0).any():  # a row no projection entry has: a corrupted rep
+        slots = np.union1d(slots, keys)
+        into = np.searchsorted(slots, keys)
+    back = _search(slots, src[E.group] * n + E.col) if k > 1 else None
+    sq, weight = _square(E.val), 1.0  # R_0 = I reads 1.0 in every slot
+    for _ in range(k):
+        r = np.bincount(into, weights=sq * weight, minlength=len(slots))
+        if not r.any():
+            break  # no longer path reaches a nonzero vector
+        weight = np.append(r, 0.0)[back]
+    return slots, r
 
 
 def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
@@ -636,42 +646,32 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
     projection onto grades at least k, so it vanishes below grade k.  Both
     statements are checked from this one defect pair.
 
-    No path is built.  The sum is diagonal, and the part over the paths
-    into w is R_k^w = sum over edges e into w of S_e R_{k-1}^{src e} S_e*,
-    starting from R_0 = I (or S_v S_v* itself when k = 0).  The R^w are the
-    rows of one vertices x n array; a grade step is one ``np.bincount`` of
-    the edge table, and the rows are then added vertex by vertex.  A slot
-    w * n + row takes terms only from the edges into w, in id order as in
-    ``in_edges``, so each sum runs as over the paths.  The paths are
-    counted first, against the same budget as ``enumerate_paths``.
+    No path is built.  The sum is diagonal: S_v S_v* summed over v at k =
+    0, and above it the R_k^w of ``_range_sums``, added vertex by vertex from
+    zero.  Their slots start from the projections' entries when the vertex
+    table's keys are the graph's vertices, else from none, so k >= 1 reads
+    no vertex operator.  A slot w * n + row takes terms only from the edges
+    into w, in id order as in ``in_edges``, so each sum runs as over the
+    paths.  The paths are counted first, against ``enumerate_paths``' budget.
     """
     if k < 0:
         raise DomainError("grade must be nonnegative", k=k)
-    g, n = rep.graph, rep.dim
+    g, n, verts = rep.graph, rep.dim, rep.graph.sorted_vertices()
     _count_levels(g, sorted(g.vertices), k)
-    total = _range_sum(rep, k)
+    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
+    if k == 0:
+        P = rep.vertex_ops.stack(verts)
+        total = np.bincount(P.row, weights=_square(P.val), minlength=n)
+    else:
+        P = rep.vertex_ops.table
+        at = P.group.astype(np.int64) * n + P.col if P.keys == verts else np.zeros(0, np.int64)
+        E = rep.edge_ops.stack(g.sorted_edge_ids())
+        slots, r = _range_sums(E, src, dst, n, at, k)
+        total = np.bincount(slots % n, weights=r, minlength=n)  # vertex by vertex, from zero
     cols = np.arange(n)
     upper = _entry_residual(cols, total - 1.0, rep.grades, k, rep.depth)[0]
     lower = _entry_residual(cols, total, rep.grades, 0, k - 1)[0] if k > 0 else 0.0
     return upper, lower
-
-
-def _range_sum(rep: TruncatedRep, k: int) -> np.ndarray:
-    """The diagonal of the grade-k range sum that ``coisometric_defect`` checks."""
-    g, n, verts = rep.graph, rep.dim, rep.graph.sorted_vertices()
-    if k == 0:
-        P = rep.vertex_ops.stack(verts)
-        return _range_diagonal((P.row, P.col, P.val), np.broadcast_to(1.0, n))
-    E = rep.edge_ops.stack(g.sorted_edge_ids())
-    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
-    # row w of the weights, flat, is R^w on the basis
-    step = (dst[E.group] * n + E.row, src[E.group] * n + E.col, E.val)
-    weight = np.broadcast_to(1.0, len(verts) * n)
-    for _ in range(k):
-        weight = _range_diagonal(step, weight)
-        if not weight.any():
-            break  # no longer path reaches a nonzero vector
-    return sum(weight.reshape(len(verts), n), np.zeros(n))  # vertex by vertex, from zero
 
 
 def wandering_certificate(rep: TruncatedRep, label, upto: int | None = None) -> bool:

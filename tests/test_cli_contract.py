@@ -270,3 +270,34 @@ def test_non_ascii_digits_are_refused(command, tmp_path):
             error = json.loads(err)
             assert error["message"] == "color words use digits 1..9", word
             assert error["details"] == {"word": word}, word
+
+
+# a loop x on one vertex v, where "xx" read as characters is the path (x, x)
+LOOP = {"vertices": ["v"], "edges": [{"id": "x", "src": "v", "dst": "v"}]}
+ONE_LOOP_FAMILY = {"graph": LOOP, "lambda": {"v": ["0"]},
+                   "pi": [{"edge": "x", "from": "0", "to": "0"}], "phase": []}
+# (command, documents, kind, path to an array, what list() would read instead)
+ARRAY_FIELDS = [
+    ("graph check {graph}", {"graph": LOOP}, "graph", ("vertices",), "v"),
+    ("graph check {graph}", {"graph": LOOP}, "graph", ("vertices",), {"v": 1}),
+    ("graph check {graph}", {"graph": {"vertices": [], "edges": []}}, "graph", ("edges",), {}),
+    (
+        "series fourier {element} -m 1 --graph {graph}",
+        {"graph": LOOP, "element": {"terms": [{"path": {"base": "v", "edges": ["x", "x"]}}]}},
+        "element", ("terms", 0, "path", "edges"), "xx",
+    ),
+    ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("lambda", "v"), "0"),
+    ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("lambda", "v"), {"0": 1}),
+]
+
+
+@pytest.mark.parametrize("command, docs, kind, at, bad", ARRAY_FIELDS)
+def test_a_string_or_object_where_an_array_belongs_exits_one(
+    command, docs, kind, at, bad, tmp_path
+):
+    code, out, err = run(argv_for(command, docs.get, str(tmp_path)))
+    assert code == 0 and not err
+    docs = dict(docs, **{kind: replaced(docs[kind], at, bad)})
+    code, out, err = run(argv_for(command, docs.get, str(tmp_path)))
+    assert code == 1 and not out
+    assert json.loads(err)["message"].endswith(f"expected an array, got {type(bad).__name__}")

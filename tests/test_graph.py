@@ -76,6 +76,19 @@ def test_build_rejects_duplicates_and_dangling():
     )
 
 
+def test_from_json_takes_arrays_only():
+    """A string or an object where the format says array is refused: ``list()``
+    would read "ab" as the vertices a and b, and an object as its keys."""
+    g = Graph.from_json_dict({"vertices": ("a", "b"), "edges": []})  # a tuple is an array
+    assert g.to_json_dict() == {"vertices": ["a", "b"], "edges": []}
+    for field, bad in (("vertices", "ab"), ("vertices", {"a": 1, "b": 2}), ("edges", {})):
+        doc = dict({"vertices": ["a", "b"], "edges": []}, **{field: bad})
+        assert _refusal(Graph.from_json_dict, doc) == (
+            "graph object needs 'vertices' and 'edges': "
+            f"expected an array, got {type(bad).__name__}", {}
+        )
+
+
 def _fuzzed_edge_lists(rng):
     """Vertex lists and edge triples with loops, parallel edges and isolated
     vertices, in shuffled order, and the empty graph."""

@@ -41,6 +41,20 @@ def test_path_from_json_infers_base(fig1):
     assert p.base == "t"
 
 
+def test_path_edges_are_an_array_only():
+    """``"edges": "xx"`` read as the path (x, x), and an object as its keys."""
+    from semigroupoid_kit import Graph
+
+    g = Graph.build(["v"], [("x", "v", "v")])
+    assert path_from_json(g, {"base": "v", "edges": ["x", "x"]}) == Path("v", ("x", "x"))
+    for bad in ("xx", {"x": 1}):
+        with pytest.raises(DomainError) as err:
+            path_from_json(g, {"base": "v", "edges": bad})
+        assert str(err.value) == (
+            f"path object needs 'base' and 'edges': expected an array, got {type(bad).__name__}"
+        )
+
+
 def test_formal_round_trip(rng, fig1):
     from test_series import random_polynomial
 
@@ -52,6 +66,18 @@ def test_formal_round_trip(rng, fig1):
 def test_formal_zero_round_trip(fig1):
     z = FormalElement.zero(fig1)
     assert formal_from_json(fig1, formal_to_json(z)).is_zero()
+
+
+def test_explicit_family_labels_are_an_array_only():
+    """``"lambda": {"v1": "0"}`` read as the labels of "0", one per character,
+    and an object as its keys."""
+    assert explicit_atomic_from_json(LOOP_FAMILY).lam == {"v1": ("0",)}
+    for bad in ("0", {"0": 1}):
+        with pytest.raises(DomainError) as err:
+            explicit_atomic_from_json(dict(LOOP_FAMILY, **{"lambda": {"v1": bad}}))
+        assert str(err.value) == (
+            f"explicit atomic object malformed: expected an array, got {type(bad).__name__}"
+        )
 
 
 def test_explicit_family_round_trip(rng):

@@ -643,6 +643,8 @@ def test_apply_formal_adds_in_term_order_and_drops_cancelled_entries():
 
 
 def test_coisometric_defect_stops_when_no_longer_path_contributes(monkeypatch):
+    """A grade step of the range sums is one ``np.bincount``: counting them
+    all counts the steps, plus the one that adds the vertices up."""
     import oracles
     from semigroupoid_kit import Graph
     from semigroupoid_kit import trunc
@@ -650,11 +652,70 @@ def test_coisometric_defect_stops_when_no_longer_path_contributes(monkeypatch):
     g = Graph.build(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
     rep = build_left_regular_trunc(g, ["a"], 2)
     calls = []
-    real = trunc._range_diagonal
-    monkeypatch.setattr(trunc, "_range_diagonal", lambda m, w: calls.append(1) or real(m, w))
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, *args, **kwargs):
+            calls.append(1)
+            return np.bincount(*args, **kwargs)
+
     k = 10**6
-    assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k) == (0.0, 0.0)
-    assert len(calls) <= 3 * len(g.edges)
+    want = oracles.coisometric_defect(rep, k)
+    monkeypatch.setattr(trunc, "np", Counted())
+    assert coisometric_defect(rep, k) == want == (0.0, 0.0)
+    assert 0 < len(calls) <= 3 * len(g.edges)
+
+
+def test_coisometric_defect_reads_no_vertex_operator_above_grade_zero(fig1):
+    """With a vertex operator deleted, the range sums of grades k >= 1 read
+    only the edges and still answer as the path sum does; grade 0 and
+    verify_tck name the missing vertex."""
+    import oracles
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l", "r"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        del rep.vertex_ops["l"]
+        for k in range(1, rep.depth + 2):
+            assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k) == (0.0, 0.0)
+        for check in (verify_tck, lambda r: coisometric_defect(r, 0)):
+            with pytest.raises(DomainError, match="unknown vertex") as err:
+                check(rep)
+            assert err.value.details == {"vertex": "l"}
+
+
+def test_coisometric_defect_on_a_long_chain_runs_in_bounded_memory():
+    """The range sums keep O(n + nnz) slots, and the child peaks near 56 MB;
+    a weight per vertex and basis vector, 4,000 x 11,997 of them, would
+    take it near 785 MB.  VmHWM is the peak of the child's own memory; its
+    ru_maxrss would also count the memory of this process, which forked it."""
+    import os
+    import subprocess
+    import sys
+
+    from semigroupoid_kit import trunc
+
+    src = os.path.dirname(os.path.dirname(trunc.__file__))
+    probe = (
+        "from semigroupoid_kit import Graph, build_left_regular_trunc, coisometric_defect\n"
+        "n = 4000\n"
+        "g = Graph.build([f'v{i}' for i in range(n)],\n"
+        "                [(f'e{i}', f'v{i}', f'v{i + 1}') for i in range(n - 1)])\n"
+        "rep = build_left_regular_trunc(g, g.vertices, 2)\n"
+        "upper, lower = coisometric_defect(rep, 2)\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(rep.dim, upper, lower, *peak)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    dim, upper, lower, peak_kib = done.stdout.split()
+    assert (int(dim), float(upper), float(lower)) == (11997, 0.0, 0.0)
+    assert int(peak_kib) < 150 * 1024
 
 
 def test_coisometric_defect_refuses_what_the_path_sum_refuses(fig1):
