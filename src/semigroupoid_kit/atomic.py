@@ -16,14 +16,13 @@ with a unimodular eigenvalue phase, and tail atoms named by a primitive
 cycle repeated backward forever.  Canonical (symbolic) families describe
 the infinite-dimensional cases that no finite explicit family can encode.
 
-One scan of the label sets, a vertex at a time, accepts valid total data
-and counts the labels no arc hits: the verdict and the roots of H are read
-off those counts.  Only data it refuses takes a pass over the nodes of H,
-which names the faults and splits valid partial data.  Core lemma: every
-node of a cycle component lies over the graph's elimination core, as an
-H-cycle lifts a graph cycle and the rest of its component lies downstream
-of it; so cycles are sought only through links into the core, and on a
-forest there are none.
+One scan reads each vertex's in-edges once.  It counts the labels no arc
+hits, which give the roots of H, and where a test fails it names the
+faults and goes on: the verdict on any data, total, partial or invalid,
+comes from that one pass.  Core lemma: every node of a cycle component
+lies over the graph's elimination core, as an H-cycle lifts a graph cycle
+and the rest of its component lies downstream of it; so cycles are sought
+only through links into the core, and on a forest there are none.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import (
@@ -87,7 +87,7 @@ class ExplicitAtomic:
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
     ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
     ``validate_atomic`` report and split of H are computed on first use, from
-    one kept ``_survey``: the label scan's counts, or else H's node pass.
+    the one scan it keeps as ``_survey``: free counts, faults, owing edges.
     """
 
     graph: Graph
@@ -108,9 +108,8 @@ class ExplicitAtomic:
         return sum(len(ix) for ix in self.lam.values())
 
     @cached_property
-    def _survey(self) -> dict[str, int] | tuple[set[Node], dict[Node, Node]]:
-        free = _scan(self)
-        return _h_links(self) if free is None else free
+    def _survey(self) -> tuple[dict[str, int], list[tuple], list[int]]:
+        return _scan(self)
 
     @cached_property
     def _verdict(self) -> ValidationReport:
@@ -119,20 +118,17 @@ class ExplicitAtomic:
     @cached_property
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
         """The root vertices in sorted root-node order, the cycle traces in
-        least-node order, and the nodes of the cycle components.  The survey
-        the verdict read gives the roots: the label scan's counts, or the
-        node pass on data the scan refuses.  By the core lemma, backward walks
-        start only over the elimination core, and on accepted data read only
-        the links into it; H is built only to trace each cycle component."""
+        least-node order, and the nodes of the cycle components.  The scan's
+        free counts give the roots.  By the core lemma, backward walks start
+        only over the elimination core and read only the links into it; H is
+        built only to trace each cycle component."""
         _require_valid(self, require_total=False)
-        survey = self._survey
-        links = None if isinstance(survey, dict) else survey
-        free = survey if links is None else Counter(v for v, _ in links[0].difference(links[1]))
-        roots = tuple(v for v in sorted(free) for _ in range(free[v]))
+        free = self._survey[0]  # in vertex order
+        roots = tuple(v for v, n in free.items() for _ in range(n))
         core = self.graph._elimination[0]
         starts = sorted((v, i) for v in core for i in self.labels(v))
-        pred = _links(self, core) if links is None else links[1]
-        cyclic = [members for root, members in _h_components(starts, pred) if root is None]
+        links = _links(self, core)
+        cyclic = [members for root, members in _h_components(starts, links) if root is None]
         if not cyclic:
             return roots, (), frozenset()
         h = build_H(self)
@@ -140,52 +136,89 @@ class ExplicitAtomic:
         return roots, cycles, frozenset(n for members in cyclic for n in members)
 
 
-def _scan(a: ExplicitAtomic) -> dict[str, int] | None:
-    """How many labels at each vertex no arc hits, where that is not zero;
-    None, as soon as a count shows it, unless the data is valid and total.
+def _scan(a: ExplicitAtomic) -> tuple[dict[str, int], list[tuple], list[int]]:
+    """The one pass over the data: how many labels at each vertex no arc
+    hits, where that is not zero; the faults, each as (sort key, code,
+    message, where); and the positions of the edges that owe an image.
 
-    Each labelled vertex is checked once: its in-edges' maps must have its
-    sources' labels as keys and hit only its own labels.  The labels hit are
-    at most the arcs met, which are at most the arcs in pi and the images
-    labelled sources owe; when these three agree, no label is hit twice, no
-    arc lands off a label and no image is missing.  Phases sit on arcs.
+    Every vertex's in-edges are read once, by position.  On valid data an
+    edge costs one set test, its map's keys against its source's labels,
+    and a vertex one more, the labels hit against its own, as many as its
+    arcs.  Where a test fails, the vertex's faults are named and the walk
+    goes on.  Phases sit on arcs of known edges.
     """
     ix, lam, pi = a.graph.index, a.lam, a.pi
-    at, edges, src, inc, out = ix.at, ix.edges, ix.src, ix.inc, ix.out
-    if not (lam.keys() <= at.keys() and pi.keys() <= ix.edge_at.keys()):
-        return None
+    at, names, edges, src, inc = ix.at, ix.vertices, ix.edges, ix.src, ix.inc
+    faults: list[tuple] = []
     own: list = [_NO_LABELS] * len(at)  # each vertex's label set, by position
     for v, listed in lam.items():
-        own[at[v]] = set(listed)
+        labels = set(listed)
+        if len(labels) != len(listed):
+            faults.append(((0, v, 1), "duplicate-label", f"duplicate index labels at {v}", v))
+        if v in at:
+            own[at[v]] = labels
+        else:
+            message = f"index set attached to unknown vertex {v}"
+            faults.append(((0, v, 0), "unknown-vertex", message, v))
     free: dict[str, int] = {}
-    hits = owed = 0
-    for v, listed in lam.items():
-        if not (labels := own[i := at[v]]):
-            continue
-        n = len(labels)
+    owing: list[int] = []
+    for k, labels in enumerate(own):
         hit: set[str] = set()
-        for j in inc[i]:
+        arcs, faulty = 0, False
+        for j in inc[k]:
             mapping = pi.get(edges[j], {})
             if mapping.keys() != own[src[j]]:
-                return None
+                faulty = True
             hit.update(mapping.values())
-        if n != len(listed) or not hit <= labels:  # a label listed twice, or hit off the set
-            return None
-        hits += len(hit)
-        owed += len(out[i]) * n
-        if len(hit) < n:
-            free[v] = n - len(hit)
-    if not hits == owed == sum(map(len, pi.values())):
-        return None
+            arcs += len(mapping)
+        if faulty or arcs != len(hit) or not hit <= labels:
+            _name_faults(a, k, own, faults, owing)
+            hit &= labels  # an image off the labels hits no node
+        if len(hit) < len(labels):
+            free[names[k]] = len(labels) - len(hit)
+    known = ix.edge_at.keys()
+    ghosts = () if pi.keys() <= known else pi.keys() - known  # no set built on valid data
+    for eid in ghosts:
+        faults.append(((1, eid), "unknown-edge", f"pi attached to unknown edge {eid}", eid))
     for eid, i in a.phases:
-        if i not in pi.get(eid, ()):
-            return None
-    return free
+        if i not in pi.get(eid, ()) or eid in ghosts:
+            if eid in known:
+                message = f"phase attached to ({eid}, {i}) but pi_{eid} is undefined there"
+                faults.append(((3, eid, i), "phase-without-arc", message, eid))
+            else:
+                message = f"phase attached to unknown edge {eid}"
+                faults.append(((3, eid, i), "unknown-edge", message, eid))
+    return free, faults, owing
 
 
-def _h_links(a: ExplicitAtomic) -> tuple[set[Node], dict[Node, Node]]:
-    """The nodes (v, i) of H and its target-to-source links over known edges."""
-    return {(v, i) for v, labels in a.lam.items() for i in labels}, _links(a, a.graph.vertices)
+def _name_faults(a: ExplicitAtomic, k: int, own: list, faults: list, owing: list) -> None:
+    """Name the faults of the arcs into the vertex at position ``k``: keys
+    off the source's labels, images it owes, maps that are not injective,
+    images off ``k``'s labels, and labels hit twice, each arc onto one
+    stamped against the first in (edge, label) order."""
+    ix = a.graph.index
+    v, labels = ix.vertices[k], own[k]
+    maps = [(e, ix.edges[e], a.pi.get(ix.edges[e], {})) for e in ix.inc[k]]
+    onto = Counter(j for _, _, mapping in maps for j in mapping.values())
+    first: dict[str, str] = {}
+    for e, eid, mapping in maps:
+        s, sname = own[ix.src[e]], ix.vertices[ix.src[e]]
+        if not s <= mapping.keys():
+            owing.append(e)
+        if len(set(mapping.values())) != len(mapping):
+            faults.append(((1, eid, 1), "not-injective", f"pi_{eid} is not injective", eid))
+        for i, j in sorted(mapping.items()):
+            if i not in s:
+                message = f"pi_{eid} defined on {i} not in Lambda_{sname}"
+                faults.append(((1, eid, 0, i, 0), "bad-from", message, eid))
+            if j not in labels:
+                message = f"pi_{eid} sends {i} to {j} not in Lambda_{v}"
+                faults.append(((1, eid, 0, i, 1), "bad-to", message, eid))
+            if onto[j] > 1 and j in first:
+                message = f"label {j} at {v} is hit by {first[j]} and {eid}[{i}]"
+                faults.append(((2, v), "overlapping-ranges", message, v))
+            elif onto[j] > 1:
+                first[j] = f"{eid}[{i}]"
 
 
 def _links(a: ExplicitAtomic, vertices: Iterable[str]) -> dict[Node, Node]:
@@ -209,77 +242,16 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     findings report which coisometry identities hold: CK asks the pi-ranges
     over the edges into each vertex with an incoming edge to cover its
     index set, and full coisometry also asks in-degree-0 vertices to carry
-    no labels.  One scan of the label sets decides valid total data; only
-    data it refuses takes the pass over the nodes of H that names faults;
-    the family keeps the one it took as its ``_survey``.
+    no labels.  The family's one scan, kept as its ``_survey``, gives the
+    faults with their sort keys: by vertex, then by edge and label, then
+    overlaps by vertex, then phases, never in the iteration order of a set.
     """
-    if isinstance(a._survey, dict):
-        return _cover(ValidationReport(), a.graph, a._survey)
-    return _report(a, *a._survey, require_total)
-
-
-def _report(
-    a: ExplicitAtomic, nodes: set[Node], pred: dict[Node, Node], require_total: bool
-) -> ValidationReport:
-    """``validate_atomic`` of data the scan refused, from the nodes and links
-    of H.  Faults are named walking vertices, edges and pi items in sorted
-    order, so findings never come out in the iteration order of a set."""
-    g = a.graph
-    report = ValidationReport()
-    vertices = set(g.vertices)
-    for v, labels in sorted(a.lam.items()):
-        if v not in vertices:
-            report.add("unknown-vertex", f"index set attached to unknown vertex {v}", v)
-        if len(set(labels)) != len(labels):
-            report.add("duplicate-label", f"duplicate index labels at {v}", v)
-    known_edges = g.index.edge_at.keys()
-    bad_from = {(e.src, i) for e in g.edges for i in a.pi.get(e.id, ())} - nodes
-    bad_to = pred.keys() - nodes
-    # a node hit twice breaks injectivity or the disjointness of the ranges
-    # into its vertex: what gives every node of H at most one incoming arc
-    twice = Counter((e.dst, j) for e in g.edges for j in a.pi.get(e.id, {}).values())
-    shared = {n for n, k in twice.items() if k > 1}
-    for eid, mapping in sorted(a.pi.items()):
-        if eid not in known_edges:
-            report.add("unknown-edge", f"pi attached to unknown edge {eid}", eid)
-            continue
-        src, dst = g.src(eid), g.dst(eid)
-        for i, j in sorted(mapping.items()):
-            if (src, i) in bad_from:
-                report.add("bad-from", f"pi_{eid} defined on {i} not in Lambda_{src}", eid)
-            if (dst, j) in bad_to:
-                report.add("bad-to", f"pi_{eid} sends {i} to {j} not in Lambda_{dst}", eid)
-        if len(set(mapping.values())) != len(mapping):
-            report.add("not-injective", f"pi_{eid} is not injective", eid)
-    first: dict[Node, str] = {}  # the first arc, in (edge, label) order, onto a shared node
-    for v in sorted({v for v, _ in shared}):
-        for eid in map(g.index.edges.__getitem__, g.index.inc[g.index.at[v]]):
-            onto = [kv for kv in a.pi.get(eid, {}).items() if (v, kv[1]) in shared]
-            for i, j in sorted(onto):
-                stamp = f"{eid}[{i}]"
-                if (v, j) in first:
-                    report.add(
-                        "overlapping-ranges",
-                        f"label {j} at {v} is hit by {first[v, j]} and {stamp}",
-                        v,
-                    )
-                else:
-                    first[v, j] = stamp
-    stray = sorted(
-        (eid, i) for eid, i in a.phases if eid not in known_edges or i not in a.pi.get(eid, {})
-    )
-    for eid, i in stray:
-        if eid not in known_edges:
-            report.add("unknown-edge", f"phase attached to unknown edge {eid}", eid)
-        else:
-            report.add(
-                "phase-without-arc",
-                f"phase attached to ({eid}, {i}) but pi_{eid} is undefined there",
-                eid,
-            )
-    missing = [
-        (eid, i) for eid, src, _ in g.key[1] for i in a.labels(src) if i not in a.pi.get(eid, {})
-    ]
+    free, faults, owing = a._survey
+    ix, report = a.graph.index, ValidationReport()
+    for _, code, message, where in sorted(faults, key=itemgetter(0)):
+        report.add(code, message, where)
+    owed = ((ix.edges[e], ix.vertices[ix.src[e]]) for e in sorted(owing))  # in g.key order
+    missing = [(eid, i) for eid, s in owed for i in a.labels(s) if i not in a.pi.get(eid, {})]
     if missing:
         sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
         report.add(
@@ -287,14 +259,9 @@ def _report(
             f"{len(missing)} undefined image(s), e.g. {sample}",
             severity="error" if require_total else "info",
         )
-    return _cover(report, g, {v for v, _ in nodes.difference(pred) if v in vertices})
-
-
-def _cover(report: ValidationReport, g: Graph, free: Iterable[str]) -> ValidationReport:
-    """Close ``report`` with the range cover: each vertex in ``free`` holds a
-    label no arc hits, so it fails full coisometry, and CK if it has an in-edge."""
-    f_fail, ix = sorted(free), g.index
-    ck_fail = [v for v in f_fail if ix.inc[ix.at[v]]]
+    # each vertex in ``free`` holds a label no arc hits, so it fails full
+    # coisometry, and CK if it has an in-edge
+    ck_fail = [v for v in free if ix.inc[ix.at[v]]]
     report.add(
         "ck",
         f"CK fails at {ck_fail}" if ck_fail else "CK identity holds at every finite receiver",
@@ -302,7 +269,7 @@ def _cover(report: ValidationReport, g: Graph, free: Iterable[str]) -> Validatio
     )
     report.add(
         "fully-coisometric",
-        f"coisometry fails at {f_fail}" if f_fail else "family is fully coisometric",
+        f"coisometry fails at {list(free)}" if free else "family is fully coisometric",
         severity="info",
     )
     report.add("nondegenerate", "vertex projections sum to the identity", severity="info")

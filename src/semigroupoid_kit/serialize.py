@@ -129,6 +129,8 @@ def explicit_atomic_from_json(data: dict) -> ExplicitAtomic:
             eid, i = str(row["edge"]), str(row["from"])
         except MALFORMED as exc:
             raise DomainError(f"phase row needs 'edge' and 'from': {exc}")
+        if (eid, i) in phases:
+            raise DomainError("duplicate phase row", edge=eid, index=i)
         phases[(eid, i)] = Phase.from_json(row)
     return ExplicitAtomic(g, lam, pi, phases)
 

@@ -1,6 +1,6 @@
 """The process-level scale suite: large inputs, each run as a command-line process.
 
-    python3 tests/scale.py [--cli COMMAND] [--only NAME ...]
+    python3 tests/scale.py [--cli COMMAND] [--only NAME [NAME ...]] ...
 
 Each row names a command, the seeded inputs it reads (generated by
 ``corpus`` in a forked process, so the suite's own resident size never
@@ -14,7 +14,9 @@ exits 1 when any row fails.
 
 The command defaults to ``python -m semigroupoid_kit`` under this
 interpreter, so ``PYTHONPATH=src python3 tests/scale.py`` runs a checkout;
-``--cli semigroupoid-kit`` runs the installed console script.
+``--cli semigroupoid-kit`` runs the installed console script.  ``--only``
+names rows to run; repeated, its names add up, and a name that is not a
+row is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -64,6 +66,21 @@ def _one_atom(work: str, out: str, err: str) -> str | None:
     atoms = json.loads(_read(out))["atoms"]
     want = [{"kind": "left_regular", "multiplicity": 2, "vertex": "v0"}]
     return None if atoms == want else f"atoms {atoms}"
+
+
+def _chain_one_bad_arc() -> dict:
+    """``chain_family_json`` with its last arc, e99998 on b, sent off the labels."""
+    data = corpus.chain_family_json()
+    data["pi"][-1]["to"] = "nowhere"
+    return data
+
+
+def _one_bad_to(work: str, out: str, err: str) -> str | None:
+    report = json.loads(_read(out))
+    errors = [(f["code"], f["where"]) for f in report["findings"] if f["severity"] == "error"]
+    if report["valid"] is False and errors == [("bad-to", "e99998")]:
+        return None
+    return f"valid {report['valid']}, errors {errors[:5]}"
 
 
 def _keep_coloring(work: str, out: str, err: str) -> str | None:
@@ -139,6 +156,10 @@ ROWS = [
     Row("atomic classify 1e5 phased chain",
         lambda w: ["atomic", "classify", f"{w}/phased-chain.json"],
         {"phased-chain.json": corpus.phased_chain_family_json}, 0, _one_atom, 340),
+    # the chain with one arc off the labels: the one scan names the one fault
+    Row("atomic validate 1e5 chain, one bad arc",
+        lambda w: ["atomic", "validate", f"{w}/bad-chain.json"],
+        {"bad-chain.json": _chain_one_bad_arc}, 0, _one_bad_to, 225),
     # O'Brien on a 100,000-vertex looped graph; its word synchronizes to v0
     Row("color obrien 1e5",
         lambda w: ["color", "obrien", f"{w}/looped.json", "--loop", "e0"],
@@ -217,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cli", default=f"{shlex.quote(sys.executable)} -m semigroupoid_kit",
                         help="the command line to run (default: this Python's -m semigroupoid_kit)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these rows")
+    parser.add_argument("--only", nargs="+", action="extend", choices=[row.name for row in ROWS],
+                        metavar="NAME", help="run only these rows; repeat to add more")
     args = parser.parse_args(argv)
     rows = [row for row in ROWS if not args.only or row.name in args.only]
     work = tempfile.mkdtemp(prefix="semigroupoid-kit-scale-")

@@ -879,10 +879,10 @@ def test_malformed_inputs_exit_one_with_their_message(capsys, tmp_path, fig1_fil
         path.write_text(dump_json(data))
         return str(path)
 
-    def family(key, row):
+    def family(key, *extra):
         loop = {"graph": {"vertices": ["v1"], "edges": [{"id": "e1", "src": "v1", "dst": "v1"}]}}
         rows = {"pi": [{"edge": "e1", "from": "0", "to": "0"}], "phase": []}
-        rows[key].append(row)
+        rows[key] += extra
         return write({**loop, "lambda": {"v1": ["0", "1"]}, **rows})
 
     def graph(vertices, triples):
@@ -900,6 +900,9 @@ def test_malformed_inputs_exit_one_with_their_message(capsys, tmp_path, fig1_fil
          "canonical atomic JSON needs a host graph"),
         (["atomic", "validate", family("pi", {"edge": "e1", "from": "0", "to": "1"})],
          "duplicate pi row"),
+        (["atomic", "validate", family(
+            "phase", *({"edge": "e1", "from": "0", "angle": {"num": 1, "den": d}} for d in (4, 2))
+        )], "duplicate phase row"),
         (["atomic", "validate", family("pi", {"edge": "e1", "from": "1"})],
          "pi row needs 'edge', 'from', 'to': 'to'"),
         (["atomic", "validate", family("phase", {"from": "0", "re": 1})],

@@ -158,15 +158,11 @@ def test_wold_one_trace_per_component_matches_per_node_trace(rng):
 
 
 def test_classify_and_wold_validate_once(rng, monkeypatch):
-    # the verdict and the split of H share one label scan, so counting that
-    # scan counts both; the node pass runs only on data the scan refuses
-    calls = {"_scan": [], "_h_links": []}
-    for name, seen in calls.items():
-        original = getattr(atomic, name)
-        monkeypatch.setattr(
-            atomic, name, lambda a, seen=seen, original=original: seen.append(a) or original(a)
-        )
-    scans, passes = calls["_scan"], calls["_h_links"]
+    # the verdict and the split of H share one scan, so counting that scan
+    # counts both, on valid and invalid data alike
+    scans = []
+    original = atomic._scan
+    monkeypatch.setattr(atomic, "_scan", lambda a: scans.append(a) or original(a))
     fam, _, _ = corpus.random_loop_sink_family(rng)
     g = fam.graph
     twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
@@ -178,14 +174,12 @@ def test_classify_and_wold_validate_once(rng, monkeypatch):
     assert len(scans) == 2
     orbit_condition_M(fam, Path("v", ("loop",)))
     assert len(scans) == 2 and scans[0] is fam and scans[1] is twin
-    assert passes == []  # valid total data never takes the node pass
-    # invalid data is refused from its cached verdict, with no second pass
+    # invalid data is refused from its cached verdict, with no second scan
     bad_to = _broken_variants(rng, fam)[0]
     for query in (lambda: classify(g, bad_to), lambda: wold_atomic(bad_to)):
         with pytest.raises(DomainError):
             query()
     assert len(scans) == 3 and scans[2] is bad_to
-    assert passes == [bad_to]
 
 
 def _broken_variants(rng, fam):
@@ -504,9 +498,10 @@ def test_cycle_phase_products_match_the_ordered_product(rng):
 
 
 def _scan_faults(fam):
-    """Loop-sink data with one fault each that the label scan must refuse:
-    an unknown vertex (labelled or not), an unknown edge (mapped or not),
-    stray phases, arcs into unlabelled vertices, an empty map from a
+    """Loop-sink data with one fault each that the label scan must name:
+    an unknown vertex (labelled or not, or listing a label twice), an
+    unknown edge (mapped or not), stray phases (one on an unknown edge that
+    pi also names), arcs into unlabelled vertices, an empty map from a
     labelled source, and a duplicate label."""
     g, lam, pi, phases = fam.graph, fam.lam, fam.pi, fam.phases
 
@@ -516,10 +511,13 @@ def _scan_faults(fam):
     return [
         variant(lam={**lam, "ghost": ("z",)}),
         variant(lam={**lam, "ghost": ()}),
+        variant(lam={**lam, "ghost": ("z", "z")}),
         variant(pi={**pi, "ghost": {"i0": "j0"}}),
         variant(pi={**pi, "ghost": {}}),  # no arc, so only the edge check sees it
         variant(phases={**phases, ("loop", "nope"): Phase.one()}),
         variant(phases={**phases, ("ghost", "i0"): Phase.one()}),
+        # the phase sits on an arc of pi, but its edge is unknown
+        variant(pi={**pi, "ghost": {"i0": "j0"}}, phases={**phases, ("ghost", "i0"): Phase.one()}),
         variant(lam={"v": lam["v"]}),  # the exit arcs land at an unlabelled sink
         variant(lam={"v": lam["v"], "w": ()}),
         # the loop's arcs run between unlabelled nodes; no labelled source owes them
@@ -546,9 +544,10 @@ def test_label_scan_matches_the_node_pass_and_the_oracles(rng):
         for total in (True, False):
             want = oracles.validate_atomic(fam, require_total=total).findings
             assert validate_atomic(fam, require_total=total).findings == want
-        named = atomic._report(fam, *atomic._h_links(fam), require_total=False).findings
+        named = oracles.validate_atomic(fam, require_total=False).findings
         faulty = any(f.severity == "error" or f.code == "non-total" for f in named)
-        assert (atomic._scan(fam) is None) == faulty
+        _, faults, owing = atomic._scan(fam)
+        assert bool(faults or owing) == faulty
         accepted += not faulty
         refused += faulty
         if oracles.validate_atomic(fam, require_total=False).valid:
@@ -641,7 +640,8 @@ def test_split_lemma_cases_match_union_find(rng):
 def test_families_cache_only_the_verdict_and_the_split(rng):
     # a per-node link map or node set kept on each family would raise the
     # peak memory of every structure query: on valid total data the survey
-    # kept beside the verdict and the split is the label scan's counts
+    # kept beside the verdict and the split is the scan's counts, no faults
+    # and no owing edges
     fields = {"graph", "lam", "pi", "phases", "_survey"}
     for _ in range(10):
         g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
@@ -657,8 +657,10 @@ def test_families_cache_only_the_verdict_and_the_split(rng):
             assert are_unitarily_equivalent(fam.graph, fam, twin).equivalent
             for a in (fam, twin):
                 assert set(vars(a)) == fields | {"_verdict", "_split"}
-                assert all(type(n) is int and n > 0 for n in a._survey.values())
-                assert len(a._survey) <= len(a.graph.vertices)
+                free, faults, owing = a._survey
+                assert faults == [] and owing == []
+                assert all(type(v) is str and type(n) is int and n > 0 for v, n in free.items())
+                assert len(free) <= len(a.graph.vertices)
                 roots, cycles, cycle_nodes = a._split
                 assert all(type(v) is str for v in roots)
                 assert len(roots) + len(cycle_nodes) <= a.dim()
@@ -666,16 +668,12 @@ def test_families_cache_only_the_verdict_and_the_split(rng):
 
 def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
     """Whichever of the verdict and the split is read first, a family makes
-    one label scan and at most one node pass: the scan alone on valid total
-    data, the scan and the node pass on valid partial and invalid data."""
+    one scan, on valid total, valid partial and invalid data alike."""
     from semigroupoid_kit import atomic
 
     calls = []
-    for name in ("_scan", "_h_links"):
-        real = getattr(atomic, name)
-        monkeypatch.setattr(atomic, name, functools.partial(
-            lambda real, name, a: calls.append(name) or real(a), real, name
-        ))
+    real = atomic._scan
+    monkeypatch.setattr(atomic, "_scan", lambda a: calls.append("_scan") or real(a))
     seen = set()
     for _ in range(10):
         g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
@@ -699,7 +697,7 @@ def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
                         assert twin._split == oracles.split(twin)
                     else:
                         assert twin._verdict.findings == want.findings
-                assert calls == ["_scan"] + ["_h_links"] * (shape != "total"), (shape, reads)
+                assert calls == ["_scan"], (shape, reads)
     assert seen == {"total", "partial", "invalid"}
 
 
