@@ -22,20 +22,21 @@ entry list ``_Map(row, dom, val)``: one item per nonzero, columns
 increasing.  Each kind is one stacked entry table (``_Stack``) in sorted
 key order: P, the vertex maps, and E, the edge maps, which a builder
 writes in closed form, in Theta(n + nnz) and O(1) numpy calls.  A map is
-a slice of its table.  The checks compose maps, so every ``A* A`` or ``A
-A*`` is a diagonal, and find an entry by one binary search.  A read-out
-is a new CSR matrix in the dtype its operator was given in.  An assigned
-matrix is decoded once, from its CSC arrays: one of the wrong shape, with
-two nonzeros in a row or a column, or of an integer dtype with an entry
-past 2^53 in magnitude, which float64 would round, raises a
+a slice of its table, and every ``A* A`` or ``A A*`` is a diagonal.  A
+read-out is a new CSR matrix in the dtype its operator was given in.  An
+assigned matrix is decoded once, from its CSC arrays: one of the wrong
+shape, with two nonzeros in a row or a column, or of an integer dtype
+with an entry past 2^53 in magnitude, which float64 would round, raises a
 ``DomainError`` with ``op`` ``"v:<vertex>"`` or ``"e:<edge>"``; otherwise
 its entries are spliced into its kind's table in key order, as a deletion
 cuts its key's entries out.
 
 ``verify_tck``, ``coisometric_defect`` and ``cycle_lemma_check`` check
-each relation on the two tables in a fixed number of array passes, a
-range sum in one pass per grade over O(n + nnz) slots.  (IS) lists every
-entry of S_src(e) once per edge e, so its work grows with the out-degrees.
+each relation on the two tables in O(1) array passes, O(n + nnz) in all.
+The first two share one join of P and E (``_Join``), which gathers an
+entry by its column (a binary search where a column holds two, as on a
+corrupted rep only), and the range sums R_k kept on it.  (IS) lists an
+entry once per out-edge only where some but not all out-edges meet it.
 Each entry of a checked matrix has a closed form per column, summed from
 zero in term order by ``np.bincount`` or one scalar operation and never by
 numpy's pairwise ``sum``, so residuals are a running sparse sum's, bit for bit.
@@ -376,11 +377,64 @@ def _stack(keys, maps: list[_Map]) -> _Stack:
     return _Stack(group, col, row, val, start, tuple(keys))
 
 
-def _find(at: np.ndarray, n: int, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The index of the entry of map ``groups[i]`` in column ``cols[i]``, or
-    -1 where it has none, found by its key group * n + col in ``at``, the
-    keys of a table's entries."""
-    return _search(at, groups.astype(np.int64) * n + cols)
+class _Join:
+    """P, the projections, joined by column with E, the edge table, once per
+    pair of tables for ``verify_tck`` and ``coisometric_defect``.  ``find``
+    gathers the entry of P's map ``groups[i]`` in column ``cols[i]`` and
+    checks its group, or gives -1; a column with two or more entries, which
+    only a corrupted rep has, is binary-searched in P's keys ``at``, group *
+    n + col.  Each entry of E has ``meet``, its source vertex's entry at its
+    column, and ``into``, the slot of its target vertex's entry at its row.
+    A slot is a key w * n + row in ``at`` or, on a corrupted rep only,
+    another row an edge into w reaches; then ``into`` and ``back``, the slot
+    at ``meet``, are searched.  ``sums[k]`` is R_k, kept once computed."""
+
+    def __init__(self, graph: Graph, P: _Stack, E: _Stack, n: int):
+        self.graph, self.P, self.E, self.n = graph, P, E, n
+        self.src, self.dst = np.array([graph.index.src, graph.index.dst], dtype=np.intp)
+        self.at, entry = P.group.astype(np.int64) * n + P.col, np.arange(len(P.col))
+        self.column, self.owner = np.full(n, -1, dtype=np.intp), np.append(P.group, -1)
+        self.column[P.col] = entry
+        self.crowded = P.col[self.column.take(P.col) != entry]  # columns with two or more entries
+        tail, head = self.src.take(E.group), self.dst.take(E.group)
+        self.meet, self.into = self.find(tail, E.col), self.find(head, E.row)
+        self.slots, self.back = self.at, self.meet
+        if (self.into < 0).any():  # a row no projection entry has: a corrupted rep
+            keys = head * n + E.row
+            self.slots = np.union1d(self.at, keys)
+            self.into = np.searchsorted(self.slots, keys)
+            self.back = _search(self.slots, tail * n + E.col)
+        self.sq, self.sums = _square(E.val), [1.0]  # R_0 = I reads 1.0 in every slot
+
+    def find(self, groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        j = self.column.take(cols)
+        j = np.where(self.owner.take(j) == groups, j, -1)
+        if self.crowded.size and (many := np.isin(cols, self.crowded)).any():
+            j[many] = _search(self.at, groups[many].astype(np.int64) * self.n + cols[many])
+        return j
+
+    def range_sum(self, k: int) -> np.ndarray:
+        """The diagonal of R_k^w on the slots, k >= 1: the sum of S_p S_p* over
+        the length-k paths p into w, from R_0^w = I by R_k^w = the sum over
+        the edges e into w of S_e R_{k-1}^{src e} S_e*.  A grade step is one
+        ``np.bincount`` of the edge table over the slots, each adding its
+        terms from zero in entry order; a term from an empty slot reads 0.0
+        there.  Once R_j is 0, no longer path reaches a nonzero vector."""
+        sums = self.sums
+        while len(sums) <= k and (len(sums) == 1 or sums[-1].any()):
+            weight = np.append(sums[-1], 0.0)[self.back] if len(sums) > 1 else sums[0]
+            sums.append(np.bincount(self.into, weights=self.sq * weight, minlength=len(self.slots)))
+        return sums[min(k, len(sums) - 1)]
+
+
+def _join(rep: TruncatedRep, P: _Stack) -> _Join:
+    """The join of ``P`` and the rep's edges, kept on the rep until the graph,
+    ``P`` or the edge table is another object: an edit makes a new table."""
+    g = rep.graph
+    E, J = rep.edge_ops.stack(g.sorted_edge_ids()), getattr(rep, "_joined", None)
+    if J is None or J.graph is not g or J.P is not P or J.E is not E:
+        rep._joined = J = _Join(g, P, E, rep.dim)
+    return J
 
 
 def _group_max(vals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -456,16 +510,14 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     """
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
-    P, E = rep.vertex_ops.stack(verts), rep.edge_ops.stack(eids)
-    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
-    at = P.group.astype(np.int64) * n + P.col  # the keys _find searches
+    J = _join(rep, rep.vertex_ops.stack(verts))
 
     def within(lo: int, hi: int) -> np.ndarray:
         return (lo <= grades) & (grades <= hi)
 
     every, below_top, interior = within(0, N), within(0, N - 1), within(1, N - 1)
-    nd = _vertex_sum_residual(P, n, every)
-    values, pairs = _projection_residuals(P, at, every), []
+    nd = _vertex_sum_residual(J.P, n, every)
+    values, pairs = _projection_residuals(J, every), []
     if values.any() or nd != 0.0:
         proj = {v: rep.vertex_ops.map(v) for v in verts}
         pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
@@ -478,14 +530,14 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     ))
     reports = [RelationReport("P", 0, N, worst, worst == 0.0, 0.0, detail)]
 
-    values, boundary = _isometry_residuals(P, at, E, src, below_top)
+    values, boundary = _isometry_residuals(J, below_top)
     worst, detail = _worst(values, lambda i: f"isometry identity fails at {eids[i]}")
     reports.append(RelationReport("IS", 0, N - 1, worst, worst == 0.0, boundary, detail))
 
-    excess, inner, outer = _range_defects(P, at, E, src, dst, interior)
+    excess, inner, outer = _range_defects(J, interior)
     worst, detail = _worst(excess, lambda i: f"range sum exceeds the projection at {verts[i]}")
     reports.append(RelationReport("TCK", 0, N, worst, worst == 0.0, 0.0, detail))
-    has_in = np.bincount(dst, minlength=len(verts)) > 0
+    has_in = np.bincount(J.dst, minlength=len(verts)) > 0
     for name, keep in (("CK", has_in), ("F", np.ones(len(verts), dtype=bool))):
         worst, detail = _worst(
             np.where(keep, inner, 0.0), lambda i: f"range sum misses the projection at {verts[i]}"
@@ -510,14 +562,15 @@ def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:
     return worst
 
 
-def _projection_residuals(P: _Stack, at: np.ndarray, every: np.ndarray) -> np.ndarray:
+def _projection_residuals(J: _Join, every: np.ndarray) -> np.ndarray:
     """(P) at each vertex: max |entry| of S^2 - S and of S - S* on ``every``.
 
     S sends column c to r = row[c].  When r is a column of S, S^2 has an
     entry in column c at row[r], meeting that of S when row[r] = r; S* sends
     column r to row c, meeting the entry of S there when row[r] = c.
     """
-    j = _find(at, len(every), P.group, P.row)
+    P = J.P
+    j = J.find(P.group, P.row)
     row2, val2 = np.append(P.row, -1)[j], np.append(P.val, 0)[j]  # row[r], val[r]
     size, prod = _abs(P.val), val2 * P.val
     square = np.where(
@@ -531,44 +584,58 @@ def _projection_residuals(P: _Stack, at: np.ndarray, every: np.ndarray) -> np.nd
     ), P.start)
 
 
-def _isometry_residuals(P: _Stack, at: np.ndarray, E: _Stack, src: np.ndarray, inside: np.ndarray):
+def _isometry_residuals(J: _Join, inside: np.ndarray):
     """(IS) S_e* S_e - S_src(e): max |entry| at each edge on ``inside``, and
     over all edges off it.
 
     S_e* S_e is |val|^2 on the diagonal in the columns of e, which the entry
     of S_src(e) in such a column meets when on the diagonal.  Each other
-    entry of S_src(e) stands alone, once for every edge e out of its vertex:
-    entry k is at first[e] + k - start[src[e]] in the list of them all.
+    entry of S_src(e) stands alone.  One ``np.bincount`` counts, for each
+    entry, the edges out of its vertex that meet it.  An entry met by none
+    enters every out-edge through its vertex's largest, on ``inside`` and
+    off it, and one met by all never stands alone.  Only an entry met by
+    some but not all is listed, once for every out-edge e of its vertex:
+    entry k of the listed is at first[e] + k - start[src[e]].  No builder
+    rep has such an entry, so (IS) is O(n + nnz).
     """
-    n, sq = len(inside), _square(E.val)
-    j = _find(at, n, src[E.group], E.col)
+    P, E, src, j = J.P, J.E, J.src, J.meet
     meets = np.append(P.row, -1)[j] == E.col
-    own = np.where(meets, _abs(sq - np.append(P.val, 0)[j]), sq)
-    count = np.diff(P.start)[src]
-    first = np.cumsum(count) - count
-    k = np.arange(count.sum()) + np.repeat(P.start[src] - first, count)
-    rest = _abs(P.val)[k]
-    rest[(first - P.start[src])[E.group[meets]] + j[meets]] = 0.0
-    own_in, rest_in = inside[E.col], inside[P.col[k]]
+    own = np.where(meets, _abs(J.sq - np.append(P.val, 0)[j]), J.sq)
+    size, own_in, size_in = _abs(P.val), inside[E.col], inside[P.col]
+    met = np.bincount(j[meets], minlength=len(size))
+    out = np.bincount(src, minlength=len(P.start) - 1)[P.group]  # its vertex's out-edges
+    alone, listed = (met == 0) & (out > 0), (0 < met) & (met < out)
     values = np.maximum(
         _group_max(np.where(own_in, own, 0.0), E.start),
-        _group_max(np.where(rest_in, rest, 0.0), np.append(first, count.sum())),
+        _group_max(np.where(alone & size_in, size, 0.0), P.start)[src],
     )
-    return values, _worst(np.concatenate([own[~own_in], rest[~rest_in]]))[0]
+    stray = [own[~own_in], size[alone & ~size_in]]
+    if listed.any():
+        before = np.append(0, np.cumsum(listed))  # listed entries before each entry
+        start, part = before[P.start], np.flatnonzero(listed)
+        count = np.diff(start)[src]
+        first = np.cumsum(count) - count
+        k = part[np.arange(count.sum()) + np.repeat(start[src] - first, count)]
+        rest, hit = size[k], meets & np.append(listed, False)[j]
+        rest[(first - start[src])[E.group[hit]] + before[j[hit]]] = 0.0
+        rest_in = inside[P.col[k]]
+        listed_max = _group_max(np.where(rest_in, rest, 0.0), np.append(first, count.sum()))
+        values, stray = np.maximum(values, listed_max), stray + [rest[~rest_in]]
+    return values, _worst(np.concatenate(stray))[0]
 
 
-def _range_defects(
-    P: _Stack, at: np.ndarray, E: _Stack, src: np.ndarray, dst: np.ndarray, inside: np.ndarray
-) -> np.ndarray:
+def _range_defects(J: _Join, inside: np.ndarray) -> np.ndarray:
     """S_v less R_1^v, the range sum of the edges into v, which TCK, CK and F
     read: at each vertex, by how much the sum exceeds S_v, and max |entry| on
     ``inside`` and off it, as three rows.  The entry of S_v in a slot's
     column meets R_1^v there when on the diagonal; there the defect exceeds
     by its negative real part or its imaginary part, elsewhere by its modulus.
     """
-    n, on = len(inside), P.row == P.col
-    slots, r = _range_sums(E, src, dst, n, at, 1)
-    j = np.searchsorted(slots, at) if len(slots) > len(at) else np.arange(len(at))  # S_v's slots
+    P, n, slots, r = J.P, len(inside), J.slots, J.range_sum(1)
+    on, j, bounds = P.row == P.col, np.arange(len(slots)), P.start  # S_v's slots, each vertex's
+    if len(slots) > len(J.at):  # rows no projection entry has: a corrupted rep
+        j = np.searchsorted(slots, J.at)
+        bounds = np.searchsorted(slots, np.arange(len(P.start)) * n)
     own, alone = np.zeros(len(slots), np.result_type(float, P.val)), np.zeros(len(slots))
     own[j[on]], alone[j[~on]] = P.val[on], _abs(P.val[~on])
     diag = own - r
@@ -577,33 +644,7 @@ def _range_defects(
         np.maximum(np.maximum(-diag.real, np.abs(diag.imag)), alone),
         np.where(miss_in, miss, 0.0),
         np.where(miss_in, 0.0, miss),
-    ]), np.searchsorted(slots, np.arange(len(P.start)) * n))
-
-
-def _range_sums(
-    E: _Stack, src: np.ndarray, dst: np.ndarray, n: int, slots: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The slots and the diagonal of R_k^w on them, k >= 1: the sum of S_p S_p*
-    over the length-k paths p into w, from R_0^w = I by R_k^w = the sum over
-    the edges e into w of S_e R_{k-1}^{src e} S_e*.  A slot w * n + row is
-    one of ``slots`` (a projection table's keys, or none) or, on a corrupted
-    rep only, another row an edge into w reaches.  A grade step is one
-    ``np.bincount`` of the edge table over the slots, each adding its terms
-    from zero in entry order; a term from an empty slot reads 0.0 there.
-    """
-    keys = dst[E.group] * n + E.row
-    into = _search(slots, keys)
-    if (into < 0).any():  # a row no projection entry has: a corrupted rep
-        slots = np.union1d(slots, keys)
-        into = np.searchsorted(slots, keys)
-    back = _search(slots, src[E.group] * n + E.col) if k > 1 else None
-    sq, weight = _square(E.val), 1.0  # R_0 = I reads 1.0 in every slot
-    for _ in range(k):
-        r = np.bincount(into, weights=sq * weight, minlength=len(slots))
-        if not r.any():
-            break  # no longer path reaches a nonzero vector
-        weight = np.append(r, 0.0)[back]
-    return slots, r
+    ]), bounds)
 
 
 def path_matrix(rep: TruncatedRep, p: Path) -> sp.csr_matrix:
@@ -647,10 +688,11 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
     statements are checked from this one defect pair.
 
     No path is built.  The sum is diagonal: S_v S_v* summed over v at k =
-    0, and above it the R_k^w of ``_range_sums``, added vertex by vertex from
-    zero.  Their slots start from the projections' entries when the vertex
-    table's keys are the graph's vertices, else from none, so k >= 1 reads
-    no vertex operator.  A slot w * n + row takes terms only from the edges
+    0, and above it the R_k^w of ``_Join.range_sum``, added vertex by vertex
+    from zero.  Their slots start from the projections' entries when the
+    vertex table's keys are the graph's vertices, else from none, so k >= 1
+    reads no vertex operator; then the join, and the R_j it holds, are those
+    ``verify_tck`` read.  A slot w * n + row takes terms only from the edges
     into w, in id order as in ``in_edges``, so each sum runs as over the
     paths.  The paths are counted first, against ``enumerate_paths``' budget.
     """
@@ -658,16 +700,13 @@ def coisometric_defect(rep: TruncatedRep, k: int) -> tuple[float, float]:
         raise DomainError("grade must be nonnegative", k=k)
     g, n, verts = rep.graph, rep.dim, rep.graph.sorted_vertices()
     _count_levels(g, sorted(g.vertices), k)
-    src, dst = (np.frombuffer(a, dtype=np.intc).astype(np.intp) for a in (g.index.src, g.index.dst))
     if k == 0:
         P = rep.vertex_ops.stack(verts)
         total = np.bincount(P.row, weights=_square(P.val), minlength=n)
     else:
         P = rep.vertex_ops.table
-        at = P.group.astype(np.int64) * n + P.col if P.keys == verts else np.zeros(0, np.int64)
-        E = rep.edge_ops.stack(g.sorted_edge_ids())
-        slots, r = _range_sums(E, src, dst, n, at, k)
-        total = np.bincount(slots % n, weights=r, minlength=n)  # vertex by vertex, from zero
+        J = _join(rep, P if P.keys == verts else _stack((), []))
+        total = np.bincount(J.slots % n, weights=J.range_sum(k), minlength=n)  # vertex by vertex
     cols = np.arange(n)
     upper = _entry_residual(cols, total - 1.0, rep.grades, k, rep.depth)[0]
     lower = _entry_residual(cols, total, rep.grades, 0, k - 1)[0] if k > 0 else 0.0

@@ -230,6 +230,11 @@ def two_loops_json():
     return {"vertices": ["v"], "edges": loops}
 
 
+def many_loops_json(n=3000):
+    """One vertex v with the n loops l0, ..., l{n-1}."""
+    return {"vertices": ["v"], "edges": [{"id": f"l{k}", "src": "v", "dst": "v"} for k in range(n)]}
+
+
 def loop_words_json(max_len):
     """The formal sum of every path of length at most ``max_len`` on two loops."""
     return {"terms": [

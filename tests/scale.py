@@ -109,6 +109,14 @@ def _dim(work: str, out: str, err: str) -> str | None:
     return None if found else "no \"dim\": 196605 in the answer"
 
 
+def _exact_with_is_boundary_one(work: str, out: str, err: str) -> str | None:
+    relations = json.loads(_read(out))["relations"]
+    boundary = {r["relation"]: r["boundary_residual"] for r in relations}
+    if all(r["exact_zero"] for r in relations) and boundary["IS"] == 1.0:
+        return None
+    return f"relations {relations}"
+
+
 def _regular_and_connected(work: str, out: str, err: str) -> str | None:
     found = {f["code"]: f["message"] for f in json.loads(_read(out))["findings"]}
     if "in-degree-regular" in found and found.get("components") == "1 undirected component(s)":
@@ -176,6 +184,11 @@ ROWS = [
         {"triangle.json": lambda: corpus.looped_triangle().to_json_dict(),
          "triangle-coloring.json": corpus.triangle_coloring_json},
         0, _dim, 150),
+    # one vertex with 3,000 loops at depth 1 (dim 3,001): (IS) reads each
+    # projection entry once, not once for every loop out of its vertex
+    Row("trunc verify 3000 loops",
+        lambda w: ["trunc", "verify", f"{w}/loops3000.json", "--sources", "v", "--depth", "1"],
+        {"loops3000.json": corpus.many_loops_json}, 0, _exact_with_is_boundary_one, 100),
     # building the 100,000-vertex looped graph and reading its structure
     Row("graph check 1e5",
         lambda w: ["graph", "check", f"{w}/looped.json"],

@@ -1579,3 +1579,106 @@ def test_report_json_holds_the_fields_as_asdict_gives_them(rng, fig1):
         got = report.to_json()
         assert got == asdict(report) and list(got) == list(asdict(report))
         assert got["blocks"] is not report.blocks
+
+
+def test_is_lists_an_entry_that_some_but_not_all_out_edges_meet(fig1):
+    """With one domain entry of tl1 removed, that column of S_t is met by
+    t's other out-edges and not by tl1, so (IS) lists it for the edges
+    that miss it; the reports and the defects are the oracles'."""
+    import oracles
+
+    for rep in (
+        build_left_regular_trunc(fig1, ["t", "l", "r"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    ):
+        mat = rep.edge_ops["tl1"].tolil()
+        column = mat.nonzero()[1][0]
+        assert all(rep.edge_ops[e][:, column].nnz for e in fig1.out_edges("t"))
+        mat[:, column] = 0.0
+        rep.edge_ops["tl1"] = mat.tocsr()
+        reports = [r.to_json() for r in verify_tck(rep)]
+        assert reports == [r.to_json() for r in oracles.verify_tck(rep)]
+        assert (reports[1]["max_residual"], reports[1]["detail"]) == (
+            1.0, "isometry identity fails at tl1"
+        )
+        for k in range(rep.depth + 2):
+            assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k), k
+
+
+def test_the_checks_join_the_tables_once_and_search_no_key_on_builder_reps(fig1, monkeypatch):
+    """verify_tck and coisometric_defect at k = 1..3 read one join of the
+    tables, found by gathers: neither ``_search`` nor ``np.searchsorted``
+    runs.  An edit makes a new table, so the next check joins again and
+    answers as the oracles do."""
+    import oracles
+    from semigroupoid_kit import trunc
+
+    reps = (
+        build_left_regular_trunc(fig1, ["t", "l", "r"], 3),
+        build_colored_trunc(fig1, Coloring(2, OBRIEN_FIG1), 3),
+    )
+    builds, searches = [], []
+    join, search = trunc._Join.__init__, trunc._search
+    monkeypatch.setattr(trunc._Join, "__init__", lambda *a: builds.append(1) or join(*a))
+    monkeypatch.setattr(trunc, "_search", lambda *a: searches.append(1) or search(*a))
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def searchsorted(self, *args, **kwargs):
+            searches.append(1)
+            return np.searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(trunc, "np", Counted())
+    for rep in reps:
+        builds.clear()
+        verify_tck(rep)
+        assert [coisometric_defect(rep, k) for k in (1, 2, 3)] == [(0.0, 0.0)] * 3
+        assert len(builds) == 1
+        for scale in (1j, 2.0):  # the same moduli, then others
+            rep.edge_ops["tl1"] = rep.edge_ops["tl1"] * scale
+            assert [r.to_json() for r in verify_tck(rep)] == [
+                r.to_json() for r in oracles.verify_tck(rep)
+            ]
+            for k in (1, 2, 3):
+                assert coisometric_defect(rep, k) == oracles.coisometric_defect(rep, k), k
+        assert len(builds) == 3
+    assert searches == []
+
+
+def test_verify_tck_on_a_vertex_with_3000_loops_runs_in_bounded_memory():
+    """(IS) reads each projection entry once, not once per out-edge: on one
+    vertex with 3,000 loops at depth 1 (dim 3,001) the child peaks near
+    53 MB, where listing S_v per loop took it past 400 MB."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from semigroupoid_kit import trunc
+
+    src = os.path.dirname(os.path.dirname(trunc.__file__))
+    probe = (
+        "import json\n"
+        "from semigroupoid_kit import Graph, build_left_regular_trunc, verify_tck\n"
+        "g = Graph.build(['v'], [(f'e{i}', 'v', 'v') for i in range(3000)])\n"
+        "rep = build_left_regular_trunc(g, ['v'], 1)\n"
+        "reports = [r.to_json() for r in verify_tck(rep)]\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(json.dumps([rep.dim, reports, int(*peak)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    dim, reports, peak_kib = json.loads(done.stdout)
+    interior = {"P": [0, 1], "IS": [0, 0], "TCK": [0, 1], "CK": [1, 0], "F": [1, 0], "ND": [0, 1]}
+    boundary = {"IS": 1.0, "CK": 1.0, "F": 1.0}  # at the top grade, where every loop is 0
+    assert dim == 3001
+    assert reports == [
+        {"relation": name, "max_residual": 0.0, "exact_zero": True,
+         "boundary_residual": boundary.get(name, 0.0), "detail": "", "interior": interior[name]}
+        for name in interior
+    ]
+    assert peak_kib < 100 * 1024
