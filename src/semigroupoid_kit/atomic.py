@@ -22,7 +22,7 @@ faults and goes on: the verdict on any data, total, partial or invalid,
 comes from that one pass.  Core lemma: every node of a cycle component
 lies over the graph's elimination core, as an H-cycle lifts a graph cycle
 and the rest of its component lies downstream of it; so cycles are sought
-only through links into the core, and on a forest there are none.
+only in the H over the core, and on a forest that H is empty.
 """
 
 from __future__ import annotations
@@ -119,21 +119,15 @@ class ExplicitAtomic:
     def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
         """The root vertices in sorted root-node order, the cycle traces in
         least-node order, and the nodes of the cycle components.  The scan's
-        free counts give the roots.  By the core lemma, backward walks start
-        only over the elimination core and read only the links into it; H is
-        built only to trace each cycle component."""
+        free counts give the roots.  By the core lemma, H is built once, over
+        the elimination core alone, and each cycle component is traced there."""
         _require_valid(self, require_total=False)
         free = self._survey[0]  # in vertex order
         roots = tuple(v for v, n in free.items() for _ in range(n))
-        core = self.graph._elimination[0]
-        starts = sorted((v, i) for v in core for i in self.labels(v))
-        links = _links(self, core)
-        cyclic = [members for root, members in _h_components(starts, links) if root is None]
-        if not cyclic:
-            return roots, (), frozenset()
-        h = build_H(self)
-        cycles = tuple(trace_backward(h, members[0]) for members in cyclic)
-        return roots, cycles, frozenset(n for members in cyclic for n in members)
+        h = _labeled_h(self, sorted(self.graph._elimination[0]))
+        cyclic = [nodes for root, nodes in _h_components(sorted(h.nodes), h.pred) if root is None]
+        cycles = tuple(trace_backward(h, nodes[0]) for nodes in cyclic)
+        return roots, cycles, frozenset(n for nodes in cyclic for n in nodes)
 
 
 def _scan(a: ExplicitAtomic) -> tuple[dict[str, int], list[tuple], list[int]]:
@@ -221,18 +215,6 @@ def _name_faults(a: ExplicitAtomic, k: int, own: list, faults: list, owing: list
                 first[j] = f"{eid}[{i}]"
 
 
-def _links(a: ExplicitAtomic, vertices: Iterable[str]) -> dict[Node, Node]:
-    """The target-to-source links of H into the nodes over ``vertices``, in
-    one pass over their in-edges' maps; a node hit twice keeps one link."""
-    ix = a.graph.index
-    return {
-        (v, j): (ix.vertices[ix.src[e]], i)
-        for v in vertices
-        for e in ix.inc[ix.at[v]]
-        for i, j in a.pi.get(ix.edges[e], {}).items()
-    }
-
-
 def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> ValidationReport:
     """Check the explicit data against the atomic family contract.
 
@@ -297,8 +279,7 @@ class LabeledH:
     def components(self) -> list[list[Node]]:
         """Undirected components of H, each sorted, ordered by least node,
         read off the predecessor links as ``ExplicitAtomic._split`` does."""
-        links = {n: arc.src for n, arc in self.pred.items() if arc is not None}
-        return [members for _, members in _h_components(sorted(self.nodes), links)]
+        return [members for _, members in _h_components(sorted(self.nodes), self.pred)]
 
     def to_dot(self) -> str:
         lines = ["digraph H {"]
@@ -314,11 +295,11 @@ class LabeledH:
 
 
 def _h_components(
-    nodes: list[Node], pred: dict[Node, Node]
+    nodes: list[Node], pred: dict[Node, Arc | None]
 ) -> list[tuple[Node | None, list[Node]]]:
-    """The components of H met from ``nodes``, by its predecessor links
+    """The components of H met from ``nodes``, by its predecessor arcs
     alone, each with its root (None for a cycle component) and its nodes
-    among ``nodes`` in the order given.
+    among ``nodes`` in the order given; a node off ``pred`` is a root.
 
     ``nodes`` come sorted and each has at most one predecessor, so the
     backward walk from a node ends at its component's root or closes on its
@@ -332,7 +313,7 @@ def _h_components(
         while node is not None and node not in comp_of:
             comp_of[node] = -1  # on the current walk
             walk.append(node)
-            node = pred.get(node)
+            node = arc.src if (arc := pred.get(node)) else None
         if node is not None and comp_of[node] >= 0:
             k = comp_of[node]
         else:  # a new component: the walk ended at its root or closed on its cycle
@@ -372,17 +353,22 @@ def build_H(a: ExplicitAtomic) -> LabeledH:
     Valid data gives every node at most one incoming arc.
     """
     _require_valid(a, require_total=False)
-    g = a.graph
-    nodes = tuple(a.nodes())
-    arcs: list[Arc] = []
-    for eid in sorted(a.pi):
-        src_v, dst_v = g.src(eid), g.dst(eid)
-        for i, j in sorted(a.pi[eid].items()):
-            arcs.append(Arc((src_v, i), (dst_v, j), eid, a.phase(eid, i)))
-    pred: dict[Node, Arc | None] = {n: None for n in nodes}
-    for arc in arcs:
-        pred[arc.dst] = arc
-    return LabeledH(nodes, tuple(arcs), pred)
+    h = _labeled_h(a, sorted(a.lam))
+    return LabeledH(h.nodes, tuple(sorted(h.arcs, key=lambda arc: (arc.edge, arc.src[1]))), h.pred)
+
+
+def _labeled_h(a: ExplicitAtomic, vertices: list[str]) -> LabeledH:
+    """H over ``vertices``: their nodes in ``a.nodes()`` order, keying ``pred``, and
+    one arc per map entry of their in-edges, by position; a source may lie off it."""
+    ix, phase = a.graph.index, a.phases.get
+    nodes = tuple((v, i) for v in vertices for i in a.labels(v))
+    pred: dict[Node, Arc | None] = dict.fromkeys(nodes)
+    for v in vertices:
+        for e in ix.inc[ix.at[v]]:
+            eid, s = ix.edges[e], ix.vertices[ix.src[e]]
+            for i, j in a.pi.get(eid, {}).items():
+                pred[v, j] = Arc((s, i), (v, j), eid, phase((eid, i), _ONE))
+    return LabeledH(nodes, tuple(arc for arc in pred.values() if arc), pred)
 
 
 @dataclass(frozen=True, slots=True)

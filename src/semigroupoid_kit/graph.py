@@ -374,9 +374,9 @@ def undirected_components(g: Graph) -> list[list[str]]:
     return comps
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
+def graph_to_dot(g: Graph) -> str:
     """GraphViz digraph text with edge ids as labels."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for v in g.sorted_vertices():
         lines.append(f'  "{v}";')
     for eid, src, dst in g.key[1]:
@@ -385,16 +385,12 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cycle_graph(n: int, vertex_prefix: str = "v", edge_prefix: str = "e") -> Graph:
+def cycle_graph(n: int) -> Graph:
     """Directed n-cycle: edges e1: v1 -> v2, ..., en: vn -> v1."""
     if n < 1:
         raise GraphFormatError("cycle length must be at least 1", n=n)
-    vertices = [f"{vertex_prefix}{i}" for i in range(1, n + 1)]
-    edges = [
-        (f"{edge_prefix}{i}", f"{vertex_prefix}{i}", f"{vertex_prefix}{i % n + 1}")
-        for i in range(1, n + 1)
-    ]
-    return Graph.build(vertices, edges)
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    return Graph.build(vertices, [(f"e{i}", f"v{i}", f"v{i % n + 1}") for i in range(1, n + 1)])
 
 
 def looped_triangle() -> Graph:

@@ -54,9 +54,9 @@ class Phase:
         return _exact(q.numerator, q.denominator)
 
     @staticmethod
-    def from_complex(z: complex, tol: float = 1e-6) -> "Phase":
+    def from_complex(z: complex) -> "Phase":
         r = abs(z)
-        if abs(r - 1.0) > tol:
+        if abs(r - 1.0) > 1e-6:
             raise DomainError("phase must be unimodular", modulus=r)
         return Phase(None, z / r)
 

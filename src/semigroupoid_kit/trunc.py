@@ -579,8 +579,8 @@ def _projection_residuals(J: _Join, every: np.ndarray) -> np.ndarray:
     paired = row2 == P.col
     adjoint = np.where(paired, _abs(P.val - val2.conj()), size)
     return _group_max(np.maximum(
-        np.where(every[P.col], np.maximum(square, adjoint), 0.0),
-        np.where(~paired & every[P.row], size, 0.0),  # an entry of S* alone in column r
+        np.where(every.take(P.col), np.maximum(square, adjoint), 0.0),
+        np.where(~paired & every.take(P.row), size, 0.0),  # an entry of S* alone in column r
     ), P.start)
 
 
@@ -601,9 +601,9 @@ def _isometry_residuals(J: _Join, inside: np.ndarray):
     P, E, src, j = J.P, J.E, J.src, J.meet
     meets = np.append(P.row, -1)[j] == E.col
     own = np.where(meets, _abs(J.sq - np.append(P.val, 0)[j]), J.sq)
-    size, own_in, size_in = _abs(P.val), inside[E.col], inside[P.col]
+    size, own_in, size_in = _abs(P.val), inside.take(E.col), inside.take(P.col)
     met = np.bincount(j[meets], minlength=len(size))
-    out = np.bincount(src, minlength=len(P.start) - 1)[P.group]  # its vertex's out-edges
+    out = np.bincount(src, minlength=len(P.start) - 1).take(P.group)  # its vertex's out-edges
     alone, listed = (met == 0) & (out > 0), (0 < met) & (met < out)
     values = np.maximum(
         _group_max(np.where(own_in, own, 0.0), E.start),
@@ -617,8 +617,8 @@ def _isometry_residuals(J: _Join, inside: np.ndarray):
         first = np.cumsum(count) - count
         k = part[np.arange(count.sum()) + np.repeat(start[src] - first, count)]
         rest, hit = size[k], meets & np.append(listed, False)[j]
-        rest[(first - start[src])[E.group[hit]] + before[j[hit]]] = 0.0
-        rest_in = inside[P.col[k]]
+        rest[(first - start[src]).take(E.group[hit]) + before[j[hit]]] = 0.0
+        rest_in = inside.take(P.col[k])
         listed_max = _group_max(np.where(rest_in, rest, 0.0), np.append(first, count.sum()))
         values, stray = np.maximum(values, listed_max), stray + [rest[~rest_in]]
     return values, _worst(np.concatenate(stray))[0]

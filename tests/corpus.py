@@ -212,6 +212,24 @@ def chain_family_json(n=100_000):
     }
 
 
+def cycle_family_json(n=50_000, laps=2):
+    """``pure_cycle_family(cycle_graph(n), laps)`` as JSON: the n-cycle v1 ->
+    ... -> vn -> v1 with the labels i0, ..., i{laps-1} at every vertex, each
+    edge keeping its label but the edge into v1, which advances it.  H is one
+    cycle of laps * n arcs: laps cycle atoms of multiplicity 1 on the n-cycle,
+    at the laps-th roots of 1."""
+    vs = [f"v{k}" for k in range(1, n + 1)]
+    edges = [{"id": f"e{k}", "src": vs[k - 1], "dst": vs[k % n]} for k in range(1, n + 1)]
+    return {
+        "graph": {"vertices": vs, "edges": edges},
+        "lambda": {v: [f"i{t}" for t in range(laps)] for v in vs},
+        "pi": [
+            {"edge": f"e{k}", "from": f"i{t}", "to": f"i{(t + (k == n)) % laps}"}
+            for k in range(1, n + 1) for t in range(laps)
+        ],
+    }
+
+
 def phased_chain_family_json(n=100_000, seed=34):
     """``chain_family_json`` with an exact phase on every arc, of denominator
     1, 2, 3, 4, 6 or 8: still one left-regular atom at v0 of multiplicity 2."""

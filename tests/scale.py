@@ -68,6 +68,14 @@ def _one_atom(work: str, out: str, err: str) -> str | None:
     return None if atoms == want else f"atoms {atoms}"
 
 
+def _two_cycle_atoms(work: str, out: str, err: str) -> str | None:
+    atoms = json.loads(_read(out))["atoms"]
+    got = [(a["kind"], a["multiplicity"], len(a["cycle"]["edges"]), a["phase"]) for a in atoms]
+    halves = ((0, 1), (1, 2))  # phases 0 and 1/2 turns
+    want = [("cycle", 1, 50_000, {"angle": {"den": den, "num": num}}) for num, den in halves]
+    return None if got == want else f"atoms {got}"
+
+
 def _chain_one_bad_arc() -> dict:
     """``chain_family_json`` with its last arc, e99998 on b, sent off the labels."""
     data = corpus.chain_family_json()
@@ -164,6 +172,11 @@ ROWS = [
     Row("atomic classify 1e5 phased chain",
         lambda w: ["atomic", "classify", f"{w}/phased-chain.json"],
         {"phased-chain.json": corpus.phased_chain_family_json}, 0, _one_atom, 340),
+    # a 50,000-cycle with two labels per vertex: H is one cycle of 100,000
+    # arcs, built once, over the elimination core, which here is every vertex
+    Row("atomic classify 1e5 cycle",
+        lambda w: ["atomic", "classify", f"{w}/cycle.json"],
+        {"cycle.json": corpus.cycle_family_json}, 0, _two_cycle_atoms, 152),
     # the chain with one arc off the labels: the one scan names the one fault
     Row("atomic validate 1e5 chain, one bad arc",
         lambda w: ["atomic", "validate", f"{w}/bad-chain.json"],

@@ -378,3 +378,25 @@ def test_the_phased_chain_of_the_scale_suite_is_one_atom_of_multiplicity_two():
     assert {ph.turns.denominator for ph in fam.phases.values()} <= {1, 2, 3, 4, 6, 8}
     assert len({id(ph) for ph in fam.phases.values()}) == len(set(fam.phases.values())) > 4
     assert classify(fam.graph, fam).atoms == [(LeftRegularAtom("v0"), 2)]
+
+
+def test_atomic_errors_name_their_details(fig1):
+    fam = pure_cycle_family(cycle_graph(2), 2)
+    cases = [
+        (lambda: trace_backward(build_H(fam), ("v1", "nosuch")), "unknown node",
+         {"node": ("v1", "nosuch")}),
+        (lambda: validate_canonical(fig1, "t"), "unknown canonical family", {"got": "str"}),
+        (lambda: wold_atomic(LeftRegular("t")), "canonical wold data needs the host graph", {}),
+        (lambda: finitely_correlated_multiplicities(fig1, {"t": 1, "l": 1}),
+         "rank value missing for vertex", {"vertex": "r"}),
+        (lambda: relabel(fam, {("v1", "i0"): "i1"}), "relabeling is not injective at vertex",
+         {"vertex": "v1"}),
+        (lambda: pure_cycle_family(cycle_graph(2), 2, [Phase.one()] * 3), "need one phase per arc",
+         {"arcs": 4, "given": 3}),
+    ]
+    for call, message, details in cases:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (
+            DomainError, message, details
+        )

@@ -16,6 +16,7 @@ from semigroupoid_kit import (
     is_transitive,
     looped_triangle,
     period,
+    scc_of,
     source_elimination,
     strongly_connected_components,
     undirected_components,
@@ -275,3 +276,15 @@ def test_figure_one_shape(fig1):
     assert is_transitive(fig1)
     assert period(fig1, "t") == 1
     assert len(fig1.edges) == 6
+
+
+def test_unknown_vertex_and_empty_cycle_are_graph_format_errors(fig1):
+    for call, message, details in (
+        (lambda: scc_of(fig1, "nosuch"), "unknown vertex", {"vertex": "nosuch"}),
+        (lambda: cycle_graph(0), "cycle length must be at least 1", {"n": 0}),
+    ):
+        with pytest.raises(GraphFormatError) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (
+            GraphFormatError, message, details
+        )

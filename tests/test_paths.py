@@ -7,6 +7,7 @@ import oracles
 from semigroupoid_kit import (
     CycleClass,
     Graph,
+    GraphFormatError,
     Path,
     PathError,
     compose,
@@ -34,10 +35,27 @@ def test_path_validation(fig1):
     assert source(fig1, p) == "t"
     assert path_range(fig1, p) == "t"
     assert is_cycle(fig1, p)
-    with pytest.raises(PathError):
-        validate_path(fig1, Path("t", ("tl1", "rt")))  # not composable
+    with pytest.raises(PathError) as err:
+        validate_path(fig1, Path("t", ("rt", "tl1")))  # not composable: tl1 ends at l, rt leaves r
+    assert str(err.value) == "edges are not composable"
+    assert err.value.details == {"left": "rt", "right": "tl1", "need": "r", "got": "l"}
     with pytest.raises(PathError):
         validate_path(fig1, Path("l", ("tl1",)))  # wrong base
+
+
+def test_path_errors_name_their_details(fig1):
+    cases = [
+        (lambda: Path.of(fig1, ()), PathError,
+         "cannot infer the base vertex of an empty path", {}),
+        (lambda: enumerate_paths(fig1, ["t"], -1), PathError,
+         "max_len must be nonnegative", {"max_len": -1}),
+        (lambda: irreducible_cycles_at(fig1, "nosuch", 2), GraphFormatError,
+         "unknown vertex", {"vertex": "nosuch"}),
+    ]
+    for call, cls, message, details in cases:
+        with pytest.raises(cls) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (cls, message, details)
 
 
 def test_path_of_infers_base(fig1):

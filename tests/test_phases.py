@@ -155,3 +155,11 @@ def test_phase_is_a_slotted_value_that_copies_and_pickles_equal():
         for copied in (copy.copy(ph), copy.deepcopy(ph), pickle.loads(pickle.dumps(ph))):
             assert copied == ph and hash(copied) == hash(ph)
             assert copied.turns == ph.turns and copied.approx == ph.approx
+
+
+def test_root_order_must_be_positive():
+    with pytest.raises(DomainError) as err:
+        Phase.roots(Phase.one(), 0)
+    assert (type(err.value), str(err.value), err.value.details) == (
+        DomainError, "root order must be positive", {"p": 0}
+    )

@@ -10,6 +10,7 @@ from semigroupoid_kit import (
     DomainError,
     EnumerationOverflow,
     Graph,
+    GraphFormatError,
     InvalidColoring,
     PartialAutomaton,
     backward_automaton,
@@ -300,3 +301,15 @@ def test_format_word_inverts_parse_word():
                 parsed = rc.parse_word(word, d)
                 assert parsed == [int(ch) for ch in word]
                 assert rc.format_word(parsed) == rc.format_word(tuple(parsed)) == word
+
+
+def test_uncoloured_edge_and_unknown_vertex_name_their_details(fig1):
+    coloring, _ = obrien_coloring(fig1, "loop_t")
+    for call, cls, message, details in (
+        (lambda: Coloring(2, {}).of("tl1"), InvalidColoring, "edge has no color", {"edge": "tl1"}),
+        (lambda: follow_backward(fig1, coloring, "nosuch", "1"), GraphFormatError,
+         "unknown vertex", {"vertex": "nosuch"}),
+    ):
+        with pytest.raises(cls) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (cls, message, details)

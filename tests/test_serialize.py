@@ -2,6 +2,8 @@ import pytest
 
 import corpus
 from semigroupoid_kit import (
+    AtomDecomposition,
+    CycleType,
     DirectSum,
     DomainError,
     FormalElement,
@@ -296,3 +298,20 @@ def test_float_fields_refuse_non_numbers_on_the_command_line(capsys, tmp_path, f
             assert code == want, (at, out, err)
             if want:
                 assert not out and json.loads(err)["message"].startswith(prefix), at
+
+
+def test_cycle_family_round_trips_and_unknown_kinds_raise(fig1):
+    fam = CycleType(Path("t", ("rt", "lr", "tl1")), Phase.from_turns(1, 3))
+    data = canonical_to_json(fam)
+    assert data["tag"] == "cycle" and canonical_from_json(fig1, data) == fam
+    dec = AtomDecomposition([])
+    dec.atoms.append(("t", 1))
+    for call, message in (
+        (lambda: canonical_to_json("t"), "unknown canonical family"),
+        (lambda: decomposition_to_json(dec), "unknown atom kind"),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (
+            DomainError, message, {"got": "str"}
+        )

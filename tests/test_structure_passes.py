@@ -266,16 +266,23 @@ def test_canonical_data_is_validated_once_per_call(fig1, monkeypatch):
 
 
 def test_h_is_traced_once_per_family(rng, monkeypatch):
-    calls = []
-    original = atomic.build_H
-    monkeypatch.setattr(atomic, "build_H", lambda a: calls.append(a) or original(a))
+    # the split builds one H per family, over the sorted elimination core,
+    # with the builder build_H uses, and never calls build_H itself
+    calls, full = [], []
+    original = atomic._labeled_h
+    monkeypatch.setattr(
+        atomic, "_labeled_h", lambda a, vs: calls.append((a, vs)) or original(a, vs)
+    )
+    monkeypatch.setattr(atomic, "build_H", lambda a: full.append(a))
     fam, _, _ = corpus.random_loop_sink_family(rng)
     g = fam.graph
     twin = gauge_transform(fam, corpus.random_gauge(rng, fam))
     classify(g, fam)
     wold_atomic(fam)
     assert are_unitarily_equivalent(g, fam, twin).equivalent
-    assert len(calls) == 2 and calls[0] is fam and calls[1] is twin
+    core = sorted(oracles.source_elimination(g)[0].vertices)
+    assert len(calls) == 2 and calls[0][0] is fam and calls[1][0] is twin
+    assert [vs for _, vs in calls] == [core, core] and full == []
     bad_to = _broken_variants(rng, fam)[0]
     # a failed trace is not cached, so an invalid family raises every time
     for query in (lambda: classify(g, bad_to), lambda: wold_atomic(bad_to)):
@@ -292,6 +299,25 @@ def test_h_is_traced_once_per_family(rng, monkeypatch):
     data = wold_atomic(partial)
     assert data.alpha == {"w": 2}
     assert data.remainder_nodes == {("v", "i0"), ("v", "i1"), ("w", "j1")}
+    # a tree above the cycle: a source u hangs the root r0 on the label h0 at
+    # v, which the loop leaves without an image; the H of the split holds only
+    # the nodes over the core {v, w}, and r0's arc into it reads as a root
+    g = Graph.build(["u", "v", "w"], [("in", "u", "v"), *g.edges])
+    lam = {"u": ("r0",), "v": (*fam.lam["v"], "h0"), "w": (*fam.lam["w"], "j9")}
+    pi = {"in": {"r0": "h0"}, "loop": fam.pi["loop"], "out": {**fam.pi["out"], "h0": "j9"}}
+    above = ExplicitAtomic(g, lam, pi, dict(fam.phases))
+    want = oracles.split(above)
+    calls.clear()
+    assert above._split == want
+    ((_, core),) = calls
+    assert core == ["v", "w"] and "u" not in oracles.source_elimination(g)[0].vertices
+    h = original(above, core)
+    assert h.nodes == tuple(n for n in above.nodes() if n[0] != "u")
+    assert h.pred[("v", "h0")].src == ("u", "r0") and ("u", "r0") not in h.pred
+    data = wold_atomic(above)
+    assert data.alpha == {"u": 1, "w": 1}
+    assert data.remainder_nodes == {("v", "i0"), ("v", "i1"), ("w", "j0"), ("w", "j1")}
+    assert full == []
 
 
 def test_canonical_cycles_lie_in_the_elimination_core(rng):

@@ -22,7 +22,7 @@ from semigroupoid_kit import (
     verify_tck,
     wandering_certificate,
 )
-from semigroupoid_kit.roadcoloring import parse_word
+from semigroupoid_kit.roadcoloring import obrien_coloring, parse_word
 
 OBRIEN_FIG1 = {"loop_t": 1, "tl1": 1, "tr": 1, "tl2": 2, "lr": 2, "rt": 2}
 
@@ -1682,3 +1682,21 @@ def test_verify_tck_on_a_vertex_with_3000_loops_runs_in_bounded_memory():
         for name in interior
     ]
     assert peak_kib < 100 * 1024
+
+
+def test_missing_operator_and_bad_sizes_raise(fig1):
+    rep = build_left_regular_trunc(fig1, ["t"], 1)
+    with pytest.raises(KeyError) as err:
+        rep.vertex_ops["nosuch"]
+    assert err.value.args == ("nosuch",)
+    coloring, _ = obrien_coloring(fig1, "loop_t")
+    for call, message, details in (
+        (lambda: build_colored_trunc(fig1, coloring, -1), "depth must be nonnegative",
+         {"depth": -1}),
+        (lambda: cycle_lemma_check(0, 3), "cycle length must be positive", {"n": 0}),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (type(err.value), str(err.value), err.value.details) == (
+            DomainError, message, details
+        )
