@@ -22,7 +22,10 @@ faults and goes on: the verdict on any data, total, partial or invalid,
 comes from that one pass.  Core lemma: every node of a cycle component
 lies over the graph's elimination core, as an H-cycle lifts a graph cycle
 and the rest of its component lies downstream of it; so cycles are sought
-only in the H over the core, and on a forest that H is empty.
+only in the H over the core, and on a forest that H is empty.  There one
+backward walk per component, from its least node, finds the component and
+traces its cycle; ``trace_backward`` is that walk from one node.  A canonical
+family is read as its summands: a sum's parts, or the family once.
 """
 
 from __future__ import annotations
@@ -120,14 +123,15 @@ class ExplicitAtomic:
         """The root vertices in sorted root-node order, the cycle traces in
         least-node order, and the nodes of the cycle components.  The scan's
         free counts give the roots.  By the core lemma, H is built once, over
-        the elimination core alone, and each cycle component is traced there."""
+        the elimination core alone, and its one walk traces each cycle."""
         _require_valid(self, require_total=False)
         free = self._survey[0]  # in vertex order
         roots = tuple(v for v, n in free.items() for _ in range(n))
         h = _labeled_h(self, sorted(self.graph._elimination[0]))
-        cyclic = [nodes for root, nodes in _h_components(sorted(h.nodes), h.pred) if root is None]
-        cycles = tuple(trace_backward(h, nodes[0]) for nodes in cyclic)
-        return roots, cycles, frozenset(n for nodes in cyclic for n in nodes)
+        components = _h_components(sorted(h.nodes), h.pred)
+        cyclic = [(w, nodes) for w, nodes in components if w[2] is not None]  # closed walks
+        cycles = tuple(_trace(*w) for w, _ in cyclic)
+        return roots, cycles, frozenset(n for _, nodes in cyclic for n in nodes)
 
 
 def _scan(a: ExplicitAtomic) -> tuple[dict[str, int], list[tuple], list[int]]:
@@ -296,35 +300,38 @@ class LabeledH:
 
 def _h_components(
     nodes: list[Node], pred: dict[Node, Arc | None]
-) -> list[tuple[Node | None, list[Node]]]:
+) -> list[tuple[tuple[list[Node], list[Arc | None], int | None], list[Node]]]:
     """The components of H met from ``nodes``, by its predecessor arcs
-    alone, each with its root (None for a cycle component) and its nodes
-    among ``nodes`` in the order given; a node off ``pred`` is a root.
+    alone, each with the walk that met it and its nodes among ``nodes`` in
+    the order given; a node off ``pred`` is a root.
 
     ``nodes`` come sorted and each has at most one predecessor, so the
     backward walk from a node ends at its component's root or closes on its
     cycle.  Walking from each node not yet labeled, in order, meets the
-    components in the order of their least nodes among ``nodes``.
+    components in the order of their least nodes among ``nodes``, each from
+    that node.  That walk is kept as its nodes, the arc into each (None at
+    a root) and the position it closed on, None at a root, for ``_trace``.
     """
-    roots: list[Node | None] = []
+    walks: list[tuple] = []
     comp_of: dict[Node, int] = {}
     for start in nodes:
-        walk, node = [], start
+        walk, arcs, node = [], [], start
         while node is not None and node not in comp_of:
-            comp_of[node] = -1  # on the current walk
+            comp_of[node] = ~len(walk)  # on the current walk, at this position
             walk.append(node)
-            node = arc.src if (arc := pred.get(node)) else None
+            arcs.append(arc := pred.get(node))
+            node = arc and arc.src
         if node is not None and comp_of[node] >= 0:
             k = comp_of[node]
         else:  # a new component: the walk ended at its root or closed on its cycle
-            k = len(roots)
-            roots.append(walk[-1] if node is None else None)
+            k = len(walks)
+            walks.append((walk, arcs, None if node is None else ~comp_of[node]))
         for n in walk:
             comp_of[n] = k
-    members: list[list[Node]] = [[] for _ in roots]
+    members: list[list[Node]] = [[] for _ in walks]
     for n in nodes:
         members[comp_of[n]].append(n)
-    return list(zip(roots, members))
+    return list(zip(walks, members))
 
 
 def _require_valid(a: ExplicitAtomic, require_total: bool) -> None:
@@ -391,31 +398,25 @@ def trace_backward(h: LabeledH, node: Node) -> RootFound | CycleFound:
     Ends at an in-degree-0 node (RootFound, with the host-graph path from
     the root to the queried node) or closes up on the unique directed cycle
     of the component (CycleFound).  Finite data admits no third outcome: an
-    infinite strictly backward chain would need infinitely many nodes.
+    infinite strictly backward chain would need infinitely many nodes.  The
+    walk is that of ``_h_components`` from ``node`` alone; a node off
+    ``h.pred`` ends it as a root.
     """
     if node not in h.pred:
         raise DomainError("unknown node", node=node)
-    walk = [node]
-    seen = {node: 0}
-    labels: list[Arc] = []
-    while True:
-        arc = h.pred[walk[-1]]
-        if arc is None:
-            root = walk[-1]
-            edges = tuple(a.edge for a in labels)
-            return RootFound(root, Path(root[0], edges))
-        labels.append(arc)
-        prev = arc.src
-        if prev in seen:
-            t = seen[prev]
-            j = len(walk) - 1
-            cyc_arcs = labels[t : j + 1]  # arc into walk[t] .. arc into walk[j]
-            nodes_fwd = (walk[t],) + tuple(reversed(walk[t + 1 : j + 1]))
-            edges = tuple(a.edge for a in cyc_arcs)
-            phase = _phase_product([a.phase for a in cyc_arcs])
-            return CycleFound(nodes_fwd, Path(prev[0], edges), phase, t)
-        seen[prev] = len(walk)
-        walk.append(prev)
+    ((walk, _),) = _h_components([node], h.pred)
+    return _trace(*walk)
+
+
+def _trace(walk: list[Node], arcs: list[Arc | None], t: int | None) -> RootFound | CycleFound:
+    """What the backward walk from ``walk[0]`` found: the root ``walk[-1]``
+    when ``t`` is None, else the cycle it closed on at ``walk[t]``, whose
+    arcs are those into ``walk[t:]``, the last one leaving ``walk[t]``."""
+    if t is None:
+        return RootFound(walk[-1], Path(walk[-1][0], tuple(a.edge for a in arcs[:-1])))
+    cyc_arcs, nodes_fwd = arcs[t:], (walk[t],) + tuple(reversed(walk[t + 1:]))
+    phase = _phase_product([a.phase for a in cyc_arcs])
+    return CycleFound(nodes_fwd, Path(walk[t][0], tuple(a.edge for a in cyc_arcs)), phase, t)
 
 
 def _phase_product(phases: list[Phase]) -> Phase:
@@ -459,32 +460,32 @@ CanonicalAtomic = Union[LeftRegular, CycleType, TailType, DirectSum]
 AnyFamily = Union[ExplicitAtomic, CanonicalAtomic]
 
 
+def _summands(fam: CanonicalAtomic) -> tuple[tuple[CanonicalAtomic, Multiplicity], ...]:
+    """A direct sum's parts with their multiplicities, or the family once."""
+    return fam.parts if isinstance(fam, DirectSum) else ((fam, 1),)
+
+
 def validate_canonical(g: Graph, fam: CanonicalAtomic) -> None:
-    if isinstance(fam, LeftRegular):
-        if not g.has_vertex(fam.vertex):
-            raise DomainError("unknown vertex", vertex=fam.vertex)
-    elif isinstance(fam, CycleType):
-        validate_path(g, fam.cycle)
-        if not is_cycle(g, fam.cycle) or len(fam.cycle) == 0:
-            raise NotACycle("cycle-type family needs a cycle of positive length")
-    elif isinstance(fam, TailType):
-        validate_path(g, fam.cycle)
-        if not is_cycle(g, fam.cycle) or len(fam.cycle) == 0:
-            raise NotACycle("tail family needs a cycle of positive length")
-        if _primitive_root(fam.cycle)[1] != 1:
-            raise DomainError(
-                "tail cycle must be primitive; pass its primitive root",
-                cycle=list(fam.cycle.edges),
-            )
-    elif isinstance(fam, DirectSum):
-        for part, mult in fam.parts:
-            if isinstance(part, DirectSum):
-                raise DomainError("direct sums do not nest; flatten the parts")
-            validate_canonical(g, part)
-            if mult != OMEGA and (not isinstance(mult, int) or mult < 1):
-                raise DomainError("multiplicity must be a positive integer or omega", got=mult)
-    else:
-        raise DomainError("unknown canonical family", got=type(fam).__name__)
+    for part, mult in _summands(fam):
+        if isinstance(part, LeftRegular):
+            if not g.has_vertex(part.vertex):
+                raise DomainError("unknown vertex", vertex=part.vertex)
+        elif isinstance(part, (CycleType, TailType)):
+            validate_path(g, part.cycle)
+            if not is_cycle(g, part.cycle) or len(part.cycle) == 0:
+                kind = "cycle-type" if isinstance(part, CycleType) else "tail"
+                raise NotACycle(f"{kind} family needs a cycle of positive length")
+            if isinstance(part, TailType) and _primitive_root(part.cycle)[1] != 1:
+                raise DomainError(
+                    "tail cycle must be primitive; pass its primitive root",
+                    cycle=list(part.cycle.edges),
+                )
+        elif isinstance(part, DirectSum):
+            raise DomainError("direct sums do not nest; flatten the parts")
+        else:
+            raise DomainError("unknown canonical family", got=type(part).__name__)
+        if mult != OMEGA and (not isinstance(mult, int) or mult < 1):
+            raise DomainError("multiplicity must be a positive integer or omega", got=mult)
 
 
 # ---------------------------------------------------------------------------
@@ -581,23 +582,17 @@ def classify(g: Graph, fam: AnyFamily) -> AtomDecomposition:
 
 
 def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
-    if isinstance(fam, LeftRegular):
-        return AtomDecomposition([(LeftRegularAtom(fam.vertex), 1)])
-    if isinstance(fam, CycleType):
-        return AtomDecomposition(_decompose_cycle(g, fam.cycle, fam.phase))
-    if isinstance(fam, TailType):
-        u = _cyclic_canonical_form(g, fam.cycle)
-        return AtomDecomposition([(TailAtom(u), 1)], notes=[_TAIL_NOTE])
-    parts: list[tuple[Atom, Multiplicity]] = []
+    atoms: list[tuple[Atom, Multiplicity]] = []
     notes: list[str] = []
-    for part, mult in fam.parts:
-        sub = _classify_canonical(g, part)
-        for atom, m in sub.atoms:
-            parts.append((atom, mult_scale(m, mult)))
-        for note in sub.notes:
-            if note not in notes:
-                notes.append(note)
-    return AtomDecomposition(parts, notes=notes)
+    for part, mult in _summands(fam):
+        if isinstance(part, LeftRegular):
+            found = [(LeftRegularAtom(part.vertex), 1)]
+        elif isinstance(part, CycleType):
+            found = _decompose_cycle(g, part.cycle, part.phase)
+        else:
+            found, notes = [(TailAtom(_cyclic_canonical_form(g, part.cycle)), 1)], [_TAIL_NOTE]
+        atoms.extend((atom, mult_scale(m, mult)) for atom, m in found)
+    return AtomDecomposition(atoms, notes)
 
 
 def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
@@ -655,31 +650,22 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
 
 
 def _wold_canonical(g: Graph, fam: CanonicalAtomic) -> WoldData:
-    if isinstance(fam, LeftRegular):
-        return WoldData({fam.vertex: 1}, frozenset(), True)
-    if isinstance(fam, TailType):
-        return WoldData({}, frozenset(), True, notes=["tail families are fully coisometric"])
-    if isinstance(fam, CycleType):
-        alpha = {v: m for v, m in _cycle_structure_multiplicities(g, fam.cycle).items() if m}
-        return WoldData(
-            alpha,
-            frozenset(),
-            True,
-            notes=[
-                "multiplicities refer to the left-regular part left over "
-                "after compressing away the minimal cyclic subspace; the "
-                "family itself is fully coisometric"
-            ],
-        )
     alpha: dict[str, Multiplicity] = {}
     notes: list[str] = []
-    for part, mult in fam.parts:
-        sub = _wold_canonical(g, part)
-        for v, m in sub.alpha.items():
-            alpha[v] = mult_add(alpha.get(v, 0), mult_scale(m, mult))
-        for n in sub.notes:
-            if n not in notes:
-                notes.append(n)
+    for part, mult in _summands(fam):
+        if isinstance(part, LeftRegular):
+            found, note = {part.vertex: 1}, None
+        elif isinstance(part, TailType):
+            found, note = {}, "tail families are fully coisometric"
+        else:
+            found = _cycle_structure_multiplicities(g, part.cycle)
+            note = ("multiplicities refer to the left-regular part left over after compressing "
+                    "away the minimal cyclic subspace; the family itself is fully coisometric")
+        for v, m in found.items():
+            if m:
+                alpha[v] = mult_add(alpha.get(v, 0), mult_scale(m, mult))
+        if note and note not in notes:
+            notes.append(note)
     return WoldData(alpha, frozenset(), True, notes=notes)
 
 

@@ -507,6 +507,7 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     The products of two projections are formed only when (P) or (ND) fails:
     a projection that passes (P) exactly is diagonal with entries 1.0, and
     an exact (ND) then gives each column to one vertex, so no two meet.
+    Even then only pairs that meet are multiplied; the rest give 0.0.
     """
     g, grades, N, n = rep.graph, rep.grades, rep.depth, rep.dim
     verts, eids = g.sorted_vertices(), g.sorted_edge_ids()
@@ -519,10 +520,9 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
     nd = _vertex_sum_residual(J.P, n, every)
     values, pairs = _projection_residuals(J, every), []
     if values.any() or nd != 0.0:
-        proj = {v: rep.vertex_ops.map(v) for v in verts}
-        pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
+        proj, pairs = rep.vertex_ops.map, [(verts[a], verts[b]) for a, b in _meeting_pairs(J.P)]
         values = np.append(values, [
-            _entry_residual(*_product(proj[v], proj[w])[1:], grades, 0, N)[0] for v, w in pairs
+            _entry_residual(*_product(proj(v), proj(w))[1:], grades, 0, N)[0] for v, w in pairs
         ])
     worst, detail = _worst(values, lambda i: (
         f"projection identity fails at {verts[i]}" if i < len(verts)
@@ -546,6 +546,18 @@ def verify_tck(rep: TruncatedRep) -> list[RelationReport]:
         reports.append(RelationReport(name, 1, N - 1, worst, worst == 0.0, boundary, detail))
     reports.append(RelationReport("ND", 0, N, nd, nd == 0.0, 0.0, ""))
     return reports
+
+
+def _meeting_pairs(P: _Stack) -> list[tuple[int, int]]:
+    """The pairs a < b of maps of ``P``, in order, where a row of map b is a
+    column of map a: the only pairs whose product S_a S_b has an entry."""
+    order = np.argsort(P.col, kind="stable")
+    lo, hi = (np.searchsorted(P.col[order], P.row, side) for side in ("left", "right"))
+    count = hi - lo  # the entries whose column is each entry's row
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    a, b, m = P.group.take(order[at]).astype(np.int64), np.repeat(P.group, count), len(P.keys)
+    key = np.unique(a[a < b] * m + b[a < b])
+    return list(zip((key // m).tolist(), (key % m).tolist()))
 
 
 def _vertex_sum_residual(P: _Stack, n: int, every: np.ndarray) -> float:

@@ -742,12 +742,45 @@ def h_components(h):
     return connected_components(h.nodes, ((arc.src, arc.dst) for arc in h.arcs))
 
 
+def trace_backward(h, node):
+    """``atomic.trace_backward`` by its own seen-dict walk: follow the
+    unique predecessor chain from ``node`` until it reaches a root or steps
+    onto a node it has seen.  A node whose predecessor lies off ``h.pred``
+    raises KeyError here, as the walk never leaves the nodes of ``h``."""
+    from semigroupoid_kit import CycleFound, DomainError, Path, RootFound
+    from semigroupoid_kit.atomic import _phase_product
+
+    if node not in h.pred:
+        raise DomainError("unknown node", node=node)
+    walk = [node]
+    seen = {node: 0}
+    labels = []
+    while True:
+        arc = h.pred[walk[-1]]
+        if arc is None:
+            root = walk[-1]
+            edges = tuple(a.edge for a in labels)
+            return RootFound(root, Path(root[0], edges))
+        labels.append(arc)
+        prev = arc.src
+        if prev in seen:
+            t = seen[prev]
+            j = len(walk) - 1
+            cyc_arcs = labels[t : j + 1]  # arc into walk[t] .. arc into walk[j]
+            nodes_fwd = (walk[t],) + tuple(reversed(walk[t + 1 : j + 1]))
+            edges = tuple(a.edge for a in cyc_arcs)
+            phase = _phase_product([a.phase for a in cyc_arcs])
+            return CycleFound(nodes_fwd, Path(prev[0], edges), phase, t)
+        seen[prev] = len(walk)
+        walk.append(prev)
+
+
 def split(a):
     """``ExplicitAtomic._split`` from the full H: union-find components, then
-    one backward trace from the least node of each.  Root vertices are
-    listed in the order of their root nodes, cycle traces in the order of
-    their components' least nodes."""
-    from semigroupoid_kit import RootFound, build_H, trace_backward
+    one seen-dict ``trace_backward`` from the least node of each.  Root
+    vertices are listed in the order of their root nodes, cycle traces in
+    the order of their components' least nodes."""
+    from semigroupoid_kit import RootFound, build_H
 
     h = build_H(a)
     roots, cycles, cycle_nodes = [], [], set()

@@ -26,10 +26,12 @@ from semigroupoid_kit import (
     ExplicitAtomic,
     Graph,
     LeftRegular,
+    LabeledH,
     LeftRegularAtom,
     NonTotalPresentation,
     Path,
     Phase,
+    RootFound,
     TailType,
     are_unitarily_equivalent,
     build_H,
@@ -146,7 +148,7 @@ def test_wold_one_trace_per_component_matches_per_node_trace(rng):
         for node in h.nodes:
             if h.pred[node] is None:
                 alpha[node[0]] = alpha.get(node[0], 0) + 1
-            if isinstance(trace_backward(h, node), CycleFound):
+            if isinstance(oracles.trace_backward(h, node), CycleFound):
                 remainder.add(node)
         core = set(oracles.source_elimination(g)[0].vertices)
         got = wold_atomic(fam)
@@ -261,8 +263,8 @@ def test_canonical_data_is_validated_once_per_call(fig1, monkeypatch):
     ):
         calls.clear()
         query()
-        # the sum, then each part once, from inside validate_canonical
-        assert calls == [fam] + [part for part, _ in parts]
+        # the sum once: one loop over its parts checks each of them
+        assert calls == [fam]
 
 
 def test_h_is_traced_once_per_family(rng, monkeypatch):
@@ -504,6 +506,128 @@ def test_split_and_h_components_match_union_find(rng):
     # roots alone, cycles alone and both, in total and in partial data
     assert {(True, False, True), (False, True, True), (True, True, True)} <= shapes
     assert {(True, True, False)} <= shapes
+
+
+def test_trace_backward_matches_the_seen_dict_walk(rng):
+    """``trace_backward`` is the walk of ``_h_components`` from one node; on
+    every node of valid, partial and broken families, and of pure cycles of
+    up to 6 vertices and 3 laps, it finds what the oracle's own walk finds."""
+    families = _valid_families(rng, count=15)
+    broken = [bad for fam in families for bad in _broken_variants(rng, fam)]
+    pure = [
+        semigroupoid_kit.pure_cycle_family(cycle_graph(n), laps)
+        for n in range(1, 7) for laps in range(1, 4)
+    ]
+    found = set()
+    for kind, group in (("valid", families), ("broken", broken), ("pure", pure)):
+        for fam in group:
+            if not validate_atomic(fam, require_total=False).valid:
+                continue  # structurally invalid: build_H refuses it
+            h = build_H(fam)
+            for node in h.nodes:
+                got = trace_backward(h, node)
+                assert got == oracles.trace_backward(h, node)
+                found.add((kind, type(got)))
+    assert {("valid", RootFound), ("valid", CycleFound), ("broken", RootFound)} <= found
+    assert ("pure", CycleFound) in found
+
+
+def test_trace_backward_on_a_core_h_stops_at_its_first_node_off_the_core(rng):
+    """Over the elimination core, as the split builds H, a chain that
+    leaves the core ends at the first node off it, as a root: the oracle
+    walk on that H with those nodes made roots.  Cycles stay in the core."""
+    g = Graph.build(["s", "v"], [("e", "s", "v"), ("loop", "v", "v")])
+    fam = ExplicitAtomic(g, {"s": ("a",), "v": ("x", "y")}, {"e": {"a": "x"}, "loop": {"x": "y"}})
+    core = atomic._labeled_h(fam, sorted(g._elimination[0]))
+    assert core.nodes == (("v", "x"), ("v", "y"))
+    for node in core.nodes:  # the chain's root, (s, a), lies off the core
+        assert trace_backward(core, node) == oracles.trace_backward(build_H(fam), node)
+    assert trace_backward(core, ("v", "y")) == RootFound(("s", "a"), Path("s", ("loop", "e")))
+    off = cyclic = 0
+    for _ in range(80):
+        g = corpus.random_graph(rng, max_v=5, max_e=8, acyclic=False)
+        fam = random_partial_family(rng, g)
+        inner = g._elimination[0]
+        core = atomic._labeled_h(fam, sorted(inner))
+        closed = LabeledH(core.nodes, core.arcs, {**{a.src: None for a in core.arcs}, **core.pred})
+        for node in core.nodes:
+            got = trace_backward(core, node)
+            assert got == oracles.trace_backward(closed, node)
+            off += isinstance(got, RootFound) and got.root[0] not in inner
+            cyclic += isinstance(got, CycleFound)
+    assert off and cyclic
+
+
+def _answer(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc).__name__, str(exc), exc.details
+
+
+def test_explicit_queries_call_no_trace_backward(rng, monkeypatch):
+    """The split reads its cycle traces off its one walk of H: with
+    ``trace_backward`` made to raise, the queries answer as before."""
+    families = _valid_families(rng, count=10)
+    twins = [gauge_transform(fam, corpus.random_gauge(rng, fam)) for fam in families]
+
+    def answers():
+        return [
+            (_answer(lambda: classify(fam.graph, fam)), _answer(lambda: wold_atomic(fam)),
+             _answer(lambda: are_unitarily_equivalent(fam.graph, fam, twin)))
+            for fam, twin in zip(families, twins)
+        ]
+
+    want = answers()
+
+    def refuse(h, node):
+        raise AssertionError("trace_backward called")
+
+    monkeypatch.setattr(atomic, "trace_backward", refuse)
+    families = [ExplicitAtomic(f.graph, f.lam, f.pi, f.phases) for f in families]  # no caches
+    twins = [ExplicitAtomic(f.graph, f.lam, f.pi, f.phases) for f in twins]
+    assert answers() == want
+    assert any(fam._split[1] for fam in families)
+
+
+def test_a_canonical_sum_names_its_first_fault(fig1):
+    """One loop reads a sum's parts in order, each before its multiplicity,
+    and refuses a nested sum where it stands."""
+    one, loop_t = Phase.one(), Path("t", ("loop_t",))
+    nested = DirectSum(((LeftRegular("zz"), 1),))
+    not_primitive = TailType(Path("t", ("loop_t",) * 2))
+    nest = ("DomainError", "direct sums do not nest; flatten the parts", {})
+    unknown = ("DomainError", "unknown vertex", {"vertex": "zz"})
+
+    def bad_mult(got):
+        return ("DomainError", "multiplicity must be a positive integer or omega", {"got": got})
+
+    cases = [
+        (((LeftRegular("t"), 1), (nested, 1)), nest),
+        (((nested, 0),), nest),
+        (((LeftRegular("t"), 2), ("t", 1)), ("DomainError", "unknown canonical family", {"got": "str"})),
+        (((CycleType(loop_t, one), "x"),), bad_mult("x")),
+        (((LeftRegular("t"), -1),), bad_mult(-1)),
+        (((LeftRegular("t"), 2.0),), bad_mult(2.0)),
+        (((LeftRegular("zz"), 0),), unknown),
+        (((LeftRegular("t"), 0), (LeftRegular("zz"), 1)), bad_mult(0)),
+        (((not_primitive, 1), (LeftRegular("zz"), 1)),
+         ("DomainError", "tail cycle must be primitive; pass its primitive root",
+          {"cycle": ["loop_t", "loop_t"]})),
+        (((LeftRegular("zz"), 1), (not_primitive, 1)), unknown),
+        (((LeftRegular("zz"), 1), (nested, 1)), unknown),
+        (((CycleType(Path("t", ("tl1",)), one), 1), (LeftRegular("zz"), 1)),
+         ("NotACycle", "cycle-type family needs a cycle of positive length", {})),
+    ]
+    for parts, want in cases:
+        fam = DirectSum(parts)
+        for query in (
+            lambda: validate_canonical(fig1, fam),
+            lambda: classify(fig1, fam),
+            lambda: wold_atomic(fam, fig1),
+            lambda: orbit_condition_M(fam, loop_t, fig1),
+        ):
+            assert _error(query) == want
 
 
 def test_cycle_phase_products_match_the_ordered_product(rng):

@@ -552,8 +552,47 @@ def test_pair_products_run_only_when_p_or_nd_fails(monkeypatch, fig1):
         assert reports[0].ok and reports[-1].ok and not calls
         rep.vertex_ops["r"] = rep.vertex_ops["r"] * 2.0  # (P) fails at r
         assert verify_tck(rep)[0].detail == "projection identity fails at r"
-        assert len(calls) == 3  # one product for each pair of the three vertices
+        assert not calls  # the projections are still disjoint: no pair meets
+        rep.vertex_ops["r"] = rep.vertex_ops["t"]  # r and t overlap, and (ND) fails
+        assert verify_tck(rep)[0].detail == "projections at r and t overlap"
+        assert len(calls) == 1  # one product, for the one pair that meets
         calls.clear()
+
+
+def _edgeless_rep(count, scaled):
+    """Depth-0 left-regular rep of ``count`` vertices and no edges, one
+    basis vector each, with the projection at ``scaled`` doubled."""
+    vs = [f"v{k:04d}" for k in range(count)]
+    rep = build_left_regular_trunc(Graph.build(vs, []), vs, 0)
+    rep.vertex_ops[scaled] = rep.vertex_ops[scaled] * 2.0
+    return rep
+
+
+def test_a_failed_projection_among_thousands_stays_linear():
+    """(P) and (ND) fail at one of 4,000 vertices whose projections are
+    disjoint: no two meet, so no product of two is formed, where one per
+    pair, about 8 million, took minutes.  The report is the oracle's, which
+    is checked at 40 vertices, with the values and names of the large one."""
+    import time
+
+    import oracles
+
+    small = _edgeless_rep(40, "v0020")
+    assert [r.to_json() for r in verify_tck(small)] == [
+        r.to_json() for r in oracles.verify_tck(small)
+    ]
+    rep = _edgeless_rep(4000, "v2000")
+    start = time.perf_counter()
+    reports = verify_tck(rep)
+    assert time.perf_counter() - start < 1.0
+    assert [(r.relation, r.max_residual, r.boundary_residual, r.detail) for r in reports] == [
+        ("P", 2.0, 0.0, "projection identity fails at v2000"),
+        ("IS", 0.0, 0.0, ""),
+        ("TCK", 0.0, 0.0, ""),
+        ("CK", 0.0, 0.0, ""),
+        ("F", 0.0, 2.0, ""),
+        ("ND", 1.0, 0.0, ""),
+    ]
 
 
 def test_wandering_verdicts_match_on_cycle_identifications():
