@@ -10,39 +10,39 @@ common range vertex make every node have at most one incoming arc, so each
 connected component of H contains either a single sourceless node (a root)
 or a single directed cycle, never both.
 
-Classification decomposes a family into irreducible atoms: left-regular
-atoms named by their root vertex, cycle atoms named by a primitive cycle
-with a unimodular eigenvalue phase, and tail atoms named by a primitive
-cycle repeated backward forever.  Canonical (symbolic) families describe
-the infinite-dimensional cases that no finite explicit family can encode.
+Canonical (symbolic) families describe the infinite-dimensional cases that
+no finite explicit family can encode.  Classification decomposes a family
+into irreducible atoms, each a canonical family in normal form: left-regular
+at a vertex, or a cycle type with its phase or a tail, each on the canonical
+rotation of a primitive cycle; so a sum of the atoms classifies to them again.
 
 One scan reads each vertex's in-edges once.  It counts the labels no arc
-hits, which give the roots of H, and where a test fails it names the
-faults and goes on: the verdict on any data, total, partial or invalid,
-comes from that one pass.  Core lemma: every node of a cycle component
-lies over the graph's elimination core, as an H-cycle lifts a graph cycle
-and the rest of its component lies downstream of it; so cycles are sought
-only in the H over the core, and on a forest that H is empty.  There one
-backward walk per component, from its least node, finds the component and
-traces its cycle; ``trace_backward`` is that walk from one node.  A canonical
-family is read as its summands: a sum's parts, or the family once.
+hits, the roots of H and so the left-regular atoms at each vertex, and
+where a test fails it names the faults and goes on: the verdict on any
+data, total, partial or invalid, comes from that one pass.  Core lemma:
+every node of a cycle component lies over the graph's elimination core, as
+an H-cycle lifts a graph cycle and the rest of its component lies
+downstream of it; so cycles are sought only in the H over the core, and on
+a forest that H is empty.  There one backward walk per component, from its
+least node, finds the component and traces its cycle; ``trace_backward``
+is that walk from one node.  A canonical family is read as its summands: a
+sum's parts, or the family once.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .errors import (
-    DomainError,
-    NonTotalPresentation,
-    NotACycle,
-)
+from .errors import DomainError, NonTotalPresentation, NotACycle
 from .graph import Graph, directed_closure
 from .paths import (
     Path,
@@ -119,19 +119,17 @@ class ExplicitAtomic:
         return validate_atomic(self, require_total=False)
 
     @cached_property
-    def _split(self) -> tuple[tuple[str, ...], tuple[CycleFound, ...], frozenset[Node]]:
-        """The root vertices in sorted root-node order, the cycle traces in
-        least-node order, and the nodes of the cycle components.  The scan's
-        free counts give the roots.  By the core lemma, H is built once, over
-        the elimination core alone, and its one walk traces each cycle."""
+    def _split(self) -> tuple[dict[str, int], tuple[CycleFound, ...], frozenset[Node]]:
+        """The roots of H as the scan's free counts, ``{vertex: n}`` in vertex
+        order, the cycle traces in least-node order, and the nodes of the
+        cycle components.  By the core lemma, H is built once, over the
+        elimination core alone, and its one walk traces each cycle."""
         _require_valid(self, require_total=False)
-        free = self._survey[0]  # in vertex order
-        roots = tuple(v for v, n in free.items() for _ in range(n))
         h = _labeled_h(self, sorted(self.graph._elimination[0]))
         components = _h_components(sorted(h.nodes), h.pred)
         cyclic = [(w, nodes) for w, nodes in components if w[2] is not None]  # closed walks
         cycles = tuple(_trace(*w) for w, _ in cyclic)
-        return roots, cycles, frozenset(n for _, nodes in cyclic for n in nodes)
+        return self._survey[0], cycles, frozenset(n for _, nodes in cyclic for n in nodes)
 
 
 def _scan(a: ExplicitAtomic) -> tuple[dict[str, int], list[tuple], list[int]]:
@@ -489,32 +487,18 @@ def validate_canonical(g: Graph, fam: CanonicalAtomic) -> None:
 
 
 # ---------------------------------------------------------------------------
-# atoms and decompositions
+# atoms and decompositions: an atom is a canonical family in normal form
 
-
-@dataclass(frozen=True, slots=True)
-class LeftRegularAtom:
-    vertex: str
-
-
-@dataclass(frozen=True, slots=True)
-class CycleAtom:
-    cycle: Path  # canonical rotation of a primitive cycle
-    phase: Phase
-
-
-@dataclass(frozen=True, slots=True)
-class TailAtom:
-    cycle: Path  # canonical rotation of the primitive period
-
-
-Atom = Union[LeftRegularAtom, CycleAtom, TailAtom]
+LeftRegularAtom, CycleAtom, TailAtom = LeftRegular, CycleType, TailType
+Atom = Union[LeftRegular, CycleType, TailType]
 
 
 def _atom_sort_key(atom: Atom) -> tuple:
-    if isinstance(atom, LeftRegularAtom):
+    """The decomposition order; the first three entries name the atom, or a
+    cycle atom's cycle."""
+    if isinstance(atom, LeftRegular):
         return (0, atom.vertex, (), 0.0)
-    if isinstance(atom, CycleAtom):
+    if isinstance(atom, CycleType):
         return (1, atom.cycle.base, atom.cycle.edges, atom.phase.sort_key())
     return (2, atom.cycle.base, atom.cycle.edges, 0.0)
 
@@ -535,13 +519,9 @@ class AtomDecomposition:
 
 
 def atoms_equal(a: Atom, b: Atom, tol: float = 1e-9) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, LeftRegularAtom):
-        return a.vertex == b.vertex
-    if isinstance(a, CycleAtom):
+    if isinstance(a, CycleType) and isinstance(b, CycleType):
         return a.cycle == b.cycle and a.phase.approx_eq(b.phase, tol)
-    return a.cycle == b.cycle
+    return a == b
 
 
 def decompose_cycle(g: Graph, w: Path, phase: Phase) -> list[tuple[Atom, Multiplicity]]:
@@ -557,7 +537,7 @@ def decompose_cycle(g: Graph, w: Path, phase: Phase) -> list[tuple[Atom, Multipl
 def _decompose_cycle(g: Graph, w: Path, phase: Phase) -> list[tuple[Atom, Multiplicity]]:
     """``decompose_cycle`` of a cycle already checked."""
     u, p = _primitive_root(w)
-    return [(CycleAtom(_cyclic_canonical_form(g, u), theta), 1) for theta in phase.roots(p)]
+    return [(CycleType(_cyclic_canonical_form(g, u), theta), 1) for theta in phase.roots(p)]
 
 
 _TAIL_NOTE = (
@@ -586,11 +566,11 @@ def _classify_canonical(g: Graph, fam: CanonicalAtomic) -> AtomDecomposition:
     notes: list[str] = []
     for part, mult in _summands(fam):
         if isinstance(part, LeftRegular):
-            found = [(LeftRegularAtom(part.vertex), 1)]
+            found = [(part, 1)]
         elif isinstance(part, CycleType):
             found = _decompose_cycle(g, part.cycle, part.phase)
         else:
-            found, notes = [(TailAtom(_cyclic_canonical_form(g, part.cycle)), 1)], [_TAIL_NOTE]
+            found, notes = [(TailType(_cyclic_canonical_form(g, part.cycle)), 1)], [_TAIL_NOTE]
         atoms.extend((atom, mult_scale(m, mult)) for atom, m in found)
     return AtomDecomposition(atoms, notes)
 
@@ -602,7 +582,7 @@ def _classify_explicit(a: ExplicitAtomic) -> AtomDecomposition:
     The split comes first: its pass over pi gives the verdict too."""
     roots, cycles, _ = a._split
     _require_valid(a, require_total=True)
-    atoms: list[tuple[Atom, Multiplicity]] = [(LeftRegularAtom(v), 1) for v in roots]
+    atoms: list[tuple[Atom, Multiplicity]] = [(LeftRegular(v), n) for v, n in roots.items()]
     for found in cycles:
         atoms.extend(_decompose_cycle(a.graph, found.cycle, found.phase))
     return AtomDecomposition(atoms)
@@ -640,9 +620,8 @@ def wold_atomic(a: AnyFamily, g: Graph | None = None) -> WoldData:
     is reached forward from its H-cycle, itself a lift of a graph cycle.
     """
     if isinstance(a, ExplicitAtomic):
-        # one root per root component, in node order: alpha is in vertex order
-        roots, _, remainder = a._split
-        return WoldData(dict(Counter(roots)), remainder, True)
+        roots, _, remainder = a._split  # the root counts, in vertex order
+        return WoldData(dict(roots), remainder, True)
     if g is None:
         raise DomainError("canonical wold data needs the host graph")
     validate_canonical(g, a)
@@ -724,40 +703,58 @@ def are_unitarily_equivalent(
 ) -> EquivalenceReport:
     """Compare the atom multisets of two families over one host graph.
 
-    Left-regular atoms match by vertex, cycle atoms by the canonical
-    rotation of their primitive cycle together with the phase, tail atoms
-    by the canonical rotation of their period.
+    Left-regular atoms match by vertex, tail atoms by the canonical rotation
+    of their period, and cycle atoms by that of their primitive cycle, with
+    phases within ``tol``.
     """
-    da = classify(g, a)
-    db = classify(g, b)
-    return compare_decompositions(da, db, tol)
+    return compare_decompositions(classify(g, a), classify(g, b), tol)
 
 
 def compare_decompositions(
     da: AtomDecomposition, db: AtomDecomposition, tol: float = 1e-9
 ) -> EquivalenceReport:
-    left = list(da.atoms)
-    right = list(db.atoms)
-    for atom, mult in left:
-        match = next((i for i, (o, _) in enumerate(right) if atoms_equal(atom, o, tol)), None)
-        if match is None:
-            return EquivalenceReport(False, f"unmatched atom {describe_atom(atom)}")
-        other_mult = right[match][1]
-        if mult != other_mult:
-            return EquivalenceReport(
-                False,
-                f"multiplicity differs at {describe_atom(atom)}: {mult} vs {other_mult}",
-            )
-        right.pop(match)
-    if right:
-        return EquivalenceReport(False, f"unmatched atom {describe_atom(right[0][0])}")
-    return EquivalenceReport(True, "atom multisets agree")
+    """Compare two atom multisets.  A side's multiplicity at an atom sums its
+    atoms within ``tol`` of it: the atom, or cycle atoms on its cycle with a
+    phase that close.  Both lists are sorted, so one merged walk meets each
+    group, an atom or a cycle's atoms, once.  The witness is the first
+    failing atom of ``da``, else of ``db``."""
+    failed: list[str | None] = [None, None]
+    sides = (zip(dec.atoms, repeat(s)) for s, dec in enumerate((da, db)))
+    merged = heapq.merge(*sides, key=lambda t: _atom_sort_key(t[0][0]))
+    for _, group in groupby(merged, key=lambda t: _atom_sort_key(t[0][0])[:3]):
+        runs: tuple[list, list] = ([], [])
+        for am, s in group:
+            runs[s].append(am)
+        if runs[0] == runs[1]:  # so each atom has one multiplicity on both sides
+            continue
+        cyclic = isinstance(am[0], CycleType)  # a group of one cycle's atoms, by angle
+        turns = [[a.phase.angle_turns() for a, _ in run] if cyclic else None for run in runs]
+        for s, run in enumerate(runs):
+            for atom, _ in run:
+                here = [_mass(r, t, atom, tol) for r, t in zip(runs, turns)]
+                if failed[s] is None and here[0] != here[1]:
+                    failed[s] = f"unmatched atom {describe_atom(atom)}" if not here[1 - s] else (
+                        f"multiplicity differs at {describe_atom(atom)}: {here[0]} vs {here[1]}")
+    witness = failed[0] or failed[1]
+    return EquivalenceReport(witness is None, witness or "atom multisets agree")
+
+
+def _mass(run: list, turns: list[float] | None, atom: Atom, tol: float) -> Multiplicity:
+    """The multiplicity ``run``, one side's atoms of ``atom``'s group, has within
+    ``tol`` of ``atom``.  Phases within tol lie at most tol/4 turns apart, so on
+    a cycle, its angles ``turns`` in order, three windows round the circle do."""
+    reach = tol / 2 + 1e-12
+    if turns is not None and reach < 0.5:  # the windows are apart
+        a = atom.phase.angle_turns()
+        run = [am for s in (-1, 0, 1)
+               for am in run[bisect_left(turns, a + s - reach):bisect_right(turns, a + s + reach)]]
+    return reduce(mult_add, (m for other, m in run if atoms_equal(atom, other, tol)), 0)
 
 
 def describe_atom(atom: Atom) -> str:
-    if isinstance(atom, LeftRegularAtom):
+    if isinstance(atom, LeftRegular):
         return f"left-regular at {atom.vertex}"
-    if isinstance(atom, CycleAtom):
+    if isinstance(atom, CycleType):
         return f"cycle {list(atom.cycle.edges)} with phase {atom.phase}"
     return f"tail over {list(atom.cycle.edges)}"
 
@@ -777,12 +774,8 @@ def gauge_transform(a: ExplicitAtomic, gauge: dict[Node, Phase]) -> ExplicitAtom
     new_phases: dict[tuple[str, str], Phase] = {}
     for eid, mapping in a.pi.items():
         for i, j in mapping.items():
-            src_node = (g.src(eid), i)
-            dst_node = (g.dst(eid), j)
-            ph = a.phase(eid, i)
-            ph = ph * gauge.get(src_node, _ONE)
-            ph = ph * gauge.get(dst_node, _ONE).conj()
-            new_phases[(eid, i)] = ph
+            ph = a.phase(eid, i) * gauge.get((g.src(eid), i), _ONE)
+            new_phases[(eid, i)] = ph * gauge.get((g.dst(eid), j), _ONE).conj()
     return ExplicitAtomic(a.graph, dict(a.lam), {e: dict(m) for e, m in a.pi.items()}, new_phases)
 
 
@@ -801,9 +794,7 @@ def relabel(a: ExplicitAtomic, rename: dict[Node, str]) -> ExplicitAtomic:
         eid: {nm(g.src(eid), i): nm(g.dst(eid), j) for i, j in mapping.items()}
         for eid, mapping in a.pi.items()
     }
-    phases = {
-        (eid, nm(g.src(eid), i)): ph for (eid, i), ph in a.phases.items()
-    }
+    phases = {(eid, nm(g.src(eid), i)): ph for (eid, i), ph in a.phases.items()}
     return ExplicitAtomic(a.graph, lam, pi, phases)
 
 
@@ -991,9 +982,7 @@ def pure_cycle_family(
     ix = g.index
     for v in g.vertices:
         if len(ix.out[ix.at[v]]) != 1 or len(ix.inc[ix.at[v]]) != 1:
-            raise DomainError(
-                "pure cycle family needs a single-cycle graph", vertex=v
-            )
+            raise DomainError("pure cycle family needs a single-cycle graph", vertex=v)
     lam = {v: tuple(f"i{t}" for t in range(laps)) for v in g.vertices}
     pi: dict[str, dict[str, str]] = {}
     v = start = min(g.vertices)
@@ -1009,8 +998,6 @@ def pure_cycle_family(
         supplied = list(phases)
         arcs = [(eid, i) for eid in sorted(pi) for i in sorted(pi[eid])]
         if len(supplied) != len(arcs):
-            raise DomainError(
-                "need one phase per arc", arcs=len(arcs), given=len(supplied)
-            )
+            raise DomainError("need one phase per arc", arcs=len(arcs), given=len(supplied))
         phase_map = dict(zip(arcs, supplied))
     return ExplicitAtomic(g, lam, pi, phase_map)

@@ -27,13 +27,10 @@ from .atomic import (
     OMEGA,
     AtomDecomposition,
     CanonicalAtomic,
-    CycleAtom,
     CycleType,
     DirectSum,
     ExplicitAtomic,
     LeftRegular,
-    LeftRegularAtom,
-    TailAtom,
     TailType,
     WoldData,
 )
@@ -107,9 +104,10 @@ def explicit_atomic_to_json(a: ExplicitAtomic) -> dict:
 def explicit_atomic_from_json(data: dict) -> ExplicitAtomic:
     try:
         g = Graph.from_json_dict(data["graph"])
-        lam_raw = dict(data.get("lambda", {}))
-        pi_raw = list(data.get("pi", []))
-        phase_raw = list(data.get("phase", []))
+        lam_raw = data.get("lambda", {})
+        if not isinstance(lam_raw, dict):
+            raise TypeError(f"expected an object, got {type(lam_raw).__name__}")
+        pi_raw, phase_raw = json_list(data.get("pi", [])), json_list(data.get("phase", []))
         lam = {str(v): tuple(str(i) for i in json_list(labels)) for v, labels in lam_raw.items()}
     except MALFORMED as exc:
         raise DomainError(f"explicit atomic object malformed: {exc}")
@@ -166,7 +164,7 @@ def canonical_from_json(g: Graph, data: dict) -> CanonicalAtomic:
             return TailType(path_from_json(g, data["path"]))
         if tag == "direct_sum":
             parts = []
-            for item in data.get("parts", []):
+            for item in json_list(data.get("parts", [])):
                 term = canonical_from_json(g, item["term"])
                 mult = item.get("multiplicity", 1)
                 mult = OMEGA if mult == OMEGA else json_int(mult)
@@ -192,15 +190,15 @@ def atomic_family_from_json(data: dict) -> tuple[Graph, ExplicitAtomic | Canonic
 def decomposition_to_json(dec: AtomDecomposition) -> dict:
     atoms = []
     for atom, mult in dec.atoms:
-        if isinstance(atom, LeftRegularAtom):
+        if isinstance(atom, LeftRegular):
             row: dict[str, Any] = {"kind": "left_regular", "vertex": atom.vertex}
-        elif isinstance(atom, CycleAtom):
+        elif isinstance(atom, CycleType):
             row = {
                 "kind": "cycle",
                 "cycle": path_to_json(atom.cycle),
                 "phase": atom.phase.to_json(),
             }
-        elif isinstance(atom, TailAtom):
+        elif isinstance(atom, TailType):
             row = {"kind": "tail", "cycle": path_to_json(atom.cycle)}
         else:
             raise DomainError("unknown atom kind", got=type(atom).__name__)

@@ -230,6 +230,14 @@ def cycle_family_json(n=50_000, laps=2):
     }
 
 
+def isolated_family_json(n=100_000, label="a"):
+    """n vertices v0, ..., v{n-1} and no edge, with the one label ``label`` at
+    each: n left-regular atoms of multiplicity 1, one at every vertex,
+    whatever the label is called."""
+    vs = [f"v{k}" for k in range(n)]
+    return {"graph": {"vertices": vs, "edges": []}, "lambda": {v: [label] for v in vs}}
+
+
 def phased_chain_family_json(n=100_000, seed=34):
     """``chain_family_json`` with an exact phase on every arc, of denominator
     1, 2, 3, 4, 6 or 8: still one left-regular atom at v0 of multiplicity 2."""

@@ -777,9 +777,9 @@ def trace_backward(h, node):
 
 def split(a):
     """``ExplicitAtomic._split`` from the full H: union-find components, then
-    one seen-dict ``trace_backward`` from the least node of each.  Root
-    vertices are listed in the order of their root nodes, cycle traces in
-    the order of their components' least nodes."""
+    one seen-dict ``trace_backward`` from the least node of each.  The
+    roots are counted per vertex, ``{vertex: n}`` in vertex order, and the
+    cycle traces listed in the order of their components' least nodes."""
     from semigroupoid_kit import RootFound, build_H
 
     h = build_H(a)
@@ -791,7 +791,60 @@ def split(a):
         else:
             cycles.append(outcome)
             cycle_nodes.update(comp)
-    return tuple(v for v, _ in sorted(roots)), tuple(cycles), frozenset(cycle_nodes)
+    counts: dict[str, int] = {}
+    for v, _ in sorted(roots):
+        counts[v] = counts.get(v, 0) + 1
+    return counts, tuple(cycles), frozenset(cycle_nodes)
+
+
+# ---------------------------------------------------------------------------
+# unitary equivalence: every pair of atoms, and the one-to-one matching that
+# the sums over tolerance classes replaced
+
+
+def _witness(atom, here, side):
+    from semigroupoid_kit.atomic import describe_atom
+
+    if not here[1 - side]:
+        return f"unmatched atom {describe_atom(atom)}"
+    return f"multiplicity differs at {describe_atom(atom)}: {here[0]} vs {here[1]}"
+
+
+def compare_decompositions(da, db, tol=1e-9):
+    """The definition: each side's multiplicity at an atom is the sum over
+    all of that side's atoms within ``tol`` of it, read pair by pair; the
+    witness is the first atom of ``da``, else of ``db``, where they differ."""
+    from semigroupoid_kit.atomic import EquivalenceReport, atoms_equal, mult_add
+
+    sides = (da.atoms, db.atoms)
+    for side in (0, 1):
+        for atom, _ in sides[side]:
+            here = [0, 0]
+            for k, atoms in enumerate(sides):
+                for other, mult in atoms:
+                    if atoms_equal(atom, other, tol):
+                        here[k] = mult_add(here[k], mult)
+            if here[0] != here[1]:
+                return EquivalenceReport(False, _witness(atom, here, side))
+    return EquivalenceReport(True, "atom multisets agree")
+
+
+def compare_one_to_one(da, db, tol=1e-9):
+    """Each atom of ``da`` matched to the first unmatched atom of ``db``
+    within ``tol``, multiplicities compared pair by pair; it agrees with the
+    definition where each tolerance class holds one atom of each side."""
+    from semigroupoid_kit.atomic import EquivalenceReport, atoms_equal
+
+    right = list(db.atoms)
+    for atom, mult in da.atoms:
+        match = next((k for k, (o, _) in enumerate(right) if atoms_equal(atom, o, tol)), None)
+        if match is None or right[match][1] != mult:
+            here = [mult, 0 if match is None else right[match][1]]
+            return EquivalenceReport(False, _witness(atom, here, 0))
+        right.pop(match)
+    if right:
+        return EquivalenceReport(False, _witness(right[0][0], [0, right[0][1]], 1))
+    return EquivalenceReport(True, "atom multisets agree")
 
 
 # ---------------------------------------------------------------------------

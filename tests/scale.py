@@ -76,6 +76,11 @@ def _two_cycle_atoms(work: str, out: str, err: str) -> str | None:
     return None if got == want else f"atoms {got}"
 
 
+def _equivalent(work: str, out: str, err: str) -> str | None:
+    verdict = json.loads(_read(out))
+    return None if verdict["equivalent"] is True else str(verdict)
+
+
 def _chain_one_bad_arc() -> dict:
     """``chain_family_json`` with its last arc, e99998 on b, sent off the labels."""
     data = corpus.chain_family_json()
@@ -177,6 +182,13 @@ ROWS = [
     Row("atomic classify 1e5 cycle",
         lambda w: ["atomic", "classify", f"{w}/cycle.json"],
         {"cycle.json": corpus.cycle_family_json}, 0, _two_cycle_atoms, 152),
+    # 100,000 edgeless vertices with one label each, against a twin whose
+    # labels have other names: 100,000 left-regular atoms a side, one walk
+    Row("atomic equiv 1e5 roots",
+        lambda w: ["atomic", "equiv", f"{w}/roots-a.json", f"{w}/roots-b.json"],
+        {"roots-a.json": corpus.isolated_family_json,
+         "roots-b.json": lambda: corpus.isolated_family_json(label="b")},
+        0, _equivalent, 145),
     # the chain with one arc off the labels: the one scan names the one fault
     Row("atomic validate 1e5 chain, one bad arc",
         lambda w: ["atomic", "validate", f"{w}/bad-chain.json"],

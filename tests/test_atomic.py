@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import corpus
 import oracles
 from semigroupoid_kit import (
     OMEGA,
+    AtomDecomposition,
     CycleAtom,
     CycleType,
     DirectSum,
@@ -29,6 +31,7 @@ from semigroupoid_kit import (
     decompose_cycle,
     finitely_correlated_multiplicities,
     gauge_transform,
+    is_primitive,
     looped_triangle,
     pure_cycle_family,
     relabel,
@@ -37,7 +40,7 @@ from semigroupoid_kit import (
     validate_canonical,
     wold_atomic,
 )
-from semigroupoid_kit.atomic import CycleFound, RootFound
+from semigroupoid_kit.atomic import CycleFound, RootFound, atoms_equal, describe_atom
 
 
 def two_vertex_dag():
@@ -169,7 +172,7 @@ def test_classify_loop_sink_family(rng):
     for atom, mult in dec.atoms:
         kinds.setdefault(type(atom).__name__, 0)
         kinds[type(atom).__name__] += mult
-    assert kinds == {"CycleAtom": 2, "LeftRegularAtom": 1}
+    assert kinds == {"CycleType": 2, "LeftRegular": 1}  # an atom is a canonical family
     for atom, _ in dec.atoms:
         if isinstance(atom, CycleAtom):
             assert (atom.phase ** 2).turns == total
@@ -186,9 +189,9 @@ def test_classify_canonical_direct_sum(fig1):
     )
     dec = classify(fig1, fam)
     got = {(type(a).__name__, m) for a, m in dec.atoms}
-    assert ("LeftRegularAtom", 2) in got
-    assert ("CycleAtom", 1) in got
-    assert ("TailAtom", OMEGA) in got
+    assert ("LeftRegular", 2) in got
+    assert ("CycleType", 1) in got
+    assert ("TailType", OMEGA) in got
 
 
 def test_canonical_validation_rejects_bad_data(fig1):
@@ -292,6 +295,115 @@ def test_compare_decompositions_reports_witness(fig1):
     b = classify(fig1, LeftRegular("l"))
     rep = compare_decompositions(a, b)
     assert not rep.equivalent and "atom" in rep.witness
+
+
+def _canonical_sums(rng, g, count):
+    """Direct sums on ``g`` of one to four left-regular, cycle and tail
+    families, on closed walks of length at most 4, with multiplicities 1 to
+    3 or omega."""
+    closed = [Path(v, w) for v in g.sorted_vertices() for _, w in oracles.walks_from(g, v, 4)
+              if w and g.dst(w[0]) == v]
+    tails = [w for w in closed if is_primitive(g, w)]
+    sums = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                part = LeftRegular(rng.choice(g.sorted_vertices()))
+            elif kind == 1:
+                part = CycleType(rng.choice(closed), corpus.random_phase(rng))
+            else:
+                part = TailType(rng.choice(tails))
+            parts.append((part, rng.choice([1, 2, 3, OMEGA])))
+        sums.append(DirectSum(tuple(parts)))
+    return sums
+
+
+def test_classification_is_a_fixed_point_on_its_own_atoms(rng, fig1):
+    """An atom is a canonical family in normal form: a decomposition's
+    atoms, summed, classify to the same atoms and notes, and the sum is
+    equivalent to the family it came from."""
+    cases = []
+    for _ in range(40):
+        g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
+        cases.append(corpus.random_root_family(rng, g)[0])
+        cases.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
+        cases.append(corpus.random_cycle_family(rng)[1])
+    cases = [(fam.graph, fam) for fam in cases]
+    for g in (fig1, corpus.loop_sink_graph(), cycle_graph(3)):
+        cases += [(g, fam) for fam in _canonical_sums(rng, g, 40)]
+    kinds = set()
+    for g, fam in cases:
+        dec = classify(g, fam)
+        atoms = DirectSum(tuple(dec.atoms))
+        again = classify(g, atoms)
+        assert (again.atoms, again.notes) == (dec.atoms, dec.notes)
+        assert are_unitarily_equivalent(g, fam, atoms).equivalent
+        assert are_unitarily_equivalent(g, atoms, fam).equivalent
+        kinds |= {type(atom) for atom, _ in dec.atoms}
+    assert kinds == {LeftRegular, CycleType, TailType}
+
+
+def test_equivalence_sums_the_atoms_of_a_tolerance_class():
+    """Two loops of H on one graph loop, at a quarter turn: exact in both in
+    one family, exact and approximate in the other.  The second family has
+    two cycle atoms within tolerance, the first one of multiplicity 2."""
+    g = Graph.build(["v"], [("e", "v", "v")])
+    quarter = Phase.from_turns(1, 4)
+
+    def family(phase_b):
+        pi = {"e": {"a": "a", "b": "b"}}
+        return ExplicitAtomic(g, {"v": ("a", "b")}, pi, {("e", "a"): quarter, ("e", "b"): phase_b})
+
+    mixed, exact = family(Phase.from_complex(1j)), family(quarter)
+    assert [m for _, m in classify(g, mixed).atoms] == [1, 1]
+    assert [m for _, m in classify(g, exact).atoms] == [2]
+    for a, b in ((mixed, exact), (exact, mixed)):
+        verdict = are_unitarily_equivalent(g, a, b)
+        assert (verdict.equivalent, verdict.witness) == (True, "atom multisets agree")
+    other = family(Phase.from_complex(-1j))
+    verdict = are_unitarily_equivalent(g, other, exact)
+    at = describe_atom(CycleType(Path("v", ("e",)), quarter))
+    assert verdict.witness == f"multiplicity differs at {at}: 1 vs 2"
+
+
+def _random_decomposition(rng, cycles):
+    """Atoms on a few vertices and ``cycles``, with exact phases, their
+    approximate twins, neighbours nearer and farther than 1e-9, and
+    approximate phases just below a full turn."""
+    atoms = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            atom = LeftRegular(rng.choice("abc"))
+        elif kind == 1:
+            atom = TailType(rng.choice(cycles))
+        else:
+            exact = rng.choice([Phase.one(), Phase.from_turns(1, 4), Phase.from_turns(1, 3)])
+            shift = rng.choice([0.0, 0.0, 2e-10, -2e-10, 3e-9, -1e-12])
+            phase = rng.choice([exact, Phase.from_complex(exact.value * cmath.exp(1j * shift))])
+            atom = CycleType(rng.choice(cycles), phase)
+        atoms.append((atom, rng.choice([1, 1, 2, OMEGA])))
+    return AtomDecomposition(atoms)
+
+
+def test_equivalence_matches_its_definition_and_the_one_to_one_witness(rng):
+    """The merged walk against every pair of atoms; where each tolerance
+    class holds one atom of each side, its witness is the one-to-one
+    matching's, byte for byte."""
+    cycles = [Path("v", ("e",)), Path("v", ("f", "e"))]
+    singletons = 0
+    for _ in range(3000):
+        da, db = (_random_decomposition(rng, cycles) for _ in range(2))
+        got = compare_decompositions(da, db)
+        assert got == oracles.compare_decompositions(da, db)
+        sides = (da.atoms, db.atoms)
+        if all(sum(atoms_equal(x, y) for y, _ in side) <= 1 for x, _ in da.atoms + db.atoms
+               for side in sides):
+            singletons += 1
+            assert got == oracles.compare_one_to_one(da, db)
+    assert singletons > 1000
 
 
 def test_equivalence_of_identical_canonical(fig1):

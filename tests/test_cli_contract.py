@@ -276,6 +276,8 @@ def test_non_ascii_digits_are_refused(command, tmp_path):
 LOOP = {"vertices": ["v"], "edges": [{"id": "x", "src": "v", "dst": "v"}]}
 ONE_LOOP_FAMILY = {"graph": LOOP, "lambda": {"v": ["0"]},
                    "pi": [{"edge": "x", "from": "0", "to": "0"}], "phase": []}
+ONE_LOOP_SUM = {"tag": "direct_sum", "graph": LOOP,
+                "parts": [{"term": {"tag": "left_regular", "vertex": "v"}, "multiplicity": 2}]}
 # (command, documents, kind, path to an array, what list() would read instead)
 ARRAY_FIELDS = [
     ("graph check {graph}", {"graph": LOOP}, "graph", ("vertices",), "v"),
@@ -288,6 +290,10 @@ ARRAY_FIELDS = [
     ),
     ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("lambda", "v"), "0"),
     ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("lambda", "v"), {"0": 1}),
+    ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("pi",),
+     ONE_LOOP_FAMILY["pi"][0]),
+    ("atomic classify {family}", {"family": ONE_LOOP_FAMILY}, "family", ("phase",), {}),
+    ("atomic classify {canonical}", {"canonical": ONE_LOOP_SUM}, "canonical", ("parts",), {}),
 ]
 
 
@@ -301,3 +307,14 @@ def test_a_string_or_object_where_an_array_belongs_exits_one(
     code, out, err = run(argv_for(command, docs.get, str(tmp_path)))
     assert code == 1 and not out
     assert json.loads(err)["message"].endswith(f"expected an array, got {type(bad).__name__}")
+
+
+@pytest.mark.parametrize("bad", [[["v", ["0"]]], "v0"])
+def test_an_array_or_string_where_an_object_belongs_exits_one(bad, tmp_path):
+    """``lambda`` maps vertices to label arrays; an array of pairs, which
+    ``dict()`` would read as that map, is refused like any other non-object."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(ONE_LOOP_FAMILY, **{"lambda": bad})))
+    code, out, err = run(["atomic", "classify", str(path)])
+    assert code == 1 and not out
+    assert json.loads(err)["message"].endswith(f"expected an object, got {type(bad).__name__}")

@@ -392,7 +392,7 @@ def test_no_root_of_a_valid_total_family_reaches_a_cycle(rng):
         assert not any(reach[v] for v in roots)
         atoms = classify(g, fam).atoms
         left = {a.vertex: m for a, m in atoms if isinstance(a, LeftRegularAtom)}
-        assert left == {v: roots.count(v) for v in roots}
+        assert left == roots  # the root counts, one atom per vertex
         mixed += bool(roots) and any(reach.values())
     assert mixed >= 40  # roots beside cycles, not only acyclic hosts
 
@@ -724,7 +724,7 @@ def fed_core_graph(rng, into_cycle):
 
 def _oracle_atoms(fam):
     roots, cycles, _ = oracles.split(fam)
-    atoms = [(LeftRegularAtom(v), 1) for v in roots]
+    atoms = [(LeftRegularAtom(v), n) for v, n in roots.items()]
     for found in cycles:
         atoms += decompose_cycle(fam.graph, found.cycle, found.phase)
     return AtomDecomposition(atoms).atoms
