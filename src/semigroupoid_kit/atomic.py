@@ -17,16 +17,17 @@ at a vertex, or a cycle type with its phase or a tail, each on the canonical
 rotation of a primitive cycle; so a sum of the atoms classifies to them again.
 
 One scan reads each vertex's in-edges once.  It counts the labels no arc
-hits, the roots of H and so the left-regular atoms at each vertex, and
-where a test fails it names the faults and goes on: the verdict on any
-data, total, partial or invalid, comes from that one pass.  Core lemma:
-every node of a cycle component lies over the graph's elimination core, as
-an H-cycle lifts a graph cycle and the rest of its component lies
-downstream of it; so cycles are sought only in the H over the core, and on
-a forest that H is empty.  There one backward walk per component, from its
-least node, finds the component and traces its cycle; ``trace_backward``
-is that walk from one node.  A canonical family is read as its summands: a
-sum's parts, or the family once.
+hits, the roots of H and so the left-regular atoms at each vertex, and where
+a test fails it names the faults and goes on: a query on any data, total,
+partial or invalid, is answered or refused from that pass; only
+``validate_atomic`` makes a report.  Core lemma: every node of a cycle
+component lies over the graph's elimination core, as an H-cycle lifts a
+graph cycle and the rest of its component lies downstream of it; so cycles
+are sought only in the H over the core, and on a forest that H is empty.
+There one backward walk per component, from its least node, finds the
+component and traces its cycle; ``trace_backward`` is that walk from one
+node.  A canonical family is read as its summands: a sum's parts, or the
+family once.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class ExplicitAtomic:
     Index labels are scoped to their vertex: the basis node for label i at
     vertex v is the pair (v, i), so index sets at distinct vertices are
     disjoint by construction.  ``pi[e]`` maps source labels to range labels;
-    ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; its
-    ``validate_atomic`` report and split of H are computed on first use, from
-    the one scan it keeps as ``_survey``: free counts, faults, owing edges.
+    ``phases[(e, i)]`` defaults to 1 when missing.  The family is frozen; it
+    keeps its one scan, ``_survey`` (free counts, faults, owing edges), and the
+    split of H, made on first use.  Queries raise from the scan; no report is kept.
     """
 
     graph: Graph
@@ -113,10 +114,6 @@ class ExplicitAtomic:
     @cached_property
     def _survey(self) -> tuple[dict[str, int], list[tuple], list[int]]:
         return _scan(self)
-
-    @cached_property
-    def _verdict(self) -> ValidationReport:
-        return validate_atomic(self, require_total=False)
 
     @cached_property
     def _split(self) -> tuple[dict[str, int], tuple[CycleFound, ...], frozenset[Node]]:
@@ -234,15 +231,8 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     ix, report = a.graph.index, ValidationReport()
     for _, code, message, where in sorted(faults, key=itemgetter(0)):
         report.add(code, message, where)
-    owed = ((ix.edges[e], ix.vertices[ix.src[e]]) for e in sorted(owing))  # in g.key order
-    missing = [(eid, i) for eid, s in owed for i in a.labels(s) if i not in a.pi.get(eid, {})]
-    if missing:
-        sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
-        report.add(
-            "non-total",
-            f"{len(missing)} undefined image(s), e.g. {sample}",
-            severity="error" if require_total else "info",
-        )
+    if owing:
+        report.add("non-total", _non_total(a, owing), severity="error" if require_total else "info")
     # each vertex in ``free`` holds a label no arc hits, so it fails full
     # coisometry, and CK if it has an in-edge
     ck_fail = [v for v in free if ix.inc[ix.at[v]]]
@@ -258,6 +248,15 @@ def validate_atomic(a: ExplicitAtomic, require_total: bool = True) -> Validation
     )
     report.add("nondegenerate", "vertex projections sum to the identity", severity="info")
     return report
+
+
+def _non_total(a: ExplicitAtomic, owing: list[int]) -> str:
+    """The non-total message: the images the edges at ``owing`` owe, in ``g.key`` order."""
+    ix = a.graph.index
+    owed = ((ix.edges[e], ix.vertices[ix.src[e]]) for e in sorted(owing))
+    missing = [(eid, i) for eid, s in owed for i in a.labels(s) if i not in a.pi.get(eid, {})]
+    sample = ", ".join(f"pi_{e}[{i}]" for e, i in missing[:5])
+    return f"{len(missing)} undefined image(s), e.g. {sample}"
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +332,20 @@ def _h_components(
 
 
 def _require_valid(a: ExplicitAtomic, require_total: bool) -> None:
-    """Raise unless the family's cached validation verdict allows the call.
+    """Raise unless the family's kept scan allows the call; no report is built.
 
-    Structural errors raise DomainError; a missing image raises
-    NonTotalPresentation, and only when ``require_total`` is set.
+    Structural faults raise DomainError with their messages in sort-key order, as
+    ``validate_atomic`` lists them; a missing image raises NonTotalPresentation
+    with the one non-total message, and only when ``require_total`` is set.
     """
-    report = a._verdict
-    if not report.valid:
-        structural = [f.message for f in report.errors]
+    _, faults, owing = a._survey
+    if faults:
+        structural = [message for _, _, message, _ in sorted(faults, key=itemgetter(0))]
         raise DomainError("explicit atomic data is structurally invalid", findings=structural)
-    missing = [f.message for f in report.findings if f.code == "non-total"]
-    if require_total and missing:
+    if require_total and owing:
         raise NonTotalPresentation(
             "pi is not total; finite explicit data cannot present this family",
-            findings=missing,
+            findings=[_non_total(a, owing)],
         )
 
 
@@ -716,8 +715,13 @@ def compare_decompositions(
     """Compare two atom multisets.  A side's multiplicity at an atom sums its
     atoms within ``tol`` of it: the atom, or cycle atoms on its cycle with a
     phase that close.  Both lists are sorted, so one merged walk meets each
-    group, an atom or a cycle's atoms, once.  The witness is the first
-    failing atom of ``da``, else of ``db``."""
+    group, an atom or a cycle's atoms, once; equal lists need no walk.  The
+    witness is the first failing atom of ``da``, else of ``db``.  A negative
+    or NaN ``tol`` is refused."""
+    if not tol >= 0:
+        raise DomainError("tolerance must be a nonnegative number", tol=tol)
+    if da.atoms == db.atoms:
+        return EquivalenceReport(True, "atom multisets agree")
     failed: list[str | None] = [None, None]
     sides = (zip(dec.atoms, repeat(s)) for s, dec in enumerate((da, db)))
     merged = heapq.merge(*sides, key=lambda t: _atom_sort_key(t[0][0]))

@@ -169,14 +169,16 @@ class Graph:
                     indeg[w] -= 1
                     if not indeg[w]:
                         emptied.append(w)
-            layer = sorted(emptied)
+            emptied.sort()
+            layer = emptied
         core = frozenset(names[v] for v, k in enumerate(indeg) if k)
         return core, tuple(layers), not core
 
     @cached_property
     def _core(self) -> Graph:
-        # the elimination core as a graph, built only when asked for
-        return _restrict(self, self._elimination[0])
+        # the elimination core as a graph, built when asked for; an empty one in no pass
+        core = self._elimination[0]
+        return _restrict(self, core) if core else Graph((), ())
 
     @cached_property
     def key(self) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
@@ -343,11 +345,11 @@ def source_elimination(g: Graph) -> tuple[Graph, list[list[str]], bool]:
     the elimination exhausts every vertex.  On finite graphs that happens
     exactly when the graph is acyclic.  Computed once per graph by Kahn's
     layering and cached on ``g``, and the core ``Graph`` is built once, on
-    the first call: every call returns fresh layer lists, and the same core
-    ``Graph`` object.
+    the first call (an empty core, with no pass, as ``Graph((), ())``): every
+    call returns fresh layer lists, and the same core ``Graph`` object.
     """
     _, layers, exhausted = g._elimination
-    return g._core, [list(layer) for layer in layers], exhausted
+    return g._core, list(map(list, layers)), exhausted
 
 
 def has_ses(g: Graph) -> bool:

@@ -56,7 +56,7 @@ class Phase:
     @staticmethod
     def from_complex(z: complex) -> "Phase":
         r = abs(z)
-        if abs(r - 1.0) > 1e-6:
+        if not abs(r - 1.0) <= 1e-6:  # so a NaN modulus is refused too
             raise DomainError("phase must be unimodular", modulus=r)
         return Phase(None, z / r)
 
@@ -99,6 +99,8 @@ class Phase:
         """All p-th roots, ordered by increasing angle."""
         if p < 1:
             raise DomainError("root order must be positive", p=p)
+        if p == 1:  # the phase itself, not rebuilt from its angle
+            return [self]
         if self.turns is not None:
             out = [Phase.from_fraction((self.turns + j) / p) for j in range(p)]
             return sorted(out, key=lambda ph: ph.turns)

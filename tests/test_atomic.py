@@ -297,10 +297,14 @@ def test_compare_decompositions_reports_witness(fig1):
     assert not rep.equivalent and "atom" in rep.witness
 
 
-def _canonical_sums(rng, g, count):
+def _approx_phase(rng):
+    return Phase.from_complex(cmath.exp(1j * rng.uniform(-4, 4)))
+
+
+def _canonical_sums(rng, g, count, approx=False):
     """Direct sums on ``g`` of one to four left-regular, cycle and tail
     families, on closed walks of length at most 4, with multiplicities 1 to
-    3 or omega."""
+    3 or omega; cycle phases are exact, or approximate with ``approx``."""
     closed = [Path(v, w) for v in g.sorted_vertices() for _, w in oracles.walks_from(g, v, 4)
               if w and g.dst(w[0]) == v]
     tails = [w for w in closed if is_primitive(g, w)]
@@ -312,7 +316,8 @@ def _canonical_sums(rng, g, count):
             if kind == 0:
                 part = LeftRegular(rng.choice(g.sorted_vertices()))
             elif kind == 1:
-                part = CycleType(rng.choice(closed), corpus.random_phase(rng))
+                phase = _approx_phase(rng) if approx else corpus.random_phase(rng)
+                part = CycleType(rng.choice(closed), phase)
             else:
                 part = TailType(rng.choice(tails))
             parts.append((part, rng.choice([1, 2, 3, OMEGA])))
@@ -323,16 +328,25 @@ def _canonical_sums(rng, g, count):
 def test_classification_is_a_fixed_point_on_its_own_atoms(rng, fig1):
     """An atom is a canonical family in normal form: a decomposition's
     atoms, summed, classify to the same atoms and notes, and the sum is
-    equivalent to the family it came from."""
+    equivalent to the family it came from.  That holds to the bit for
+    approximate phases too: an atom's phase is not rebuilt from its angle."""
     cases = []
     for _ in range(40):
         g = corpus.random_graph(rng, max_v=6, max_e=9, acyclic=True)
         cases.append(corpus.random_root_family(rng, g)[0])
         cases.append(corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0])
         cases.append(corpus.random_cycle_family(rng)[1])
+        n, laps = rng.randint(1, 3), rng.randint(1, 2)
+        phases = [_approx_phase(rng) for _ in range(n * laps)]
+        cases.append(pure_cycle_family(cycle_graph(n), laps, phases))
     cases = [(fam.graph, fam) for fam in cases]
     for g in (fig1, corpus.loop_sink_graph(), cycle_graph(3)):
         cases += [(g, fam) for fam in _canonical_sums(rng, g, 40)]
+        cases += [(g, fam) for fam in _canonical_sums(rng, g, 40, approx=True)]
+    loop = Path("t", ("loop_t",))
+    for _ in range(200):
+        ph = _approx_phase(rng)
+        assert classify(fig1, CycleType(loop, ph)).atoms == [(CycleType(loop, ph), 1)]
     kinds = set()
     for g, fam in cases:
         dec = classify(g, fam)
@@ -366,6 +380,25 @@ def test_equivalence_sums_the_atoms_of_a_tolerance_class():
     verdict = are_unitarily_equivalent(g, other, exact)
     at = describe_atom(CycleType(Path("v", ("e",)), quarter))
     assert verdict.witness == f"multiplicity differs at {at}: 1 vs 2"
+
+
+def test_a_negative_or_nan_tolerance_is_refused():
+    """A tolerance below 0 makes every angle window empty, so inequivalent
+    families would agree; it is refused, before equal lists are answered."""
+    g = cycle_graph(1)
+    a = pure_cycle_family(g, 1, [Phase.from_turns(1, 4)])
+    b = pure_cycle_family(g, 2, [Phase.from_turns(1, 4), Phase.one()])
+    for tol in (1e-9, 0.0):
+        verdict = are_unitarily_equivalent(g, a, b, tol)
+        assert not verdict.equivalent and verdict.witness.startswith("unmatched atom")
+    assert are_unitarily_equivalent(g, a, a, 0.0).equivalent
+    da = classify(g, a)
+    for tol in (-1.0, -1e-300, float("nan"), float("-inf")):
+        for left, right in ((da, classify(g, b)), (da, da)):
+            with pytest.raises(DomainError) as err:
+                compare_decompositions(left, right, tol)
+            assert str(err.value) == "tolerance must be a nonnegative number"
+            assert err.value.details["tol"] is tol
 
 
 def _random_decomposition(rng, cycles):
@@ -404,6 +437,28 @@ def test_equivalence_matches_its_definition_and_the_one_to_one_witness(rng):
             singletons += 1
             assert got == oracles.compare_one_to_one(da, db)
     assert singletons > 1000
+
+
+def test_equal_atom_lists_agree_without_the_merged_walk(rng, monkeypatch):
+    """Sorted and merged, equal lists are equal multisets: they agree at any
+    tolerance, and the walk, which orders atoms by their sort key, is not run."""
+    from semigroupoid_kit import atomic
+
+    cycles = [Path("v", ("e",)), Path("v", ("f", "e"))]
+    pairs = []
+    for _ in range(200):
+        da = _random_decomposition(rng, cycles)
+        pairs.append((da, AtomDecomposition(list(da.atoms))))
+    want = [oracles.compare_decompositions(da, db, 0.0) for da, db in pairs]
+
+    def refuse(atom):
+        raise AssertionError("equal lists were walked")
+
+    monkeypatch.setattr(atomic, "_atom_sort_key", refuse)
+    for (da, db), verdict in zip(pairs, want):
+        for tol in (0.0, 1e-9, 1.0):
+            got = compare_decompositions(da, db, tol)
+            assert got == verdict == atomic.EquivalenceReport(True, "atom multisets agree")
 
 
 def test_equivalence_of_identical_canonical(fig1):

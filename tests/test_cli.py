@@ -962,3 +962,18 @@ def test_each_answer_is_made_once_in_the_form_asked_for(
         code, out, err = run(capsys, argv + ["--format", "table"])
         assert code == 0 and not err and out.count("\n") > n // 2
         assert made == {"path": 0, "label": n if item == "label" else 0}, argv
+
+
+def test_an_approximate_phase_classifies_back_to_itself(capsys, tmp_path):
+    """A cycle atom of one lap keeps its phase: ``{"re": 0, "im": 1}`` reads
+    back as exactly 1j, not as a value rebuilt from its angle."""
+    graph = {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "a"}]}
+    family = {"graph": graph, "lambda": {"a": ["a"]},
+              "pi": [{"edge": "e", "from": "a", "to": "a"}],
+              "phase": [{"edge": "e", "from": "a", "re": 0, "im": 1}]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    code, out, _ = run(capsys, ["atomic", "classify", str(path)])
+    assert code == 0
+    (atom,) = json.loads(out)["atoms"]
+    assert atom["phase"] == {"re": 0.0, "im": 1.0}

@@ -318,3 +318,30 @@ def test_an_array_or_string_where_an_object_belongs_exits_one(bad, tmp_path):
     code, out, err = run(["atomic", "classify", str(path)])
     assert code == 1 and not out
     assert json.loads(err)["message"].endswith(f"expected an object, got {type(bad).__name__}")
+
+
+def test_a_nan_phase_and_a_negative_or_nan_tolerance_exit_one(tmp_path):
+    """A NaN phase modulus is not within 1e-6 of 1, and a tolerance below 0
+    or NaN would call inequivalent families equivalent."""
+    graph = {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "a"}]}
+    family = {"graph": graph, "lambda": {"a": ["a"]},
+              "pi": [{"edge": "e", "from": "a", "to": "a"}], "phase": []}
+    nan_phase = dict(family, phase=[{"edge": "e", "from": "a", "re": float("nan"), "im": 0}])
+    paths = {}
+    for name, doc in (("family", family), ("nan_phase", nan_phase)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # NaN is written as the bare token Python reads back
+    code, out, err = run(["atomic", "equiv", paths["family"], paths["family"], "--tol", "0"])
+    assert code == 0 and json.loads(out)["equivalent"] is True
+    for argv, message in (
+        (["atomic", "classify", paths["nan_phase"]], "phase must be unimodular"),
+        (["atomic", "equiv", paths["family"], paths["family"], "--tol", "-1"],
+         "tolerance must be a nonnegative number"),
+        (["atomic", "equiv", paths["family"], paths["family"], "--tol", "nan"],
+         "tolerance must be a nonnegative number"),
+    ):
+        code, out, err = run(argv)
+        assert code == 1 and not out, argv
+        error = json.loads(err)
+        assert (error["error"], error["message"]) == ("domain-error", message), argv

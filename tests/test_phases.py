@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,20 @@ def test_phase_is_a_slotted_value_that_copies_and_pickles_equal():
         for copied in (copy.copy(ph), copy.deepcopy(ph), pickle.loads(pickle.dumps(ph))):
             assert copied == ph and hash(copied) == hash(ph)
             assert copied.turns == ph.turns and copied.approx == ph.approx
+
+
+def test_the_first_root_of_a_phase_is_the_phase():
+    for ph in (Phase.from_turns(1, 3), Phase.from_complex(1j),
+               Phase.from_complex(cmath.exp(2.5j)), Phase.from_complex(complex(0.6, 0.8))):
+        assert ph.roots(1) == [ph] and ph.roots(1)[0] is ph
+
+
+def test_a_phase_modulus_off_one_or_nan_is_refused():
+    for z in (complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), 2, 0.5):
+        with pytest.raises(DomainError) as err:
+            Phase.from_complex(z)
+        assert str(err.value) == "phase must be unimodular"
+    assert Phase.from_complex(complex(1 + 5e-7, 0)).approx == 1
 
 
 def test_root_order_must_be_positive():

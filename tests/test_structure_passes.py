@@ -101,6 +101,26 @@ def test_elimination_is_computed_once_and_shared(rng):
         assert vars(g)["_elimination"] is cached and "_sccs" not in vars(g)
 
 
+def test_a_forest_core_is_one_empty_graph_made_with_no_pass(rng, monkeypatch):
+    """On an acyclic graph the core is ``Graph((), ())``, made without
+    restricting the graph: every call returns that one object, and fresh
+    layer lists equal to the oracle's."""
+
+    def refuse(g, keep):
+        raise AssertionError("an empty core restricted the graph")
+
+    monkeypatch.setattr(semigroupoid_kit.graph, "_restrict", refuse)
+    for _ in range(20):
+        g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
+        core, layers, exhausted = source_elimination(g)
+        again = source_elimination(g)
+        assert exhausted and core == Graph((), ()) and again[0] is core
+        assert layers == again[1] == oracles.source_elimination(g)[1]
+        assert layers is not again[1]
+        assert not any(a is b for a, b in zip(layers, again[1]))
+        assert all(type(layer) is list for layer in layers)
+
+
 def test_sccs_are_computed_once_on_first_use(rng):
     for g in sample_graphs(rng, count=20):
         assert "_sccs" not in vars(g) and "_elimination" not in vars(g)
@@ -761,9 +781,10 @@ def test_split_lemma_cases_match_union_find(rng):
     for n, (shape, fam) in enumerate(_split_lemma_families(rng)):
         g = fam.graph
         total = validate_atomic(fam).valid
-        if n % 2:  # the verdict first, so that the split makes its own pass
-            assert fam._verdict.findings == oracles.validate_atomic(fam, False).findings
-        got = fam._split  # otherwise the split's pass gives the verdict too
+        if n % 2:  # the report first, so that the split reads the kept scan
+            got = validate_atomic(fam, require_total=False)
+            assert got.findings == oracles.validate_atomic(fam, False).findings
+        got = fam._split  # otherwise the split's pass gives the report its scan
         want = oracles.split(fam)
         assert got == want
         assert wold_atomic(fam).remainder_nodes == want[2]
@@ -772,7 +793,8 @@ def test_split_lemma_cases_match_union_find(rng):
         else:
             with pytest.raises(NonTotalPresentation):
                 classify(g, fam)
-        assert fam._verdict.findings == oracles.validate_atomic(fam, False).findings
+        got = validate_atomic(fam, require_total=False)
+        assert got.findings == oracles.validate_atomic(fam, False).findings
         core = set(oracles.source_elimination(g)[0].vertices)
         h = build_H(fam)
         # a root off the core whose component holds nodes over the core
@@ -789,9 +811,9 @@ def test_split_lemma_cases_match_union_find(rng):
 
 def test_families_cache_only_the_verdict_and_the_split(rng):
     # a per-node link map or node set kept on each family would raise the
-    # peak memory of every structure query: on valid total data the survey
-    # kept beside the verdict and the split is the scan's counts, no faults
-    # and no owing edges
+    # peak memory of every structure query, and so would a kept report: on
+    # valid total data the survey kept beside the split is the scan's
+    # counts, no faults and no owing edges
     fields = {"graph", "lam", "pi", "phases", "_survey"}
     for _ in range(10):
         g = corpus.random_graph(rng, max_v=8, max_e=10, acyclic=True)
@@ -806,7 +828,7 @@ def test_families_cache_only_the_verdict_and_the_split(rng):
             wold_atomic(fam)
             assert are_unitarily_equivalent(fam.graph, fam, twin).equivalent
             for a in (fam, twin):
-                assert set(vars(a)) == fields | {"_verdict", "_split"}
+                assert set(vars(a)) == fields | {"_split"}
                 free, faults, owing = a._survey
                 assert faults == [] and owing == []
                 assert all(type(v) is str and type(n) is int and n > 0 for v, n in free.items())
@@ -817,8 +839,9 @@ def test_families_cache_only_the_verdict_and_the_split(rng):
 
 
 def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
-    """Whichever of the verdict and the split is read first, a family makes
-    one scan, on valid total, valid partial and invalid data alike."""
+    """Whichever of the report and the split is read first, a family makes
+    one scan, on valid total, valid partial and invalid data alike, and
+    keeps only the scan and the split."""
     from semigroupoid_kit import atomic
 
     calls = []
@@ -838,7 +861,7 @@ def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
             for verdict_first in (True, False):
                 twin = ExplicitAtomic(fam.graph, fam.lam, fam.pi, fam.phases)
                 calls.clear()
-                reads = ["_verdict", "_split"] if verdict_first else ["_split", "_verdict"]
+                reads = ["report", "_split"] if verdict_first else ["_split", "report"]
                 for read in reads:
                     if read == "_split" and not want.valid:
                         with pytest.raises(DomainError):
@@ -846,9 +869,74 @@ def test_the_verdict_and_the_split_share_one_survey(rng, monkeypatch):
                     elif read == "_split":
                         assert twin._split == oracles.split(twin)
                     else:
-                        assert twin._verdict.findings == want.findings
+                        got = validate_atomic(twin, require_total=False)
+                        assert got.findings == want.findings
                 assert calls == ["_scan"], (shape, reads)
+                cached = {"_survey", "_split"} if want.valid else {"_survey"}
+                assert set(vars(twin)) - {"graph", "lam", "pi", "phases"} == cached
     assert seen == {"total", "partial", "invalid"}
+
+
+def _refusal(fam, require_total):
+    """What a query on ``fam`` raises, read off the oracle's report: its
+    structural errors, else, where totality is asked, its non-total finding."""
+    report = oracles.validate_atomic(fam, require_total=False)
+    if not report.valid:
+        findings = [f.message for f in report.errors]
+        return "DomainError", "explicit atomic data is structurally invalid", {"findings": findings}
+    missing = [f.message for f in report.findings if f.code == "non-total"]
+    if require_total and missing:
+        message = "pi is not total; finite explicit data cannot present this family"
+        return "NonTotalPresentation", message, {"findings": missing}
+    return None
+
+
+def test_explicit_queries_build_no_report(rng, monkeypatch):
+    """Queries raise from the family's kept scan: with ``ValidationReport``
+    made to raise in ``atomic``, every answer, and every refusal's class,
+    message and findings, is the same, and each refusal is the one the
+    oracle's report implies, on valid, partial and broken data."""
+    valid = _valid_families(rng, count=6)
+    sinks = [corpus.random_loop_sink_family(rng, rng.randint(1, 3))[0] for _ in range(4)]
+    broken = [v for fam in valid + sinks for v in _broken_variants(rng, fam)]
+    families = valid + sinks + broken + [v for fam in sinks for v in _scan_faults(fam)]
+    mus = []  # a cycle of each host, for condition (M), where it has one
+    for fam in families:
+        found = [Path(v, c) for v in fam.graph.vertices for c in oracles.cycles_at(fam.graph, v, 3)]
+        mus.append(found[0] if found else None)
+
+    def queries(fam, mu):
+        twin = ExplicitAtomic(fam.graph, fam.lam, fam.pi, fam.phases)
+        calls = [lambda: classify(fam.graph, fam), lambda: wold_atomic(fam),
+                 lambda: are_unitarily_equivalent(fam.graph, fam, twin), lambda: build_H(fam)]
+        if mu is not None:
+            calls.append(lambda: orbit_condition_M(fam, mu))
+        return [_answer(call) for call in calls]
+
+    want = [queries(fam, mu) for fam, mu in zip(families, mus)]
+    refused = 0
+    for fam, mu, got in zip(families, mus, want):
+        total, partial = _refusal(fam, True), _refusal(fam, False)
+        expected = [total, partial, total, partial, partial][:len(got)]
+        for answer, refusal in zip(got, expected):
+            if refusal is None:
+                assert not isinstance(answer, tuple)
+            else:
+                assert answer == refusal
+                refused += 1
+        if total is None:
+            assert got[0].atoms == _oracle_atoms(fam) and got[2].equivalent
+        if partial is None:
+            roots, _, remainder = oracles.split(fam)
+            assert (got[1].alpha, got[1].remainder_nodes) == (roots, remainder)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query built a ValidationReport")
+
+    monkeypatch.setattr(atomic, "ValidationReport", refuse)
+    fresh = [ExplicitAtomic(f.graph, f.lam, f.pi, f.phases) for f in families]  # no caches
+    assert [queries(fam, mu) for fam, mu in zip(fresh, mus)] == want
+    assert refused >= 100 and sum(mu is not None for mu in mus) >= 20
 
 
 def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
